@@ -132,6 +132,27 @@ class _Chain:
         return False
 
 
+def _pack(chains: list[_Chain]) -> list[list[_Chain]]:
+    """First-fit packing of chains, in order, into permutations: a chain
+    joins the first permutation it shares no variable with. Chains that
+    share no variable have lengths summing to at most n, so they fit."""
+    bins: list[list[_Chain]] = []
+    masks: list[int] = []
+    for chain in chains:
+        cmask = 0
+        for v in chain.vars:
+            cmask |= 1 << v
+        for i, bmask in enumerate(masks):
+            if not bmask & cmask:
+                bins[i].append(chain)
+                masks[i] = bmask | cmask
+                break
+        else:
+            bins.append([chain])
+            masks.append(cmask)
+    return bins
+
+
 def decompose(formula: TabularFormula,
               strategy: str = STRATEGY_ASSEMBLE) -> tuple[list[Ctf], DecompositionReport]:
     """Split the formula into CT formulas over individual permutations.
@@ -140,7 +161,14 @@ def decompose(formula: TabularFormula,
               1..3 in ascending order, remaining variables after.
     assemble: greedy first-fit chaining; a group extends an existing
               chain when its triple overlaps the chain's end (or start)
-              in two variables and contributes one new variable.
+              in two variables and contributes one new variable. The
+              finished chains are then packed first-fit, in creation
+              order, into shared permutations: a chain joins the first
+              permutation whose chains it shares no variable with (the
+              lengths of such chains sum to at most n). A permutation
+              is its chains' variables concatenated, then the unused
+              variables ascending; the tiers straddling two chains stay
+              empty. So k counts packed permutations, not chains.
 
     The produced CTFs partition the clause set exactly, and
     ceil(w/(n-2)) <= k <= m.
@@ -159,12 +187,19 @@ def decompose(formula: TabularFormula,
                 continue
         chains.append(_Chain(triple))
 
+    if strategy == STRATEGY_ASSEMBLE:
+        bins = _pack(chains)
+    else:
+        bins = [[chain] for chain in chains]
+
     ctfs = []
-    for chain in chains:
-        rest = sorted(set(range(1, n + 1)) - set(chain.vars))
-        perm = Perm(chain.vars + rest)
-        clauses = [c for triple in chain.groups for c in by_triple[triple]]
-        ctfs.append(Ctf.from_clauses(perm, clauses))
+    for packed in bins:
+        order = [v for chain in packed for v in chain.vars]
+        placed = set(order)
+        order += [v for v in range(1, n + 1) if v not in placed]
+        clauses = [c for chain in packed for triple in chain.groups
+                   for c in by_triple[triple]]
+        ctfs.append(Ctf.from_clauses(Perm(order), clauses))
 
     k = len(ctfs)
     if formula.m and not math.ceil(w / (n - 2)) <= k <= formula.m:
@@ -195,10 +230,9 @@ def decompose_with_plan(formula: TabularFormula,
     missing = set(range(1, formula.m + 1)) - used
     if missing:
         raise ValueError("plan leaves clauses unassigned: %s" % sorted(missing))
-    w = len(group_terms(formula))
-    report = DecompositionReport(k=len(ctfs), w=w,
-                                 group_sizes=tuple(
-                                     len(g) for _, g in group_terms(formula)))
+    groups = group_terms(formula)
+    report = DecompositionReport(k=len(ctfs), w=len(groups),
+                                 group_sizes=tuple(len(g) for _, g in groups))
     return ctfs, report
 
 

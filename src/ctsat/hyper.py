@@ -267,14 +267,29 @@ def _remove_edge_everywhere(hs: Hyperstructure, bg: TierGraph, e: Edge,
     stats.pruned_edges += 1
 
 
-def assert_tier_disjoint(vsub: dict[Vertex, Cts], tiers, j: int) -> None:
+class InvariantViolation(RuntimeError):
+    """An internal invariant of the procedure failed; `diagnostics`
+    holds the offending substructures."""
+
+    def __init__(self, message: str, diagnostics: dict):
+        super().__init__(message)
+        self.diagnostics = diagnostics
+
+
+def check_tier_disjoint(vsub: dict[Vertex, Cts], tiers, j: int) -> None:
     """Same-tier substructure-vertices must have pairwise empty
-    intersections; checked after each tier completes."""
+    intersections; checked after each tier completes (also under -O)."""
     codes = sorted(tiers[j])
     for i, a in enumerate(codes):
         for b in codes[i + 1:]:
-            assert vsub[(j, a)].intersect(vsub[(j, b)]).is_empty, \
-                "tier %d substructures %d and %d overlap" % (j + 1, a, b)
+            if not vsub[(j, a)].intersect(vsub[(j, b)]).is_empty:
+                raise InvariantViolation(
+                    "tier %d substructures %s and %s overlap"
+                    % (j + 1, format(a, "03b"), format(b, "03b")),
+                    {"tier": j + 1,
+                     "substructures": {
+                         format(c, "03b"): vsub[(j, c)].render()
+                         for c in (a, b)}})
 
 
 def effective_procedure(basic: Cts, second: Cts) -> EpResult:
@@ -295,7 +310,7 @@ def effective_procedure(basic: Cts, second: Cts) -> EpResult:
     empty_tier = _initial_tier(hs, second, bg, stats)
     if empty_tier is not None:
         return EpResult(None, bg, empty_tier, stats)
-    assert_tier_disjoint(hs.vsub, hs.skeleton.tiers, 0)
+    check_tier_disjoint(hs.vsub, hs.skeleton.tiers, 0)
 
     for j in range(bg.tier_count - 1):
         while True:
@@ -327,7 +342,7 @@ def effective_procedure(basic: Cts, second: Cts) -> EpResult:
             # the cascade may have shrunk projection bases at tiers <= j;
             # recompute this boundary before moving on
             stats.recompute_rounds += 1
-        assert_tier_disjoint(hs.vsub, hs.skeleton.tiers, j + 1)
+        check_tier_disjoint(hs.vsub, hs.skeleton.tiers, j + 1)
     return EpResult(hs, bg, None, stats)
 
 

@@ -10,8 +10,8 @@ members are empty or non-empty only jointly.
 The classifier runs the full pipeline and emits one of three verdicts:
 satisfiable (with a verified witness), unsatisfiable (with the pipeline
 stage and the 1-based tier that emptied), or classification failure
-(complete hyperstructure system but no extractable witness, with full
-diagnostics attached).
+(complete hyperstructure system but no extractable witness, or a
+violated internal invariant, with full diagnostics attached).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .cts import Bits, Cts, Perm
 from .decompose import (STRATEGY_ASSEMBLE, cts_stage_evidence, ctf_to_cts,
                         decompose, decompose_with_plan)
 from .formula import TabularFormula, bits_to_string
-from .hyper import (Edge, ExtractionFailure, TierGraph, Vertex,
-                    assert_tier_disjoint, basic_graph, route_assignment,
-                    vertex_values)
+from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
+                    Vertex, basic_graph, check_tier_disjoint,
+                    route_assignment, vertex_values)
 from .unify import unify
 
 GRANULARITY_FINE = "fine"
@@ -250,7 +250,7 @@ def systemic_effective_procedure(
     if empty_tier is not None:
         return SepResult("empty", empty_tier=empty_tier, stats=stats)
     for m in system.members:
-        assert_tier_disjoint(m.vsub, skeleton.tiers, 0)
+        check_tier_disjoint(m.vsub, skeleton.tiers, 0)
     _emit_tier(sink, system, 0)
 
     for j in range(skeleton.tier_count - 1):
@@ -297,7 +297,7 @@ def systemic_effective_procedure(
                 break
             stats.recompute_rounds += 1
         for m in system.members:
-            assert_tier_disjoint(m.vsub, skeleton.tiers, j + 1)
+            check_tier_disjoint(m.vsub, skeleton.tiers, j + 1)
         _emit_tier(sink, system, j + 1)
 
     return SepResult("complete", system=system, stats=stats)
@@ -441,9 +441,12 @@ def classify(formula: TabularFormula,
             for i, s in enumerate(unified.structures)))
         sink.write("basic_graph", basic_graph(basic).render())
 
-    result = systemic_effective_procedure(
-        basic, others, canonical, granularity=granularity,
-        early_check=early_check, sink=sink)
+    try:
+        result = systemic_effective_procedure(
+            basic, others, canonical, granularity=granularity,
+            early_check=early_check, sink=sink)
+    except InvariantViolation as exc:
+        return _failure_verdict(detail, exc, exc.diagnostics, sink)
     detail["sep"] = {
         "pruned_vertices": result.stats.pruned_vertices,
         "pruned_edges": result.stats.pruned_edges,
@@ -468,16 +471,22 @@ def classify(formula: TabularFormula,
     try:
         extraction = extract_jss_system(result.system, basic, canonical)
     except ExtractionFailure as exc:
-        detail["error"] = str(exc)
-        detail["diagnostics"] = _failure_bundle(result.system)
-        if sink is not None:
-            sink.write("verdict", "verdict: classification-failure\n")
-        return Verdict(CLASSIFICATION_FAILURE, detail=detail)
+        return _failure_verdict(detail, exc, _failure_bundle(result.system),
+                                sink)
     detail["backtracks"] = extraction.backtracks
     verdict = _verified_sat(formula, extraction.assignment, detail)
     if sink is not None:
         sink.write("verdict", "\n".join(verdict.lines()) + "\n")
     return verdict
+
+
+def _failure_verdict(detail: dict, exc: Exception, diagnostics: dict,
+                     sink) -> Verdict:
+    detail["error"] = str(exc)
+    detail["diagnostics"] = diagnostics
+    if sink is not None:
+        sink.write("verdict", "verdict: classification-failure\n")
+    return Verdict(CLASSIFICATION_FAILURE, detail=detail)
 
 
 def _failure_bundle(system: HsSystem) -> dict:

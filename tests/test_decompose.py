@@ -87,13 +87,16 @@ def test_decompose_ideal_formula_single_ctf():
     assert ctfs[0].tiers == ideal5_ctf().tiers
 
 
-def test_decompose_disjoint_triples_hits_upper_extreme():
+def test_decompose_disjoint_triples_simple_upper_assemble_lower_extreme():
     f = TabularFormula(9, (Clause(((1, 0), (2, 0), (3, 0))),
                            Clause(((4, 0), (5, 0), (6, 0))),
                            Clause(((7, 0), (8, 0), (9, 0)))))
-    for strategy in ("simple", "assemble"):
-        _, report = decompose(f, strategy)
-        assert report.k == report.w == f.m == 3
+    _, report = decompose(f, "simple")
+    assert report.k == report.w == f.m == 3
+    # the three chains share no variable and pack into one permutation
+    ctfs, report = decompose(f, "assemble")
+    assert report.k == 1 == math.ceil(report.w / (f.n - 2))
+    assert clause_multiset(ctfs) == sorted(f.clauses)
 
 
 def test_decompose_assemble_chains_overlapping_groups():
@@ -105,6 +108,58 @@ def test_decompose_assemble_chains_overlapping_groups():
     assert report.k == 1 and report.w == 3
     _, simple_report = decompose(f, "simple")
     assert simple_report.k == 3
+
+
+def test_decompose_packs_disjoint_chains_into_one_ctf():
+    # chains [1 2 3 4], [5 6 7] and [8 9 10] fill n=12 up to 10 variables
+    f = TabularFormula(12, (Clause(((1, 0), (2, 1), (3, 0))),
+                            Clause(((2, 0), (3, 0), (4, 1))),
+                            Clause(((5, 1), (6, 1), (7, 0))),
+                            Clause(((8, 0), (9, 0), (10, 0))),
+                            Clause(((8, 1), (9, 0), (10, 1)))))
+    ctfs, report = decompose(f, "assemble")
+    assert report.k == 1 and report.w == 4
+    assert ctfs[0].perm == Perm.identity(12)
+    # the tiers straddling two chains stay empty
+    assert [j for j, mask in enumerate(ctfs[0].tiers) if mask] == [0, 1, 4, 7]
+    assert clause_multiset(ctfs) == sorted(f.clauses)
+    for bits in f.assignments():
+        assert ctfs[0].evaluate(bits) == f.evaluate(bits)
+
+
+def test_decompose_overlapping_chains_spill_into_second_ctf():
+    # chains [1 2 3 4 5] and [5 6 7 8 9] need 10 > n positions (they
+    # share x5); the later chain [6 8 9] shares nothing with the first
+    # and joins its permutation
+    f = TabularFormula(9, (Clause(((1, 0), (2, 0), (3, 0))),
+                           Clause(((2, 0), (3, 1), (4, 0))),
+                           Clause(((3, 0), (4, 0), (5, 1))),
+                           Clause(((5, 0), (6, 0), (7, 0))),
+                           Clause(((6, 1), (7, 0), (8, 1))),
+                           Clause(((6, 1), (8, 0), (9, 0))),
+                           Clause(((7, 1), (8, 1), (9, 1)))))
+    ctfs, report = decompose(f, "assemble")
+    assert report.k == 2 and report.w == 7
+    assert [c.perm for c in ctfs] == [Perm([1, 2, 3, 4, 5, 6, 8, 9, 7]),
+                                      Perm([5, 6, 7, 8, 9, 1, 2, 3, 4])]
+    assert clause_multiset(ctfs) == sorted(f.clauses)
+    for bits in f.assignments():
+        assert all(c.evaluate(bits) for c in ctfs) == bool(f.evaluate(bits))
+
+
+def test_decompose_packing_random_free_formulas():
+    rng = random.Random(31)
+    for trial in range(40):
+        n = rng.randint(4, 12)
+        f = generate(GenParams(n=n, m=rng.randint(3, 5 * n), mode="free",
+                               seed=500 + trial)).canonicalize()
+        ctfs, report = decompose(f, "assemble")
+        _, simple_report = decompose(f, "simple")
+        assert math.ceil(report.w / (n - 2)) <= report.k <= simple_report.k
+        assert clause_multiset(ctfs) == sorted(f.clauses)
+        assert decompose(f, "assemble") == (ctfs, report)
+        for bits in f.assignments():
+            assert all(c.evaluate(bits) for c in ctfs) == bool(f.evaluate(bits))
 
 
 def test_decompose_soundness_random_instances():

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ctsat
 from ctsat.cts import Cts, Perm
-from ctsat.hyper import (Hyperstructure, basic_graph,
-                         effective_procedure, extract_jss, project_tier,
-                         shift)
+from ctsat.hyper import (Hyperstructure, InvariantViolation, basic_graph,
+                         check_tier_disjoint, effective_procedure,
+                         extract_jss, project_tier, shift)
 from ctsat.unify import unify
 
 import tabledata
@@ -277,6 +281,38 @@ def test_same_tier_substructures_pairwise_disjoint():
             for i, a in enumerate(codes):
                 for b in codes[i + 1:]:
                     assert hs.vsub[(j, a)].intersect(hs.vsub[(j, b)]).is_empty
+
+
+def test_tier_disjoint_check_rejects_overlapping_substructures(perm5):
+    zeros = Cts.from_assignment((0, 0, 0, 0, 0), perm5)
+    ones = Cts.from_assignment((1, 1, 1, 1, 1), perm5)
+    check_tier_disjoint({(0, 0b000): zeros, (0, 0b111): ones},
+                        [{0b000, 0b111}], 0)
+    with pytest.raises(InvariantViolation,
+                       match="tier 1 substructures 000 and 111 overlap") as info:
+        check_tier_disjoint({(0, 0b000): zeros, (0, 0b111): zeros},
+                            [{0b000, 0b111}], 0)
+    assert info.value.diagnostics == {
+        "tier": 1, "substructures": {"000": zeros.render(),
+                                     "111": zeros.render()}}
+
+
+def test_tier_disjoint_check_survives_optimize():
+    script = (
+        "from ctsat.cts import Cts, Perm\n"
+        "from ctsat.hyper import InvariantViolation, check_tier_disjoint\n"
+        "assert False, 'asserts are stripped under -O'\n"
+        "s = Cts.complete(Perm.identity(4))\n"
+        "try:\n"
+        "    check_tier_disjoint({(0, 1): s, (0, 2): s}, [{1, 2}], 0)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "tier 1 substructures 001 and 010 overlap"
 
 
 def test_substructures_intersect_every_earlier_tier():

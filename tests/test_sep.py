@@ -318,3 +318,24 @@ def test_classify_surfaces_extraction_failure(monkeypatch):
     assert "forced for the test" in verdict.detail["error"]
     bundle = verdict.detail["diagnostics"]
     assert bundle["skeleton"] and bundle["members"]
+
+
+def test_classify_surfaces_invariant_violation(monkeypatch):
+    # hand the tier check overlapping same-tier substructures: every
+    # vertex of the tier gets the first vertex's substructure
+    import ctsat.sep as sep_mod
+    from ctsat.hyper import check_tier_disjoint
+
+    def overlapping(vsub, tiers, j):
+        codes = sorted(tiers[j])
+        check_tier_disjoint({(j, c): vsub[(j, codes[0])] for c in codes},
+                            tiers, j)
+
+    monkeypatch.setattr(sep_mod, "check_tier_disjoint", overlapping)
+    f = generate(GenParams(n=7, m=18, mode="sat", seed=12))
+    verdict = classify(f, early_check=False)
+    assert verdict.kind == CLASSIFICATION_FAILURE
+    assert verdict.exit_code == 30
+    assert "overlap" in verdict.detail["error"]
+    bundle = verdict.detail["diagnostics"]
+    assert bundle["tier"] >= 1 and len(bundle["substructures"]) == 2
