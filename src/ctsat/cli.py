@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="DIR", help="dump pipeline stages")
     p.add_argument("--strategy", choices=["simple", "assemble"],
                    default="assemble")
-    p.add_argument("--granularity", choices=["fine", "coarse"], default="fine")
     p.add_argument("--plan", metavar="FILE",
                    help="pinned decomposition plan (perm/clauses lines)")
 
@@ -135,8 +134,8 @@ def _dispatch(args) -> int:
         formula = _load_formula(args.file)
         sink = FileTraceSink(args.trace) if args.trace else None
         plan = _load_plan(args.plan) if args.plan else None
-        verdict = classify(formula, strategy=args.strategy,
-                           granularity=args.granularity, plan=plan, sink=sink)
+        verdict = classify(formula, strategy=args.strategy, plan=plan,
+                           sink=sink)
         print("\n".join(verdict.lines()))
         return verdict.exit_code
 

@@ -41,7 +41,8 @@ class Ctf:
         """Build from clauses that must all be compact under perm."""
         masks = [0] * (len(perm) - 2)
         for c in clauses:
-            masks[_place(perm, c)] |= 1 << _pattern(perm, c)
+            first = _place(perm, c)
+            masks[first] |= 1 << _pattern(perm, c, first)
         return cls(perm, tuple(masks))
 
     def evaluate(self, bits: Sequence[int]) -> int:
@@ -86,10 +87,10 @@ def _place(perm: Perm, clause: Clause) -> int:
     return positions[0]
 
 
-def _pattern(perm: Perm, clause: Clause) -> int:
-    """Mark pattern of a compact clause, ordered by window position."""
+def _pattern(perm: Perm, clause: Clause, first: int) -> int:
+    """Mark pattern of a clause compact at tier `first`, ordered by
+    window position."""
     marks = {v: mark for v, mark in clause.entries}
-    first = _place(perm, clause)
     code = 0
     for k in range(3):
         code = (code << 1) | marks[perm.order[first + k]]

@@ -22,6 +22,12 @@ MODE_SAT = "sat"
 MODE_UNSAT = "unsat"
 _MODES = (MODE_FREE, MODE_SAT, MODE_UNSAT)
 
+# Largest variable count a DIMACS header may declare. The classifier
+# builds per-variable state for every declared variable, used or not, so
+# without a cap a 20-byte file could demand gigabytes. Tests, goldens
+# and benchmark families stay at n <= 50, far below this.
+MAX_DIMACS_VARIABLES = 10_000
+
 
 class DimacsError(ValueError):
     """Malformed DIMACS input; carries the offending line (and column)."""
@@ -150,6 +156,9 @@ def parse_dimacs(text: str) -> TabularFormula:
                 raise DimacsError("non-integer counts in problem line", lineno)
             if n < 3:
                 raise DimacsError("need at least 3 variables, got %d" % n, lineno)
+            if n > MAX_DIMACS_VARIABLES:
+                raise DimacsError("at most %d variables supported, got %d"
+                                  % (MAX_DIMACS_VARIABLES, n), lineno)
             continue
         if n is None:
             raise DimacsError("clause before problem line", lineno)

@@ -29,9 +29,6 @@ from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
                     route_assignment, vertex_values)
 from .unify import unify
 
-GRANULARITY_FINE = "fine"
-GRANULARITY_COARSE = "coarse"
-
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
 CLASSIFICATION_FAILURE = "classification-failure"
@@ -135,6 +132,12 @@ def early_elementary_check(sub: Cts, basic: Cts,
 
 
 def _unify_same_name(subs: list[Cts], stats: SepStats) -> list[Cts] | None:
+    """Same-name substructures of all members, unified; None when one of
+    them is or becomes empty. A lone member needs no unification."""
+    if any(sub.is_empty for sub in subs):
+        return None
+    if len(subs) == 1:
+        return subs
     result = unify(subs)
     stats.unify_waves += result.waves
     if result.empty:
@@ -143,40 +146,24 @@ def _unify_same_name(subs: list[Cts], stats: SepStats) -> list[Cts] | None:
 
 
 def concordant_shift(system: HsSystem, edge: Edge,
-                     granularity: str, stats: SepStats) -> list[Cts] | None:
+                     stats: SepStats) -> list[Cts] | None:
     """Run the shift lockstep in every member, unifying same-name
     intermediate substructures; None when the system empties on this edge."""
     j, a, b = edge
     var = system.basic_perm.order[j + 3]
     beta = b & 1
-    subs = [m.vsub[(j, a)].concretize(var, beta) for m in system.members]
-    if any(s.is_empty for s in subs):
-        return None
-    if granularity == GRANULARITY_FINE and len(subs) > 1:
-        unified = _unify_same_name(subs, stats)
-        if unified is None:
-            return None
-        subs = unified
+    subs = _unify_same_name(
+        [m.vsub[(j, a)].concretize(var, beta) for m in system.members], stats)
     for s in range(j):
+        if subs is None:
+            return None
         projected = []
         for m, sub in zip(system.members, subs):
             acc = Cts.empty(sub.perm)
             for c in sorted(system.skeleton.tiers[s]):
                 acc = acc.union(m.vsub[(s, c)].intersect(sub))
             projected.append(acc)
-        subs = projected
-        if any(s2.is_empty for s2 in subs):
-            return None
-        if granularity == GRANULARITY_FINE and len(subs) > 1:
-            unified = _unify_same_name(subs, stats)
-            if unified is None:
-                return None
-            subs = unified
-    if granularity == GRANULARITY_COARSE and len(subs) > 1:
-        unified = _unify_same_name(subs, stats)
-        if unified is None:
-            return None
-        subs = unified
+        subs = _unify_same_name(projected, stats)
     return subs
 
 
@@ -199,7 +186,6 @@ def _prune_system(system: HsSystem, stats: SepStats) -> int | None:
 
 def systemic_effective_procedure(
         basic: Cts, others: Sequence[Cts], formula: TabularFormula,
-        granularity: str = GRANULARITY_FINE,
         early_check: bool = True,
         sink=None) -> SepResult:
     """Form the hyperstructure system tier by tier in strict lockstep.
@@ -209,8 +195,6 @@ def systemic_effective_procedure(
     is screened by the early elementary check, which can short-circuit
     the whole run with a verified witness.
     """
-    if granularity not in (GRANULARITY_FINE, GRANULARITY_COARSE):
-        raise ValueError("unknown granularity %r" % granularity)
     if not others:
         raise ValueError("need at least one non-basic structure")
     stats = SepStats()
@@ -231,16 +215,12 @@ def systemic_effective_procedure(
     # tier 1
     for v in [v for v in skeleton.vertices() if v[0] == 0]:
         pairs = vertex_values(system.basic_perm, v)
-        subs = [m.structure.concretize_many(pairs) for m in system.members]
-        if any(s.is_empty for s in subs):
+        subs = _unify_same_name(
+            [m.structure.concretize_many(pairs) for m in system.members],
+            stats)
+        if subs is None:
             _drop_vertex(system, v, stats)
             continue
-        if len(subs) > 1:
-            unified = _unify_same_name(subs, stats)
-            if unified is None:
-                _drop_vertex(system, v, stats)
-                continue
-            subs = unified
         witness = check_new_vertex(subs)
         if witness is not None:
             return SepResult("early-sat", witness=witness, stats=stats)
@@ -257,7 +237,7 @@ def systemic_effective_procedure(
         while True:
             before = stats.pruned_vertices
             for e in list(skeleton.edges(j)):
-                subs = concordant_shift(system, e, granularity, stats)
+                subs = concordant_shift(system, e, stats)
                 if subs is None:
                     skeleton.remove_edge(e)
                     stats.pruned_edges += 1
@@ -273,18 +253,16 @@ def systemic_effective_procedure(
                 if not ups:
                     _drop_vertex(system, v, stats)
                     continue
-                subs = []
+                unions = []
                 for m in system.members:
                     acc = m.esub[(j, ups[0], c)]
                     for a in ups[1:]:
                         acc = acc.union(m.esub[(j, a, c)])
-                    subs.append(acc)
-                if len(subs) > 1:
-                    unified = _unify_same_name(subs, stats)
-                    if unified is None:
-                        _drop_vertex(system, v, stats)
-                        continue
-                    subs = unified
+                    unions.append(acc)
+                subs = _unify_same_name(unions, stats)
+                if subs is None:
+                    _drop_vertex(system, v, stats)
+                    continue
                 witness = check_new_vertex(subs)
                 if witness is not None:
                     return SepResult("early-sat", witness=witness, stats=stats)
@@ -316,33 +294,47 @@ def _emit_tier(sink, system: HsSystem, j: int) -> None:
 
 @dataclass
 class SystemExtraction:
-    assignment: Bits
+    assignments: list[Bits]
     backtracks: int
+    rejected: list[Bits]
 
 
 def extract_jss_system(system: HsSystem, basic: Cts,
-                       formula: TabularFormula) -> SystemExtraction:
+                       formula: TabularFormula,
+                       limit: int = 1) -> SystemExtraction:
     """Backward walk over the shared skeleton keeping every member's
-    running intersection non-empty; the found assignment must lie in the
-    basic structure, in every member structure, and satisfy the formula."""
+    running intersection non-empty; each found assignment must lie in
+    the basic structure, in every member structure, and satisfy the
+    formula. Stops after `limit` assignments, so at the default the
+    backtracks are the dead ends hit before the first witness.
+
+    A complete route whose assignment fails those checks is skipped and
+    reported in `rejected`; a route whose running intersections do not
+    pin exactly the assignment its labels spell raises
+    `ExtractionFailure`."""
     skeleton = system.skeleton
     last = skeleton.tier_count - 1
+    found: list[Bits] = []
     backtracks = 0
-    rejected: list[str] = []
+    rejected: list[Bits] = []
 
-    def descend(j: int, route: list[Vertex],
-                runnings: list[Cts]) -> Bits | None:
+    def descend(j: int, route: list[Vertex], runnings: list[Cts]) -> bool:
         nonlocal backtracks
         if j == 0:
             bits = route_assignment(system.basic_perm, list(reversed(route)))
+            if not all(r.is_elementary() and r.the_assignment() == bits
+                       for r in runnings):
+                raise ExtractionFailure(
+                    "route labels disagree with the running intersection")
             ok = (basic.contains_assignment(bits)
                   and all(m.structure.contains_assignment(bits)
                           for m in system.members)
                   and formula.evaluate(bits) == 1)
             if ok:
-                return bits
-            rejected.append(bits_to_string(bits))
-            return None
+                found.append(bits)
+            else:
+                rejected.append(bits)
+            return len(found) >= limit
         c = route[-1][1]
         for a in skeleton.up((j, c)):
             nxt = [r.intersect(m.vsub[(j - 1, a)])
@@ -350,19 +342,20 @@ def extract_jss_system(system: HsSystem, basic: Cts,
             if any(x.is_empty for x in nxt):
                 backtracks += 1
                 continue
-            hit = descend(j - 1, route + [(j - 1, a)], nxt)
-            if hit is not None:
-                return hit
-        return None
+            if descend(j - 1, route + [(j - 1, a)], nxt):
+                return True
+        return False
 
     for c in sorted(skeleton.tiers[last]):
-        hit = descend(last, [(last, c)],
-                      [m.vsub[(last, c)] for m in system.members])
-        if hit is not None:
-            return SystemExtraction(hit, backtracks)
-    raise ExtractionFailure(
-        "no verified route in a non-empty system"
-        + ("; rejected candidates: %s" % rejected if rejected else ""))
+        if descend(last, [(last, c)],
+                   [m.vsub[(last, c)] for m in system.members]):
+            break
+    if not found:
+        raise ExtractionFailure(
+            "no verified route in a non-empty system"
+            + ("; rejected candidates: %s"
+               % [bits_to_string(b) for b in rejected] if rejected else ""))
+    return SystemExtraction(found, backtracks, rejected)
 
 
 def _verified_sat(original: TabularFormula, bits: Bits, detail: dict) -> Verdict:
@@ -374,7 +367,6 @@ def _verified_sat(original: TabularFormula, bits: Bits, detail: dict) -> Verdict
 
 def classify(formula: TabularFormula,
              strategy: str = STRATEGY_ASSEMBLE,
-             granularity: str = GRANULARITY_FINE,
              plan=None,
              early_check: bool = True,
              sink=None) -> Verdict:
@@ -386,7 +378,7 @@ def classify(formula: TabularFormula,
     """
     from . import trace as trace_mod
 
-    detail: dict = {"strategy": strategy, "granularity": granularity}
+    detail: dict = {"strategy": strategy}
     # a pinned plan addresses clauses by their input positions
     canonical = formula if plan is not None else formula.canonicalize()
     if sink is not None:
@@ -443,8 +435,7 @@ def classify(formula: TabularFormula,
 
     try:
         result = systemic_effective_procedure(
-            basic, others, canonical, granularity=granularity,
-            early_check=early_check, sink=sink)
+            basic, others, canonical, early_check=early_check, sink=sink)
     except InvariantViolation as exc:
         return _failure_verdict(detail, exc, exc.diagnostics, sink)
     detail["sep"] = {
@@ -474,7 +465,7 @@ def classify(formula: TabularFormula,
         return _failure_verdict(detail, exc, _failure_bundle(result.system),
                                 sink)
     detail["backtracks"] = extraction.backtracks
-    verdict = _verified_sat(formula, extraction.assignment, detail)
+    verdict = _verified_sat(formula, extraction.assignments[0], detail)
     if sink is not None:
         sink.write("verdict", "\n".join(verdict.lines()) + "\n")
     return verdict

@@ -115,3 +115,34 @@ def joint_sat_set(structures):
         if all(s.contains_assignment(bits) for s in structures):
             out.add(bits)
     return out
+
+
+def cts_to_sets(s):
+    """A structure's tiers as sets of code strings."""
+    return [set(format(c, "03b") for c in s.tier_codes(j))
+            for j in range(len(s.tiers))]
+
+
+def naive_project(system, r, target):
+    """Project set-form `target` onto tier `r` of a pair system: the union
+    of the member's tier-r vertex substructures, each intersected with it."""
+    member = system.members[0]
+    acc = [set() for _ in target]
+    for c in sorted(system.skeleton.tiers[r]):
+        acc = naive_union(acc, naive_intersect(cts_to_sets(member.vsub[(r, c)]),
+                                               target))
+    return acc
+
+
+def naive_shift(system, edge):
+    """Shift along `edge` of a pair system, straight-line in set form:
+    concretize the tail vertex's substructure on the variable the edge
+    adds, then project onto every earlier tier in turn."""
+    j, a, b = edge
+    member = system.members[0]
+    var = system.basic_perm.order[j + 3]
+    current = naive_concretize(cts_to_sets(member.vsub[(j, a)]),
+                               list(member.structure.perm.order), var, b & 1)
+    for s in range(j):
+        current = naive_project(system, s, current)
+    return current

@@ -16,7 +16,7 @@ from ctsat.decompose import Ctf, ctf_to_cts, decompose_with_plan
 from ctsat.difftest import DifftestParams, difftest
 from ctsat.formula import (GenParams, TabularFormula, bits_from_string,
                            bits_to_string, generate)
-from ctsat.hyper import basic_graph, effective_procedure, extract_jss
+from ctsat.hyper import basic_graph
 from ctsat.sep import (SATISFIABLE, UNSATISFIABLE, classify,
                        extract_jss_system, systemic_effective_procedure)
 from ctsat.unify import unify
@@ -103,12 +103,15 @@ def test_criterion_05_graph_and_route_reproduction(unified_pair):
     graph = basic_graph(unified_pair[0])
     assert [len(t) for t in graph.tiers] == [2, 2, 2, 3, 2, 2]
     assert graph.edge_count() == 14
-    result = effective_procedure(*unified_pair)
-    assert not result.empty
+    shell = TabularFormula(8, ())
+    result = systemic_effective_procedure(unified_pair[0], [unified_pair[1]],
+                                          shell, early_check=False)
+    assert result.outcome == "complete"
     for key, rows in tabledata.HYPER_VERTEX_SUBS.items():
         expected = cts_from_rows(tabledata.PERM2, rows)
-        assert result.hs.vsub[key].tiers == expected.tiers, key
-    extraction = extract_jss(result.hs, *unified_pair, limit=32)
+        assert result.system.members[0].vsub[key].tiers == expected.tiers, key
+    extraction = extract_jss_system(result.system, unified_pair[0], shell,
+                                    limit=32)
     as_p2 = sorted("".join(str(b[v - 1]) for v in tabledata.PERM2)
                    for b in extraction.assignments)
     assert as_p2 == tabledata.JOINT_SETS_P2
@@ -256,24 +259,17 @@ def test_criterion_09_existence_equivalences(tmp_path):
         structures = random_unified(n, k)
         joint = joint_sat_set(list(structures))
         shell = TabularFormula(n, ())
-        if k == 2:
-            result = effective_procedure(structures[0], structures[1])
-            empty = result.empty
-            if not empty:
-                got = extract_jss(result.hs, structures[0], structures[1],
-                                  limit=1)
-                backtracks += got.dead_ends_before_first
-                extracted += 1
-        else:
-            result = systemic_effective_procedure(
-                structures[0], list(structures[1:]), shell,
-                early_check=False)
-            empty = result.outcome == "empty"
-            if not empty:
-                got = extract_jss_system(result.system, structures[0], shell)
-                assert got.assignment in joint
-                backtracks += got.backtracks
-                extracted += 1
+        result = systemic_effective_procedure(
+            structures[0], list(structures[1:]), shell, early_check=False)
+        empty = result.outcome == "empty"
+        if not empty:
+            got = extract_jss_system(result.system, structures[0], shell)
+            # the shell formula rejects nothing: a rejected route spelled
+            # an assignment outside the basic or a member structure
+            assert got.rejected == []
+            assert got.assignments[0] in joint
+            backtracks += got.backtracks
+            extracted += 1
         if empty == bool(joint):
             findings.append({"trial": trial, "n": n, "k": k,
                              "joint": len(joint), "procedure_empty": empty})
@@ -308,11 +304,13 @@ def test_criterion_10_performance_and_bounds():
     assert all(not s.is_empty for s in structures)
     unified = unify(structures[:2])
     assert not unified.empty
-    result = effective_procedure(*unified.structures)
-    if not result.empty:
+    result = systemic_effective_procedure(
+        unified.structures[0], [unified.structures[1]], TabularFormula(n, ()),
+        early_check=False)
+    if result.outcome == "complete":
+        vsub = result.system.members[0].vsub
         limit = 8 * (n - 2)
-        assert len(result.hs.vsub) <= limit
-        assert all(sub.line_count() <= limit
-                   for sub in result.hs.vsub.values())
+        assert len(vsub) <= limit
+        assert all(sub.line_count() <= limit for sub in vsub.values())
     ok(10, "median n=50 classification %.1f s (< 30 s); hyperstructure "
            "within the 8(n-2) size bounds" % median)

@@ -103,9 +103,11 @@ def test_trace_matches_golden_files(tmp_path, capsys):
             (GOLDEN / name).read_text(), name
 
 
-def test_unknown_flag_exits_one(capsys):
+@pytest.mark.parametrize("flag", [["--bogus"], ["--granularity", "coarse"]],
+                         ids=["bogus", "granularity"])
+def test_unknown_flag_exits_one(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["classify", "--bogus"])
+        main(["classify", str(FIXTURES / "worked8.cnf")] + flag)
     assert exc.value.code == 1
 
 

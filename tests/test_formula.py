@@ -38,6 +38,7 @@ def test_parse_repeated_variable_rejected():
     ("p cnf 3 1\n1 2 9 0\n", "out of range"),
     ("p cnf 3 2\n1 2 3 0\n", "declares 2"),
     ("p cnf 3 1\n1 2 3\n", "unterminated"),
+    ("p cnf 10001 1\n1 2 3 0\n", "at most 10000 variables"),
     ("1 2 3 0\n", "before problem line"),
     ("p cnf 3 1\nx y z 0\n", "bad token"),
     ("", "missing problem line"),

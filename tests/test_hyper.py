@@ -9,19 +9,15 @@ import pytest
 
 import ctsat
 from ctsat.cts import Cts, Perm
-from ctsat.hyper import (Hyperstructure, InvariantViolation, basic_graph,
-                         check_tier_disjoint, effective_procedure,
-                         extract_jss, project_tier, shift)
+from ctsat.formula import TabularFormula
+from ctsat.hyper import InvariantViolation, basic_graph, check_tier_disjoint
+from ctsat.sep import (HsSystem, SepStats, concordant_shift,
+                       extract_jss_system, systemic_effective_procedure)
 from ctsat.unify import unify
 
 import tabledata
 from conftest import cts_from_rows
-from naive import joint_sat_set
-
-
-def to_sets(s: Cts):
-    return [set(format(c, "03b") for c in s.tier_codes(j))
-            for j in range(len(s.tiers))]
+from naive import cts_to_sets, joint_sat_set, naive_project, naive_shift
 
 
 # -- basic graph ---------------------------------------------------------------
@@ -78,63 +74,62 @@ def test_graph_prune_restores_adjacency(perm5):
 
 
 # -- projection and shift --------------------------------------------------------
+#
+# The pair procedure is the systemic procedure with one member. Its runs
+# use a formula without clauses, so nothing filters the joint set, and
+# no early exit, so every tier gets formed.
 
-def build_pair_hs(unified_pair):
-    result = effective_procedure(*unified_pair)
-    assert not result.empty
-    return result
-
-
-def naive_project(hs: Hyperstructure, r: int, target: Cts) -> Cts:
-    parts = []
-    for c in sorted(hs.skeleton.tiers[r]):
-        parts.append(hs.vsub[(r, c)].intersect(target))
-    acc = Cts.empty(target.perm)
-    for p in parts:
-        acc = acc.union(p)
-    return acc
+def pair_sep(s1: Cts, s2: Cts):
+    return systemic_effective_procedure(s1, [s2], TabularFormula(s1.n, ()),
+                                        early_check=False)
 
 
-def naive_shift(hs: Hyperstructure, edge) -> Cts:
-    # straight-line evaluation: concretize, then project each earlier tier
-    j, a, b = edge
-    var = hs.basic_perm.order[j + 3]
-    current = hs.vsub[(j, a)].concretize(var, b & 1)
-    for s in range(j):
-        current = naive_project(hs, s, current)
-    return current
+def extract(system: HsSystem, basic: Cts, limit: int):
+    got = extract_jss_system(system, basic, TabularFormula(basic.n, ()),
+                             limit=limit)
+    # the clause-less formula rejects nothing, so a rejected route spelled
+    # an assignment outside the basic structure or the second structure
+    assert got.rejected == []
+    return got
+
+
+def build_pair_system(unified_pair) -> HsSystem:
+    result = pair_sep(*unified_pair)
+    assert result.outcome == "complete"
+    return result.system
 
 
 def test_project_disjoint_target_is_empty(unified_pair):
-    hs = build_pair_hs(unified_pair).hs
+    system = build_pair_system(unified_pair)
     target = Cts.from_assignment((1, 1, 1, 0, 0, 0, 1, 0), unified_pair[1].perm)
-    assert project_tier(hs, 0, target).is_empty
+    assert not any(naive_project(system, 0, cts_to_sets(target)))
 
 
 def test_project_contained_target_survives(unified_pair):
-    hs = build_pair_hs(unified_pair).hs
-    target = hs.vsub[(0, 0b001)]
-    got = project_tier(hs, 0, target)
-    for m_got, m_target in zip(got.tiers, target.tiers):
-        assert m_got & m_target == m_target
+    system = build_pair_system(unified_pair)
+    target = cts_to_sets(system.members[0].vsub[(0, 0b001)])
+    got = naive_project(system, 0, target)
+    for t_got, t_target in zip(got, target):
+        assert t_target <= t_got
 
 
 def test_shift_first_tier_is_bare_concretization(unified_pair):
-    hs = build_pair_hs(unified_pair).hs
+    system = build_pair_system(unified_pair)
     edge = (0, 0b001, 0b010)
-    new_var = hs.basic_perm.order[3]
-    expected = hs.vsub[(0, 0b001)].concretize(new_var, 0)
-    assert shift(hs, edge) == expected
+    new_var = system.basic_perm.order[3]
+    expected = system.members[0].vsub[(0, 0b001)].concretize(new_var, 0)
+    assert system.members[0].esub[edge] == expected
+    assert concordant_shift(system, edge, SepStats()) == [expected]
 
 
 def test_shift_empty_concretization_short_circuits(unified_pair):
-    hs = build_pair_hs(unified_pair).hs
+    system = build_pair_system(unified_pair)
     # the substructure at (3, 101) pins the variable the next tier fixes
-    var = hs.basic_perm.order[5]
-    assert constant_bit(hs.vsub[(2, 0b101)], var) == 1
+    var = system.basic_perm.order[5]
+    assert constant_bit(system.members[0].vsub[(2, 0b101)], var) == 1
     # a hypothetical edge whose new-variable value contradicts the pin:
     # the concretization empties, so no projections run
-    assert shift(hs, (2, 0b101, 0b010)).is_empty
+    assert concordant_shift(system, (2, 0b101, 0b010), SepStats()) is None
 
 
 def constant_bit(s: Cts, var: int) -> int:
@@ -171,47 +166,37 @@ def test_shift_matches_naive_reimplementation():
     checked = 0
     for _ in range(30):
         s1, s2 = random_unified_pair(rng, 8)
-        result = effective_procedure(s1, s2)
-        if result.empty:
+        result = pair_sep(s1, s2)
+        if result.outcome == "empty":
             continue
-        hs = result.hs
-        assert result.bg == hs.skeleton  # mirrored pruning
-        for edge in list(hs.skeleton.edges()):
-            assert shift(hs, edge) == naive_shift(hs, edge)
+        system = result.system
+        member = system.members[0]
+        # stored substructures sit exactly on the pruned skeleton
+        assert set(member.vsub) == set(system.skeleton.vertices())
+        assert set(member.esub) == set(system.skeleton.edges())
+        for edge in list(system.skeleton.edges()):
+            got = concordant_shift(system, edge, SepStats())
+            assert got is not None
+            assert cts_to_sets(got[0]) == naive_shift(system, edge)
             checked += 1
     assert checked > 50
-
-
-def test_project_matches_naive_reimplementation():
-    rng = random.Random(777)
-    checked = 0
-    for _ in range(20):
-        s1, s2 = random_unified_pair(rng, 8)
-        result = effective_procedure(s1, s2)
-        if result.empty:
-            continue
-        hs = result.hs
-        for r in range(min(3, hs.skeleton.tier_count)):
-            target = hs.vsub[sorted(hs.vsub)[rng.randrange(len(hs.vsub))]]
-            assert project_tier(hs, r, target) == naive_project(hs, r, target)
-            checked += 1
-    assert checked > 10
 
 
 # -- the effective procedure -----------------------------------------------------
 
 def test_effective_procedure_reproduces_reference_hyperstructure(unified_pair):
-    result = effective_procedure(*unified_pair)
-    assert not result.empty
-    hs = result.hs
-    # skeleton preserved (nothing pruned in this run) and mirrored in BG
-    assert [len(t) for t in hs.skeleton.tiers] == [2, 2, 2, 3, 2, 2]
-    assert hs.skeleton.edge_count() == 14
-    assert result.bg == hs.skeleton
-    assert len(hs.vsub) == 13
+    result = pair_sep(*unified_pair)
+    assert result.outcome == "complete"
+    system = result.system
+    # nothing pruned in this run: the skeleton is the whole basic graph
+    assert [len(t) for t in system.skeleton.tiers] == [2, 2, 2, 3, 2, 2]
+    assert system.skeleton.edge_count() == 14
+    assert system.skeleton == basic_graph(unified_pair[0])
+    vsub = system.members[0].vsub
+    assert len(vsub) == 13
     for key, rows in tabledata.HYPER_VERTEX_SUBS.items():
         expected = cts_from_rows(tabledata.PERM2, rows)
-        assert hs.vsub[key].equivalent(expected) == 1, key
+        assert vsub[key].equivalent(expected) == 1, key
 
 
 def test_effective_procedure_early_termination(unified_pair):
@@ -223,8 +208,8 @@ def test_effective_procedure_early_termination(unified_pair):
     forced = unified_pair[1].concretize(2, 1)
     if forced.is_empty:
         forced = Cts.from_assignment((1, 1, 0, 0, 1, 1, 0, 0), p2)
-    result = effective_procedure(s1, forced)
-    assert result.empty
+    result = pair_sep(s1, forced)
+    assert result.outcome == "empty"
     assert result.empty_tier == 1
 
 
@@ -253,9 +238,9 @@ def test_effective_procedure_same_set_reencoded():
         unified = unify([s1, s2])
         if unified.empty:
             continue
-        result = effective_procedure(*unified.structures)
-        assert not result.empty
-        got = extract_jss(result.hs, *unified.structures, limit=5000)
+        result = pair_sep(*unified.structures)
+        assert result.outcome == "complete"
+        got = extract(result.system, unified.structures[0], limit=5000)
         assert set(got.assignments) == joint_sat_set(list(unified.structures))
         hits += 1
     assert hits > 5
@@ -263,7 +248,7 @@ def test_effective_procedure_same_set_reencoded():
 
 def test_effective_procedure_rejects_empty_inputs(perm5):
     with pytest.raises(ValueError):
-        effective_procedure(Cts.empty(perm5), Cts.complete(perm5))
+        pair_sep(Cts.empty(perm5), Cts.complete(perm5))
 
 
 # -- invariants ------------------------------------------------------------------
@@ -272,15 +257,15 @@ def test_same_tier_substructures_pairwise_disjoint():
     rng = random.Random(909)
     for _ in range(25):
         s1, s2 = random_unified_pair(rng, 8)
-        result = effective_procedure(s1, s2)
-        if result.empty:
+        result = pair_sep(s1, s2)
+        if result.outcome == "empty":
             continue
-        hs = result.hs
-        for j, codes in enumerate(hs.skeleton.tiers):
+        vsub = result.system.members[0].vsub
+        for j, codes in enumerate(result.system.skeleton.tiers):
             codes = sorted(codes)
             for i, a in enumerate(codes):
                 for b in codes[i + 1:]:
-                    assert hs.vsub[(j, a)].intersect(hs.vsub[(j, b)]).is_empty
+                    assert vsub[(j, a)].intersect(vsub[(j, b)]).is_empty
 
 
 def test_tier_disjoint_check_rejects_overlapping_substructures(perm5):
@@ -319,13 +304,14 @@ def test_substructures_intersect_every_earlier_tier():
     rng = random.Random(911)
     for _ in range(15):
         s1, s2 = random_unified_pair(rng, 8)
-        result = effective_procedure(s1, s2)
-        if result.empty:
+        result = pair_sep(s1, s2)
+        if result.outcome == "empty":
             continue
-        hs = result.hs
-        for (j, c), sub in hs.vsub.items():
+        system = result.system
+        for (j, c), sub in system.members[0].vsub.items():
             for r in range(j):
-                assert not project_tier(hs, r, sub).is_empty, (j, c, r)
+                assert any(naive_project(system, r, cts_to_sets(sub))), \
+                    (j, c, r)
 
 
 def test_pair_procedure_decides_joint_satisfiability(tmp_path):
@@ -337,13 +323,14 @@ def test_pair_procedure_decides_joint_satisfiability(tmp_path):
         s1, s2 = random_unified_pair(rng, n)
         runs += 1
         joint = joint_sat_set([s1, s2])
-        result = effective_procedure(s1, s2)
-        if result.empty == bool(joint):
+        result = pair_sep(s1, s2)
+        empty = result.outcome == "empty"
+        if empty == bool(joint):
             violations.append({"n": n, "joint": len(joint),
-                               "ep_empty": result.empty})
-        if not result.empty:
+                               "procedure_empty": empty})
+        if not empty:
             # extraction soundness stays a hard assertion
-            got = extract_jss(result.hs, s1, s2, limit=len(joint) + 5)
+            got = extract(result.system, s1, limit=len(joint) + 5)
             assert set(got.assignments) <= joint
             assert got.assignments, "non-empty HS must yield a route"
     # equivalence violations are archived findings, never fatal
@@ -357,19 +344,20 @@ def test_pair_procedure_decides_joint_satisfiability(tmp_path):
 # -- route extraction -------------------------------------------------------------
 
 def test_extract_jss_reference_five_sets(unified_pair):
-    result = effective_procedure(*unified_pair)
-    got = extract_jss(result.hs, *unified_pair, limit=10)
+    system = build_pair_system(unified_pair)
+    got = extract(system, unified_pair[0], limit=10)
     order = tabledata.PERM2
     as_p2 = sorted("".join(str(b[v - 1]) for v in order)
                    for b in got.assignments)
     assert as_p2 == tabledata.JOINT_SETS_P2
     # the first witness comes out without any search
-    assert got.dead_ends_before_first == 0
+    first = extract(system, unified_pair[0], limit=1)
+    assert first.assignments == got.assignments[:1]
+    assert first.backtracks == 0
 
 
 def test_extract_jss_limit_respected(unified_pair):
-    result = effective_procedure(*unified_pair)
-    got = extract_jss(result.hs, *unified_pair, limit=2)
+    got = extract(build_pair_system(unified_pair), unified_pair[0], limit=2)
     assert len(got.assignments) == 2
 
 
@@ -379,8 +367,8 @@ def test_extract_jss_elementary_pair():
     bits = (1, 0, 1, 1, 0, 0)
     s1 = Cts.from_assignment(bits, p1)
     s2 = Cts.from_assignment(bits, p2)
-    result = effective_procedure(s1, s2)
-    got = extract_jss(result.hs, s1, s2, limit=3)
+    result = pair_sep(s1, s2)
+    got = extract(result.system, s1, limit=3)
     assert got.assignments == [bits]
 
 
@@ -388,11 +376,11 @@ def test_extract_jss_sound_and_complete_enough():
     rng = random.Random(2718)
     for _ in range(40):
         s1, s2 = random_unified_pair(rng, rng.randint(5, 10))
-        result = effective_procedure(s1, s2)
+        result = pair_sep(s1, s2)
         joint = joint_sat_set([s1, s2])
-        if result.empty:
+        if result.outcome == "empty":
             continue
-        got = extract_jss(result.hs, s1, s2, limit=3)
+        got = extract(result.system, s1, limit=3)
         assert set(got.assignments) <= joint
         for bits in got.assignments:
             assert s1.contains_assignment(bits) and s2.contains_assignment(bits)

@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from ctsat.cts import Cts, Perm
 from ctsat.formula import (Clause, GenParams, TabularFormula,
                            bits_from_string, bits_to_string, generate)
-from ctsat.hyper import effective_procedure
+from ctsat.hyper import ExtractionFailure, vertex_values
 from ctsat.oracle import dpll
 from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
-                       classify, concordant_shift, early_elementary_check,
-                       extract_jss_system, systemic_effective_procedure)
+                       SepStats, classify, concordant_shift,
+                       early_elementary_check, extract_jss_system,
+                       systemic_effective_procedure)
 from ctsat.unify import unify
 
 import tabledata
-from naive import joint_sat_set
+from naive import cts_to_sets, joint_sat_set, naive_shift
 
 
 # -- early elementary check ------------------------------------------------------
@@ -89,38 +92,57 @@ def dummy_formula(n: int) -> TabularFormula:
     return TabularFormula(n, ())
 
 
-def test_sep_k2_matches_effective_procedure():
+def k2_systems():
+    """Complete two-structure systems over random unified pairs. An
+    emptied system must have an empty joint set; a complete one must
+    yield exactly the joint set of the pair."""
     rng = random.Random(6021)
-    compared = 0
     for _ in range(60):
         n = rng.randint(5, 10)
         s1, s2 = random_unified_system(rng, n, 2)
-        ep = effective_procedure(s1, s2)
+        joint = joint_sat_set([s1, s2])
         sep = systemic_effective_procedure(s1, [s2], dummy_formula(n),
                                            early_check=False)
-        if ep.empty:
-            assert sep.outcome == "empty"
-            assert sep.empty_tier == ep.empty_tier
+        if sep.outcome == "empty":
+            assert 1 <= sep.empty_tier <= n - 2
+            assert not joint
             continue
         assert sep.outcome == "complete"
-        system = sep.system
-        assert system.skeleton == ep.hs.skeleton
-        assert system.members[0].vsub.keys() == ep.hs.vsub.keys()
-        for key, sub in ep.hs.vsub.items():
-            assert system.members[0].vsub[key] == sub
+        extraction = extract_jss_system(sep.system, s1, dummy_formula(n),
+                                        limit=len(joint) + 1)
+        assert extraction.rejected == []
+        assert set(extraction.assignments) == joint
+        yield s2, sep.system
+
+
+def test_sep_k2_vertex_substructures_are_incoming_unions():
+    compared = 0
+    for s2, system in k2_systems():
+        member = system.members[0]
+        assert set(member.vsub) == set(system.skeleton.vertices())
+        for (j, c), sub in member.vsub.items():
+            if j == 0:
+                pairs = vertex_values(system.basic_perm, (j, c))
+                assert sub == s2.concretize_many(pairs)
+                continue
+            ups = system.skeleton.up((j, c))
+            acc = member.esub[(j - 1, ups[0], c)]
+            for a in ups[1:]:
+                acc = acc.union(member.esub[(j - 1, a, c)])
+            assert sub == acc, (j, c)
         compared += 1
     assert compared > 10
 
 
-def test_concordant_shift_k2_degenerates_to_plain_shift(unified_pair):
-    s1, s2 = unified_pair
-    sep = systemic_effective_procedure(s1, [s2], dummy_formula(8),
-                                       early_check=False)
-    assert sep.outcome == "complete"
-    system = sep.system
-    ep = effective_procedure(s1, s2)
-    for edge in system.skeleton.edges():
-        assert system.members[0].esub[edge] == ep.hs.esub[edge]
+def test_concordant_shift_k2_degenerates_to_plain_shift():
+    compared = 0
+    for _, system in k2_systems():
+        assert set(system.members[0].esub) == set(system.skeleton.edges())
+        for edge in system.skeleton.edges():
+            assert cts_to_sets(system.members[0].esub[edge]) == \
+                naive_shift(system, edge)
+        compared += 1
+    assert compared > 10
 
 
 def test_concordant_shift_conflicting_constants_removes_edge():
@@ -141,8 +163,7 @@ def test_concordant_shift_conflicting_constants_removes_edge():
         if forced0.is_empty:
             continue
         system.members[0].vsub[(0, edge[1])] = forced0
-        from ctsat.sep import SepStats
-        assert concordant_shift(system, edge, "fine", SepStats()) is None
+        assert concordant_shift(system, edge, SepStats()) is None
         break
 
 
@@ -160,7 +181,8 @@ def test_sep_joint_sets_preserved_k3():
             assert not joint
             continue
         extraction = extract_jss_system(result.system, s1, dummy_formula(n))
-        assert extraction.assignment in joint
+        assert extraction.rejected == []
+        assert extraction.assignments[0] in joint
         hits += 1
     assert hits > 5
 
@@ -176,7 +198,7 @@ def test_extract_jss_system_elementary():
                                           early_check=False)
     assert result.outcome == "complete"
     extraction = extract_jss_system(result.system, s1, dummy_formula(6))
-    assert extraction.assignment == bits
+    assert extraction.assignments == [bits]
 
 
 def test_extract_jss_system_k2_reference(worked8, unified_pair):
@@ -186,9 +208,40 @@ def test_extract_jss_system_k2_reference(worked8, unified_pair):
     assert result.outcome == "complete"
     extraction = extract_jss_system(result.system, s1, worked8)
     order = tabledata.PERM2
-    as_p2 = "".join(str(extraction.assignment[v - 1]) for v in order)
+    as_p2 = "".join(str(extraction.assignments[0][v - 1]) for v in order)
     assert as_p2 in tabledata.JOINT_SETS_P2
 
+
+def test_extract_jss_system_reports_rejected_candidates(unified_pair):
+    s1, s2 = unified_pair
+    shell = dummy_formula(8)
+    result = systemic_effective_procedure(s1, [s2], shell, early_check=False)
+    assert result.outcome == "complete"
+    first = extract_jss_system(result.system, s1, shell).assignments[0]
+    # a clause falsified by the first route's assignment
+    formula = TabularFormula(8, (Clause(((1, first[0]), (2, first[1]),
+                                         (3, first[2]))),))
+    joint = joint_sat_set([s1, s2])
+    assert any(formula.evaluate(b) for b in joint)
+    got = extract_jss_system(result.system, s1, formula)
+    assert got.rejected and got.rejected[0] == first
+    for bits in got.rejected:
+        assert bits in joint and formula.evaluate(bits) == 0
+    assert got.assignments[0] in joint
+    assert formula.evaluate(got.assignments[0]) == 1
+
+
+def test_extract_jss_system_checks_route_labels(unified_pair):
+    s1, s2 = unified_pair
+    result = systemic_effective_procedure(s1, [s2], dummy_formula(8),
+                                          early_check=False)
+    member = result.system.members[0]
+    # every vertex substructure widened to the whole structure: the running
+    # intersections never empty, but no longer pin a single assignment
+    for v in member.vsub:
+        member.vsub[v] = member.structure
+    with pytest.raises(ExtractionFailure, match="route labels disagree"):
+        extract_jss_system(result.system, s1, dummy_formula(8))
 
 # -- the classifier ------------------------------------------------------------------
 
@@ -275,16 +328,6 @@ def test_classify_matches_oracle_small_sweep():
     assert outcomes["unsatisfiable"] > 20
 
 
-def test_classify_granularities_agree():
-    rng = random.Random(515)
-    for trial in range(40):
-        f = generate(GenParams(n=rng.randint(5, 9), m=rng.randint(10, 40),
-                               mode="free", seed=5000 + trial))
-        fine = classify(f, granularity="fine")
-        coarse = classify(f, granularity="coarse")
-        assert fine.kind == coarse.kind
-
-
 def test_classify_strategy_simple_agrees():
     rng = random.Random(606)
     for trial in range(25):
@@ -305,7 +348,6 @@ def test_classify_surfaces_extraction_failure(monkeypatch):
     # the third verdict cannot occur naturally; force the extraction to
     # fail and check the diagnostics bundle comes through
     import ctsat.sep as sep_mod
-    from ctsat.hyper import ExtractionFailure
 
     def broken_extract(system, basic, formula):
         raise ExtractionFailure("forced for the test")
