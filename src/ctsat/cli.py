@@ -79,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a DIMACS instance")
     p.add_argument("file")
     p.add_argument("--trace", metavar="DIR", help="dump pipeline stages")
-    p.add_argument("--strategy", choices=["simple", "assemble"],
-                   default="assemble")
     p.add_argument("--plan", metavar="FILE",
                    help="pinned decomposition plan (perm/clauses lines)")
 
@@ -111,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="dump all pipeline stages for a file")
     p.add_argument("file")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--strategy", choices=["simple", "assemble"],
-                   default="assemble")
     p.add_argument("--plan", metavar="FILE")
 
     return parser
@@ -134,8 +130,7 @@ def _dispatch(args) -> int:
         formula = _load_formula(args.file)
         sink = FileTraceSink(args.trace) if args.trace else None
         plan = _load_plan(args.plan) if args.plan else None
-        verdict = classify(formula, strategy=args.strategy, plan=plan,
-                           sink=sink)
+        verdict = classify(formula, plan=plan, sink=sink)
         print("\n".join(verdict.lines()))
         return verdict.exit_code
 
@@ -185,8 +180,7 @@ def _dispatch(args) -> int:
         formula = _load_formula(args.file)
         sink = FileTraceSink(args.out)
         plan = _load_plan(args.plan) if args.plan else None
-        verdict = classify(formula, strategy=args.strategy, plan=plan,
-                           sink=sink)
+        verdict = classify(formula, plan=plan, sink=sink)
         print("\n".join(verdict.lines()))
         return 0
 

@@ -15,9 +15,6 @@ from typing import Sequence
 from .cts import TIER_FULL, Cts, Perm, clear_masks
 from .formula import Clause, TabularFormula
 
-STRATEGY_SIMPLE = "simple"
-STRATEGY_ASSEMBLE = "assemble"
-
 
 @dataclass(frozen=True)
 class Ctf:
@@ -75,7 +72,6 @@ class Ctf:
 class DecompositionReport:
     k: int
     w: int
-    group_sizes: tuple[int, ...]
 
 
 def _place(perm: Perm, clause: Clause) -> int:
@@ -154,28 +150,23 @@ def _pack(chains: list[_Chain]) -> list[list[_Chain]]:
     return bins
 
 
-def decompose(formula: TabularFormula,
-              strategy: str = STRATEGY_ASSEMBLE) -> tuple[list[Ctf], DecompositionReport]:
-    """Split the formula into CT formulas over individual permutations.
+def decompose(formula: TabularFormula) -> tuple[list[Ctf], DecompositionReport]:
+    """Split the formula into CT formulas over shared permutations.
 
-    simple:   one CTF per variable-triple group, the triple at positions
-              1..3 in ascending order, remaining variables after.
-    assemble: greedy first-fit chaining; a group extends an existing
-              chain when its triple overlaps the chain's end (or start)
-              in two variables and contributes one new variable. The
-              finished chains are then packed first-fit, in creation
-              order, into shared permutations: a chain joins the first
-              permutation whose chains it shares no variable with (the
-              lengths of such chains sum to at most n). A permutation
-              is its chains' variables concatenated, then the unused
-              variables ascending; the tiers straddling two chains stay
-              empty. So k counts packed permutations, not chains.
+    Groups (clauses sharing a variable triple, in triple order) are
+    chained greedily, first fit: a group extends an existing chain when
+    its triple overlaps the chain's end (or start) in two variables and
+    contributes one new variable; otherwise it starts a new chain. The
+    finished chains are then packed first-fit, in creation order, into
+    shared permutations: a chain joins the first permutation whose
+    chains it shares no variable with (the lengths of such chains sum
+    to at most n). A permutation is its chains' variables concatenated,
+    then the unused variables ascending; the tiers straddling two chains
+    stay empty. So k counts packed permutations, not chains.
 
     The produced CTFs partition the clause set exactly, and
-    ceil(w/(n-2)) <= k <= m.
+    ceil(w/(n-2)) <= k <= w <= m.
     """
-    if strategy not in (STRATEGY_SIMPLE, STRATEGY_ASSEMBLE):
-        raise ValueError("unknown strategy %r" % strategy)
     n = formula.n
     groups = group_terms(formula)
     w = len(groups)
@@ -183,18 +174,11 @@ def decompose(formula: TabularFormula,
 
     chains: list[_Chain] = []
     for triple, _ in groups:
-        if strategy == STRATEGY_ASSEMBLE:
-            if any(chain.try_place(triple, n) for chain in chains):
-                continue
-        chains.append(_Chain(triple))
-
-    if strategy == STRATEGY_ASSEMBLE:
-        bins = _pack(chains)
-    else:
-        bins = [[chain] for chain in chains]
+        if not any(chain.try_place(triple, n) for chain in chains):
+            chains.append(_Chain(triple))
 
     ctfs = []
-    for packed in bins:
+    for packed in _pack(chains):
         order = [v for chain in packed for v in chain.vars]
         placed = set(order)
         order += [v for v in range(1, n + 1) if v not in placed]
@@ -206,9 +190,7 @@ def decompose(formula: TabularFormula,
     if formula.m and not math.ceil(w / (n - 2)) <= k <= formula.m:
         raise RuntimeError("decomposition bound violated: w=%d k=%d m=%d"
                            % (w, k, formula.m))
-    report = DecompositionReport(k=k, w=w,
-                                 group_sizes=tuple(len(g) for _, g in groups))
-    return ctfs, report
+    return ctfs, DecompositionReport(k=k, w=w)
 
 
 def decompose_with_plan(formula: TabularFormula,
@@ -231,10 +213,7 @@ def decompose_with_plan(formula: TabularFormula,
     missing = set(range(1, formula.m + 1)) - used
     if missing:
         raise ValueError("plan leaves clauses unassigned: %s" % sorted(missing))
-    groups = group_terms(formula)
-    report = DecompositionReport(k=len(ctfs), w=len(groups),
-                                 group_sizes=tuple(len(g) for _, g in groups))
-    return ctfs, report
+    return ctfs, DecompositionReport(k=len(ctfs), w=len(group_terms(formula)))
 
 
 def ctf_to_cts(ctf: Ctf) -> Cts:

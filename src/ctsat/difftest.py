@@ -40,7 +40,6 @@ class DifftestParams:
     m_ratio: tuple[float, float] | None = None
     negation_fraction: float = 0.5
     modes: tuple[str, ...] = MODE_CYCLE
-    strategy: str = "assemble"
 
     def __post_init__(self):
         if self.count < 0:
@@ -61,7 +60,6 @@ class DifftestParams:
             "seed": self.seed,
             "negation_fraction": self.negation_fraction,
             "modes": list(self.modes),
-            "strategy": self.strategy,
         }
 
 
@@ -86,7 +84,7 @@ def _run_one(args: tuple) -> dict:
     params, index = args
     gen = instance_params(params, index)
     formula = generate(gen)
-    verdict = classify(formula, strategy=params.strategy)
+    verdict = classify(formula)
     oracle = dpll(formula)
     sound = True
     if verdict.kind == SATISFIABLE:
@@ -202,7 +200,7 @@ def _archive_finding(params: DifftestParams, result: dict, out: Path) -> dict:
     directory.mkdir(parents=True, exist_ok=True)
 
     def disagrees(f: TabularFormula) -> bool:
-        v = classify(f, strategy=params.strategy)
+        v = classify(f)
         o = dpll(f)
         return (v.kind == CLASSIFICATION_FAILURE
                 or (v.kind == SATISFIABLE) != o.satisfiable)
@@ -211,7 +209,7 @@ def _archive_finding(params: DifftestParams, result: dict, out: Path) -> dict:
         formula.to_dimacs(comments=["seed %d" % gen.seed, "mode %s" % gen.mode]))
     minimized = minimize(formula, disagrees)
     (directory / "minimized.cnf").write_text(minimized.to_dimacs())
-    verdict = classify(minimized, strategy=params.strategy)
+    verdict = classify(minimized)
     oracle = dpll(minimized)
     (directory / "verdicts.txt").write_text(
         "classifier: %s\noracle: %s\n"

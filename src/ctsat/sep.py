@@ -17,12 +17,12 @@ violated internal invariant, with full diagnostics attached).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import Bits, Cts, Perm
-from .decompose import (STRATEGY_ASSEMBLE, cts_stage_evidence, ctf_to_cts,
-                        decompose, decompose_with_plan)
+from .cts import Bits, Cts, Perm, union_all
+from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
+                        decompose_with_plan)
 from .formula import TabularFormula, bits_to_string
 from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
                     Vertex, basic_graph, check_tier_disjoint,
@@ -247,19 +247,16 @@ def systemic_effective_procedure(
                 for m, sub in zip(system.members, subs):
                     m.esub[e] = sub
             for c in sorted(skeleton.tiers[j + 1]):
+                # every tier-j edge left in the skeleton was shifted
+                # above, so each member stores its substructure
                 v = (j + 1, c)
-                ups = [a for a in skeleton.up(v)
-                       if (j, a, c) in system.members[0].esub]
+                ups = skeleton.up(v)
                 if not ups:
                     _drop_vertex(system, v, stats)
                     continue
-                unions = []
-                for m in system.members:
-                    acc = m.esub[(j, ups[0], c)]
-                    for a in ups[1:]:
-                        acc = acc.union(m.esub[(j, a, c)])
-                    unions.append(acc)
-                subs = _unify_same_name(unions, stats)
+                subs = _unify_same_name(
+                    [union_all([m.esub[(j, a, c)] for a in ups])
+                     for m in system.members], stats)
                 if subs is None:
                     _drop_vertex(system, v, stats)
                     continue
@@ -366,7 +363,6 @@ def _verified_sat(original: TabularFormula, bits: Bits, detail: dict) -> Verdict
 
 
 def classify(formula: TabularFormula,
-             strategy: str = STRATEGY_ASSEMBLE,
              plan=None,
              early_check: bool = True,
              sink=None) -> Verdict:
@@ -378,18 +374,18 @@ def classify(formula: TabularFormula,
     """
     from . import trace as trace_mod
 
-    detail: dict = {"strategy": strategy}
+    detail: dict = {}
     # a pinned plan addresses clauses by their input positions
     canonical = formula if plan is not None else formula.canonicalize()
     if sink is not None:
         sink.write("formula", trace_mod.render_formula(canonical))
     if not canonical.clauses:
-        return _verified_sat(formula, (0,) * formula.n, detail)
+        return _emit(sink, _verified_sat(formula, (0,) * formula.n, detail))
 
     if plan is not None:
         ctfs, report = decompose_with_plan(canonical, plan)
     else:
-        ctfs, report = decompose(canonical, strategy)
+        ctfs, report = decompose(canonical)
     detail["k"] = report.k
     detail["w"] = report.w
     if sink is not None:
@@ -402,30 +398,25 @@ def classify(formula: TabularFormula,
         s = ctf_to_cts(ctf)
         if s.is_empty:
             detail["ctf_index"] = i + 1
-            if sink is not None:
-                sink.write("verdict", "verdict: unsatisfiable\nstage: cts\n")
-            return Verdict(UNSATISFIABLE, stage="cts",
-                           tier=cts_stage_evidence(ctf), detail=detail)
+            return _emit(sink, Verdict(UNSATISFIABLE, stage="cts",
+                                       tier=cts_stage_evidence(ctf),
+                                       detail=detail))
         structures.append(s)
     if sink is not None:
         sink.write("structures", "\n".join(
             "S%d:\n%s" % (i + 1, s.render()) for i, s in enumerate(structures)))
 
     if len(structures) == 1:
-        verdict = _verified_sat(formula, structures[0].sample_assignment(), detail)
-        if sink is not None:
-            sink.write("verdict", "\n".join(verdict.lines()) + "\n")
-        return verdict
+        return _emit(sink, _verified_sat(
+            formula, structures[0].sample_assignment(), detail))
 
     unified = unify(structures, sink=sink)
     detail["unify_waves"] = unified.waves
     if unified.empty:
         detail["unify_cause"] = unified.cause
         detail["structure_index"] = unified.structure_index
-        if sink is not None:
-            sink.write("verdict", "verdict: unsatisfiable\nstage: unify\n")
-        return Verdict(UNSATISFIABLE, stage="unify",
-                       tier=unified.empty_tier, detail=detail)
+        return _emit(sink, Verdict(UNSATISFIABLE, stage="unify",
+                                   tier=unified.empty_tier, detail=detail))
     basic, others = unified.structures[0], unified.structures[1:]
     if sink is not None:
         sink.write("unified", "\n".join(
@@ -438,26 +429,13 @@ def classify(formula: TabularFormula,
             basic, others, canonical, early_check=early_check, sink=sink)
     except InvariantViolation as exc:
         return _failure_verdict(detail, exc, exc.diagnostics, sink)
-    detail["sep"] = {
-        "pruned_vertices": result.stats.pruned_vertices,
-        "pruned_edges": result.stats.pruned_edges,
-        "unify_waves": result.stats.unify_waves,
-        "early_checks": result.stats.early_checks,
-        "recompute_rounds": result.stats.recompute_rounds,
-    }
+    detail["sep"] = asdict(result.stats)
     if result.outcome == "empty":
-        if sink is not None:
-            sink.write("verdict",
-                       "verdict: unsatisfiable\nstage: sep\nempty-tier: %d\n"
-                       % result.empty_tier)
-        return Verdict(UNSATISFIABLE, stage="sep", tier=result.empty_tier,
-                       detail=detail)
+        return _emit(sink, Verdict(UNSATISFIABLE, stage="sep",
+                                   tier=result.empty_tier, detail=detail))
     if result.outcome == "early-sat":
         detail["early_exit"] = True
-        verdict = _verified_sat(formula, result.witness, detail)
-        if sink is not None:
-            sink.write("verdict", "\n".join(verdict.lines()) + "\n")
-        return verdict
+        return _emit(sink, _verified_sat(formula, result.witness, detail))
 
     try:
         extraction = extract_jss_system(result.system, basic, canonical)
@@ -465,7 +443,12 @@ def classify(formula: TabularFormula,
         return _failure_verdict(detail, exc, _failure_bundle(result.system),
                                 sink)
     detail["backtracks"] = extraction.backtracks
-    verdict = _verified_sat(formula, extraction.assignments[0], detail)
+    return _emit(sink, _verified_sat(formula, extraction.assignments[0],
+                                     detail))
+
+
+def _emit(sink, verdict: Verdict) -> Verdict:
+    """Write the verdict's printed lines to the trace sink, if any."""
     if sink is not None:
         sink.write("verdict", "\n".join(verdict.lines()) + "\n")
     return verdict
@@ -475,9 +458,7 @@ def _failure_verdict(detail: dict, exc: Exception, diagnostics: dict,
                      sink) -> Verdict:
     detail["error"] = str(exc)
     detail["diagnostics"] = diagnostics
-    if sink is not None:
-        sink.write("verdict", "verdict: classification-failure\n")
-    return Verdict(CLASSIFICATION_FAILURE, detail=detail)
+    return _emit(sink, Verdict(CLASSIFICATION_FAILURE, detail=detail))
 
 
 def _failure_bundle(system: HsSystem) -> dict:

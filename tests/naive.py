@@ -123,10 +123,10 @@ def cts_to_sets(s):
             for j in range(len(s.tiers))]
 
 
-def naive_project(system, r, target):
-    """Project set-form `target` onto tier `r` of a pair system: the union
-    of the member's tier-r vertex substructures, each intersected with it."""
-    member = system.members[0]
+def naive_project(system, r, target, i=0):
+    """Project set-form `target` onto tier `r` of a system: the union of
+    member i's tier-r vertex substructures, each intersected with it."""
+    member = system.members[i]
     acc = [set() for _ in target]
     for c in sorted(system.skeleton.tiers[r]):
         acc = naive_union(acc, naive_intersect(cts_to_sets(member.vsub[(r, c)]),

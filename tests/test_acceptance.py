@@ -187,7 +187,7 @@ def test_criterion_08_exactness_properties():
         f = generate(GenParams(n=10, m=rng.randint(5, 45), mode="free",
                                seed=9000 + trial))
         from ctsat.decompose import decompose
-        ctfs, _ = decompose(f, "assemble")
+        ctfs, _ = decompose(f)
         for ctf in ctfs:
             expected = sat_set(TabularFormula(10, tuple(ctf.to_clauses())))
             got = ctf_to_cts(ctf)
@@ -299,7 +299,7 @@ def test_criterion_10_performance_and_bounds():
     n = 50
     f = generate(GenParams(n=n, m=140, mode="sat", seed=7))
     from ctsat.decompose import decompose
-    ctfs, _ = decompose(f, "assemble")
+    ctfs, _ = decompose(f)
     structures = [ctf_to_cts(c) for c in ctfs]
     assert all(not s.is_empty for s in structures)
     unified = unify(structures[:2])

@@ -103,8 +103,29 @@ def test_trace_matches_golden_files(tmp_path, capsys):
             (GOLDEN / name).read_text(), name
 
 
-@pytest.mark.parametrize("flag", [["--bogus"], ["--granularity", "coarse"]],
-                         ids=["bogus", "granularity"])
+@pytest.mark.parametrize("kind", ["cts_stage", "no_clauses"])
+def test_trace_verdict_file_matches_printed_lines(kind, tmp_path, capsys):
+    target = tmp_path / "input.cnf"
+    if kind == "cts_stage":
+        # empties at the cts stage, with an empty tier
+        run(capsys, "gen", "--n", "5", "--m", "8", "--mode", "unsat",
+            "--seed", "1", "-o", str(target))
+        expected = "empty-tier: 1"
+    else:
+        target.write_text("p cnf 3 0\n")
+        expected = "witness: 000"
+    code, out, _ = run(capsys, "trace", str(target),
+                       "--out", str(tmp_path / "tr"))
+    assert code == 0
+    assert expected in out.splitlines()
+    verdict_files = list((tmp_path / "tr").glob("*_verdict.txt"))
+    assert len(verdict_files) == 1
+    assert verdict_files[0].read_text() == out
+
+
+@pytest.mark.parametrize("flag", [["--bogus"], ["--granularity", "coarse"],
+                                  ["--strategy", "simple"]],
+                         ids=["bogus", "granularity", "strategy"])
 def test_unknown_flag_exits_one(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", str(FIXTURES / "worked8.cnf")] + flag)

@@ -63,17 +63,15 @@ def clause_multiset(ctfs):
     return sorted(out)
 
 
-@pytest.mark.parametrize("strategy", ["simple", "assemble"])
-def test_decompose_partitions_clauses(worked8, strategy):
-    ctfs, report = decompose(worked8.canonicalize(), strategy)
+def test_decompose_partitions_clauses(worked8):
+    ctfs, report = decompose(worked8.canonicalize())
     assert clause_multiset(ctfs) == sorted(worked8.canonicalize().clauses)
     assert math.ceil(report.w / (worked8.n - 2)) <= report.k <= worked8.m
     assert report.w == 15
 
 
-@pytest.mark.parametrize("strategy", ["simple", "assemble"])
-def test_decompose_conjunction_equivalence(worked8, strategy):
-    ctfs, _ = decompose(worked8, strategy)
+def test_decompose_conjunction_equivalence(worked8):
+    ctfs, _ = decompose(worked8)
     for bits in worked8.assignments():
         expected = worked8.evaluate(bits)
         assert all(c.evaluate(bits) == 1 for c in ctfs) == bool(expected)
@@ -81,20 +79,26 @@ def test_decompose_conjunction_equivalence(worked8, strategy):
 
 def test_decompose_ideal_formula_single_ctf():
     f = ideal5_formula()
-    ctfs, report = decompose(f, "assemble")
+    ctfs, report = decompose(f)
     assert report.k == 1
     assert ctfs[0].perm == Perm.identity(5)
     assert ctfs[0].tiers == ideal5_ctf().tiers
 
 
-def test_decompose_disjoint_triples_simple_upper_assemble_lower_extreme():
+def test_decompose_upper_and_lower_extremes():
+    # triples pairwise sharing x1 neither chain nor pack: k == w == m
+    f = TabularFormula(7, (Clause(((1, 0), (2, 0), (3, 0))),
+                           Clause(((1, 0), (4, 0), (5, 0))),
+                           Clause(((1, 0), (6, 0), (7, 0)))))
+    ctfs, report = decompose(f)
+    assert report.k == report.w == f.m == 3
+    assert clause_multiset(ctfs) == sorted(f.clauses)
+    # three disjoint triples form three chains that share no variable
+    # and pack into one permutation
     f = TabularFormula(9, (Clause(((1, 0), (2, 0), (3, 0))),
                            Clause(((4, 0), (5, 0), (6, 0))),
                            Clause(((7, 0), (8, 0), (9, 0)))))
-    _, report = decompose(f, "simple")
-    assert report.k == report.w == f.m == 3
-    # the three chains share no variable and pack into one permutation
-    ctfs, report = decompose(f, "assemble")
+    ctfs, report = decompose(f)
     assert report.k == 1 == math.ceil(report.w / (f.n - 2))
     assert clause_multiset(ctfs) == sorted(f.clauses)
 
@@ -104,10 +108,8 @@ def test_decompose_assemble_chains_overlapping_groups():
     f = TabularFormula(5, (Clause(((1, 0), (2, 0), (3, 0))),
                            Clause(((2, 1), (3, 0), (4, 1))),
                            Clause(((3, 0), (4, 0), (5, 0)))))
-    ctfs, report = decompose(f, "assemble")
-    assert report.k == 1 and report.w == 3
-    _, simple_report = decompose(f, "simple")
-    assert simple_report.k == 3
+    ctfs, report = decompose(f)
+    assert report.k == 1 < report.w == 3
 
 
 def test_decompose_packs_disjoint_chains_into_one_ctf():
@@ -117,7 +119,7 @@ def test_decompose_packs_disjoint_chains_into_one_ctf():
                             Clause(((5, 1), (6, 1), (7, 0))),
                             Clause(((8, 0), (9, 0), (10, 0))),
                             Clause(((8, 1), (9, 0), (10, 1)))))
-    ctfs, report = decompose(f, "assemble")
+    ctfs, report = decompose(f)
     assert report.k == 1 and report.w == 4
     assert ctfs[0].perm == Perm.identity(12)
     # the tiers straddling two chains stay empty
@@ -138,7 +140,7 @@ def test_decompose_overlapping_chains_spill_into_second_ctf():
                            Clause(((6, 1), (7, 0), (8, 1))),
                            Clause(((6, 1), (8, 0), (9, 0))),
                            Clause(((7, 1), (8, 1), (9, 1)))))
-    ctfs, report = decompose(f, "assemble")
+    ctfs, report = decompose(f)
     assert report.k == 2 and report.w == 7
     assert [c.perm for c in ctfs] == [Perm([1, 2, 3, 4, 5, 6, 8, 9, 7]),
                                       Perm([5, 6, 7, 8, 9, 1, 2, 3, 4])]
@@ -153,11 +155,10 @@ def test_decompose_packing_random_free_formulas():
         n = rng.randint(4, 12)
         f = generate(GenParams(n=n, m=rng.randint(3, 5 * n), mode="free",
                                seed=500 + trial)).canonicalize()
-        ctfs, report = decompose(f, "assemble")
-        _, simple_report = decompose(f, "simple")
-        assert math.ceil(report.w / (n - 2)) <= report.k <= simple_report.k
+        ctfs, report = decompose(f)
+        assert math.ceil(report.w / (n - 2)) <= report.k <= report.w
         assert clause_multiset(ctfs) == sorted(f.clauses)
-        assert decompose(f, "assemble") == (ctfs, report)
+        assert decompose(f) == (ctfs, report)
         for bits in f.assignments():
             assert all(c.evaluate(bits) for c in ctfs) == bool(f.evaluate(bits))
 
@@ -167,7 +168,7 @@ def test_decompose_soundness_random_instances():
     for trial in range(25):
         f = generate(GenParams(n=rng.randint(4, 8), m=rng.randint(3, 20),
                                mode="free", seed=trial))
-        ctfs, report = decompose(f, "assemble")
+        ctfs, report = decompose(f)
         assert math.ceil(report.w / (f.n - 2)) <= report.k <= f.m
         for bits in f.assignments():
             assert all(c.evaluate(bits) == 1 for c in ctfs) == bool(f.evaluate(bits))
@@ -178,7 +179,7 @@ def test_decompose_runtime_trend():
     def run(n, m):
         f = generate(GenParams(n=n, m=m, mode="free", seed=5))
         t0 = time.perf_counter()
-        _, report = decompose(f, "assemble")
+        _, report = decompose(f)
         return time.perf_counter() - t0, report.k
 
     t_small = min(run(12, 40)[0] for _ in range(3))
@@ -249,7 +250,7 @@ def test_ctf_to_cts_exact_satisfying_sets():
         n = rng.randint(4, 9)
         f = generate(GenParams(n=n, m=rng.randint(2, 4 * n), mode="free",
                                seed=1000 + trial))
-        ctfs, _ = decompose(f, "assemble")
+        ctfs, _ = decompose(f)
         for ctf in ctfs:
             as_formula = TabularFormula(n, tuple(ctf.to_clauses()))
             expected = sat_set(as_formula)

@@ -143,7 +143,7 @@ def test_difftest_detects_and_minimizes_injected_bug(tmp_path, monkeypatch):
     # harness self-test: a classifier stub that always answers unsat
     import ctsat.difftest as dt
 
-    def broken_classify(formula, strategy="assemble", **kwargs):
+    def broken_classify(formula, **kwargs):
         return Verdict(UNSATISFIABLE, stage="sep", tier=1)
 
     monkeypatch.setattr(dt, "classify", broken_classify)
@@ -167,8 +167,8 @@ def test_difftest_archive_replays(tmp_path, monkeypatch):
 
     real_classify = dt.classify
 
-    def broken_classify(formula, strategy="assemble", **kwargs):
-        v = real_classify(formula, strategy=strategy, **kwargs)
+    def broken_classify(formula, **kwargs):
+        v = real_classify(formula, **kwargs)
         if v.kind == "satisfiable" and formula.m % 2 == 0:
             return Verdict(UNSATISFIABLE, stage="sep", tier=1)
         return v

@@ -16,7 +16,8 @@ from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
 from ctsat.unify import unify
 
 import tabledata
-from naive import cts_to_sets, joint_sat_set, naive_shift
+from naive import (cts_to_sets, joint_sat_set, naive_concretize,
+                   naive_project, naive_shift)
 
 
 # -- early elementary check ------------------------------------------------------
@@ -68,7 +69,8 @@ def test_sep_empty_member_empties_immediately(worked8, unified_triple):
     assert result.empty_tier == 1
 
 
-def random_unified_system(rng: random.Random, n: int, k: int):
+def random_unified_system(rng: random.Random, n: int, k: int,
+                          density: float = 0.8):
     while True:
         structures = []
         for _ in range(k):
@@ -77,7 +79,7 @@ def random_unified_system(rng: random.Random, n: int, k: int):
             masks = [0] * (n - 2)
             for j in range(n - 2):
                 for c in range(8):
-                    if rng.random() < 0.8:
+                    if rng.random() < density:
                         masks[j] |= 1 << c
             structures.append(Cts(Perm(order), masks).clear())
         if any(s.is_empty for s in structures):
@@ -165,6 +167,56 @@ def test_concordant_shift_conflicting_constants_removes_edge():
         system.members[0].vsub[(0, edge[1])] = forced0
         assert concordant_shift(system, edge, SepStats()) is None
         break
+
+
+def reference_concordant_shift(system, edge, first=0):
+    """Concordant shift in set form: every member steps as in
+    `naive_shift` (projecting onto tiers first..j-1 only), and after each
+    step the members' results are unified with `unify`; None when one of
+    them empties."""
+    j, a, b = edge
+    var = system.basic_perm.order[j + 3]
+    perms = [m.structure.perm for m in system.members]
+
+    def unified(subs):
+        if any(not tier for sub in subs for tier in sub):
+            return None
+        if len(subs) == 1:
+            return subs
+        result = unify([Cts(p, [sum(1 << int(code, 2) for code in tier)
+                                for tier in sub])
+                        for p, sub in zip(perms, subs)])
+        return None if result.empty else [cts_to_sets(x)
+                                          for x in result.structures]
+
+    subs = unified([naive_concretize(cts_to_sets(m.vsub[(j, a)]),
+                                     list(p.order), var, b & 1)
+                    for m, p in zip(system.members, perms)])
+    for s in range(first, j):
+        if subs is None:
+            return None
+        subs = unified([naive_project(system, s, sub, i)
+                        for i, sub in enumerate(subs)])
+    return subs
+
+
+def test_concordant_shift_k3_projects_onto_tier_1():
+    # a seeded complete three-structure system in which the projection
+    # onto tier 1 removes lines that the later projections keep, on
+    # several edges
+    n = 8
+    s1, s2, s3 = random_unified_system(random.Random(30), n, 3, density=0.85)
+    sep = systemic_effective_procedure(s1, [s2, s3], dummy_formula(n),
+                                       early_check=False)
+    assert sep.outcome == "complete"
+    system = sep.system
+    biting = 0
+    for edge in system.skeleton.edges():
+        expected = reference_concordant_shift(system, edge)
+        assert [cts_to_sets(m.esub[edge]) for m in system.members] == expected
+        if expected != reference_concordant_shift(system, edge, first=1):
+            biting += 1
+    assert biting >= 1
 
 
 def test_sep_joint_sets_preserved_k3():
@@ -326,14 +378,6 @@ def test_classify_matches_oracle_small_sweep():
         outcomes[verdict.kind] += 1
     assert outcomes["satisfiable"] > 20
     assert outcomes["unsatisfiable"] > 20
-
-
-def test_classify_strategy_simple_agrees():
-    rng = random.Random(606)
-    for trial in range(25):
-        f = generate(GenParams(n=rng.randint(5, 8), m=rng.randint(8, 30),
-                               mode="free", seed=7000 + trial))
-        assert classify(f, strategy="simple").kind == classify(f).kind
 
 
 def test_verdict_serialization(worked8):

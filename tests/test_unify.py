@@ -145,6 +145,31 @@ def test_unify_preserves_joint_satisfying_sets():
     assert nonempty_seen > 10
 
 
+def test_unify_fixpoint_obeys_both_rules():
+    # the readable rule definitions as references for the table-driven
+    # loop: after a non-empty unify, rule 1 leaves every variable with
+    # one constant (or none) across the structures, and rule 2 leaves
+    # every pair co-tiered in two or more structures with one relation
+    rng = random.Random(4242)
+    nonempty_seen = 0
+    for _ in range(300):
+        n = rng.randint(5, 10)
+        result = unify(random_system(rng, n, rng.randint(2, 4)))
+        if result.empty:
+            continue
+        nonempty_seen += 1
+        structures = result.structures
+        for var in range(1, n + 1):
+            assert len({constant_of(s, var) for s in structures}) == 1, var
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                relations = {rel.allowed for rel in
+                             (pair_relation(s, a, b) for s in structures)
+                             if rel is not None}
+                assert len(relations) <= 1, (a, b)
+    assert nonempty_seen > 100
+
+
 def test_unify_is_monotone_and_fixpoint():
     rng = random.Random(55)
     for _ in range(60):
