@@ -20,13 +20,9 @@ Bits = tuple[int, ...]
 
 TIER_FULL = 0xFF
 
-# Code-level compatibility: line t at tier j adjoins u at tier j+1 iff
-# the low two bits of t equal the high two bits of u.
-
-
-def compatible(t: int, u: int) -> int:
-    """1 iff line t (tier j) adjoins line u (tier j+1)."""
-    return int(t & 3 == u >> 1)
+# Line t at tier j adjoins u at tier j+1 iff the low two bits of t
+# equal the high two bits of u. These tables are the only definition of
+# that adjacency; `hyper.TierGraph` builds its edges from _SUCC.
 
 
 def _build_tables():

@@ -2,134 +2,160 @@
 procedure.
 
 The basic structure is viewed as a tiered graph: one vertex per line,
-edges between adjoining lines of adjacent tiers. The systemic effective
-procedure (`ctsat.sep`) uses that graph as the shared skeleton of its
-hyperstructures. This module also holds the same-tier disjointness
-check, the extraction failure, and the assignment a route spells.
+edges between adjoining lines of adjacent tiers, kept as bitmasks like
+a `Cts`. The systemic effective procedure (`ctsat.sep`) uses that graph
+as the shared skeleton of its hyperstructures. This module also holds
+the same-tier disjointness check, the extraction failure, and the
+assignment a route spells.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .cts import Cts, Perm, compatible
+from .cts import _SUCC, Cts, Perm
 
 Vertex = tuple[int, int]          # (tier index 0-based, triplet code)
 Edge = tuple[int, int, int]       # (tier index j, code at j, code at j+1)
+
+_CODES = [tuple(c for c in range(8) if m >> c & 1) for m in range(256)]
+_BYTE_LSB = 0x0101010101010101
+# _ROWS[m]: the edges leaving the codes in m (their bytes set in full)
+_ROWS = [sum(0xFF << 8 * a for a in _CODES[m]) for m in range(256)]
+
+
+def _tails(links: int) -> int:
+    """Codes with an edge out: the non-zero bytes, gathered into one."""
+    x = links | links >> 4
+    x |= x >> 2
+    x |= x >> 1
+    return ((x & _BYTE_LSB) * 0x0102040810204080) >> 56 & 0xFF
+
+
+def _heads(links: int) -> int:
+    """Codes with an edge in: the OR of the bytes."""
+    x = links | links >> 32
+    x |= x >> 16
+    return (x | x >> 8) & 0xFF
 
 
 class TierGraph:
     """Vertices at n-2 tiers, edges only between adjacent tiers.
 
-    Vertex identity is (tier, code); no global numbering. Mutations are
+    Vertex identity is (tier, code); no global numbering. `tiers[j]` is
+    tier j's 8-bit code mask; `links[j]` holds bit 8*a + b for an edge
+    from code a at tier j to code b at tier j+1, and only joins present
+    vertices. The constructor joins all adjoining lines. Mutations are
     explicit removals; `prune` restores the adjacency invariant (every
     vertex has a neighbour in each adjacent tier that exists).
     """
 
-    __slots__ = ("tiers", "_down", "_up")
+    __slots__ = ("tiers", "links")
 
-    def __init__(self, tier_codes: Sequence[Sequence[int]]):
-        self.tiers = [set(t) for t in tier_codes]
-        self._down: dict[Vertex, set[int]] = {}
-        self._up: dict[Vertex, set[int]] = {}
-        for j, codes in enumerate(self.tiers):
-            for c in codes:
-                self._down[(j, c)] = set()
-                self._up[(j, c)] = set()
-        for j in range(len(self.tiers) - 1):
-            for a in self.tiers[j]:
-                for b in self.tiers[j + 1]:
-                    if compatible(a, b):
-                        self._down[(j, a)].add(b)
-                        self._up[(j + 1, b)].add(a)
-
-    @classmethod
-    def from_cts(cls, structure: Cts) -> "TierGraph":
-        if structure.is_empty:
-            raise ValueError("cannot build a graph from an empty structure")
-        return cls([structure.tier_codes(j) for j in range(len(structure.tiers))])
+    def __init__(self, tiers: Sequence[int]):
+        self.tiers = list(tiers)
+        self.links = [
+            sum((_SUCC[1 << a] & nxt) << 8 * a for a in _CODES[cur])
+            for cur, nxt in zip(self.tiers, self.tiers[1:])]
 
     @property
     def tier_count(self) -> int:
         return len(self.tiers)
 
+    def codes(self, j: int) -> tuple[int, ...]:
+        """Tier j's codes, ascending."""
+        return _CODES[self.tiers[j]]
+
+    def has_vertex(self, v: Vertex) -> bool:
+        return bool(self.tiers[v[0]] >> v[1] & 1)
+
     def has_edge(self, e: Edge) -> bool:
-        return (e[0], e[1]) in self._down and e[2] in self._down[(e[0], e[1])]
+        j, a, b = e
+        return 0 <= j < len(self.links) and bool(self.links[j] >> (8 * a + b) & 1)
 
     def down(self, v: Vertex) -> list[int]:
-        return sorted(self._down.get(v, ()))
+        j, c = v
+        if j >= len(self.links):
+            return []
+        return list(_CODES[self.links[j] >> 8 * c & 0xFF])
 
     def up(self, v: Vertex) -> list[int]:
-        return sorted(self._up.get(v, ()))
+        j, c = v
+        if j == 0:
+            return []
+        return list(_CODES[_tails(self.links[j - 1] & _BYTE_LSB << c)])
 
     def vertices(self) -> Iterator[Vertex]:
-        for j, codes in enumerate(self.tiers):
-            for c in sorted(codes):
+        for j, mask in enumerate(self.tiers):
+            for c in _CODES[mask]:
                 yield (j, c)
 
     def edges(self, j: int | None = None) -> Iterator[Edge]:
-        tiers = range(len(self.tiers) - 1) if j is None else (j,)
+        tiers = range(len(self.links)) if j is None else (j,)
         for jj in tiers:
-            for a in sorted(self.tiers[jj]):
-                for b in self.down((jj, a)):
+            links = self.links[jj]
+            for a in _CODES[self.tiers[jj]]:
+                for b in _CODES[links >> 8 * a & 0xFF]:
                     yield (jj, a, b)
 
     def edge_count(self) -> int:
-        return sum(len(s) for v, s in self._down.items())
+        return sum(links.bit_count() for links in self.links)
 
     def remove_edge(self, e: Edge) -> None:
         j, a, b = e
-        self._down[(j, a)].discard(b)
-        self._up[(j + 1, b)].discard(a)
+        self.links[j] &= ~(1 << (8 * a + b))
 
     def remove_vertex(self, v: Vertex) -> None:
         j, c = v
-        if c not in self.tiers[j]:
-            return
-        for b in list(self._down.get(v, ())):
-            self.remove_edge((j, c, b))
-        for a in list(self._up.get(v, ())):
-            self.remove_edge((j - 1, a, c))
-        self.tiers[j].discard(c)
-        self._down.pop(v, None)
-        self._up.pop(v, None)
+        self.tiers[j] &= ~(1 << c)
+        if j < len(self.links):
+            self.links[j] &= ~(0xFF << 8 * c)
+        if j > 0:
+            self.links[j - 1] &= ~(_BYTE_LSB << c)
 
-    def prune(self) -> tuple[list[Vertex], int | None]:
-        """Cascade-remove vertices lacking a neighbour in an adjacent tier.
+    def prune(self) -> tuple[int, int | None]:
+        """Remove the vertices lacking a neighbour in an adjacent tier.
 
-        Returns the removed vertices and the 1-based index of the first
-        tier that became empty (None if all tiers stay populated).
+        One backward pass keeps the vertices with an edge down into the
+        kept next tier, one forward pass those with an edge up from the
+        kept previous tier: the same two passes as `cts.clear_masks`,
+        which reach the fixpoint on a path of tiers. Returns the number
+        of removed vertices and the 1-based index of the tier that
+        emptied first: the lowest tier empty on entry, else the first
+        tier the backward pass empties (None if all tiers stay
+        populated). When a tier empties, every tier is zeroed, and all
+        vertices count as removed.
         """
-        removed: list[Vertex] = []
-        last = len(self.tiers) - 1
-        queue = list(self.vertices())
-        while queue:
-            v = queue.pop()
-            j, c = v
-            if c not in self.tiers[j]:
-                continue
-            stranded = (j > 0 and not self._up[v]) or (j < last and not self._down[v])
-            if not stranded:
-                continue
-            neighbours = ([(j - 1, a) for a in self._up[v]] if j > 0 else []) \
-                + ([(j + 1, b) for b in self._down[v]] if j < last else [])
-            self.remove_vertex(v)
-            removed.append(v)
-            queue.extend(neighbours)
-        for j, codes in enumerate(self.tiers):
-            if not codes:
-                return removed, j + 1
-        return removed, None
+        tiers, links = self.tiers, self.links
+        last = len(tiers) - 1
+        before = sum(mask.bit_count() for mask in tiers)
+        empty = next((j for j, mask in enumerate(tiers) if not mask), None)
+        if empty is None:
+            for j in range(last - 1, -1, -1):
+                links[j] &= tiers[j + 1] * _BYTE_LSB
+                tiers[j] &= _tails(links[j])
+                if not tiers[j]:
+                    empty = j
+                    break
+        if empty is not None:
+            self.tiers = [0] * len(tiers)
+            self.links = [0] * len(links)
+            return before, empty + 1
+        # every vertex kept so far has an edge down, so no tier empties
+        for j in range(1, last + 1):
+            links[j - 1] &= _ROWS[tiers[j - 1]]
+            tiers[j] &= _heads(links[j - 1])
+        return before - sum(mask.bit_count() for mask in tiers), None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TierGraph) and self.tiers == other.tiers
-                and self._down == other._down)
+                and self.links == other.links)
 
     def render(self) -> str:
         out = []
-        for j, codes in enumerate(self.tiers):
+        for j in range(len(self.tiers)):
             out.append("tier %d: %s" % (j + 1, " ".join(
-                format(c, "03b") for c in sorted(codes))))
+                format(c, "03b") for c in self.codes(j))))
         out.append("edges:")
         for j, a, b in self.edges():
             out.append("  %d:%s - %d:%s" % (j + 1, format(a, "03b"),
@@ -144,7 +170,7 @@ def basic_graph(structure: Cts) -> TierGraph:
         raise ValueError("empty structure has no basic graph")
     if structure.clear().tiers != structure.tiers:
         raise ValueError("basic structure must be cleared")
-    return TierGraph.from_cts(structure)
+    return TierGraph(structure.tiers)
 
 
 def vertex_values(basic_perm: Perm, v: Vertex) -> list[tuple[int, int]]:
@@ -162,20 +188,22 @@ class InvariantViolation(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def check_tier_disjoint(vsub: dict[Vertex, Cts], tiers, j: int) -> None:
-    """Same-tier substructure-vertices must have pairwise empty
-    intersections; checked after each tier completes (also under -O)."""
-    codes = sorted(tiers[j])
+def check_tier_disjoint(vsub: dict[Vertex, tuple[Cts, ...]],
+                        codes: Sequence[int], j: int) -> None:
+    """Same-tier substructure-vertices of each member (`vsub` maps a
+    vertex to them in member order) must have pairwise empty
+    intersections; checked after each tier completes (also under -O).
+    The diagnostics name the member by its 0-based position."""
     for i, a in enumerate(codes):
         for b in codes[i + 1:]:
-            if not vsub[(j, a)].intersect(vsub[(j, b)]).is_empty:
-                raise InvariantViolation(
-                    "tier %d substructures %s and %s overlap"
-                    % (j + 1, format(a, "03b"), format(b, "03b")),
-                    {"tier": j + 1,
-                     "substructures": {
-                         format(c, "03b"): vsub[(j, c)].render()
-                         for c in (a, b)}})
+            for member, (sa, sb) in enumerate(zip(vsub[(j, a)], vsub[(j, b)])):
+                if not sa.intersect(sb).is_empty:
+                    raise InvariantViolation(
+                        "tier %d substructures %s and %s overlap"
+                        % (j + 1, format(a, "03b"), format(b, "03b")),
+                        {"tier": j + 1, "member": member, "substructures": {
+                            format(a, "03b"): sa.render(),
+                            format(b, "03b"): sb.render()}})
 
 
 class ExtractionFailure(RuntimeError):

@@ -3,9 +3,10 @@
 For k unified structures the basic graph of the first one is shared by
 k-1 hyperstructures formed in deterministic lockstep. Same-name
 substructures (attached to the same vertex or edge of the shared
-skeleton) are unified after every formation step; a basic-graph element
-whose substructure empties in any member is removed everywhere, so the
-members are empty or non-empty only jointly.
+skeleton) are unified after every formation step and stored together,
+as one tuple in member order per skeleton element; a basic-graph
+element whose substructure empties in any member is removed with its
+whole tuple, so the members are empty or non-empty only jointly.
 
 The classifier runs the full pipeline and emits one of three verdicts:
 satisfiable (with a verified witness), unsatisfiable (with the pipeline
@@ -68,37 +69,25 @@ class Verdict:
             "witness": None if self.witness is None else bits_to_string(self.witness),
             "stage": self.stage,
             "tier": self.tier,
-            "detail": _jsonable(self.detail),
+            "detail": self.detail,
         }
         return json.dumps(payload, sort_keys=True)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-@dataclass
-class MemberState:
-    """One hyperstructure of the system: substructures of one structure."""
-
-    structure: Cts
-    vsub: dict[Vertex, Cts] = field(default_factory=dict)
-    esub: dict[Edge, Cts] = field(default_factory=dict)
-
-
 @dataclass
 class HsSystem:
-    """Shared pruned skeleton plus the per-member substructure maps."""
+    """Shared pruned skeleton plus the same-name substructures.
+
+    `structures` are the k-1 member structures. `vsub` and `esub` map a
+    skeleton vertex or edge to its substructures, one per member, in
+    the order of `structures`.
+    """
 
     skeleton: TierGraph
     basic_perm: Perm
-    members: list[MemberState]
+    structures: tuple[Cts, ...]
+    vsub: dict[Vertex, tuple[Cts, ...]] = field(default_factory=dict)
+    esub: dict[Edge, tuple[Cts, ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -131,7 +120,8 @@ def early_elementary_check(sub: Cts, basic: Cts,
     return None
 
 
-def _unify_same_name(subs: list[Cts], stats: SepStats) -> list[Cts] | None:
+def _unify_same_name(subs: tuple[Cts, ...],
+                     stats: SepStats) -> tuple[Cts, ...] | None:
     """Same-name substructures of all members, unified; None when one of
     them is or becomes empty. A lone member needs no unification."""
     if any(sub.is_empty for sub in subs):
@@ -140,47 +130,44 @@ def _unify_same_name(subs: list[Cts], stats: SepStats) -> list[Cts] | None:
         return subs
     result = unify(subs)
     stats.unify_waves += result.waves
-    if result.empty:
-        return None
-    return list(result.structures)
+    return result.structures   # None when the system emptied
 
 
 def concordant_shift(system: HsSystem, edge: Edge,
-                     stats: SepStats) -> list[Cts] | None:
+                     stats: SepStats) -> tuple[Cts, ...] | None:
     """Run the shift lockstep in every member, unifying same-name
     intermediate substructures; None when the system empties on this edge."""
     j, a, b = edge
     var = system.basic_perm.order[j + 3]
     beta = b & 1
     subs = _unify_same_name(
-        [m.vsub[(j, a)].concretize(var, beta) for m in system.members], stats)
+        tuple(sub.concretize(var, beta) for sub in system.vsub[(j, a)]), stats)
     for s in range(j):
         if subs is None:
             return None
+        tier = [system.vsub[(s, c)] for c in system.skeleton.codes(s)]
         projected = []
-        for m, sub in zip(system.members, subs):
+        for i, sub in enumerate(subs):
             acc = Cts.empty(sub.perm)
-            for c in sorted(system.skeleton.tiers[s]):
-                acc = acc.union(m.vsub[(s, c)].intersect(sub))
+            for same_name in tier:
+                acc = acc.union(same_name[i].intersect(sub))
             projected.append(acc)
-        subs = _unify_same_name(projected, stats)
+        subs = _unify_same_name(tuple(projected), stats)
     return subs
 
 
 def _drop_vertex(system: HsSystem, v: Vertex, stats: SepStats) -> None:
     system.skeleton.remove_vertex(v)
     stats.pruned_vertices += 1
-    for m in system.members:
-        m.vsub.pop(v, None)
+    system.vsub.pop(v, None)
 
 
 def _prune_system(system: HsSystem, stats: SepStats) -> int | None:
-    removed, empty_tier = system.skeleton.prune()
-    stats.pruned_vertices += len(removed)
-    for m in system.members:
-        for v in removed:
-            m.vsub.pop(v, None)
-        m.esub = {e: s for e, s in m.esub.items() if system.skeleton.has_edge(e)}
+    skeleton = system.skeleton
+    removed, empty_tier = skeleton.prune()
+    stats.pruned_vertices += removed
+    system.vsub = {v: s for v, s in system.vsub.items() if skeleton.has_vertex(v)}
+    system.esub = {e: s for e, s in system.esub.items() if skeleton.has_edge(e)}
     return empty_tier
 
 
@@ -200,37 +187,35 @@ def systemic_effective_procedure(
     stats = SepStats()
     skeleton = basic_graph(basic)
     system = HsSystem(skeleton=skeleton, basic_perm=basic.perm,
-                      members=[MemberState(s) for s in others])
+                      structures=tuple(others))
 
-    def check_new_vertex(subs: list[Cts]) -> Bits | None:
-        if not early_check:
+    def form_vertex(v: Vertex, subs: tuple[Cts, ...]) -> Bits | None:
+        """Unify and store a new vertex's same-name substructures, or drop
+        the vertex when they empty; returns the early check's witness."""
+        subs = _unify_same_name(subs, stats)
+        if subs is None:
+            _drop_vertex(system, v, stats)
             return None
-        stats.early_checks += 1
-        for sub in subs:
-            bits = early_elementary_check(sub, basic, formula)
-            if bits is not None:
-                return bits
+        system.vsub[v] = subs
+        if early_check:
+            stats.early_checks += 1
+            for sub in subs:
+                bits = early_elementary_check(sub, basic, formula)
+                if bits is not None:
+                    return bits
         return None
 
     # tier 1
-    for v in [v for v in skeleton.vertices() if v[0] == 0]:
-        pairs = vertex_values(system.basic_perm, v)
-        subs = _unify_same_name(
-            [m.structure.concretize_many(pairs) for m in system.members],
-            stats)
-        if subs is None:
-            _drop_vertex(system, v, stats)
-            continue
-        witness = check_new_vertex(subs)
+    for c in skeleton.codes(0):
+        pairs = vertex_values(system.basic_perm, (0, c))
+        witness = form_vertex((0, c), tuple(
+            s.concretize_many(pairs) for s in system.structures))
         if witness is not None:
             return SepResult("early-sat", witness=witness, stats=stats)
-        for m, sub in zip(system.members, subs):
-            m.vsub[v] = sub
     empty_tier = _prune_system(system, stats)
     if empty_tier is not None:
         return SepResult("empty", empty_tier=empty_tier, stats=stats)
-    for m in system.members:
-        check_tier_disjoint(m.vsub, skeleton.tiers, 0)
+    check_tier_disjoint(system.vsub, skeleton.codes(0), 0)
     _emit_tier(sink, system, 0)
 
     for j in range(skeleton.tier_count - 1):
@@ -241,38 +226,29 @@ def systemic_effective_procedure(
                 if subs is None:
                     skeleton.remove_edge(e)
                     stats.pruned_edges += 1
-                    for m in system.members:
-                        m.esub.pop(e, None)
+                    system.esub.pop(e, None)
                     continue
-                for m, sub in zip(system.members, subs):
-                    m.esub[e] = sub
-            for c in sorted(skeleton.tiers[j + 1]):
+                system.esub[e] = subs
+            for c in skeleton.codes(j + 1):
                 # every tier-j edge left in the skeleton was shifted
-                # above, so each member stores its substructure
+                # above, so its substructures are stored
                 v = (j + 1, c)
                 ups = skeleton.up(v)
                 if not ups:
                     _drop_vertex(system, v, stats)
                     continue
-                subs = _unify_same_name(
-                    [union_all([m.esub[(j, a, c)] for a in ups])
-                     for m in system.members], stats)
-                if subs is None:
-                    _drop_vertex(system, v, stats)
-                    continue
-                witness = check_new_vertex(subs)
+                incoming = zip(*[system.esub[(j, a, c)] for a in ups])
+                witness = form_vertex(v, tuple(union_all(same)
+                                               for same in incoming))
                 if witness is not None:
                     return SepResult("early-sat", witness=witness, stats=stats)
-                for m, sub in zip(system.members, subs):
-                    m.vsub[v] = sub
             empty_tier = _prune_system(system, stats)
             if empty_tier is not None:
                 return SepResult("empty", empty_tier=empty_tier, stats=stats)
             if stats.pruned_vertices == before:
                 break
             stats.recompute_rounds += 1
-        for m in system.members:
-            check_tier_disjoint(m.vsub, skeleton.tiers, j + 1)
+        check_tier_disjoint(system.vsub, skeleton.codes(j + 1), j + 1)
         _emit_tier(sink, system, j + 1)
 
     return SepResult("complete", system=system, stats=stats)
@@ -282,10 +258,10 @@ def _emit_tier(sink, system: HsSystem, j: int) -> None:
     if sink is None:
         return
     parts = ["skeleton after tier %d:" % (j + 1), system.skeleton.render()]
-    for r, m in enumerate(system.members, start=2):
-        for c in sorted(system.skeleton.tiers[j]):
-            parts.append("member %d, vertex %d:%s" % (r, j + 1, format(c, "03b")))
-            parts.append(m.vsub[(j, c)].render())
+    for r in range(len(system.structures)):
+        for c in system.skeleton.codes(j):
+            parts.append("member %d, vertex %d:%s" % (r + 2, j + 1, format(c, "03b")))
+            parts.append(system.vsub[(j, c)][r].render())
     sink.write("sep_tier_%02d" % (j + 1), "\n".join(parts))
 
 
@@ -315,7 +291,7 @@ def extract_jss_system(system: HsSystem, basic: Cts,
     backtracks = 0
     rejected: list[Bits] = []
 
-    def descend(j: int, route: list[Vertex], runnings: list[Cts]) -> bool:
+    def descend(j: int, route: list[Vertex], runnings: Sequence[Cts]) -> bool:
         nonlocal backtracks
         if j == 0:
             bits = route_assignment(system.basic_perm, list(reversed(route)))
@@ -324,8 +300,8 @@ def extract_jss_system(system: HsSystem, basic: Cts,
                 raise ExtractionFailure(
                     "route labels disagree with the running intersection")
             ok = (basic.contains_assignment(bits)
-                  and all(m.structure.contains_assignment(bits)
-                          for m in system.members)
+                  and all(s.contains_assignment(bits)
+                          for s in system.structures)
                   and formula.evaluate(bits) == 1)
             if ok:
                 found.append(bits)
@@ -334,8 +310,8 @@ def extract_jss_system(system: HsSystem, basic: Cts,
             return len(found) >= limit
         c = route[-1][1]
         for a in skeleton.up((j, c)):
-            nxt = [r.intersect(m.vsub[(j - 1, a)])
-                   for r, m in zip(runnings, system.members)]
+            nxt = [r.intersect(sub)
+                   for r, sub in zip(runnings, system.vsub[(j - 1, a)])]
             if any(x.is_empty for x in nxt):
                 backtracks += 1
                 continue
@@ -343,9 +319,8 @@ def extract_jss_system(system: HsSystem, basic: Cts,
                 return True
         return False
 
-    for c in sorted(skeleton.tiers[last]):
-        if descend(last, [(last, c)],
-                   [m.vsub[(last, c)] for m in system.members]):
+    for c in skeleton.codes(last):
+        if descend(last, [(last, c)], system.vsub[(last, c)]):
             break
     if not found:
         raise ExtractionFailure(
@@ -462,12 +437,9 @@ def _failure_verdict(detail: dict, exc: Exception, diagnostics: dict,
 
 
 def _failure_bundle(system: HsSystem) -> dict:
-    bundle = {"skeleton": system.skeleton.render(), "members": []}
-    for m in system.members:
-        bundle["members"].append({
-            "structure": m.structure.render(),
-            "vertex_substructures": {
-                "%d:%s" % (v[0] + 1, format(v[1], "03b")): s.render()
-                for v, s in sorted(m.vsub.items())},
-        })
-    return bundle
+    return {"skeleton": system.skeleton.render(), "members": [
+        {"structure": structure.render(),
+         "vertex_substructures": {
+             "%d:%s" % (v[0] + 1, format(v[1], "03b")): subs[i].render()
+             for v, subs in sorted(system.vsub.items())}}
+        for i, structure in enumerate(system.structures)]}

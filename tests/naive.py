@@ -126,10 +126,9 @@ def cts_to_sets(s):
 def naive_project(system, r, target, i=0):
     """Project set-form `target` onto tier `r` of a system: the union of
     member i's tier-r vertex substructures, each intersected with it."""
-    member = system.members[i]
     acc = [set() for _ in target]
-    for c in sorted(system.skeleton.tiers[r]):
-        acc = naive_union(acc, naive_intersect(cts_to_sets(member.vsub[(r, c)]),
+    for c in system.skeleton.codes(r):
+        acc = naive_union(acc, naive_intersect(cts_to_sets(system.vsub[(r, c)][i]),
                                                target))
     return acc
 
@@ -139,10 +138,55 @@ def naive_shift(system, edge):
     concretize the tail vertex's substructure on the variable the edge
     adds, then project onto every earlier tier in turn."""
     j, a, b = edge
-    member = system.members[0]
     var = system.basic_perm.order[j + 3]
-    current = naive_concretize(cts_to_sets(member.vsub[(j, a)]),
-                               list(member.structure.perm.order), var, b & 1)
+    current = naive_concretize(cts_to_sets(system.vsub[(j, a)][0]),
+                               list(system.structures[0].perm.order), var, b & 1)
     for s in range(j):
         current = naive_project(system, s, current)
     return current
+
+
+def naive_prune(tiers, edges):
+    """Worklist cascade over a tier graph in set form.
+
+    `tiers` is a list of code sets, `edges` a set of (j, a, b) triples
+    between present vertices. Vertices lacking a neighbour in an
+    adjacent tier are removed one at a time, with their edges, until
+    none is left. Returns (removed count, empty tier, tiers, edges).
+    The empty tier (1-based) is the lowest tier that is empty on entry;
+    failing that, the highest tier from which no path reaches the last
+    tier; None when no tier empties.
+    """
+    tiers = [set(t) for t in tiers]
+    edges = set(edges)
+    last = len(tiers) - 1
+    empty = next((j for j, t in enumerate(tiers) if not t), None)
+    if empty is None:
+        reach = set(tiers[last])
+        for j in range(last - 1, -1, -1):
+            reach = {a for a in tiers[j] if any((j, a, b) in edges for b in reach)}
+            if not reach:
+                empty = j
+                break
+
+    def ups(j, c):
+        return [a for (i, a, b) in edges if i == j - 1 and b == c]
+
+    def downs(j, c):
+        return [b for (i, a, b) in edges if i == j and a == c]
+
+    removed = 0
+    queue = [(j, c) for j, t in enumerate(tiers) for c in sorted(t)]
+    while queue:
+        j, c = queue.pop()
+        if c not in tiers[j]:
+            continue
+        up, down = ups(j, c), downs(j, c)
+        if not ((j > 0 and not up) or (j < last and not down)):
+            continue
+        tiers[j].discard(c)
+        edges = {e for e in edges
+                 if not (e[0] == j and e[1] == c) and not (e[0] == j - 1 and e[2] == c)}
+        removed += 1
+        queue.extend([(j - 1, a) for a in up] + [(j + 1, b) for b in down])
+    return removed, None if empty is None else empty + 1, tiers, edges

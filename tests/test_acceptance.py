@@ -101,7 +101,7 @@ def test_criterion_04_unification_goldens(table_structures, unified_pair,
 
 def test_criterion_05_graph_and_route_reproduction(unified_pair):
     graph = basic_graph(unified_pair[0])
-    assert [len(t) for t in graph.tiers] == [2, 2, 2, 3, 2, 2]
+    assert [m.bit_count() for m in graph.tiers] == [2, 2, 2, 3, 2, 2]
     assert graph.edge_count() == 14
     shell = TabularFormula(8, ())
     result = systemic_effective_procedure(unified_pair[0], [unified_pair[1]],
@@ -109,7 +109,7 @@ def test_criterion_05_graph_and_route_reproduction(unified_pair):
     assert result.outcome == "complete"
     for key, rows in tabledata.HYPER_VERTEX_SUBS.items():
         expected = cts_from_rows(tabledata.PERM2, rows)
-        assert result.system.members[0].vsub[key].tiers == expected.tiers, key
+        assert result.system.vsub[key][0].tiers == expected.tiers, key
     extraction = extract_jss_system(result.system, unified_pair[0], shell,
                                     limit=32)
     as_p2 = sorted("".join(str(b[v - 1]) for v in tabledata.PERM2)
@@ -308,9 +308,9 @@ def test_criterion_10_performance_and_bounds():
         unified.structures[0], [unified.structures[1]], TabularFormula(n, ()),
         early_check=False)
     if result.outcome == "complete":
-        vsub = result.system.members[0].vsub
+        vsub = result.system.vsub
         limit = 8 * (n - 2)
         assert len(vsub) <= limit
-        assert all(sub.line_count() <= limit for sub in vsub.values())
+        assert all(subs[0].line_count() <= limit for subs in vsub.values())
     ok(10, "median n=50 classification %.1f s (< 30 s); hyperstructure "
            "within the 8(n-2) size bounds" % median)

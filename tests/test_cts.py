@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctsat.cts import Cts, Perm, compatible
+from ctsat.cts import Cts, Perm
 from ctsat.formula import bits_from_string
 
 from conftest import cts_from_rows
@@ -21,20 +21,6 @@ def to_sets(s: Cts):
 def from_sets(perm, tiers):
     return cts_from_rows(perm, [(j, line) for j, t in enumerate(tiers)
                                 for line in t])
-
-
-# -- compatibility ----------------------------------------------------------
-
-def test_compatible_examples():
-    assert compatible(0b011, 0b110) == 1
-    assert compatible(0b000, 0b000) == 1
-    assert compatible(0b011, 0b000) == 0
-
-
-def test_compatible_is_two_bit_overlap():
-    for t in range(8):
-        for u in range(8):
-            assert compatible(t, u) == (t & 3 == u >> 1)
 
 
 # -- clearing ---------------------------------------------------------------

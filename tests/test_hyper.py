@@ -10,21 +10,23 @@ import pytest
 import ctsat
 from ctsat.cts import Cts, Perm
 from ctsat.formula import TabularFormula
-from ctsat.hyper import InvariantViolation, basic_graph, check_tier_disjoint
+from ctsat.hyper import (InvariantViolation, TierGraph, basic_graph,
+                         check_tier_disjoint)
 from ctsat.sep import (HsSystem, SepStats, concordant_shift,
                        extract_jss_system, systemic_effective_procedure)
 from ctsat.unify import unify
 
 import tabledata
 from conftest import cts_from_rows
-from naive import cts_to_sets, joint_sat_set, naive_project, naive_shift
+from naive import (adjoins, cts_to_sets, joint_sat_set, naive_project,
+                   naive_prune, naive_shift)
 
 
 # -- basic graph ---------------------------------------------------------------
 
 def test_basic_graph_matches_reference_figure(unified_pair):
     g = basic_graph(unified_pair[0])
-    assert [len(t) for t in g.tiers] == [2, 2, 2, 3, 2, 2]
+    assert [m.bit_count() for m in g.tiers] == [2, 2, 2, 3, 2, 2]
     assert g.edge_count() == 14
     expected_edges = {
         (0, 0b001, 0b010), (0, 0b001, 0b011), (0, 0b101, 0b010),
@@ -39,17 +41,36 @@ def test_basic_graph_matches_reference_figure(unified_pair):
 
 def test_basic_graph_elementary_is_path(perm5):
     g = basic_graph(Cts.from_assignment((0, 1, 1, 0, 1), perm5))
-    assert [len(t) for t in g.tiers] == [1, 1, 1]
+    assert [m.bit_count() for m in g.tiers] == [1, 1, 1]
     assert g.edge_count() == 2
 
 
 def test_basic_graph_complete_structure(perm5):
     g = basic_graph(Cts.complete(perm5))
-    assert [len(t) for t in g.tiers] == [8, 8, 8]
+    assert [m.bit_count() for m in g.tiers] == [8, 8, 8]
     # each line has exactly two successors
     assert g.edge_count() == 32
     for c in range(8):
         assert len(g.down((0, c))) == 2
+
+
+def test_basic_graph_edge_examples(perm5):
+    g = basic_graph(Cts.complete(perm5))
+    assert g.has_edge((0, 0b011, 0b110))
+    assert g.has_edge((0, 0b000, 0b000))
+    assert not g.has_edge((0, 0b011, 0b000))
+
+
+def test_basic_graph_edges_are_two_bit_overlap(perm5):
+    # lines of adjacent tiers adjoin iff the low two bits of the first
+    # equal the high two bits of the second
+    g = basic_graph(Cts.complete(perm5))
+    for j in range(2):
+        for t in range(8):
+            for u in range(8):
+                assert g.has_edge((j, t, u)) == (t & 3 == u >> 1)
+                assert (u in g.down((j, t))) == (t & 3 == u >> 1)
+                assert (t in g.up((j + 1, u))) == (t & 3 == u >> 1)
 
 
 def test_basic_graph_rejects_empty_and_uncleared(perm5):
@@ -69,8 +90,52 @@ def test_graph_prune_restores_adjacency(perm5):
     removed, empty = g.prune()
     assert empty is None
     # only chains through tier-2 line 000 survive
-    assert sorted(g.tiers[0]) == [0, 4]
-    assert sorted(g.tiers[2]) == [0, 1]
+    assert g.codes(0) == (0, 4)
+    assert g.codes(2) == (0, 1)
+    assert removed == 6 + 6
+    assert set(g.edges()) == {(0, 0, 0), (0, 4, 0), (1, 0, 0), (1, 0, 1)}
+
+
+def test_graph_prune_matches_naive_cascade():
+    # random vertex masks with random vertex and edge removals; the
+    # reference builds its edges from the code strings, not from the
+    # package's tables
+    rng = random.Random(5150)
+    outcomes = {"kept": 0, "empty on entry": 0, "emptied": 0}
+    for _ in range(400):
+        count = rng.randint(1, 7)
+        masks = [rng.getrandbits(8) if rng.random() < 0.97 else 0
+                 for _ in range(count)]
+        tiers = [{c for c in range(8) if m >> c & 1} for m in masks]
+        edges = {(j, a, b) for j in range(count - 1)
+                 for a in tiers[j] for b in tiers[j + 1]
+                 if adjoins(format(a, "03b"), format(b, "03b"))}
+        g = TierGraph(masks)
+        assert set(g.edges()) == edges
+        vertices = sorted(g.vertices())
+        for j, c in rng.sample(vertices, min(len(vertices), rng.randint(0, 4))):
+            g.remove_vertex((j, c))
+            tiers[j].discard(c)
+            edges = {e for e in edges if (e[0], e[1]) != (j, c)
+                     and (e[0] + 1, e[2]) != (j, c)}
+        for e in rng.sample(sorted(edges), min(len(edges), rng.randint(0, 12))):
+            g.remove_edge(e)
+            edges.discard(e)
+        assert set(g.edges()) == edges
+        removed, empty = g.prune()
+        expected = naive_prune(tiers, edges)
+        assert (removed, empty) == expected[:2]
+        assert list(g.vertices()) == sorted((j, c) for j, t in enumerate(expected[2])
+                                            for c in t)
+        assert set(g.edges()) == expected[3]
+        assert g.edge_count() == len(expected[3])
+        if empty is None:
+            outcomes["kept"] += 1
+        elif not all(tiers):
+            outcomes["empty on entry"] += 1
+        else:
+            outcomes["emptied"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 # -- projection and shift --------------------------------------------------------
@@ -107,7 +172,7 @@ def test_project_disjoint_target_is_empty(unified_pair):
 
 def test_project_contained_target_survives(unified_pair):
     system = build_pair_system(unified_pair)
-    target = cts_to_sets(system.members[0].vsub[(0, 0b001)])
+    target = cts_to_sets(system.vsub[(0, 0b001)][0])
     got = naive_project(system, 0, target)
     for t_got, t_target in zip(got, target):
         assert t_target <= t_got
@@ -117,16 +182,16 @@ def test_shift_first_tier_is_bare_concretization(unified_pair):
     system = build_pair_system(unified_pair)
     edge = (0, 0b001, 0b010)
     new_var = system.basic_perm.order[3]
-    expected = system.members[0].vsub[(0, 0b001)].concretize(new_var, 0)
-    assert system.members[0].esub[edge] == expected
-    assert concordant_shift(system, edge, SepStats()) == [expected]
+    expected = system.vsub[(0, 0b001)][0].concretize(new_var, 0)
+    assert system.esub[edge] == (expected,)
+    assert concordant_shift(system, edge, SepStats()) == (expected,)
 
 
 def test_shift_empty_concretization_short_circuits(unified_pair):
     system = build_pair_system(unified_pair)
     # the substructure at (3, 101) pins the variable the next tier fixes
     var = system.basic_perm.order[5]
-    assert constant_bit(system.members[0].vsub[(2, 0b101)], var) == 1
+    assert constant_bit(system.vsub[(2, 0b101)][0], var) == 1
     # a hypothetical edge whose new-variable value contradicts the pin:
     # the concretization empties, so no projections run
     assert concordant_shift(system, (2, 0b101, 0b010), SepStats()) is None
@@ -170,10 +235,9 @@ def test_shift_matches_naive_reimplementation():
         if result.outcome == "empty":
             continue
         system = result.system
-        member = system.members[0]
         # stored substructures sit exactly on the pruned skeleton
-        assert set(member.vsub) == set(system.skeleton.vertices())
-        assert set(member.esub) == set(system.skeleton.edges())
+        assert set(system.vsub) == set(system.skeleton.vertices())
+        assert set(system.esub) == set(system.skeleton.edges())
         for edge in list(system.skeleton.edges()):
             got = concordant_shift(system, edge, SepStats())
             assert got is not None
@@ -189,14 +253,14 @@ def test_effective_procedure_reproduces_reference_hyperstructure(unified_pair):
     assert result.outcome == "complete"
     system = result.system
     # nothing pruned in this run: the skeleton is the whole basic graph
-    assert [len(t) for t in system.skeleton.tiers] == [2, 2, 2, 3, 2, 2]
+    assert [m.bit_count() for m in system.skeleton.tiers] == [2, 2, 2, 3, 2, 2]
     assert system.skeleton.edge_count() == 14
     assert system.skeleton == basic_graph(unified_pair[0])
-    vsub = system.members[0].vsub
+    vsub = system.vsub
     assert len(vsub) == 13
     for key, rows in tabledata.HYPER_VERTEX_SUBS.items():
         expected = cts_from_rows(tabledata.PERM2, rows)
-        assert vsub[key].equivalent(expected) == 1, key
+        assert vsub[key][0].equivalent(expected) == 1, key
 
 
 def test_effective_procedure_early_termination(unified_pair):
@@ -260,26 +324,27 @@ def test_same_tier_substructures_pairwise_disjoint():
         result = pair_sep(s1, s2)
         if result.outcome == "empty":
             continue
-        vsub = result.system.members[0].vsub
-        for j, codes in enumerate(result.system.skeleton.tiers):
-            codes = sorted(codes)
+        skeleton, vsub = result.system.skeleton, result.system.vsub
+        for j in range(skeleton.tier_count):
+            codes = skeleton.codes(j)
             for i, a in enumerate(codes):
                 for b in codes[i + 1:]:
-                    assert vsub[(j, a)].intersect(vsub[(j, b)]).is_empty
+                    assert vsub[(j, a)][0].intersect(vsub[(j, b)][0]).is_empty
 
 
 def test_tier_disjoint_check_rejects_overlapping_substructures(perm5):
     zeros = Cts.from_assignment((0, 0, 0, 0, 0), perm5)
     ones = Cts.from_assignment((1, 1, 1, 1, 1), perm5)
-    check_tier_disjoint({(0, 0b000): zeros, (0, 0b111): ones},
-                        [{0b000, 0b111}], 0)
+    check_tier_disjoint({(0, 0b000): (zeros, ones), (0, 0b111): (ones, zeros)},
+                        (0b000, 0b111), 0)
+    # the second member's substructures overlap
     with pytest.raises(InvariantViolation,
                        match="tier 1 substructures 000 and 111 overlap") as info:
-        check_tier_disjoint({(0, 0b000): zeros, (0, 0b111): zeros},
-                            [{0b000, 0b111}], 0)
+        check_tier_disjoint({(0, 0b000): (zeros, ones),
+                             (0, 0b111): (ones, ones)}, (0b000, 0b111), 0)
     assert info.value.diagnostics == {
-        "tier": 1, "substructures": {"000": zeros.render(),
-                                     "111": zeros.render()}}
+        "tier": 1, "member": 1,
+        "substructures": {"000": ones.render(), "111": ones.render()}}
 
 
 def test_tier_disjoint_check_survives_optimize():
@@ -289,7 +354,7 @@ def test_tier_disjoint_check_survives_optimize():
         "assert False, 'asserts are stripped under -O'\n"
         "s = Cts.complete(Perm.identity(4))\n"
         "try:\n"
-        "    check_tier_disjoint({(0, 1): s, (0, 2): s}, [{1, 2}], 0)\n"
+        "    check_tier_disjoint({(0, 1): (s,), (0, 2): (s,)}, (1, 2), 0)\n"
         "except InvariantViolation as exc:\n"
         "    print(exc)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
@@ -308,7 +373,7 @@ def test_substructures_intersect_every_earlier_tier():
         if result.outcome == "empty":
             continue
         system = result.system
-        for (j, c), sub in system.members[0].vsub.items():
+        for (j, c), (sub,) in system.vsub.items():
             for r in range(j):
                 assert any(naive_project(system, r, cts_to_sets(sub))), \
                     (j, c, r)

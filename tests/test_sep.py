@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -120,17 +121,16 @@ def k2_systems():
 def test_sep_k2_vertex_substructures_are_incoming_unions():
     compared = 0
     for s2, system in k2_systems():
-        member = system.members[0]
-        assert set(member.vsub) == set(system.skeleton.vertices())
-        for (j, c), sub in member.vsub.items():
+        assert set(system.vsub) == set(system.skeleton.vertices())
+        for (j, c), (sub,) in system.vsub.items():
             if j == 0:
                 pairs = vertex_values(system.basic_perm, (j, c))
                 assert sub == s2.concretize_many(pairs)
                 continue
             ups = system.skeleton.up((j, c))
-            acc = member.esub[(j - 1, ups[0], c)]
+            acc = system.esub[(j - 1, ups[0], c)][0]
             for a in ups[1:]:
-                acc = acc.union(member.esub[(j - 1, a, c)])
+                acc = acc.union(system.esub[(j - 1, a, c)][0])
             assert sub == acc, (j, c)
         compared += 1
     assert compared > 10
@@ -139,9 +139,9 @@ def test_sep_k2_vertex_substructures_are_incoming_unions():
 def test_concordant_shift_k2_degenerates_to_plain_shift():
     compared = 0
     for _, system in k2_systems():
-        assert set(system.members[0].esub) == set(system.skeleton.edges())
+        assert set(system.esub) == set(system.skeleton.edges())
         for edge in system.skeleton.edges():
-            assert cts_to_sets(system.members[0].esub[edge]) == \
+            assert cts_to_sets(system.esub[edge][0]) == \
                 naive_shift(system, edge)
         compared += 1
     assert compared > 10
@@ -161,10 +161,11 @@ def test_concordant_shift_conflicting_constants_removes_edge():
         system = sep.system
         edge = next(iter(system.skeleton.edges(0)))
         var = system.basic_perm.order[3]
-        forced0 = system.members[0].vsub[(0, edge[1])].concretize(var, 1 - (edge[2] & 1))
+        first, second = system.vsub[(0, edge[1])]
+        forced0 = first.concretize(var, 1 - (edge[2] & 1))
         if forced0.is_empty:
             continue
-        system.members[0].vsub[(0, edge[1])] = forced0
+        system.vsub[(0, edge[1])] = (forced0, second)
         assert concordant_shift(system, edge, SepStats()) is None
         break
 
@@ -176,7 +177,7 @@ def reference_concordant_shift(system, edge, first=0):
     them empties."""
     j, a, b = edge
     var = system.basic_perm.order[j + 3]
-    perms = [m.structure.perm for m in system.members]
+    perms = [s.perm for s in system.structures]
 
     def unified(subs):
         if any(not tier for sub in subs for tier in sub):
@@ -189,9 +190,9 @@ def reference_concordant_shift(system, edge, first=0):
         return None if result.empty else [cts_to_sets(x)
                                           for x in result.structures]
 
-    subs = unified([naive_concretize(cts_to_sets(m.vsub[(j, a)]),
-                                     list(p.order), var, b & 1)
-                    for m, p in zip(system.members, perms)])
+    subs = unified([naive_concretize(cts_to_sets(sub), list(p.order),
+                                     var, b & 1)
+                    for sub, p in zip(system.vsub[(j, a)], perms)])
     for s in range(first, j):
         if subs is None:
             return None
@@ -213,7 +214,7 @@ def test_concordant_shift_k3_projects_onto_tier_1():
     biting = 0
     for edge in system.skeleton.edges():
         expected = reference_concordant_shift(system, edge)
-        assert [cts_to_sets(m.esub[edge]) for m in system.members] == expected
+        assert [cts_to_sets(sub) for sub in system.esub[edge]] == expected
         if expected != reference_concordant_shift(system, edge, first=1):
             biting += 1
     assert biting >= 1
@@ -287,11 +288,11 @@ def test_extract_jss_system_checks_route_labels(unified_pair):
     s1, s2 = unified_pair
     result = systemic_effective_procedure(s1, [s2], dummy_formula(8),
                                           early_check=False)
-    member = result.system.members[0]
+    system = result.system
     # every vertex substructure widened to the whole structure: the running
     # intersections never empty, but no longer pin a single assignment
-    for v in member.vsub:
-        member.vsub[v] = member.structure
+    for v in system.vsub:
+        system.vsub[v] = system.structures
     with pytest.raises(ExtractionFailure, match="route labels disagree"):
         extract_jss_system(result.system, s1, dummy_formula(8))
 
@@ -355,6 +356,47 @@ def test_classify_single_ctf_paths():
     assert verdict.tier == 1
 
 
+class StageNames:
+    """Trace sink that keeps only the names of the written stages."""
+
+    def __init__(self):
+        self.names: list[str] = []
+
+    def write(self, name: str, content: str) -> None:
+        self.names.append(name)
+
+
+def sep_exit(params: GenParams):
+    sink = StageNames()
+    verdict = classify(generate(params), sink=sink)
+    completed = sum(name.startswith("sep_tier_") for name in sink.names)
+    return verdict, completed
+
+
+def test_sep_empty_tier_is_the_tier_being_formed():
+    # a `sep` exit reports the tier the procedure was forming when the
+    # skeleton emptied: one past the tiers it completed and traced
+    tiers = []
+    for seed in range(40):
+        verdict, completed = sep_exit(GenParams(n=14, m=63, mode="free",
+                                                seed=seed))
+        if verdict.stage != "sep":
+            continue
+        assert verdict.kind == UNSATISFIABLE
+        assert verdict.tier == completed + 1, seed
+        tiers.append(verdict.tier)
+    assert len(tiers) >= 10
+    assert len(set(tiers)) >= 3, tiers
+
+
+@pytest.mark.parametrize("n, m, seed, tier", [(14, 56, 20240646, 3),
+                                              (12, 70, 20240676, 6)])
+def test_sep_empty_tier_pinned(n, m, seed, tier):
+    verdict, completed = sep_exit(GenParams(n=n, m=m, mode="free", seed=seed))
+    assert verdict.lines()[1:] == ["stage: sep", "empty-tier: %d" % tier]
+    assert completed == tier - 1
+
+
 def test_classify_is_deterministic():
     f = generate(GenParams(n=10, m=38, mode="free", seed=99))
     a = classify(f)
@@ -388,6 +430,26 @@ def test_verdict_serialization(worked8):
     assert '"kind": "satisfiable"' in payload
 
 
+def assert_json_round_trip(verdict) -> dict:
+    payload = json.loads(verdict.to_json())
+    assert payload == {
+        "kind": verdict.kind,
+        "witness": (None if verdict.witness is None
+                    else bits_to_string(verdict.witness)),
+        "stage": verdict.stage, "tier": verdict.tier,
+        "detail": verdict.detail}
+    return payload
+
+
+def test_verdict_json_round_trips_every_kind(worked8):
+    sat = classify(worked8)
+    assert assert_json_round_trip(sat)["kind"] == SATISFIABLE
+    unsat, _ = sep_exit(GenParams(n=14, m=56, mode="free", seed=20240646))
+    payload = assert_json_round_trip(unsat)
+    assert payload["kind"] == UNSATISFIABLE
+    assert payload["detail"]["sep"]["pruned_vertices"] > 0
+
+
 def test_classify_surfaces_extraction_failure(monkeypatch):
     # the third verdict cannot occur naturally; force the extraction to
     # fail and check the diagnostics bundle comes through
@@ -404,6 +466,8 @@ def test_classify_surfaces_extraction_failure(monkeypatch):
     assert "forced for the test" in verdict.detail["error"]
     bundle = verdict.detail["diagnostics"]
     assert bundle["skeleton"] and bundle["members"]
+    assert len(bundle["members"]) == verdict.detail["k"] - 1
+    assert assert_json_round_trip(verdict)["detail"]["diagnostics"] == bundle
 
 
 def test_classify_surfaces_invariant_violation(monkeypatch):
@@ -412,10 +476,9 @@ def test_classify_surfaces_invariant_violation(monkeypatch):
     import ctsat.sep as sep_mod
     from ctsat.hyper import check_tier_disjoint
 
-    def overlapping(vsub, tiers, j):
-        codes = sorted(tiers[j])
+    def overlapping(vsub, codes, j):
         check_tier_disjoint({(j, c): vsub[(j, codes[0])] for c in codes},
-                            tiers, j)
+                            codes, j)
 
     monkeypatch.setattr(sep_mod, "check_tier_disjoint", overlapping)
     f = generate(GenParams(n=7, m=18, mode="sat", seed=12))
@@ -425,3 +488,5 @@ def test_classify_surfaces_invariant_violation(monkeypatch):
     assert "overlap" in verdict.detail["error"]
     bundle = verdict.detail["diagnostics"]
     assert bundle["tier"] >= 1 and len(bundle["substructures"]) == 2
+    assert bundle["member"] == 0
+    assert assert_json_round_trip(verdict)["detail"]["diagnostics"] == bundle
