@@ -14,6 +14,7 @@ assignment set; the canonical empty structure has every tier zeroed.
 
 from __future__ import annotations
 
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 Bits = tuple[int, ...]
@@ -65,6 +66,13 @@ def clear_masks(masks: list[int]) -> tuple[list[int], int | None]:
     next tier) followed by one forward pass (support in the previous
     tier) reaches the greatest fixpoint: the forward pass only keeps
     lines whose backward-established successors it also keeps.
+
+    Only the initial scan and the backward pass can empty a tier. After
+    the backward pass every line below the last tier has a successor in
+    the next tier. The forward pass keeps at tier j the lines with a
+    predecessor kept at tier j-1. Tier 0 is non-empty and untouched, and
+    every line kept at tier j-1 has a successor at tier j, which is then
+    kept; by induction no tier empties in the forward pass.
     """
     last = len(masks) - 1
     for j in range(last + 1):
@@ -76,10 +84,7 @@ def clear_masks(masks: list[int]) -> tuple[list[int], int | None]:
             return [0] * (last + 1), j
         masks[j] = m
     for j in range(1, last + 1):
-        m = masks[j] & _SUCC[masks[j - 1]]
-        if m == 0:
-            return [0] * (last + 1), j
-        masks[j] = m
+        masks[j] &= _SUCC[masks[j - 1]]
     return masks, None
 
 
@@ -232,14 +237,15 @@ class Cts:
     def union(self, other: "Cts") -> "Cts":
         """Tier-wise set union. No clearing (union of cleared operands
         is already cleared; raw operands stay raw)."""
-        self._check_perm(other)
-        return Cts._make(self.perm,
-                         tuple(a | b for a, b in zip(self.tiers, other.tiers)))
+        if other.perm is not self.perm:
+            self._check_perm(other)
+        return Cts._make(self.perm, tuple(map(or_, self.tiers, other.tiers)))
 
     def intersect(self, other: "Cts") -> "Cts":
         """Tier-wise set intersection followed by clearing."""
-        self._check_perm(other)
-        masks, _ = clear_masks([a & b for a, b in zip(self.tiers, other.tiers)])
+        if other.perm is not self.perm:
+            self._check_perm(other)
+        masks, _ = clear_masks(list(map(and_, self.tiers, other.tiers)))
         return Cts._make(self.perm, tuple(masks))
 
     def concretize(self, var: int, value: int) -> "Cts":

@@ -3,10 +3,11 @@
 For k unified structures the basic graph of the first one is shared by
 k-1 hyperstructures formed in deterministic lockstep. Same-name
 substructures (attached to the same vertex or edge of the shared
-skeleton) are unified after every formation step and stored together,
-as one tuple in member order per skeleton element; a basic-graph
-element whose substructure empties in any member is removed with its
-whole tuple, so the members are empty or non-empty only jointly.
+skeleton) are unified after every formation step that changes them and
+stored together, as one tuple in member order per skeleton element; a
+basic-graph element whose substructure empties in any member is
+removed with its whole tuple, so the members are empty or non-empty
+only jointly.
 
 The classifier runs the full pipeline and emits one of three verdicts:
 satisfiable (with a verified witness), unsatisfiable (with the pipeline
@@ -92,6 +93,10 @@ class HsSystem:
 
 @dataclass
 class SepStats:
+    """Counters of one SEP run. `unify_waves` sums the waves of the
+    same-name `unify` calls actually made; a projection step that
+    removes nothing makes no call."""
+
     pruned_vertices: int = 0
     pruned_edges: int = 0
     unify_waves: int = 0
@@ -146,13 +151,13 @@ def concordant_shift(system: HsSystem, edge: Edge,
         if subs is None:
             return None
         tier = [system.vsub[(s, c)] for c in system.skeleton.codes(s)]
-        projected = []
-        for i, sub in enumerate(subs):
-            acc = Cts.empty(sub.perm)
-            for same_name in tier:
-                acc = acc.union(same_name[i].intersect(sub))
-            projected.append(acc)
-        subs = _unify_same_name(tuple(projected), stats)
+        projected = tuple(
+            union_all([same_name[i].intersect(sub) for same_name in tier])
+            for i, sub in enumerate(subs))
+        # `subs` is a unify fixpoint (or a lone member), so a projection
+        # that removed nothing needs no second unify
+        if any(p.tiers != sub.tiers for p, sub in zip(projected, subs)):
+            subs = _unify_same_name(projected, stats)
     return subs
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctsat.cts import Cts, Perm
+from ctsat.cts import Cts, Perm, clear_masks
 from ctsat.formula import bits_from_string
 
 from conftest import cts_from_rows
@@ -49,16 +49,30 @@ def test_clear_unsupported_middle_tier_empties(perm5):
 
 
 def test_clear_matches_naive_random_orders():
+    # clear_masks against one-line-at-a-time deletion: the masks agree,
+    # and the reported empty tier is None exactly when the naive result
+    # keeps every tier (the forward pass has no emptiness check)
     rng = random.Random(901)
-    perm = Perm.identity(6)
-    for _ in range(120):
+    emptied = kept = 0
+    for _ in range(400):
+        n = rng.randint(3, 12)
+        density = rng.uniform(0.3, 0.7)
         rows = [(j, format(c, "03b"))
-                for j in range(4) for c in range(8) if rng.random() < 0.4]
-        s = cts_from_rows(perm, rows)
-        expected = to_sets(s.clear())
-        for order_seed in range(4):
-            naive = naive_clear(rows_to_sets(rows, 4), random.Random(order_seed))
-            assert naive == expected
+                for j in range(n - 2) for c in range(8)
+                if rng.random() < density]
+        masks, zero = clear_masks(
+            list(cts_from_rows(Perm.identity(n), rows).tiers))
+        got = to_sets(Cts(Perm.identity(n), masks))
+        for order_seed in range(3):
+            naive = naive_clear(rows_to_sets(rows, n - 2),
+                                random.Random(order_seed))
+            assert naive == got
+            assert (zero is None) == all(naive)
+        if zero is None:
+            kept += 1
+        else:
+            emptied += 1
+    assert emptied > 20 and kept > 20
 
 
 # -- union / intersection ---------------------------------------------------
@@ -79,6 +93,19 @@ def test_union_perm_mismatch(algebra_s1):
     other = Cts.complete(Perm((2, 1, 3, 4, 5)))
     with pytest.raises(ValueError, match="permutation mismatch"):
         algebra_s1.union(other)
+
+
+def test_binary_ops_compare_permutations_by_value(algebra_s1):
+    # the permutation check is skipped only for the same Perm object: an
+    # equal copy is accepted and a different order still raises
+    copy = Cts(Perm(algebra_s1.perm.order), algebra_s1.tiers)
+    assert copy.perm is not algebra_s1.perm
+    assert algebra_s1.union(copy) == algebra_s1
+    assert algebra_s1.intersect(copy) == algebra_s1.clear()
+    other = Cts.complete(Perm((2, 1, 3, 4, 5)))
+    for op in (Cts.union, Cts.intersect):
+        with pytest.raises(ValueError, match="permutation mismatch"):
+            op(algebra_s1, other)
 
 
 def test_intersect_worked_example(algebra_s1, algebra_s2):

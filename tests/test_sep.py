@@ -170,11 +170,13 @@ def test_concordant_shift_conflicting_constants_removes_edge():
         break
 
 
-def reference_concordant_shift(system, edge, first=0):
+def reference_shift_steps(system, edge, tiers=None):
     """Concordant shift in set form: every member steps as in
-    `naive_shift` (projecting onto tiers first..j-1 only), and after each
-    step the members' results are unified with `unify`; None when one of
-    them empties."""
+    `naive_shift` (projecting onto `tiers`, by default 0..j-1), and after
+    the concretization and after every projection step the members'
+    results are unified with `unify`. Returns the result (None when a
+    member empties) and the number of projection steps that removed a
+    line from some member."""
     j, a, b = edge
     var = system.basic_perm.order[j + 3]
     perms = [s.perm for s in system.structures]
@@ -193,12 +195,23 @@ def reference_concordant_shift(system, edge, first=0):
     subs = unified([naive_concretize(cts_to_sets(sub), list(p.order),
                                      var, b & 1)
                     for sub, p in zip(system.vsub[(j, a)], perms)])
-    for s in range(first, j):
+    changing = 0
+    for s in range(j) if tiers is None else tiers:
         if subs is None:
-            return None
-        subs = unified([naive_project(system, s, sub, i)
-                        for i, sub in enumerate(subs)])
-    return subs
+            break
+        projected = [naive_project(system, s, sub, i)
+                     for i, sub in enumerate(subs)]
+        changing += projected != subs
+        subs = unified(projected)
+    return subs, changing
+
+
+def reference_concordant_shift(system, edge, tiers=None):
+    return reference_shift_steps(system, edge, tiers)[0]
+
+
+def stored(subs):
+    return None if subs is None else [cts_to_sets(sub) for sub in subs]
 
 
 def test_concordant_shift_k3_projects_onto_tier_1():
@@ -214,10 +227,112 @@ def test_concordant_shift_k3_projects_onto_tier_1():
     biting = 0
     for edge in system.skeleton.edges():
         expected = reference_concordant_shift(system, edge)
-        assert [cts_to_sets(sub) for sub in system.esub[edge]] == expected
-        if expected != reference_concordant_shift(system, edge, first=1):
+        assert stored(system.esub[edge]) == expected
+        if expected != reference_concordant_shift(system, edge,
+                                                  range(1, edge[0])):
             biting += 1
     assert biting >= 1
+
+
+def test_concordant_shift_projects_onto_the_tier_below_the_edge(monkeypatch):
+    # the smallest instance found on which the last projection step, onto
+    # the tier just below the edge, changes the stored tuple of an edge
+    # (verdicts and pruning counters do not move, so only the tuple
+    # shows it); the reference runs while the SEP forms the tiers, since
+    # the run ends early-sat before the system is complete
+    import ctsat.sep as sep_mod
+
+    original = sep_mod.concordant_shift
+    biting = []
+
+    def checked(system, edge, stats):
+        subs = original(system, edge, stats)
+        expected = reference_concordant_shift(system, edge)
+        assert stored(subs) == expected, edge
+        j = edge[0]
+        if j and expected != reference_concordant_shift(system, edge,
+                                                        range(j - 1)):
+            biting.append(edge)
+        return subs
+
+    monkeypatch.setattr(sep_mod, "concordant_shift", checked)
+    verdict = classify(generate(GenParams(n=14, m=43, mode="free",
+                                          seed=20241108)))
+    assert verdict.kind == SATISFIABLE and verdict.detail["k"] == 10
+    assert (3, 4, 0) in biting
+
+
+def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
+    # the stored tuple is a unify fixpoint, so a projection step that
+    # removes nothing is not followed by a unify call: a shift that keeps
+    # its edge calls unify once for the concretization and once per
+    # changing step (fewer when a member empties on the way)
+    import ctsat.sep as sep_mod
+
+    calls = []
+
+    def counting_unify(structures, sink=None):
+        calls.append(len(structures))
+        return unify(structures, sink=sink)
+
+    monkeypatch.setattr(sep_mod, "unify", counting_unify)
+    n = 8
+    s1, s2, s3 = random_unified_system(random.Random(30), n, 3, density=0.85)
+    original = sep_mod.concordant_shift
+    kept = skipped = 0
+
+    def checked(system, edge, stats):
+        nonlocal kept, skipped
+        _, changing = reference_shift_steps(system, edge)
+        del calls[:]
+        subs = original(system, edge, stats)
+        if subs is None:
+            assert len(calls) <= 1 + changing
+        else:
+            assert len(calls) == 1 + changing, edge
+            kept += 1
+            skipped += edge[0] - changing
+        return subs
+
+    monkeypatch.setattr(sep_mod, "concordant_shift", checked)
+    sep = systemic_effective_procedure(s1, [s2, s3], dummy_formula(n),
+                                       early_check=False)
+    assert sep.outcome == "complete"
+    assert kept >= 10 and skipped >= 10
+
+
+@pytest.mark.parametrize("n, m, mode, seed, outcome", [
+    (12, 70, "free", 20240676, "sep"),
+    (8, 33, "free", 20241051, "sep"),
+    (10, 39, "free", 20241363, "sep"),
+    (14, 43, "free", 20241108, "early-sat"),
+    (5, 16, "sat", 20240671, "early-sat"),
+    (8, 26, "sat", 20240722, "extract"),
+    (8, 32, "free", 20240826, "extract"),
+])
+def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
+                                              outcome):
+    # detail["sep"]["unify_waves"] is the sum of the waves of the unify
+    # calls the SEP actually made, on every SEP outcome; the benchmark's
+    # tracer attributes waves the same way
+    import ctsat.sep as sep_mod
+
+    waves = []
+
+    def counting_unify(structures, sink=None):
+        result = unify(structures, sink=sink)
+        waves.append(result.waves)
+        return result
+
+    monkeypatch.setattr(sep_mod, "unify", counting_unify)
+    verdict = classify(generate(GenParams(n=n, m=m, mode=mode, seed=seed)))
+    exit_of = ("sep" if verdict.stage == "sep"
+               else "early-sat" if verdict.detail.get("early_exit")
+               else "extract" if "backtracks" in verdict.detail else None)
+    assert exit_of == outcome
+    # the first call is the top-level unify of the whole system
+    assert waves[0] == verdict.detail["unify_waves"]
+    assert sum(waves[1:]) == verdict.detail["sep"]["unify_waves"]
 
 
 def test_sep_joint_sets_preserved_k3():
