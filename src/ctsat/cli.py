@@ -12,6 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .decompose import decompose_with_plan
 from .difftest import DifftestParams, difftest
 from .formula import DimacsError, GenParams, generate, parse_dimacs
 from .oracle import brute_force, dpll
@@ -45,30 +46,36 @@ def _load_formula(path: str):
         raise SystemExit("%s: %s" % (path, exc))
 
 
-def _load_plan(path: str):
+def _load_plan(path: str, formula):
     """Plan file: per CTF one `perm:` line (variable order) followed by
-    one `clauses:` line (1-based indices)."""
+    one `clauses:` line (1-based indices). The plan is checked against
+    the formula here, so a bad one exits like a bad DIMACS file."""
     plan = []
     perm = None
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        values = rest.split()
-        if key.strip() == "perm":
-            perm = [int(v) for v in values]
-        elif key.strip() == "clauses":
-            if perm is None:
-                raise SystemExit("%s: clauses line before perm line" % path)
-            plan.append((perm, [int(v) for v in values]))
-            perm = None
-        else:
-            raise SystemExit("%s: unknown plan line %r" % (path, raw))
-    if perm is not None:
-        raise SystemExit("%s: trailing perm line without clauses" % path)
-    if not plan:
-        raise SystemExit("%s: empty plan" % path)
+    try:
+        for raw in Path(path).read_text().splitlines():
+            line = raw.split("#")[0].strip()
+            if not line:
+                continue
+            key, _, rest = line.partition(":")
+            key = key.strip()
+            if key not in ("perm", "clauses"):
+                raise ValueError("unknown plan line %r" % raw)
+            values = [int(v) for v in rest.split()]
+            if key == "perm":
+                perm = values
+            elif perm is None:
+                raise ValueError("clauses line before perm line")
+            else:
+                plan.append((perm, values))
+                perm = None
+        if perm is not None:
+            raise ValueError("trailing perm line without clauses")
+        if not plan:
+            raise ValueError("empty plan")
+        decompose_with_plan(formula, plan)
+    except ValueError as exc:
+        raise SystemExit("%s: %s" % (path, exc))
     return plan
 
 
@@ -106,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("trace", help="dump all pipeline stages for a file")
-    p.add_argument("file")
-    p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--plan", metavar="FILE")
-
     return parser
 
 
@@ -129,7 +131,7 @@ def _dispatch(args) -> int:
     if args.command == "classify":
         formula = _load_formula(args.file)
         sink = FileTraceSink(args.trace) if args.trace else None
-        plan = _load_plan(args.plan) if args.plan else None
+        plan = _load_plan(args.plan, formula) if args.plan else None
         verdict = classify(formula, plan=plan, sink=sink)
         print("\n".join(verdict.lines()))
         return verdict.exit_code
@@ -174,14 +176,6 @@ def _dispatch(args) -> int:
             return 1
         report = difftest(params, args.out, jobs=args.jobs)
         print("\n".join(report.summary_lines()))
-        return 0
-
-    if args.command == "trace":
-        formula = _load_formula(args.file)
-        sink = FileTraceSink(args.out)
-        plan = _load_plan(args.plan) if args.plan else None
-        verdict = classify(formula, plan=plan, sink=sink)
-        print("\n".join(verdict.lines()))
         return 0
 
     raise AssertionError("unreachable")

@@ -203,6 +203,9 @@ def decompose_with_plan(formula: TabularFormula,
     ctfs = []
     for order, indices in plan:
         perm = Perm(order)
+        if len(perm) != formula.n:
+            raise ValueError("permutation of %d variables for n=%d"
+                             % (len(perm), formula.n))
         clauses = []
         for i in indices:
             if not 1 <= i <= formula.m:

@@ -80,6 +80,13 @@ def instance_params(params: DifftestParams, index: int) -> GenParams:
                      mode=mode, seed=params.seed + index)
 
 
+def _agrees(verdict, oracle) -> bool:
+    """The classifier and the oracle agree; a classification failure
+    agrees with nothing."""
+    return ((verdict.kind == SATISFIABLE and oracle.satisfiable)
+            or (verdict.kind == UNSATISFIABLE and not oracle.satisfiable))
+
+
 def _run_one(args: tuple) -> dict:
     params, index = args
     gen = instance_params(params, index)
@@ -89,8 +96,6 @@ def _run_one(args: tuple) -> dict:
     sound = True
     if verdict.kind == SATISFIABLE:
         sound = formula.evaluate(verdict.witness) == 1
-    agree = ((verdict.kind == SATISFIABLE and oracle.satisfiable)
-             or (verdict.kind == UNSATISFIABLE and not oracle.satisfiable))
     return {
         "index": index,
         "n": gen.n,
@@ -98,7 +103,7 @@ def _run_one(args: tuple) -> dict:
         "mode": gen.mode,
         "classifier": verdict.kind,
         "oracle": "satisfiable" if oracle.satisfiable else "unsatisfiable",
-        "agree": agree,
+        "agree": _agrees(verdict, oracle),
         "sound": sound,
         "backtracks": verdict.detail.get("backtracks", 0),
     }
@@ -177,7 +182,7 @@ def difftest(params: DifftestParams, out_dir: str | Path,
     for r in results:
         if not r["sound"]:
             report.soundness_violations += 1
-        if not r["agree"] or r["classifier"] == CLASSIFICATION_FAILURE:
+        if not r["agree"]:
             finding = _archive_finding(params, r, out)
             report.findings.append(finding)
     report.elapsed_seconds = time.perf_counter() - t0
@@ -200,10 +205,7 @@ def _archive_finding(params: DifftestParams, result: dict, out: Path) -> dict:
     directory.mkdir(parents=True, exist_ok=True)
 
     def disagrees(f: TabularFormula) -> bool:
-        v = classify(f)
-        o = dpll(f)
-        return (v.kind == CLASSIFICATION_FAILURE
-                or (v.kind == SATISFIABLE) != o.satisfiable)
+        return not _agrees(classify(f), dpll(f))
 
     (directory / "original.cnf").write_text(
         formula.to_dimacs(comments=["seed %d" % gen.seed, "mode %s" % gen.mode]))

@@ -93,9 +93,14 @@ class HsSystem:
 
 @dataclass
 class SepStats:
-    """Counters of one SEP run. `unify_waves` sums the waves of the
-    same-name `unify` calls actually made; a projection step that
-    removes nothing makes no call."""
+    """Counters of one SEP run.
+
+    `recompute_rounds` counts the repeated rounds: a round forming tier
+    j runs again only when its prune removed a vertex below tier j.
+    `unify_waves` sums the waves of the same-name `unify` calls actually
+    made, in every round; a projection step that removes nothing makes
+    no call. `early_checks` counts the vertex tuples handed to the early
+    elementary check, once per formed vertex and round."""
 
     pruned_vertices: int = 0
     pruned_edges: int = 0
@@ -161,12 +166,6 @@ def concordant_shift(system: HsSystem, edge: Edge,
     return subs
 
 
-def _drop_vertex(system: HsSystem, v: Vertex, stats: SepStats) -> None:
-    system.skeleton.remove_vertex(v)
-    stats.pruned_vertices += 1
-    system.vsub.pop(v, None)
-
-
 def _prune_system(system: HsSystem, stats: SepStats) -> int | None:
     skeleton = system.skeleton
     removed, empty_tier = skeleton.prune()
@@ -183,9 +182,14 @@ def systemic_effective_procedure(
     """Form the hyperstructure system tier by tier in strict lockstep.
 
     The basic graph doubles as the shared skeleton; every removal is
-    joint (rule C is automatic). Each newly formed vertex substructure
-    is screened by the early elementary check, which can short-circuit
-    the whole run with a verified witness.
+    joint (rule C is automatic). A round forms tier j: it shifts the
+    tier j-1 edges, forms each tier-j vertex tuple (concretized from the
+    basic vertex in the first tier, the union of its incoming edge
+    tuples in later ones), unifies and early-checks it, and prunes. A
+    round reads only the tuples and codes below tier j and the links
+    into tier j, so it is repeated only when the prune changed a tier
+    below j. The early elementary check can short-circuit the whole run
+    with a witness.
     """
     if not others:
         raise ValueError("need at least one non-basic structure")
@@ -194,67 +198,52 @@ def systemic_effective_procedure(
     system = HsSystem(skeleton=skeleton, basic_perm=basic.perm,
                       structures=tuple(others))
 
-    def form_vertex(v: Vertex, subs: tuple[Cts, ...]) -> Bits | None:
-        """Unify and store a new vertex's same-name substructures, or drop
-        the vertex when they empty; returns the early check's witness."""
-        subs = _unify_same_name(subs, stats)
-        if subs is None:
-            _drop_vertex(system, v, stats)
-            return None
-        system.vsub[v] = subs
-        if early_check:
-            stats.early_checks += 1
-            for sub in subs:
-                bits = early_elementary_check(sub, basic, formula)
-                if bits is not None:
-                    return bits
-        return None
-
-    # tier 1
-    for c in skeleton.codes(0):
-        pairs = vertex_values(system.basic_perm, (0, c))
-        witness = form_vertex((0, c), tuple(
-            s.concretize_many(pairs) for s in system.structures))
-        if witness is not None:
-            return SepResult("early-sat", witness=witness, stats=stats)
-    empty_tier = _prune_system(system, stats)
-    if empty_tier is not None:
-        return SepResult("empty", empty_tier=empty_tier, stats=stats)
-    check_tier_disjoint(system.vsub, skeleton.codes(0), 0)
-    _emit_tier(sink, system, 0)
-
-    for j in range(skeleton.tier_count - 1):
+    for j in range(skeleton.tier_count):
         while True:
-            before = stats.pruned_vertices
-            for e in list(skeleton.edges(j)):
-                subs = concordant_shift(system, e, stats)
+            if j:
+                for e in list(skeleton.edges(j - 1)):
+                    subs = concordant_shift(system, e, stats)
+                    if subs is None:
+                        skeleton.remove_edge(e)
+                        stats.pruned_edges += 1
+                    else:
+                        system.esub[e] = subs
+            for c in skeleton.codes(j):
+                v = (j, c)
+                if j:
+                    # every tier j-1 edge left in the skeleton was
+                    # shifted above, so its substructures are stored
+                    incoming = [system.esub[(j - 1, a, c)]
+                                for a in skeleton.up(v)]
+                    subs = (tuple(map(union_all, zip(*incoming)))
+                            if incoming else None)
+                else:
+                    pairs = vertex_values(system.basic_perm, v)
+                    subs = tuple(s.concretize_many(pairs)
+                                 for s in system.structures)
+                if subs is not None:
+                    subs = _unify_same_name(subs, stats)
                 if subs is None:
-                    skeleton.remove_edge(e)
-                    stats.pruned_edges += 1
-                    system.esub.pop(e, None)
+                    skeleton.remove_vertex(v)
+                    stats.pruned_vertices += 1
                     continue
-                system.esub[e] = subs
-            for c in skeleton.codes(j + 1):
-                # every tier-j edge left in the skeleton was shifted
-                # above, so its substructures are stored
-                v = (j + 1, c)
-                ups = skeleton.up(v)
-                if not ups:
-                    _drop_vertex(system, v, stats)
-                    continue
-                incoming = zip(*[system.esub[(j, a, c)] for a in ups])
-                witness = form_vertex(v, tuple(union_all(same)
-                                               for same in incoming))
-                if witness is not None:
-                    return SepResult("early-sat", witness=witness, stats=stats)
+                system.vsub[v] = subs
+                if early_check:
+                    stats.early_checks += 1
+                    for sub in subs:
+                        bits = early_elementary_check(sub, basic, formula)
+                        if bits is not None:
+                            return SepResult("early-sat", witness=bits,
+                                             stats=stats)
+            below = skeleton.tiers[:j]
             empty_tier = _prune_system(system, stats)
             if empty_tier is not None:
                 return SepResult("empty", empty_tier=empty_tier, stats=stats)
-            if stats.pruned_vertices == before:
+            if skeleton.tiers[:j] == below:
                 break
             stats.recompute_rounds += 1
-        check_tier_disjoint(system.vsub, skeleton.codes(j + 1), j + 1)
-        _emit_tier(sink, system, j + 1)
+        check_tier_disjoint(system.vsub, skeleton.codes(j), j)
+        _emit_tier(sink, system, j)
 
     return SepResult("complete", system=system, stats=stats)
 
@@ -335,13 +324,6 @@ def extract_jss_system(system: HsSystem, basic: Cts,
     return SystemExtraction(found, backtracks, rejected)
 
 
-def _verified_sat(original: TabularFormula, bits: Bits, detail: dict) -> Verdict:
-    if original.evaluate(bits) != 1:
-        raise SoundnessError(
-            "witness %s does not satisfy the formula" % bits_to_string(bits))
-    return Verdict(SATISFIABLE, witness=bits, detail=detail)
-
-
 def classify(formula: TabularFormula,
              plan=None,
              early_check: bool = True,
@@ -350,8 +332,21 @@ def classify(formula: TabularFormula,
     systemic effective procedure, and extract a witness.
 
     Every outcome is a verdict; a satisfiable verdict always carries a
-    witness re-verified against the original formula.
+    witness re-verified against the original formula (else
+    `SoundnessError`). With a trace sink, the verdict's printed lines
+    are its last stage.
     """
+    verdict = _pipeline(formula, plan, early_check, sink)
+    if verdict.kind == SATISFIABLE and formula.evaluate(verdict.witness) != 1:
+        raise SoundnessError("witness %s does not satisfy the formula"
+                             % bits_to_string(verdict.witness))
+    if sink is not None:
+        sink.write("verdict", "\n".join(verdict.lines()) + "\n")
+    return verdict
+
+
+def _pipeline(formula: TabularFormula, plan, early_check: bool,
+              sink) -> Verdict:
     from . import trace as trace_mod
 
     detail: dict = {}
@@ -360,7 +355,7 @@ def classify(formula: TabularFormula,
     if sink is not None:
         sink.write("formula", trace_mod.render_formula(canonical))
     if not canonical.clauses:
-        return _emit(sink, _verified_sat(formula, (0,) * formula.n, detail))
+        return Verdict(SATISFIABLE, witness=(0,) * formula.n, detail=detail)
 
     if plan is not None:
         ctfs, report = decompose_with_plan(canonical, plan)
@@ -378,25 +373,24 @@ def classify(formula: TabularFormula,
         s = ctf_to_cts(ctf)
         if s.is_empty:
             detail["ctf_index"] = i + 1
-            return _emit(sink, Verdict(UNSATISFIABLE, stage="cts",
-                                       tier=cts_stage_evidence(ctf),
-                                       detail=detail))
+            return Verdict(UNSATISFIABLE, stage="cts",
+                           tier=cts_stage_evidence(ctf), detail=detail)
         structures.append(s)
     if sink is not None:
         sink.write("structures", "\n".join(
             "S%d:\n%s" % (i + 1, s.render()) for i, s in enumerate(structures)))
 
     if len(structures) == 1:
-        return _emit(sink, _verified_sat(
-            formula, structures[0].sample_assignment(), detail))
+        return Verdict(SATISFIABLE, witness=structures[0].sample_assignment(),
+                       detail=detail)
 
     unified = unify(structures, sink=sink)
     detail["unify_waves"] = unified.waves
     if unified.empty:
         detail["unify_cause"] = unified.cause
         detail["structure_index"] = unified.structure_index
-        return _emit(sink, Verdict(UNSATISFIABLE, stage="unify",
-                                   tier=unified.empty_tier, detail=detail))
+        return Verdict(UNSATISFIABLE, stage="unify", tier=unified.empty_tier,
+                       detail=detail)
     basic, others = unified.structures[0], unified.structures[1:]
     if sink is not None:
         sink.write("unified", "\n".join(
@@ -408,37 +402,29 @@ def classify(formula: TabularFormula,
         result = systemic_effective_procedure(
             basic, others, canonical, early_check=early_check, sink=sink)
     except InvariantViolation as exc:
-        return _failure_verdict(detail, exc, exc.diagnostics, sink)
+        return _failure_verdict(detail, exc, exc.diagnostics)
     detail["sep"] = asdict(result.stats)
     if result.outcome == "empty":
-        return _emit(sink, Verdict(UNSATISFIABLE, stage="sep",
-                                   tier=result.empty_tier, detail=detail))
+        return Verdict(UNSATISFIABLE, stage="sep", tier=result.empty_tier,
+                       detail=detail)
     if result.outcome == "early-sat":
         detail["early_exit"] = True
-        return _emit(sink, _verified_sat(formula, result.witness, detail))
+        return Verdict(SATISFIABLE, witness=result.witness, detail=detail)
 
     try:
         extraction = extract_jss_system(result.system, basic, canonical)
     except ExtractionFailure as exc:
-        return _failure_verdict(detail, exc, _failure_bundle(result.system),
-                                sink)
+        return _failure_verdict(detail, exc, _failure_bundle(result.system))
     detail["backtracks"] = extraction.backtracks
-    return _emit(sink, _verified_sat(formula, extraction.assignments[0],
-                                     detail))
+    return Verdict(SATISFIABLE, witness=extraction.assignments[0],
+                   detail=detail)
 
 
-def _emit(sink, verdict: Verdict) -> Verdict:
-    """Write the verdict's printed lines to the trace sink, if any."""
-    if sink is not None:
-        sink.write("verdict", "\n".join(verdict.lines()) + "\n")
-    return verdict
-
-
-def _failure_verdict(detail: dict, exc: Exception, diagnostics: dict,
-                     sink) -> Verdict:
+def _failure_verdict(detail: dict, exc: Exception,
+                     diagnostics: dict) -> Verdict:
     detail["error"] = str(exc)
     detail["diagnostics"] = diagnostics
-    return _emit(sink, Verdict(CLASSIFICATION_FAILURE, detail=detail))
+    return Verdict(CLASSIFICATION_FAILURE, detail=detail)
 
 
 def _failure_bundle(system: HsSystem) -> dict:

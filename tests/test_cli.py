@@ -91,10 +91,10 @@ def test_difftest_small_run(tmp_path, capsys):
 
 
 def test_trace_matches_golden_files(tmp_path, capsys):
-    code, out, _ = run(capsys, "trace", str(FIXTURES / "worked8.cnf"),
-                       "--out", str(tmp_path / "tr"),
+    code, out, _ = run(capsys, "classify", str(FIXTURES / "worked8.cnf"),
+                       "--trace", str(tmp_path / "tr"),
                        "--plan", str(FIXTURES / "worked8_plan.txt"))
-    assert code == 0
+    assert code == 10
     produced = sorted(p.name for p in (tmp_path / "tr").iterdir())
     expected = sorted(p.name for p in GOLDEN.iterdir())
     assert produced == expected
@@ -110,17 +110,26 @@ def test_trace_verdict_file_matches_printed_lines(kind, tmp_path, capsys):
         # empties at the cts stage, with an empty tier
         run(capsys, "gen", "--n", "5", "--m", "8", "--mode", "unsat",
             "--seed", "1", "-o", str(target))
-        expected = "empty-tier: 1"
+        expected, exit_code = "empty-tier: 1", 20
     else:
         target.write_text("p cnf 3 0\n")
-        expected = "witness: 000"
-    code, out, _ = run(capsys, "trace", str(target),
-                       "--out", str(tmp_path / "tr"))
-    assert code == 0
+        expected, exit_code = "witness: 000", 10
+    code, out, _ = run(capsys, "classify", str(target),
+                       "--trace", str(tmp_path / "tr"))
+    assert code == exit_code
     assert expected in out.splitlines()
     verdict_files = list((tmp_path / "tr").glob("*_verdict.txt"))
     assert len(verdict_files) == 1
     assert verdict_files[0].read_text() == out
+
+
+def test_trace_subcommand_is_gone(tmp_path, capsys):
+    # `classify --trace DIR` is the one way to dump the stages
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", str(FIXTURES / "worked8.cnf"),
+              "--out", str(tmp_path / "tr")])
+    assert exc.value.code == 1
+    assert not (tmp_path / "tr").exists()
 
 
 @pytest.mark.parametrize("flag", [["--bogus"], ["--granularity", "coarse"],
@@ -145,8 +154,24 @@ def test_malformed_dimacs_exits_with_message(tmp_path, capsys):
     assert "repeated variable" in str(exc.value.code)
 
 
-def test_plan_file_errors(tmp_path, capsys):
+ALL_CLAUSES = " ".join(str(i) for i in range(1, 45))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("clauses: 1 2 3", "clauses line before perm line"),
+    ("perm: 1 2 x\nclauses: 1", "invalid literal"),
+    ("perm: 1 2 3 4 5 6 7 7\nclauses: 1", "not a permutation"),
+    ("perm: 1 2 3 4 5 6 7 8\nclauses: 1 2 99", "clause index 99 out of range"),
+    # clause 6 is over x1, x2, x5
+    ("perm: 1 2 3 4 5 6 7 8\nclauses: 6", "not compact"),
+    ("perm: 1 2 3\nclauses: " + ALL_CLAUSES, "permutation of 3 variables"),
+], ids=["clauses_before_perm", "bad_integer", "repeated_variable",
+        "index_out_of_range", "not_compact", "perm_length"])
+def test_plan_file_errors(text, message, tmp_path, capsys):
+    # a bad plan exits 1 with `<plan path>: <message>`, as DIMACS errors do
     bad = tmp_path / "plan.txt"
-    bad.write_text("clauses: 1 2 3\n")
-    with pytest.raises(SystemExit):
+    bad.write_text(text + "\n")
+    with pytest.raises(SystemExit) as exc:
         main(["classify", str(FIXTURES / "worked8.cnf"), "--plan", str(bad)])
+    assert str(exc.value.code).startswith("%s: " % bad)
+    assert message in str(exc.value.code)

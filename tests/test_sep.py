@@ -11,9 +11,9 @@ from ctsat.formula import (Clause, GenParams, TabularFormula,
 from ctsat.hyper import ExtractionFailure, vertex_values
 from ctsat.oracle import dpll
 from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
-                       SepStats, classify, concordant_shift,
-                       early_elementary_check, extract_jss_system,
-                       systemic_effective_procedure)
+                       SepStats, SoundnessError, SystemExtraction, classify,
+                       concordant_shift, early_elementary_check,
+                       extract_jss_system, systemic_effective_procedure)
 from ctsat.unify import unify
 
 import tabledata
@@ -335,6 +335,57 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
     assert sum(waves[1:]) == verdict.detail["sep"]["unify_waves"]
 
 
+@pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [
+    (8, 26, "sat", 20240722, "extract", 0),
+    # one repeat is needed: its prune removed a vertex below the tier
+    (8, 33, "free", 20241051, "sep", 1),
+])
+def test_sep_repeats_a_round_only_when_a_lower_tier_changed(
+        n, m, mode, seed, outcome, rounds):
+    verdict = classify(generate(GenParams(n=n, m=m, mode=mode, seed=seed)))
+    assert (verdict.stage == "sep") == (outcome == "sep")
+    assert ("backtracks" in verdict.detail) == (outcome == "extract")
+    assert verdict.detail["sep"]["recompute_rounds"] == rounds
+
+
+def test_sep_every_repeat_sees_changed_lower_tiers(monkeypatch):
+    # a round forming tier j shifts the tier j-1 edges in ascending
+    # order, so a shift whose edge is not above the previous one at the
+    # same tier starts a repeat; the tiers below j never change within a
+    # round and must differ from the previous round's at every repeat
+    import ctsat.sep as sep_mod
+
+    original = sep_mod.concordant_shift
+    rounds = []   # [tier being formed, last edge shifted, tiers below it]
+
+    def recording(system, edge, stats):
+        j = edge[0] + 1
+        below = system.skeleton.tiers[:j]
+        if rounds and rounds[-1][0] == j and edge[1:] > rounds[-1][1]:
+            assert below == rounds[-1][2]
+            rounds[-1][1] = edge[1:]
+        else:
+            if rounds and rounds[-1][0] == j:
+                assert below != rounds[-1][2], edge
+            rounds.append([j, edge[1:], below])
+        return original(system, edge, stats)
+
+    monkeypatch.setattr(sep_mod, "concordant_shift", recording)
+    repeats = 0
+    for n, m, mode, seed in [(8, 26, "sat", 20240722),
+                             (8, 33, "free", 20241051),
+                             (12, 70, "free", 20240676),
+                             (10, 39, "free", 20241363)]:
+        del rounds[:]
+        verdict = classify(generate(GenParams(n=n, m=m, mode=mode,
+                                              seed=seed)))
+        tiers = [j for j, _, _ in rounds]
+        seen = len(tiers) - len(set(tiers))
+        assert seen == verdict.detail["sep"]["recompute_rounds"]
+        repeats += seen
+    assert repeats >= 1
+
+
 def test_sep_joint_sets_preserved_k3():
     rng = random.Random(33)
     hits = 0
@@ -605,3 +656,45 @@ def test_classify_surfaces_invariant_violation(monkeypatch):
     assert bundle["tier"] >= 1 and len(bundle["substructures"]) == 2
     assert bundle["member"] == 0
     assert assert_json_round_trip(verdict)["detail"]["diagnostics"] == bundle
+
+
+def falsifying(formula: TabularFormula):
+    return next(b for b in formula.assignments() if formula.evaluate(b) == 0)
+
+
+@pytest.mark.parametrize("exit_name", ["no-clauses", "one-structure",
+                                       "early-sat", "extract"])
+def test_classify_rejects_a_corrupted_witness(exit_name, monkeypatch):
+    # every satisfiable exit passes its witness through the one soundness
+    # gate in classify: corrupt each exit's witness where it is produced
+    import ctsat.sep as sep_mod
+
+    if exit_name in ("no-clauses", "one-structure"):
+        # one clause, falsified by all zeros
+        formula = TabularFormula(5, (Clause(((1, 0), (2, 0), (3, 0))),))
+    elif exit_name == "early-sat":
+        formula = generate(GenParams(n=5, m=16, mode="sat", seed=20240671))
+    else:
+        formula = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))
+    verdict = classify(formula)
+    assert verdict.kind == SATISFIABLE
+    assert (verdict.detail["k"] == 1) == (exit_name in ("no-clauses",
+                                                        "one-structure"))
+    assert verdict.detail.get("early_exit", False) == (exit_name == "early-sat")
+    assert ("backtracks" in verdict.detail) == (exit_name == "extract")
+    bad = falsifying(formula)
+
+    if exit_name == "no-clauses":
+        monkeypatch.setattr(TabularFormula, "canonicalize",
+                            lambda self: TabularFormula(self.n, ()))
+    elif exit_name == "one-structure":
+        monkeypatch.setattr(Cts, "sample_assignment", lambda self: bad)
+    elif exit_name == "early-sat":
+        monkeypatch.setattr(sep_mod, "early_elementary_check",
+                            lambda sub, basic, formula: bad)
+    else:
+        monkeypatch.setattr(
+            sep_mod, "extract_jss_system",
+            lambda system, basic, formula: SystemExtraction([bad], 0, []))
+    with pytest.raises(SoundnessError, match=bits_to_string(bad)):
+        classify(formula)
