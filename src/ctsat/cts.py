@@ -73,6 +73,13 @@ def clear_masks(masks: list[int]) -> tuple[list[int], int | None]:
     predecessor kept at tier j-1. Tier 0 is non-empty and untouched, and
     every line kept at tier j-1 has a successor at tier j, which is then
     kept; by induction no tier empties in the forward pass.
+
+    So the cleared masks hold exactly the lines that lie on a full chain
+    (one line per tier, adjoining throughout), and every full chain
+    passes through every tier. A variable therefore takes the same
+    values in every tier window that holds it, and a pair of variables
+    the same value combinations; restricting one such window and then
+    clearing gives the masks that restricting all of them gives.
     """
     last = len(masks) - 1
     for j in range(last + 1):
@@ -255,14 +262,17 @@ class Cts:
 
     def concretize_many(self, pairs: Iterable[tuple[int, int]]) -> "Cts":
         """Fix several variables at once (single clearing pass at the end;
-        same fixpoint as repeated unary concretization)."""
+        same fixpoint as repeated unary concretization).
+
+        Only the lowest tier holding each variable is restricted: every
+        full chain passes through that tier, so clearing removes the
+        lines of the other tiers that contradict the value."""
         masks = list(self.tiers)
-        last = len(masks) - 1
         pos = self.perm.pos
         for var, value in pairs:
             p = pos[var - 1]
-            for j in range(p - 2 if p > 2 else 0, (p if p < last else last) + 1):
-                masks[j] &= _KEEP[p - j][value]
+            j = p - 2 if p > 2 else 0
+            masks[j] &= _KEEP[p - j][value]
         masks, _ = clear_masks(masks)
         return Cts._make(self.perm, tuple(masks))
 
@@ -344,25 +354,29 @@ class Cts:
 
     # -- rendering -----------------------------------------------------
 
-    def render(self, names: Sequence[str] | None = None) -> str:
+    def render(self) -> str:
         """Tabular dump: variable names in permutation order, one line
         per triplet, blanks outside the tier window."""
-        if names is None:
-            names = ["x%d" % v for v in self.perm.order]
-        else:
-            names = [names[v - 1] for v in self.perm.order]
-        widths = [max(2, len(s)) for s in names]
-        rows = [" ".join(s.rjust(w) for s, w in zip(names, widths))]
         if self.is_empty:
-            rows.append("(empty structure)")
-            return "\n".join(rows) + "\n"
-        for j in range(len(self.tiers)):
-            for c in self.tier_codes(j):
-                cells = [""] * self.n
-                for k in range(3):
-                    cells[j + k] = str((c >> (2 - k)) & 1)
-                rows.append(" ".join(s.rjust(w) for s, w in zip(cells, widths)).rstrip())
-        return "\n".join(rows) + "\n"
+            return render_table(self.perm.order, [["(empty structure)"]])
+        return render_table(self.perm.order, (window_row(j, c)
+                                              for j, c in self.lines()))
+
+
+def window_row(j: int, code: int) -> list[str]:
+    """Table cells of a triplet line at tier j: its three bits under
+    columns j, j+1, j+2."""
+    return [""] * j + list(format(code, "03b"))
+
+
+def render_table(order: Sequence[int], rows: Iterable[Sequence[str]]) -> str:
+    """A header of variable names in `order`, then one text line per row
+    of cells, each cell right-aligned under its column and trailing
+    blanks trimmed."""
+    names = ["x%d" % v for v in order]
+    widths = [max(2, len(s)) for s in names]
+    return "".join(" ".join(s.rjust(w) for s, w in zip(cells, widths)).rstrip()
+                   + "\n" for cells in (names, *rows))
 
 
 def union_all(structures: Sequence[Cts]) -> Cts:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -171,8 +172,11 @@ def difftest(params: DifftestParams, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     work = [(params, i) for i in range(params.count)]
-    if jobs > 1 and params.count > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks every worker on the first submit: start no more
+    # than there are instances or CPUs
+    workers = min(jobs, params.count, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, work, chunksize=16))
     else:
         results = [_run_one(w) for w in work]

@@ -326,7 +326,6 @@ def extract_jss_system(system: HsSystem, basic: Cts,
 
 def classify(formula: TabularFormula,
              plan=None,
-             early_check: bool = True,
              sink=None) -> Verdict:
     """Full pipeline: canonicalize, decompose, transform, unify, run the
     systemic effective procedure, and extract a witness.
@@ -336,7 +335,7 @@ def classify(formula: TabularFormula,
     `SoundnessError`). With a trace sink, the verdict's printed lines
     are its last stage.
     """
-    verdict = _pipeline(formula, plan, early_check, sink)
+    verdict = _pipeline(formula, plan, sink)
     if verdict.kind == SATISFIABLE and formula.evaluate(verdict.witness) != 1:
         raise SoundnessError("witness %s does not satisfy the formula"
                              % bits_to_string(verdict.witness))
@@ -345,8 +344,7 @@ def classify(formula: TabularFormula,
     return verdict
 
 
-def _pipeline(formula: TabularFormula, plan, early_check: bool,
-              sink) -> Verdict:
+def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
     from . import trace as trace_mod
 
     detail: dict = {}
@@ -400,7 +398,7 @@ def _pipeline(formula: TabularFormula, plan, early_check: bool,
 
     try:
         result = systemic_effective_procedure(
-            basic, others, canonical, early_check=early_check, sink=sink)
+            basic, others, canonical, sink=sink)
     except InvariantViolation as exc:
         return _failure_verdict(detail, exc, exc.diagnostics)
     detail["sep"] = asdict(result.stats)

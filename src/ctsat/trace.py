@@ -3,42 +3,27 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
 
+from .cts import render_table, window_row
 from .decompose import Ctf
 from .formula import TabularFormula
 
 
-def render_formula(formula: TabularFormula,
-                   names: Sequence[str] | None = None) -> str:
+def render_formula(formula: TabularFormula) -> str:
     """0/1 table of the formula: one row per clause, marks under the
     variable columns."""
-    if names is None:
-        names = ["x%d" % v for v in range(1, formula.n + 1)]
-    widths = [max(2, len(s)) for s in names]
-    rows = [" ".join(s.rjust(w) for s, w in zip(names, widths))]
-    for clause in formula.clauses:
+    def row(clause) -> list[str]:
         cells = [""] * formula.n
         for v, mark in clause.entries:
             cells[v - 1] = str(mark)
-        rows.append(" ".join(s.rjust(w) for s, w in zip(cells, widths)).rstrip())
-    return "\n".join(rows) + "\n"
+        return cells
+    return render_table(range(1, formula.n + 1), map(row, formula.clauses))
 
 
-def render_ctf(ctf: Ctf, names: Sequence[str] | None = None) -> str:
+def render_ctf(ctf: Ctf) -> str:
     """Tier table of a CT formula (clause mark patterns per window)."""
-    n = len(ctf.perm)
-    if names is None:
-        names = ["x%d" % v for v in range(1, n + 1)]
-    header = [names[v - 1] for v in ctf.perm.order]
-    widths = [max(2, len(s)) for s in header]
-    rows = [" ".join(s.rjust(w) for s, w in zip(header, widths))]
-    for j, code in ctf.clause_lines():
-        cells = [""] * n
-        for k in range(3):
-            cells[j + k] = str((code >> (2 - k)) & 1)
-        rows.append(" ".join(s.rjust(w) for s, w in zip(cells, widths)).rstrip())
-    return "\n".join(rows) + "\n"
+    return render_table(ctf.perm.order, (window_row(j, code)
+                                         for j, code in ctf.clause_lines()))
 
 
 class FileTraceSink:

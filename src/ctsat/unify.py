@@ -86,19 +86,6 @@ def pair_relation(structure: Cts, a: int, b: int) -> PairRelation | None:
     return PairRelation((a, b), frozenset(allowed or ()))
 
 
-@lru_cache(maxsize=4096)
-def _co_tiered_pairs(perm) -> frozenset[tuple[int, int]]:
-    """All variable pairs at permutation distance <= 2, as sorted tuples."""
-    order = perm.order
-    pairs = set()
-    for i in range(len(order)):
-        for d in (1, 2):
-            if i + d < len(order):
-                x, y = order[i], order[i + d]
-                pairs.add((x, y) if x < y else (y, x))
-    return frozenset(pairs)
-
-
 # Lookup tables for the hot loop. Window offsets are 0..2 (0 = first
 # variable of the tier); the bit of code c at offset o is (c >> (2-o)) & 1.
 # _COMBOS[oa][ob][mask]: 4-bit set of (va, vb) pairs present in the mask,
@@ -142,39 +129,37 @@ _COMBOS, _PAIR_KEEP, _SEEN = _build_pair_tables()
 
 
 class _SystemContext:
-    """Precomputed window geometry for a fixed tuple of permutations."""
+    """Window geometry for a fixed tuple of permutations.
 
-    __slots__ = ("n", "const_windows", "pair_entries", "pairs_touching")
+    In a cleared structure a variable's values, and a co-tiered pair's
+    value combinations, are the same in every tier window that holds
+    them (see `clear_masks`). So each variable and each pair keeps one
+    window per structure: the lowest one that holds it.
+    """
+
+    __slots__ = ("const_window", "pair_entries", "pairs_touching")
 
     def __init__(self, perms):
-        n = len(perms[0])
-        self.n = n
-        last = n - 3
-        # const_windows[i][var-1] = ((tier, offset), ...)
-        self.const_windows = []
-        for perm in perms:
-            per_var = []
-            for var in range(1, n + 1):
-                p = perm.pos[var - 1]
-                lo = p - 2 if p > 2 else 0
-                hi = p if p < last else last
-                per_var.append(tuple((j, p - j) for j in range(lo, hi + 1)))
-            self.const_windows.append(per_var)
-        # pair -> ((structure, ((tier, oa, ob), ...)), ...)
+        # const_window[i][var-1] = (tier, offset)
+        self.const_window = [[(p - 2, 2) if p > 2 else (0, p) for p in perm.pos]
+                             for perm in perms]
+        # pair -> [(structure, tier, oa, ob), ...], pairs as sorted tuples
         by_pair: dict[tuple[int, int], list] = {}
         for i, perm in enumerate(perms):
-            for a, b in _co_tiered_pairs(perm):
-                pa, pb = perm.pos[a - 1], perm.pos[b - 1]
-                lo = max(0, max(pa, pb) - 2)
-                hi = min(last, min(pa, pb))
-                windows = tuple((j, pa - j, pb - j) for j in range(lo, hi + 1))
-                by_pair.setdefault((a, b), []).append((i, windows))
-        self.pair_entries = [
-            (pair, tuple(homes)) for pair, homes in sorted(by_pair.items())
-            if len(homes) >= 2]
+            order = perm.order
+            for q in range(1, len(order)):
+                j = q - 2 if q > 2 else 0
+                for p in range(j, q):
+                    x, y = order[p], order[q]
+                    if x < y:
+                        by_pair.setdefault((x, y), []).append((i, j, p - j, q - j))
+                    else:
+                        by_pair.setdefault((y, x), []).append((i, j, q - j, p - j))
+        self.pair_entries = [homes for _, homes in sorted(by_pair.items())
+                             if len(homes) >= 2]
         self.pairs_touching = [[] for _ in perms]
-        for idx, (_, homes) in enumerate(self.pair_entries):
-            for i, _ in homes:
+        for idx, homes in enumerate(self.pair_entries):
+            for i, _, _, _ in homes:
                 self.pairs_touching[i].append(idx)
 
 
@@ -192,6 +177,11 @@ def unify(structures: Sequence[Cts], sink=None) -> UnifyResult:
 
     Only structures changed in the previous wave are re-examined; the
     fixpoint of this monotone removal process is order-independent.
+    The masks stay cleared throughout, so both rules read a variable or
+    a pair from one window, the lowest that holds it, and restrict only
+    that window before clearing (see `clear_masks`). When the rule
+    allows no value there, that window empties, and it is the lowest
+    tier that restricting every window would have emptied.
     A sink, when given, receives the system state before the first wave
     and after every wave.
     """
@@ -223,15 +213,13 @@ def unify(structures: Sequence[Cts], sink=None) -> UnifyResult:
         touched: set[int] = set()
 
         # rule 1: constants of dirty structures, concretized everywhere
+        order = sorted(dirty)
         for var in range(1, n + 1):
             value = fixed.get(var)
             new = False
-            for i in sorted(dirty):
-                seen = 0
-                for j, off in ctx.const_windows[i][var - 1]:
-                    seen |= _SEEN[off][masks[i][j]]
-                    if seen == 3:
-                        break
+            for i in order:
+                j, off = ctx.const_window[i][var - 1]
+                seen = _SEEN[off][masks[i][j]]
                 if seen == 3:
                     continue
                 c = 1 if seen == 2 else 0
@@ -245,40 +233,33 @@ def unify(structures: Sequence[Cts], sink=None) -> UnifyResult:
             if value is None or (var in fixed and not new):
                 continue
             fixed[var] = value
-            for i in range(len(masks)):
-                changed_here = False
-                for j, off in ctx.const_windows[i][var - 1]:
-                    m = masks[i][j] & _KEEP_BIT[off][value]
-                    if m != masks[i][j]:
-                        masks[i][j] = m
-                        changed_here = True
-                if changed_here:
-                    _, zero = clear_masks(masks[i])
-                    if zero is not None:
-                        return UnifyResult(None, waves=waves,
-                                           cause=CAUSE_EMPTY_TIER,
-                                           structure_index=i,
-                                           empty_tier=zero + 1)
-                    touched.add(i)
+            for i, m in enumerate(masks):
+                j, off = ctx.const_window[i][var - 1]
+                kept = m[j] & _KEEP_BIT[off][value]
+                if kept == m[j]:
+                    continue
+                m[j] = kept
+                _, zero = clear_masks(m)
+                if zero is not None:
+                    return UnifyResult(None, waves=waves,
+                                       cause=CAUSE_EMPTY_TIER,
+                                       structure_index=i,
+                                       empty_tier=zero + 1)
+                touched.add(i)
 
         # rule 2: pair agreement for pairs touching a dirty structure
         pair_idx = sorted({p for i in dirty | touched
                            for p in ctx.pairs_touching[i]})
         for idx in pair_idx:
-            (a, b), homes = ctx.pair_entries[idx]
+            homes = ctx.pair_entries[idx]
+            rels = [_COMBOS[oa][ob][masks[i][j]] for i, j, oa, ob in homes]
             allowed = 15
-            rels = []
-            for i, windows in homes:
-                rel = 15
-                for j, oa, ob in windows:
-                    rel &= _COMBOS[oa][ob][masks[i][j]]
-                rels.append(rel)
+            for rel in rels:
                 allowed &= rel
-            for (i, windows), rel in zip(homes, rels):
+            for (i, j, oa, ob), rel in zip(homes, rels):
                 if rel == allowed:
                     continue
-                for j, oa, ob in windows:
-                    masks[i][j] &= _PAIR_KEEP[oa][ob][allowed]
+                masks[i][j] &= _PAIR_KEEP[oa][ob][allowed]
                 _, zero = clear_masks(masks[i])
                 if zero is not None:
                     return UnifyResult(None, waves=waves,

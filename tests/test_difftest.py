@@ -139,6 +139,50 @@ def test_difftest_independent_of_worker_count(tmp_path):
         (tmp_path / "parallel" / "report.json").read_bytes()
 
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the worker count it is
+    asked for and maps serially, so no process is started."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, count, cpus, expected", [
+    (64, 3, 8, 3),    # never more workers than instances
+    (4, 6, 2, 2),     # nor more than CPUs
+    (3, 6, 8, 3),
+    (8, 1, 8, None),  # one instance, or one worker: no pool at all
+    (1, 6, 8, None),
+])
+def test_difftest_pool_size_is_capped(tmp_path, monkeypatch, jobs, count,
+                                      cpus, expected):
+    import os
+
+    import ctsat.difftest as difftest_mod
+
+    monkeypatch.setattr(difftest_mod, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    RecordingExecutor.created = []
+    params = DifftestParams(n_range=(5, 6), m_ratio=(3.0, 4.0), count=count,
+                            seed=7)
+    difftest(params, tmp_path / "pooled", jobs=jobs)
+    assert RecordingExecutor.created == ([] if expected is None else [expected])
+    difftest(params, tmp_path / "serial", jobs=1)
+    assert (tmp_path / "pooled" / "report.json").read_bytes() == \
+        (tmp_path / "serial" / "report.json").read_bytes()
+
+
 def test_difftest_detects_and_minimizes_injected_bug(tmp_path, monkeypatch):
     # harness self-test: a classifier stub that always answers unsat
     import ctsat.difftest as dt

@@ -625,8 +625,8 @@ def test_classify_surfaces_extraction_failure(monkeypatch):
         raise ExtractionFailure("forced for the test")
 
     monkeypatch.setattr(sep_mod, "extract_jss_system", broken_extract)
-    f = generate(GenParams(n=7, m=18, mode="sat", seed=12))
-    verdict = classify(f, early_check=False)
+    f = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))
+    verdict = classify(f)
     assert verdict.kind == CLASSIFICATION_FAILURE
     assert verdict.exit_code == 30
     assert "forced for the test" in verdict.detail["error"]
@@ -647,8 +647,8 @@ def test_classify_surfaces_invariant_violation(monkeypatch):
                             codes, j)
 
     monkeypatch.setattr(sep_mod, "check_tier_disjoint", overlapping)
-    f = generate(GenParams(n=7, m=18, mode="sat", seed=12))
-    verdict = classify(f, early_check=False)
+    f = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))
+    verdict = classify(f)
     assert verdict.kind == CLASSIFICATION_FAILURE
     assert verdict.exit_code == 30
     assert "overlap" in verdict.detail["error"]

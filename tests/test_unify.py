@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from ctsat.cts import Cts, Perm
 from ctsat.unify import (CAUSE_CONSTANT_CONFLICT, CAUSE_EMPTY_INPUT,
-                         constant_of, pair_relation, unify)
+                         CAUSE_EMPTY_TIER, constant_of, pair_relation, unify)
 
 from naive import joint_sat_set
 
@@ -109,6 +110,34 @@ def test_unify_constant_conflict():
     result = unify([a, b])
     assert result.empty
     assert result.cause == CAUSE_CONSTANT_CONFLICT
+
+
+def test_unify_empty_tier_reports_the_lowest_window():
+    # variables 1 and 4 sit at positions 2 and 3, so tiers 1 and 2 both
+    # hold the pair; the structures agree on every constant (there are
+    # none) but allow disjoint combinations of the pair
+    perm = Perm((2, 5, 1, 4, 3))
+
+    def structure(keep):
+        s = Cts.empty(perm)
+        for bits in itertools.product((0, 1), repeat=5):
+            if keep(bits):
+                s = s.union(Cts.from_assignment(bits, perm))
+        return s
+
+    equal = structure(lambda b: b[0] == b[3])
+    differ = structure(lambda b: b[0] != b[3])
+    for s in (equal, differ):
+        assert s.clear() == s
+        assert all(constant_of(s, v) is None for v in range(1, 6))
+    assert pair_relation(equal, 1, 4).allowed == {(0, 0), (1, 1)}
+    assert pair_relation(differ, 1, 4).allowed == {(0, 1), (1, 0)}
+
+    result = unify([equal, differ])
+    assert result.empty
+    assert result.cause == CAUSE_EMPTY_TIER
+    assert result.structure_index == 0
+    assert result.empty_tier == 1 + 1  # lowest window holding the pair, 1-based
 
 
 def random_system(rng: random.Random, n: int, k: int):
