@@ -82,17 +82,58 @@ def clear_masks(masks: list[int]) -> tuple[list[int], int | None]:
     clearing gives the masks that restricting all of them gives.
     """
     last = len(masks) - 1
-    for j in range(last + 1):
-        if masks[j] == 0:
-            return [0] * (last + 1), j
+    if 0 in masks:
+        return [0] * (last + 1), masks.index(0)
+    pred, succ = _PRED, _SUCC
+    m = masks[last]
     for j in range(last - 1, -1, -1):
-        m = masks[j] & _PRED[masks[j + 1]]
-        if m == 0:
+        m = masks[j] & pred[m]
+        if not m:
             return [0] * (last + 1), j
         masks[j] = m
     for j in range(1, last + 1):
-        masks[j] &= _SUCC[masks[j - 1]]
+        m = masks[j] & succ[m]
+        masks[j] = m
     return masks, None
+
+
+def settle(masks: list[int], j: int) -> tuple[int | None, int]:
+    """Clear masks that were cleared before tier j alone was restricted.
+
+    Walks down from tier j while the next lower tier loses lines, then
+    up from tier j the same way, mutating masks in place. Returns
+    (lo, hi), the first and last tier that changed (tier j is taken as
+    changed). When a tier empties, every mask is zeroed and the result
+    is (None, t) with t the index that `clear_masks` reports.
+
+    The result equals `clear_masks`'. A line removed on the way down
+    has no successor, so it is no kept line's only predecessor; a line
+    removed on the way up has no predecessor, so it is no kept line's
+    only successor. The tiers beyond either walk kept their support,
+    and only the walk down can empty a tier, in the order of
+    `clear_masks`' backward pass.
+    """
+    if masks[j] == 0:
+        masks[:] = [0] * len(masks)
+        return None, j
+    lo = j
+    while lo:
+        m = masks[lo - 1] & _PRED[masks[lo]]
+        if m == masks[lo - 1]:
+            break
+        lo -= 1
+        if m == 0:
+            masks[:] = [0] * len(masks)
+            return None, lo
+        masks[lo] = m
+    hi, last = j, len(masks) - 1
+    while hi < last:
+        m = masks[hi + 1] & _SUCC[masks[hi]]
+        if m == masks[hi + 1]:
+            break
+        hi += 1
+        masks[hi] = m
+    return lo, hi
 
 
 class Perm:
@@ -198,7 +239,7 @@ class Cts:
 
     @property
     def is_empty(self) -> bool:
-        return any(m == 0 for m in self.tiers)
+        return 0 in self.tiers
 
     def is_elementary(self) -> bool:
         """One line per tier (and none empty)."""
@@ -275,6 +316,32 @@ class Cts:
             masks[j] &= _KEEP[p - j][value]
         masks, _ = clear_masks(masks)
         return Cts._make(self.perm, tuple(masks))
+
+    def project(self, targets: Iterable["Cts"]) -> "Cts":
+        """The union of t.intersect(self) over targets, for a cleared self.
+
+        Built from raw masks: a target whose AND with self has a zero
+        tier adds nothing, a target that contains self tier-wise gives
+        self, and only the other pieces are cleared. Every piece lies in
+        self, so the union stops growing once it equals self.
+        """
+        whole = list(self.tiers)
+        acc = None
+        for t in targets:
+            if t.perm is not self.perm:
+                self._check_perm(t)
+            raw = list(map(and_, t.tiers, whole))
+            if 0 in raw:
+                continue
+            if raw == whole:
+                return self
+            piece, zero = clear_masks(raw)
+            if zero is not None:
+                continue
+            acc = piece if acc is None else list(map(or_, acc, piece))
+            if acc == whole:
+                return self
+        return Cts._make(self.perm, tuple(acc) if acc else (0,) * len(whole))
 
     # -- assignment views ----------------------------------------------
 

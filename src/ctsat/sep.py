@@ -130,15 +130,18 @@ def early_elementary_check(sub: Cts, basic: Cts,
     return None
 
 
-def _unify_same_name(subs: tuple[Cts, ...],
-                     stats: SepStats) -> tuple[Cts, ...] | None:
+def _unify_same_name(subs: tuple[Cts, ...], stats: SepStats,
+                     since: tuple[Cts, ...] | None = None
+                     ) -> tuple[Cts, ...] | None:
     """Same-name substructures of all members, unified; None when one of
-    them is or becomes empty. A lone member needs no unification."""
+    them is or becomes empty. A lone member needs no unification.
+    `since`, when given, is a unify fixpoint that each of `subs` refines
+    (see `unify`)."""
     if any(sub.is_empty for sub in subs):
         return None
     if len(subs) == 1:
         return subs
-    result = unify(subs)
+    result = unify(subs, since=since)
     stats.unify_waves += result.waves
     return result.structures   # None when the system emptied
 
@@ -150,19 +153,19 @@ def concordant_shift(system: HsSystem, edge: Edge,
     j, a, b = edge
     var = system.basic_perm.order[j + 3]
     beta = b & 1
+    tail = system.vsub[(j, a)]
     subs = _unify_same_name(
-        tuple(sub.concretize(var, beta) for sub in system.vsub[(j, a)]), stats)
+        tuple(sub.concretize(var, beta) for sub in tail), stats, since=tail)
     for s in range(j):
         if subs is None:
             return None
         tier = [system.vsub[(s, c)] for c in system.skeleton.codes(s)]
-        projected = tuple(
-            union_all([same_name[i].intersect(sub) for same_name in tier])
-            for i, sub in enumerate(subs))
+        projected = tuple(sub.project([same_name[i] for same_name in tier])
+                          for i, sub in enumerate(subs))
         # `subs` is a unify fixpoint (or a lone member), so a projection
         # that removed nothing needs no second unify
         if any(p.tiers != sub.tiers for p, sub in zip(projected, subs)):
-            subs = _unify_same_name(projected, stats)
+            subs = _unify_same_name(projected, stats, since=subs)
     return subs
 
 
@@ -217,12 +220,14 @@ def systemic_effective_procedure(
                                 for a in skeleton.up(v)]
                     subs = (tuple(map(union_all, zip(*incoming)))
                             if incoming else None)
+                    since = None
                 else:
                     pairs = vertex_values(system.basic_perm, v)
                     subs = tuple(s.concretize_many(pairs)
                                  for s in system.structures)
+                    since = system.structures
                 if subs is not None:
-                    subs = _unify_same_name(subs, stats)
+                    subs = _unify_same_name(subs, stats, since=since)
                 if subs is None:
                     skeleton.remove_vertex(v)
                     stats.pruned_vertices += 1

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, compress
+from operator import ne, or_
 from typing import Sequence
 
 from .cts import _KEEP as _KEEP_BIT
-from .cts import Cts
+from .cts import Cts, settle
 
 CAUSE_EMPTY_INPUT = "empty-input"
 CAUSE_CONSTANT_CONFLICT = "constant-conflict"
@@ -135,14 +137,21 @@ class _SystemContext:
     value combinations, are the same in every tier window that holds
     them (see `clear_masks`). So each variable and each pair keeps one
     window per structure: the lowest one that holds it.
+
+    `var_bits[i][t]` holds bit var-1 of every variable whose window in
+    structure i lies below tier t, and `pair_bits[i][t]` bit idx of
+    every pair `pair_entries[idx]` whose window there lies below tier
+    t; a window lies in tiers lo..hi when its bit is in
+    `bits[hi + 1] ^ bits[lo]`, and `pair_bits[i][-1]` holds the pairs
+    touching structure i.
     """
 
-    __slots__ = ("const_window", "pair_entries", "pairs_touching")
+    __slots__ = ("const_window", "pair_entries", "var_bits", "pair_bits")
 
     def __init__(self, perms):
         # const_window[i][var-1] = (tier, offset)
-        self.const_window = [[(p - 2, 2) if p > 2 else (0, p) for p in perm.pos]
-                             for perm in perms]
+        windows = _windows(len(perms[0]))
+        self.const_window = [[windows[p] for p in perm.pos] for perm in perms]
         # pair -> [(structure, tier, oa, ob), ...], pairs as sorted tuples
         by_pair: dict[tuple[int, int], list] = {}
         for i, perm in enumerate(perms):
@@ -157,10 +166,24 @@ class _SystemContext:
                         by_pair.setdefault((y, x), []).append((i, j, q - j, p - j))
         self.pair_entries = [homes for _, homes in sorted(by_pair.items())
                              if len(homes) >= 2]
-        self.pairs_touching = [[] for _ in perms]
+        tiers = len(perms[0]) - 2
+        var_at = [[0] * tiers for _ in perms]
+        for i, row in enumerate(self.const_window):
+            for v, (j, _) in enumerate(row):
+                var_at[i][j] |= 1 << v
+        pair_at = [[0] * tiers for _ in perms]
         for idx, homes in enumerate(self.pair_entries):
-            for i, _, _, _ in homes:
-                self.pairs_touching[i].append(idx)
+            for i, j, _, _ in homes:
+                pair_at[i][j] |= 1 << idx
+        self.var_bits = [tuple(accumulate(row, or_, initial=0)) for row in var_at]
+        self.pair_bits = [tuple(accumulate(row, or_, initial=0)) for row in pair_at]
+
+
+@lru_cache(maxsize=None)
+def _windows(n: int) -> tuple[tuple[int, int], ...]:
+    """(tier, offset) of the lowest window of each of n positions, shared
+    by every context over n variables."""
+    return tuple((p - 2, 2) if p > 2 else (0, p) for p in range(n))
 
 
 @lru_cache(maxsize=2048)
@@ -168,25 +191,40 @@ def _system_context(perms) -> _SystemContext:
     return _SystemContext(perms)
 
 
-def unify(structures: Sequence[Cts], sink=None) -> UnifyResult:
+def unify(structures: Sequence[Cts], sink=None,
+          since: Sequence[Cts] | None = None) -> UnifyResult:
     """Fixpoint of the joint transformation rules over the system.
 
     A single-structure system degenerates to clearing. Emptiness is a
     result, not an error: the outcome records the cause and, for an
     emptied tier, which structure and tier (1-based) collapsed first.
 
-    Only structures changed in the previous wave are re-examined; the
-    fixpoint of this monotone removal process is order-independent.
-    The masks stay cleared throughout, so both rules read a variable or
-    a pair from one window, the lowest that holds it, and restrict only
-    that window before clearing (see `clear_masks`). When the rule
-    allows no value there, that window empties, and it is the lowest
-    tier that restricting every window would have emptied.
-    A sink, when given, receives the system state before the first wave
-    and after every wave.
-    """
-    from .cts import clear_masks
+    Each wave applies rule 1 to the structures changed in the previous
+    wave (all of them in the first wave) and rule 2 to the pairs
+    touching those or the ones rule 1 changed; the fixpoint of this
+    monotone removal process is order-independent. The masks stay
+    cleared throughout, so both rules read a variable or a pair from
+    one window, the lowest that holds it, and restrict only that window
+    before clearing (`settle`). When the rule allows no value there,
+    that window empties, and it is the lowest tier that restricting
+    every window would have emptied.
 
+    A window is read only while stale, that is, changed since it was
+    last read; `settle` reports the tiers each removal changed. An
+    unchanged window repeats what its last read found, and the removals
+    that read called for are made, so skipping it changes nothing; the
+    windows of a fixed variable hold its value and are never read again.
+    Within a wave the candidates are found in variable (rule 1) and
+    pair (rule 2) order as the wave goes, so a window that went stale
+    earlier in the wave is still read in it, as in a full scan. With
+    `since`, a unify fixpoint over the same permutations that every
+    input structure refines, windows start stale only in the tiers
+    where the input differs from it (every window of a fixpoint has
+    been read and agrees); without it, every window starts stale.
+
+    A sink, when given, receives the system state before the first
+    wave and after every wave.
+    """
     if not structures:
         raise ValueError("need at least one structure")
     n = structures[0].n
@@ -201,57 +239,94 @@ def unify(structures: Sequence[Cts], sink=None) -> UnifyResult:
     if len(current) == 1:
         return UnifyResult((current[0],), waves=1)
 
+    k = len(current)
     ctx = _system_context(tuple(s.perm for s in structures))
+    const_window, pair_entries = ctx.const_window, ctx.pair_entries
+    var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
     masks = [list(s.tiers) for s in current]
+    if since is None:
+        stale_vars = [var_bits[i][-1] for i in range(k)]
+        stale_pairs = (1 << len(pair_entries)) - 1
+    else:
+        stale_vars = [0] * k
+        stale_pairs = 0
+        for i, (s, old) in enumerate(zip(current, since)):
+            if s.tiers == old.tiers:
+                continue
+            vb, pb = var_bits[i], pair_bits[i]
+            for t in compress(range(len(s.tiers)), map(ne, s.tiers, old.tiers)):
+                stale_vars[i] |= vb[t + 1] ^ vb[t]
+                stale_pairs |= pb[t + 1] ^ pb[t]
     if sink is not None:
         _emit_wave(sink, current, masks, 0)
-    fixed: dict[int, int] = {}
+    fixed = 0   # bit var-1 of every variable concretized everywhere
     waves = 0
-    dirty = set(range(len(current)))
+    dirty = set(range(k))
     while dirty:
         waves += 1
         touched: set[int] = set()
 
-        # rule 1: constants of dirty structures, concretized everywhere
+        # rule 1: stale windows of dirty structures, in variable order;
+        # a constant is concretized everywhere
         order = sorted(dirty)
-        for var in range(1, n + 1):
-            value = fixed.get(var)
-            new = False
+        pending = 0
+        for i in order:
+            pending |= stale_vars[i]
+        pending &= ~fixed
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            v = low.bit_length() - 1   # variable v + 1
+            value = None
             for i in order:
-                j, off = ctx.const_window[i][var - 1]
+                if not stale_vars[i] & low:
+                    continue
+                stale_vars[i] ^= low
+                j, off = const_window[i][v]
                 seen = _SEEN[off][masks[i][j]]
                 if seen == 3:
                     continue
-                c = 1 if seen == 2 else 0
                 if value is None:
-                    value = c
-                    new = True
-                elif value != c:
+                    value = seen >> 1
+                elif value != seen >> 1:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_CONSTANT_CONFLICT,
                                        structure_index=i)
-            if value is None or (var in fixed and not new):
+            if value is None:
                 continue
-            fixed[var] = value
+            fixed |= low
+            later = -(low << 1)   # the bits above low
             for i, m in enumerate(masks):
-                j, off = ctx.const_window[i][var - 1]
+                j, off = const_window[i][v]
                 kept = m[j] & _KEEP_BIT[off][value]
                 if kept == m[j]:
                     continue
                 m[j] = kept
-                _, zero = clear_masks(m)
-                if zero is not None:
+                lo, hi = settle(m, j)
+                if lo is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
                                        structure_index=i,
-                                       empty_tier=zero + 1)
+                                       empty_tier=hi + 1)
+                bits = (var_bits[i][hi + 1] ^ var_bits[i][lo]) & ~fixed
+                stale_vars[i] |= bits
+                stale_pairs |= pair_bits[i][hi + 1] ^ pair_bits[i][lo]
+                if i in dirty:
+                    pending |= bits & later
                 touched.add(i)
 
-        # rule 2: pair agreement for pairs touching a dirty structure
-        pair_idx = sorted({p for i in dirty | touched
-                           for p in ctx.pairs_touching[i]})
-        for idx in pair_idx:
-            homes = ctx.pair_entries[idx]
+        # rule 2: stale pairs touching a dirty or rule-1 changed
+        # structure, in pair order
+        scan = 0
+        for i in dirty | touched:
+            scan |= pair_bits[i][-1]
+        pending = stale_pairs & scan
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            stale_pairs ^= low
+            later = scan & -(low << 1)
+            homes = pair_entries[low.bit_length() - 1]
             rels = [_COMBOS[oa][ob][masks[i][j]] for i, j, oa, ob in homes]
             allowed = 15
             for rel in rels:
@@ -259,13 +334,18 @@ def unify(structures: Sequence[Cts], sink=None) -> UnifyResult:
             for (i, j, oa, ob), rel in zip(homes, rels):
                 if rel == allowed:
                     continue
-                masks[i][j] &= _PAIR_KEEP[oa][ob][allowed]
-                _, zero = clear_masks(masks[i])
-                if zero is not None:
+                m = masks[i]
+                m[j] &= _PAIR_KEEP[oa][ob][allowed]
+                lo, hi = settle(m, j)
+                if lo is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
                                        structure_index=i,
-                                       empty_tier=zero + 1)
+                                       empty_tier=hi + 1)
+                stale_vars[i] |= (var_bits[i][hi + 1] ^ var_bits[i][lo]) & ~fixed
+                bits = pair_bits[i][hi + 1] ^ pair_bits[i][lo]
+                stale_pairs |= bits
+                pending |= bits & later
                 touched.add(i)
         if sink is not None:
             _emit_wave(sink, current, masks, waves)

@@ -2,7 +2,9 @@
 
 Everything here works on plain sets of (tier, code-string) rows and
 brute-force enumeration, deliberately avoiding the package's bitmask
-machinery so the two paths can check each other.
+machinery so the two paths can check each other. The one exception is
+`reference_unify`, the full-scan form of `unify` on the same bitmask
+tables, kept to check the change-driven one field for field.
 """
 
 from __future__ import annotations
@@ -190,3 +192,109 @@ def naive_prune(tiers, edges):
         removed += 1
         queue.extend([(j - 1, a) for a in up] + [(j + 1, b) for b in down])
     return removed, None if empty is None else empty + 1, tiers, edges
+
+
+def reference_unify(structures):
+    """`ctsat.unify.unify` as a full scan, without a sink or `since`.
+
+    Every wave reads all variables of the structures changed in the
+    previous wave (every structure in the first wave) and every
+    co-tiered pair touching them, restricting one window and clearing
+    the whole structure after each removal. The fast `unify` must give
+    the same result field for field.
+    """
+    from ctsat.cts import _KEEP, Cts, clear_masks
+    from ctsat.unify import (_COMBOS, _PAIR_KEEP, _SEEN,
+                             CAUSE_CONSTANT_CONFLICT, CAUSE_EMPTY_INPUT,
+                             CAUSE_EMPTY_TIER, UnifyResult)
+
+    current = [s.clear() for s in structures]
+    for i, s in enumerate(current):
+        if s.is_empty:
+            return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,
+                               structure_index=i)
+    if len(current) == 1:
+        return UnifyResult((current[0],), waves=1)
+
+    # the lowest window of every variable and co-tiered pair
+    const_window = [[(p - 2, 2) if p > 2 else (0, p) for p in s.perm.pos]
+                    for s in current]
+    by_pair: dict = {}
+    for i, s in enumerate(current):
+        order = s.perm.order
+        for q in range(1, len(order)):
+            j = q - 2 if q > 2 else 0
+            for p in range(j, q):
+                x, y = order[p], order[q]
+                if x < y:
+                    by_pair.setdefault((x, y), []).append((i, j, p - j, q - j))
+                else:
+                    by_pair.setdefault((y, x), []).append((i, j, q - j, p - j))
+    pair_entries = [homes for _, homes in sorted(by_pair.items())
+                    if len(homes) >= 2]
+
+    n = current[0].n
+    masks = [list(s.tiers) for s in current]
+    fixed: dict[int, int] = {}
+    waves = 0
+    dirty = set(range(len(current)))
+    while dirty:
+        waves += 1
+        touched: set[int] = set()
+        order = sorted(dirty)
+        for var in range(1, n + 1):
+            value = fixed.get(var)
+            new = False
+            for i in order:
+                j, off = const_window[i][var - 1]
+                seen = _SEEN[off][masks[i][j]]
+                if seen == 3:
+                    continue
+                c = 1 if seen == 2 else 0
+                if value is None:
+                    value = c
+                    new = True
+                elif value != c:
+                    return UnifyResult(None, waves=waves,
+                                       cause=CAUSE_CONSTANT_CONFLICT,
+                                       structure_index=i)
+            if value is None or (var in fixed and not new):
+                continue
+            fixed[var] = value
+            for i, m in enumerate(masks):
+                j, off = const_window[i][var - 1]
+                kept = m[j] & _KEEP[off][value]
+                if kept == m[j]:
+                    continue
+                m[j] = kept
+                _, zero = clear_masks(m)
+                if zero is not None:
+                    return UnifyResult(None, waves=waves,
+                                       cause=CAUSE_EMPTY_TIER,
+                                       structure_index=i,
+                                       empty_tier=zero + 1)
+                touched.add(i)
+
+        scan = dirty | touched
+        for homes in pair_entries:
+            if not any(i in scan for i, _, _, _ in homes):
+                continue
+            rels = [_COMBOS[oa][ob][masks[i][j]] for i, j, oa, ob in homes]
+            allowed = 15
+            for rel in rels:
+                allowed &= rel
+            for (i, j, oa, ob), rel in zip(homes, rels):
+                if rel == allowed:
+                    continue
+                masks[i][j] &= _PAIR_KEEP[oa][ob][allowed]
+                _, zero = clear_masks(masks[i])
+                if zero is not None:
+                    return UnifyResult(None, waves=waves,
+                                       cause=CAUSE_EMPTY_TIER,
+                                       structure_index=i,
+                                       empty_tier=zero + 1)
+                touched.add(i)
+        dirty = touched
+
+    return UnifyResult(tuple(Cts._make(s.perm, tuple(m))
+                             for s, m in zip(current, masks)), waves=waves)

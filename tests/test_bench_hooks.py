@@ -64,5 +64,17 @@ def test_traced_classification_records_sep_spans(tracer_mod):
     assert names.count("hyper.prune") == (
         traced.tier + traced.detail["sep"]["recompute_rounds"])
     assert tracer.unify_waves["sep.unify"] == traced.detail["sep"]["unify_waves"]
+
+    # the instance above never unions two structures (its projections
+    # stop early); this one reaches extraction and calls every primitive
+    formula = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))
+    untraced = classify(formula)
+    tracer.install()
+    try:
+        traced = tracer.call("classify", classify, formula)
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr, _ in points] == originals
+    assert traced.to_json() == untraced.to_json()
     assert all(tracer.counts[name] > 0
                for name in tracer_mod.PRIMITIVE_NAMES)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctsat.cts import Cts, Perm, clear_masks
+from ctsat.cts import Cts, Perm, clear_masks, settle, union_all
 from ctsat.formula import bits_from_string
 
 from conftest import cts_from_rows
@@ -73,6 +73,82 @@ def test_clear_matches_naive_random_orders():
         else:
             emptied += 1
     assert emptied > 20 and kept > 20
+
+
+def random_cleared_masks(rng, n, density):
+    """Cleared, non-empty masks over n variables, or None."""
+    masks, zero = clear_masks([sum(1 << c for c in range(8)
+                                   if rng.random() < density)
+                               for _ in range(n - 2)])
+    return None if zero is not None else masks
+
+
+def test_settle_matches_clear_masks_after_one_tier_restriction():
+    # settle walks out from the restricted tier only; it must give
+    # clear_masks' masks and empty index, and a range covering every
+    # tier that changed
+    rng = random.Random(902)
+    emptied = kept = wide = 0
+    while emptied + kept < 4000:
+        n = rng.randint(3, 14)
+        before = random_cleared_masks(rng, n, rng.uniform(0.4, 0.9))
+        if before is None:
+            continue
+        j = rng.randrange(n - 2)
+        restricted = list(before)
+        restricted[j] &= rng.randrange(256)
+        if restricted[j] == before[j]:
+            continue
+        expected, zero = clear_masks(list(restricted))
+        got = list(restricted)
+        lo, hi = settle(got, j)
+        assert got == expected
+        if zero is not None:
+            emptied += 1
+            assert (lo, hi) == (None, zero)
+            continue
+        kept += 1
+        assert lo <= j <= hi
+        changed = [t for t in range(n - 2) if got[t] != before[t]]
+        assert all(lo <= t <= hi for t in changed)
+        assert {lo, hi} <= set(changed)
+        wide += hi > lo
+    assert emptied > 500 and kept > 500 and wide > 200
+
+
+def test_project_matches_union_of_intersections():
+    # Cts.project builds the union of t.intersect(sub) from raw masks
+    # and stops early; the targets mix supersets of sub, disjoint
+    # structures and partial overlaps
+    rng = random.Random(903)
+    shortcut = partial = 0
+    for _ in range(1500):
+        n = rng.randint(3, 10)
+        perm = Perm(rng.sample(range(1, n + 1), n))
+        masks = random_cleared_masks(rng, n, rng.uniform(0.5, 0.9))
+        if masks is None:
+            continue
+        sub = Cts(perm, masks)
+        targets = []
+        for _ in range(rng.randint(1, 5)):
+            kind = rng.random()
+            if kind < 0.15:
+                t = Cts.complete(perm)
+            else:
+                density = 0.9 if kind < 0.6 else 0.5
+                t = Cts(perm, [sum(1 << c for c in range(8)
+                                   if rng.random() < density)
+                               for _ in range(n - 2)]).clear()
+            targets.append(t)
+        expected = union_all([t.intersect(sub) for t in targets])
+        got = sub.project(targets)
+        assert got == expected
+        if got.tiers == sub.tiers:
+            assert got is sub
+            shortcut += 1
+        elif not got.is_empty:
+            partial += 1
+    assert shortcut > 100 and partial > 100
 
 
 # -- union / intersection ---------------------------------------------------

@@ -18,7 +18,7 @@ from ctsat.unify import unify
 
 import tabledata
 from naive import (cts_to_sets, joint_sat_set, naive_concretize,
-                   naive_project, naive_shift)
+                   naive_project, naive_shift, reference_unify)
 
 
 # -- early elementary check ------------------------------------------------------
@@ -271,9 +271,9 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
 
     calls = []
 
-    def counting_unify(structures, sink=None):
+    def counting_unify(structures, sink=None, since=None):
         calls.append(len(structures))
-        return unify(structures, sink=sink)
+        return unify(structures, sink=sink, since=since)
 
     monkeypatch.setattr(sep_mod, "unify", counting_unify)
     n = 8
@@ -319,8 +319,8 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
 
     waves = []
 
-    def counting_unify(structures, sink=None):
-        result = unify(structures, sink=sink)
+    def counting_unify(structures, sink=None, since=None):
+        result = unify(structures, sink=sink, since=since)
         waves.append(result.waves)
         return result
 
@@ -333,6 +333,38 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
     # the first call is the top-level unify of the whole system
     assert waves[0] == verdict.detail["unify_waves"]
     assert sum(waves[1:]) == verdict.detail["sep"]["unify_waves"]
+
+
+def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
+    # the SEP seeds its unify calls with the fixpoint each input refines
+    # (the tail vertex tuple of a shift, the tuple before a projection
+    # step, the members for a tier-0 vertex); every call must still give
+    # the full scan's result, field for field
+    import ctsat.sep as sep_mod
+
+    calls = {"seeded": 0, "full": 0}
+
+    def checked(structures, sink=None, since=None):
+        result = unify(structures, sink=sink, since=since)
+        expected = reference_unify(structures)
+        assert (result.structures, result.waves, result.cause,
+                result.structure_index, result.empty_tier) == (
+            expected.structures, expected.waves, expected.cause,
+            expected.structure_index, expected.empty_tier)
+        calls["full" if since is None else "seeded"] += 1
+        return result
+
+    monkeypatch.setattr(sep_mod, "unify", checked)
+    for params in (GenParams(n=12, m=70, mode="free", seed=20240676),
+                   GenParams(n=8, m=26, mode="sat", seed=20240722),
+                   GenParams(n=16, m=68, mode="sat", seed=3),
+                   GenParams(n=14, m=60, mode="free", seed=5),
+                   GenParams(n=20, m=100, mode="free", seed=1),
+                   GenParams(n=24, m=102, mode="sat", seed=0),
+                   GenParams(n=18, m=80, mode="sat", seed=2),
+                   GenParams(n=20, m=90, mode="sat", seed=7)):
+        classify(generate(params))
+    assert calls["seeded"] > 200 and calls["full"] > 100
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from ctsat.cts import Cts, Perm
 from ctsat.unify import (CAUSE_CONSTANT_CONFLICT, CAUSE_EMPTY_INPUT,
                          CAUSE_EMPTY_TIER, constant_of, pair_relation, unify)
 
-from naive import joint_sat_set
+from naive import joint_sat_set, reference_unify
 
 
 # -- constants ----------------------------------------------------------------
@@ -253,3 +254,66 @@ def test_unify_order_independence():
 def test_unify_reports_wave_counts(table_structures):
     result = unify(list(table_structures))
     assert result.waves >= 2  # at least one changing wave plus the quiet one
+
+
+def result_fields(result):
+    return (result.structures, result.waves, result.cause,
+            result.structure_index, result.empty_tier)
+
+
+def refine(rng: random.Random, fixpoint):
+    """The structures of a unify fixpoint, one to three of them
+    concretized on a free variable or stripped of one line of a tier
+    with several, and cleared."""
+    structures = list(fixpoint)
+    n = structures[0].n
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(structures))
+        s = structures[i]
+        if rng.random() < 0.5:
+            free = [v for v in range(1, n + 1) if constant_of(s, v) is None]
+            if free:
+                s = s.concretize(rng.choice(free), rng.randint(0, 1))
+        else:
+            wide = [j for j, m in enumerate(s.tiers) if m & (m - 1)]
+            if wide:
+                j = rng.choice(wide)
+                keep = [0xFF] * (n - 2)
+                keep[j] ^= 1 << rng.choice(s.tier_codes(j))
+                s = s.intersect(Cts(s.perm, keep))
+        structures[i] = s
+    return structures
+
+
+def test_unify_matches_the_full_scan_reference():
+    # unify reads only stale windows and clears outward from the
+    # restricted tier; the full scan in tests/naive.py restricts the
+    # same windows and clears whole structures. Every field must agree,
+    # from scratch and when seeded with the fixpoint a refinement came
+    # from
+    rng = random.Random(20260)
+    causes = Counter()
+    seeded = Counter()
+    multi_wave = 0
+    for _ in range(20000):
+        system = random_system(rng, rng.randint(5, 14), rng.randint(2, 5))
+        result = unify(system)
+        assert result_fields(result) == result_fields(reference_unify(system))
+        causes[result.cause] += 1
+        multi_wave += result.waves > 2
+        if result.empty:
+            continue
+        # seeded with nothing changed, the first wave reads nothing and
+        # is the one quiet wave
+        again = unify(result.structures, since=result.structures)
+        assert result_fields(again) == (result.structures, 1, None, None, None)
+        refined = refine(rng, result.structures)
+        again = unify(refined, since=result.structures)
+        assert result_fields(again) == result_fields(reference_unify(refined))
+        seeded[again.cause] += 1
+    assert min(causes[c] for c in (None, CAUSE_CONSTANT_CONFLICT,
+                                   CAUSE_EMPTY_TIER)) > 2000
+    assert multi_wave > 2000
+    assert seeded[None] > 2000 and seeded[CAUSE_CONSTANT_CONFLICT] > 300
+    assert seeded[CAUSE_EMPTY_TIER] > 10
+
