@@ -171,10 +171,10 @@ def _dispatch(args) -> int:
                 n_range=args.n_range, m_range=args.m_range,
                 m_ratio=args.m_ratio, count=args.count, seed=args.seed,
                 negation_fraction=args.neg)
+            report = difftest(params, args.out, jobs=args.jobs)
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1
-        report = difftest(params, args.out, jobs=args.jobs)
         print("\n".join(report.summary_lines()))
         return 0
 

@@ -128,6 +128,35 @@ class _Chain:
                 return True
         return False
 
+    def end_pairs(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The pairs a placed triple must contain: the first two
+        variables and the last two."""
+        return frozenset(self.vars[:2]), frozenset(self.vars[-2:])
+
+
+def _chains(triples: list[tuple[int, int, int]], n: int) -> list[_Chain]:
+    """Greedy first-fit chaining of the triples, in order: a triple
+    joins the first chain, in creation order, that takes it."""
+    chains: list[_Chain] = []
+    by_pair: dict[frozenset[int], list[int]] = {}   # end, start pair -> chains
+    for triple in triples:
+        a, b, c = triple
+        pairs = (frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
+        for i in sorted({i for p in pairs for i in by_pair.get(p, ())}):
+            chain = chains[i]
+            old = chain.end_pairs()
+            if chain.try_place(triple, n):
+                for p in old:
+                    by_pair[p].remove(i)
+                for p in chain.end_pairs():
+                    by_pair.setdefault(p, []).append(i)
+                break
+        else:
+            chains.append(_Chain(triple))
+            for p in chains[-1].end_pairs():
+                by_pair.setdefault(p, []).append(len(chains) - 1)
+    return chains
+
 
 def _pack(chains: list[_Chain]) -> list[list[_Chain]]:
     """First-fit packing of chains, in order, into permutations: a chain
@@ -156,7 +185,11 @@ def decompose(formula: TabularFormula) -> tuple[list[Ctf], DecompositionReport]:
     Groups (clauses sharing a variable triple, in triple order) are
     chained greedily, first fit: a group extends an existing chain when
     its triple overlaps the chain's end (or start) in two variables and
-    contributes one new variable; otherwise it starts a new chain. The
+    contributes one new variable; otherwise it starts a new chain. A
+    chain can take a triple only when its end or start pair lies inside
+    it, so the chains are indexed by those two pairs, and each group
+    tries only the chains listed under its three pairs, in creation
+    order; the chains are those of trying every chain in turn. The
     finished chains are then packed first-fit, in creation order, into
     shared permutations: a chain joins the first permutation whose
     chains it shares no variable with (the lengths of such chains sum
@@ -172,13 +205,8 @@ def decompose(formula: TabularFormula) -> tuple[list[Ctf], DecompositionReport]:
     w = len(groups)
     by_triple = dict(groups)
 
-    chains: list[_Chain] = []
-    for triple, _ in groups:
-        if not any(chain.try_place(triple, n) for chain in chains):
-            chains.append(_Chain(triple))
-
     ctfs = []
-    for packed in _pack(chains):
+    for packed in _pack(_chains([triple for triple, _ in groups], n)):
         order = [v for chain in packed for v in chain.vars]
         placed = set(order)
         order += [v for v in range(1, n + 1) if v not in placed]

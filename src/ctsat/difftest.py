@@ -166,8 +166,11 @@ def difftest(params: DifftestParams, out_dir: str | Path,
     """Run the sweep, archive findings, and write the reports.
 
     Results are independent of the worker count: instances derive all
-    randomness from (seed + index) and are merged in index order.
+    randomness from (seed + index) and are merged in index order. A
+    worker count below 1 raises `ValueError`.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %d" % jobs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

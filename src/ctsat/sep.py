@@ -131,12 +131,11 @@ def early_elementary_check(sub: Cts, basic: Cts,
 
 
 def _unify_same_name(subs: tuple[Cts, ...], stats: SepStats,
-                     since: tuple[Cts, ...] | None = None
-                     ) -> tuple[Cts, ...] | None:
+                     since: Sequence[Cts]) -> tuple[Cts, ...] | None:
     """Same-name substructures of all members, unified; None when one of
     them is or becomes empty. A lone member needs no unification.
-    `since`, when given, is a unify fixpoint that each of `subs` refines
-    (see `unify`)."""
+    `subs` are cleared, and `since` is a unify fixpoint that each of
+    them refines (see `unify`)."""
     if any(sub.is_empty for sub in subs):
         return None
     if len(subs) == 1:
@@ -193,6 +192,20 @@ def systemic_effective_procedure(
     into tier j, so it is repeated only when the prune changed a tier
     below j. The early elementary check can short-circuit the whole run
     with a witness.
+
+    Every unify call here is seeded with a fixpoint its input refines,
+    and every input is cleared: a concretization or a projection of a
+    cleared tuple, a union of cleared tuples. A tier-j vertex tuple
+    after the first tier is seeded with itself, because a tier-wise
+    union of unify fixpoints over the same permutations is one. At a
+    fixpoint the two rules agree everywhere: each variable shows the
+    same value set in every structure's window of it, and each pair
+    co-tiered in two or more structures the same combination set in
+    every home. A union keeps each line's support in the operand it
+    came from, so it is cleared, and its value and combination sets
+    are the unions of the operands' sets, so they still agree across
+    structures and neither rule removes anything. That call reads no
+    window and ends in its one quiet wave, with the tuple unchanged.
     """
     if not others:
         raise ValueError("need at least one non-basic structure")
@@ -220,7 +233,7 @@ def systemic_effective_procedure(
                                 for a in skeleton.up(v)]
                     subs = (tuple(map(union_all, zip(*incoming)))
                             if incoming else None)
-                    since = None
+                    since = subs   # a union of fixpoints (see above)
                 else:
                     pairs = vertex_values(system.basic_perm, v)
                     subs = tuple(s.concretize_many(pairs)

@@ -222,6 +222,12 @@ def unify(structures: Sequence[Cts], sink=None,
     where the input differs from it (every window of a fixpoint has
     been read and agrees); without it, every window starts stale.
 
+    With `since` the inputs must be cleared, and they are not cleared
+    again; an input with an empty tier still ends the call with
+    `CAUSE_EMPTY_INPUT`. Without it every input is cleared first. A
+    `since` of another length, or with another permutation at some
+    position, raises `ValueError`.
+
     A sink, when given, receives the system state before the first
     wave and after every wave.
     """
@@ -231,7 +237,16 @@ def unify(structures: Sequence[Cts], sink=None,
     if any(s.n != n for s in structures):
         raise ValueError("structures must share the variable count")
 
-    current = [s.clear() for s in structures]
+    if since is None:
+        current = [s.clear() for s in structures]
+    else:
+        if len(since) != len(structures):
+            raise ValueError("since has %d structures, the system %d"
+                             % (len(since), len(structures)))
+        if any(old.perm is not s.perm and old.perm != s.perm
+               for s, old in zip(structures, since)):
+            raise ValueError("since differs from the system in a permutation")
+        current = list(structures)
     for i, s in enumerate(current):
         if s.is_empty:
             return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,

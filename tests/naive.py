@@ -194,6 +194,32 @@ def naive_prune(tiers, edges):
     return removed, None if empty is None else empty + 1, tiers, edges
 
 
+def naive_chains(triples, n):
+    """Greedy first-fit chaining of sorted variable triples as a full
+    scan: each triple, in order, extends the first chain, in creation
+    order, whose last two (else first two) variables it holds and which
+    lacks its third, at that end; otherwise it starts a chain. A chain
+    of n variables takes nothing more. Returns (vars, groups) lists."""
+    chains = []
+    for triple in triples:
+        for chain, groups in chains:
+            if len(chain) >= n:
+                continue
+            new = [v for v in triple if v not in chain[-2:]]
+            if len(new) == 1 and new[0] not in chain:
+                chain.append(new[0])
+                groups.append(triple)
+                break
+            new = [v for v in triple if v not in chain[:2]]
+            if len(new) == 1 and new[0] not in chain:
+                chain.insert(0, new[0])
+                groups.append(triple)
+                break
+        else:
+            chains.append((list(triple), [triple]))
+    return chains
+
+
 def reference_unify(structures):
     """`ctsat.unify.unify` as a full scan, without a sink or `since`.
 

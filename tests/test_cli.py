@@ -90,6 +90,17 @@ def test_difftest_small_run(tmp_path, capsys):
     assert payload["soundness_violations"] == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_difftest_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    code, out, err = run(capsys, "difftest", "--n-range", "5..6",
+                         "--m-ratio", "3..4", "--count", "2",
+                         "--out", str(tmp_path / "dt"), "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    assert err == "error: jobs must be at least 1, got %s\n" % jobs
+    assert not (tmp_path / "dt").exists()
+
+
 def test_trace_matches_golden_files(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(FIXTURES / "worked8.cnf"),
                        "--trace", str(tmp_path / "tr"),

@@ -7,12 +7,12 @@ import time
 import pytest
 
 from ctsat.cts import Perm
-from ctsat.decompose import (Ctf, ctf_to_cts, decompose, decompose_with_plan,
-                             group_terms)
+from ctsat.decompose import (Ctf, _chains, ctf_to_cts, decompose,
+                             decompose_with_plan, group_terms)
 from ctsat.formula import Clause, GenParams, TabularFormula, generate
 
 import tabledata
-from naive import sat_set
+from naive import naive_chains, sat_set
 
 
 def ideal5_ctf() -> Ctf:
@@ -161,6 +161,25 @@ def test_decompose_packing_random_free_formulas():
         assert decompose(f) == (ctfs, report)
         for bits in f.assignments():
             assert all(c.evaluate(bits) for c in ctfs) == bool(f.evaluate(bits))
+
+
+def test_decompose_chains_match_the_full_scan():
+    # `decompose` offers each group only to the chains whose end or
+    # start pair its triple holds, in creation order; the full scan
+    # offers it to every chain in turn and must grow the same chains
+    rng = random.Random(4711)
+    full = grown_at_start = 0
+    for _ in range(300):
+        n = rng.randint(4, 40)
+        formula = generate(GenParams(n=n, m=rng.randint(3 * n, 6 * n),
+                                     seed=rng.randrange(1 << 30)))
+        triples = [triple for triple, _ in group_terms(formula)]
+        chains = [(chain.vars, chain.groups) for chain in _chains(triples, n)]
+        assert chains == naive_chains(triples, n)
+        full += sum(len(chain) == n for chain, _ in chains)
+        grown_at_start += sum(set(chain[:3]) != set(groups[0])
+                              for chain, groups in chains)
+    assert full > 30 and grown_at_start > 1000
 
 
 def test_decompose_soundness_random_instances():

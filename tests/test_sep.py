@@ -336,13 +336,15 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
 
 
 def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
-    # the SEP seeds its unify calls with the fixpoint each input refines
+    # the SEP seeds every unify call with the fixpoint its input refines
     # (the tail vertex tuple of a shift, the tuple before a projection
-    # step, the members for a tier-0 vertex); every call must still give
-    # the full scan's result, field for field
+    # step, the members for a tier-0 vertex, and a later tier's vertex
+    # tuple, a union of fixpoints, itself); every call must still give
+    # the full scan's result, field for field. Only classify's top-level
+    # unify runs unseeded
     import ctsat.sep as sep_mod
 
-    calls = {"seeded": 0, "full": 0}
+    calls = {"seeded": 0, "union": 0, "full": 0}
 
     def checked(structures, sink=None, since=None):
         result = unify(structures, sink=sink, since=since)
@@ -351,10 +353,18 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
                 result.structure_index, result.empty_tier) == (
             expected.structures, expected.waves, expected.cause,
             expected.structure_index, expected.empty_tier)
-        calls["full" if since is None else "seeded"] += 1
+        if since is None:
+            calls["full"] += 1
+        elif since is structures:
+            calls["union"] += 1
+            assert result.structures == tuple(structures)
+            assert result.waves == 1
+        else:
+            calls["seeded"] += 1
         return result
 
     monkeypatch.setattr(sep_mod, "unify", checked)
+    top = 0
     for params in (GenParams(n=12, m=70, mode="free", seed=20240676),
                    GenParams(n=8, m=26, mode="sat", seed=20240722),
                    GenParams(n=16, m=68, mode="sat", seed=3),
@@ -363,8 +373,9 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
                    GenParams(n=24, m=102, mode="sat", seed=0),
                    GenParams(n=18, m=80, mode="sat", seed=2),
                    GenParams(n=20, m=90, mode="sat", seed=7)):
-        classify(generate(params))
-    assert calls["seeded"] > 200 and calls["full"] > 100
+        top += "unify_waves" in classify(generate(params)).detail
+    assert calls["full"] == top
+    assert calls["seeded"] > 200 and calls["union"] > 100
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [

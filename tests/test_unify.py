@@ -317,3 +317,47 @@ def test_unify_matches_the_full_scan_reference():
     assert seeded[None] > 2000 and seeded[CAUSE_CONSTANT_CONFLICT] > 300
     assert seeded[CAUSE_EMPTY_TIER] > 10
 
+
+
+def test_unify_union_of_fixpoints_is_a_fixpoint():
+    # the SEP seeds the unify of a tier-j vertex tuple, a union of edge
+    # tuples, with the tuple itself: a tier-wise union of unify
+    # fixpoints over the same permutations is cleared and obeys both
+    # rules, so the full scan and the seeded call both return it
+    # unchanged in their one quiet wave
+    from ctsat.cts import union_all
+
+    rng = random.Random(7121)
+    unions = 0
+    for _ in range(18000):
+        system = random_system(rng, rng.randint(5, 14), rng.randint(2, 5))
+        result = unify(system)
+        if result.empty:
+            continue
+        operands = []
+        for _ in range(rng.randint(2, 3)):
+            refined = unify(refine(rng, result.structures))
+            if not refined.empty:
+                operands.append(refined.structures)
+        if not operands:
+            continue
+        union = tuple(map(union_all, zip(*operands)))
+        quiet = (union, 1, None, None, None)
+        assert result_fields(reference_unify(union)) == quiet
+        assert result_fields(unify(union, since=union)) == quiet
+        unions += len(set(operands)) >= 2
+    assert unions >= 2000
+
+
+def test_unify_rejects_a_mismatched_since():
+    rng = random.Random(12)
+    system = random_system(rng, 7, 3)
+    fixpoint = unify(system).structures
+    with pytest.raises(ValueError, match="since has 1 structures"):
+        unify(system, since=fixpoint[:1])
+    with pytest.raises(ValueError, match="permutation"):
+        unify(system, since=fixpoint[1:] + fixpoint[:1])
+    # equal permutations pass even when they are distinct objects
+    copies = [Cts(Perm(s.perm.order), s.tiers) for s in fixpoint]
+    assert result_fields(unify(copies, since=fixpoint)) == (
+        fixpoint, 1, None, None, None)
