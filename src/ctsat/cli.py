@@ -138,7 +138,11 @@ def _dispatch(args) -> int:
 
     if args.command == "oracle":
         formula = _load_formula(args.file)
-        result = dpll(formula) if args.engine == "dpll" else brute_force(formula)
+        try:
+            result = dpll(formula) if args.engine == "dpll" else brute_force(formula)
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
         if result.satisfiable:
             print("verdict: satisfiable")
             print("witness: %s" % "".join(map(str, result.witness)))

@@ -9,12 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .formula import Bits, TabularFormula
 
 BRUTE_FORCE_MAX_N = 24
-_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -30,37 +27,41 @@ class OracleResult:
             raise ValueError("unsatisfiable result cannot carry a witness")
 
 
-def _index_to_bits(index: int, n: int) -> Bits:
-    return tuple((index >> (n - 1 - k)) & 1 for k in range(n))
-
-
-def brute_force(formula: TabularFormula, max_n: int = BRUTE_FORCE_MAX_N) -> OracleResult:
-    """Exhaustive scan of all 2^n assignments with an exact model count.
+def brute_force(formula: TabularFormula) -> OracleResult:
+    """Bit-parallel exhaustive model counting over all 2^n assignments.
 
     Assignment i maps x1 to the most significant of n bits, matching
-    `TabularFormula.assignments`. Vectorized in chunks.
+    `TabularFormula.assignments`. Each variable's column is one int with
+    bit i set when the variable is 1 in assignment i. A clause clears
+    from the satisfying set the AND of its columns, or their
+    complements, one per entry. The model count is the satisfying set's
+    popcount; the witness is its lowest assignment.
     """
     n = formula.n
-    if n > max_n:
-        raise ValueError("brute force bound exceeded: n=%d > %d" % (n, max_n))
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError("brute force bound exceeded: n=%d > %d"
+                         % (n, BRUTE_FORCE_MAX_N))
     total = 1 << n
-    count = 0
-    witness = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        sat = np.ones(idx.shape, dtype=bool)
-        for clause in formula.clauses:
-            falsified = np.ones(idx.shape, dtype=bool)
-            for v, mark in clause.entries:
-                bit = (idx >> np.uint32(n - v)) & np.uint32(1)
-                falsified &= bit == mark
-            sat &= ~falsified
-        count += int(sat.sum())
-        if witness is None and sat.any():
-            witness = _index_to_bits(int(idx[sat.argmax()]), n)
-    if witness is None:
+    full = (1 << total) - 1
+    columns = [0] * (n + 1)
+    for v in range(1, n + 1):
+        half = 1 << (n - v)  # runs of zeros and ones alternate every half
+        column, width = ((1 << half) - 1) << half, 2 * half
+        while width < total:
+            column |= column << width
+            width *= 2
+        columns[v] = column
+    sat = full
+    for clause in formula.clauses:
+        falsified = sat  # only assignments still satisfying can drop out
+        for v, mark in clause.entries:
+            falsified &= columns[v] if mark else full ^ columns[v]
+        sat ^= falsified
+    if not sat:
         return OracleResult(False, None, 0)
-    return OracleResult(True, witness, count)
+    i = (sat & -sat).bit_length() - 1
+    witness = tuple((i >> (n - v)) & 1 for v in range(1, n + 1))
+    return OracleResult(True, witness, sat.bit_count())
 
 
 def dpll(formula: TabularFormula) -> OracleResult:

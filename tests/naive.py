@@ -2,14 +2,17 @@
 
 Everything here works on plain sets of (tier, code-string) rows and
 brute-force enumeration, deliberately avoiding the package's bitmask
-machinery so the two paths can check each other. The one exception is
-`reference_unify`, the full-scan form of `unify` on the same bitmask
-tables, kept to check the change-driven one field for field.
+machinery so the two paths can check each other. The exceptions read
+structures' tier masks directly: `constant_of` and `pair_relation`,
+which state unify's fixpoint per structure, and `reference_unify`, the
+full-scan form of `unify` on the same bitmask tables, kept to check the
+change-driven one field for field.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import product
 
 
@@ -218,6 +221,52 @@ def naive_chains(triples, n):
         else:
             chains.append((list(triple), [triple]))
     return chains
+
+
+@dataclass(frozen=True)
+class PairRelation:
+    """Allowed value combinations for an ordered variable pair."""
+
+    vars: tuple[int, int]
+    allowed: frozenset[tuple[int, int]]
+
+
+def constant_of(structure, var: int) -> int | None:
+    """0 or 1 when every line in every tier covering var carries that
+    value; None when both values occur. Requires a non-empty structure."""
+    if structure.is_empty:
+        raise ValueError("constant is undefined on an empty structure")
+    p = structure.perm.position(var)
+    last = len(structure.tiers) - 1
+    seen = 0
+    for j in range(max(0, p - 2), min(last, p) + 1):
+        bit = 4 >> (p - j)
+        m = structure.tiers[j]
+        for c in range(8):
+            if m >> c & 1:
+                seen |= 2 if c & bit else 1
+        if seen == 3:
+            return None
+    return None if seen == 3 else (1 if seen == 2 else 0)
+
+
+def pair_relation(structure, a: int, b: int) -> PairRelation | None:
+    """Value combinations for (a, b) intersected over all tiers holding
+    both variables; None when the pair is never co-tiered."""
+    if structure.is_empty:
+        raise ValueError("pair relation is undefined on an empty structure")
+    pa = structure.perm.position(a)
+    pb = structure.perm.position(b)
+    if abs(pa - pb) > 2:
+        return None
+    last = len(structure.tiers) - 1
+    allowed: set[tuple[int, int]] | None = None
+    for j in range(max(0, max(pa, pb) - 2), min(last, min(pa, pb)) + 1):
+        m = structure.tiers[j]
+        sa, sb = 2 - (pa - j), 2 - (pb - j)
+        combos = {((c >> sa) & 1, (c >> sb) & 1) for c in range(8) if m >> c & 1}
+        allowed = combos if allowed is None else allowed & combos
+    return PairRelation((a, b), frozenset(allowed or ()))
 
 
 def reference_unify(structures):

@@ -70,6 +70,16 @@ def test_oracle_both_engines(capsys):
     assert "models: 22" in out
 
 
+def test_oracle_brute_reports_the_bound(tmp_path, capsys):
+    target = tmp_path / "n25.cnf"
+    code, _, _ = run(capsys, "gen", "--n", "25", "--m", "30", "-o", str(target))
+    assert code == 0
+    code, out, err = run(capsys, "oracle", str(target), "--engine", "brute")
+    assert code == 1
+    assert out == ""
+    assert err == "error: brute force bound exceeded: n=25 > 24\n"
+
+
 def test_difftest_empty_run(tmp_path, capsys):
     code, out, _ = run(capsys, "difftest", "--n-range", "5..6",
                        "--m-ratio", "3..4", "--count", "0",

@@ -18,8 +18,8 @@ from ctsat.unify import unify
 
 import tabledata
 from conftest import cts_from_rows
-from naive import (adjoins, cts_to_sets, joint_sat_set, naive_project,
-                   naive_prune, naive_shift)
+from naive import (adjoins, constant_of, cts_to_sets, joint_sat_set,
+                   naive_project, naive_prune, naive_shift)
 
 
 # -- basic graph ---------------------------------------------------------------
@@ -198,7 +198,6 @@ def test_shift_empty_concretization_short_circuits(unified_pair):
 
 
 def constant_bit(s: Cts, var: int) -> int:
-    from ctsat.unify import constant_of
     v = constant_of(s, var)
     assert v is not None
     return v

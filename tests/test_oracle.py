@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import ctsat
 from ctsat.formula import Clause, GenParams, TabularFormula, generate
 from ctsat.oracle import OracleResult, brute_force, dpll
 
@@ -43,6 +47,45 @@ def test_brute_force_bound_guard():
 def test_brute_force_witness_is_lowest_index(worked5):
     result = brute_force(worked5)
     assert result.witness == min(sat_set(worked5))
+
+
+def test_brute_force_matches_the_naive_scan():
+    rng = random.Random(4471)
+    formulas = [TabularFormula(3, ())]
+    for trial in range(330):
+        n = 3 + trial % 10
+        mode = ("free", "sat", "unsat")[trial // 10 % 3]
+        m = rng.randint(8 if mode == "unsat" else 1, 5 * n)
+        formulas.append(generate(GenParams(n=n, m=m, mode=mode, seed=trial)))
+    unsat = 0
+    for f in formulas:
+        models = sat_set(f)
+        result = brute_force(f)
+        assert result.model_count == len(models)
+        assert result.satisfiable == bool(models)
+        if models:
+            assert result.witness == min(models)
+        else:
+            assert result.witness is None
+            unsat += 1
+    assert 50 < unsat < len(formulas) - 50  # both outcomes well covered
+
+
+def test_package_imports_only_the_standard_library():
+    # __mp_main__ is multiprocessing's alias of __main__
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ctsat, ctsat.cli, ctsat.difftest, ctsat.oracle\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(m for m in loaded - sys.stdlib_module_names\n"
+        "             if m not in ('ctsat', '__mp_main__')))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_dpll_ideal5_witness():

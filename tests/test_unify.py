@@ -8,9 +8,9 @@ import pytest
 
 from ctsat.cts import Cts, Perm
 from ctsat.unify import (CAUSE_CONSTANT_CONFLICT, CAUSE_EMPTY_INPUT,
-                         CAUSE_EMPTY_TIER, constant_of, pair_relation, unify)
+                         CAUSE_EMPTY_TIER, unify)
 
-from naive import joint_sat_set, reference_unify
+from naive import constant_of, joint_sat_set, pair_relation, reference_unify
 
 
 # -- constants ----------------------------------------------------------------
