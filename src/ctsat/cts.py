@@ -7,15 +7,40 @@ of the 8 value triplets, encoded as one 8-bit mask (triplet (b1,b2,b3)
 Lines at adjacent tiers adjoin when their two overlapping values
 coincide; chains of adjoining lines spell full assignments.
 
+A `Cts` stores its n-2 masks packed in one int, tier j in byte j (bits
+8j..8j+7), so a tier-wise union is one OR and a tier-wise intersection
+one AND. Only this module knows that layout: `Cts.tiers` is the derived
+tuple of masks, and `Cts.masks` / `Cts.with_masks` hand mutable mask
+lists to callers that edit single tiers (`ctsat.unify`). The constants
+of the packed form depend only on the tier count; each `Perm` holds
+the `Layout` of its width, built once per width.
+
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty
 assignment set; the canonical empty structure has every tier zeroed.
+Two kernels compute it:
+
+- `clear_packed` works on the packed int. One step finds, in every tier
+  at once, the lines with a successor in the next tier and those with a
+  predecessor in the previous one (mask-and-shift steps on the byte
+  lanes; the last and the first tier are exempt from the respective
+  test) and keeps the lines that have both. It repeats the step until
+  nothing changes and returns 0 as soon as the has-zero-byte test
+  (Warren, Hacker's Delight, ch. 6) finds an empty tier. Every `Cts`
+  operation clears with it.
+- `clear_masks` works on a list of masks, with one backward and one
+  forward pass. It alone reports the first tier that emptied, which
+  `ctsat.decompose` reports as evidence; the tests use it as the
+  reference for `clear_packed`.
+
+Both reach the same result, the greatest subset of the input in which
+every line has its support; the argument is in `clear_packed`.
 """
 
 from __future__ import annotations
 
-from operator import and_, or_
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 Bits = tuple[int, ...]
 
@@ -136,10 +161,81 @@ def settle(masks: list[int], j: int) -> tuple[int | None, int]:
     return lo, hi
 
 
-class Perm:
-    """A permutation of the variables 1..n with O(1) position lookup."""
+class Layout(NamedTuple):
+    """Constants of the packed form of `tiers` masks, tier j in byte j.
+    The byte-lane fields repeat one byte in every tier."""
 
-    __slots__ = ("order", "pos")
+    tiers: int
+    lsb: int     # 0x01 in every tier
+    msb: int     # 0x80 in every tier
+    even: int    # 0x55 in every tier
+    pairs: int   # 0x33 in every tier
+    low: int     # 0x0F in every tier
+    first: int   # 0xFF in tier 0
+    last: int    # 0xFF in the last tier
+
+
+@lru_cache(maxsize=None)
+def layout(tiers: int) -> Layout:
+    """The packed-form constants for `tiers` tiers, one object per width."""
+    lsb = int.from_bytes(b"\x01" * tiers, "little")
+    return Layout(tiers, lsb, 0x80 * lsb, 0x55 * lsb, 0x33 * lsb, 0x0F * lsb,
+                  TIER_FULL if tiers else 0,
+                  TIER_FULL << 8 * (tiers - 1) if tiers else 0)
+
+
+def clear_packed(x: int, lay: Layout) -> int:
+    """Clear packed masks: the bit-parallel form of `clear_masks`.
+
+    Returns the cleared packed masks, or 0 (every tier zeroed) when a
+    tier empties. Each step keeps, in every tier at once, the lines
+    that have a successor in the next tier (the last tier is exempt)
+    and a predecessor in the previous one (the first tier is exempt),
+    and the steps repeat until one removes nothing. Before each step
+    the has-zero-byte test ((x - lsb) & ~x & msb, non-zero exactly when
+    some byte of x is zero) looks for an empty tier.
+
+    Same fixpoint as `clear_masks`: call a set of lines closed when
+    each of its lines has its support inside the set. Closed subsets of
+    the input are closed under union, so there is a greatest one, G,
+    and `clear_masks` returns G (see there). A step maps x to x & S(x),
+    and S, the lines supported by x, only grows with x. If G lies in x,
+    then G = G & S(G) lies in x & S(x), so G lies in every step's
+    result; the steps shrink x until one removes nothing, and then x is
+    closed and lies in G. So the steps end at G. An empty tier leaves
+    its neighbours' lines without support, so a closed set with an
+    empty tier is empty throughout: once a tier of x is empty, G is 0,
+    which is returned at once.
+    """
+    _, lsb, msb, even, pairs, low, first, last = lay
+    while not (x - lsb) & ~x & msb:
+        # t has a successor u in the next tier when u >> 1 == t & 3:
+        # fold each bit pair (2h, 2h+1) of the next tier into bit h,
+        # then copy bits 0..3 to bits 4..7
+        y = x >> 8
+        y = (y | y >> 1) & even
+        y = (y | y >> 1) & pairs
+        y = (y | y >> 2) & low
+        keep = y | y << 4 | last
+        # u has a predecessor t in the previous tier when t & 3 == u >> 1:
+        # fold bits 4..7 onto bits 0..3, then spread bit h to bits 2h
+        # and 2h+1 of the next tier
+        y = (x | x >> 4) & low
+        y = (y | y << 2) & pairs
+        y = (y | y << 1) & even
+        keep &= (y | y << 1) << 8 | first
+        y = x & keep
+        if y == x:
+            return x
+        x = y
+    return 0
+
+
+class Perm:
+    """A permutation of the variables 1..n with O(1) position lookup and
+    the packed-form `Layout` of its n-2 tiers."""
+
+    __slots__ = ("order", "pos", "layout")
 
     def __init__(self, order: Sequence[int]):
         order = tuple(order)
@@ -151,6 +247,7 @@ class Perm:
             pos[v - 1] = i
         self.order = order
         self.pos = tuple(pos)
+        self.layout = layout(max(n - 2, 0))
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -178,10 +275,11 @@ class Cts:
 
     Instances are immutable values; all operations return new
     structures. The constructor stores masks as given (fixtures may
-    hold uncleared data); `clear` normalizes.
+    hold uncleared data); `clear` normalizes. The masks are held packed
+    in `packed` (see the module docstring); `tiers` unpacks them.
     """
 
-    __slots__ = ("perm", "tiers")
+    __slots__ = ("perm", "packed")
 
     def __init__(self, perm: Perm, tiers: Sequence[int]):
         tiers = tuple(tiers)
@@ -190,16 +288,16 @@ class Cts:
         if any(not 0 <= m <= TIER_FULL for m in tiers):
             raise ValueError("tier masks must fit in 8 bits")
         self.perm = perm
-        self.tiers = tiers
+        self.packed = int.from_bytes(bytes(tiers), "little")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, perm: Perm, tiers: tuple[int, ...]) -> "Cts":
+    def _make(cls, perm: Perm, packed: int) -> "Cts":
         """Internal fast path: trusts the caller, skips validation."""
         obj = object.__new__(cls)
         obj.perm = perm
-        obj.tiers = tiers
+        obj.packed = packed
         return obj
 
     @classmethod
@@ -231,6 +329,22 @@ class Cts:
             masks.append(1 << code)
         return cls(perm, masks)
 
+    # -- tier masks ---------------------------------------------------
+
+    @property
+    def tiers(self) -> tuple[int, ...]:
+        """The tier masks, tier 0 first."""
+        return tuple(self.packed.to_bytes(self.perm.layout.tiers, "little"))
+
+    def masks(self) -> list[int]:
+        """The tier masks as a new list, for editing single tiers."""
+        return list(self.packed.to_bytes(self.perm.layout.tiers, "little"))
+
+    def with_masks(self, masks: Sequence[int]) -> "Cts":
+        """A structure over this permutation holding `masks`, as stored
+        (no validation, no clearing)."""
+        return Cts._make(self.perm, int.from_bytes(bytes(masks), "little"))
+
     # -- basic properties ---------------------------------------------
 
     @property
@@ -239,28 +353,33 @@ class Cts:
 
     @property
     def is_empty(self) -> bool:
-        return 0 in self.tiers
+        x, lay = self.packed, self.perm.layout
+        return bool((x - lay.lsb) & ~x & lay.msb)
 
     def is_elementary(self) -> bool:
         """One line per tier (and none empty)."""
-        return all(m != 0 and m & (m - 1) == 0 for m in self.tiers)
+        x, lay = self.packed, self.perm.layout
+        # with no zero byte, x - lsb subtracts 1 in every byte, borrowing
+        # nothing from the next
+        return not (x - lay.lsb) & ~x & lay.msb and not x & (x - lay.lsb)
 
     def line_count(self) -> int:
-        return sum(m.bit_count() for m in self.tiers)
+        return self.packed.bit_count()
 
     def tier_codes(self, j: int) -> list[int]:
-        m = self.tiers[j]
+        m = self.packed >> 8 * j & TIER_FULL
         return [c for c in range(8) if m >> c & 1]
 
     def lines(self) -> list[tuple[int, int]]:
-        return [(j, c) for j in range(len(self.tiers)) for c in self.tier_codes(j)]
+        return [(j, c) for j in range(self.perm.layout.tiers)
+                for c in self.tier_codes(j)]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Cts) and self.perm == other.perm
-                and self.tiers == other.tiers)
+        return (isinstance(other, Cts) and self.packed == other.packed
+                and self.perm == other.perm)
 
     def __hash__(self) -> int:
-        return hash((self.perm, self.tiers))
+        return hash((self.perm, self.packed))
 
     def __repr__(self) -> str:
         return "Cts(%r, %s)" % (self.perm.order,
@@ -269,7 +388,7 @@ class Cts:
     def equivalent(self, other: "Cts") -> int:
         """1 iff tier-wise set equality; requires matching permutations."""
         self._check_perm(other)
-        return int(self.tiers == other.tiers)
+        return int(self.packed == other.packed)
 
     def _check_perm(self, other: "Cts") -> None:
         if self.perm != other.perm:
@@ -279,22 +398,21 @@ class Cts:
     # -- the algebra ---------------------------------------------------
 
     def clear(self) -> "Cts":
-        masks, _ = clear_masks(list(self.tiers))
-        return Cts._make(self.perm, tuple(masks))
+        return Cts._make(self.perm, clear_packed(self.packed, self.perm.layout))
 
     def union(self, other: "Cts") -> "Cts":
         """Tier-wise set union. No clearing (union of cleared operands
         is already cleared; raw operands stay raw)."""
         if other.perm is not self.perm:
             self._check_perm(other)
-        return Cts._make(self.perm, tuple(map(or_, self.tiers, other.tiers)))
+        return Cts._make(self.perm, self.packed | other.packed)
 
     def intersect(self, other: "Cts") -> "Cts":
         """Tier-wise set intersection followed by clearing."""
         if other.perm is not self.perm:
             self._check_perm(other)
-        masks, _ = clear_masks(list(map(and_, self.tiers, other.tiers)))
-        return Cts._make(self.perm, tuple(masks))
+        return Cts._make(self.perm, clear_packed(self.packed & other.packed,
+                                                 self.perm.layout))
 
     def concretize(self, var: int, value: int) -> "Cts":
         """Fix a variable to a constant, dropping contradicting lines,
@@ -308,40 +426,34 @@ class Cts:
         Only the lowest tier holding each variable is restricted: every
         full chain passes through that tier, so clearing removes the
         lines of the other tiers that contradict the value."""
-        masks = list(self.tiers)
+        x = self.packed
         pos = self.perm.pos
         for var, value in pairs:
             p = pos[var - 1]
             j = p - 2 if p > 2 else 0
-            masks[j] &= _KEEP[p - j][value]
-        masks, _ = clear_masks(masks)
-        return Cts._make(self.perm, tuple(masks))
+            x &= ~((TIER_FULL ^ _KEEP[p - j][value]) << 8 * j)
+        return Cts._make(self.perm, clear_packed(x, self.perm.layout))
 
     def project(self, targets: Iterable["Cts"]) -> "Cts":
         """The union of t.intersect(self) over targets, for a cleared self.
 
-        Built from raw masks: a target whose AND with self has a zero
-        tier adds nothing, a target that contains self tier-wise gives
-        self, and only the other pieces are cleared. Every piece lies in
+        Built from raw masks: a target that contains self tier-wise
+        gives self, and only the other pieces are cleared (a piece with
+        an empty tier clears to nothing at once). Every piece lies in
         self, so the union stops growing once it equals self.
         """
-        whole = list(self.tiers)
-        acc = None
+        whole, lay = self.packed, self.perm.layout
+        acc = 0
         for t in targets:
             if t.perm is not self.perm:
                 self._check_perm(t)
-            raw = list(map(and_, t.tiers, whole))
-            if 0 in raw:
-                continue
+            raw = t.packed & whole
             if raw == whole:
                 return self
-            piece, zero = clear_masks(raw)
-            if zero is not None:
-                continue
-            acc = piece if acc is None else list(map(or_, acc, piece))
+            acc |= clear_packed(raw, lay)
             if acc == whole:
                 return self
-        return Cts._make(self.perm, tuple(acc) if acc else (0,) * len(whole))
+        return Cts._make(self.perm, acc)
 
     # -- assignment views ----------------------------------------------
 

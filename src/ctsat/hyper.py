@@ -168,7 +168,7 @@ def basic_graph(structure: Cts) -> TierGraph:
     line, edges between adjoining lines of adjacent tiers."""
     if structure.is_empty:
         raise ValueError("empty structure has no basic graph")
-    if structure.clear().tiers != structure.tiers:
+    if structure.clear() != structure:
         raise ValueError("basic structure must be cleared")
     return TierGraph(structure.tiers)
 

@@ -163,7 +163,7 @@ def concordant_shift(system: HsSystem, edge: Edge,
                           for i, sub in enumerate(subs))
         # `subs` is a unify fixpoint (or a lone member), so a projection
         # that removed nothing needs no second unify
-        if any(p.tiers != sub.tiers for p, sub in zip(projected, subs)):
+        if any(p.packed != sub.packed for p, sub in zip(projected, subs)):
             subs = _unify_same_name(projected, stats, since=subs)
     return subs
 
@@ -204,8 +204,8 @@ def systemic_effective_procedure(
     every home. A union keeps each line's support in the operand it
     came from, so it is cleared, and its value and combination sets
     are the unions of the operands' sets, so they still agree across
-    structures and neither rule removes anything. That call reads no
-    window and ends in its one quiet wave, with the tuple unchanged.
+    structures and neither rule removes anything. That call returns
+    the tuple unchanged, in its one quiet wave.
     """
     if not others:
         raise ValueError("need at least one non-basic structure")

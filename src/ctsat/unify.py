@@ -178,9 +178,11 @@ def unify(structures: Sequence[Cts], sink=None,
 
     With `since` the inputs must be cleared, and they are not cleared
     again; an input with an empty tier still ends the call with
-    `CAUSE_EMPTY_INPUT`. Without it every input is cleared first. A
-    `since` of another length, or with another permutation at some
-    position, raises `ValueError`.
+    `CAUSE_EMPTY_INPUT`. Inputs that all equal `since` are returned at
+    once, in the one wave that would read nothing, unless a sink is
+    given. Without `since` every input is cleared first. A `since` of
+    another length, or with another permutation at some position,
+    raises `ValueError`.
 
     A sink, when given, receives the system state before the first
     wave and after every wave.
@@ -207,23 +209,27 @@ def unify(structures: Sequence[Cts], sink=None,
                                structure_index=i)
     if len(current) == 1:
         return UnifyResult((current[0],), waves=1)
+    if since is not None and sink is None and all(
+            s.packed == old.packed for s, old in zip(current, since)):
+        # no window starts stale: the one wave would read nothing
+        return UnifyResult(tuple(current), waves=1)
 
     k = len(current)
     ctx = _system_context(tuple(s.perm for s in structures))
     const_window, pair_entries = ctx.const_window, ctx.pair_entries
     var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
-    masks = [list(s.tiers) for s in current]
+    masks = [s.masks() for s in current]
     if since is None:
         stale_vars = [var_bits[i][-1] for i in range(k)]
         stale_pairs = (1 << len(pair_entries)) - 1
     else:
         stale_vars = [0] * k
         stale_pairs = 0
-        for i, (s, old) in enumerate(zip(current, since)):
-            if s.tiers == old.tiers:
+        for i, (s, m, old) in enumerate(zip(current, masks, since)):
+            if s.packed == old.packed:
                 continue
             vb, pb = var_bits[i], pair_bits[i]
-            for t in compress(range(len(s.tiers)), map(ne, s.tiers, old.tiers)):
+            for t in compress(range(len(m)), map(ne, m, old.tiers)):
                 stale_vars[i] |= vb[t + 1] ^ vb[t]
                 stale_pairs |= pb[t + 1] ^ pb[t]
     if sink is not None:
@@ -320,8 +326,7 @@ def unify(structures: Sequence[Cts], sink=None,
             _emit_wave(sink, current, masks, waves)
         dirty = touched
 
-    result = tuple(Cts._make(s.perm, tuple(m))
-                   for s, m in zip(current, masks))
+    result = tuple(s.with_masks(m) for s, m in zip(current, masks))
     return UnifyResult(result, waves=waves)
 
 
@@ -329,5 +334,5 @@ def _emit_wave(sink, current, masks, wave: int) -> None:
     parts = []
     for i, (s, m) in enumerate(zip(current, masks), start=1):
         parts.append("S%d:" % i)
-        parts.append(Cts._make(s.perm, tuple(m)).render())
+        parts.append(s.with_masks(m).render())
     sink.write("unify_wave_%02d" % wave, "\n".join(parts))

@@ -371,5 +371,5 @@ def reference_unify(structures):
                 touched.add(i)
         dirty = touched
 
-    return UnifyResult(tuple(Cts._make(s.perm, tuple(m))
-                             for s, m in zip(current, masks)), waves=waves)
+    return UnifyResult(tuple(Cts(s.perm, m) for s, m in zip(current, masks)),
+                       waves=waves)

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctsat.cts import Cts, Perm, clear_masks, settle, union_all
+from ctsat.cts import (Cts, Perm, clear_masks, clear_packed, layout,
+                       settle, union_all)
 from ctsat.formula import bits_from_string
 
 from conftest import cts_from_rows
@@ -149,6 +150,111 @@ def test_project_matches_union_of_intersections():
         elif not got.is_empty:
             partial += 1
     assert shortcut > 100 and partial > 100
+
+
+# -- the packed kernel ---------------------------------------------------------
+
+DENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+def random_masks(rng, tiers, density):
+    return [sum(1 << c for c in range(8) if rng.random() < density)
+            for _ in range(tiers)]
+
+
+def packed_clear(masks):
+    """clear_packed on a mask list, unpacked again."""
+    tiers = len(masks)
+    out = clear_packed(int.from_bytes(bytes(masks), "little"), layout(tiers))
+    return list(out.to_bytes(tiers, "little"))
+
+
+def test_clear_packed_matches_clear_masks_and_naive():
+    # every width from 1 to 48 tiers at densities 0.1-0.9; each cleared
+    # result is fed back in as an already cleared input, and a share of
+    # the inputs is also checked against one-line-at-a-time deletion
+    rng = random.Random(904)
+    emptied = kept = 0
+    for tiers in range(1, 49):
+        for d, density in enumerate(DENSITIES):
+            for trial in range(8):
+                masks = random_masks(rng, tiers, density)
+                expected, zero = clear_masks(list(masks))
+                assert packed_clear(masks) == expected
+                if trial == 0 and (tiers + d) % 4 == 0:
+                    naive = naive_clear([{format(c, "03b") for c in range(8)
+                                          if m >> c & 1} for m in masks])
+                    assert [sum(1 << int(line, 2) for line in t)
+                            for t in naive] == expected
+                if zero is not None:
+                    emptied += 1
+                    continue
+                kept += 1
+                assert packed_clear(expected) == expected
+    assert emptied > 500 and kept > 500
+
+
+def test_clear_packed_cascades_across_the_structure():
+    # the all-zeros chain holds tiers 0..T-2 and the all-ones chain tiers
+    # 1..T-1; no line of one adjoins a line of the other, so lines die
+    # inward from both ends, one tier per step, until the two fronts
+    # meet; clear_masks' backward pass carries the removal from the last
+    # tier down and empties tier 0, the far end
+    for tiers in range(3, 49):
+        masks = [1] + [0b10000001] * (tiers - 2) + [0b10000000]
+        expected, zero = clear_masks(list(masks))
+        assert expected == [0] * tiers and zero == 0
+        assert packed_clear(masks) == expected
+        # without the all-ones end, the cascade removes the all-ones
+        # lines of every tier but keeps the all-zeros chain
+        masks[-1] = 0b10000001
+        assert packed_clear(masks) == [1] * tiers == clear_masks(masks)[0]
+
+
+def test_packed_ops_match_set_references():
+    # every Cts operation on widths of 1 to 48 tiers against the set-form
+    # references in tests/naive.py and the mask lists the structures
+    # unpack to
+    rng = random.Random(905)
+    projected = concretized = 0
+    for tiers in range(1, 49):
+        n = tiers + 2
+        perm = Perm(rng.sample(range(1, n + 1), n))
+        density = DENSITIES[tiers % len(DENSITIES)]
+        a = Cts(perm, random_masks(rng, tiers, density))
+        b = Cts(perm, random_masks(rng, tiers, max(density, 0.7))).clear()
+        for s in (a, b, a.clear()):
+            assert Cts(perm, s.tiers) == s
+            assert hash(Cts(perm, s.tiers)) == hash(s)
+            assert s.is_empty == (0 in s.tiers)
+            assert s.is_elementary() == all(m and not m & (m - 1)
+                                            for m in s.tiers)
+            assert s.line_count() == sum(len(t) for t in to_sets(s))
+        assert Cts.from_assignment([rng.randint(0, 1) for _ in range(n)],
+                                   perm).is_elementary()
+        na, nb = to_sets(a), to_sets(b)
+        assert to_sets(a.union(b)) == naive_union(na, nb)
+        assert to_sets(a.intersect(b)) == naive_intersect(na, nb)
+        pairs = [(rng.randint(1, n), rng.randint(0, 1))
+                 for _ in range(rng.randint(1, 3))]
+        expected = nb
+        for var, value in pairs:
+            expected = naive_concretize(expected, perm.order, var, value)
+        got = b.concretize_many(pairs)
+        assert to_sets(got) == expected
+        concretized += got.is_empty
+        if b.is_empty:
+            continue
+        targets = [Cts.complete(perm) if rng.random() < 0.2 else
+                   Cts(perm, random_masks(rng, tiers, 0.9)).clear()
+                   for _ in range(rng.randint(1, 3))]
+        acc = [set() for _ in range(tiers)]
+        for t in targets:
+            acc = naive_union(acc, naive_intersect(to_sets(t), nb))
+        got = b.project(targets)
+        assert to_sets(got) == acc
+        projected += got != b
+    assert 0 < concretized < 48 and projected > 5
 
 
 # -- union / intersection ---------------------------------------------------

@@ -361,3 +361,37 @@ def test_unify_rejects_a_mismatched_since():
     copies = [Cts(Perm(s.perm.order), s.tiers) for s in fixpoint]
     assert result_fields(unify(copies, since=fixpoint)) == (
         fixpoint, 1, None, None, None)
+
+
+class RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, name, content):
+        self.writes.append((name, content))
+
+
+def test_unify_seeded_with_unchanged_inputs_returns_them_in_one_wave():
+    # inputs equal to their `since` counterparts come back as they are,
+    # in one wave; with a sink the waves run and write what an unseeded
+    # call on the same fixpoint writes
+    rng = random.Random(31)
+    checked = 0
+    while checked < 200:
+        system = random_system(rng, rng.randint(5, 14), rng.randint(2, 5))
+        result = unify(system)
+        if result.empty:
+            continue
+        fixpoint = result.structures
+        copies = tuple(Cts(s.perm, s.tiers) for s in fixpoint)
+        again = unify(copies, since=fixpoint)
+        assert result_fields(again) == (fixpoint, 1, None, None, None)
+        assert all(a is b for a, b in zip(again.structures, copies))
+        seeded, unseeded = RecordingSink(), RecordingSink()
+        assert result_fields(unify(copies, sink=seeded, since=fixpoint)) == (
+            fixpoint, 1, None, None, None)
+        unify(fixpoint, sink=unseeded)
+        assert seeded.writes == unseeded.writes
+        assert [name for name, _ in seeded.writes] == ["unify_wave_00",
+                                                       "unify_wave_01"]
+        checked += 1
