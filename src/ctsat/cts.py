@@ -163,7 +163,8 @@ def settle(masks: list[int], j: int) -> tuple[int | None, int]:
 
 class Layout(NamedTuple):
     """Constants of the packed form of `tiers` masks, tier j in byte j.
-    The byte-lane fields repeat one byte in every tier."""
+    The byte-lane fields repeat one byte in every tier. `windows[p]` is
+    the (tier, offset) of the lowest tier window holding position p."""
 
     tiers: int
     lsb: int     # 0x01 in every tier
@@ -173,6 +174,7 @@ class Layout(NamedTuple):
     low: int     # 0x0F in every tier
     first: int   # 0xFF in tier 0
     last: int    # 0xFF in the last tier
+    windows: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +183,9 @@ def layout(tiers: int) -> Layout:
     lsb = int.from_bytes(b"\x01" * tiers, "little")
     return Layout(tiers, lsb, 0x80 * lsb, 0x55 * lsb, 0x33 * lsb, 0x0F * lsb,
                   TIER_FULL if tiers else 0,
-                  TIER_FULL << 8 * (tiers - 1) if tiers else 0)
+                  TIER_FULL << 8 * (tiers - 1) if tiers else 0,
+                  tuple((p - 2, 2) if p > 2 else (0, p)
+                        for p in range(tiers + 2)))
 
 
 def clear_packed(x: int, lay: Layout) -> int:
@@ -207,7 +211,7 @@ def clear_packed(x: int, lay: Layout) -> int:
     empty tier is empty throughout: once a tier of x is empty, G is 0,
     which is returned at once.
     """
-    _, lsb, msb, even, pairs, low, first, last = lay
+    _, lsb, msb, even, pairs, low, first, last, _ = lay
     while not (x - lsb) & ~x & msb:
         # t has a successor u in the next tier when u >> 1 == t & 3:
         # fold each bit pair (2h, 2h+1) of the next tier into bit h,
@@ -426,13 +430,12 @@ class Cts:
         Only the lowest tier holding each variable is restricted: every
         full chain passes through that tier, so clearing removes the
         lines of the other tiers that contradict the value."""
-        x = self.packed
-        pos = self.perm.pos
+        x, lay = self.packed, self.perm.layout
+        pos, windows = self.perm.pos, lay.windows
         for var, value in pairs:
-            p = pos[var - 1]
-            j = p - 2 if p > 2 else 0
-            x &= ~((TIER_FULL ^ _KEEP[p - j][value]) << 8 * j)
-        return Cts._make(self.perm, clear_packed(x, self.perm.layout))
+            j, off = windows[pos[var - 1]]
+            x &= ~((TIER_FULL ^ _KEEP[off][value]) << 8 * j)
+        return Cts._make(self.perm, clear_packed(x, lay))
 
     def project(self, targets: Iterable["Cts"]) -> "Cts":
         """The union of t.intersect(self) over targets, for a cleared self.

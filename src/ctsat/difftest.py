@@ -49,6 +49,13 @@ class DifftestParams:
             raise ValueError("bad n range %r" % (self.n_range,))
         if (self.m_range is None) == (self.m_ratio is None):
             raise ValueError("exactly one of m_range / m_ratio is required")
+        if self.m_range is not None and not 1 <= self.m_range[0] <= self.m_range[1]:
+            raise ValueError("bad m range %r" % (self.m_range,))
+        if self.m_ratio is not None and not 0 < self.m_ratio[0] <= self.m_ratio[1]:
+            raise ValueError("bad m ratio %r" % (self.m_ratio,))
+        if not 0 <= self.negation_fraction <= 1:
+            raise ValueError("negation fraction %r outside [0, 1]"
+                             % (self.negation_fraction,))
         if not self.modes:
             raise ValueError("need at least one mode")
 

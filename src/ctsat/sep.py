@@ -98,9 +98,10 @@ class SepStats:
     `recompute_rounds` counts the repeated rounds: a round forming tier
     j runs again only when its prune removed a vertex below tier j.
     `unify_waves` sums the waves of the same-name `unify` calls actually
-    made, in every round; a projection step that removes nothing makes
-    no call. `early_checks` counts the vertex tuples handed to the early
-    elementary check, once per formed vertex and round."""
+    made, in every round; a tuple equal to its seed (the fixpoint it
+    refines) makes no call and adds no wave. `early_checks` counts the
+    vertex tuples handed to the early elementary check, once per formed
+    vertex and round."""
 
     pruned_vertices: int = 0
     pruned_edges: int = 0
@@ -133,9 +134,12 @@ def early_elementary_check(sub: Cts, basic: Cts,
 def _unify_same_name(subs: tuple[Cts, ...], stats: SepStats,
                      since: Sequence[Cts]) -> tuple[Cts, ...] | None:
     """Same-name substructures of all members, unified; None when one of
-    them is or becomes empty. A lone member needs no unification.
-    `subs` are cleared, and `since` is a unify fixpoint that each of
-    them refines (see `unify`)."""
+    them is or becomes empty. `subs` are cleared, and `since` is a unify
+    fixpoint that each of them refines (see `unify`). The one skip rule:
+    no call for `subs` equal to `since` (a non-empty fixpoint, so tested
+    first) or for a lone member."""
+    if all(sub.packed == old.packed for sub, old in zip(subs, since)):
+        return subs
     if any(sub.is_empty for sub in subs):
         return None
     if len(subs) == 1:
@@ -161,10 +165,7 @@ def concordant_shift(system: HsSystem, edge: Edge,
         tier = [system.vsub[(s, c)] for c in system.skeleton.codes(s)]
         projected = tuple(sub.project([same_name[i] for same_name in tier])
                           for i, sub in enumerate(subs))
-        # `subs` is a unify fixpoint (or a lone member), so a projection
-        # that removed nothing needs no second unify
-        if any(p.packed != sub.packed for p, sub in zip(projected, subs)):
-            subs = _unify_same_name(projected, stats, since=subs)
+        subs = _unify_same_name(projected, stats, since=subs)
     return subs
 
 
@@ -193,23 +194,25 @@ def systemic_effective_procedure(
     below j. The early elementary check can short-circuit the whole run
     with a witness.
 
-    Every unify call here is seeded with a fixpoint its input refines,
-    and every input is cleared: a concretization or a projection of a
-    cleared tuple, a union of cleared tuples. A tier-j vertex tuple
-    after the first tier is seeded with itself, because a tier-wise
-    union of unify fixpoints over the same permutations is one. At a
-    fixpoint the two rules agree everywhere: each variable shows the
-    same value set in every structure's window of it, and each pair
-    co-tiered in two or more structures the same combination set in
-    every home. A union keeps each line's support in the operand it
-    came from, so it is cleared, and its value and combination sets
-    are the unions of the operands' sets, so they still agree across
-    structures and neither rule removes anything. That call returns
-    the tuple unchanged, in its one quiet wave.
+    Every same-name step goes through `_unify_same_name`, seeded with a
+    fixpoint its input refines, and every input is cleared: a
+    concretization or a projection of a cleared tuple, a union of
+    cleared tuples. A tier-j vertex tuple after the first tier is
+    seeded with itself, because a tier-wise union of unify fixpoints
+    over the same permutations is one. At a fixpoint the two rules
+    agree everywhere: each variable shows the same value set in every
+    structure's window of it, and each pair co-tiered in two or more
+    structures the same combination set in every home. A union keeps
+    each line's support in the operand it came from, so it is cleared,
+    and its value and combination sets are the unions of the operands'
+    sets, so they still agree across structures and neither rule
+    removes anything: equal to its seed, the tuple never reaches unify.
     """
     if not others:
         raise ValueError("need at least one non-basic structure")
     stats = SepStats()
+    if any(s.is_empty for s in others):   # tier-0 seeds must be non-empty
+        return SepResult("empty", empty_tier=1, stats=stats)
     skeleton = basic_graph(basic)
     system = HsSystem(skeleton=skeleton, basic_perm=basic.perm,
                       structures=tuple(others))

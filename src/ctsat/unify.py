@@ -104,14 +104,14 @@ class _SystemContext:
 
     def __init__(self, perms):
         # const_window[i][var-1] = (tier, offset)
-        windows = _windows(len(perms[0]))
+        windows = perms[0].layout.windows
         self.const_window = [[windows[p] for p in perm.pos] for perm in perms]
         # pair -> [(structure, tier, oa, ob), ...], pairs as sorted tuples
         by_pair: dict[tuple[int, int], list] = {}
         for i, perm in enumerate(perms):
             order = perm.order
             for q in range(1, len(order)):
-                j = q - 2 if q > 2 else 0
+                j = windows[q][0]
                 for p in range(j, q):
                     x, y = order[p], order[q]
                     if x < y:
@@ -131,13 +131,6 @@ class _SystemContext:
                 pair_at[i][j] |= 1 << idx
         self.var_bits = [tuple(accumulate(row, or_, initial=0)) for row in var_at]
         self.pair_bits = [tuple(accumulate(row, or_, initial=0)) for row in pair_at]
-
-
-@lru_cache(maxsize=None)
-def _windows(n: int) -> tuple[tuple[int, int], ...]:
-    """(tier, offset) of the lowest window of each of n positions, shared
-    by every context over n variables."""
-    return tuple((p - 2, 2) if p > 2 else (0, p) for p in range(n))
 
 
 @lru_cache(maxsize=2048)
@@ -178,11 +171,9 @@ def unify(structures: Sequence[Cts], sink=None,
 
     With `since` the inputs must be cleared, and they are not cleared
     again; an input with an empty tier still ends the call with
-    `CAUSE_EMPTY_INPUT`. Inputs that all equal `since` are returned at
-    once, in the one wave that would read nothing, unless a sink is
-    given. Without `since` every input is cleared first. A `since` of
-    another length, or with another permutation at some position,
-    raises `ValueError`.
+    `CAUSE_EMPTY_INPUT`. Without `since` every input is cleared first.
+    A `since` of another length, or with another permutation at some
+    position, raises `ValueError`.
 
     A sink, when given, receives the system state before the first
     wave and after every wave.
@@ -209,10 +200,6 @@ def unify(structures: Sequence[Cts], sink=None,
                                structure_index=i)
     if len(current) == 1:
         return UnifyResult((current[0],), waves=1)
-    if since is not None and sink is None and all(
-            s.packed == old.packed for s, old in zip(current, since)):
-        # no window starts stale: the one wave would read nothing
-        return UnifyResult(tuple(current), waves=1)
 
     k = len(current)
     ctx = _system_context(tuple(s.perm for s in structures))
@@ -225,9 +212,7 @@ def unify(structures: Sequence[Cts], sink=None,
     else:
         stale_vars = [0] * k
         stale_pairs = 0
-        for i, (s, m, old) in enumerate(zip(current, masks, since)):
-            if s.packed == old.packed:
-                continue
+        for i, (m, old) in enumerate(zip(masks, since)):
             vb, pb = var_bits[i], pair_bits[i]
             for t in compress(range(len(m)), map(ne, m, old.tiers)):
                 stale_vars[i] |= vb[t + 1] ^ vb[t]

@@ -111,6 +111,27 @@ def test_difftest_rejects_jobs_below_one(jobs, tmp_path, capsys):
     assert not (tmp_path / "dt").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--m-range", "20..3"], "bad m range (20, 3)"),
+    (["--m-range", "0..3"], "bad m range (0, 3)"),
+    (["--m-ratio=-1.0..-0.5"], "bad m ratio (-1.0, -0.5)"),
+    (["--m-ratio", "0..2"], "bad m ratio (0.0, 2.0)"),
+    (["--m-ratio", "4..3"], "bad m ratio (4.0, 3.0)"),
+    (["--m-ratio", "3..4", "--neg", "1.5"],
+     "negation fraction 1.5 outside [0, 1]"),
+    (["--m-ratio", "3..4", "--neg=-0.1"],
+     "negation fraction -0.1 outside [0, 1]"),
+], ids=["m_range_inverted", "m_range_zero", "m_ratio_negative",
+        "m_ratio_zero", "m_ratio_inverted", "neg_above_one", "neg_below_zero"])
+def test_difftest_rejects_bad_ranges(bad, message, tmp_path, capsys):
+    code, out, err = run(capsys, "difftest", "--n-range", "5..6", *bad,
+                         "--count", "2", "--out", str(tmp_path / "dt"))
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+    assert not (tmp_path / "dt").exists()
+
+
 def test_trace_matches_golden_files(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(FIXTURES / "worked8.cnf"),
                        "--trace", str(tmp_path / "tr"),

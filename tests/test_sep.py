@@ -263,10 +263,11 @@ def test_concordant_shift_projects_onto_the_tier_below_the_edge(monkeypatch):
 
 
 def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
-    # the stored tuple is a unify fixpoint, so a projection step that
-    # removes nothing is not followed by a unify call: a shift that keeps
-    # its edge calls unify once for the concretization and once per
-    # changing step (fewer when a member empties on the way)
+    # the stored tuple is a unify fixpoint, so a step that removes
+    # nothing is not followed by a unify call: a shift that keeps its
+    # edge calls unify once for a concretization that removed a line and
+    # once per changing projection step (fewer when a member empties on
+    # the way)
     import ctsat.sep as sep_mod
 
     calls = []
@@ -279,26 +280,31 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
     n = 8
     s1, s2, s3 = random_unified_system(random.Random(30), n, 3, density=0.85)
     original = sep_mod.concordant_shift
-    kept = skipped = 0
+    kept = skipped = unchanged = 0
 
     def checked(system, edge, stats):
-        nonlocal kept, skipped
+        nonlocal kept, skipped, unchanged
         _, changing = reference_shift_steps(system, edge)
+        j, a, b = edge
+        var = system.basic_perm.order[j + 3]
+        concretized = any(sub.concretize(var, b & 1) != sub
+                          for sub in system.vsub[(j, a)])
         del calls[:]
         subs = original(system, edge, stats)
         if subs is None:
-            assert len(calls) <= 1 + changing
+            assert len(calls) <= concretized + changing
         else:
-            assert len(calls) == 1 + changing, edge
+            assert len(calls) == concretized + changing, edge
             kept += 1
             skipped += edge[0] - changing
+            unchanged += not concretized
         return subs
 
     monkeypatch.setattr(sep_mod, "concordant_shift", checked)
     sep = systemic_effective_procedure(s1, [s2, s3], dummy_formula(n),
                                        early_check=False)
     assert sep.outcome == "complete"
-    assert kept >= 10 and skipped >= 10
+    assert kept >= 10 and skipped >= 10 and unchanged >= 1
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome", [
@@ -340,8 +346,9 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
     # (the tail vertex tuple of a shift, the tuple before a projection
     # step, the members for a tier-0 vertex, and a later tier's vertex
     # tuple, a union of fixpoints, itself); every call must still give
-    # the full scan's result, field for field. Only classify's top-level
-    # unify runs unseeded
+    # the full scan's result, field for field. A tuple equal to its seed
+    # makes no call, so a union never reaches unify. Only classify's
+    # top-level unify runs unseeded
     import ctsat.sep as sep_mod
 
     calls = {"seeded": 0, "union": 0, "full": 0}
@@ -355,12 +362,9 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
             expected.structure_index, expected.empty_tier)
         if since is None:
             calls["full"] += 1
-        elif since is structures:
-            calls["union"] += 1
-            assert result.structures == tuple(structures)
-            assert result.waves == 1
         else:
-            calls["seeded"] += 1
+            assert tuple(structures) != tuple(since)
+            calls["union" if since is structures else "seeded"] += 1
         return result
 
     monkeypatch.setattr(sep_mod, "unify", checked)
@@ -372,10 +376,11 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
                    GenParams(n=20, m=100, mode="free", seed=1),
                    GenParams(n=24, m=102, mode="sat", seed=0),
                    GenParams(n=18, m=80, mode="sat", seed=2),
-                   GenParams(n=20, m=90, mode="sat", seed=7)):
+                   GenParams(n=20, m=90, mode="sat", seed=7),
+                   GenParams(n=14, m=60, mode="sat", seed=1)):
         top += "unify_waves" in classify(generate(params)).detail
     assert calls["full"] == top
-    assert calls["seeded"] > 200 and calls["union"] > 100
+    assert calls["seeded"] > 200 and calls["union"] == 0
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [
