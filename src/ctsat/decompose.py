@@ -198,7 +198,10 @@ def decompose(formula: TabularFormula) -> tuple[list[Ctf], DecompositionReport]:
     stay empty. So k counts packed permutations, not chains.
 
     The produced CTFs partition the clause set exactly, and
-    ceil(w/(n-2)) <= k <= w <= m.
+    ceil(w/(n-2)) <= k <= w <= m. The result depends only on the set of
+    clauses: the groups are ordered by triple and a CTF keeps its lines
+    as tier masks, so neither clause order nor repeated clauses change
+    it.
     """
     n = formula.n
     groups = group_terms(formula)

@@ -252,8 +252,14 @@ def minimize(formula: TabularFormula,
 
     The predicate must hold for the input and still holds for the
     result, which is 1-minimal: removing any single clause breaks the
-    predicate. Unused variables are renumbered away afterwards when the
-    predicate survives compaction.
+    predicate. The ddmin loop needs no extra pass for that: the
+    granularity never exceeds the clause count (a removal leaves at
+    least granularity - 1 clauses), so chunks hold at least one clause,
+    and the loop stops with two or more clauses only after a round of
+    one-clause chunks that removed nothing. That round tried every
+    single-clause removal, and none is tried twice. Unused variables
+    are renumbered away afterwards when the predicate survives
+    compaction.
     """
     if not predicate(formula):
         raise ValueError("predicate does not hold for the input formula")
@@ -270,8 +276,7 @@ def minimize(formula: TabularFormula,
     granularity = 2
     while len(clauses) >= 2:
         size = len(clauses) // granularity
-        chunks = [clauses[i:i + size] for i in range(0, len(clauses), size)] \
-            if size else [clauses]
+        chunks = [clauses[i:i + size] for i in range(0, len(clauses), size)]
         reduced = False
         for i in range(len(chunks)):
             rest = [c for j, chunk in enumerate(chunks) if j != i for c in chunk]
@@ -281,20 +286,9 @@ def minimize(formula: TabularFormula,
                 reduced = True
                 break
         if not reduced:
-            if granularity >= len(clauses):
+            if size == 1:
                 break
             granularity = min(len(clauses), granularity * 2)
-
-    # enforce 1-minimality under single-clause removal
-    changed = True
-    while changed and len(clauses) > 1:
-        changed = False
-        for i in range(len(clauses)):
-            rest = clauses[:i] + clauses[i + 1:]
-            if holds(rest):
-                clauses = rest
-                changed = True
-                break
 
     result = TabularFormula(n, tuple(clauses))
     if not predicate(result):

@@ -106,10 +106,6 @@ class TabularFormula:
                 return 0
         return 1
 
-    def canonicalize(self) -> "TabularFormula":
-        """Drop duplicate clauses and sort lexicographically."""
-        return TabularFormula(self.n, tuple(sorted(set(self.clauses))))
-
     def to_dimacs(self, comments: Iterable[str] = ()) -> str:
         out = ["c %s" % c if c else "c" for c in comments]
         out.append("p cnf %d %d" % (self.n, len(self.clauses)))

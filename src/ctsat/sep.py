@@ -348,8 +348,8 @@ def extract_jss_system(system: HsSystem, basic: Cts,
 def classify(formula: TabularFormula,
              plan=None,
              sink=None) -> Verdict:
-    """Full pipeline: canonicalize, decompose, transform, unify, run the
-    systemic effective procedure, and extract a witness.
+    """Full pipeline: decompose, transform, unify, run the systemic
+    effective procedure, and extract a witness.
 
     Every outcome is a verdict; a satisfiable verdict always carries a
     witness re-verified against the original formula (else
@@ -369,17 +369,15 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
     from . import trace as trace_mod
 
     detail: dict = {}
-    # a pinned plan addresses clauses by their input positions
-    canonical = formula if plan is not None else formula.canonicalize()
     if sink is not None:
-        sink.write("formula", trace_mod.render_formula(canonical))
-    if not canonical.clauses:
+        sink.write("formula", trace_mod.render_formula(formula))
+    if not formula.clauses:
         return Verdict(SATISFIABLE, witness=(0,) * formula.n, detail=detail)
 
     if plan is not None:
-        ctfs, report = decompose_with_plan(canonical, plan)
+        ctfs, report = decompose_with_plan(formula, plan)
     else:
-        ctfs, report = decompose(canonical)
+        ctfs, report = decompose(formula)
     detail["k"] = report.k
     detail["w"] = report.w
     if sink is not None:
@@ -419,7 +417,7 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
 
     try:
         result = systemic_effective_procedure(
-            basic, others, canonical, sink=sink)
+            basic, others, formula, sink=sink)
     except InvariantViolation as exc:
         return _failure_verdict(detail, exc, exc.diagnostics)
     detail["sep"] = asdict(result.stats)
@@ -431,7 +429,7 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
         return Verdict(SATISFIABLE, witness=result.witness, detail=detail)
 
     try:
-        extraction = extract_jss_system(result.system, basic, canonical)
+        extraction = extract_jss_system(result.system, basic, formula)
     except ExtractionFailure as exc:
         return _failure_verdict(detail, exc, _failure_bundle(result.system))
     detail["backtracks"] = extraction.backtracks

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,15 @@ def cts_from_rows(perm, rows) -> Cts:
     if not isinstance(perm, Perm):
         perm = Perm(perm)
     return Cts.from_lines(perm, [(j, int(bits, 2)) for j, bits in rows])
+
+
+def scrambled(formula: TabularFormula, rng: random.Random) -> TabularFormula:
+    """The same clause set with about a third of the clauses repeated
+    and every clause moved to a random position."""
+    clauses = list(formula.clauses)
+    clauses += rng.sample(clauses, len(clauses) // 3)
+    rng.shuffle(clauses)
+    return TabularFormula(formula.n, tuple(clauses))
 
 
 def worked8_formula() -> TabularFormula:

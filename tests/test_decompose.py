@@ -5,6 +5,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctsat.cts import Perm
 from ctsat.decompose import (Ctf, _chains, ctf_to_cts, decompose,
@@ -12,6 +13,7 @@ from ctsat.decompose import (Ctf, _chains, ctf_to_cts, decompose,
 from ctsat.formula import Clause, GenParams, TabularFormula, generate
 
 import tabledata
+from conftest import scrambled
 from naive import naive_chains, sat_set
 
 
@@ -64,8 +66,8 @@ def clause_multiset(ctfs):
 
 
 def test_decompose_partitions_clauses(worked8):
-    ctfs, report = decompose(worked8.canonicalize())
-    assert clause_multiset(ctfs) == sorted(worked8.canonicalize().clauses)
+    ctfs, report = decompose(worked8)
+    assert clause_multiset(ctfs) == sorted(set(worked8.clauses))
     assert math.ceil(report.w / (worked8.n - 2)) <= report.k <= worked8.m
     assert report.w == 15
 
@@ -154,13 +156,31 @@ def test_decompose_packing_random_free_formulas():
     for trial in range(40):
         n = rng.randint(4, 12)
         f = generate(GenParams(n=n, m=rng.randint(3, 5 * n), mode="free",
-                               seed=500 + trial)).canonicalize()
+                               seed=500 + trial))
         ctfs, report = decompose(f)
         assert math.ceil(report.w / (n - 2)) <= report.k <= report.w
-        assert clause_multiset(ctfs) == sorted(f.clauses)
+        assert clause_multiset(ctfs) == sorted(set(f.clauses))
         assert decompose(f) == (ctfs, report)
         for bits in f.assignments():
             assert all(c.evaluate(bits) for c in ctfs) == bool(f.evaluate(bits))
+
+
+@st.composite
+def formulas(draw):
+    n = draw(st.integers(3, 10))
+    clause = st.builds(
+        lambda vs, marks: Clause(tuple(zip(vs, marks))),
+        st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True),
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)))
+    return TabularFormula(n, tuple(draw(st.lists(clause, max_size=40))))
+
+
+@given(formulas(), st.integers(0, 1 << 32))
+@settings(max_examples=150, deadline=None)
+def test_decompose_depends_only_on_the_clause_set(f, seed):
+    # `classify` decomposes its input as given: clause order and
+    # repeated clauses must not reach the CTFs (perms and tiers) or w
+    assert decompose(scrambled(f, random.Random(seed))) == decompose(f)
 
 
 def test_decompose_chains_match_the_full_scan():

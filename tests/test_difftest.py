@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,21 +29,44 @@ def test_minimize_drops_irrelevant_clause():
     assert got.m == 1
 
 
-def test_minimize_is_one_minimal_and_idempotent():
-    rng = random.Random(5)
-    f = generate(GenParams(n=6, m=25, mode="free", seed=77))
-    # predicate: unsatisfiable core tracking via the oracle
-    g = generate(GenParams(n=6, m=30, mode="unsat", seed=78))
+UNSAT_PARAMS = [GenParams(n=6, m=30, mode="unsat", seed=78),
+                GenParams(n=5, m=30, mode="free", seed=0),
+                GenParams(n=6, m=36, mode="free", seed=1),
+                GenParams(n=7, m=45, mode="free", seed=3),
+                GenParams(n=8, m=52, mode="free", seed=2)]
 
+
+def test_minimize_is_one_minimal_and_idempotent():
+    # predicate: unsatisfiable core tracking via the oracle
     def predicate(h):
         return not dpll(h).satisfiable
 
-    got = minimize(g, predicate)
-    assert predicate(got)
-    for i in range(got.m):
-        weakened = TabularFormula(got.n, got.clauses[:i] + got.clauses[i + 1:])
-        assert dpll(weakened).satisfiable, "not 1-minimal"
-    assert minimize(got, predicate) == got
+    for p in UNSAT_PARAMS:
+        got = minimize(generate(p), predicate)
+        assert predicate(got)
+        for i in range(got.m):
+            weakened = TabularFormula(got.n,
+                                      got.clauses[:i] + got.clauses[i + 1:])
+            assert dpll(weakened).satisfiable, "not 1-minimal: %r" % (p,)
+        assert minimize(got, predicate) == got
+
+
+def test_minimize_tries_each_final_removal_once():
+    # ddmin stops after a round that tried every single-clause removal
+    # of its result; nothing tries them again
+    for p in UNSAT_PARAMS:
+        f = generate(p)
+        seen = []
+
+        def predicate(h):
+            seen.append(h.clauses)
+            # rejecting other n keeps the result uncompacted
+            return h.n == f.n and not dpll(h).satisfiable
+
+        got = minimize(f, predicate)
+        tried = Counter(seen[seen.index(got.clauses):])
+        for i in range(got.m):
+            assert tried[got.clauses[:i] + got.clauses[i + 1:]] == 1, p
 
 
 def test_minimize_compacts_variables():

@@ -133,21 +133,6 @@ def test_evaluate_matches_standard_cnf_semantics(f):
 
 @given(formula_strategy)
 @settings(max_examples=40, deadline=None)
-def test_canonicalize_preserves_evaluation(f):
-    g = f.canonicalize()
-    assert g.canonicalize() == g
-    for bits in f.assignments():
-        assert f.evaluate(bits) == g.evaluate(bits)
-
-
-def test_canonicalize_removes_duplicates():
-    c = Clause(((1, 0), (2, 0), (3, 0)))
-    f = TabularFormula(3, (c, c))
-    assert f.canonicalize().clauses == (c,)
-
-
-@given(formula_strategy)
-@settings(max_examples=40, deadline=None)
 def test_dimacs_round_trip(f):
     assert parse_dimacs(f.to_dimacs()) == f
 

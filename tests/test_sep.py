@@ -710,6 +710,13 @@ def falsifying(formula: TabularFormula):
     return next(b for b in formula.assignments() if formula.evaluate(b) == 0)
 
 
+class RejectsEveryAssignment(TabularFormula):
+    """A formula whose evaluation fails every witness, clauses or not."""
+
+    def evaluate(self, bits):
+        return 0
+
+
 @pytest.mark.parametrize("exit_name", ["no-clauses", "one-structure",
                                        "early-sat", "extract"])
 def test_classify_rejects_a_corrupted_witness(exit_name, monkeypatch):
@@ -717,7 +724,9 @@ def test_classify_rejects_a_corrupted_witness(exit_name, monkeypatch):
     # gate in classify: corrupt each exit's witness where it is produced
     import ctsat.sep as sep_mod
 
-    if exit_name in ("no-clauses", "one-structure"):
+    if exit_name == "no-clauses":
+        formula = TabularFormula(5, ())
+    elif exit_name == "one-structure":
         # one clause, falsified by all zeros
         formula = TabularFormula(5, (Clause(((1, 0), (2, 0), (3, 0))),))
     elif exit_name == "early-sat":
@@ -726,21 +735,23 @@ def test_classify_rejects_a_corrupted_witness(exit_name, monkeypatch):
         formula = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))
     verdict = classify(formula)
     assert verdict.kind == SATISFIABLE
-    assert (verdict.detail["k"] == 1) == (exit_name in ("no-clauses",
-                                                        "one-structure"))
+    assert ("k" in verdict.detail) == (exit_name != "no-clauses")
+    assert (verdict.detail.get("k") == 1) == (exit_name == "one-structure")
     assert verdict.detail.get("early_exit", False) == (exit_name == "early-sat")
     assert ("backtracks" in verdict.detail) == (exit_name == "extract")
-    bad = falsifying(formula)
 
     if exit_name == "no-clauses":
-        monkeypatch.setattr(TabularFormula, "canonicalize",
-                            lambda self: TabularFormula(self.n, ()))
-    elif exit_name == "one-structure":
+        # the no-clauses exit's witness is fixed: let the formula reject it
+        bad = verdict.witness
+        formula = RejectsEveryAssignment(formula.n, ())
+    else:
+        bad = falsifying(formula)
+    if exit_name == "one-structure":
         monkeypatch.setattr(Cts, "sample_assignment", lambda self: bad)
     elif exit_name == "early-sat":
         monkeypatch.setattr(sep_mod, "early_elementary_check",
                             lambda sub, basic, formula: bad)
-    else:
+    elif exit_name == "extract":
         monkeypatch.setattr(
             sep_mod, "extract_jss_system",
             lambda system, basic, formula: SystemExtraction([bad], 0, []))
