@@ -15,19 +15,28 @@ lists to callers that edit single tiers (`ctsat.unify`). The constants
 of the packed form depend only on the tier count; each `Perm` holds
 the `Layout` of its width, built once per width.
 
+Structures of one width can also sit side by side in one int, lanes
+of `tiers` bytes, structure i in lane i (`stack`); a `Layout` with
+several lanes repeats its constants in every lane. The same-name
+tuples of the systemic procedure are stacked this way: `project_tuple`
+projects a tuple with one AND and one clear per target tuple, and
+`hyper.check_tier_disjoint` tests a pair of vertex tuples the same way.
+
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty
 assignment set; the canonical empty structure has every tier zeroed.
 Two kernels compute it:
 
-- `clear_packed` works on the packed int. One step finds, in every tier
-  at once, the lines with a successor in the next tier and those with a
-  predecessor in the previous one (mask-and-shift steps on the byte
-  lanes; the last and the first tier are exempt from the respective
-  test) and keeps the lines that have both. It repeats the step until
-  nothing changes and returns 0 as soon as the has-zero-byte test
-  (Warren, Hacker's Delight, ch. 6) finds an empty tier. Every `Cts`
-  operation clears with it.
+- `clear_packed` works on the packed int, on every lane at once. One
+  step finds, in every tier at once, the lines with a successor in the
+  next tier and those with a predecessor in the previous one
+  (mask-and-shift steps on the byte lanes; the last and the first tier
+  of each lane are exempt from the respective test, which also keeps
+  the lanes apart) and keeps the lines that have both. It repeats the
+  step until nothing changes. When the has-zero-byte test (Warren,
+  Hacker's Delight, ch. 6) finds an empty tier, it zeroes the lanes
+  that hold one (the dead lanes) and returns 0 once every lane is
+  dead. Every `Cts` operation clears with it, on one lane.
 - `clear_masks` works on a list of masks, with one backward and one
   forward pass. It alone reports the first tier that emptied, which
   `ctsat.decompose` reports as evidence; the tests use it as the
@@ -162,11 +171,14 @@ def settle(masks: list[int], j: int) -> tuple[int | None, int]:
 
 
 class Layout(NamedTuple):
-    """Constants of the packed form of `tiers` masks, tier j in byte j.
-    The byte-lane fields repeat one byte in every tier. `windows[p]` is
-    the (tier, offset) of the lowest tier window holding position p."""
+    """Constants of the packed form of `lanes` rows of `tiers` masks side
+    by side, lane i holding tier j in byte i * tiers + j. The byte-lane
+    fields repeat one byte in every tier of every lane, and `first`,
+    `last` and `carry` one value in every lane. `windows[p]` is the
+    (tier, offset) of the lowest tier window holding position p."""
 
     tiers: int
+    lanes: int
     lsb: int     # 0x01 in every tier
     msb: int     # 0x80 in every tier
     even: int    # 0x55 in every tier
@@ -174,32 +186,51 @@ class Layout(NamedTuple):
     low: int     # 0x0F in every tier
     first: int   # 0xFF in tier 0
     last: int    # 0xFF in the last tier
+    carry: int   # every bit of the lane below its top bit
+    ones: int    # one lane's bits, all set
     windows: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
-def layout(tiers: int) -> Layout:
-    """The packed-form constants for `tiers` tiers, one object per width."""
-    lsb = int.from_bytes(b"\x01" * tiers, "little")
-    return Layout(tiers, lsb, 0x80 * lsb, 0x55 * lsb, 0x33 * lsb, 0x0F * lsb,
-                  TIER_FULL if tiers else 0,
-                  TIER_FULL << 8 * (tiers - 1) if tiers else 0,
+def layout(tiers: int, lanes: int = 1) -> Layout:
+    """The packed-form constants for `lanes` lanes of `tiers` tiers, one
+    object per shape."""
+    lsb = int.from_bytes(b"\x01" * (tiers * lanes), "little")
+    width = 8 * tiers
+    # bit 0 of every lane
+    rep = sum(1 << width * i for i in range(lanes)) if tiers else 0
+    return Layout(tiers, lanes, lsb, 0x80 * lsb, 0x55 * lsb, 0x33 * lsb,
+                  0x0F * lsb, TIER_FULL * rep,
+                  (TIER_FULL << width - 8) * rep if tiers else 0,
+                  ((1 << width - 1) - 1) * rep if tiers else 0,
+                  (1 << width) - 1,
                   tuple((p - 2, 2) if p > 2 else (0, p)
                         for p in range(tiers + 2)))
 
 
 def clear_packed(x: int, lay: Layout) -> int:
-    """Clear packed masks: the bit-parallel form of `clear_masks`.
+    """Clear packed masks: the bit-parallel form of `clear_masks`, on
+    every lane of `lay` at once.
 
-    Returns the cleared packed masks, or 0 (every tier zeroed) when a
-    tier empties. Each step keeps, in every tier at once, the lines
-    that have a successor in the next tier (the last tier is exempt)
-    and a predecessor in the previous one (the first tier is exempt),
-    and the steps repeat until one removes nothing. Before each step
-    the has-zero-byte test ((x - lsb) & ~x & msb, non-zero exactly when
-    some byte of x is zero) looks for an empty tier.
+    Returns the cleared packed masks, a lane that empties zeroed
+    throughout, and so 0 when every lane empties. Each step keeps, in
+    every tier at once, the lines that have a successor in the next
+    tier (the last tier of each lane is exempt) and a predecessor in
+    the previous one (the first tier of each lane is exempt), and the
+    steps repeat until one removes nothing. Before each step the
+    has-zero-byte test ((x - lsb) & ~x & msb, non-zero when some byte
+    of x is zero, and exact for the lowest one) looks for an empty
+    tier. When it fires on one lane, that lane is dead and 0 is
+    returned. On several lanes, the exact zero-byte test flags bit 0 of
+    every empty tier; adding `carry` carries into a lane's top bit
+    exactly when the lane holds a flag, and multiplying those top bits,
+    moved to bit 0 of their lanes, by `ones` spreads them over their
+    lanes. Those dead lanes are zeroed and drop out of the test.
 
-    Same fixpoint as `clear_masks`: call a set of lines closed when
+    Same fixpoint as `clear_masks`, lane by lane. The shifts of a step
+    move a byte across a lane boundary only into the tier that the
+    exemptions of the receiving lane set in full, so the step acts on
+    each lane as on that lane alone. Call a set of lines closed when
     each of its lines has its support inside the set. Closed subsets of
     the input are closed under union, so there is a greatest one, G,
     and `clear_masks` returns G (see there). A step maps x to x & S(x),
@@ -208,11 +239,25 @@ def clear_packed(x: int, lay: Layout) -> int:
     result; the steps shrink x until one removes nothing, and then x is
     closed and lies in G. So the steps end at G. An empty tier leaves
     its neighbours' lines without support, so a closed set with an
-    empty tier is empty throughout: once a tier of x is empty, G is 0,
-    which is returned at once.
+    empty tier is empty throughout: once a tier of a lane is empty, G
+    is 0 in that lane, which is zeroed at once.
     """
-    _, lsb, msb, even, pairs, low, first, last, _ = lay
-    while not (x - lsb) & ~x & msb:
+    tiers, lanes, lsb, msb, even, pairs, low, first, last, carry, ones, _ = lay
+    while True:
+        if (x - lsb) & ~x & msb:
+            if lanes == 1:
+                return 0
+            # bit 0 of each zero byte: (b & 0x7F) + 0x7F | b has bit 7
+            # set exactly when byte b is not zero, and carries nothing;
+            # no operand is negative, which CPython would copy
+            seven = msb - lay.lsb
+            z = (msb - (((x & seven) + seven | x) & msb)) >> 7
+            z += carry
+            dead = ((z - (z & carry)) >> 8 * tiers - 1) * ones
+            x -= x & dead
+            if not x:
+                return 0
+            lsb -= lsb & dead
         # t has a successor u in the next tier when u >> 1 == t & 3:
         # fold each bit pair (2h, 2h+1) of the next tier into bit h,
         # then copy bits 0..3 to bits 4..7
@@ -232,7 +277,6 @@ def clear_packed(x: int, lay: Layout) -> int:
         if y == x:
             return x
         x = y
-    return 0
 
 
 class Perm:
@@ -437,27 +481,6 @@ class Cts:
             x &= ~((TIER_FULL ^ _KEEP[off][value]) << 8 * j)
         return Cts._make(self.perm, clear_packed(x, lay))
 
-    def project(self, targets: Iterable["Cts"]) -> "Cts":
-        """The union of t.intersect(self) over targets, for a cleared self.
-
-        Built from raw masks: a target that contains self tier-wise
-        gives self, and only the other pieces are cleared (a piece with
-        an empty tier clears to nothing at once). Every piece lies in
-        self, so the union stops growing once it equals self.
-        """
-        whole, lay = self.packed, self.perm.layout
-        acc = 0
-        for t in targets:
-            if t.perm is not self.perm:
-                self._check_perm(t)
-            raw = t.packed & whole
-            if raw == whole:
-                return self
-            acc |= clear_packed(raw, lay)
-            if acc == whole:
-                return self
-        return Cts._make(self.perm, acc)
-
     # -- assignment views ----------------------------------------------
 
     def contains_assignment(self, bits: Sequence[int]) -> int:
@@ -559,6 +582,52 @@ def render_table(order: Sequence[int], rows: Iterable[Sequence[str]]) -> str:
     widths = [max(2, len(s)) for s in names]
     return "".join(" ".join(s.rjust(w) for s, w in zip(cells, widths)).rstrip()
                    + "\n" for cells in (names, *rows))
+
+
+def stack(structures: Sequence[Cts]) -> int:
+    """The packed masks of structures of one width side by side,
+    structure i in lane i (see `Layout`)."""
+    width = 8 * structures[0].perm.layout.tiers
+    x = 0
+    for s in reversed(structures):
+        x = x << width | s.packed
+    return x
+
+
+def unstack(x: int, structures: Sequence[Cts]) -> tuple[Cts, ...]:
+    """The lanes of x as structures, lane i over the permutation of
+    structures[i]: the inverse of `stack`."""
+    lay = structures[0].perm.layout
+    width = 8 * lay.tiers
+    return tuple(Cts._make(s.perm, x >> width * i & lay.ones)
+                 for i, s in enumerate(structures))
+
+
+def project_tuple(subs: tuple[Cts, ...],
+                  targets: Iterable[Sequence[Cts]]) -> tuple[Cts, ...]:
+    """Member by member, the union of t[i].intersect(subs[i]) over the
+    targets t, for cleared `subs` of one width; `subs` itself when that
+    changes no member.
+
+    Each target costs one AND and one lane clear on the stacked members
+    (`stack`, `clear_packed`). A target that contains every member
+    gives `subs`, and so does the union once it equals `subs`: every
+    piece lies in `subs`, so the union stops growing there.
+    """
+    lay = layout(subs[0].perm.layout.tiers, len(subs))
+    whole = stack(subs)
+    acc = 0
+    for t in targets:
+        for s, u in zip(subs, t):
+            if u.perm is not s.perm:
+                s._check_perm(u)
+        raw = stack(t) & whole
+        if raw == whole:
+            return subs
+        acc |= clear_packed(raw, lay)
+        if acc == whole:
+            return subs
+    return unstack(acc, subs)
 
 
 def union_all(structures: Sequence[Cts]) -> Cts:

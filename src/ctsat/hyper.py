@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .cts import _SUCC, Cts, Perm
+from .cts import _SUCC, Cts, Perm, clear_packed, layout, stack, unstack
 
 Vertex = tuple[int, int]          # (tier index 0-based, triplet code)
 Edge = tuple[int, int, int]       # (tier index j, code at j, code at j+1)
@@ -193,17 +193,28 @@ def check_tier_disjoint(vsub: dict[Vertex, tuple[Cts, ...]],
     """Same-tier substructure-vertices of each member (`vsub` maps a
     vertex to them in member order) must have pairwise empty
     intersections; checked after each tier completes (also under -O).
-    The diagnostics name the member by its 0-based position."""
+    Each pair of vertices costs one AND and one lane clear of their
+    stacked tuples (`cts.stack`), whose lowest non-empty lane is the
+    first overlapping member. The diagnostics name the member by its
+    0-based position."""
+    if len(codes) < 2:
+        return
+    tuples = [vsub[(j, c)] for c in codes]
+    lay = layout(tuples[0][0].perm.layout.tiers, len(tuples[0]))
+    stacked = [stack(t) for t in tuples]
     for i, a in enumerate(codes):
-        for b in codes[i + 1:]:
-            for member, (sa, sb) in enumerate(zip(vsub[(j, a)], vsub[(j, b)])):
-                if not sa.intersect(sb).is_empty:
-                    raise InvariantViolation(
-                        "tier %d substructures %s and %s overlap"
-                        % (j + 1, format(a, "03b"), format(b, "03b")),
-                        {"tier": j + 1, "member": member, "substructures": {
-                            format(a, "03b"): sa.render(),
-                            format(b, "03b"): sb.render()}})
+        for b, packed in zip(codes[i + 1:], stacked[i + 1:]):
+            both = clear_packed(stacked[i] & packed, lay)
+            if both:
+                member = next(m for m, s in enumerate(unstack(both, tuples[i]))
+                              if s.packed)
+                sa, sb = vsub[(j, a)][member], vsub[(j, b)][member]
+                raise InvariantViolation(
+                    "tier %d substructures %s and %s overlap"
+                    % (j + 1, format(a, "03b"), format(b, "03b")),
+                    {"tier": j + 1, "member": member, "substructures": {
+                        format(a, "03b"): sa.render(),
+                        format(b, "03b"): sb.render()}})
 
 
 class ExtractionFailure(RuntimeError):

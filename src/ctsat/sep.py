@@ -22,7 +22,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import Bits, Cts, Perm, union_all
+from .cts import Bits, Cts, Perm, project_tuple, union_all
 from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
 from .formula import TabularFormula, bits_to_string
@@ -162,9 +162,8 @@ def concordant_shift(system: HsSystem, edge: Edge,
     for s in range(j):
         if subs is None:
             return None
-        tier = [system.vsub[(s, c)] for c in system.skeleton.codes(s)]
-        projected = tuple(sub.project([same_name[i] for same_name in tier])
-                          for i, sub in enumerate(subs))
+        projected = project_tuple(subs, [system.vsub[(s, c)]
+                                         for c in system.skeleton.codes(s)])
         subs = _unify_same_name(projected, stats, since=subs)
     return subs
 

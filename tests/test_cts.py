@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctsat.cts import (Cts, Perm, clear_masks, clear_packed, layout,
-                       settle, union_all)
+from ctsat.cts import (TIER_FULL, Cts, Perm, clear_masks, clear_packed,
+                       layout, project_tuple, settle, union_all)
 from ctsat.formula import bits_from_string
 
 from conftest import cts_from_rows
@@ -118,38 +118,53 @@ def test_settle_matches_clear_masks_after_one_tier_restriction():
 
 
 def test_project_matches_union_of_intersections():
-    # Cts.project builds the union of t.intersect(sub) from raw masks
-    # and stops early; the targets mix supersets of sub, disjoint
-    # structures and partial overlaps
+    # project_tuple builds, member by member, the union of
+    # t[i].intersect(subs[i]) from raw masks and stops early; the tuples
+    # have one to four members, each over its own permutation, and the
+    # targets mix supersets of the members, disjoint structures and
+    # partial overlaps
     rng = random.Random(903)
     shortcut = partial = 0
     for _ in range(1500):
         n = rng.randint(3, 10)
-        perm = Perm(rng.sample(range(1, n + 1), n))
-        masks = random_cleared_masks(rng, n, rng.uniform(0.5, 0.9))
-        if masks is None:
+        perms = [Perm(rng.sample(range(1, n + 1), n))
+                 for _ in range(rng.randint(1, 4))]
+        subs = []
+        for perm in perms:
+            masks = random_cleared_masks(rng, n, rng.uniform(0.6, 0.95))
+            if masks is None:
+                break
+            subs.append(Cts(perm, masks))
+        if len(subs) < len(perms):
             continue
-        sub = Cts(perm, masks)
+        subs = tuple(subs)
         targets = []
         for _ in range(rng.randint(1, 5)):
             kind = rng.random()
             if kind < 0.15:
-                t = Cts.complete(perm)
-            else:
-                density = 0.9 if kind < 0.6 else 0.5
-                t = Cts(perm, [sum(1 << c for c in range(8)
-                                   if rng.random() < density)
-                               for _ in range(n - 2)]).clear()
-            targets.append(t)
-        expected = union_all([t.intersect(sub) for t in targets])
-        got = sub.project(targets)
-        assert got == expected
-        if got.tiers == sub.tiers:
-            assert got is sub
+                targets.append(tuple(Cts.complete(p) for p in perms))
+                continue
+            density = 0.9 if kind < 0.6 else 0.5
+            targets.append(tuple(
+                Cts(p, random_masks(rng, n - 2, density)).clear()
+                for p in perms))
+        expected = [union_all([t[i].intersect(sub) for t in targets])
+                    for i, sub in enumerate(subs)]
+        got = project_tuple(subs, targets)
+        assert list(got) == expected
+        if all(g.tiers == sub.tiers for g, sub in zip(got, subs)):
+            assert got is subs
             shortcut += 1
-        elif not got.is_empty:
+        elif not all(g.is_empty for g in got):
             partial += 1
     assert shortcut > 100 and partial > 100
+
+
+def test_project_tuple_checks_permutations():
+    perm = Perm.identity(5)
+    sub = Cts.complete(perm)
+    with pytest.raises(ValueError, match="permutation mismatch"):
+        project_tuple((sub, sub), [(sub, Cts.complete(Perm((2, 1, 3, 4, 5))))])
 
 
 # -- the packed kernel ---------------------------------------------------------
@@ -211,6 +226,69 @@ def test_clear_packed_cascades_across_the_structure():
         assert packed_clear(masks) == [1] * tiers == clear_masks(masks)[0]
 
 
+def lane_clear(rows):
+    """clear_packed on rows of masks stacked in lanes, row i in lane i,
+    unpacked again row by row."""
+    lanes, tiers = len(rows), len(rows[0])
+    x = int.from_bytes(bytes(m for row in rows for m in row), "little")
+    out = clear_packed(x, layout(tiers, lanes)).to_bytes(lanes * tiers,
+                                                         "little")
+    return [list(out[i * tiers:(i + 1) * tiers]) for i in range(lanes)]
+
+
+def live_row(rng, tiers):
+    """Masks that clear to a non-empty structure: cleared masks (or all
+    lines) with some unsupported lines added."""
+    masks = random_cleared_masks(rng, tiers + 2, rng.choice((0.7, 0.9)))
+    if masks is None:
+        masks = [TIER_FULL] * tiers
+    return [m | rng.randrange(256) & rng.randrange(256) for m in masks]
+
+
+def dead_row(rng, tiers):
+    """Masks that clear to nothing: an empty tier, or (from three tiers
+    on) the cascade of the test above, which empties after about
+    tiers/2 steps with no tier empty on entry."""
+    if tiers >= 3 and rng.random() < 0.5:
+        return [1] + [0b10000001] * (tiers - 2) + [0b10000000]
+    masks = live_row(rng, tiers)
+    masks[rng.randrange(tiers)] = 0
+    return masks
+
+
+def test_lane_clear_matches_per_lane_kernels():
+    # every lane count from 1 to 16 and every width from 1 to 48 tiers:
+    # rows at densities 0.3-0.9, a dead lane between live ones, dead top
+    # and bottom lanes, and every lane dead; each result must equal
+    # clear_masks and the one-lane clear_packed row by row, and a live
+    # lane's result must not move when its neighbours are redrawn
+    rng = random.Random(906)
+    dead = live = 0
+    for lanes in range(1, 17):
+        for tiers in range(1, 49):
+            cases = [[random_masks(rng, tiers, d) for _ in range(lanes)]
+                     for d in DENSITIES[1:]]
+            cases.append([live_row(rng, tiers) if i % 2 else
+                          dead_row(rng, tiers) for i in range(lanes)])
+            cases.append([dead_row(rng, tiers) if i in (0, lanes - 1)
+                          else live_row(rng, tiers) for i in range(lanes)])
+            cases.append([dead_row(rng, tiers) for _ in range(lanes)])
+            for rows in cases:
+                expected = [clear_masks(list(row))[0] for row in rows]
+                assert lane_clear(rows) == expected
+                assert [packed_clear(row) for row in rows] == expected
+                kept = [i for i, row in enumerate(expected) if any(row)]
+                dead += lanes - len(kept)
+                live += len(kept)
+                if kept and lanes > 1:
+                    i = rng.choice(kept)
+                    redrawn = [rows[i] if r == i else
+                               rng.choice((live_row, dead_row))(rng, tiers)
+                               for r in range(lanes)]
+                    assert lane_clear(redrawn)[i] == expected[i]
+    assert dead > 10000 and live > 10000
+
+
 def test_packed_ops_match_set_references():
     # every Cts operation on widths of 1 to 48 tiers against the set-form
     # references in tests/naive.py and the mask lists the structures
@@ -251,7 +329,7 @@ def test_packed_ops_match_set_references():
         acc = [set() for _ in range(tiers)]
         for t in targets:
             acc = naive_union(acc, naive_intersect(to_sets(t), nb))
-        got = b.project(targets)
+        got, = project_tuple((b,), [(t,) for t in targets])
         assert to_sets(got) == acc
         projected += got != b
     assert 0 < concretized < 48 and projected > 5

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ctsat.cts import Cts, Perm
+from ctsat.cts import Cts, Perm, project_tuple
 from ctsat.formula import (Clause, GenParams, TabularFormula,
                            bits_from_string, bits_to_string, generate)
 from ctsat.hyper import ExtractionFailure, vertex_values
@@ -212,6 +212,43 @@ def reference_concordant_shift(system, edge, tiers=None):
 
 def stored(subs):
     return None if subs is None else [cts_to_sets(sub) for sub in subs]
+
+
+def test_project_tuple_matches_naive_project_member_by_member():
+    # complete systems of three to five unified structures; the tuples
+    # projected are shift concretizations of tail vertex tuples, as in
+    # concordant_shift, onto every tier below the edge, and each member
+    # must equal naive_project's set form of it; a projection that
+    # changes no member returns the tuple it was given
+    rng = random.Random(6023)
+    changed = same = 0
+    while changed < 40 or same < 40:
+        n = rng.randint(6, 9)
+        structures = random_unified_system(rng, n, rng.randint(3, 5),
+                                           density=0.85)
+        sep = systemic_effective_procedure(structures[0], structures[1:],
+                                           dummy_formula(n),
+                                           early_check=False)
+        if sep.outcome != "complete":
+            continue
+        system = sep.system
+        for j, a, b in system.skeleton.edges():
+            var = system.basic_perm.order[j + 3]
+            subs = tuple(sub.concretize(var, b & 1)
+                         for sub in system.vsub[(j, a)])
+            if any(sub.is_empty for sub in subs):
+                continue
+            for r in range(j):
+                got = project_tuple(subs, [system.vsub[(r, c)] for c in
+                                           system.skeleton.codes(r)])
+                assert [cts_to_sets(g) for g in got] == [
+                    naive_project(system, r, cts_to_sets(sub), i)
+                    for i, sub in enumerate(subs)]
+                if got == subs:
+                    assert got is subs
+                    same += 1
+                else:
+                    changed += 1
 
 
 def test_concordant_shift_k3_projects_onto_tier_1():
