@@ -17,10 +17,16 @@ the `Layout` of its width, built once per width.
 
 Structures of one width can also sit side by side in one int, lanes
 of `tiers` bytes, structure i in lane i (`stack`); a `Layout` with
-several lanes repeats its constants in every lane. The same-name
-tuples of the systemic procedure are stacked this way: `project_tuple`
-projects a tuple with one AND and one clear per target tuple, and
-`hyper.check_tier_disjoint` tests a pair of vertex tuples the same way.
+several lanes repeats its constants in every lane, and a lane may hold
+a structure over its own permutation. The systemic procedure
+(`ctsat.sep`) stores each same-name tuple this way, one int per
+skeleton vertex and edge, and works on that int directly: a lane is
+dead when it has an empty tier (`has_empty_lane`), `concretize_lanes`
+fixes variables in every lane with one mask and one clear (a `Cts`
+concretizes as its one-lane case), `project_lanes` projects a tuple
+with one AND and one clear per target tuple, and a union of tuples is
+one OR. `unstack` gives the structures back where they are needed one
+by one.
 
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty
@@ -401,8 +407,7 @@ class Cts:
 
     @property
     def is_empty(self) -> bool:
-        x, lay = self.packed, self.perm.layout
-        return bool((x - lay.lsb) & ~x & lay.msb)
+        return has_empty_lane(self.packed, self.perm.layout)
 
     def is_elementary(self) -> bool:
         """One line per tier (and none empty)."""
@@ -469,17 +474,10 @@ class Cts:
 
     def concretize_many(self, pairs: Iterable[tuple[int, int]]) -> "Cts":
         """Fix several variables at once (single clearing pass at the end;
-        same fixpoint as repeated unary concretization).
-
-        Only the lowest tier holding each variable is restricted: every
-        full chain passes through that tier, so clearing removes the
-        lines of the other tiers that contradict the value."""
-        x, lay = self.packed, self.perm.layout
-        pos, windows = self.perm.pos, lay.windows
-        for var, value in pairs:
-            j, off = windows[pos[var - 1]]
-            x &= ~((TIER_FULL ^ _KEEP[off][value]) << 8 * j)
-        return Cts._make(self.perm, clear_packed(x, lay))
+        same fixpoint as repeated unary concretization): the one-lane
+        case of `concretize_lanes`."""
+        return Cts._make(self.perm, concretize_lanes(
+            self.packed, (self.perm,), pairs, self.perm.layout))
 
     # -- assignment views ----------------------------------------------
 
@@ -603,38 +601,49 @@ def unstack(x: int, structures: Sequence[Cts]) -> tuple[Cts, ...]:
                  for i, s in enumerate(structures))
 
 
-def project_tuple(subs: tuple[Cts, ...],
-                  targets: Iterable[Sequence[Cts]]) -> tuple[Cts, ...]:
-    """Member by member, the union of t[i].intersect(subs[i]) over the
-    targets t, for cleared `subs` of one width; `subs` itself when that
-    changes no member.
+def lane_layout(structures: Sequence[Cts]) -> Layout:
+    """The `Layout` of `stack(structures)`."""
+    return layout(structures[0].perm.layout.tiers, len(structures))
 
-    Each target costs one AND and one lane clear on the stacked members
-    (`stack`, `clear_packed`). A target that contains every member
-    gives `subs`, and so does the union once it equals `subs`: every
-    piece lies in `subs`, so the union stops growing there.
-    """
-    lay = layout(subs[0].perm.layout.tiers, len(subs))
-    whole = stack(subs)
+
+def has_empty_lane(x: int, lay: Layout) -> bool:
+    """Whether some lane of x has an empty tier: the has-zero-byte test
+    (see `clear_packed`)."""
+    return bool((x - lay.lsb) & ~x & lay.msb)
+
+
+def concretize_lanes(x: int, perms: Sequence[Perm],
+                     pairs: Iterable[tuple[int, int]], lay: Layout) -> int:
+    """Fix variables to constants in every lane of x, lane i over
+    perms[i], with one restriction mask and one clear.
+
+    Only the lowest tier holding each variable is restricted: every
+    full chain passes through that tier, so clearing removes the lines
+    of the other tiers that contradict the value."""
+    width, windows = 8 * lay.tiers, lay.windows
+    drop = 0
+    for var, value in pairs:
+        for i, perm in enumerate(perms):
+            j, off = windows[perm.pos[var - 1]]
+            drop |= (TIER_FULL ^ _KEEP[off][value]) << width * i + 8 * j
+    return clear_packed(x & ~drop, lay)
+
+
+def project_lanes(x: int, targets: Iterable[int], lay: Layout) -> int:
+    """Lane by lane, the union of the intersections of x with the
+    targets, for cleared x: one AND and one clear per target. Returns x
+    when that changes no lane.
+
+    A target that contains every lane of x gives x at once: the AND is
+    then x, which is cleared, so its piece of the union is x, and every
+    piece lies in x. For the same reason the union stops growing once
+    it equals x."""
     acc = 0
     for t in targets:
-        for s, u in zip(subs, t):
-            if u.perm is not s.perm:
-                s._check_perm(u)
-        raw = stack(t) & whole
-        if raw == whole:
-            return subs
+        raw = t & x
+        if raw == x:
+            return x
         acc |= clear_packed(raw, lay)
-        if acc == whole:
-            return subs
-    return unstack(acc, subs)
-
-
-def union_all(structures: Sequence[Cts]) -> Cts:
-    """Union of one or more structures over a common permutation."""
-    if not structures:
-        raise ValueError("need at least one structure")
-    acc = structures[0]
-    for s in structures[1:]:
-        acc = acc.union(s)
+        if acc == x:
+            return x
     return acc

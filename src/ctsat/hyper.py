@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .cts import _SUCC, Cts, Perm, clear_packed, layout, stack, unstack
+from .cts import _SUCC, Cts, Perm, clear_packed, lane_layout, unstack
 
 Vertex = tuple[int, int]          # (tier index 0-based, triplet code)
 Edge = tuple[int, int, int]       # (tier index j, code at j, code at j+1)
@@ -188,27 +188,28 @@ class InvariantViolation(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def check_tier_disjoint(vsub: dict[Vertex, tuple[Cts, ...]],
-                        codes: Sequence[int], j: int) -> None:
-    """Same-tier substructure-vertices of each member (`vsub` maps a
-    vertex to them in member order) must have pairwise empty
-    intersections; checked after each tier completes (also under -O).
-    Each pair of vertices costs one AND and one lane clear of their
-    stacked tuples (`cts.stack`), whose lowest non-empty lane is the
-    first overlapping member. The diagnostics name the member by its
-    0-based position."""
+def check_tier_disjoint(vsub: dict[Vertex, int], codes: Sequence[int],
+                        j: int, structures: Sequence[Cts]) -> None:
+    """Same-tier substructure-vertices of each member must have pairwise
+    empty intersections; checked after each tier completes (also under
+    -O). `vsub` maps a vertex to its same-name tuple stacked in one int,
+    member i in lane i over the permutation of structures[i]. Each pair
+    of vertices costs one AND and one lane clear, whose lowest non-empty
+    lane is the first overlapping member; only then are the tuples
+    unstacked. The diagnostics name the member by its 0-based
+    position."""
     if len(codes) < 2:
         return
-    tuples = [vsub[(j, c)] for c in codes]
-    lay = layout(tuples[0][0].perm.layout.tiers, len(tuples[0]))
-    stacked = [stack(t) for t in tuples]
+    lay = lane_layout(structures)
+    stacked = [vsub[(j, c)] for c in codes]
     for i, a in enumerate(codes):
         for b, packed in zip(codes[i + 1:], stacked[i + 1:]):
             both = clear_packed(stacked[i] & packed, lay)
             if both:
-                member = next(m for m, s in enumerate(unstack(both, tuples[i]))
+                member = next(m for m, s in enumerate(unstack(both, structures))
                               if s.packed)
-                sa, sb = vsub[(j, a)][member], vsub[(j, b)][member]
+                sa, sb = (unstack(x, structures)[member]
+                          for x in (stacked[i], packed))
                 raise InvariantViolation(
                     "tier %d substructures %s and %s overlap"
                     % (j + 1, format(a, "03b"), format(b, "03b")),

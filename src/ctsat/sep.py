@@ -4,10 +4,10 @@ For k unified structures the basic graph of the first one is shared by
 k-1 hyperstructures formed in deterministic lockstep. Same-name
 substructures (attached to the same vertex or edge of the shared
 skeleton) are unified after every formation step that changes them and
-stored together, as one tuple in member order per skeleton element; a
-basic-graph element whose substructure empties in any member is
-removed with its whole tuple, so the members are empty or non-empty
-only jointly.
+stored together, as one int per skeleton element that holds the
+members side by side, member i in lane i (`cts.stack`); a basic-graph
+element whose substructure empties in any member is removed with its
+whole tuple, so the members are empty or non-empty only jointly.
 
 The classifier runs the full pipeline and emits one of three verdicts:
 satisfiable (with a verified witness), unsatisfiable (with the pipeline
@@ -22,7 +22,9 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import Bits, Cts, Perm, project_tuple, union_all
+from .cts import (Bits, Cts, Layout, Perm, clear_packed, concretize_lanes,
+                  has_empty_lane, lane_layout, project_lanes, stack,
+                  unstack)
 from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
 from .formula import TabularFormula, bits_to_string
@@ -80,15 +82,21 @@ class HsSystem:
     """Shared pruned skeleton plus the same-name substructures.
 
     `structures` are the k-1 member structures. `vsub` and `esub` map a
-    skeleton vertex or edge to its substructures, one per member, in
-    the order of `structures`.
+    skeleton vertex or edge to its substructures, one per member,
+    stacked in one int: member i in lane i, over the permutation of
+    structures[i]. `layout` is the `Layout` of those ints, and
+    `cts.unstack(x, structures)` gives the substructures back.
     """
 
     skeleton: TierGraph
     basic_perm: Perm
     structures: tuple[Cts, ...]
-    vsub: dict[Vertex, tuple[Cts, ...]] = field(default_factory=dict)
-    esub: dict[Edge, tuple[Cts, ...]] = field(default_factory=dict)
+    vsub: dict[Vertex, int] = field(default_factory=dict)
+    esub: dict[Edge, int] = field(default_factory=dict)
+    layout: Layout = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.layout = lane_layout(self.structures)
 
 
 @dataclass
@@ -131,41 +139,41 @@ def early_elementary_check(sub: Cts, basic: Cts,
     return None
 
 
-def _unify_same_name(subs: tuple[Cts, ...], stats: SepStats,
-                     since: Sequence[Cts]) -> tuple[Cts, ...] | None:
-    """Same-name substructures of all members, unified; None when one of
-    them is or becomes empty. `subs` are cleared, and `since` is a unify
-    fixpoint that each of them refines (see `unify`). The one skip rule:
-    no call for `subs` equal to `since` (a non-empty fixpoint, so tested
-    first) or for a lone member."""
-    if all(sub.packed == old.packed for sub, old in zip(subs, since)):
-        return subs
-    if any(sub.is_empty for sub in subs):
+def _unify_same_name(x: int, since: int, system: HsSystem,
+                     stats: SepStats) -> int | None:
+    """Same-name substructures of all members, stacked in x, unified;
+    None when one of them is or becomes empty. x is cleared, and `since`
+    is a unify fixpoint that x refines lane by lane (see `unify`). The
+    one skip rule: no call for x equal to `since` (a non-empty fixpoint,
+    so tested first) or for a lone member."""
+    if x == since:
+        return x
+    if has_empty_lane(x, system.layout):
         return None
-    if len(subs) == 1:
-        return subs
-    result = unify(subs, since=since)
+    if system.layout.lanes == 1:
+        return x
+    structures = system.structures
+    result = unify(unstack(x, structures), since=unstack(since, structures))
     stats.unify_waves += result.waves
-    return result.structures   # None when the system emptied
+    return None if result.empty else stack(result.structures)
 
 
 def concordant_shift(system: HsSystem, edge: Edge,
-                     stats: SepStats) -> tuple[Cts, ...] | None:
+                     stats: SepStats) -> int | None:
     """Run the shift lockstep in every member, unifying same-name
     intermediate substructures; None when the system empties on this edge."""
     j, a, b = edge
-    var = system.basic_perm.order[j + 3]
-    beta = b & 1
-    tail = system.vsub[(j, a)]
-    subs = _unify_same_name(
-        tuple(sub.concretize(var, beta) for sub in tail), stats, since=tail)
+    lay, vsub, codes = system.layout, system.vsub, system.skeleton.codes
+    tail = vsub[(j, a)]
+    x = concretize_lanes(tail, [s.perm for s in system.structures],
+                         ((system.basic_perm.order[j + 3], b & 1),), lay)
+    x = _unify_same_name(x, tail, system, stats)
     for s in range(j):
-        if subs is None:
+        if x is None:
             return None
-        projected = project_tuple(subs, [system.vsub[(s, c)]
-                                         for c in system.skeleton.codes(s)])
-        subs = _unify_same_name(projected, stats, since=subs)
-    return subs
+        projected = project_lanes(x, (vsub[(s, c)] for c in codes(s)), lay)
+        x = _unify_same_name(projected, x, system, stats)
+    return x
 
 
 def _prune_system(system: HsSystem, stats: SepStats) -> int | None:
@@ -186,26 +194,27 @@ def systemic_effective_procedure(
     The basic graph doubles as the shared skeleton; every removal is
     joint (rule C is automatic). A round forms tier j: it shifts the
     tier j-1 edges, forms each tier-j vertex tuple (concretized from the
-    basic vertex in the first tier, the union of its incoming edge
-    tuples in later ones), unifies and early-checks it, and prunes. A
-    round reads only the tuples and codes below tier j and the links
-    into tier j, so it is repeated only when the prune changed a tier
-    below j. The early elementary check can short-circuit the whole run
-    with a witness.
+    basic vertex and unified in the first tier, the union of its
+    incoming edge tuples, one OR, in later ones), early-checks it, and
+    prunes. A round reads only the tuples and codes below tier j and the
+    links into tier j, so it is repeated only when the prune changed a
+    tier below j. The early elementary check can short-circuit the
+    whole run with a witness.
 
-    Every same-name step goes through `_unify_same_name`, seeded with a
-    fixpoint its input refines, and every input is cleared: a
-    concretization or a projection of a cleared tuple, a union of
-    cleared tuples. A tier-j vertex tuple after the first tier is
-    seeded with itself, because a tier-wise union of unify fixpoints
-    over the same permutations is one. At a fixpoint the two rules
-    agree everywhere: each variable shows the same value set in every
+    Every concretization and projection goes through
+    `_unify_same_name`, seeded with a fixpoint its input refines, and
+    every input is cleared: a concretization or a projection of a
+    cleared tuple. A tier-j vertex tuple after the first tier needs no
+    unify step, because a tier-wise union of unify fixpoints over the
+    same permutations is one. At a fixpoint the two rules agree
+    everywhere: each variable shows the same value set in every
     structure's window of it, and each pair co-tiered in two or more
     structures the same combination set in every home. A union keeps
     each line's support in the operand it came from, so it is cleared,
     and its value and combination sets are the unions of the operands'
     sets, so they still agree across structures and neither rule
-    removes anything: equal to its seed, the tuple never reaches unify.
+    removes anything. The edge tuples are non-empty in every lane, and
+    so is their union.
     """
     if not others:
         raise ValueError("need at least one non-basic structure")
@@ -215,42 +224,40 @@ def systemic_effective_procedure(
     skeleton = basic_graph(basic)
     system = HsSystem(skeleton=skeleton, basic_perm=basic.perm,
                       structures=tuple(others))
+    whole = stack(system.structures)
 
     for j in range(skeleton.tier_count):
         while True:
             if j:
                 for e in list(skeleton.edges(j - 1)):
-                    subs = concordant_shift(system, e, stats)
-                    if subs is None:
+                    x = concordant_shift(system, e, stats)
+                    if x is None:
                         skeleton.remove_edge(e)
                         stats.pruned_edges += 1
                     else:
-                        system.esub[e] = subs
+                        system.esub[e] = x
             for c in skeleton.codes(j):
                 v = (j, c)
                 if j:
                     # every tier j-1 edge left in the skeleton was
                     # shifted above, so its substructures are stored
-                    incoming = [system.esub[(j - 1, a, c)]
-                                for a in skeleton.up(v)]
-                    subs = (tuple(map(union_all, zip(*incoming)))
-                            if incoming else None)
-                    since = subs   # a union of fixpoints (see above)
+                    x = 0
+                    for a in skeleton.up(v):
+                        x |= system.esub[(j - 1, a, c)]
                 else:
                     pairs = vertex_values(system.basic_perm, v)
-                    subs = tuple(s.concretize_many(pairs)
-                                 for s in system.structures)
-                    since = system.structures
-                if subs is not None:
-                    subs = _unify_same_name(subs, stats, since=since)
-                if subs is None:
+                    x = _unify_same_name(
+                        stack([s.concretize_many(pairs)
+                               for s in system.structures]),
+                        whole, system, stats)
+                if not x:
                     skeleton.remove_vertex(v)
                     stats.pruned_vertices += 1
                     continue
-                system.vsub[v] = subs
+                system.vsub[v] = x
                 if early_check:
                     stats.early_checks += 1
-                    for sub in subs:
+                    for sub in unstack(x, system.structures):
                         bits = early_elementary_check(sub, basic, formula)
                         if bits is not None:
                             return SepResult("early-sat", witness=bits,
@@ -262,7 +269,8 @@ def systemic_effective_procedure(
             if skeleton.tiers[:j] == below:
                 break
             stats.recompute_rounds += 1
-        check_tier_disjoint(system.vsub, skeleton.codes(j), j)
+        check_tier_disjoint(system.vsub, skeleton.codes(j), j,
+                            system.structures)
         _emit_tier(sink, system, j)
 
     return SepResult("complete", system=system, stats=stats)
@@ -275,7 +283,7 @@ def _emit_tier(sink, system: HsSystem, j: int) -> None:
     for r in range(len(system.structures)):
         for c in system.skeleton.codes(j):
             parts.append("member %d, vertex %d:%s" % (r + 2, j + 1, format(c, "03b")))
-            parts.append(system.vsub[(j, c)][r].render())
+            parts.append(unstack(system.vsub[(j, c)], system.structures)[r].render())
     sink.write("sep_tier_%02d" % (j + 1), "\n".join(parts))
 
 
@@ -298,19 +306,22 @@ def extract_jss_system(system: HsSystem, basic: Cts,
     A complete route whose assignment fails those checks is skipped and
     reported in `rejected`; a route whose running intersections do not
     pin exactly the assignment its labels spell raises
-    `ExtractionFailure`."""
-    skeleton = system.skeleton
+    `ExtractionFailure`.
+
+    The members' running intersections are one stacked int: a step down
+    is one AND and one lane clear, and a dead lane is a backtrack."""
+    skeleton, vsub, lay = system.skeleton, system.vsub, system.layout
     last = skeleton.tier_count - 1
     found: list[Bits] = []
     backtracks = 0
     rejected: list[Bits] = []
 
-    def descend(j: int, route: list[Vertex], runnings: Sequence[Cts]) -> bool:
+    def descend(j: int, route: list[Vertex], running: int) -> bool:
         nonlocal backtracks
         if j == 0:
             bits = route_assignment(system.basic_perm, list(reversed(route)))
             if not all(r.is_elementary() and r.the_assignment() == bits
-                       for r in runnings):
+                       for r in unstack(running, system.structures)):
                 raise ExtractionFailure(
                     "route labels disagree with the running intersection")
             ok = (basic.contains_assignment(bits)
@@ -324,9 +335,8 @@ def extract_jss_system(system: HsSystem, basic: Cts,
             return len(found) >= limit
         c = route[-1][1]
         for a in skeleton.up((j, c)):
-            nxt = [r.intersect(sub)
-                   for r, sub in zip(runnings, system.vsub[(j - 1, a)])]
-            if any(x.is_empty for x in nxt):
+            nxt = clear_packed(running & vsub[(j - 1, a)], lay)
+            if has_empty_lane(nxt, lay):
                 backtracks += 1
                 continue
             if descend(j - 1, route + [(j - 1, a)], nxt):
@@ -334,7 +344,7 @@ def extract_jss_system(system: HsSystem, basic: Cts,
         return False
 
     for c in skeleton.codes(last):
-        if descend(last, [(last, c)], system.vsub[(last, c)]):
+        if descend(last, [(last, c)], vsub[(last, c)]):
             break
     if not found:
         raise ExtractionFailure(
@@ -447,6 +457,7 @@ def _failure_bundle(system: HsSystem) -> dict:
     return {"skeleton": system.skeleton.render(), "members": [
         {"structure": structure.render(),
          "vertex_substructures": {
-             "%d:%s" % (v[0] + 1, format(v[1], "03b")): subs[i].render()
-             for v, subs in sorted(system.vsub.items())}}
+             "%d:%s" % (v[0] + 1, format(v[1], "03b")):
+                 unstack(x, system.structures)[i].render()
+             for v, x in sorted(system.vsub.items())}}
         for i, structure in enumerate(system.structures)]}

@@ -6,7 +6,8 @@ machinery so the two paths can check each other. The exceptions read
 structures' tier masks directly: `constant_of` and `pair_relation`,
 which state unify's fixpoint per structure, and `reference_unify`, the
 full-scan form of `unify` on the same bitmask tables, kept to check the
-change-driven one field for field.
+change-driven one field for field. The systemic procedure's stored
+tuples are read through `cts.unstack`, one structure per member.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+
+from ctsat.cts import unstack
 
 
 def rows_to_sets(rows, tier_count):
@@ -133,8 +136,8 @@ def naive_project(system, r, target, i=0):
     member i's tier-r vertex substructures, each intersected with it."""
     acc = [set() for _ in target]
     for c in system.skeleton.codes(r):
-        acc = naive_union(acc, naive_intersect(cts_to_sets(system.vsub[(r, c)][i]),
-                                               target))
+        sub = unstack(system.vsub[(r, c)], system.structures)[i]
+        acc = naive_union(acc, naive_intersect(cts_to_sets(sub), target))
     return acc
 
 
@@ -144,7 +147,8 @@ def naive_shift(system, edge):
     adds, then project onto every earlier tier in turn."""
     j, a, b = edge
     var = system.basic_perm.order[j + 3]
-    current = naive_concretize(cts_to_sets(system.vsub[(j, a)][0]),
+    tail = unstack(system.vsub[(j, a)], system.structures)[0]
+    current = naive_concretize(cts_to_sets(tail),
                                list(system.structures[0].perm.order), var, b & 1)
     for s in range(j):
         current = naive_project(system, s, current)

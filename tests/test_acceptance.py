@@ -11,7 +11,7 @@ import random
 import statistics
 import time
 
-from ctsat.cts import Cts, Perm
+from ctsat.cts import Cts, Perm, unstack
 from ctsat.decompose import Ctf, ctf_to_cts, decompose_with_plan
 from ctsat.difftest import DifftestParams, difftest
 from ctsat.formula import (GenParams, TabularFormula, bits_from_string,
@@ -107,9 +107,11 @@ def test_criterion_05_graph_and_route_reproduction(unified_pair):
     result = systemic_effective_procedure(unified_pair[0], [unified_pair[1]],
                                           shell, early_check=False)
     assert result.outcome == "complete"
+    system = result.system
     for key, rows in tabledata.HYPER_VERTEX_SUBS.items():
         expected = cts_from_rows(tabledata.PERM2, rows)
-        assert result.system.vsub[key][0].tiers == expected.tiers, key
+        sub, = unstack(system.vsub[key], system.structures)
+        assert sub.tiers == expected.tiers, key
     extraction = extract_jss_system(result.system, unified_pair[0], shell,
                                     limit=32)
     as_p2 = sorted("".join(str(b[v - 1]) for v in tabledata.PERM2)
@@ -308,9 +310,10 @@ def test_criterion_10_performance_and_bounds():
         unified.structures[0], [unified.structures[1]], TabularFormula(n, ()),
         early_check=False)
     if result.outcome == "complete":
-        vsub = result.system.vsub
+        system = result.system
         limit = 8 * (n - 2)
-        assert len(vsub) <= limit
-        assert all(subs[0].line_count() <= limit for subs in vsub.values())
+        assert len(system.vsub) <= limit
+        assert all(unstack(x, system.structures)[0].line_count() <= limit
+                   for x in system.vsub.values())
     ok(10, "median n=50 classification %.1f s (< 30 s); hyperstructure "
            "within the 8(n-2) size bounds" % median)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctsat.cts import (TIER_FULL, Cts, Perm, clear_masks, clear_packed,
-                       layout, project_tuple, settle, union_all)
+                       concretize_lanes, lane_layout, layout, project_lanes,
+                       settle, stack, unstack)
 from ctsat.formula import bits_from_string
 
 from conftest import cts_from_rows
@@ -118,11 +120,11 @@ def test_settle_matches_clear_masks_after_one_tier_restriction():
 
 
 def test_project_matches_union_of_intersections():
-    # project_tuple builds, member by member, the union of
-    # t[i].intersect(subs[i]) from raw masks and stops early; the tuples
-    # have one to four members, each over its own permutation, and the
-    # targets mix supersets of the members, disjoint structures and
-    # partial overlaps
+    # project_lanes builds, lane by lane, the union of
+    # t[i].intersect(subs[i]) from raw masks of the stacked tuples and
+    # stops early; the tuples have one to four members, each over its
+    # own permutation, and the targets mix supersets of the members,
+    # disjoint structures and partial overlaps
     rng = random.Random(903)
     shortcut = partial = 0
     for _ in range(1500):
@@ -148,23 +150,51 @@ def test_project_matches_union_of_intersections():
             targets.append(tuple(
                 Cts(p, random_masks(rng, n - 2, density)).clear()
                 for p in perms))
-        expected = [union_all([t[i].intersect(sub) for t in targets])
-                    for i, sub in enumerate(subs)]
-        got = project_tuple(subs, targets)
-        assert list(got) == expected
-        if all(g.tiers == sub.tiers for g, sub in zip(got, subs)):
-            assert got is subs
+        expected = tuple(reduce(Cts.union, [t[i].intersect(sub)
+                                            for t in targets])
+                         for i, sub in enumerate(subs))
+        x = stack(subs)
+        got = project_lanes(x, [stack(t) for t in targets], lane_layout(subs))
+        assert unstack(got, subs) == expected
+        if expected == subs:
+            assert got == x
             shortcut += 1
-        elif not all(g.is_empty for g in got):
+        elif not all(g.is_empty for g in expected):
             partial += 1
     assert shortcut > 100 and partial > 100
 
 
-def test_project_tuple_checks_permutations():
-    perm = Perm.identity(5)
-    sub = Cts.complete(perm)
-    with pytest.raises(ValueError, match="permutation mismatch"):
-        project_tuple((sub, sub), [(sub, Cts.complete(Perm((2, 1, 3, 4, 5))))])
+def test_concretize_lanes_matches_per_member_concretize_many():
+    # every lane count from 1 to 16 and every width from 1 to 48 tiers:
+    # each lane a cleared structure over its own permutation, some of
+    # them elementary, so that a lane often empties next to live ones;
+    # one to three variables are fixed at once, and the result must
+    # equal Cts.concretize_many member by member
+    rng = random.Random(907)
+    mixed = kept = 0
+    for lanes in range(1, 17):
+        for tiers in range(1, 49):
+            n = tiers + 2
+            subs = []
+            for _ in range(lanes):
+                perm = Perm(rng.sample(range(1, n + 1), n))
+                masks = random_cleared_masks(rng, n, rng.choice((0.6, 0.9)))
+                if masks is None or rng.random() < 0.3:
+                    bits = [rng.randint(0, 1) for _ in range(n)]
+                    subs.append(Cts.from_assignment(bits, perm))
+                else:
+                    subs.append(Cts(perm, masks))
+            pairs = [(rng.randint(1, n), rng.randint(0, 1))
+                     for _ in range(rng.randint(1, 3))]
+            expected = tuple(s.concretize_many(pairs) for s in subs)
+            got = concretize_lanes(stack(subs), [s.perm for s in subs],
+                                   pairs, lane_layout(subs))
+            assert unstack(got, subs) == expected
+            dead = sum(s.is_empty for s in expected)
+            assert (got == 0) == (dead == lanes)
+            mixed += 0 < dead < lanes
+            kept += dead == 0
+    assert mixed > 200 and kept > 50
 
 
 # -- the packed kernel ---------------------------------------------------------
@@ -329,7 +359,8 @@ def test_packed_ops_match_set_references():
         acc = [set() for _ in range(tiers)]
         for t in targets:
             acc = naive_union(acc, naive_intersect(to_sets(t), nb))
-        got, = project_tuple((b,), [(t,) for t in targets])
+        got, = unstack(project_lanes(b.packed, [t.packed for t in targets],
+                                     perm.layout), (b,))
         assert to_sets(got) == acc
         projected += got != b
     assert 0 < concretized < 48 and projected > 5

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import ctsat
-from ctsat.cts import Cts, Perm
+from ctsat.cts import Cts, Perm, stack, unstack
 from ctsat.formula import TabularFormula
 from ctsat.hyper import (InvariantViolation, TierGraph, basic_graph,
                          check_tier_disjoint)
@@ -172,7 +172,8 @@ def test_project_disjoint_target_is_empty(unified_pair):
 
 def test_project_contained_target_survives(unified_pair):
     system = build_pair_system(unified_pair)
-    target = cts_to_sets(system.vsub[(0, 0b001)][0])
+    target = cts_to_sets(unstack(system.vsub[(0, 0b001)],
+                                 system.structures)[0])
     got = naive_project(system, 0, target)
     for t_got, t_target in zip(got, target):
         assert t_target <= t_got
@@ -182,16 +183,19 @@ def test_shift_first_tier_is_bare_concretization(unified_pair):
     system = build_pair_system(unified_pair)
     edge = (0, 0b001, 0b010)
     new_var = system.basic_perm.order[3]
-    expected = system.vsub[(0, 0b001)][0].concretize(new_var, 0)
-    assert system.esub[edge] == (expected,)
-    assert concordant_shift(system, edge, SepStats()) == (expected,)
+    tail, = unstack(system.vsub[(0, 0b001)], system.structures)
+    expected = tail.concretize(new_var, 0)
+    assert unstack(system.esub[edge], system.structures) == (expected,)
+    got = concordant_shift(system, edge, SepStats())
+    assert unstack(got, system.structures) == (expected,)
 
 
 def test_shift_empty_concretization_short_circuits(unified_pair):
     system = build_pair_system(unified_pair)
     # the substructure at (3, 101) pins the variable the next tier fixes
     var = system.basic_perm.order[5]
-    assert constant_bit(system.vsub[(2, 0b101)][0], var) == 1
+    sub, = unstack(system.vsub[(2, 0b101)], system.structures)
+    assert constant_bit(sub, var) == 1
     # a hypothetical edge whose new-variable value contradicts the pin:
     # the concretization empties, so no projections run
     assert concordant_shift(system, (2, 0b101, 0b010), SepStats()) is None
@@ -240,7 +244,8 @@ def test_shift_matches_naive_reimplementation():
         for edge in list(system.skeleton.edges()):
             got = concordant_shift(system, edge, SepStats())
             assert got is not None
-            assert cts_to_sets(got[0]) == naive_shift(system, edge)
+            sub, = unstack(got, system.structures)
+            assert cts_to_sets(sub) == naive_shift(system, edge)
             checked += 1
     assert checked > 50
 
@@ -259,7 +264,8 @@ def test_effective_procedure_reproduces_reference_hyperstructure(unified_pair):
     assert len(vsub) == 13
     for key, rows in tabledata.HYPER_VERTEX_SUBS.items():
         expected = cts_from_rows(tabledata.PERM2, rows)
-        assert vsub[key][0].equivalent(expected) == 1, key
+        sub, = unstack(vsub[key], system.structures)
+        assert sub.equivalent(expected) == 1, key
 
 
 def test_effective_procedure_early_termination(unified_pair):
@@ -323,24 +329,30 @@ def test_same_tier_substructures_pairwise_disjoint():
         result = pair_sep(s1, s2)
         if result.outcome == "empty":
             continue
-        skeleton, vsub = result.system.skeleton, result.system.vsub
+        system = result.system
+        skeleton = system.skeleton
         for j in range(skeleton.tier_count):
             codes = skeleton.codes(j)
+            subs = {c: unstack(system.vsub[(j, c)], system.structures)[0]
+                    for c in codes}
             for i, a in enumerate(codes):
                 for b in codes[i + 1:]:
-                    assert vsub[(j, a)][0].intersect(vsub[(j, b)][0]).is_empty
+                    assert subs[a].intersect(subs[b]).is_empty
 
 
 def test_tier_disjoint_check_rejects_overlapping_substructures(perm5):
     zeros = Cts.from_assignment((0, 0, 0, 0, 0), perm5)
     ones = Cts.from_assignment((1, 1, 1, 1, 1), perm5)
-    check_tier_disjoint({(0, 0b000): (zeros, ones), (0, 0b111): (ones, zeros)},
-                        (0b000, 0b111), 0)
+    members = (zeros, ones)
+    check_tier_disjoint({(0, 0b000): stack((zeros, ones)),
+                         (0, 0b111): stack((ones, zeros))},
+                        (0b000, 0b111), 0, members)
     # the second member's substructures overlap
     with pytest.raises(InvariantViolation,
                        match="tier 1 substructures 000 and 111 overlap") as info:
-        check_tier_disjoint({(0, 0b000): (zeros, ones),
-                             (0, 0b111): (ones, ones)}, (0b000, 0b111), 0)
+        check_tier_disjoint({(0, 0b000): stack((zeros, ones)),
+                             (0, 0b111): stack((ones, ones))},
+                            (0b000, 0b111), 0, members)
     assert info.value.diagnostics == {
         "tier": 1, "member": 1,
         "substructures": {"000": ones.render(), "111": ones.render()}}
@@ -353,7 +365,8 @@ def test_tier_disjoint_check_survives_optimize():
         "assert False, 'asserts are stripped under -O'\n"
         "s = Cts.complete(Perm.identity(4))\n"
         "try:\n"
-        "    check_tier_disjoint({(0, 1): (s,), (0, 2): (s,)}, (1, 2), 0)\n"
+        "    check_tier_disjoint({(0, 1): s.packed, (0, 2): s.packed},"
+        " (1, 2), 0, (s,))\n"
         "except InvariantViolation as exc:\n"
         "    print(exc)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
@@ -372,7 +385,8 @@ def test_substructures_intersect_every_earlier_tier():
         if result.outcome == "empty":
             continue
         system = result.system
-        for (j, c), (sub,) in system.vsub.items():
+        for (j, c), x in system.vsub.items():
+            sub, = unstack(x, system.structures)
             for r in range(j):
                 assert any(naive_project(system, r, cts_to_sets(sub))), \
                     (j, c, r)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ctsat.cts import Cts, Perm, project_tuple
+from ctsat.cts import Cts, Perm, project_lanes, stack, unstack
 from ctsat.formula import (Clause, GenParams, TabularFormula,
                            bits_from_string, bits_to_string, generate)
 from ctsat.hyper import ExtractionFailure, vertex_values
@@ -122,15 +122,17 @@ def test_sep_k2_vertex_substructures_are_incoming_unions():
     compared = 0
     for s2, system in k2_systems():
         assert set(system.vsub) == set(system.skeleton.vertices())
-        for (j, c), (sub,) in system.vsub.items():
+        for (j, c), x in system.vsub.items():
+            sub, = unstack(x, system.structures)
             if j == 0:
                 pairs = vertex_values(system.basic_perm, (j, c))
                 assert sub == s2.concretize_many(pairs)
                 continue
-            ups = system.skeleton.up((j, c))
-            acc = system.esub[(j - 1, ups[0], c)][0]
-            for a in ups[1:]:
-                acc = acc.union(system.esub[(j - 1, a, c)][0])
+            edges = [unstack(system.esub[(j - 1, a, c)], system.structures)[0]
+                     for a in system.skeleton.up((j, c))]
+            acc = edges[0]
+            for e in edges[1:]:
+                acc = acc.union(e)
             assert sub == acc, (j, c)
         compared += 1
     assert compared > 10
@@ -141,8 +143,8 @@ def test_concordant_shift_k2_degenerates_to_plain_shift():
     for _, system in k2_systems():
         assert set(system.esub) == set(system.skeleton.edges())
         for edge in system.skeleton.edges():
-            assert cts_to_sets(system.esub[edge][0]) == \
-                naive_shift(system, edge)
+            sub, = unstack(system.esub[edge], system.structures)
+            assert cts_to_sets(sub) == naive_shift(system, edge)
         compared += 1
     assert compared > 10
 
@@ -161,11 +163,11 @@ def test_concordant_shift_conflicting_constants_removes_edge():
         system = sep.system
         edge = next(iter(system.skeleton.edges(0)))
         var = system.basic_perm.order[3]
-        first, second = system.vsub[(0, edge[1])]
+        first, second = unstack(system.vsub[(0, edge[1])], system.structures)
         forced0 = first.concretize(var, 1 - (edge[2] & 1))
         if forced0.is_empty:
             continue
-        system.vsub[(0, edge[1])] = (forced0, second)
+        system.vsub[(0, edge[1])] = stack((forced0, second))
         assert concordant_shift(system, edge, SepStats()) is None
         break
 
@@ -194,7 +196,8 @@ def reference_shift_steps(system, edge, tiers=None):
 
     subs = unified([naive_concretize(cts_to_sets(sub), list(p.order),
                                      var, b & 1)
-                    for sub, p in zip(system.vsub[(j, a)], perms)])
+                    for sub, p in zip(unstack(system.vsub[(j, a)],
+                                              system.structures), perms)])
     changing = 0
     for s in range(j) if tiers is None else tiers:
         if subs is None:
@@ -210,16 +213,19 @@ def reference_concordant_shift(system, edge, tiers=None):
     return reference_shift_steps(system, edge, tiers)[0]
 
 
-def stored(subs):
-    return None if subs is None else [cts_to_sets(sub) for sub in subs]
+def stored(system, x):
+    """A stored same-name tuple (or a shift result) in set form, member
+    by member."""
+    return None if x is None else [cts_to_sets(sub) for sub in
+                                   unstack(x, system.structures)]
 
 
-def test_project_tuple_matches_naive_project_member_by_member():
+def test_project_lanes_matches_naive_project_member_by_member():
     # complete systems of three to five unified structures; the tuples
     # projected are shift concretizations of tail vertex tuples, as in
-    # concordant_shift, onto every tier below the edge, and each member
-    # must equal naive_project's set form of it; a projection that
-    # changes no member returns the tuple it was given
+    # concordant_shift, onto every tier below the edge, stacked, and
+    # each lane must equal naive_project's set form of that member; a
+    # projection that changes no member returns the int it was given
     rng = random.Random(6023)
     changed = same = 0
     while changed < 40 or same < 40:
@@ -234,18 +240,20 @@ def test_project_tuple_matches_naive_project_member_by_member():
         system = sep.system
         for j, a, b in system.skeleton.edges():
             var = system.basic_perm.order[j + 3]
-            subs = tuple(sub.concretize(var, b & 1)
-                         for sub in system.vsub[(j, a)])
+            subs = tuple(sub.concretize(var, b & 1) for sub in
+                         unstack(system.vsub[(j, a)], system.structures))
             if any(sub.is_empty for sub in subs):
                 continue
+            x = stack(subs)
             for r in range(j):
-                got = project_tuple(subs, [system.vsub[(r, c)] for c in
-                                           system.skeleton.codes(r)])
-                assert [cts_to_sets(g) for g in got] == [
-                    naive_project(system, r, cts_to_sets(sub), i)
-                    for i, sub in enumerate(subs)]
-                if got == subs:
-                    assert got is subs
+                got = project_lanes(x, [system.vsub[(r, c)] for c in
+                                        system.skeleton.codes(r)],
+                                    system.layout)
+                expected = [naive_project(system, r, cts_to_sets(sub), i)
+                            for i, sub in enumerate(subs)]
+                assert stored(system, got) == expected
+                if expected == [cts_to_sets(sub) for sub in subs]:
+                    assert got == x
                     same += 1
                 else:
                     changed += 1
@@ -264,7 +272,7 @@ def test_concordant_shift_k3_projects_onto_tier_1():
     biting = 0
     for edge in system.skeleton.edges():
         expected = reference_concordant_shift(system, edge)
-        assert stored(system.esub[edge]) == expected
+        assert stored(system, system.esub[edge]) == expected
         if expected != reference_concordant_shift(system, edge,
                                                   range(1, edge[0])):
             biting += 1
@@ -285,7 +293,7 @@ def test_concordant_shift_projects_onto_the_tier_below_the_edge(monkeypatch):
     def checked(system, edge, stats):
         subs = original(system, edge, stats)
         expected = reference_concordant_shift(system, edge)
-        assert stored(subs) == expected, edge
+        assert stored(system, subs) == expected, edge
         j = edge[0]
         if j and expected != reference_concordant_shift(system, edge,
                                                         range(j - 1)):
@@ -324,8 +332,8 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
         _, changing = reference_shift_steps(system, edge)
         j, a, b = edge
         var = system.basic_perm.order[j + 3]
-        concretized = any(sub.concretize(var, b & 1) != sub
-                          for sub in system.vsub[(j, a)])
+        concretized = any(sub.concretize(var, b & 1) != sub for sub in
+                          unstack(system.vsub[(j, a)], system.structures))
         del calls[:]
         subs = original(system, edge, stats)
         if subs is None:
@@ -381,14 +389,14 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
 def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
     # the SEP seeds every unify call with the fixpoint its input refines
     # (the tail vertex tuple of a shift, the tuple before a projection
-    # step, the members for a tier-0 vertex, and a later tier's vertex
-    # tuple, a union of fixpoints, itself); every call must still give
+    # step, the members for a tier-0 vertex); every call must still give
     # the full scan's result, field for field. A tuple equal to its seed
-    # makes no call, so a union never reaches unify. Only classify's
-    # top-level unify runs unseeded
+    # makes no call, and a later tier's vertex tuple, a union of
+    # fixpoints, is formed without one. Only classify's top-level unify
+    # runs unseeded
     import ctsat.sep as sep_mod
 
-    calls = {"seeded": 0, "union": 0, "full": 0}
+    calls = {"seeded": 0, "full": 0}
 
     def checked(structures, sink=None, since=None):
         result = unify(structures, sink=sink, since=since)
@@ -401,7 +409,7 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
             calls["full"] += 1
         else:
             assert tuple(structures) != tuple(since)
-            calls["union" if since is structures else "seeded"] += 1
+            calls["seeded"] += 1
         return result
 
     monkeypatch.setattr(sep_mod, "unify", checked)
@@ -417,7 +425,7 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
                    GenParams(n=14, m=60, mode="sat", seed=1)):
         top += "unify_waves" in classify(generate(params)).detail
     assert calls["full"] == top
-    assert calls["seeded"] > 200 and calls["union"] == 0
+    assert calls["seeded"] > 200
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [
@@ -543,7 +551,7 @@ def test_extract_jss_system_checks_route_labels(unified_pair):
     # every vertex substructure widened to the whole structure: the running
     # intersections never empty, but no longer pin a single assignment
     for v in system.vsub:
-        system.vsub[v] = system.structures
+        system.vsub[v] = stack(system.structures)
     with pytest.raises(ExtractionFailure, match="route labels disagree"):
         extract_jss_system(result.system, s1, dummy_formula(8))
 
@@ -727,9 +735,9 @@ def test_classify_surfaces_invariant_violation(monkeypatch):
     import ctsat.sep as sep_mod
     from ctsat.hyper import check_tier_disjoint
 
-    def overlapping(vsub, codes, j):
+    def overlapping(vsub, codes, j, structures):
         check_tier_disjoint({(j, c): vsub[(j, codes[0])] for c in codes},
-                            codes, j)
+                            codes, j, structures)
 
     monkeypatch.setattr(sep_mod, "check_tier_disjoint", overlapping)
     f = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))

@@ -320,12 +320,12 @@ def test_unify_matches_the_full_scan_reference():
 
 
 def test_unify_union_of_fixpoints_is_a_fixpoint():
-    # the SEP makes no unify call for a tier-j vertex tuple, a union of
-    # edge tuples: a tier-wise union of unify fixpoints over the same
-    # permutations is cleared and obeys both rules, so the full scan and
-    # a call seeded with the tuple itself both return it unchanged in
-    # their one quiet wave
-    from ctsat.cts import union_all
+    # the SEP makes no unify call for a tier-j vertex tuple, the OR of
+    # its stacked edge tuples: a tier-wise union of unify fixpoints over
+    # the same permutations is cleared and obeys both rules, so the full
+    # scan and a call seeded with the tuple itself both return it
+    # unchanged in their one quiet wave
+    from ctsat.cts import stack, unstack
 
     rng = random.Random(7121)
     unions = 0
@@ -341,7 +341,10 @@ def test_unify_union_of_fixpoints_is_a_fixpoint():
                 operands.append(refined.structures)
         if not operands:
             continue
-        union = tuple(map(union_all, zip(*operands)))
+        stacked = 0
+        for operand in operands:
+            stacked |= stack(operand)
+        union = unstack(stacked, result.structures)
         quiet = (union, 1, None, None, None)
         assert result_fields(reference_unify(union)) == quiet
         assert result_fields(unify(union, since=union)) == quiet
