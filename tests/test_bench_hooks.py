@@ -63,6 +63,7 @@ def test_traced_classification_records_sep_spans(tracer_mod):
     # one prune per formed tier and one per recompute round
     assert names.count("hyper.prune") == (
         traced.tier + traced.detail["sep"]["recompute_rounds"])
+    assert tracer.unify_waves["unify.top"] == traced.detail["unify_waves"]
     assert tracer.unify_waves["sep.unify"] == traced.detail["sep"]["unify_waves"]
 
     # this instance reaches extraction; the SEP works on stacked tuples

@@ -87,9 +87,10 @@ def random_cleared_masks(rng, n, density):
 
 
 def test_settle_matches_clear_masks_after_one_tier_restriction():
-    # settle walks out from the restricted tier only; it must give
-    # clear_masks' masks and empty index, and a range covering every
-    # tier that changed
+    # settle walks out from the restricted tier only, inside one lane of
+    # a flat buffer of one to four lanes; it must give clear_masks'
+    # masks and empty index, a range covering every tier that changed,
+    # and leave the neighbouring lanes (random bytes) untouched
     rng = random.Random(902)
     emptied = kept = wide = 0
     while emptied + kept < 4000:
@@ -103,9 +104,15 @@ def test_settle_matches_clear_masks_after_one_tier_restriction():
         if restricted[j] == before[j]:
             continue
         expected, zero = clear_masks(list(restricted))
-        got = list(restricted)
-        lo, hi = settle(got, j)
+        tiers, lanes = n - 2, rng.randint(1, 4)
+        start = rng.randrange(lanes) * tiers
+        buf = bytearray(rng.randrange(256) for _ in range(lanes * tiers))
+        buf[start:start + tiers] = bytes(restricted)
+        neighbours = buf[:start] + buf[start + tiers:]
+        lo, hi = settle(buf, start, j, tiers)
+        got = list(buf[start:start + tiers])
         assert got == expected
+        assert buf[:start] + buf[start + tiers:] == neighbours
         if zero is not None:
             emptied += 1
             assert (lo, hi) == (None, zero)

@@ -14,12 +14,11 @@ from ctsat.hyper import (InvariantViolation, TierGraph, basic_graph,
                          check_tier_disjoint)
 from ctsat.sep import (HsSystem, SepStats, concordant_shift,
                        extract_jss_system, systemic_effective_procedure)
-from ctsat.unify import unify
 
 import tabledata
 from conftest import cts_from_rows
 from naive import (adjoins, constant_of, cts_to_sets, joint_sat_set,
-                   naive_project, naive_prune, naive_shift)
+                   naive_project, naive_prune, naive_shift, unify_cts)
 
 
 # -- basic graph ---------------------------------------------------------------
@@ -224,7 +223,7 @@ def random_unified_pair(rng: random.Random, n: int):
             structures.append(Cts(Perm(order), masks).clear())
         if any(s.is_empty for s in structures):
             continue
-        result = unify(structures)
+        result = unify_cts(structures)
         if not result.empty:
             return result.structures
 
@@ -304,7 +303,7 @@ def test_effective_procedure_same_set_reencoded():
         s2 = elementary[0]
         for e in elementary[1:]:
             s2 = s2.union(e)
-        unified = unify([s1, s2])
+        unified = unify_cts([s1, s2])
         if unified.empty:
             continue
         result = pair_sep(*unified.structures)

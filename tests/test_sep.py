@@ -17,8 +17,9 @@ from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
 from ctsat.unify import unify
 
 import tabledata
-from naive import (cts_to_sets, joint_sat_set, naive_concretize,
-                   naive_project, naive_shift, reference_unify)
+from naive import (cts_to_sets, joint_sat_set, lanes, naive_concretize,
+                   naive_project, naive_shift, reference_unify,
+                   unify_cts, unstacked_result)
 
 
 # -- early elementary check ------------------------------------------------------
@@ -29,7 +30,7 @@ def test_early_check_reference_products(worked8, unified_triple):
     for code in (0b001, 0b101):
         pairs = [(v, (code >> (2 - k)) & 1) for k, v in enumerate((1, 2, 3))]
         subs = [s.concretize_many(pairs) for s in (s2, s3)]
-        result = unify(subs)
+        result = unify_cts(subs)
         assert not result.empty
         for sub in result.structures:
             assert sub.is_elementary()
@@ -85,7 +86,7 @@ def random_unified_system(rng: random.Random, n: int, k: int,
             structures.append(Cts(Perm(order), masks).clear())
         if any(s.is_empty for s in structures):
             continue
-        result = unify(structures)
+        result = unify_cts(structures)
         if not result.empty:
             return result.structures
 
@@ -188,9 +189,9 @@ def reference_shift_steps(system, edge, tiers=None):
             return None
         if len(subs) == 1:
             return subs
-        result = unify([Cts(p, [sum(1 << int(code, 2) for code in tier)
-                                for tier in sub])
-                        for p, sub in zip(perms, subs)])
+        result = unify_cts([Cts(p, [sum(1 << int(code, 2) for code in tier)
+                                    for tier in sub])
+                            for p, sub in zip(perms, subs)])
         return None if result.empty else [cts_to_sets(x)
                                           for x in result.structures]
 
@@ -317,9 +318,9 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
 
     calls = []
 
-    def counting_unify(structures, sink=None, since=None):
-        calls.append(len(structures))
-        return unify(structures, sink=sink, since=since)
+    def counting_unify(x, ctx, sink=None, since=None):
+        calls.append(ctx.layout.lanes)
+        return unify(x, ctx, sink=sink, since=since)
 
     monkeypatch.setattr(sep_mod, "unify", counting_unify)
     n = 8
@@ -370,8 +371,8 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
 
     waves = []
 
-    def counting_unify(structures, sink=None, since=None):
-        result = unify(structures, sink=sink, since=since)
+    def counting_unify(x, ctx, sink=None, since=None):
+        result = unify(x, ctx, sink=sink, since=since)
         waves.append(result.waves)
         return result
 
@@ -398,17 +399,15 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
 
     calls = {"seeded": 0, "full": 0}
 
-    def checked(structures, sink=None, since=None):
-        result = unify(structures, sink=sink, since=since)
-        expected = reference_unify(structures)
-        assert (result.structures, result.waves, result.cause,
-                result.structure_index, result.empty_tier) == (
-            expected.structures, expected.waves, expected.cause,
-            expected.structure_index, expected.empty_tier)
+    def checked(x, ctx, sink=None, since=None):
+        result = unify(x, ctx, sink=sink, since=since)
+        structures = lanes(x, ctx.perms)
+        assert (unstacked_result(result, ctx.perms)
+                == reference_unify(structures))
         if since is None:
             calls["full"] += 1
         else:
-            assert tuple(structures) != tuple(since)
+            assert x != since
             calls["seeded"] += 1
         return result
 
@@ -727,6 +726,56 @@ def test_classify_surfaces_extraction_failure(monkeypatch):
     assert bundle["skeleton"] and bundle["members"]
     assert len(bundle["members"]) == verdict.detail["k"] - 1
     assert assert_json_round_trip(verdict)["detail"]["diagnostics"] == bundle
+
+
+def test_failure_bundle_keeps_the_last_tier_and_a_digest(monkeypatch):
+    # a forced extraction failure on a small instance: the bundle holds
+    # the skeleton, each member's structure, the vertex count of every
+    # tier, the last tier's vertex substructures and one sha256 over all
+    # stored vertex tuples, and nothing of the tiers below the last
+    import hashlib
+
+    import ctsat.sep as sep_mod
+
+    systems = []
+    original = sep_mod.systemic_effective_procedure
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        systems.append(result.system)
+        return result
+
+    def broken_extract(system, basic, formula):
+        raise ExtractionFailure("forced for the test")
+
+    monkeypatch.setattr(sep_mod, "systemic_effective_procedure", recording)
+    monkeypatch.setattr(sep_mod, "extract_jss_system", broken_extract)
+    verdict = classify(generate(GenParams(n=8, m=26, mode="sat",
+                                          seed=20240722)))
+    assert verdict.kind == CLASSIFICATION_FAILURE
+    (system,) = systems
+    skeleton, structures, vsub = (system.skeleton, system.structures,
+                                  system.vsub)
+    last = skeleton.tier_count - 1
+    bundle = verdict.detail["diagnostics"]
+    assert sorted(bundle) == ["members", "skeleton", "tier_vertex_counts",
+                              "vertex_sha256"]
+    assert bundle["skeleton"] == skeleton.render()
+    counts = bundle["tier_vertex_counts"]
+    assert counts == [bin(m).count("1") for m in skeleton.tiers]
+    assert len(counts) == 8 - 2 and sum(counts) == len(vsub) > counts[-1]
+    lines = "".join("%d:%d:%x\n" % (j, c, vsub[(j, c)])
+                    for j, c in sorted(vsub))
+    assert bundle["vertex_sha256"] == hashlib.sha256(
+        lines.encode()).hexdigest()
+    assert len(bundle["members"]) == len(structures) >= 2
+    for i, member in enumerate(bundle["members"]):
+        assert member == {
+            "structure": structures[i].render(),
+            "last_tier_substructures": {
+                "%d:%s" % (last + 1, format(c, "03b")):
+                    unstack(vsub[(last, c)], structures)[i].render()
+                for c in skeleton.codes(last)}}
 
 
 def test_classify_surfaces_invariant_violation(monkeypatch):
