@@ -58,6 +58,9 @@ class DifftestParams:
                              % (self.negation_fraction,))
         if not self.modes:
             raise ValueError("need at least one mode")
+        for mode in self.modes:
+            if mode not in MODE_CYCLE:
+                raise ValueError("mode %r not one of %s" % (mode, MODE_CYCLE))
 
     def to_json_dict(self) -> dict:
         return {

@@ -131,14 +131,19 @@ def bits_to_string(bits: Sequence[int]) -> str:
 
 
 def parse_dimacs(text: str) -> TabularFormula:
-    """Parse DIMACS CNF with exactly-3-literal clauses over distinct variables."""
+    """Parse DIMACS CNF with exactly-3-literal clauses over distinct variables.
+
+    A line starting with "%" ends the input: SATLIB's files mark the end
+    of the clauses with it and put a lone "0" after it."""
     n = m = None
     clauses: list[Clause] = []
     pending: list[int] = []
     pending_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if n is not None:

@@ -68,7 +68,9 @@ def dpll(formula: TabularFormula) -> OracleResult:
     """Unit propagation plus branching; sound and complete.
 
     Branches on the first variable of a shortest unresolved clause,
-    trying value 0 first. The witness is re-verified before returning.
+    trying value 0 first, and stops once every clause is satisfied; the
+    witness reads 0 for the variables left unassigned. The witness is
+    re-verified before returning.
     """
     n = formula.n
     clauses = [c.to_literals() for c in formula.clauses]
@@ -126,12 +128,7 @@ def dpll(formula: TabularFormula) -> OracleResult:
             if open_lits and len(open_lits) < best_open:
                 best_open = len(open_lits)
                 best = abs(open_lits[0])
-        if best is not None:
-            return best
-        for v in range(1, n + 1):
-            if assign[v] is None:
-                return v
-        return None
+        return best
 
     def search() -> bool:
         trail: list[int] = []

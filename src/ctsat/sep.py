@@ -22,9 +22,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import (Bits, Cts, Layout, Perm, clear_packed, concretize_lanes,
-                  has_empty_lane, lane_layout, project_lanes, stack,
-                  unstack)
+from .cts import (Bits, Cts, Perm, clear_packed, concretize_lanes,
+                  has_empty_lane, project_lanes, stack, unstack)
 from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
 from .formula import TabularFormula, bits_to_string
@@ -84,9 +83,10 @@ class HsSystem:
     `structures` are the k-1 member structures. `vsub` and `esub` map a
     skeleton vertex or edge to its substructures, one per member,
     stacked in one int: member i in lane i, over the permutation of
-    structures[i]. `layout` is the `Layout` of those ints, `context`
-    the window geometry that every same-name `unify` call on them reads
-    (`unify.unify_context`), and `cts.unstack(x, structures)` gives the
+    structures[i]. `context` is the window geometry that every
+    same-name `unify` call on them reads (`unify.unify_context`); its
+    `layout` and `perms` are the lane `Layout` of those ints and the
+    members' permutations. `cts.unstack(x, structures)` gives the
     substructures back.
     """
 
@@ -95,11 +95,9 @@ class HsSystem:
     structures: tuple[Cts, ...]
     vsub: dict[Vertex, int] = field(default_factory=dict)
     esub: dict[Edge, int] = field(default_factory=dict)
-    layout: Layout = field(init=False, repr=False)
     context: UnifyContext = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.layout = lane_layout(self.structures)
         self.context = unify_context(tuple(s.perm for s in self.structures))
 
 
@@ -149,12 +147,14 @@ def _unify_same_name(x: int, since: int, system: HsSystem,
     None when one of them is or becomes empty. x is cleared, and `since`
     is a unify fixpoint that x refines lane by lane (see `unify`). The
     one skip rule: no call for x equal to `since` (a non-empty fixpoint,
-    so tested first) or for a lone member."""
+    so tested first) or for a lone member, whose cleared lane is its
+    own fixpoint."""
     if x == since:
         return x
-    if has_empty_lane(x, system.layout):
+    lay = system.context.layout
+    if has_empty_lane(x, lay):
         return None
-    if system.layout.lanes == 1:
+    if lay.lanes == 1:
         return x
     result = unify(x, system.context, since=since)
     stats.unify_waves += result.waves
@@ -166,9 +166,10 @@ def concordant_shift(system: HsSystem, edge: Edge,
     """Run the shift lockstep in every member, unifying same-name
     intermediate substructures; None when the system empties on this edge."""
     j, a, b = edge
-    lay, vsub, codes = system.layout, system.vsub, system.skeleton.codes
+    ctx, vsub, codes = system.context, system.vsub, system.skeleton.codes
+    lay = ctx.layout
     tail = vsub[(j, a)]
-    x = concretize_lanes(tail, [s.perm for s in system.structures],
+    x = concretize_lanes(tail, ctx.perms,
                          ((system.basic_perm.order[j + 3], b & 1),), lay)
     x = _unify_same_name(x, tail, system, stats)
     for s in range(j):
@@ -313,7 +314,7 @@ def extract_jss_system(system: HsSystem, basic: Cts,
 
     The members' running intersections are one stacked int: a step down
     is one AND and one lane clear, and a dead lane is a backtrack."""
-    skeleton, vsub, lay = system.skeleton, system.vsub, system.layout
+    skeleton, vsub, lay = system.skeleton, system.vsub, system.context.layout
     last = skeleton.tier_count - 1
     found: list[Bits] = []
     backtracks = 0
@@ -413,9 +414,10 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
         return Verdict(SATISFIABLE, witness=structures[0].sample_assignment(),
                        detail=detail)
 
-    unified = unify(stack(structures),
-                    unify_context(tuple(s.perm for s in structures)),
-                    sink=sink)
+    # the complete system is a fixpoint that every cleared input refines
+    perms = tuple(s.perm for s in structures)
+    unified = unify(stack(structures), unify_context(perms),
+                    since=stack([Cts.complete(p) for p in perms]), sink=sink)
     detail["unify_waves"] = unified.waves
     if unified.empty:
         detail["unify_cause"] = unified.cause

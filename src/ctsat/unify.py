@@ -29,7 +29,7 @@ from operator import or_
 from typing import Sequence
 
 from .cts import _KEEP as _KEEP_BIT
-from .cts import Cts, Perm, clear_packed, has_empty_lane, layout, settle
+from .cts import Cts, Perm, has_empty_lane, layout, settle
 
 CAUSE_EMPTY_INPUT = "empty-input"
 CAUSE_CONSTANT_CONFLICT = "constant-conflict"
@@ -170,16 +170,22 @@ def unify_context(perms: tuple[Perm, ...]) -> UnifyContext:
     return UnifyContext(perms)
 
 
-def unify(x: int, ctx: UnifyContext, sink=None,
-          since: int | None = None) -> UnifyResult:
+def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
     """Fixpoint of the joint transformation rules over a stacked system.
 
     x holds the structures side by side, structure i in lane i over
     `ctx.perms[i]` (`cts.stack`), and the fixpoint comes back in the
-    same form, as `UnifyResult.packed`. A single-structure system
-    degenerates to clearing. Emptiness is a result, not an error: the
-    outcome records the cause and, for an emptied tier, which structure
-    and tier (1-based) collapsed first.
+    same form, as `UnifyResult.packed`. Emptiness is a result, not an
+    error: the outcome records the cause and, for an emptied tier, which
+    structure and tier (1-based) collapsed first.
+
+    x must be cleared, and `since` is a unify fixpoint over the same
+    permutations that x refines lane by lane; x is not cleared again,
+    and a lane with an empty tier ends the call with
+    `CAUSE_EMPTY_INPUT`. An x that does not refine `since`
+    (x | since != since) raises `ValueError`. The complete system
+    (every tier full) is a fixpoint that every cleared input refines,
+    and the caller with no closer one passes it.
 
     The masks live in one bytearray, the bytes of x: tier t of lane i
     at byte i * tiers + t. Each wave applies rule 1 to the lanes changed
@@ -193,25 +199,18 @@ def unify(x: int, ctx: UnifyContext, sink=None,
     the lowest tier that restricting every window would have emptied.
 
     A window is read only while stale, that is, changed since it was
-    last read; `settle` reports the tiers each removal changed. An
-    unchanged window repeats what its last read found, and the removals
-    that read called for are made, so skipping it changes nothing; the
-    windows of a fixed variable hold its value and are never read again.
-    Within a wave the candidates are found in variable (rule 1) and
-    pair (rule 2) order as the wave goes, so a window that went stale
-    earlier in the wave is still read in it, as in a full scan. A pair
-    whose homes all show the same combinations removes nothing and is
-    passed over. With `since`, a unify fixpoint over the same
-    permutations that x refines lane by lane, windows start stale only
-    in the tiers whose bytes differ from it, the non-zero bytes of
-    x ^ since (every window of a fixpoint has been read and agrees);
-    without it, every window starts stale.
-
-    With `since` the input must be cleared, and it is not cleared
-    again; a lane with an empty tier still ends the call with
-    `CAUSE_EMPTY_INPUT`. Without `since` every lane is cleared first.
-    An x that does not refine `since` (x | since != since) raises
-    `ValueError`.
+    last read; `settle` reports the tiers each removal changed. The
+    first wave starts from the windows in the tiers whose bytes differ
+    from `since`, the non-zero bytes of x ^ since. A window in a tier
+    equal to since's repeats what a read of the fixpoint found (every
+    window of a fixpoint agrees, and a full window shows both values
+    and all four combinations), and the removals that read called for
+    are made, so skipping it changes nothing; the windows of a fixed
+    variable hold its value and are never read again. Within a wave the
+    candidates are found in variable (rule 1) and pair (rule 2) order
+    as the wave goes, so a window that went stale earlier in the wave
+    is still read in it, as in a full scan. A pair whose homes all show
+    the same combinations removes nothing and is passed over.
 
     A sink, when given, receives the system state before the first
     wave and after every wave.
@@ -219,32 +218,24 @@ def unify(x: int, ctx: UnifyContext, sink=None,
     lay = ctx.layout
     tiers, k = lay.tiers, lay.lanes
     size = tiers * k
-    if since is None:
-        x = clear_packed(x, lay)
-    elif x | since != since:
+    if x | since != since:
         raise ValueError("x does not refine since")
     if has_empty_lane(x, lay):   # the first lane with a zero byte
         first = x.to_bytes(size, "little").index(0) // tiers
         return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,
                            structure_index=first)
-    if k == 1:
-        return UnifyResult(x, waves=1)
 
     starts, const_window, pair_entries = (ctx.starts, ctx.const_window,
                                           ctx.pair_entries)
     var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
     buf = bytearray(x.to_bytes(size, "little"))
-    if since is None:
-        stale_vars = [bits[-1] for bits in var_bits]
-        stale_pairs = (1 << len(pair_entries)) - 1
-    else:
-        stale_vars = [0] * k
-        stale_pairs = 0
-        for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
-            i, t = divmod(b, tiers)
-            vb, pb = var_bits[i], pair_bits[i]
-            stale_vars[i] |= vb[t + 1] ^ vb[t]
-            stale_pairs |= pb[t + 1] ^ pb[t]
+    stale_vars = [0] * k
+    stale_pairs = 0
+    for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
+        i, t = divmod(b, tiers)
+        vb, pb = var_bits[i], pair_bits[i]
+        stale_vars[i] |= vb[t + 1] ^ vb[t]
+        stale_pairs |= pb[t + 1] ^ pb[t]
     if sink is not None:
         _emit_wave(sink, ctx, buf, 0)
     fixed = 0   # bit var-1 of every variable concretized everywhere

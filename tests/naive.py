@@ -307,15 +307,20 @@ def unstacked_result(result, perms) -> Unified:
 def unify_cts(structures, sink=None, since=None) -> Unified:
     """`unify` on a sequence of structures: stacks them (and `since`),
     builds the context from their permutations, and splits the
-    fixpoint back into structures."""
+    fixpoint back into structures. With no `since` the structures are
+    cleared first and the call is seeded from the complete system, as
+    classify seeds its top-level call."""
     perms = [s.perm for s in structures]
-    result = unify(stack(structures), UnifyContext(perms), sink=sink,
-                   since=None if since is None else stack(since))
+    if since is None:
+        structures = [s.clear() for s in structures]
+        since = [Cts.complete(p) for p in perms]
+    result = unify(stack(structures), UnifyContext(perms),
+                   since=stack(since), sink=sink)
     return unstacked_result(result, perms)
 
 
 def reference_unify(structures) -> Unified:
-    """`ctsat.unify.unify` as a full scan, without a sink or `since`.
+    """`ctsat.unify.unify` as a full scan, without a sink or a seed.
 
     Every wave reads all variables of the structures changed in the
     previous wave (every structure in the first wave) and every
@@ -333,9 +338,6 @@ def reference_unify(structures) -> Unified:
         if s.is_empty:
             return Unified(None, waves=0, cause=CAUSE_EMPTY_INPUT,
                            structure_index=i)
-    if len(current) == 1:
-        return Unified((current[0],), waves=1)
-
     # the lowest window of every variable and co-tiered pair
     const_window = [[(p - 2, 2) if p > 2 else (0, p) for p in s.perm.pos]
                     for s in current]

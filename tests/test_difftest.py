@@ -121,6 +121,9 @@ def test_difftest_params_validation():
                        count=1, seed=0)
     with pytest.raises(ValueError):
         DifftestParams(n_range=(2, 9), m_ratio=(3.0, 4.0), count=1, seed=0)
+    with pytest.raises(ValueError, match="mode 'bogus' not one of"):
+        DifftestParams(n_range=(5, 9), m_ratio=(3.0, 4.0), count=1, seed=0,
+                       modes=("free", "bogus"))
 
 
 # -- harness ---------------------------------------------------------------------------

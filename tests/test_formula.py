@@ -72,6 +72,12 @@ def test_parse_multiline_clause_and_comments():
     assert f.m == 2
 
 
+def test_parse_stops_at_the_satlib_trailer():
+    # SATLIB's files end the clauses with a "%" line and a lone "0"
+    assert (parse_dimacs(WORKED5_TEXT + "%\n0\n\n")
+            == parse_dimacs(WORKED5_TEXT))
+
+
 def test_clause_entries_sorted_and_validated():
     c = Clause(((4, 1), (1, 0), (2, 1)))
     assert c.entries == ((1, 0), (2, 1), (4, 1))

@@ -358,22 +358,30 @@ def test_tier_disjoint_check_rejects_overlapping_substructures(perm5):
 
 
 def test_tier_disjoint_check_survives_optimize():
+    # also unify's refinement check
     script = (
         "from ctsat.cts import Cts, Perm\n"
         "from ctsat.hyper import InvariantViolation, check_tier_disjoint\n"
+        "from ctsat.unify import unify, unify_context\n"
         "assert False, 'asserts are stripped under -O'\n"
         "s = Cts.complete(Perm.identity(4))\n"
         "try:\n"
         "    check_tier_disjoint({(0, 1): s.packed, (0, 2): s.packed},"
         " (1, 2), 0, (s,))\n"
         "except InvariantViolation as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    unify(s.packed, unify_context((s.perm,)), since=s.packed ^ 1)\n"
+        "except ValueError as exc:\n"
         "    print(exc)\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "tier 1 substructures 001 and 010 overlap"
+    assert out.stdout.splitlines() == [
+        "tier 1 substructures 001 and 010 overlap",
+        "x does not refine since"]
 
 
 def test_substructures_intersect_every_earlier_tier():

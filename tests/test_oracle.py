@@ -108,6 +108,15 @@ def test_dpll_planted_sat():
         assert f.evaluate(result.witness) == 1
 
 
+def test_dpll_stops_branching_once_every_clause_is_satisfied():
+    # two decisions satisfy both clauses; the other 2,997 variables are
+    # never branched on, so the search stays far below the recursion
+    # limit, and they read 0 in the witness
+    f = TabularFormula(3000, (Clause.from_literals([1, 2, 3]),
+                              Clause.from_literals([-1, 4, 5])))
+    assert dpll(f).witness == (0, 0, 1) + (0,) * 2997
+
+
 def test_dpll_agrees_with_brute_force():
     rng = random.Random(12321)
     for trial in range(1000):

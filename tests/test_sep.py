@@ -249,7 +249,7 @@ def test_project_lanes_matches_naive_project_member_by_member():
             for r in range(j):
                 got = project_lanes(x, [system.vsub[(r, c)] for c in
                                         system.skeleton.codes(r)],
-                                    system.layout)
+                                    system.context.layout)
                 expected = [naive_project(system, r, cts_to_sets(sub), i)
                             for i, sub in enumerate(subs)]
                 assert stored(system, got) == expected
@@ -318,9 +318,9 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
 
     calls = []
 
-    def counting_unify(x, ctx, sink=None, since=None):
+    def counting_unify(x, ctx, since, sink=None):
         calls.append(ctx.layout.lanes)
-        return unify(x, ctx, sink=sink, since=since)
+        return unify(x, ctx, since=since, sink=sink)
 
     monkeypatch.setattr(sep_mod, "unify", counting_unify)
     n = 8
@@ -371,8 +371,8 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
 
     waves = []
 
-    def counting_unify(x, ctx, sink=None, since=None):
-        result = unify(x, ctx, sink=sink, since=since)
+    def counting_unify(x, ctx, since, sink=None):
+        result = unify(x, ctx, since=since, sink=sink)
         waves.append(result.waves)
         return result
 
@@ -388,31 +388,28 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
 
 
 def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
-    # the SEP seeds every unify call with the fixpoint its input refines
-    # (the tail vertex tuple of a shift, the tuple before a projection
-    # step, the members for a tier-0 vertex); every call must still give
-    # the full scan's result, field for field. A tuple equal to its seed
-    # makes no call, and a later tier's vertex tuple, a union of
-    # fixpoints, is formed without one. Only classify's top-level unify
-    # runs unseeded
+    # every unify call is seeded with a fixpoint its input refines: the
+    # SEP's with the tail vertex tuple of a shift, the tuple before a
+    # projection step or the members for a tier-0 vertex, classify's
+    # top-level call with the complete system. Every call must still
+    # give the full scan's result, field for field. A tuple equal to
+    # its seed makes no call, and a later tier's vertex tuple, a union
+    # of fixpoints, is formed without one
     import ctsat.sep as sep_mod
 
-    calls = {"seeded": 0, "full": 0}
+    complete = []   # per call, whether it was seeded with the complete system
 
-    def checked(x, ctx, sink=None, since=None):
-        result = unify(x, ctx, sink=sink, since=since)
+    def checked(x, ctx, since, sink=None):
+        result = unify(x, ctx, since=since, sink=sink)
         structures = lanes(x, ctx.perms)
         assert (unstacked_result(result, ctx.perms)
                 == reference_unify(structures))
-        if since is None:
-            calls["full"] += 1
-        else:
-            assert x != since
-            calls["seeded"] += 1
+        assert x != since
+        complete.append(since == stack([Cts.complete(p) for p in ctx.perms]))
         return result
 
     monkeypatch.setattr(sep_mod, "unify", checked)
-    top = 0
+    seeded = 0
     for params in (GenParams(n=12, m=70, mode="free", seed=20240676),
                    GenParams(n=8, m=26, mode="sat", seed=20240722),
                    GenParams(n=16, m=68, mode="sat", seed=3),
@@ -422,9 +419,12 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
                    GenParams(n=18, m=80, mode="sat", seed=2),
                    GenParams(n=20, m=90, mode="sat", seed=7),
                    GenParams(n=14, m=60, mode="sat", seed=1)):
-        top += "unify_waves" in classify(generate(params)).detail
-    assert calls["full"] == top
-    assert calls["seeded"] > 200
+        del complete[:]
+        classify(generate(params))
+        # the first call is the top-level unify of the whole system
+        assert complete[0]
+        seeded += len(complete) - 1
+    assert seeded > 200
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [

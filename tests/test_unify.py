@@ -290,8 +290,8 @@ def test_unify_matches_the_full_scan_reference():
     # unify reads only stale windows and clears outward from the
     # restricted tier; the full scan in tests/naive.py restricts the
     # same windows and clears whole structures. Every field must agree,
-    # from scratch and when seeded with the fixpoint a refinement came
-    # from
+    # seeded from the complete system and with the fixpoint a refinement
+    # came from
     rng = random.Random(20260)
     causes = Counter()
     seeded = Counter()
@@ -353,10 +353,12 @@ def test_unify_union_of_fixpoints_is_a_fixpoint():
 
 def test_unify_rejects_an_input_that_does_not_refine_since():
     # an explicit check, not an assert, so it holds under python -O too
+    # (test_hyper::test_tier_disjoint_check_survives_optimize runs it so)
     rng = random.Random(12)
-    system = random_system(rng, 7, 3)
+    system = [s.clear() for s in random_system(rng, 7, 3)]
     ctx = UnifyContext([s.perm for s in system])
-    fixpoint = unify(stack(system), ctx).packed
+    fixpoint = unify(stack(system), ctx, since=stack(
+        [Cts.complete(s.perm) for s in system])).packed
     line = fixpoint & -fixpoint
     with pytest.raises(ValueError, match="does not refine since"):
         unify(fixpoint, ctx, since=fixpoint ^ line)
@@ -376,8 +378,8 @@ class RecordingSink:
 
 def test_unify_seeded_with_unchanged_inputs_returns_them_in_one_wave():
     # inputs equal to their `since` counterparts come back equal, in one
-    # wave; with a sink the waves write what an unseeded call on the
-    # same fixpoint writes
+    # wave; with a sink the waves write what a call on the same fixpoint
+    # seeded from the complete system writes
     rng = random.Random(31)
     checked = 0
     while checked < 200:
@@ -389,12 +391,12 @@ def test_unify_seeded_with_unchanged_inputs_returns_them_in_one_wave():
         copies = tuple(Cts(s.perm, s.tiers) for s in fixpoint)
         again = unify_cts(copies, since=fixpoint)
         assert result_fields(again) == (fixpoint, 1, None, None, None)
-        seeded, unseeded = RecordingSink(), RecordingSink()
+        seeded, complete = RecordingSink(), RecordingSink()
         assert result_fields(unify_cts(copies, sink=seeded,
                                        since=fixpoint)) == (
             fixpoint, 1, None, None, None)
-        unify_cts(fixpoint, sink=unseeded)
-        assert seeded.writes == unseeded.writes
+        unify_cts(fixpoint, sink=complete)
+        assert seeded.writes == complete.writes
         assert [name for name, _ in seeded.writes] == ["unify_wave_00",
                                                        "unify_wave_01"]
         checked += 1
