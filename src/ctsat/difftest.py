@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .formula import GenParams, TabularFormula, generate
+from .formula import (MAX_DIMACS_VARIABLES, GenParams, TabularFormula,
+                      generate)
 from .oracle import dpll
 from .rng import GENERATOR_ID, SplitMix64
 from .sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
@@ -45,7 +46,7 @@ class DifftestParams:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if self.n_range[0] < 3 or self.n_range[0] > self.n_range[1]:
+        if not 3 <= self.n_range[0] <= self.n_range[1] <= MAX_DIMACS_VARIABLES:
             raise ValueError("bad n range %r" % (self.n_range,))
         if (self.m_range is None) == (self.m_ratio is None):
             raise ValueError("exactly one of m_range / m_ratio is required")

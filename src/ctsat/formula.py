@@ -197,7 +197,9 @@ def parse_dimacs(text: str) -> TabularFormula:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Parameters for random instance generation."""
+    """Parameters for random instance generation. n is at most
+    `MAX_DIMACS_VARIABLES`, so every generated formula's DIMACS text
+    parses back."""
 
     n: int
     m: int
@@ -208,6 +210,8 @@ class GenParams:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need n >= 3")
+        if self.n > MAX_DIMACS_VARIABLES:
+            raise ValueError("need n <= %d" % MAX_DIMACS_VARIABLES)
         if self.m < 1:
             raise ValueError("need m >= 1")
         if not 0.0 <= self.negation_fraction <= 1.0:

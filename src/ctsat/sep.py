@@ -83,11 +83,15 @@ class HsSystem:
     `structures` are the k-1 member structures. `vsub` and `esub` map a
     skeleton vertex or edge to its substructures, one per member,
     stacked in one int: member i in lane i, over the permutation of
-    structures[i]. `context` is the window geometry that every
-    same-name `unify` call on them reads (`unify.unify_context`); its
-    `layout` and `perms` are the lane `Layout` of those ints and the
-    members' permutations. `cts.unstack(x, structures)` gives the
-    substructures back.
+    structures[i]. A tier j-1 edge's tuple is stored by the round of
+    tier j that shifts the edge, and a repeated round keeps it when a
+    shift would give it again (see `systemic_effective_procedure`).
+    `context` is the window
+    geometry that every same-name `unify` call on them reads
+    (`unify.unify_context`, its entries shared with every context of
+    the same shape); its `layout` and `perms` are the lane `Layout` of
+    those ints and the members' permutations. `cts.unstack(x,
+    structures)` gives the substructures back.
     """
 
     skeleton: TierGraph
@@ -109,9 +113,10 @@ class SepStats:
     j runs again only when its prune removed a vertex below tier j.
     `unify_waves` sums the waves of the same-name `unify` calls actually
     made, in every round; a tuple equal to its seed (the fixpoint it
-    refines) makes no call and adds no wave. `early_checks` counts the
-    vertex tuples handed to the early elementary check, once per formed
-    vertex and round."""
+    refines) makes no call and adds no wave, and neither does a tier
+    j-1 edge whose stored tuple a repeated round keeps. `early_checks`
+    counts the vertex tuples handed to the early elementary check, once
+    per formed vertex and round."""
 
     pruned_vertices: int = 0
     pruned_edges: int = 0
@@ -202,8 +207,13 @@ def systemic_effective_procedure(
     incoming edge tuples, one OR, in later ones), early-checks it, and
     prunes. A round reads only the tuples and codes below tier j and the
     links into tier j, so it is repeated only when the prune changed a
-    tier below j. The early elementary check can short-circuit the
-    whole run with a witness.
+    tier below j. A shift reads only its tail tuple and the tuples and
+    codes below tier j-1, which no round of tier j re-forms, so a
+    repeated round keeps the stored tuple of every tier j-1 edge left
+    when `skeleton.tiers[:j-1]` is as it was when the tuples were
+    computed, and re-forms, early-checks and prunes as before. The
+    early elementary check can short-circuit the whole run with a
+    witness.
 
     Every concretization and projection goes through
     `_unify_same_name`, seeded with a fixpoint its input refines, and
@@ -231,8 +241,10 @@ def systemic_effective_procedure(
     whole = stack(system.structures)
 
     for j in range(skeleton.tier_count):
+        shifted = None   # tiers[:j-1] when the tier j-1 edges were shifted
         while True:
-            if j:
+            if j and skeleton.tiers[:j - 1] != shifted:
+                shifted = skeleton.tiers[:j - 1]
                 for e in list(skeleton.edges(j - 1)):
                     x = concordant_shift(system, e, stats)
                     if x is None:
@@ -244,7 +256,8 @@ def systemic_effective_procedure(
                 v = (j, c)
                 if j:
                     # every tier j-1 edge left in the skeleton was
-                    # shifted above, so its substructures are stored
+                    # shifted in this round or an earlier one of tier
+                    # j, so its substructures are stored
                     x = 0
                     for a in skeleton.up(v):
                         x |= system.esub[(j - 1, a, c)]

@@ -17,16 +17,18 @@ i (`cts.stack`), and `unify` returns the fixpoint in the same form. Its
 window geometry depends only on the lanes' permutations; the caller
 gets it once, as a `UnifyContext` (`unify_context` keeps one per tuple
 of permutations), and passes it to every call on systems over those
-permutations.
+permutations. The context's entries that depend only on the shape (tier
+count and lane) are built once, on first use, and shared by every
+context (`shape_rows`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cts import _KEEP as _KEEP_BIT
 from .cts import Cts, Perm, has_empty_lane, layout, settle
@@ -91,6 +93,63 @@ def _build_pair_tables():
 _COMBOS, _PAIR_KEEP, _SEEN = _build_pair_tables()
 
 
+class ShapeRows(NamedTuple):
+    """The `UnifyContext` entries of one shape (`lanes` lanes of `tiers`
+    tiers) that depend on the shape alone, built once by `shape_rows`.
+
+    `lane_tier[b]` is the (lane, tier) of byte b of the buffer. For the
+    variable at position p of lane i, `reads[i][p]` is its read entry
+    (byte, `_SEEN` row) and `writes[i][p]` its write entry (lane, lane
+    start, tier, byte, `cts._KEEP` row), where the byte is lane × tiers
+    + the tier of the lowest window holding position p. `homes[i]` holds
+    the pair homes of lane i, two per co-tiered position pair p < q in
+    the order (q, p) ascending: the home when the smaller variable sits
+    at p, then when it sits at q. A home is (byte, `_COMBOS` row,
+    `_PAIR_KEEP` row, lane, lane start, tier), the rows indexed by the
+    offset of the smaller variable first. The rows of lane i do not
+    depend on the lane count, and shapes of one tier count share them.
+    """
+
+    lane_tier: tuple[tuple[int, int], ...]
+    reads: tuple[tuple, ...]
+    writes: tuple[tuple, ...]
+    homes: tuple[tuple, ...]
+
+
+@lru_cache(maxsize=None)
+def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """Lane i's part of the four `ShapeRows` fields: its (lane, tier)
+    pairs, read entries, write entries and homes."""
+    windows = layout(tiers).windows
+    start = i * tiers
+    homes = []
+    # the pair at positions p < q lies in tier j = max(q - 2, 0), at
+    # offsets p - j and q - j
+    for q in range(1, tiers + 2):
+        j = windows[q][0]
+        for p in range(j, q):
+            a, c = p - j, q - j
+            homes.append((start + j, _COMBOS[a][c], _PAIR_KEEP[a][c],
+                          i, start, j))
+            homes.append((start + j, _COMBOS[c][a], _PAIR_KEEP[c][a],
+                          i, start, j))
+    return (tuple((i, t) for t in range(tiers)),
+            tuple((start + j, _SEEN[off]) for j, off in windows),
+            tuple((i, start, j, start + j, _KEEP_BIT[off])
+                  for j, off in windows),
+            tuple(homes))
+
+
+@lru_cache(maxsize=None)
+def shape_rows(tiers: int, lanes: int) -> ShapeRows:
+    """The `ShapeRows` of a shape, built on first use and shared by every
+    context of that shape."""
+    lane_tier, reads, writes, homes = zip(
+        *(_lane_rows(tiers, i) for i in range(lanes)))
+    return ShapeRows(tuple(chain.from_iterable(lane_tier)), reads, writes,
+                     homes)
+
+
 class UnifyContext:
     """Window geometry of systems over one tuple of permutations, lane i
     over perms[i].
@@ -98,23 +157,25 @@ class UnifyContext:
     In a cleared structure a variable's values, and a co-tiered pair's
     value combinations, are the same in every tier window that holds
     them (see `clear_masks`). So each variable and each pair keeps one
-    window per lane: the lowest one that holds it.
+    window per lane: the lowest one that holds it, addressed by its
+    absolute byte in the buffer of the stacked system (lane × tiers +
+    tier). Every entry is a row of `shape`, the `ShapeRows` of the
+    system's shape, shared by identity with every context of that shape;
+    a context holds references to them, sorted by variable and pair.
 
-    `layout` is the lane `Layout` of the stacked system and `starts[i]`
-    the byte where lane i begins. `const_window[i][var-1]` is the
-    (tier, offset) of the variable's window in lane i. `pair_entries`
-    holds, for every pair co-tiered in two or more lanes, its homes
-    (lane, tier, combos, keep), one per lane, where combos and keep are
-    the `_COMBOS` and `_PAIR_KEEP` rows of the pair's offsets in that
-    window. `var_bits[i][t]` holds bit var-1 of every variable whose
-    window in lane i lies below tier t, and `pair_bits[i][t]` bit idx
-    of every pair `pair_entries[idx]` whose window there lies below
-    tier t; a window lies in tiers lo..hi when its bit is in
-    `bits[hi + 1] ^ bits[lo]`, and `pair_bits[i][-1]` holds the pairs
-    touching lane i.
+    `layout` is the lane `Layout` of the stacked system.
+    `reads[i][var-1]` is the variable's read entry in lane i, and
+    `writes[var-1]` its write entries, one per lane in lane order.
+    `pair_entries` holds, for every pair co-tiered in two or more
+    lanes, its homes, one per lane. `var_bits[i][t]` holds bit var-1 of
+    every variable whose window in lane i lies below tier t, and
+    `pair_bits[i][t]` bit idx of every pair `pair_entries[idx]` whose
+    window there lies below tier t; a window lies in tiers lo..hi when
+    its bit is in `bits[hi + 1] ^ bits[lo]`, and `pair_bits[i][-1]`
+    holds the pairs touching lane i.
     """
 
-    __slots__ = ("perms", "layout", "starts", "const_window",
+    __slots__ = ("perms", "layout", "shape", "reads", "writes",
                  "pair_entries", "var_bits", "pair_bits")
 
     def __init__(self, perms: Sequence[Perm]):
@@ -126,37 +187,39 @@ class UnifyContext:
         self.perms = tuple(perms)
         tiers = perms[0].layout.tiers
         self.layout = layout(tiers, len(perms))
-        self.starts = [i * tiers for i in range(len(perms))]
+        shape = self.shape = shape_rows(tiers, len(perms))
+        self.reads = [[row[p] for p in perm.pos]
+                      for row, perm in zip(shape.reads, perms)]
+        self.writes = list(zip(*[[row[p] for p in perm.pos]
+                                 for row, perm in zip(shape.writes, perms)]))
+        # pairs keyed x * n + y for variables x < y, so the keys sort as
+        # (x, y); the homes of lane i come in the order of shape.homes[i]
         windows = self.layout.windows
-        self.const_window = [[windows[p] for p in perm.pos] for perm in perms]
-        # the pair at positions p < q lies in tier j = max(q - 2, 0), at
-        # offsets p - j and q - j; pairs keyed x * n + y for variables
-        # x < y, so the keys sort as (x, y)
-        rows = [[(_COMBOS[a][b], _PAIR_KEEP[a][b]) for b in range(3)]
-                for a in range(3)]
         by_pair: dict[int, list] = {}
-        for i, perm in enumerate(perms):
+        for row, perm in zip(shape.homes, perms):
             order = perm.order
+            s = 0
             for q in range(1, n):
-                j = windows[q][0]
                 y = order[q]
-                for p in range(j, q):
+                for p in range(windows[q][0], q):
                     x = order[p]
                     if x < y:
-                        combos, keep = rows[p - j][q - j]
-                        key = x * n + y
+                        home, key = row[s], x * n + y
                     else:
-                        combos, keep = rows[q - j][p - j]
-                        key = y * n + x
-                    by_pair.setdefault(key, []).append((i, j, combos, keep))
-        self.pair_entries = [by_pair[key] for key in sorted(by_pair)
+                        home, key = row[s + 1], y * n + x
+                    s += 2
+                    by_pair.setdefault(key, []).append(home)
+        self.pair_entries = [tuple(by_pair[key]) for key in sorted(by_pair)
                              if len(by_pair[key]) >= 2]
-        pair_at = [[0] * tiers for _ in perms]
+        pair_at = [0] * (tiers * len(perms))   # by byte
         for idx, homes in enumerate(self.pair_entries):
-            for i, j, _, _ in homes:
-                pair_at[i][j] |= 1 << idx
-        self.pair_bits = [tuple(accumulate(row, or_, initial=0))
-                          for row in pair_at]
+            bit = 1 << idx
+            for b, _, _, _, _, _ in homes:
+                pair_at[b] |= bit
+        self.pair_bits = [
+            tuple(accumulate(pair_at[i * tiers:(i + 1) * tiers], or_,
+                             initial=0))
+            for i in range(len(perms))]
         # the variable at position p has its window in tier max(p - 2, 0)
         self.var_bits = [
             (0, *tuple(accumulate((1 << (v - 1) for v in perm.order), or_))[2:])
@@ -225,14 +288,14 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
         return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,
                            structure_index=first)
 
-    starts, const_window, pair_entries = (ctx.starts, ctx.const_window,
-                                          ctx.pair_entries)
+    reads, writes, pair_entries = ctx.reads, ctx.writes, ctx.pair_entries
     var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
+    lane_tier = ctx.shape.lane_tier
     buf = bytearray(x.to_bytes(size, "little"))
     stale_vars = [0] * k
     stale_pairs = 0
     for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
-        i, t = divmod(b, tiers)
+        i, t = lane_tier[b]
         vb, pb = var_bits[i], pair_bits[i]
         stale_vars[i] |= vb[t + 1] ^ vb[t]
         stale_pairs |= pb[t + 1] ^ pb[t]
@@ -261,8 +324,8 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
                 if not stale_vars[i] & low:
                     continue
                 stale_vars[i] ^= low
-                j, off = const_window[i][v]
-                seen = _SEEN[off][buf[starts[i] + j]]
+                b, row = reads[i][v]
+                seen = row[buf[b]]
                 if seen == 3:
                     continue
                 if value is None:
@@ -275,13 +338,12 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
                 continue
             fixed |= low
             later = -(low << 1)   # the bits above low
-            for i, start in enumerate(starts):
-                j, off = const_window[i][v]
-                old = buf[start + j]
-                kept = old & _KEEP_BIT[off][value]
+            for i, start, j, b, keep in writes[v]:
+                old = buf[b]
+                kept = old & keep[value]
                 if kept == old:
                     continue
-                buf[start + j] = kept
+                buf[b] = kept
                 lo, hi = settle(buf, start, j, tiers)
                 if lo is None:
                     return UnifyResult(None, waves=waves,
@@ -307,8 +369,8 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
             pending ^= low
             homes = pair_entries[low.bit_length() - 1]
             allowed, union = 15, 0
-            for i, j, combos, _ in homes:
-                rel = combos[buf[starts[i] + j]]
+            for b, combos, _, _, _, _ in homes:
+                rel = combos[buf[b]]
                 allowed &= rel
                 union |= rel
             if allowed == union:   # every home agrees
@@ -316,13 +378,12 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
             # each home lies in a lane of its own, so a removal below
             # leaves the windows of the other homes as they were read
             later = scan & -(low << 1)
-            for i, j, _, keep in homes:
-                start = starts[i]
-                old = buf[start + j]
+            for b, _, keep, i, start, j in homes:
+                old = buf[b]
                 kept = old & keep[allowed]
                 if kept == old:
                     continue
-                buf[start + j] = kept
+                buf[b] = kept
                 lo, hi = settle(buf, start, j, tiers)
                 if lo is None:
                     return UnifyResult(None, waves=waves,
@@ -345,8 +406,8 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
 def _emit_wave(sink, ctx: UnifyContext, buf: bytearray, wave: int) -> None:
     tiers = ctx.layout.tiers
     parts = []
-    for i, (perm, start) in enumerate(zip(ctx.perms, ctx.starts), start=1):
-        parts.append("S%d:" % i)
+    for i, perm in enumerate(ctx.perms):
+        parts.append("S%d:" % (i + 1))
         parts.append(Cts._make(perm, int.from_bytes(
-            buf[start:start + tiers], "little")).render())
+            buf[i * tiers:(i + 1) * tiers], "little")).render())
     sink.write("unify_wave_%02d" % wave, "\n".join(parts))

@@ -59,6 +59,24 @@ def test_gen_rejects_bad_params(capsys):
     assert "core" in err
 
 
+def test_gen_refuses_more_variables_than_classify_reads(tmp_path, capsys,
+                                                        monkeypatch):
+    # classify rejects a DIMACS header above 10000 variables, so gen
+    # refuses such an n before generating anything or writing a file
+    import ctsat.cli as cli_mod
+
+    def no_generate(params):
+        raise AssertionError("generate called for a refused n")
+
+    monkeypatch.setattr(cli_mod, "generate", no_generate)
+    target = tmp_path / "big.cnf"
+    code, out, err = run(capsys, "gen", "--n", "20000", "--m", "10",
+                         "-o", str(target))
+    assert (code, out) == (1, "")
+    assert "n <= 10000" in err
+    assert not target.exists()
+
+
 def test_oracle_both_engines(capsys):
     for engine in ("dpll", "brute"):
         code, out, _ = run(capsys, "oracle", str(FIXTURES / "worked5.cnf"),

@@ -8,8 +8,8 @@ import pytest
 
 from ctsat.difftest import (DifftestParams, MinimizationError, difftest,
                             instance_params, minimize)
-from ctsat.formula import (Clause, TabularFormula, GenParams, generate,
-                           parse_dimacs)
+from ctsat.formula import (MAX_DIMACS_VARIABLES, Clause, TabularFormula,
+                           GenParams, generate, parse_dimacs)
 from ctsat.oracle import dpll
 from ctsat.sep import UNSATISFIABLE, Verdict
 
@@ -121,6 +121,13 @@ def test_difftest_params_validation():
                        count=1, seed=0)
     with pytest.raises(ValueError):
         DifftestParams(n_range=(2, 9), m_ratio=(3.0, 4.0), count=1, seed=0)
+    # an n that GenParams would refuse is refused when the sweep's
+    # parameters are built, before any instance is generated
+    with pytest.raises(ValueError, match="bad n range"):
+        DifftestParams(n_range=(5, MAX_DIMACS_VARIABLES + 1),
+                       m_ratio=(3.0, 4.0), count=1, seed=0)
+    DifftestParams(n_range=(5, MAX_DIMACS_VARIABLES), m_ratio=(3.0, 4.0),
+                   count=1, seed=0)
     with pytest.raises(ValueError, match="mode 'bogus' not one of"):
         DifftestParams(n_range=(5, 9), m_ratio=(3.0, 4.0), count=1, seed=0,
                        modes=("free", "bogus"))

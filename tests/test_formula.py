@@ -3,9 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctsat.formula import (Clause, DimacsError, GenParams, TabularFormula,
-                           bits_from_string, bits_to_string, generate,
-                           hidden_assignment, parse_dimacs)
+from ctsat.formula import (MAX_DIMACS_VARIABLES, Clause, DimacsError,
+                           GenParams, TabularFormula, bits_from_string,
+                           bits_to_string, generate, hidden_assignment,
+                           parse_dimacs)
 
 from naive import cnf_evaluate, sat_set
 
@@ -192,6 +193,15 @@ def test_genparams_validation():
         GenParams(n=3, m=1, negation_fraction=1.5)
     with pytest.raises(ValueError):
         GenParams(n=3, m=1, mode="bogus")
+
+
+def test_genparams_bounds_n_by_what_dimacs_parsing_accepts():
+    # every formula that can be generated parses back from its DIMACS
+    # text; one more variable is refused when the parameters are built
+    largest = generate(GenParams(n=MAX_DIMACS_VARIABLES, m=2, seed=1))
+    assert parse_dimacs(largest.to_dimacs()) == largest
+    with pytest.raises(ValueError, match="n <= %d" % MAX_DIMACS_VARIABLES):
+        GenParams(n=MAX_DIMACS_VARIABLES + 1, m=2)
 
 
 def test_bits_string_round_trip():

@@ -440,42 +440,112 @@ def test_sep_repeats_a_round_only_when_a_lower_tier_changed(
     assert verdict.detail["sep"]["recompute_rounds"] == rounds
 
 
-def test_sep_every_repeat_sees_changed_lower_tiers(monkeypatch):
-    # a round forming tier j shifts the tier j-1 edges in ascending
-    # order, so a shift whose edge is not above the previous one at the
-    # same tier starts a repeat; the tiers below j never change within a
-    # round and must differ from the previous round's at every repeat
+def sep_rounds(monkeypatch):
+    """A function that classifies the formula of some GenParams and
+    returns the verdict and a record of every SEP round that ended in a
+    prune: (tier j, tiers[:j] before and after the prune, the prune's
+    empty tier, the number of edges shifted, whether the round kept the
+    stored tier j-1 edge tuples). A round that does not end early-sat
+    ends with one `_prune_system` call, and the rounds of tier j come
+    after the tier check of tier j-1 (`check_tier_disjoint`), so the
+    record counts every round, whether or not it shifts an edge. A
+    round of tier j > 0 that shifts no edge keeps the stored tuples:
+    before its prune, each tier j-1 edge's tuple is recomputed with
+    `concordant_shift` and must equal the kept one."""
     import ctsat.sep as sep_mod
 
-    original = sep_mod.concordant_shift
-    rounds = []   # [tier being formed, last edge shifted, tiers below it]
+    shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
+    check = sep_mod.check_tier_disjoint
+    state = {}
+    rounds = []
 
-    def recording(system, edge, stats):
-        j = edge[0] + 1
-        below = system.skeleton.tiers[:j]
-        if rounds and rounds[-1][0] == j and edge[1:] > rounds[-1][1]:
-            assert below == rounds[-1][2]
-            rounds[-1][1] = edge[1:]
-        else:
-            if rounds and rounds[-1][0] == j:
-                assert below != rounds[-1][2], edge
-            rounds.append([j, edge[1:], below])
-        return original(system, edge, stats)
+    def counting_shift(system, edge, stats):
+        state["shifted"] += 1
+        return shift(system, edge, stats)
 
-    monkeypatch.setattr(sep_mod, "concordant_shift", recording)
+    def recording_prune(system, stats):
+        j, skeleton = state["tier"], system.skeleton
+        kept = j > 0 and not state["shifted"]
+        if kept:
+            for edge in skeleton.edges(j - 1):
+                assert (shift(system, edge, SepStats())
+                        == system.esub[edge]), edge
+        before = skeleton.tiers[:j]
+        empty = prune(system, stats)
+        rounds.append((j, before, skeleton.tiers[:j], empty,
+                       state["shifted"], kept))
+        state["shifted"] = 0
+        return empty
+
+    def counting_check(vsub, codes, j, structures):
+        assert j == state["tier"]
+        state["tier"] += 1
+        return check(vsub, codes, j, structures)
+
+    monkeypatch.setattr(sep_mod, "concordant_shift", counting_shift)
+    monkeypatch.setattr(sep_mod, "_prune_system", recording_prune)
+    monkeypatch.setattr(sep_mod, "check_tier_disjoint", counting_check)
+
+    def run(params):
+        state.update(tier=0, shifted=0)
+        del rounds[:]
+        return classify(generate(params)), list(rounds)
+
+    return run
+
+
+def test_sep_every_repeat_sees_changed_lower_tiers(monkeypatch):
+    # a round forming tier j is repeated exactly when its prune changed
+    # a tier below j without emptying one; the rounds are counted by
+    # their prunes (none of these runs ends early-sat), so a repeat that
+    # shifts no edge is counted too
+    run = sep_rounds(monkeypatch)
     repeats = 0
     for n, m, mode, seed in [(8, 26, "sat", 20240722),
                              (8, 33, "free", 20241051),
                              (12, 70, "free", 20240676),
-                             (10, 39, "free", 20241363)]:
-        del rounds[:]
-        verdict = classify(generate(GenParams(n=n, m=m, mode=mode,
-                                              seed=seed)))
-        tiers = [j for j, _, _ in rounds]
-        seen = len(tiers) - len(set(tiers))
+                             (10, 39, "free", 20241363),
+                             (14, 56, "free", 20240646),
+                             (10, 45, "free", 20240610)]:
+        verdict, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
+        assert not verdict.detail.get("early_exit")
+        for (j, before, after, empty, _, _), following in zip(
+                rounds, rounds[1:] + [None]):
+            repeated = following is not None and following[0] == j
+            assert repeated == (empty is None and after != before)
+        seen = len(rounds) - len({r[0] for r in rounds})
         assert seen == verdict.detail["sep"]["recompute_rounds"]
         repeats += seen
-    assert repeats >= 1
+    assert repeats >= 5
+
+
+@pytest.mark.parametrize("n, m, mode, seed, keeps, reshifts", [
+    (15, 45, "sat", 20240644, 1, 0),
+    (14, 56, "free", 20240646, 1, 0),
+    (10, 45, "free", 20240610, 1, 2),
+])
+def test_sep_repeat_keeps_edge_tuples_only_below_unchanged_tiers(
+        monkeypatch, n, m, mode, seed, keeps, reshifts):
+    # a repeated round of tier j keeps the stored tier j-1 edge tuples
+    # exactly when the tiers below j-1 are as they were in the round
+    # before, and every kept tuple is what a shift on the current system
+    # gives (checked in sep_rounds); a first round of tier j > 0 shifts
+    # every edge
+    run = sep_rounds(monkeypatch)
+    _, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
+    kept = reshifted = 0
+    for previous, (j, _, _, _, shifted, keeps_tuples) in zip(
+            [None] + rounds, rounds):
+        if j == 0:
+            continue
+        if previous is None or previous[0] != j:   # a first round
+            assert shifted
+            continue
+        unchanged = previous[2][:j - 1] == previous[1][:j - 1]
+        assert keeps_tuples == unchanged
+        kept += keeps_tuples
+        reshifted += not keeps_tuples
+    assert (kept, reshifted) == (keeps, reshifts)
 
 
 def test_sep_joint_sets_preserved_k3():

@@ -29,12 +29,12 @@ KNOWN_FAILURES = {(50, 0)}
 # keep verdicts byte-identical also keeps the witnesses, the counters
 # and the failure's diagnostics bundle
 VERDICT_DIGESTS = {
-    (40, 0): "9cb1b3c20bc585fe9333b3a44825b8aaed8dc1e8b5836d625ca4416a4c222ede",
-    (40, 1): "aac1fc63fab1b819f63ea5bf80942c73cbef5c4b8f5641a328b48f48a0eb651e",
-    (40, 2): "6798271f60feca45f34d26cef29ac243cb511e8a3a0061387e2372282631b494",
-    (40, 3): "7a09209257786fc24aac2c3eea02476c5e5130dc29c4610d4264352b04e3c1b7",
-    (50, 0): "03020e267401f853fa2fa28191b9a22737de29b67d58b200473ed31a0ca34fd1",
-    (50, 1): "8580d69115ca3aba2e98c99ac71dffa0284932bd25673bff14f382fc4151c101",
+    (40, 0): "d429ccbe514df0104eb7be789238b104d2a52ab1695a28517ffc82e42cee2483",
+    (40, 1): "1d396709dbe23724c02d62917954e52aba273538b396af047eb333cb722f29e3",
+    (40, 2): "87c946061f1cfc4a2939d5cf165b9449c6f49808f200ed662e656f4d75e65222",
+    (40, 3): "940fd4d8168c740b8e848bdbe675d5d6b5161d7ff3a50f2145c79446d403ee70",
+    (50, 0): "c9be0f2d0f925a7a1412507d672c22aeb37cc36dd12ec2a6641c3b432bb9c2c2",
+    (50, 1): "124d2f70c19d0381bba6801c78fcc7c2dce684746f67cbd7d157055ef851bfcc",
 }
 
 # more instances on which the systemic procedure ends complete although

@@ -6,9 +6,10 @@ from collections import Counter
 
 import pytest
 
-from ctsat.cts import Cts, Perm, stack, unstack
-from ctsat.unify import (CAUSE_CONSTANT_CONFLICT, CAUSE_EMPTY_INPUT,
-                         CAUSE_EMPTY_TIER, UnifyContext, unify)
+from ctsat.cts import _KEEP, Cts, Perm, stack, unstack
+from ctsat.unify import (_COMBOS, _PAIR_KEEP, _SEEN, CAUSE_CONSTANT_CONFLICT,
+                         CAUSE_EMPTY_INPUT, CAUSE_EMPTY_TIER, UnifyContext,
+                         unify)
 
 from naive import (constant_of, joint_sat_set, pair_relation,
                    reference_unify, unify_cts)
@@ -349,6 +350,61 @@ def test_unify_union_of_fixpoints_is_a_fixpoint():
         assert result_fields(unify_cts(union, since=union)) == quiet
         unions += len(set(operands)) >= 2
     assert unions >= 2000
+
+
+def test_context_entries_are_the_rows_of_their_lowest_windows():
+    # every entry of a context against its definition: its byte is
+    # lane * tiers + the tier of the lowest window holding the variable
+    # or pair, its row the table row of its offsets there; and every
+    # entry is a row of the shape, shared by identity with every other
+    # context of that shape
+    rng = random.Random(19)
+    for _ in range(60):
+        n, k = rng.randint(5, 14), rng.randint(2, 5)
+        tiers = n - 2
+        ctx, other = (UnifyContext([Perm(rng.sample(range(1, n + 1), n))
+                                    for _ in range(k)]) for _ in range(2))
+        for i, perm in enumerate(ctx.perms):
+            start = i * tiers
+            for v in range(1, n + 1):
+                p = perm.position(v)
+                j = max(p - 2, 0)
+                b, seen = ctx.reads[i][v - 1]
+                assert b == start + j and seen is _SEEN[p - j]
+                lane, lane_start, tier, b, keep = ctx.writes[v - 1][i]
+                assert (lane, lane_start, tier, b) == (i, start, j, start + j)
+                assert keep is _KEEP[p - j]
+        by_pair: dict = {}
+        for i, perm in enumerate(ctx.perms):
+            for x, y in itertools.combinations(range(1, n + 1), 2):
+                p, q = perm.position(x), perm.position(y)
+                if abs(p - q) <= 2:   # co-tiered
+                    j = max(p, q, 2) - 2
+                    by_pair.setdefault((x, y), []).append(
+                        (i, j, p - j, q - j))
+        expected = [homes for _, homes in sorted(by_pair.items())
+                    if len(homes) >= 2]
+        assert len(ctx.pair_entries) == len(expected)
+        for homes, wanted in zip(ctx.pair_entries, expected):
+            assert len(homes) == len(wanted)
+            for home, (i, j, oa, ob) in zip(homes, wanted):
+                b, combos, keep, lane, lane_start, tier = home
+                assert (b, lane, lane_start, tier) == (
+                    i * tiers + j, i, i * tiers, j)
+                assert combos is _COMBOS[oa][ob]
+                assert keep is _PAIR_KEEP[oa][ob]
+        shape = ctx.shape
+        assert other.shape is shape
+        shared_homes = {id(home) for row in shape.homes for home in row}
+        for c in (ctx, other):
+            for i, perm in enumerate(c.perms):
+                for v, p in enumerate(perm.pos):
+                    assert c.reads[i][v] is shape.reads[i][p]
+                    assert c.writes[v][i] is shape.writes[i][p]
+            assert all(id(home) in shared_homes
+                       for homes in c.pair_entries for home in homes)
+        assert shape.lane_tier == tuple((i, t) for i in range(k)
+                                        for t in range(tiers))
 
 
 def test_unify_rejects_an_input_that_does_not_refine_since():

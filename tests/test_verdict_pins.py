@@ -47,9 +47,9 @@ def family_digest(name: str, scramble: bool = False) -> str:
 
 
 PINS = {
-    "sweep_small": "0c1812a16d4d8c2d",
-    "free_n40": "b0cec6fba00164d0",
-    "planted_n24": "e8ffab880b401274",
+    "sweep_small": "a6c1e9b459b35cac",
+    "free_n40": "3f074d10bd8ed034",
+    "planted_n24": "728e17e6b105800c",
 }
 
 
