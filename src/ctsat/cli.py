@@ -158,10 +158,11 @@ def _dispatch(args) -> int:
         try:
             params = GenParams(n=args.n, m=args.m, negation_fraction=args.neg,
                                mode=args.mode, seed=args.seed)
+            formula = generate(params)
         except ValueError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 1
-        text = generate(params).to_dimacs(
+        text = formula.to_dimacs(
             comments=["mode %s seed %d" % (args.mode, args.seed)])
         if args.output:
             Path(args.output).write_text(text)

@@ -182,7 +182,8 @@ class Layout(NamedTuple):
     by side, lane i holding tier j in byte i * tiers + j. The byte-lane
     fields repeat one byte in every tier of every lane, and `first`,
     `last` and `carry` one value in every lane. `windows[p]` is the
-    (tier, offset) of the lowest tier window holding position p."""
+    (tier, offset) of the lowest tier window holding position p, and
+    `lane_tier[b]` the (lane, tier) of byte b."""
 
     tiers: int
     lanes: int
@@ -196,6 +197,7 @@ class Layout(NamedTuple):
     carry: int   # every bit of the lane below its top bit
     ones: int    # one lane's bits, all set
     windows: tuple[tuple[int, int], ...]
+    lane_tier: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +214,8 @@ def layout(tiers: int, lanes: int = 1) -> Layout:
                   ((1 << width - 1) - 1) * rep if tiers else 0,
                   (1 << width) - 1,
                   tuple((p - 2, 2) if p > 2 else (0, p)
-                        for p in range(tiers + 2)))
+                        for p in range(tiers + 2)),
+                  tuple((i, t) for i in range(lanes) for t in range(tiers)))
 
 
 def clear_packed(x: int, lay: Layout) -> int:
@@ -249,7 +252,7 @@ def clear_packed(x: int, lay: Layout) -> int:
     empty tier is empty throughout: once a tier of a lane is empty, G
     is 0 in that lane, which is zeroed at once.
     """
-    tiers, lanes, lsb, msb, even, pairs, low, first, last, carry, ones, _ = lay
+    tiers, lanes, lsb, msb, even, pairs, low, first, last, carry, ones, _, _ = lay
     while True:
         if (x - lsb) & ~x & msb:
             if lanes == 1:

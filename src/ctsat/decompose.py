@@ -38,8 +38,8 @@ class Ctf:
         """Build from clauses that must all be compact under perm."""
         masks = [0] * (len(perm) - 2)
         for c in clauses:
-            first = _place(perm, c)
-            masks[first] |= 1 << _pattern(perm, c, first)
+            tier, code = _line(perm, c)
+            masks[tier] |= 1 << code
         return cls(perm, tuple(masks))
 
     def evaluate(self, bits: Sequence[int]) -> int:
@@ -74,23 +74,17 @@ class DecompositionReport:
     w: int
 
 
-def _place(perm: Perm, clause: Clause) -> int:
-    """Tier index of a clause compact under perm (raises otherwise)."""
-    positions = sorted(perm.position(v) for v in clause.variables())
-    if positions[2] - positions[0] != 2:
+def _line(perm: Perm, clause: Clause) -> tuple[int, int]:
+    """The (tier, code) of a clause compact under perm (raises
+    otherwise): its first position and its marks ordered by window
+    position."""
+    pos = perm.pos
+    (first, a), (_, b), (last, c) = sorted(
+        (pos[v - 1], mark) for v, mark in clause.entries)
+    if last - first != 2:
         raise ValueError("clause %r is not compact under %r"
                          % (clause, perm.order))
-    return positions[0]
-
-
-def _pattern(perm: Perm, clause: Clause, first: int) -> int:
-    """Mark pattern of a clause compact at tier `first`, ordered by
-    window position."""
-    marks = {v: mark for v, mark in clause.entries}
-    code = 0
-    for k in range(3):
-        code = (code << 1) | marks[perm.order[first + k]]
-    return code
+    return first, a << 2 | b << 1 | c
 
 
 def group_terms(formula: TabularFormula) -> list[tuple[tuple[int, int, int], list[Clause]]]:

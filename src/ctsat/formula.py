@@ -241,7 +241,9 @@ def generate(params: GenParams) -> TabularFormula:
     free:  every clause drawn independently (3 distinct variables, each
            mark 1 with the configured probability).
     sat:   a hidden assignment is drawn first; clauses falsified by it
-           are rejected and redrawn.
+           are rejected and redrawn. A negation fraction of 0 with an
+           all-0 assignment, or of 1 with an all-1 assignment, falsifies
+           every clause and raises `ValueError`.
     unsat: all 8 mark patterns over one random variable triple are
            embedded (an unsatisfiable core) among otherwise free clauses,
            and the clause order is shuffled.
@@ -252,6 +254,10 @@ def generate(params: GenParams) -> TabularFormula:
         clauses = [_random_clause(rng, n, frac) for _ in range(m)]
     elif params.mode == MODE_SAT:
         target = tuple(int(rng.chance(0.5)) for _ in range(n))
+        if frac in (0, 1) and all(b == frac for b in target):
+            raise ValueError("every clause with negation fraction %g is "
+                             "falsified by the planted assignment %s"
+                             % (frac, bits_to_string(target)))
         clauses = []
         while len(clauses) < m:
             c = _random_clause(rng, n, frac)

@@ -131,22 +131,34 @@ def dpll(formula: TabularFormula) -> OracleResult:
         return best
 
     def search() -> bool:
+        """Depth-first over the decisions, one frame (trail, variable)
+        per open decision, the variable holding the value being tried;
+        an explicit stack, so the depth is not bounded by Python's."""
+        frames: list[tuple[list[int], int]] = []
         trail: list[int] = []
-        if not propagate(trail):
-            for v in trail:
-                assign[v] = None
-            return False
-        var = pick_branch()
-        if var is None:
-            return True
-        for value in (0, 1):
-            assign[var] = value
-            if search():
-                return True
-            assign[var] = None
-        for v in trail:
-            assign[v] = None
-        return False
+        while True:
+            if propagate(trail):
+                var = pick_branch()
+                if var is None:
+                    return True
+                assign[var] = 0
+                frames.append((trail, var))
+                trail = []
+                continue
+            # undo the failed node, and every decision whose two values
+            # both failed, up to the deepest one still at 0: try 1 there
+            while True:
+                for v in trail:
+                    assign[v] = None
+                if not frames:
+                    return False
+                trail, var = frames.pop()
+                if assign[var] == 0:
+                    assign[var] = 1
+                    frames.append((trail, var))
+                    trail = []
+                    break
+                assign[var] = None
 
     if search():
         bits = tuple(1 if assign[v] == 1 else 0 for v in range(1, n + 1))

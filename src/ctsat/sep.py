@@ -88,9 +88,9 @@ class HsSystem:
     shift would give it again (see `systemic_effective_procedure`).
     `context` is the window
     geometry that every same-name `unify` call on them reads
-    (`unify.unify_context`, its entries shared with every context of
-    the same shape); its `layout` and `perms` are the lane `Layout` of
-    those ints and the members' permutations. `cts.unstack(x,
+    (`unify.unify_context`, its entries shared with every context); its
+    `layout` and `perms` are the lane `Layout` of those ints and the
+    members' permutations. `cts.unstack(x,
     structures)` gives the substructures back.
     """
 
@@ -273,12 +273,15 @@ def systemic_effective_procedure(
                     continue
                 system.vsub[v] = x
                 if early_check:
+                    # x is a unify fixpoint, so a variable has one value
+                    # set in every lane: lane 0 is elementary exactly
+                    # when every lane is, and they spell one assignment
                     stats.early_checks += 1
-                    for sub in unstack(x, system.structures):
-                        bits = early_elementary_check(sub, basic, formula)
-                        if bits is not None:
-                            return SepResult("early-sat", witness=bits,
-                                             stats=stats)
+                    sub, = unstack(x, system.structures[:1])
+                    bits = early_elementary_check(sub, basic, formula)
+                    if bits is not None:
+                        return SepResult("early-sat", witness=bits,
+                                         stats=stats)
             below = skeleton.tiers[:j]
             empty_tier = _prune_system(system, stats)
             if empty_tier is not None:

@@ -17,21 +17,23 @@ i (`cts.stack`), and `unify` returns the fixpoint in the same form. Its
 window geometry depends only on the lanes' permutations; the caller
 gets it once, as a `UnifyContext` (`unify_context` keeps one per tuple
 of permutations), and passes it to every call on systems over those
-permutations. The context's entries that depend only on the shape (tier
-count and lane) are built once, on first use, and shared by every
-context (`shape_rows`).
+permutations. A context addresses every window by one entry shape,
+(byte, read row, keep row, lane, lane start, tier), for variables and
+pair homes alike. An entry depends only on the tier count, the lane
+and the window's offsets, so each lane's entries are built once, on
+first use, and shared by every context (`_lane_rows`); the table rows
+are read off `cts._KEEP`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from operator import or_
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .cts import _KEEP as _KEEP_BIT
-from .cts import Cts, Perm, has_empty_lane, layout, settle
+from .cts import _KEEP, Cts, Perm, has_empty_lane, layout, settle
 
 CAUSE_EMPTY_INPUT = "empty-input"
 CAUSE_CONSTANT_CONFLICT = "constant-conflict"
@@ -51,75 +53,40 @@ class UnifyResult:
         return self.packed is None
 
 
-# Lookup tables for the hot loop. Window offsets are 0..2 (0 = first
-# variable of the tier); the bit of code c at offset o is (c >> (2-o)) & 1.
-# _COMBOS[oa][ob][mask]: 4-bit set of (va, vb) pairs present in the mask,
-#   combo index va*2 + vb.
-# _PAIR_KEEP[oa][ob][allowed]: codes whose (va, vb) combo is in `allowed`.
+# Lookup tables for the hot loop, read off `cts._KEEP`: _KEEP[o][v]
+# holds the codes whose bit at window offset o (0 = first variable of
+# the tier) is v. A pair combination (va, vb) has index va*2 + vb.
 # _SEEN[o][mask]: bit 0 when value 0 occurs at offset o, bit 1 for value 1.
-
-def _build_pair_tables():
-    combos = [[[0] * 256 for _ in range(3)] for _ in range(3)]
-    keep = [[[0] * 16 for _ in range(3)] for _ in range(3)]
-    seen = [[0] * 256 for _ in range(3)]
-    for oa in range(3):
-        for ob in range(3):
-            for mask in range(256):
-                bits = 0
-                for c in range(8):
-                    if mask >> c & 1:
-                        va = (c >> (2 - oa)) & 1
-                        vb = (c >> (2 - ob)) & 1
-                        bits |= 1 << (va * 2 + vb)
-                combos[oa][ob][mask] = bits
-            for allowed in range(16):
-                m = 0
-                for c in range(8):
-                    va = (c >> (2 - oa)) & 1
-                    vb = (c >> (2 - ob)) & 1
-                    if allowed >> (va * 2 + vb) & 1:
-                        m |= 1 << c
-                keep[oa][ob][allowed] = m
-    for o in range(3):
-        for mask in range(256):
-            s = 0
-            for c in range(8):
-                if mask >> c & 1:
-                    s |= 2 if (c >> (2 - o)) & 1 else 1
-            seen[o][mask] = s
-    return combos, keep, seen
-
-
-_COMBOS, _PAIR_KEEP, _SEEN = _build_pair_tables()
-
-
-class ShapeRows(NamedTuple):
-    """The `UnifyContext` entries of one shape (`lanes` lanes of `tiers`
-    tiers) that depend on the shape alone, built once by `shape_rows`.
-
-    `lane_tier[b]` is the (lane, tier) of byte b of the buffer. For the
-    variable at position p of lane i, `reads[i][p]` is its read entry
-    (byte, `_SEEN` row) and `writes[i][p]` its write entry (lane, lane
-    start, tier, byte, `cts._KEEP` row), where the byte is lane × tiers
-    + the tier of the lowest window holding position p. `homes[i]` holds
-    the pair homes of lane i, two per co-tiered position pair p < q in
-    the order (q, p) ascending: the home when the smaller variable sits
-    at p, then when it sits at q. A home is (byte, `_COMBOS` row,
-    `_PAIR_KEEP` row, lane, lane start, tier), the rows indexed by the
-    offset of the smaller variable first. The rows of lane i do not
-    depend on the lane count, and shapes of one tier count share them.
-    """
-
-    lane_tier: tuple[tuple[int, int], ...]
-    reads: tuple[tuple, ...]
-    writes: tuple[tuple, ...]
-    homes: tuple[tuple, ...]
+# _COMBO_CODES[oa][ob][va*2 + vb]: codes with value va at oa, vb at ob.
+# _COMBOS[oa][ob][mask]: 4-bit set of the (va, vb) combos present in mask.
+# _PAIR_KEEP[oa][ob][allowed]: codes whose (va, vb) combo is in allowed.
+_SEEN = [[bool(mask & k0) | bool(mask & k1) << 1 for mask in range(256)]
+         for k0, k1 in _KEEP]
+_COMBO_CODES = [[[_KEEP[oa][va] & _KEEP[ob][vb] for va in (0, 1)
+                  for vb in (0, 1)] for ob in range(3)] for oa in range(3)]
+_COMBOS = [[[sum(1 << combo for combo, codes in enumerate(row)
+                 if mask & codes) for mask in range(256)]
+            for row in rows] for rows in _COMBO_CODES]
+_PAIR_KEEP = [[[sum(codes for combo, codes in enumerate(row)
+                    if allowed >> combo & 1) for allowed in range(16)]
+               for row in rows] for rows in _COMBO_CODES]
 
 
 @lru_cache(maxsize=None)
-def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """Lane i's part of the four `ShapeRows` fields: its (lane, tier)
-    pairs, read entries, write entries and homes."""
+def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple]:
+    """The window entries of lane i of `tiers` tiers, built on first use
+    and shared by every context: its variable entries, by position, and
+    its pair homes.
+
+    An entry is (byte, read row, keep row, lane, lane start, tier) for
+    the lowest window holding a variable or pair, its byte lane × tiers
+    + tier. A variable at offset o reads with `_SEEN[o]` and restricts
+    with `_KEEP[o]`. The homes hold two entries per co-tiered position
+    pair p < q, in the order (q, p) ascending: the home when the smaller
+    variable sits at p, then when it sits at q, with the `_COMBOS` and
+    `_PAIR_KEEP` rows indexed by the offset of the smaller variable
+    first. The rows of lane i do not depend on the lane count.
+    """
     windows = layout(tiers).windows
     start = i * tiers
     homes = []
@@ -128,26 +95,12 @@ def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple, tuple, tuple]:
     for q in range(1, tiers + 2):
         j = windows[q][0]
         for p in range(j, q):
-            a, c = p - j, q - j
-            homes.append((start + j, _COMBOS[a][c], _PAIR_KEEP[a][c],
-                          i, start, j))
-            homes.append((start + j, _COMBOS[c][a], _PAIR_KEEP[c][a],
-                          i, start, j))
-    return (tuple((i, t) for t in range(tiers)),
-            tuple((start + j, _SEEN[off]) for j, off in windows),
-            tuple((i, start, j, start + j, _KEEP_BIT[off])
+            for a, c in ((p - j, q - j), (q - j, p - j)):
+                homes.append((start + j, _COMBOS[a][c], _PAIR_KEEP[a][c],
+                              i, start, j))
+    return (tuple((start + j, _SEEN[off], _KEEP[off], i, start, j)
                   for j, off in windows),
             tuple(homes))
-
-
-@lru_cache(maxsize=None)
-def shape_rows(tiers: int, lanes: int) -> ShapeRows:
-    """The `ShapeRows` of a shape, built on first use and shared by every
-    context of that shape."""
-    lane_tier, reads, writes, homes = zip(
-        *(_lane_rows(tiers, i) for i in range(lanes)))
-    return ShapeRows(tuple(chain.from_iterable(lane_tier)), reads, writes,
-                     homes)
 
 
 class UnifyContext:
@@ -159,13 +112,14 @@ class UnifyContext:
     them (see `clear_masks`). So each variable and each pair keeps one
     window per lane: the lowest one that holds it, addressed by its
     absolute byte in the buffer of the stacked system (lane × tiers +
-    tier). Every entry is a row of `shape`, the `ShapeRows` of the
-    system's shape, shared by identity with every context of that shape;
-    a context holds references to them, sorted by variable and pair.
+    tier). Each window is one entry (byte, read row, keep row, lane,
+    lane start, tier) of `_lane_rows`, shared by identity with every
+    context; a context holds references to them, sorted by variable and
+    pair.
 
     `layout` is the lane `Layout` of the stacked system.
-    `reads[i][var-1]` is the variable's read entry in lane i, and
-    `writes[var-1]` its write entries, one per lane in lane order.
+    `reads[i][var-1]` is the variable's entry in lane i, and
+    `writes[var-1]` its entries, one per lane in lane order.
     `pair_entries` holds, for every pair co-tiered in two or more
     lanes, its homes, one per lane. `var_bits[i][t]` holds bit var-1 of
     every variable whose window in lane i lies below tier t, and
@@ -175,8 +129,8 @@ class UnifyContext:
     holds the pairs touching lane i.
     """
 
-    __slots__ = ("perms", "layout", "shape", "reads", "writes",
-                 "pair_entries", "var_bits", "pair_bits")
+    __slots__ = ("perms", "layout", "reads", "writes", "pair_entries",
+                 "var_bits", "pair_bits")
 
     def __init__(self, perms: Sequence[Perm]):
         if not perms:
@@ -187,16 +141,15 @@ class UnifyContext:
         self.perms = tuple(perms)
         tiers = perms[0].layout.tiers
         self.layout = layout(tiers, len(perms))
-        shape = self.shape = shape_rows(tiers, len(perms))
-        self.reads = [[row[p] for p in perm.pos]
-                      for row, perm in zip(shape.reads, perms)]
-        self.writes = list(zip(*[[row[p] for p in perm.pos]
-                                 for row, perm in zip(shape.writes, perms)]))
+        rows = [_lane_rows(tiers, i) for i in range(len(perms))]
+        self.reads = [[entries[p] for p in perm.pos]
+                      for (entries, _), perm in zip(rows, perms)]
+        self.writes = list(zip(*self.reads))
         # pairs keyed x * n + y for variables x < y, so the keys sort as
-        # (x, y); the homes of lane i come in the order of shape.homes[i]
+        # (x, y); the homes of lane i come in the order of its rows
         windows = self.layout.windows
         by_pair: dict[int, list] = {}
-        for row, perm in zip(shape.homes, perms):
+        for (_, row), perm in zip(rows, perms):
             order = perm.order
             s = 0
             for q in range(1, n):
@@ -290,7 +243,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
 
     reads, writes, pair_entries = ctx.reads, ctx.writes, ctx.pair_entries
     var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
-    lane_tier = ctx.shape.lane_tier
+    lane_tier = lay.lane_tier
     buf = bytearray(x.to_bytes(size, "little"))
     stale_vars = [0] * k
     stale_pairs = 0
@@ -324,7 +277,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
                 if not stale_vars[i] & low:
                     continue
                 stale_vars[i] ^= low
-                b, row = reads[i][v]
+                b, row, _, _, _, _ = reads[i][v]
                 seen = row[buf[b]]
                 if seen == 3:
                     continue
@@ -338,7 +291,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
                 continue
             fixed |= low
             later = -(low << 1)   # the bits above low
-            for i, start, j, b, keep in writes[v]:
+            for b, _, keep, i, start, j in writes[v]:
                 old = buf[b]
                 kept = old & keep[value]
                 if kept == old:

@@ -77,6 +77,25 @@ def test_gen_refuses_more_variables_than_classify_reads(tmp_path, capsys,
     assert not target.exists()
 
 
+def test_gen_and_difftest_refuse_a_planted_assignment_no_clause_avoids(
+        tmp_path, capsys):
+    # fraction 0 marks every entry 0, which the all-0 assignment planted
+    # by seed 1 (and instance 1 of the difftest below) falsifies: both
+    # commands exit 1 with a message instead of redrawing forever
+    target = tmp_path / "never.cnf"
+    code, out, err = run(capsys, "gen", "--n", "3", "--m", "1", "--neg",
+                         "0", "--mode", "sat", "--seed", "1",
+                         "-o", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "planted assignment 000" in err
+    assert not target.exists()
+    code, out, err = run(capsys, "difftest", "--n-range", "5..5",
+                         "--m-ratio", "3..3", "--count", "2", "--neg", "0",
+                         "--seed", "30", "--out", str(tmp_path / "D"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "planted assignment 00000" in err
+
+
 def test_oracle_both_engines(capsys):
     for engine in ("dpll", "brute"):
         code, out, _ = run(capsys, "oracle", str(FIXTURES / "worked5.cnf"),

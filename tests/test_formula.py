@@ -204,6 +204,30 @@ def test_genparams_bounds_n_by_what_dimacs_parsing_accepts():
         GenParams(n=MAX_DIMACS_VARIABLES + 1, m=2)
 
 
+def test_sat_mode_refuses_a_fraction_that_falsifies_every_clause():
+    # with negation fraction 0 every mark is 0, so an all-0 planted
+    # assignment falsifies every clause (and fraction 1 an all-1 one):
+    # generate raises instead of redrawing forever, in exactly those
+    # cases, and generates every other formula as before
+    refused = 0
+    for seed in range(40):
+        for fraction in (0.0, 1.0):
+            params = GenParams(n=3, m=4, negation_fraction=fraction,
+                               mode="sat", seed=seed)
+            target = hidden_assignment(params)
+            if target == (int(fraction),) * 3:
+                with pytest.raises(ValueError, match="falsified by the "
+                                   "planted assignment"):
+                    generate(params)
+                refused += 1
+            else:
+                formula = generate(params)
+                assert formula.evaluate(target) == 1
+                assert all(mark == fraction for c in formula.clauses
+                           for _, mark in c.entries)
+    assert refused == 12
+
+
 def test_bits_string_round_trip():
     assert bits_to_string(bits_from_string("01101")) == "01101"
     with pytest.raises(ValueError):

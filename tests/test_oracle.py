@@ -110,11 +110,29 @@ def test_dpll_planted_sat():
 
 def test_dpll_stops_branching_once_every_clause_is_satisfied():
     # two decisions satisfy both clauses; the other 2,997 variables are
-    # never branched on, so the search stays far below the recursion
-    # limit, and they read 0 in the witness
+    # never branched on, and they read 0 in the witness
     f = TabularFormula(3000, (Clause.from_literals([1, 2, 3]),
                               Clause.from_literals([-1, 4, 5])))
     assert dpll(f).witness == (0, 0, 1) + (0,) * 2997
+
+
+def test_dpll_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 300 variable-disjoint clauses (-x -y -z) take one decision each,
+    # 0 on their first variable; a search that recursed once per
+    # decision would exceed a limit of 100 frames above the caller
+    f = TabularFormula(900, tuple(
+        Clause.from_literals([-(3 * i + 1), -(3 * i + 2), -(3 * i + 3)])
+        for i in range(300)))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        result = dpll(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.witness == (0,) * 900
 
 
 def test_dpll_agrees_with_brute_force():

@@ -548,6 +548,47 @@ def test_sep_repeat_keeps_edge_tuples_only_below_unchanged_tiers(
     assert (kept, reshifted) == (keeps, reshifts)
 
 
+def test_sep_early_check_on_lane_0_speaks_for_every_lane(monkeypatch):
+    # the early check reads lane 0 of each formed vertex tuple only; a
+    # formed tuple is a unify fixpoint, so every lane is elementary
+    # exactly when lane 0 is, and then they spell one assignment
+    import ctsat.sep as sep_mod
+
+    procedure, split = sep_mod.systemic_effective_procedure, sep_mod.unstack
+    state = {"members": (), "vertices": 0, "elementary": 0}
+
+    def recording_procedure(basic, others, formula, **kwargs):
+        state["members"] = tuple(others)
+        return procedure(basic, others, formula, **kwargs)
+
+    def checking_unstack(x, structures):
+        members = state["members"]
+        if len(members) > 1 and tuple(structures) == members[:1]:
+            subs = split(x, members)
+            elementary = subs[0].is_elementary()
+            assert all(s.is_elementary() == elementary for s in subs)
+            if elementary:
+                assert len({s.the_assignment() for s in subs}) == 1
+                state["elementary"] += 1
+            state["vertices"] += 1
+        return split(x, structures)
+
+    monkeypatch.setattr(sep_mod, "systemic_effective_procedure",
+                        recording_procedure)
+    monkeypatch.setattr(sep_mod, "unstack", checking_unstack)
+    rng = random.Random(2020)
+    checks = early = 0
+    for trial in range(60):
+        n = rng.randint(6, 13)
+        mode = ("free", "sat")[trial % 2]
+        verdict = classify(generate(GenParams(
+            n=n, m=rng.randint(3 * n, 5 * n), mode=mode, seed=trial)))
+        checks += verdict.detail.get("sep", {}).get("early_checks", 0)
+        early += bool(verdict.detail.get("early_exit"))
+    assert state["vertices"] == checks >= 300
+    assert state["elementary"] > early >= 20
+
+
 def test_sep_joint_sets_preserved_k3():
     rng = random.Random(33)
     hits = 0

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import ctsat
 from ctsat.cts import _KEEP, Cts, Perm, stack, unstack
 from ctsat.unify import (_COMBOS, _PAIR_KEEP, _SEEN, CAUSE_CONSTANT_CONFLICT,
                          CAUSE_EMPTY_INPUT, CAUSE_EMPTY_TIER, UnifyContext,
-                         unify)
+                         _lane_rows, unify)
 
 from naive import (constant_of, joint_sat_set, pair_relation,
                    reference_unify, unify_cts)
@@ -352,12 +356,52 @@ def test_unify_union_of_fixpoints_is_a_fixpoint():
     assert unions >= 2000
 
 
+def test_tables_match_the_bit_of_code_c_at_offset_o():
+    # `reference_unify` reads the same tables as `unify`, so they are
+    # checked here against their definition: the bit of code c at
+    # window offset o is (c >> (2 - o)) & 1
+    def bit(c, o):
+        return (c >> (2 - o)) & 1
+
+    for o in range(3):
+        for v in (0, 1):
+            assert _KEEP[o][v] == sum(1 << c for c in range(8)
+                                      if bit(c, o) == v)
+        for mask in range(256):
+            values = {bit(c, o) for c in range(8) if mask >> c & 1}
+            assert _SEEN[o][mask] == sum(1 << v for v in values)
+    for oa in range(3):
+        for ob in range(3):
+            for mask in range(256):
+                combos = {bit(c, oa) * 2 + bit(c, ob)
+                          for c in range(8) if mask >> c & 1}
+                assert _COMBOS[oa][ob][mask] == sum(1 << x for x in combos)
+            for allowed in range(16):
+                assert _PAIR_KEEP[oa][ob][allowed] == sum(
+                    1 << c for c in range(8)
+                    if allowed >> (bit(c, oa) * 2 + bit(c, ob)) & 1)
+
+
+def test_import_builds_no_lane_rows():
+    # the window entries are built on first use, not at import
+    script = ("import ctsat\n"
+              "from ctsat.unify import _lane_rows\n"
+              "print(_lane_rows.cache_info().currsize)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
+
+
 def test_context_entries_are_the_rows_of_their_lowest_windows():
-    # every entry of a context against its definition: its byte is
-    # lane * tiers + the tier of the lowest window holding the variable
-    # or pair, its row the table row of its offsets there; and every
-    # entry is a row of the shape, shared by identity with every other
-    # context of that shape
+    # every entry of a context against its definition: one shape, (byte,
+    # read row, keep row, lane, lane start, tier), its byte lane * tiers
+    # + the tier of the lowest window holding the variable or pair, its
+    # rows the table rows of its offsets there; every entry is drawn by
+    # identity from `_lane_rows`, shared with every other context, and
+    # the layout's byte map gives each byte's (lane, tier)
     rng = random.Random(19)
     for _ in range(60):
         n, k = rng.randint(5, 14), rng.randint(2, 5)
@@ -369,11 +413,11 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
             for v in range(1, n + 1):
                 p = perm.position(v)
                 j = max(p - 2, 0)
-                b, seen = ctx.reads[i][v - 1]
-                assert b == start + j and seen is _SEEN[p - j]
-                lane, lane_start, tier, b, keep = ctx.writes[v - 1][i]
-                assert (lane, lane_start, tier, b) == (i, start, j, start + j)
-                assert keep is _KEEP[p - j]
+                entry = ctx.reads[i][v - 1]
+                assert ctx.writes[v - 1][i] is entry
+                b, seen, keep, lane, lane_start, tier = entry
+                assert (b, lane, lane_start, tier) == (start + j, i, start, j)
+                assert seen is _SEEN[p - j] and keep is _KEEP[p - j]
         by_pair: dict = {}
         for i, perm in enumerate(ctx.perms):
             for x, y in itertools.combinations(range(1, n + 1), 2):
@@ -393,18 +437,21 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
                     i * tiers + j, i, i * tiers, j)
                 assert combos is _COMBOS[oa][ob]
                 assert keep is _PAIR_KEEP[oa][ob]
-        shape = ctx.shape
-        assert other.shape is shape
-        shared_homes = {id(home) for row in shape.homes for home in row}
         for c in (ctx, other):
             for i, perm in enumerate(c.perms):
+                entries = _lane_rows(tiers, i)[0]
                 for v, p in enumerate(perm.pos):
-                    assert c.reads[i][v] is shape.reads[i][p]
-                    assert c.writes[v][i] is shape.writes[i][p]
-            assert all(id(home) in shared_homes
+                    assert c.reads[i][v] is entries[p]
+            shared = {id(home) for i in range(k)
+                      for home in _lane_rows(tiers, i)[1]}
+            assert all(id(home) in shared
                        for homes in c.pair_entries for home in homes)
-        assert shape.lane_tier == tuple((i, t) for i in range(k)
-                                        for t in range(tiers))
+        lay = ctx.layout
+        assert other.layout is lay
+        assert lay.lane_tier == tuple((i, t) for i in range(k)
+                                      for t in range(tiers))
+        assert all(lay.lane_tier[b] == (lane, tier)
+                   for row in ctx.reads for b, _, _, lane, _, tier in row)
 
 
 def test_unify_rejects_an_input_that_does_not_refine_since():
