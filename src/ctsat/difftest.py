@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .formula import (MAX_DIMACS_VARIABLES, GenParams, TabularFormula,
-                      generate)
+                      check_plantable, generate)
 from .oracle import dpll
 from .rng import GENERATOR_ID, SplitMix64
 from .sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
@@ -178,10 +178,14 @@ def difftest(params: DifftestParams, out_dir: str | Path,
 
     Results are independent of the worker count: instances derive all
     randomness from (seed + index) and are merged in index order. A
-    worker count below 1 raises `ValueError`.
+    worker count below 1, or an instance that `generate` would refuse
+    (`check_plantable`), raises `ValueError` before `out_dir` is created
+    or any instance classified.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
+    for i in range(params.count):
+        check_plantable(instance_params(params, i))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

@@ -235,6 +235,19 @@ def hidden_assignment(params: GenParams) -> Bits:
     return tuple(int(rng.chance(0.5)) for _ in range(params.n))
 
 
+def check_plantable(params: GenParams) -> None:
+    """Raise `ValueError` for sat-mode parameters whose planted
+    assignment falsifies every clause they can draw: a negation fraction
+    of 0 with an all-0 assignment, or of 1 with an all-1 assignment."""
+    frac = params.negation_fraction
+    if params.mode == MODE_SAT and frac in (0, 1):
+        target = hidden_assignment(params)
+        if all(b == frac for b in target):
+            raise ValueError("every clause with negation fraction %g is "
+                             "falsified by the planted assignment %s"
+                             % (frac, bits_to_string(target)))
+
+
 def generate(params: GenParams) -> TabularFormula:
     """Deterministic random instance for the given parameters.
 
@@ -243,7 +256,7 @@ def generate(params: GenParams) -> TabularFormula:
     sat:   a hidden assignment is drawn first; clauses falsified by it
            are rejected and redrawn. A negation fraction of 0 with an
            all-0 assignment, or of 1 with an all-1 assignment, falsifies
-           every clause and raises `ValueError`.
+           every clause and raises `ValueError` (`check_plantable`).
     unsat: all 8 mark patterns over one random variable triple are
            embedded (an unsatisfiable core) among otherwise free clauses,
            and the clause order is shuffled.
@@ -253,11 +266,8 @@ def generate(params: GenParams) -> TabularFormula:
     if params.mode == MODE_FREE:
         clauses = [_random_clause(rng, n, frac) for _ in range(m)]
     elif params.mode == MODE_SAT:
+        check_plantable(params)
         target = tuple(int(rng.chance(0.5)) for _ in range(n))
-        if frac in (0, 1) and all(b == frac for b in target):
-            raise ValueError("every clause with negation fraction %g is "
-                             "falsified by the planted assignment %s"
-                             % (frac, bits_to_string(target)))
         clauses = []
         while len(clauses) < m:
             c = _random_clause(rng, n, frac)

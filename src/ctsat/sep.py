@@ -83,15 +83,18 @@ class HsSystem:
     `structures` are the k-1 member structures. `vsub` and `esub` map a
     skeleton vertex or edge to its substructures, one per member,
     stacked in one int: member i in lane i, over the permutation of
-    structures[i]. A tier j-1 edge's tuple is stored by the round of
-    tier j that shifts the edge, and a repeated round keeps it when a
-    shift would give it again (see `systemic_effective_procedure`).
-    `context` is the window
-    geometry that every same-name `unify` call on them reads
+    structures[i]. A tier j-1 edge's tuple is stored by each round of
+    tier j, which shifts the edge. `shifts` maps each edge shifted in
+    the rounds of the current tier to what its last shift read and
+    made: its tail tuple, the code masks of tiers 0..j-1 (the edge at
+    tier j) and the tuple before every projection step and after the
+    last, the unified concretization first; `concordant_shift` resumes
+    from it, and the SEP empties it when a tier is formed. `context` is
+    the window geometry that every same-name `unify` call on them reads
     (`unify.unify_context`, its entries shared with every context); its
     `layout` and `perms` are the lane `Layout` of those ints and the
-    members' permutations. `cts.unstack(x,
-    structures)` gives the substructures back.
+    members' permutations. `cts.unstack(x, structures)` gives the
+    substructures back.
     """
 
     skeleton: TierGraph
@@ -99,6 +102,8 @@ class HsSystem:
     structures: tuple[Cts, ...]
     vsub: dict[Vertex, int] = field(default_factory=dict)
     esub: dict[Edge, int] = field(default_factory=dict)
+    shifts: dict[Edge, tuple[int, list[int], list[int | None]]] = field(
+        default_factory=dict, repr=False)
     context: UnifyContext = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -113,10 +118,10 @@ class SepStats:
     j runs again only when its prune removed a vertex below tier j.
     `unify_waves` sums the waves of the same-name `unify` calls actually
     made, in every round; a tuple equal to its seed (the fixpoint it
-    refines) makes no call and adds no wave, and neither does a tier
-    j-1 edge whose stored tuple a repeated round keeps. `early_checks`
-    counts the vertex tuples handed to the early elementary check, once
-    per formed vertex and round."""
+    refines) makes no call and adds no wave, and neither does a step
+    that a shift resumed from an equal tail keeps (see
+    `concordant_shift`). `early_checks` counts the vertex tuples handed
+    to the early elementary check, once per formed vertex and round."""
 
     pruned_vertices: int = 0
     pruned_edges: int = 0
@@ -169,19 +174,39 @@ def _unify_same_name(x: int, since: int, system: HsSystem,
 def concordant_shift(system: HsSystem, edge: Edge,
                      stats: SepStats) -> int | None:
     """Run the shift lockstep in every member, unifying same-name
-    intermediate substructures; None when the system empties on this edge."""
+    intermediate substructures; None when the system empties on this edge.
+
+    The unified concretization depends only on the tail tuple and the
+    edge, and the projection step onto tier s only on the tuple before
+    it and the tuples of the tier-s vertices, which do not change once
+    tier s is formed, and on its codes. So a shift from the tail tuple
+    of the last shift of the edge (`system.shifts`; a repeated round
+    shifts its edges again) keeps the concretization and the steps
+    below the first tier whose codes changed since, and runs the steps
+    from that tier on."""
     j, a, b = edge
-    ctx, vsub, codes = system.context, system.vsub, system.skeleton.codes
-    lay = ctx.layout
+    ctx, vsub, skeleton = system.context, system.vsub, system.skeleton
+    lay, codes, tiers = ctx.layout, skeleton.codes, skeleton.tiers
     tail = vsub[(j, a)]
-    x = concretize_lanes(tail, ctx.perms,
-                         ((system.basic_perm.order[j + 3], b & 1),), lay)
-    x = _unify_same_name(x, tail, system, stats)
-    for s in range(j):
+    last = system.shifts.get(edge)
+    if last is not None and last[0] == tail:
+        _, then, xs = last
+        s = 0
+        while s < j and then[s] == tiers[s]:
+            s += 1
+        del xs[s + 1:]   # xs[s] is the tuple before step s
+    else:
+        x = concretize_lanes(tail, ctx.perms,
+                             ((system.basic_perm.order[j + 3], b & 1),), lay)
+        xs = [_unify_same_name(x, tail, system, stats)]
+    x = xs[-1]
+    for s in range(len(xs) - 1, j):
         if x is None:
-            return None
+            break
         projected = project_lanes(x, (vsub[(s, c)] for c in codes(s)), lay)
         x = _unify_same_name(projected, x, system, stats)
+        xs.append(x)
+    system.shifts[edge] = tail, tiers[:j], xs
     return x
 
 
@@ -209,11 +234,10 @@ def systemic_effective_procedure(
     links into tier j, so it is repeated only when the prune changed a
     tier below j. A shift reads only its tail tuple and the tuples and
     codes below tier j-1, which no round of tier j re-forms, so a
-    repeated round keeps the stored tuple of every tier j-1 edge left
-    when `skeleton.tiers[:j-1]` is as it was when the tuples were
-    computed, and re-forms, early-checks and prunes as before. The
-    early elementary check can short-circuit the whole run with a
-    witness.
+    repeated round's shift of a tier j-1 edge resumes from the edge's
+    last shift (`concordant_shift`) and makes no unify call when
+    `skeleton.tiers[:j-1]` is as it was then. The early elementary
+    check can short-circuit the whole run with a witness.
 
     Every concretization and projection goes through
     `_unify_same_name`, seeded with a fixpoint its input refines, and
@@ -241,10 +265,8 @@ def systemic_effective_procedure(
     whole = stack(system.structures)
 
     for j in range(skeleton.tier_count):
-        shifted = None   # tiers[:j-1] when the tier j-1 edges were shifted
         while True:
-            if j and skeleton.tiers[:j - 1] != shifted:
-                shifted = skeleton.tiers[:j - 1]
+            if j:
                 for e in list(skeleton.edges(j - 1)):
                     x = concordant_shift(system, e, stats)
                     if x is None:
@@ -256,8 +278,7 @@ def systemic_effective_procedure(
                 v = (j, c)
                 if j:
                     # every tier j-1 edge left in the skeleton was
-                    # shifted in this round or an earlier one of tier
-                    # j, so its substructures are stored
+                    # shifted in this round, so its tuple is stored
                     x = 0
                     for a in skeleton.up(v):
                         x |= system.esub[(j - 1, a, c)]
@@ -289,6 +310,7 @@ def systemic_effective_procedure(
             if skeleton.tiers[:j] == below:
                 break
             stats.recompute_rounds += 1
+        system.shifts.clear()   # only the rounds of tier j read them
         check_tier_disjoint(system.vsub, skeleton.codes(j), j,
                             system.structures)
         _emit_tier(sink, system, j)

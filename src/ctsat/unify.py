@@ -33,7 +33,8 @@ from itertools import accumulate, compress
 from operator import or_
 from typing import Sequence
 
-from .cts import _KEEP, Cts, Perm, has_empty_lane, layout, settle
+from .cts import (_KEEP, _READS_FIRST, _READS_LATER, _VALUES, Cts, Perm,
+                  has_empty_lane, layout, lowest_pairs, settle)
 
 CAUSE_EMPTY_INPUT = "empty-input"
 CAUSE_CONSTANT_CONFLICT = "constant-conflict"
@@ -82,22 +83,18 @@ def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple]:
     the lowest window holding a variable or pair, its byte lane × tiers
     + tier. A variable at offset o reads with `_SEEN[o]` and restricts
     with `_KEEP[o]`. The homes hold two entries per co-tiered position
-    pair p < q, in the order (q, p) ascending: the home when the smaller
-    variable sits at p, then when it sits at q, with the `_COMBOS` and
-    `_PAIR_KEEP` rows indexed by the offset of the smaller variable
-    first. The rows of lane i do not depend on the lane count.
+    pair p < q, in the order of `cts.lowest_pairs`, (q, p) ascending:
+    the home when the smaller variable sits at p, then when it sits at
+    q, with the `_COMBOS` and `_PAIR_KEEP` rows indexed by the offset of
+    the smaller variable first. The rows of lane i do not depend on the lane count.
     """
     windows = layout(tiers).windows
     start = i * tiers
     homes = []
-    # the pair at positions p < q lies in tier j = max(q - 2, 0), at
-    # offsets p - j and q - j
-    for q in range(1, tiers + 2):
-        j = windows[q][0]
-        for p in range(j, q):
-            for a, c in ((p - j, q - j), (q - j, p - j)):
-                homes.append((start + j, _COMBOS[a][c], _PAIR_KEEP[a][c],
-                              i, start, j))
+    for j, a, c in lowest_pairs(windows):
+        for oa, ob in ((a, c), (c, a)):
+            homes.append((start + j, _COMBOS[oa][ob], _PAIR_KEEP[oa][ob],
+                          i, start, j))
     return (tuple((start + j, _SEEN[off], _KEEP[off], i, start, j)
                   for j, off in windows),
             tuple(homes))
@@ -214,19 +211,30 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
     When the rule allows no value there, that window empties, and it is
     the lowest tier that restricting every window would have emptied.
 
-    A window is read only while stale, that is, changed since it was
-    last read; `settle` reports the tiers each removal changed. The
-    first wave starts from the windows in the tiers whose bytes differ
-    from `since`, the non-zero bytes of x ^ since. A window in a tier
-    equal to since's repeats what a read of the fixpoint found (every
-    window of a fixpoint agrees, and a full window shows both values
-    and all four combinations), and the removals that read called for
-    are made, so skipping it changes nothing; the windows of a fixed
-    variable hold its value and are never read again. Within a wave the
-    candidates are found in variable (rule 1) and pair (rule 2) order
-    as the wave goes, so a window that went stale earlier in the wave
-    is still read in it, as in a full scan. A pair whose homes all show
-    the same combinations removes nothing and is passed over.
+    A window is read only while stale, that is, while what its rule
+    reads there changed since it was last read: a variable window's
+    value set, a pair home's combination set. `settle` reports the
+    tiers of a removal whose value sets and whose combination sets
+    changed, comparing each rewritten tier's mask before and after
+    through `cts._READS_FIRST` and `cts._READS_LATER`, and the first
+    wave makes the same test on the bytes where x and `since` differ.
+    Skipping a window that is not stale changes nothing:
+      - a variable window with its value set unchanged showed both
+        values at its last read, and still does; or its variable was
+        concretized everywhere then, is fixed and is never read again;
+        or it was not read yet and has its value set in `since`, a
+        fixpoint, where the variable shows both values in every lane
+        or one value in every lane, and a read of that one value
+        removes no line from an x that refines `since`;
+      - a pair with every home's combination set unchanged found all
+        its homes agreeing at its last read (a read that restricts a
+        home changes that home's set, so the pair goes stale again), or
+        it was not read yet and its homes agree as they do in `since`.
+    Within a wave the candidates are found in variable (rule 1) and
+    pair (rule 2) order as the wave goes, so a window that went stale
+    earlier in the wave is still read in it, as in a full scan. A pair
+    whose homes all show the same combinations removes nothing and is
+    passed over.
 
     A sink, when given, receives the system state before the first
     wave and after every wave.
@@ -245,13 +253,19 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
     var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
     lane_tier = lay.lane_tier
     buf = bytearray(x.to_bytes(size, "little"))
+    seed = since.to_bytes(size, "little")
     stale_vars = [0] * k
     stale_pairs = 0
     for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
         i, t = lane_tier[b]
-        vb, pb = var_bits[i], pair_bits[i]
-        stale_vars[i] |= vb[t + 1] ^ vb[t]
-        stale_pairs |= pb[t + 1] ^ pb[t]
+        view = _READS_LATER if t else _READS_FIRST
+        d = view[seed[b]] ^ view[buf[b]]
+        if d:
+            pb = pair_bits[i]
+            stale_pairs |= pb[t + 1] ^ pb[t]
+            if d & _VALUES:
+                vb = var_bits[i]
+                stale_vars[i] |= vb[t + 1] ^ vb[t]
     if sink is not None:
         _emit_wave(sink, ctx, buf, 0)
     fixed = 0   # bit var-1 of every variable concretized everywhere
@@ -297,15 +311,16 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
                 if kept == old:
                     continue
                 buf[b] = kept
-                lo, hi = settle(buf, start, j, tiers)
+                lo, hi, vlo, vhi, plo, phi = settle(buf, start, j, tiers,
+                                                    old)
                 if lo is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
                                        structure_index=i,
                                        empty_tier=hi + 1)
-                bits = (var_bits[i][hi + 1] ^ var_bits[i][lo]) & ~fixed
+                bits = (var_bits[i][vhi + 1] ^ var_bits[i][vlo]) & ~fixed
                 stale_vars[i] |= bits
-                stale_pairs |= pair_bits[i][hi + 1] ^ pair_bits[i][lo]
+                stale_pairs |= pair_bits[i][phi + 1] ^ pair_bits[i][plo]
                 if i in dirty:
                     pending |= bits & later
                 touched.add(i)
@@ -337,14 +352,15 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
                 if kept == old:
                     continue
                 buf[b] = kept
-                lo, hi = settle(buf, start, j, tiers)
+                lo, hi, vlo, vhi, plo, phi = settle(buf, start, j, tiers,
+                                                    old)
                 if lo is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
                                        structure_index=i,
                                        empty_tier=hi + 1)
-                stale_vars[i] |= (var_bits[i][hi + 1] ^ var_bits[i][lo]) & ~fixed
-                bits = pair_bits[i][hi + 1] ^ pair_bits[i][lo]
+                stale_vars[i] |= (var_bits[i][vhi + 1] ^ var_bits[i][vlo]) & ~fixed
+                bits = pair_bits[i][phi + 1] ^ pair_bits[i][plo]
                 now = bits & later   # read later in this wave
                 pending |= now
                 stale_pairs |= bits ^ now

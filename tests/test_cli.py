@@ -81,7 +81,8 @@ def test_gen_and_difftest_refuse_a_planted_assignment_no_clause_avoids(
         tmp_path, capsys):
     # fraction 0 marks every entry 0, which the all-0 assignment planted
     # by seed 1 (and instance 1 of the difftest below) falsifies: both
-    # commands exit 1 with a message instead of redrawing forever
+    # commands exit 1 with a message instead of redrawing forever, and
+    # the sweep is refused before it creates its output directory
     target = tmp_path / "never.cnf"
     code, out, err = run(capsys, "gen", "--n", "3", "--m", "1", "--neg",
                          "0", "--mode", "sat", "--seed", "1",
@@ -94,6 +95,7 @@ def test_gen_and_difftest_refuse_a_planted_assignment_no_clause_avoids(
                          "--seed", "30", "--out", str(tmp_path / "D"))
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "planted assignment 00000" in err
+    assert not (tmp_path / "D").exists()
 
 
 def test_oracle_both_engines(capsys):

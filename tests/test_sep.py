@@ -445,36 +445,48 @@ def sep_rounds(monkeypatch):
     returns the verdict and a record of every SEP round that ended in a
     prune: (tier j, tiers[:j] before and after the prune, the prune's
     empty tier, the number of edges shifted, whether the round kept the
-    stored tier j-1 edge tuples). A round that does not end early-sat
-    ends with one `_prune_system` call, and the rounds of tier j come
-    after the tier check of tier j-1 (`check_tier_disjoint`), so the
-    record counts every round, whether or not it shifts an edge. A
-    round of tier j > 0 that shifts no edge keeps the stored tuples:
-    before its prune, each tier j-1 edge's tuple is recomputed with
-    `concordant_shift` and must equal the kept one."""
+    stored tier j-1 edge tuples, its shifts making no same-name unify
+    step). A round that does not end early-sat ends with one
+    `_prune_system` call, and the rounds of tier j come after the tier
+    check of tier j-1 (`check_tier_disjoint`), so the record counts
+    every round. A round of tier j > 0 whose shifts all resume past
+    their last step keeps the stored tuples: before its prune, each
+    tier j-1 edge's tuple is recomputed with a `concordant_shift` that
+    finds no stored shift to resume from, and must equal the kept one."""
     import ctsat.sep as sep_mod
 
     shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
+    same_name = sep_mod._unify_same_name
     check = sep_mod.check_tier_disjoint
     state = {}
     rounds = []
 
     def counting_shift(system, edge, stats):
         state["shifted"] += 1
-        return shift(system, edge, stats)
+        state["in_shift"] = True
+        try:
+            return shift(system, edge, stats)
+        finally:
+            state["in_shift"] = False
+
+    def counting_unify(x, since, system, stats):
+        state["steps"] += state["in_shift"]
+        return same_name(x, since, system, stats)
 
     def recording_prune(system, stats):
         j, skeleton = state["tier"], system.skeleton
-        kept = j > 0 and not state["shifted"]
+        kept = j > 0 and not state["steps"]
         if kept:
             for edge in skeleton.edges(j - 1):
+                saved = system.shifts.pop(edge)   # shift afresh
                 assert (shift(system, edge, SepStats())
                         == system.esub[edge]), edge
+                system.shifts[edge] = saved
         before = skeleton.tiers[:j]
         empty = prune(system, stats)
         rounds.append((j, before, skeleton.tiers[:j], empty,
                        state["shifted"], kept))
-        state["shifted"] = 0
+        state.update(shifted=0, steps=0)
         return empty
 
     def counting_check(vsub, codes, j, structures):
@@ -483,11 +495,12 @@ def sep_rounds(monkeypatch):
         return check(vsub, codes, j, structures)
 
     monkeypatch.setattr(sep_mod, "concordant_shift", counting_shift)
+    monkeypatch.setattr(sep_mod, "_unify_same_name", counting_unify)
     monkeypatch.setattr(sep_mod, "_prune_system", recording_prune)
     monkeypatch.setattr(sep_mod, "check_tier_disjoint", counting_check)
 
     def run(params):
-        state.update(tier=0, shifted=0)
+        state.update(tier=0, shifted=0, steps=0, in_shift=False)
         del rounds[:]
         return classify(generate(params)), list(rounds)
 
@@ -526,11 +539,12 @@ def test_sep_every_repeat_sees_changed_lower_tiers(monkeypatch):
 ])
 def test_sep_repeat_keeps_edge_tuples_only_below_unchanged_tiers(
         monkeypatch, n, m, mode, seed, keeps, reshifts):
-    # a repeated round of tier j keeps the stored tier j-1 edge tuples
-    # exactly when the tiers below j-1 are as they were in the round
-    # before, and every kept tuple is what a shift on the current system
+    # every round of tier j > 0 shifts every tier j-1 edge; a repeated
+    # round's shifts resume from the round before and make no unify step
+    # exactly when the tiers below j-1 are as they were then, and every
+    # tuple so kept is what a shift from scratch on the current system
     # gives (checked in sep_rounds); a first round of tier j > 0 shifts
-    # every edge
+    # from scratch
     run = sep_rounds(monkeypatch)
     _, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
     kept = reshifted = 0
@@ -538,14 +552,103 @@ def test_sep_repeat_keeps_edge_tuples_only_below_unchanged_tiers(
             [None] + rounds, rounds):
         if j == 0:
             continue
+        assert shifted
         if previous is None or previous[0] != j:   # a first round
-            assert shifted
+            assert not keeps_tuples
             continue
         unchanged = previous[2][:j - 1] == previous[1][:j - 1]
         assert keeps_tuples == unchanged
         kept += keeps_tuples
         reshifted += not keeps_tuples
     assert (kept, reshifted) == (keeps, reshifts)
+
+
+def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
+    # a repeated round shifts its edges again from the same tail tuples,
+    # and each shift keeps the unified concretization and the projection
+    # steps below the first tier whose codes changed: on a run with five
+    # repeated rounds no two same-name unify calls get the same input
+    # and seed, and every stored tuple and every verdict field but the
+    # waves equals a run whose shifts start afresh
+    import ctsat.sep as sep_mod
+
+    procedure = sep_mod.systemic_effective_procedure
+    shift = sep_mod.concordant_shift
+    calls, systems = [], []
+
+    def recording_unify(x, ctx, since, sink=None):
+        calls.append((x, since))
+        return unify(x, ctx, since=since, sink=sink)
+
+    def recording_procedure(*args, **kwargs):
+        result = procedure(*args, **kwargs)
+        systems.append(result.system)
+        return result
+
+    monkeypatch.setattr(sep_mod, "unify", recording_unify)
+    monkeypatch.setattr(sep_mod, "systemic_effective_procedure",
+                        recording_procedure)
+    formula = generate(GenParams(n=24, m=102, mode="sat", seed=5))
+    reused = classify(formula)
+    assert reused.detail["sep"]["recompute_rounds"] == 5
+    assert "backtracks" in reused.detail   # the SEP ended complete
+    sep_calls = calls[1:]   # the first is the top-level unify
+    assert len(set(sep_calls)) == len(sep_calls)
+    assert not systems[0].shifts   # emptied once each tier is formed
+
+    def missing(system, edge, stats):
+        system.shifts.clear()   # the lookup misses
+        return shift(system, edge, stats)
+
+    monkeypatch.setattr(sep_mod, "concordant_shift", missing)
+    del calls[:]
+    fresh = classify(formula)
+    assert len(calls) - 1 > len(sep_calls)
+    assert systems[1].vsub == systems[0].vsub
+    assert systems[1].esub == systems[0].esub
+    waves = [v.detail["sep"].pop("unify_waves") for v in (reused, fresh)]
+    assert waves[0] < waves[1]
+    assert reused.to_json() == fresh.to_json()
+
+
+def test_concordant_shift_resumes_from_the_first_changed_tier():
+    # a shift from the tail tuple of the edge's last shift keeps the
+    # concretization and the projection steps below the first tier
+    # whose codes changed since, and runs the steps from that tier on:
+    # after a vertex below the edge is removed, it gives what a shift
+    # that keeps nothing gives. No repeated round of the SEP has been
+    # seen to change a re-shifted tuple, so the removal is made by hand
+    rng = random.Random(5150)
+    resumed = changed = 0
+    while resumed < 300:
+        n = rng.randint(7, 11)
+        s1, *others = random_unified_system(rng, n, rng.randint(3, 4),
+                                            density=0.85)
+        result = systemic_effective_procedure(s1, others, dummy_formula(n),
+                                              early_check=False)
+        if result.outcome != "complete":
+            continue
+        system = result.system
+        skeleton = system.skeleton
+        edges = [e for e in skeleton.edges() if e[0] >= 2]
+        if not edges:
+            continue
+        edge = rng.choice(edges)
+        tier = rng.randrange(edge[0])
+        codes = skeleton.codes(tier)
+        if len(codes) < 2:
+            continue
+        # the SEP empties system.shifts once a tier is formed, so the
+        # edge is shifted once to store a shift to resume from
+        assert not system.shifts
+        concordant_shift(system, edge, SepStats())
+        skeleton.remove_vertex((tier, rng.choice(codes)))
+        got = concordant_shift(system, edge, SepStats())
+        system.shifts.clear()
+        assert got == concordant_shift(system, edge, SepStats())
+        resumed += 1
+        changed += got != system.esub[edge]
+    assert changed > 50
 
 
 def test_sep_early_check_on_lane_0_speaks_for_every_lane(monkeypatch):

@@ -2,7 +2,8 @@
 
 The `hard` marker keeps these cases out of the default run (see
 pyproject.toml); run them with `python -m pytest -m hard`. They take
-about a minute and a half on two cores, most of it in n = 50 seed 0.
+about half a minute on two cores, most of it in n = 50 seed 0. Running
+this file as a script prints the current `VERDICT_DIGESTS`.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ KNOWN_FAILURES = {(50, 0)}
 # keep verdicts byte-identical also keeps the witnesses, the counters
 # and the failure's diagnostics bundle
 VERDICT_DIGESTS = {
-    (40, 0): "d429ccbe514df0104eb7be789238b104d2a52ab1695a28517ffc82e42cee2483",
-    (40, 1): "1d396709dbe23724c02d62917954e52aba273538b396af047eb333cb722f29e3",
-    (40, 2): "87c946061f1cfc4a2939d5cf165b9449c6f49808f200ed662e656f4d75e65222",
-    (40, 3): "940fd4d8168c740b8e848bdbe675d5d6b5161d7ff3a50f2145c79446d403ee70",
-    (50, 0): "c9be0f2d0f925a7a1412507d672c22aeb37cc36dd12ec2a6641c3b432bb9c2c2",
-    (50, 1): "124d2f70c19d0381bba6801c78fcc7c2dce684746f67cbd7d157055ef851bfcc",
+    (40, 0): "15b3c65bcda39db2392117932cb9835450f98d5d389221a554489c5f2509bdf6",
+    (40, 1): "f1b4a4c66f734391f8815f1d3e386363156113cf2ee8079c29a51a577bc150ed",
+    (40, 2): "98a0913361dc87f5d7bc10b3bf48c544fedfe610efdabf4035e74b93d23926c5",
+    (40, 3): "5bf01c859f234df1daae29e4a6e6abd52185bc1fafae37b35360182c6afeb9ae",
+    (50, 0): "a0aa9a3523b8adba6934ea094b919486b0f0bd8e1d7cb4b6cfce56b30f458faa",
+    (50, 1): "e3918501c4d2e8dced3627ebacb1ac9cbe73526fb7d8e352b0e8d2c921e73475",
 }
 
 # more instances on which the systemic procedure ends complete although
@@ -49,6 +50,10 @@ def threshold_formula(n: int, seed: int):
                               seed=seed))
 
 
+def verdict_digest(verdict) -> str:
+    return hashlib.sha256(verdict.to_json().encode()).hexdigest()
+
+
 @pytest.mark.hard
 @pytest.mark.parametrize("n, seed", sorted(VERDICT_DIGESTS))
 def test_threshold_verdicts_agree_with_dpll(n, seed):
@@ -61,8 +66,7 @@ def test_threshold_verdicts_agree_with_dpll(n, seed):
     else:
         assert verdict.kind != CLASSIFICATION_FAILURE
         assert (verdict.kind == SATISFIABLE) == satisfiable
-    digest = hashlib.sha256(verdict.to_json().encode()).hexdigest()
-    assert digest == VERDICT_DIGESTS[(n, seed)]
+    assert verdict_digest(verdict) == VERDICT_DIGESTS[(n, seed)]
 
 
 @pytest.mark.hard
@@ -78,3 +82,12 @@ def test_sep_ends_complete_on_unsatisfiable_formulas(n, seed):
     result = systemic_effective_procedure(basic, others, formula)
     assert result.outcome == "complete"
     assert not dpll(formula).satisfiable
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_threshold.py
+    print("VERDICT_DIGESTS = {")
+    for n, seed in sorted(VERDICT_DIGESTS):
+        print('    (%d, %d): "%s",'
+              % (n, seed, verdict_digest(classify(threshold_formula(n, seed)))))
+    print("}")

@@ -10,7 +10,8 @@ from collections import Counter
 import pytest
 
 import ctsat
-from ctsat.cts import _KEEP, Cts, Perm, stack, unstack
+from ctsat.cts import (_KEEP, Cts, Perm, concretize_lanes, has_empty_lane,
+                       lane_layout, project_lanes, stack, unstack)
 from ctsat.unify import (_COMBOS, _PAIR_KEEP, _SEEN, CAUSE_CONSTANT_CONFLICT,
                          CAUSE_EMPTY_INPUT, CAUSE_EMPTY_TIER, UnifyContext,
                          _lane_rows, unify)
@@ -323,6 +324,55 @@ def test_unify_matches_the_full_scan_reference():
     assert seeded[None] > 2000 and seeded[CAUSE_CONSTANT_CONFLICT] > 300
     assert seeded[CAUSE_EMPTY_TIER] > 10
 
+
+def random_system_over(rng: random.Random, perms, density: float):
+    """Cleared structures over the given permutations, one per lane, each
+    tier line kept with the given probability; a lane may be empty."""
+    return [Cts(perm, [sum(1 << c for c in range(8) if rng.random() < density)
+                       for _ in range(len(perm) - 2)]).clear()
+            for perm in perms]
+
+
+def test_unify_seeded_on_the_sep_shapes_matches_the_full_scan():
+    # the SEP seeds unify with the fixpoint its input refines, and its
+    # inputs change every lane at once: a shift concretizes a variable
+    # free in the tail tuple in every member (a fixpoint has a constant
+    # in every lane or in none), and a projection step intersects every
+    # member with the union of target tuples. Every field must agree
+    # with the full scan
+    rng = random.Random(2121)
+    every_lane = Counter()
+    causes = Counter()
+    for _ in range(8000):
+        n = rng.randint(5, 14)
+        result = unify_cts(random_system(rng, n, rng.randint(2, 5)))
+        if result.empty:
+            continue
+        fixpoint = result.structures
+        perms = [s.perm for s in fixpoint]
+        lay, x = lane_layout(fixpoint), stack(fixpoint)
+        inputs = []
+        free = [v for v in range(1, n + 1)
+                if constant_of(fixpoint[0], v) is None]
+        if free:
+            pairs = ((rng.choice(free), rng.randint(0, 1)),)
+            inputs.append(("concretize", concretize_lanes(x, perms, pairs,
+                                                          lay)))
+        targets = [stack(random_system_over(rng, perms, 0.8))
+                   for _ in range(rng.randint(1, 2))]
+        inputs.append(("project", project_lanes(x, targets, lay)))
+        for shape, refined in inputs:
+            structures = unstack(refined, fixpoint)
+            seeded = unify_cts(structures, since=fixpoint)
+            assert result_fields(seeded) == result_fields(
+                reference_unify(structures))
+            if not has_empty_lane(refined, lay) and all(
+                    s != f for s, f in zip(structures, fixpoint)):
+                every_lane[shape] += 1
+                causes[shape, seeded.cause] += 1
+    assert len(every_lane) == 2 and min(every_lane.values()) > 500
+    assert all(causes[shape, cause] > 40 for shape in every_lane
+               for cause in (None, CAUSE_CONSTANT_CONFLICT))
 
 
 def test_unify_union_of_fixpoints_is_a_fixpoint():

@@ -47,9 +47,9 @@ def family_digest(name: str, scramble: bool = False) -> str:
 
 
 PINS = {
-    "sweep_small": "a6c1e9b459b35cac",
-    "free_n40": "3f074d10bd8ed034",
-    "planted_n24": "728e17e6b105800c",
+    "sweep_small": "bd6b0957e922c646",
+    "free_n40": "5e0a121e72c7a723",
+    "planted_n24": "23e6e8307deb2fb1",
 }
 
 
