@@ -413,6 +413,13 @@ class Cts:
     structures. The constructor stores masks as given (fixtures may
     hold uncleared data); `clear` normalizes. The masks are held packed
     in `packed` (see the module docstring); `tiers` unpacks them.
+
+    No pipeline code calls `union`, `intersect`, `concretize`,
+    `equivalent`, `from_lines`, `from_assignment`, `line_count`,
+    `enumerate_assignments`, `empty` or `complete`: the pipeline works
+    on stacked ints (see the module docstring). They are kept as the
+    paper's CTS algebra, which acceptance criterion 8 and the set-form
+    tests check against explicit assignment sets.
     """
 
     __slots__ = ("perm", "packed")

@@ -8,8 +8,8 @@ then transforms into a CT structure by per-tier complement + clearing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Sequence
 
 from .cts import TIER_FULL, Cts, Perm, clear_masks
@@ -87,132 +87,187 @@ def _line(perm: Perm, clause: Clause) -> tuple[int, int]:
     return first, a << 2 | b << 1 | c
 
 
-def group_terms(formula: TabularFormula) -> list[tuple[tuple[int, int, int], list[Clause]]]:
-    """Group clauses by unordered variable triple (groups sorted by triple)."""
-    groups: dict[tuple[int, int, int], list[Clause]] = {}
-    for c in formula.clauses:
-        groups.setdefault(c.variables(), []).append(c)
-    return sorted(groups.items())
+def _window_tables() -> list[list[int] | None]:
+    """_TO_WINDOW[o][mask]: a mask of codes over three variables in
+    variable order (smallest variable most significant, as `group_terms`
+    keys them) moved to the order of a window w0, w1, w2 of those
+    variables (w0 most significant), o = (w0 > w1) << 2 | (w0 > w2) << 1
+    | (w1 > w2). The two o that no order gives hold None."""
+    tables: list[list[int] | None] = [None] * 8
+    for ranks in permutations(range(3)):
+        r0, r1, r2 = ranks
+        # the window code of each variable-order code: window position p
+        # holds the variable of rank ranks[p], whose mark is bit 2 - rank
+        code = [sum((c >> 2 - r & 1) << 2 - p for p, r in enumerate(ranks))
+                for c in range(8)]
+        table = [0] * 256   # a mask moves its lowest code and the rest
+        for mask in range(1, 256):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | 1 << code[low.bit_length() - 1]
+        tables[(r0 > r1) << 2 | (r0 > r2) << 1 | (r1 > r2)] = table
+    return tables
+
+
+_TO_WINDOW = _window_tables()
+
+
+def group_terms(formula: TabularFormula) -> dict[tuple[int, int, int], int]:
+    """The clauses grouped by variable triple: (x, y, z), x < y < z, to
+    the mask of their codes in variable order (bit a << 2 | b << 1 | c
+    for marks a, b, c of x, y, z). A repeated clause sets its bit again."""
+    groups: dict[tuple[int, int, int], int] = {}
+    get = groups.get
+    for clause in formula.clauses:
+        (x, a), (y, b), (z, c) = clause.entries
+        key = (x, y, z)
+        groups[key] = get(key, 0) | 1 << (a << 2 | b << 1 | c)
+    return groups
 
 
 class _Chain:
-    """A growing run of variables; each placed group owns one window."""
+    """A growing run of variables. Window t (variables t, t+1, t+2)
+    holds the one group placed there, its mask in window order, as
+    `tiers[t]`. `mask` has bit v set for each variable v of the chain,
+    and `start` and `end` are the pair keys (see `_chains`) of its first
+    two and last two variables."""
 
-    __slots__ = ("vars", "groups")
+    __slots__ = ("vars", "mask", "tiers", "start", "end")
 
-    def __init__(self, triple: tuple[int, int, int]):
-        self.vars = list(triple)
-        self.groups = [triple]
-
-    def try_place(self, triple: tuple[int, int, int], n: int) -> bool:
-        if len(self.vars) >= n:
-            return False
-        tset = set(triple)
-        if {self.vars[-2], self.vars[-1]} < tset:
-            new = (tset - {self.vars[-2], self.vars[-1]}).pop()
-            if new not in self.vars:
-                self.vars.append(new)
-                self.groups.append(triple)
-                return True
-        if {self.vars[0], self.vars[1]} < tset:
-            new = (tset - {self.vars[0], self.vars[1]}).pop()
-            if new not in self.vars:
-                self.vars.insert(0, new)
-                self.groups.append(triple)
-                return True
-        return False
-
-    def end_pairs(self) -> tuple[frozenset[int], frozenset[int]]:
-        """The pairs a placed triple must contain: the first two
-        variables and the last two."""
-        return frozenset(self.vars[:2]), frozenset(self.vars[-2:])
+    def __init__(self, x: int, y: int, z: int, mask: int, s: int):
+        self.vars = [x, y, z]
+        self.mask = 1 << x | 1 << y | 1 << z
+        self.tiers = [mask]
+        self.start = x << s | y
+        self.end = y << s | z
 
 
-def _chains(triples: list[tuple[int, int, int]], n: int) -> list[_Chain]:
-    """Greedy first-fit chaining of the triples, in order: a triple
-    joins the first chain, in creation order, that takes it."""
+def _chains(groups: dict[tuple[int, int, int], int], n: int) -> list[_Chain]:
+    """Greedy first-fit chaining of the groups, in triple order: a group
+    joins the first chain, in creation order, that takes it.
+
+    A chain takes a triple that holds its last two variables and a third
+    it lacks, appended at its end, or else its first two and a third it
+    lacks, prepended at its start; a chain of n variables takes nothing.
+    An unordered pair u < v has the key u << s | v, s = n.bit_length().
+    `by_pair` maps the start and end pair key of every chain short of n
+    variables to a bitmask of chains (bit i for chain i), so a triple
+    tries, lowest bit first, the chains listed under its three pairs:
+    those are the chains in creation order that could take it."""
+    s = n.bit_length()
     chains: list[_Chain] = []
-    by_pair: dict[frozenset[int], list[int]] = {}   # end, start pair -> chains
-    for triple in triples:
-        a, b, c = triple
-        pairs = (frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
-        for i in sorted({i for p in pairs for i in by_pair.get(p, ())}):
-            chain = chains[i]
-            old = chain.end_pairs()
-            if chain.try_place(triple, n):
-                for p in old:
-                    by_pair[p].remove(i)
-                for p in chain.end_pairs():
-                    by_pair.setdefault(p, []).append(i)
-                break
+    by_pair: dict[int, int] = {}
+    get = by_pair.get
+    to_window = _TO_WINDOW
+    for (x, y, z), mask in sorted(groups.items()):
+        xy, xz, yz = x << s | y, x << s | z, y << s | z
+        cand = get(xy, 0) | get(xz, 0) | get(yz, 0)
+        if cand:
+            third = {xy: z, xz: y, yz: x}
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            chain = chains[bit.bit_length() - 1]
+            vs, key = chain.vars, chain.end
+            new = third.get(key)
+            if new and not chain.mask >> new & 1:
+                u, v = vs[-2], vs[-1]
+                vs.append(new)
+                chain.tiers.append(to_window[
+                    (u > v) << 2 | (u > new) << 1 | (v > new)][mask])
+                chain.end = v << s | new if v < new else new << s | v
+                added, kept = chain.end, chain.start
+            else:
+                key = chain.start
+                new = third.get(key)
+                if not new or chain.mask >> new & 1:
+                    continue
+                u, v = vs[0], vs[1]
+                vs.insert(0, new)
+                chain.tiers.insert(0, to_window[
+                    (new > u) << 2 | (new > v) << 1 | (u > v)][mask])
+                chain.start = new << s | u if new < u else u << s | new
+                added, kept = chain.start, chain.end
+            chain.mask |= 1 << new
+            by_pair[key] ^= bit
+            if len(vs) < n:
+                by_pair[added] = get(added, 0) | bit
+            else:
+                by_pair[kept] ^= bit
+            break
         else:
-            chains.append(_Chain(triple))
-            for p in chains[-1].end_pairs():
-                by_pair.setdefault(p, []).append(len(chains) - 1)
+            bit = 1 << len(chains)
+            chains.append(_Chain(x, y, z, mask, s))
+            if n > 3:
+                by_pair[xy] = get(xy, 0) | bit
+                by_pair[yz] = get(yz, 0) | bit
     return chains
 
 
-def _pack(chains: list[_Chain]) -> list[list[_Chain]]:
+def _pack(chains: list[_Chain], n: int) -> list[Ctf]:
     """First-fit packing of chains, in order, into permutations: a chain
     joins the first permutation it shares no variable with. Chains that
-    share no variable have lengths summing to at most n, so they fit."""
+    share no variable have lengths summing to at most n, so they fit. A
+    permutation is its chains' variables concatenated, then the unused
+    variables ascending; a chain's windows are its tiers there, and the
+    tiers straddling two chains stay empty."""
     bins: list[list[_Chain]] = []
-    masks: list[int] = []
+    used: list[int] = []
     for chain in chains:
-        cmask = 0
-        for v in chain.vars:
-            cmask |= 1 << v
-        for i, bmask in enumerate(masks):
+        cmask = chain.mask
+        for i, bmask in enumerate(used):
             if not bmask & cmask:
                 bins[i].append(chain)
-                masks[i] = bmask | cmask
+                used[i] = bmask | cmask
                 break
         else:
             bins.append([chain])
-            masks.append(cmask)
-    return bins
+            used.append(cmask)
+    ctfs = []
+    for packed, bmask in zip(bins, used):
+        order: list[int] = []
+        tiers = [0] * (n - 2)
+        for chain in packed:
+            at = len(order)
+            tiers[at:at + len(chain.tiers)] = chain.tiers
+            order += chain.vars
+        order += [v for v in range(1, n + 1) if not bmask >> v & 1]
+        ctfs.append(Ctf(Perm(order), tuple(tiers)))
+    return ctfs
 
 
 def decompose(formula: TabularFormula) -> tuple[list[Ctf], DecompositionReport]:
     """Split the formula into CT formulas over shared permutations.
 
-    Groups (clauses sharing a variable triple, in triple order) are
-    chained greedily, first fit: a group extends an existing chain when
-    its triple overlaps the chain's end (or start) in two variables and
-    contributes one new variable; otherwise it starts a new chain. A
-    chain can take a triple only when its end or start pair lies inside
-    it, so the chains are indexed by those two pairs, and each group
-    tries only the chains listed under its three pairs, in creation
-    order; the chains are those of trying every chain in turn. The
-    finished chains are then packed first-fit, in creation order, into
-    shared permutations: a chain joins the first permutation whose
-    chains it shares no variable with (the lengths of such chains sum
-    to at most n). A permutation is its chains' variables concatenated,
-    then the unused variables ascending; the tiers straddling two chains
-    stay empty. So k counts packed permutations, not chains.
+    The clauses are grouped by variable triple, each group one mask of
+    codes in variable order (`group_terms`). The groups, in triple
+    order, are chained greedily, first fit: a group extends an existing
+    chain when its triple overlaps the chain's end (or start) in two
+    variables and contributes one new variable; otherwise it starts a
+    new chain (`_chains`). A chain can take a triple only when its end
+    or start pair lies inside it, so the chains are indexed by those two
+    pairs, as int keys to bitmasks of chains, and each group tries only
+    the chains listed under its three pairs, in creation order; the
+    chains are those of trying every chain in turn. A placed group's
+    mask moves to the order of its window with one table lookup and
+    becomes the chain's tier there. The finished chains are then packed
+    first-fit, in creation order, on their variable bitmasks into shared
+    permutations: a chain joins the first permutation whose chains it
+    shares no variable with (the lengths of such chains sum to at most
+    n). A permutation is its chains' variables concatenated, then the
+    unused variables ascending; the tiers straddling two chains stay
+    empty. So k counts packed permutations, not chains.
 
     The produced CTFs partition the clause set exactly, and
-    ceil(w/(n-2)) <= k <= w <= m. The result depends only on the set of
-    clauses: the groups are ordered by triple and a CTF keeps its lines
-    as tier masks, so neither clause order nor repeated clauses change
-    it.
+    ceil(w/(n-2)) <= k <= w <= m, checked here. The result depends only
+    on the set of clauses: the groups are ordered by triple and hold
+    their codes as masks, so neither clause order nor repeated clauses
+    change it.
     """
     n = formula.n
     groups = group_terms(formula)
-    w = len(groups)
-    by_triple = dict(groups)
-
-    ctfs = []
-    for packed in _pack(_chains([triple for triple, _ in groups], n)):
-        order = [v for chain in packed for v in chain.vars]
-        placed = set(order)
-        order += [v for v in range(1, n + 1) if v not in placed]
-        clauses = [c for chain in packed for triple in chain.groups
-                   for c in by_triple[triple]]
-        ctfs.append(Ctf.from_clauses(Perm(order), clauses))
-
-    k = len(ctfs)
-    if formula.m and not math.ceil(w / (n - 2)) <= k <= formula.m:
+    ctfs = _pack(_chains(groups, n), n)
+    k, w = len(ctfs), len(groups)
+    if not -(-w // (n - 2)) <= k <= w <= formula.m:
         raise RuntimeError("decomposition bound violated: w=%d k=%d m=%d"
                            % (w, k, formula.m))
     return ctfs, DecompositionReport(k=k, w=w)

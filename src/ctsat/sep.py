@@ -22,8 +22,9 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import (Bits, Cts, Perm, clear_packed, concretize_lanes,
-                  has_empty_lane, project_lanes, stack, unstack)
+from .cts import (TIER_FULL, Bits, Cts, Perm, clear_packed,
+                  concretize_lanes, has_empty_lane, lane_layout,
+                  project_lanes, stack, unstack)
 from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
 from .formula import TabularFormula, bits_to_string
@@ -452,10 +453,11 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
         return Verdict(SATISFIABLE, witness=structures[0].sample_assignment(),
                        detail=detail)
 
-    # the complete system is a fixpoint that every cleared input refines
-    perms = tuple(s.perm for s in structures)
-    unified = unify(stack(structures), unify_context(perms),
-                    since=stack([Cts.complete(p) for p in perms]), sink=sink)
+    # the complete system, every tier of every lane full, is a fixpoint
+    # that every cleared input refines
+    unified = unify(stack(structures),
+                    unify_context(tuple(s.perm for s in structures)),
+                    since=TIER_FULL * lane_layout(structures).lsb, sink=sink)
     detail["unify_waves"] = unified.waves
     if unified.empty:
         detail["unify_cause"] = unified.cause

@@ -9,6 +9,8 @@ full-scan form of `unify` on the same bitmask tables, kept to check the
 change-driven one field for field. The systemic procedure's stored
 tuples are read through `cts.unstack`, one structure per member, and
 `unify_cts` calls `unify` on a sequence of structures.
+`naive_decompose` builds its CTFs with `Ctf.from_clauses`, clause by
+clause.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from ctsat.cts import Cts, stack, unstack
+from ctsat.cts import Cts, Perm, stack, unstack
+from ctsat.decompose import Ctf, DecompositionReport
 from ctsat.unify import UnifyContext, unify
 
 
@@ -228,6 +231,33 @@ def naive_chains(triples, n):
         else:
             chains.append((list(triple), [triple]))
     return chains
+
+
+def naive_decompose(formula):
+    """`decompose` from plain parts: the clause set grouped by sorted
+    variable triple, `naive_chains` over the triples in order, first-fit
+    packing of the chains on variable sets, and each CTF built by
+    `Ctf.from_clauses` from its chains' clauses, its permutation the
+    chains' variables and then the unused ones ascending."""
+    groups = {}
+    for clause in set(formula.clauses):
+        groups.setdefault(clause.variables(), []).append(clause)
+    bins = []   # (variables used, chains)
+    for chain in naive_chains(sorted(groups), formula.n):
+        for used, packed in bins:
+            if not used & set(chain[0]):
+                used.update(chain[0])
+                packed.append(chain)
+                break
+        else:
+            bins.append((set(chain[0]), [chain]))
+    ctfs = []
+    for used, packed in bins:
+        order = [v for chain, _ in packed for v in chain]
+        order += [v for v in range(1, formula.n + 1) if v not in used]
+        ctfs.append(Ctf.from_clauses(Perm(order), [
+            c for _, triples in packed for t in triples for c in groups[t]]))
+    return ctfs, DecompositionReport(k=len(ctfs), w=len(groups))
 
 
 @dataclass(frozen=True)

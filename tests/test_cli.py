@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ctsat
 from ctsat.cli import main
+from ctsat.formula import GenParams, generate, parse_dimacs
 
 from conftest import FIXTURES
 
@@ -51,6 +56,20 @@ def test_gen_writes_to_stdout(capsys):
     code, out, _ = run(capsys, "gen", "--n", "4", "--m", "2", "--seed", "1")
     assert code == 0
     assert out.startswith("c mode free seed 1\np cnf 4 2\n")
+
+
+def test_python_m_ctsat_runs_the_cli():
+    # `python -m ctsat` works from a source checkout, with no installed
+    # `ctsat` script
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "ctsat", "gen", "--n", "7", "--m", "12",
+         "--mode", "sat", "--seed", "4"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert parse_dimacs(out.stdout) == generate(
+        GenParams(n=7, m=12, mode="sat", seed=4))
 
 
 def test_gen_rejects_bad_params(capsys):

@@ -5,16 +5,17 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctsat.cts import Perm
 from ctsat.decompose import (Ctf, _chains, ctf_to_cts, decompose,
                              decompose_with_plan, group_terms)
+from ctsat.difftest import DifftestParams, instance_params
 from ctsat.formula import Clause, GenParams, TabularFormula, generate
 
 import tabledata
 from conftest import scrambled
-from naive import naive_chains, sat_set
+from naive import naive_chains, naive_decompose, sat_set
 
 
 def ideal5_ctf() -> Ctf:
@@ -35,11 +36,12 @@ def ideal5_formula() -> TabularFormula:
 # -- grouping -----------------------------------------------------------------
 
 def test_group_terms_worked8(worked8):
-    groups = dict(group_terms(worked8))
-    assert len(groups[(1, 2, 3)]) == 5
-    assert len(groups[(1, 2, 5)]) == 1
+    # a group is the mask of its clauses' codes, one bit per clause
+    groups = group_terms(worked8)
+    assert groups[(1, 2, 3)].bit_count() == 5
+    assert groups[(1, 2, 5)].bit_count() == 1
     assert len(groups) == 15
-    assert sum(len(g) for g in groups.values()) == worked8.m
+    assert sum(g.bit_count() for g in groups.values()) == worked8.m
 
 
 def test_group_terms_single_triple():
@@ -183,6 +185,57 @@ def test_decompose_depends_only_on_the_clause_set(f, seed):
     assert decompose(scrambled(f, random.Random(seed))) == decompose(f)
 
 
+@st.composite
+def chained_formulas(draw):
+    """Formulas whose clauses include the windows of a permutation, so
+    that chains reach n variables, plus random and repeated clauses, in
+    a random order."""
+    n = draw(st.integers(3, 30))
+    marks = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
+    order = draw(st.one_of(st.just(list(range(1, n + 1))),
+                           st.permutations(range(1, n + 1))))
+    clauses = [Clause(tuple(zip(order[j:j + 3], draw(marks))))
+               for j in range(draw(st.integers(0, n - 2)))]
+    clauses += draw(st.lists(st.builds(
+        lambda vs, ms: Clause(tuple(zip(vs, ms))),
+        st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True),
+        marks), max_size=8 * n))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=10))
+    return TabularFormula(n, tuple(draw(st.permutations(clauses))))
+
+
+@given(chained_formulas())
+@example(TabularFormula(3, (Clause(((1, 0), (2, 1), (3, 0))),
+                            Clause(((1, 1), (2, 1), (3, 0))))))
+@example(TabularFormula(6, tuple(Clause(((j, 1), (j + 1, 0), (j + 2, 1)))
+                                 for j in (3, 1, 2, 4, 1))))
+@settings(max_examples=300, deadline=None)
+def test_decompose_matches_the_reference(f):
+    assert decompose(f) == naive_decompose(f)
+
+
+def test_decompose_matches_the_reference_on_the_sweep_family():
+    # criterion 7's 1000 formulas, the benchmark's sweep_small
+    params = DifftestParams(n_range=(5, 16), m_ratio=(3.0, 6.0), count=1000,
+                            seed=20240601)
+    for i in range(params.count):
+        f = generate(instance_params(params, i))
+        assert decompose(f) == naive_decompose(f)
+
+
+def test_decompose_checks_k_against_w(monkeypatch):
+    # one group chained twice makes k = 2 > w = 1, within m = 2
+    import ctsat.decompose as decompose_mod
+
+    f = TabularFormula(3, (Clause(((1, 0), (2, 0), (3, 0))),) * 2)
+    chains = decompose_mod._chains
+    monkeypatch.setattr(decompose_mod, "_chains",
+                        lambda groups, n: chains(groups, n) * 2)
+    with pytest.raises(RuntimeError, match="w=1 k=2 m=2"):
+        decompose(f)
+
+
 def test_decompose_chains_match_the_full_scan():
     # `decompose` offers each group only to the chains whose end or
     # start pair its triple holds, in creation order; the full scan
@@ -193,8 +246,13 @@ def test_decompose_chains_match_the_full_scan():
         n = rng.randint(4, 40)
         formula = generate(GenParams(n=n, m=rng.randint(3 * n, 6 * n),
                                      seed=rng.randrange(1 << 30)))
-        triples = [triple for triple, _ in group_terms(formula)]
-        chains = [(chain.vars, chain.groups) for chain in _chains(triples, n)]
+        groups = group_terms(formula)
+        triples = sorted(groups)
+        # a chain takes its groups in triple order, and window t of its
+        # variables holds one of them
+        chains = [(chain.vars, sorted(tuple(sorted(chain.vars[t:t + 3]))
+                                      for t in range(len(chain.tiers))))
+                  for chain in _chains(groups, n)]
         assert chains == naive_chains(triples, n)
         full += sum(len(chain) == n for chain, _ in chains)
         grown_at_start += sum(set(chain[:3]) != set(groups[0])

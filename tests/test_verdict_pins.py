@@ -11,6 +11,10 @@ The scrambled variant classifies each formula with its clauses
 shuffled and some of them repeated (instance i scrambled by
 `random.Random(i)`). `classify` works on the input as given, so it must
 hit the same pin: a verdict may depend only on the set of clauses.
+
+The decomposition is pinned the same way, by sha256 over every CTF's
+permutation and tier masks, so that a change that moves CTFs without
+moving a verdict still shows.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import random
 import pytest
 
 from conftest import scrambled
+from ctsat.decompose import decompose
 from ctsat.difftest import DifftestParams, instance_params
 from ctsat.formula import GenParams, generate
 from ctsat.sep import classify
@@ -46,10 +51,27 @@ def family_digest(name: str, scramble: bool = False) -> str:
     return h.hexdigest()[:16]
 
 
+def decomposition_digest(name: str) -> str:
+    """sha256 over one line per instance, in instance order: the
+    (permutation, tier masks) of each of its CTFs."""
+    h = hashlib.sha256()
+    for p in family_params(name):
+        ctfs, _ = decompose(generate(p))
+        h.update(b"%r\n" % [(ctf.perm.order, ctf.tiers) for ctf in ctfs])
+    return h.hexdigest()[:16]
+
+
 PINS = {
     "sweep_small": "bd6b0957e922c646",
     "free_n40": "5e0a121e72c7a723",
     "planted_n24": "23e6e8307deb2fb1",
+}
+
+
+DECOMPOSITION_PINS = {
+    "sweep_small": "8a51adab9d74e864",
+    "free_n40": "713bb9dfab62c582",
+    "planted_n24": "24e15f3f91657cf1",
 }
 
 
@@ -61,7 +83,13 @@ def test_verdicts_match_the_pinned_digest(family, scramble):
     assert family_digest(family, scramble) == PINS[family]
 
 
+@pytest.mark.parametrize("family", DECOMPOSITION_PINS)
+def test_decompositions_match_the_pinned_digest(family):
+    assert decomposition_digest(family) == DECOMPOSITION_PINS[family]
+
+
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_verdict_pins.py
     for name in PINS:
-        print(name, family_digest(name), family_digest(name, True))
+        print(name, family_digest(name), family_digest(name, True),
+              "decomposition", decomposition_digest(name))
