@@ -5,7 +5,10 @@ constrains permutation positions j, j+1, j+2. Each tier holds a subset
 of the 8 value triplets, encoded as one 8-bit mask (triplet (b1,b2,b3)
 -> bit 4*b1 + 2*b2 + b3, first variable of the tier most significant).
 Lines at adjacent tiers adjoin when their two overlapping values
-coincide; chains of adjoining lines spell full assignments.
+coincide; chains of adjoining lines spell full assignments. `Perm`
+alone maps between the two: `codes_of` gives an assignment's code in
+every tier, `assignment_of` the assignment a chain of codes spells, and
+`window_values` the (variable, value) pairs one code fixes.
 
 A `Cts` stores its n-2 masks packed in one int, tier j in byte j (bits
 8j..8j+7), so a tier-wise union is one OR and a tier-wise intersection
@@ -57,7 +60,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-Bits = tuple[int, ...]
+from .formula import Bits
 
 TIER_FULL = 0xFF
 
@@ -81,6 +84,9 @@ def _build_tables():
 
 
 _SUCC, _PRED = _build_tables()
+
+# _CODES[mask]: the codes in a mask, ascending
+_CODES = [tuple(c for c in range(8) if m >> c & 1) for m in range(256)]
 
 # _KEEP[offset][value]: codes whose bit at window offset (0 = first
 # variable of the tier) equals value.
@@ -368,8 +374,10 @@ def clear_packed(x: int, lay: Layout) -> int:
 
 
 class Perm:
-    """A permutation of the variables 1..n with O(1) position lookup and
-    the packed-form `Layout` of its n-2 tiers."""
+    """A permutation of the variables 1..n with O(1) position lookup,
+    the packed-form `Layout` of its n-2 tiers, and the one mapping
+    between assignments and tier codes (`codes_of`, `assignment_of`,
+    `window_values`)."""
 
     __slots__ = ("order", "pos", "layout")
 
@@ -392,6 +400,27 @@ class Perm:
     def position(self, var: int) -> int:
         """0-based position of a variable."""
         return self.pos[var - 1]
+
+    def codes_of(self, bits: Sequence[int]) -> list[int]:
+        """The code of the assignment's line in every tier, tier 0
+        first: the values at positions j, j+1, j+2, the first most
+        significant."""
+        if len(bits) != len(self.order):
+            raise ValueError("assignment length %d != n=%d"
+                             % (len(bits), len(self.order)))
+        v = [bits[var - 1] for var in self.order]
+        return [v[j] << 2 | v[j + 1] << 1 | v[j + 2]
+                for j in range(len(v) - 2)]
+
+    def assignment_of(self, codes: Sequence[int]) -> Bits:
+        """The assignment, in variable order, that a chain of adjoining
+        codes spells, tier 0 first: the inverse of `codes_of`."""
+        v = [codes[0] >> 2, codes[0] >> 1 & 1, *(c & 1 for c in codes)]
+        return tuple(v[p] for p in self.pos)
+
+    def window_values(self, j: int, code: int) -> tuple[tuple[int, int], ...]:
+        """The (variable, value) pairs that a code at tier j fixes."""
+        return tuple((self.order[j + k], code >> 2 - k & 1) for k in range(3))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -462,15 +491,7 @@ class Cts:
     @classmethod
     def from_assignment(cls, bits: Sequence[int], perm: Perm) -> "Cts":
         """The elementary structure encoding exactly one assignment."""
-        if len(bits) != len(perm):
-            raise ValueError("assignment length %d != n=%d" % (len(bits), len(perm)))
-        order = perm.order
-        masks = []
-        for j in range(len(perm) - 2):
-            code = (bits[order[j] - 1] << 2) | (bits[order[j + 1] - 1] << 1) \
-                | bits[order[j + 2] - 1]
-            masks.append(1 << code)
-        return cls(perm, masks)
+        return cls(perm, [1 << c for c in perm.codes_of(bits)])
 
     # -- tier masks ---------------------------------------------------
 
@@ -500,8 +521,7 @@ class Cts:
         return self.packed.bit_count()
 
     def tier_codes(self, j: int) -> list[int]:
-        m = self.packed >> 8 * j & TIER_FULL
-        return [c for c in range(8) if m >> c & 1]
+        return list(_CODES[self.packed >> 8 * j & TIER_FULL])
 
     def lines(self) -> list[tuple[int, int]]:
         return [(j, c) for j in range(self.perm.layout.tiers)
@@ -563,15 +583,8 @@ class Cts:
 
     def contains_assignment(self, bits: Sequence[int]) -> int:
         """1 iff every tier holds the line the assignment induces."""
-        if len(bits) != self.n:
-            raise ValueError("assignment length %d != n=%d" % (len(bits), self.n))
-        order = self.perm.order
-        code = (bits[order[0] - 1] << 1) | bits[order[1] - 1]
-        for j, mask in enumerate(self.tiers):
-            code = ((code << 1) & 7) | bits[order[j + 2] - 1]
-            if not mask >> code & 1:
-                return 0
-        return 1
+        return int(all(m >> c & 1 for m, c in
+                       zip(self.tiers, self.perm.codes_of(bits))))
 
     def enumerate_assignments(self, max_n: int = 24) -> set[Bits]:
         """All assignments spelled by chains of adjoining lines.
@@ -583,51 +596,29 @@ class Cts:
             raise ValueError("enumeration bound exceeded: n=%d > %d" % (self.n, max_n))
         if self.is_empty:
             return set()
-        order = self.perm.order
         tiers = self.tiers
-        # partial chains keyed by their last two values
-        chains: list[tuple[int, ...]] = [
-            ((c >> 2) & 1, (c >> 1) & 1, c & 1)
-            for c in range(8) if tiers[0] >> c & 1]
+        chains = [[c] for c in _CODES[tiers[0]]]
         for mask in tiers[1:]:
-            nxt = []
-            for chain in chains:
-                tail = (chain[-2] << 1) | chain[-1]
-                for b in (0, 1):
-                    if mask >> ((tail << 1 | b) & 7) & 1:
-                        nxt.append(chain + (b,))
-            chains = nxt
-        out = set()
-        for chain in chains:
-            bits = [0] * self.n
-            for i, v in enumerate(order):
-                bits[v - 1] = chain[i]
-            out.add(tuple(bits))
-        return out
+            chains = [chain + [c] for chain in chains
+                      for c in _CODES[_SUCC[1 << chain[-1]] & mask]]
+        return {self.perm.assignment_of(chain) for chain in chains}
 
     def sample_assignment(self) -> Bits:
         """One encoded assignment from a cleared non-empty structure.
 
-        Greedy chain walk; clearing guarantees every partial chain
-        extends, so no search is needed.
+        Greedy chain walk, lowest code first; clearing guarantees every
+        partial chain extends, so no search is needed.
         """
         if self.is_empty:
             raise ValueError("empty structure has no assignments")
         tiers = self.tiers
-        first = (tiers[0] & -tiers[0]).bit_length() - 1
-        values = [(first >> 2) & 1, (first >> 1) & 1, first & 1]
+        chain = [_CODES[tiers[0]][0]]
         for mask in tiers[1:]:
-            tail = (values[-2] << 1) | values[-1]
-            for b in (0, 1):
-                if mask >> ((tail << 1 | b) & 7) & 1:
-                    values.append(b)
-                    break
-            else:
+            nxt = _SUCC[1 << chain[-1]] & mask
+            if not nxt:
                 raise ValueError("structure is not cleared: chain has no extension")
-        bits = [0] * self.n
-        for i, v in enumerate(self.perm.order):
-            bits[v - 1] = values[i]
-        return tuple(bits)
+            chain.append(_CODES[nxt][0])
+        return self.perm.assignment_of(chain)
 
     def the_assignment(self) -> Bits:
         """The unique assignment of an elementary structure."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .cts import TIER_FULL, Cts, Perm, clear_masks
+from .cts import _CODES, TIER_FULL, Cts, Perm, clear_masks
 from .formula import Clause, TabularFormula
 
 
@@ -44,28 +44,16 @@ class Ctf:
 
     def evaluate(self, bits: Sequence[int]) -> int:
         """Standard CNF evaluation of the clauses this CTF encodes."""
-        order = self.perm.order
-        if len(bits) != len(order):
-            raise ValueError("assignment length mismatch")
-        code = (bits[order[0] - 1] << 1) | bits[order[1] - 1]
-        for j, mask in enumerate(self.tiers):
-            code = ((code << 1) & 7) | bits[order[j + 2] - 1]
-            if mask >> code & 1:
-                return 0
-        return 1
+        return int(not any(m >> c & 1 for m, c in
+                           zip(self.tiers, self.perm.codes_of(bits))))
 
     def clause_lines(self) -> list[tuple[int, int]]:
-        return [(j, c) for j in range(len(self.tiers))
-                for c in range(8) if self.tiers[j] >> c & 1]
+        return [(j, c) for j, m in enumerate(self.tiers) for c in _CODES[m]]
 
     def to_clauses(self) -> list[Clause]:
         """The encoded clauses, in natural variable terms."""
-        order = self.perm.order
-        out = []
-        for j, code in self.clause_lines():
-            out.append(Clause(tuple(
-                (order[j + k], (code >> (2 - k)) & 1) for k in range(3))))
-        return out
+        return [Clause(self.perm.window_values(j, code))
+                for j, code in self.clause_lines()]
 
 
 @dataclass(frozen=True)

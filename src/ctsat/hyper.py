@@ -5,20 +5,20 @@ The basic structure is viewed as a tiered graph: one vertex per line,
 edges between adjoining lines of adjacent tiers, kept as bitmasks like
 a `Cts`. The systemic effective procedure (`ctsat.sep`) uses that graph
 as the shared skeleton of its hyperstructures. This module also holds
-the same-tier disjointness check, the extraction failure, and the
-assignment a route spells.
+the same-tier disjointness check and the extraction failure. What a
+vertex or a route fixes, `cts.Perm` reads off its codes
+(`window_values`, `assignment_of`).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .cts import _SUCC, Cts, Perm, clear_packed, lane_layout, unstack
+from .cts import _CODES, _SUCC, Cts, clear_packed, lane_layout, unstack
 
 Vertex = tuple[int, int]          # (tier index 0-based, triplet code)
 Edge = tuple[int, int, int]       # (tier index j, code at j, code at j+1)
 
-_CODES = [tuple(c for c in range(8) if m >> c & 1) for m in range(256)]
 _BYTE_LSB = 0x0101010101010101
 # _ROWS[m]: the edges leaving the codes in m (their bytes set in full)
 _ROWS = [sum(0xFF << 8 * a for a in _CODES[m]) for m in range(256)]
@@ -173,12 +173,6 @@ def basic_graph(structure: Cts) -> TierGraph:
     return TierGraph(structure.tiers)
 
 
-def vertex_values(basic_perm: Perm, v: Vertex) -> list[tuple[int, int]]:
-    """(variable, value) pairs a basic-graph vertex fixes."""
-    j, code = v
-    return [(basic_perm.order[j + k], (code >> (2 - k)) & 1) for k in range(3)]
-
-
 class InvariantViolation(RuntimeError):
     """An internal invariant of the procedure failed; `diagnostics`
     holds the offending substructures."""
@@ -220,14 +214,3 @@ def check_tier_disjoint(vsub: dict[Vertex, int], codes: Sequence[int],
 
 class ExtractionFailure(RuntimeError):
     """No route could be verified despite a non-empty hyperstructure."""
-
-
-def route_assignment(basic_perm: Perm, route: Sequence[Vertex]) -> tuple[int, ...]:
-    """Assignment spelled by a route's vertex labels, in natural order."""
-    bits = [0] * len(basic_perm)
-    c0 = route[0][1]
-    for k in range(3):
-        bits[basic_perm.order[k] - 1] = (c0 >> (2 - k)) & 1
-    for (j, c) in route[1:]:
-        bits[basic_perm.order[j + 2] - 1] = c & 1
-    return tuple(bits)

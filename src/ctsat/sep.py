@@ -22,15 +22,13 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import (TIER_FULL, Bits, Cts, Perm, clear_packed,
-                  concretize_lanes, has_empty_lane, lane_layout,
-                  project_lanes, stack, unstack)
+from .cts import (TIER_FULL, Cts, Perm, clear_packed, concretize_lanes,
+                  has_empty_lane, lane_layout, project_lanes, stack, unstack)
 from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
-from .formula import TabularFormula, bits_to_string
+from .formula import Bits, TabularFormula, bits_to_string
 from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
-                    Vertex, basic_graph, check_tier_disjoint,
-                    route_assignment, vertex_values)
+                    Vertex, basic_graph, check_tier_disjoint)
 from .unify import UnifyContext, unify, unify_context
 
 SATISFIABLE = "satisfiable"
@@ -198,7 +196,8 @@ def concordant_shift(system: HsSystem, edge: Edge,
         del xs[s + 1:]   # xs[s] is the tuple before step s
     else:
         x = concretize_lanes(tail, ctx.perms,
-                             ((system.basic_perm.order[j + 3], b & 1),), lay)
+                             system.basic_perm.window_values(j + 1, b)[2:],
+                             lay)
         xs = [_unify_same_name(x, tail, system, stats)]
     x = xs[-1]
     for s in range(len(xs) - 1, j):
@@ -284,7 +283,7 @@ def systemic_effective_procedure(
                     for a in skeleton.up(v):
                         x |= system.esub[(j - 1, a, c)]
                 else:
-                    pairs = vertex_values(system.basic_perm, v)
+                    pairs = system.basic_perm.window_values(j, c)
                     x = _unify_same_name(
                         stack([s.concretize_many(pairs)
                                for s in system.structures]),
@@ -351,18 +350,19 @@ def extract_jss_system(system: HsSystem, basic: Cts,
     pin exactly the assignment its labels spell raises
     `ExtractionFailure`.
 
-    The members' running intersections are one stacked int: a step down
-    is one AND and one lane clear, and a dead lane is a backtrack."""
+    A route is the codes of its vertices, from the last tier down. The
+    members' running intersections are one stacked int: a step down is
+    one AND and one lane clear, and a dead lane is a backtrack."""
     skeleton, vsub, lay = system.skeleton, system.vsub, system.context.layout
     last = skeleton.tier_count - 1
     found: list[Bits] = []
     backtracks = 0
     rejected: list[Bits] = []
 
-    def descend(j: int, route: list[Vertex], running: int) -> bool:
+    def descend(j: int, route: list[int], running: int) -> bool:
         nonlocal backtracks
         if j == 0:
-            bits = route_assignment(system.basic_perm, list(reversed(route)))
+            bits = system.basic_perm.assignment_of(route[::-1])
             if not all(r.is_elementary() and r.the_assignment() == bits
                        for r in unstack(running, system.structures)):
                 raise ExtractionFailure(
@@ -376,18 +376,17 @@ def extract_jss_system(system: HsSystem, basic: Cts,
             else:
                 rejected.append(bits)
             return len(found) >= limit
-        c = route[-1][1]
-        for a in skeleton.up((j, c)):
+        for a in skeleton.up((j, route[-1])):
             nxt = clear_packed(running & vsub[(j - 1, a)], lay)
             if has_empty_lane(nxt, lay):
                 backtracks += 1
                 continue
-            if descend(j - 1, route + [(j - 1, a)], nxt):
+            if descend(j - 1, route + [a], nxt):
                 return True
         return False
 
     for c in skeleton.codes(last):
-        if descend(last, [(last, c)], vsub[(last, c)]):
+        if descend(last, [c], vsub[(last, c)]):
             break
     if not found:
         raise ExtractionFailure(

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from ctsat.cts import (TIER_FULL, Cts, Perm, clear_masks, clear_packed,
                        concretize_lanes, lane_layout, layout, project_lanes,
                        settle, stack, unstack)
+from ctsat.decompose import Ctf
 from ctsat.formula import bits_from_string
 
 from conftest import cts_from_rows
-from naive import (naive_clear, naive_concretize, naive_enumerate,
-                   naive_intersect, naive_union, rows_to_sets)
+from naive import (cnf_evaluate, naive_clear, naive_concretize,
+                   naive_contains, naive_enumerate, naive_intersect,
+                   naive_union, rows_to_sets)
 
 
 def to_sets(s: Cts):
@@ -523,6 +525,64 @@ def test_contains_consistent_with_enumerate():
         for i in range(32):
             bits = tuple((i >> (4 - k)) & 1 for k in range(5))
             assert bool(s.contains_assignment(bits)) == (bits in encoded)
+
+
+def test_sample_assignment_rejects_an_uncleared_structure():
+    # no tier is empty, but 000 at tier 0 has no successor at tier 1
+    s = cts_from_rows(Perm.identity(4), [(0, "000"), (1, "111")])
+    assert not s.is_empty and s.clear().is_empty
+    with pytest.raises(ValueError, match="structure is not cleared"):
+        s.sample_assignment()
+
+
+@st.composite
+def assignment_views(draw):
+    """A permutation of 3..14 variables, an assignment, the assignment's
+    tier codes, and tier masks that hold its line in every tier but
+    `miss` (-1: in every tier)."""
+    n = draw(st.integers(3, 14))
+    perm = Perm(draw(st.permutations(range(1, n + 1))))
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    codes = perm.codes_of(bits)
+    miss = draw(st.integers(-1, n - 3))
+    masks = [(m | 1 << c) ^ (j == miss) << c for j, (m, c) in enumerate(
+        zip(draw(st.lists(tier_mask, min_size=n - 2, max_size=n - 2)),
+            codes))]
+    return perm, bits, codes, masks, miss
+
+
+@given(assignment_views())
+@settings(max_examples=300, deadline=None)
+def test_perm_maps_assignments_to_tier_codes_and_back(views):
+    perm, bits, codes, masks, miss = views
+    assert len(codes) == len(perm) - 2
+    assert perm.assignment_of(codes) == bits
+    assert all(a & 3 == b >> 1 for a, b in zip(codes, codes[1:]))
+    assert all(perm.window_values(j, c) == tuple(
+        (v, bits[v - 1]) for v in perm.order[j:j + 3])
+        for j, c in enumerate(codes))
+    one = Cts.from_assignment(bits, perm)
+    assert one.enumerate_assignments() == {bits}
+    assert one.sample_assignment() == bits
+    s = Cts(perm, masks)
+    assert s.contains_assignment(bits) == (miss < 0) == naive_contains(
+        to_sets(s), perm.order, bits)
+    # the complement forbids the assignment's line only at `miss`
+    ctf = Ctf(perm, tuple(TIER_FULL ^ m for m in masks))
+    assert ctf.evaluate(bits) == (miss < 0) == cnf_evaluate(
+        [c.entries for c in ctf.to_clauses()], bits)
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_wrong_length_assignments_raise_one_message(length):
+    perm, bits = Perm.identity(5), (0,) * length
+    calls = (lambda: Cts.from_assignment(bits, perm),
+             lambda: Cts.complete(perm).contains_assignment(bits),
+             lambda: Ctf(perm, (0, 0, 0)).evaluate(bits))
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "assignment length %d != n=5" % length
 
 
 def test_equivalent_unions_reordered(algebra_s1, algebra_s2, perm5):

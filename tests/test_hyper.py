@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -382,6 +384,18 @@ def test_tier_disjoint_check_survives_optimize():
     assert out.stdout.splitlines() == [
         "tier 1 substructures 001 and 010 overlap",
         "x does not refine since"]
+
+
+def test_package_has_no_assert_statement():
+    # `python -O` strips asserts, so an invariant the package checks
+    # with one would stop running there; invariants raise instead
+    package = Path(ctsat.__file__).parent
+    found = [(path.name, node.lineno)
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert len(list(package.glob("*.py"))) > 10
+    assert found == []
 
 
 def test_substructures_intersect_every_earlier_tier():

@@ -8,7 +8,7 @@ import pytest
 from ctsat.cts import Cts, Perm, project_lanes, stack, unstack
 from ctsat.formula import (Clause, GenParams, TabularFormula,
                            bits_from_string, bits_to_string, generate)
-from ctsat.hyper import ExtractionFailure, vertex_values
+from ctsat.hyper import ExtractionFailure
 from ctsat.oracle import dpll
 from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
                        SepStats, SoundnessError, SystemExtraction, classify,
@@ -126,7 +126,7 @@ def test_sep_k2_vertex_substructures_are_incoming_unions():
         for (j, c), x in system.vsub.items():
             sub, = unstack(x, system.structures)
             if j == 0:
-                pairs = vertex_values(system.basic_perm, (j, c))
+                pairs = system.basic_perm.window_values(j, c)
                 assert sub == s2.concretize_many(pairs)
                 continue
             edges = [unstack(system.esub[(j - 1, a, c)], system.structures)[0]
