@@ -83,17 +83,11 @@ class HsSystem:
     skeleton vertex or edge to its substructures, one per member,
     stacked in one int: member i in lane i, over the permutation of
     structures[i]. A tier j-1 edge's tuple is stored by each round of
-    tier j, which shifts the edge. `shifts` maps each edge shifted in
-    the rounds of the current tier to what its last shift read and
-    made: its tail tuple, the code masks of tiers 0..j-1 (the edge at
-    tier j) and the tuple before every projection step and after the
-    last, the unified concretization first; `concordant_shift` resumes
-    from it, and the SEP empties it when a tier is formed. `context` is
-    the window geometry that every same-name `unify` call on them reads
-    (`unify.unify_context`, its entries shared with every context); its
-    `layout` and `perms` are the lane `Layout` of those ints and the
-    members' permutations. `cts.unstack(x, structures)` gives the
-    substructures back.
+    tier j, which shifts the edge. `context` is the window geometry that
+    every same-name `unify` call on them reads (`unify.unify_context`,
+    its entries shared with every context); its `layout` and `perms` are
+    the lane `Layout` of those ints and the members' permutations.
+    `cts.unstack(x, structures)` gives the substructures back.
     """
 
     skeleton: TierGraph
@@ -101,8 +95,6 @@ class HsSystem:
     structures: tuple[Cts, ...]
     vsub: dict[Vertex, int] = field(default_factory=dict)
     esub: dict[Edge, int] = field(default_factory=dict)
-    shifts: dict[Edge, tuple[int, list[int], list[int | None]]] = field(
-        default_factory=dict, repr=False)
     context: UnifyContext = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -117,10 +109,10 @@ class SepStats:
     j runs again only when its prune removed a vertex below tier j.
     `unify_waves` sums the waves of the same-name `unify` calls actually
     made, in every round; a tuple equal to its seed (the fixpoint it
-    refines) makes no call and adds no wave, and neither does a step
-    that a shift resumed from an equal tail keeps (see
-    `concordant_shift`). `early_checks` counts the vertex tuples handed
-    to the early elementary check, once per formed vertex and round."""
+    refines) makes no call and adds no wave, and neither does a shift
+    step that a repeated round keeps (see `systemic_effective_procedure`).
+    `early_checks` counts the vertex tuples handed to the early
+    elementary check, once per formed vertex and round."""
 
     pruned_vertices: int = 0
     pruned_edges: int = 0
@@ -170,43 +162,35 @@ def _unify_same_name(x: int, since: int, system: HsSystem,
     return result.packed
 
 
-def concordant_shift(system: HsSystem, edge: Edge,
-                     stats: SepStats) -> int | None:
+def concordant_shift(system: HsSystem, edge: Edge, stats: SepStats,
+                     steps: list[int | None]) -> int | None:
     """Run the shift lockstep in every member, unifying same-name
     intermediate substructures; None when the system empties on this edge.
 
-    The unified concretization depends only on the tail tuple and the
-    edge, and the projection step onto tier s only on the tuple before
-    it and the tuples of the tier-s vertices, which do not change once
-    tier s is formed, and on its codes. So a shift from the tail tuple
-    of the last shift of the edge (`system.shifts`; a repeated round
-    shifts its edges again) keeps the concretization and the steps
-    below the first tier whose codes changed since, and runs the steps
-    from that tier on."""
+    `steps` holds the shift's steps so far: the unified concretization
+    of the tail tuple, then the tuple after each projection step, onto
+    tiers 0, 1, ... in turn. The shift appends the steps still missing
+    and returns the last; an empty list is a shift from scratch. The
+    concretization depends only on the tail tuple and the edge, and the
+    projection step onto tier s only on the tuple before it and on tier
+    s's codes and vertex tuples, so steps kept while those are unchanged
+    are what a shift from scratch would make."""
     j, a, b = edge
-    ctx, vsub, skeleton = system.context, system.vsub, system.skeleton
-    lay, codes, tiers = ctx.layout, skeleton.codes, skeleton.tiers
-    tail = vsub[(j, a)]
-    last = system.shifts.get(edge)
-    if last is not None and last[0] == tail:
-        _, then, xs = last
-        s = 0
-        while s < j and then[s] == tiers[s]:
-            s += 1
-        del xs[s + 1:]   # xs[s] is the tuple before step s
-    else:
+    ctx, vsub, codes = system.context, system.vsub, system.skeleton.codes
+    lay = ctx.layout
+    if not steps:
+        tail = vsub[(j, a)]
         x = concretize_lanes(tail, ctx.perms,
                              system.basic_perm.window_values(j + 1, b)[2:],
                              lay)
-        xs = [_unify_same_name(x, tail, system, stats)]
-    x = xs[-1]
-    for s in range(len(xs) - 1, j):
+        steps.append(_unify_same_name(x, tail, system, stats))
+    x = steps[-1]
+    for s in range(len(steps) - 1, j):
         if x is None:
             break
         projected = project_lanes(x, (vsub[(s, c)] for c in codes(s)), lay)
         x = _unify_same_name(projected, x, system, stats)
-        xs.append(x)
-    system.shifts[edge] = tail, tiers[:j], xs
+        steps.append(x)
     return x
 
 
@@ -232,12 +216,15 @@ def systemic_effective_procedure(
     incoming edge tuples, one OR, in later ones), early-checks it, and
     prunes. A round reads only the tuples and codes below tier j and the
     links into tier j, so it is repeated only when the prune changed a
-    tier below j. A shift reads only its tail tuple and the tuples and
-    codes below tier j-1, which no round of tier j re-forms, so a
-    repeated round's shift of a tier j-1 edge resumes from the edge's
-    last shift (`concordant_shift`) and makes no unify call when
-    `skeleton.tiers[:j-1]` is as it was then. The early elementary
-    check can short-circuit the whole run with a witness.
+    tier below j; `resume` is the first tier it changed. The rounds of
+    tier j keep each tier j-1 edge's shift steps (`concordant_shift`).
+    A shift reads only its tail tuple and the tuples and codes below
+    tier j-1. No round of tier j rewrites a tuple below tier j, it only
+    removes some, and only the prune removes vertices below tier j. So
+    a repeated round keeps each edge's concretization and its
+    projection steps onto the tiers below `resume`, and runs the rest
+    again. The early elementary check can short-circuit the whole run
+    with a witness.
 
     Every concretization and projection goes through
     `_unify_same_name`, seeded with a fixpoint its input refines, and
@@ -265,10 +252,12 @@ def systemic_effective_procedure(
     whole = stack(system.structures)
 
     for j in range(skeleton.tier_count):
+        shifts: dict[Edge, list[int | None]] = {}   # each edge's steps
         while True:
             if j:
                 for e in list(skeleton.edges(j - 1)):
-                    x = concordant_shift(system, e, stats)
+                    x = concordant_shift(system, e, stats,
+                                         shifts.setdefault(e, []))
                     if x is None:
                         skeleton.remove_edge(e)
                         stats.pruned_edges += 1
@@ -307,10 +296,14 @@ def systemic_effective_procedure(
             empty_tier = _prune_system(system, stats)
             if empty_tier is not None:
                 return SepResult("empty", empty_tier=empty_tier, stats=stats)
-            if skeleton.tiers[:j] == below:
+            resume = next((s for s in range(j)
+                           if skeleton.tiers[s] != below[s]), j)
+            if resume == j:
                 break
             stats.recompute_rounds += 1
-        system.shifts.clear()   # only the rounds of tier j read them
+            for steps in shifts.values():
+                # steps[s] is the tuple before the projection onto tier s
+                del steps[resume + 1:]
         check_tier_disjoint(system.vsub, skeleton.codes(j), j,
                             system.structures)
         _emit_tier(sink, system, j)
@@ -359,34 +352,35 @@ def extract_jss_system(system: HsSystem, basic: Cts,
     backtracks = 0
     rejected: list[Bits] = []
 
-    def descend(j: int, route: list[int], running: int) -> bool:
-        nonlocal backtracks
-        if j == 0:
-            bits = system.basic_perm.assignment_of(route[::-1])
-            if not all(r.is_elementary() and r.the_assignment() == bits
-                       for r in unstack(running, system.structures)):
-                raise ExtractionFailure(
-                    "route labels disagree with the running intersection")
-            ok = (basic.contains_assignment(bits)
-                  and all(s.contains_assignment(bits)
-                          for s in system.structures)
-                  and formula.evaluate(bits) == 1)
-            if ok:
-                found.append(bits)
-            else:
-                rejected.append(bits)
-            return len(found) >= limit
-        for a in skeleton.up((j, route[-1])):
-            nxt = clear_packed(running & vsub[(j - 1, a)], lay)
-            if has_empty_lane(nxt, lay):
+    # depth first, with an explicit stack: an entry is a vertex's tier,
+    # code and the running intersection of the route above it (None at
+    # the last tier); `route` holds the codes from the last tier down to
+    # the vertex taken last
+    route: list[int] = []
+    todo = [(last, c, None) for c in reversed(skeleton.codes(last))]
+    while todo:
+        j, c, running = todo.pop()
+        x = vsub[(j, c)]
+        if running is not None:
+            x = clear_packed(running & x, lay)
+            if has_empty_lane(x, lay):
                 backtracks += 1
                 continue
-            if descend(j - 1, route + [a], nxt):
-                return True
-        return False
-
-    for c in skeleton.codes(last):
-        if descend(last, [c], vsub[(last, c)]):
+        del route[last - j:]
+        route.append(c)
+        if j:
+            todo.extend((j - 1, a, x) for a in reversed(skeleton.up((j, c))))
+            continue
+        bits = system.basic_perm.assignment_of(route[::-1])
+        if not all(r.is_elementary() and r.the_assignment() == bits
+                   for r in unstack(x, system.structures)):
+            raise ExtractionFailure(
+                "route labels disagree with the running intersection")
+        ok = (basic.contains_assignment(bits)
+              and all(s.contains_assignment(bits) for s in system.structures)
+              and formula.evaluate(bits) == 1)
+        (found if ok else rejected).append(bits)
+        if len(found) >= limit:
             break
     if not found:
         raise ExtractionFailure(

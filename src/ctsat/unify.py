@@ -148,17 +148,13 @@ class UnifyContext:
         by_pair: dict[int, list] = {}
         for (_, row), perm in zip(rows, perms):
             order = perm.order
-            s = 0
-            for q in range(1, n):
-                y = order[q]
-                for p in range(windows[q][0], q):
-                    x = order[p]
-                    if x < y:
-                        home, key = row[s], x * n + y
-                    else:
-                        home, key = row[s + 1], y * n + x
-                    s += 2
-                    by_pair.setdefault(key, []).append(home)
+            for s, (j, a, c) in enumerate(lowest_pairs(windows)):
+                x, y = order[j + a], order[j + c]
+                if x < y:
+                    home, key = row[2 * s], x * n + y
+                else:
+                    home, key = row[2 * s + 1], y * n + x
+                by_pair.setdefault(key, []).append(home)
         self.pair_entries = [tuple(by_pair[key]) for key in sorted(by_pair)
                              if len(by_pair[key]) >= 2]
         pair_at = [0] * (tiers * len(perms))   # by byte

@@ -187,7 +187,7 @@ def test_shift_first_tier_is_bare_concretization(unified_pair):
     tail, = unstack(system.vsub[(0, 0b001)], system.structures)
     expected = tail.concretize(new_var, 0)
     assert unstack(system.esub[edge], system.structures) == (expected,)
-    got = concordant_shift(system, edge, SepStats())
+    got = concordant_shift(system, edge, SepStats(), [])
     assert unstack(got, system.structures) == (expected,)
 
 
@@ -199,7 +199,7 @@ def test_shift_empty_concretization_short_circuits(unified_pair):
     assert constant_bit(sub, var) == 1
     # a hypothetical edge whose new-variable value contradicts the pin:
     # the concretization empties, so no projections run
-    assert concordant_shift(system, (2, 0b101, 0b010), SepStats()) is None
+    assert concordant_shift(system, (2, 0b101, 0b010), SepStats(), []) is None
 
 
 def constant_bit(s: Cts, var: int) -> int:
@@ -243,7 +243,7 @@ def test_shift_matches_naive_reimplementation():
         assert set(system.vsub) == set(system.skeleton.vertices())
         assert set(system.esub) == set(system.skeleton.edges())
         for edge in list(system.skeleton.edges()):
-            got = concordant_shift(system, edge, SepStats())
+            got = concordant_shift(system, edge, SepStats(), [])
             assert got is not None
             sub, = unstack(got, system.structures)
             assert cts_to_sets(sub) == naive_shift(system, edge)
@@ -386,15 +386,37 @@ def test_tier_disjoint_check_survives_optimize():
         "x does not refine since"]
 
 
+def package_nodes():
+    """(file name, node) for every AST node of the package's modules."""
+    package = Path(ctsat.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    assert len(paths) > 10
+    return [(path.name, node) for path in paths
+            for node in ast.walk(ast.parse(path.read_text()))]
+
+
 def test_package_has_no_assert_statement():
     # `python -O` strips asserts, so an invariant the package checks
     # with one would stop running there; invariants raise instead
-    package = Path(ctsat.__file__).parent
-    found = [(path.name, node.lineno)
-             for path in sorted(package.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [(name, node.lineno) for name, node in package_nodes()
              if isinstance(node, ast.Assert)]
-    assert len(list(package.glob("*.py"))) > 10
+    assert found == []
+
+
+def test_package_has_no_recursive_function():
+    # recursion depth that grows with the input ends in RecursionError
+    # near the interpreter's limit, so the package walks with explicit
+    # stacks: no function calls itself by name, directly or as a method
+    # of self (a call through super() is another function)
+    found = [(name, fn.name, call.lineno)
+             for name, fn in package_nodes()
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for call in ast.walk(fn) if isinstance(call, ast.Call)
+             if (isinstance(call.func, ast.Name) and call.func.id == fn.name)
+             or (isinstance(call.func, ast.Attribute)
+                 and call.func.attr == fn.name
+                 and isinstance(call.func.value, ast.Name)
+                 and call.func.value.id in ("self", "cls"))]
     assert found == []
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -169,7 +170,7 @@ def test_concordant_shift_conflicting_constants_removes_edge():
         if forced0.is_empty:
             continue
         system.vsub[(0, edge[1])] = stack((forced0, second))
-        assert concordant_shift(system, edge, SepStats()) is None
+        assert concordant_shift(system, edge, SepStats(), []) is None
         break
 
 
@@ -291,8 +292,8 @@ def test_concordant_shift_projects_onto_the_tier_below_the_edge(monkeypatch):
     original = sep_mod.concordant_shift
     biting = []
 
-    def checked(system, edge, stats):
-        subs = original(system, edge, stats)
+    def checked(system, edge, stats, steps):
+        subs = original(system, edge, stats, steps)
         expected = reference_concordant_shift(system, edge)
         assert stored(system, subs) == expected, edge
         j = edge[0]
@@ -328,7 +329,7 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
     original = sep_mod.concordant_shift
     kept = skipped = unchanged = 0
 
-    def checked(system, edge, stats):
+    def checked(system, edge, stats, steps):
         nonlocal kept, skipped, unchanged
         _, changing = reference_shift_steps(system, edge)
         j, a, b = edge
@@ -336,7 +337,7 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
         concretized = any(sub.concretize(var, b & 1) != sub for sub in
                           unstack(system.vsub[(j, a)], system.structures))
         del calls[:]
-        subs = original(system, edge, stats)
+        subs = original(system, edge, stats, steps)
         if subs is None:
             assert len(calls) <= concretized + changing
         else:
@@ -451,8 +452,8 @@ def sep_rounds(monkeypatch):
     check of tier j-1 (`check_tier_disjoint`), so the record counts
     every round. A round of tier j > 0 whose shifts all resume past
     their last step keeps the stored tuples: before its prune, each
-    tier j-1 edge's tuple is recomputed with a `concordant_shift` that
-    finds no stored shift to resume from, and must equal the kept one."""
+    tier j-1 edge's tuple is recomputed with a `concordant_shift` from
+    no steps, and must equal the kept one."""
     import ctsat.sep as sep_mod
 
     shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
@@ -461,11 +462,11 @@ def sep_rounds(monkeypatch):
     state = {}
     rounds = []
 
-    def counting_shift(system, edge, stats):
+    def counting_shift(system, edge, stats, steps):
         state["shifted"] += 1
         state["in_shift"] = True
         try:
-            return shift(system, edge, stats)
+            return shift(system, edge, stats, steps)
         finally:
             state["in_shift"] = False
 
@@ -478,10 +479,8 @@ def sep_rounds(monkeypatch):
         kept = j > 0 and not state["steps"]
         if kept:
             for edge in skeleton.edges(j - 1):
-                saved = system.shifts.pop(edge)   # shift afresh
-                assert (shift(system, edge, SepStats())
+                assert (shift(system, edge, SepStats(), [])
                         == system.esub[edge]), edge
-                system.shifts[edge] = saved
         before = skeleton.tiers[:j]
         empty = prune(system, stats)
         rounds.append((j, before, skeleton.tiers[:j], empty,
@@ -563,6 +562,57 @@ def test_sep_repeat_keeps_edge_tuples_only_below_unchanged_tiers(
     assert (kept, reshifted) == (keeps, reshifts)
 
 
+def test_sep_repeat_reads_the_tuples_and_edges_of_the_round_before(
+        monkeypatch):
+    # what lets a repeated round of tier j keep its shift steps: no
+    # round of tier j rewrites a vertex tuple below tier j, so each one
+    # that survives a round's prune is unchanged in the next round, and
+    # every tier j-1 edge a repeated round shifts was shifted in the
+    # round before
+    import ctsat.sep as sep_mod
+
+    run = sep_rounds(monkeypatch)
+    shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
+    shifted = set()
+    seen = []   # per round: edges shifted, vsub before and after the prune
+
+    def recording_shift(system, edge, stats, steps):
+        shifted.add(edge)
+        return shift(system, edge, stats, steps)
+
+    def recording_prune(system, stats):
+        before = dict(system.vsub)
+        empty = prune(system, stats)
+        seen.append((set(shifted), before, dict(system.vsub)))
+        shifted.clear()
+        return empty
+
+    monkeypatch.setattr(sep_mod, "concordant_shift", recording_shift)
+    monkeypatch.setattr(sep_mod, "_prune_system", recording_prune)
+    repeats = 0
+    for n, m, mode, seed in [(8, 26, "sat", 20240722),
+                             (8, 33, "free", 20241051),
+                             (12, 70, "free", 20240676),
+                             (10, 39, "free", 20241363),
+                             (14, 56, "free", 20240646),
+                             (10, 45, "free", 20240610),
+                             (15, 45, "sat", 20240644)]:
+        del seen[:]
+        _, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
+        assert len(seen) == len(rounds)
+        for r in range(1, len(rounds)):
+            j = rounds[r - 1][0]
+            if rounds[r][0] != j:   # not a repeated round
+                continue
+            edges, _, after = seen[r - 1]
+            reshifted, before, _ = seen[r]
+            assert ({v: x for v, x in before.items() if v[0] < j}
+                    == {v: x for v, x in after.items() if v[0] < j})
+            assert reshifted and reshifted <= edges
+            repeats += 1
+    assert repeats >= 5
+
+
 def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
     # a repeated round shifts its edges again from the same tail tuples,
     # and each shift keeps the unified concretization and the projection
@@ -594,11 +644,10 @@ def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
     assert "backtracks" in reused.detail   # the SEP ended complete
     sep_calls = calls[1:]   # the first is the top-level unify
     assert len(set(sep_calls)) == len(sep_calls)
-    assert not systems[0].shifts   # emptied once each tier is formed
 
-    def missing(system, edge, stats):
-        system.shifts.clear()   # the lookup misses
-        return shift(system, edge, stats)
+    def missing(system, edge, stats, steps):
+        del steps[:]   # nothing is kept
+        return shift(system, edge, stats, steps)
 
     monkeypatch.setattr(sep_mod, "concordant_shift", missing)
     del calls[:]
@@ -612,12 +661,12 @@ def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
 
 
 def test_concordant_shift_resumes_from_the_first_changed_tier():
-    # a shift from the tail tuple of the edge's last shift keeps the
-    # concretization and the projection steps below the first tier
-    # whose codes changed since, and runs the steps from that tier on:
-    # after a vertex below the edge is removed, it gives what a shift
-    # that keeps nothing gives. No repeated round of the SEP has been
-    # seen to change a re-shifted tuple, so the removal is made by hand
+    # a shift given the edge's last steps cut to the concretization and
+    # the projection steps below the first tier whose codes changed
+    # since runs the steps from that tier on: after a vertex below the
+    # edge is removed, it gives what a shift that keeps nothing gives.
+    # No repeated round of the SEP has been seen to change a re-shifted
+    # tuple, so the removal is made by hand
     rng = random.Random(5150)
     resumed = changed = 0
     while resumed < 300:
@@ -638,14 +687,12 @@ def test_concordant_shift_resumes_from_the_first_changed_tier():
         codes = skeleton.codes(tier)
         if len(codes) < 2:
             continue
-        # the SEP empties system.shifts once a tier is formed, so the
-        # edge is shifted once to store a shift to resume from
-        assert not system.shifts
-        concordant_shift(system, edge, SepStats())
+        steps = []
+        concordant_shift(system, edge, SepStats(), steps)
         skeleton.remove_vertex((tier, rng.choice(codes)))
-        got = concordant_shift(system, edge, SepStats())
-        system.shifts.clear()
-        assert got == concordant_shift(system, edge, SepStats())
+        del steps[tier + 1:]   # keep the steps onto the tiers below it
+        got = concordant_shift(system, edge, SepStats(), steps)
+        assert got == concordant_shift(system, edge, SepStats(), [])
         resumed += 1
         changed += got != system.esub[edge]
     assert changed > 50
@@ -767,6 +814,23 @@ def test_extract_jss_system_checks_route_labels(unified_pair):
         system.vsub[v] = stack(system.structures)
     with pytest.raises(ExtractionFailure, match="route labels disagree"):
         extract_jss_system(result.system, s1, dummy_formula(8))
+
+
+def test_extraction_depth_is_not_bounded_by_the_recursion_limit():
+    # a planted-sat instance whose SEP ends complete over 98 tiers; a
+    # walk that recursed once per tier would exceed a limit of 60
+    # frames above the caller
+    formula = generate(GenParams(n=100, m=33, mode="sat", seed=1))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        verdict = classify(formula)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdict.kind == SATISFIABLE and "backtracks" in verdict.detail
 
 # -- the classifier ------------------------------------------------------------------
 
