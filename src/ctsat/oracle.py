@@ -67,102 +67,60 @@ def brute_force(formula: TabularFormula) -> OracleResult:
 def dpll(formula: TabularFormula) -> OracleResult:
     """Unit propagation plus branching; sound and complete.
 
-    Branches on the first variable of a shortest unresolved clause,
-    trying value 0 first, and stops once every clause is satisfied; the
-    witness reads 0 for the variables left unassigned. The witness is
-    re-verified before returning.
+    Each step makes one `scan` over the clauses, in order, and acts on
+    the first of these it meets: a falsified clause (undo up to the
+    deepest decision still at 0 and try 1 there), a unit clause (make
+    its open literal true), or, when neither occurs, the first variable
+    of the first shortest open clause (a decision, value 0 first). Once
+    every clause holds the search stops; the witness reads 0 for the
+    variables left unassigned, and is re-verified before returning.
+
+    One scan per step is the search of a propagation pass that restarts
+    after every unit, followed by a branching pass: a pass that meets no
+    falsified or unit clause sees the very state the branching pass
+    would see, and stopping at the first falsified or unit clause is
+    what propagation does. So the units are assigned in the same order,
+    the same variables are branched on, and the witnesses are the same.
     """
     n = formula.n
     clauses = [c.to_literals() for c in formula.clauses]
-    assign: list[int | None] = [None] * (n + 1)
+    # value[lit] is literal lit's truth value, None while unassigned; a
+    # negative literal indexes from the end of the list
+    value: list[int | None] = [None] * (2 * n + 1)
 
-    def lit_value(lit: int) -> int | None:
-        v = assign[abs(lit)]
-        if v is None:
-            return None
-        return int((lit > 0) == (v == 1))
-
-    def propagate(trail: list[int]) -> bool:
-        """Assign all unit literals; False on conflict."""
-        while True:
-            unit = None
-            for cl in clauses:
-                unassigned = None
-                satisfied = False
-                open_count = 0
-                for lit in cl:
-                    lv = lit_value(lit)
-                    if lv == 1:
-                        satisfied = True
-                        break
-                    if lv is None:
-                        open_count += 1
-                        unassigned = lit
-                if satisfied:
-                    continue
-                if open_count == 0:
-                    return False
-                if open_count == 1:
-                    unit = unassigned
-                    break
-            if unit is None:
-                return True
-            assign[abs(unit)] = int(unit > 0)
-            trail.append(abs(unit))
-
-    def pick_branch() -> int | None:
-        best = None
-        best_open = 4
-        for cl in clauses:
-            open_lits = []
-            satisfied = False
-            for lit in cl:
-                lv = lit_value(lit)
-                if lv == 1:
-                    satisfied = True
-                    break
-                if lv is None:
-                    open_lits.append(lit)
-            if satisfied:
+    def scan() -> tuple[int, bool] | None:
+        """None at a falsified clause, else (literal to make true, whether
+        it is a decision), the literal 0 when every clause holds."""
+        best, best_open = 0, 4
+        for a, b, c in clauses:
+            if value[a] or value[b] or value[c]:
                 continue
-            if open_lits and len(open_lits) < best_open:
-                best_open = len(open_lits)
-                best = abs(open_lits[0])
-        return best
+            open_lits = [lit for lit in (a, b, c) if value[lit] is None]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                return open_lits[0], False
+            if len(open_lits) < best_open:
+                best, best_open = -abs(open_lits[0]), len(open_lits)
+        return best, True
 
-    def search() -> bool:
-        """Depth-first over the decisions, one frame (trail, variable)
-        per open decision, the variable holding the value being tried;
-        an explicit stack, so the depth is not bounded by Python's."""
-        frames: list[tuple[list[int], int]] = []
-        trail: list[int] = []
-        while True:
-            if propagate(trail):
-                var = pick_branch()
-                if var is None:
-                    return True
-                assign[var] = 0
-                frames.append((trail, var))
-                trail = []
-                continue
-            # undo the failed node, and every decision whose two values
-            # both failed, up to the deepest one still at 0: try 1 there
-            while True:
-                for v in trail:
-                    assign[v] = None
-                if not frames:
-                    return False
-                trail, var = frames.pop()
-                if assign[var] == 0:
-                    assign[var] = 1
-                    frames.append((trail, var))
-                    trail = []
-                    break
-                assign[var] = None
-
-    if search():
-        bits = tuple(1 if assign[v] == 1 else 0 for v in range(1, n + 1))
-        if formula.evaluate(bits) != 1:
-            raise AssertionError("internal witness failed verification")
-        return OracleResult(True, bits)
-    return OracleResult(False, None)
+    # the literals made true, in order, each with whether it is a
+    # decision whose value 1 is still untried; an explicit stack, so
+    # the depth is not bounded by Python's
+    trail: list[tuple[int, bool]] = []
+    while (step := scan()) != (0, True):
+        if step is None:
+            # undo up to the deepest decision still at 0; try 1 there
+            while trail and not trail[-1][1]:
+                lit = trail.pop()[0]
+                value[lit] = value[-lit] = None
+            if not trail:
+                return OracleResult(False, None)
+            step = -trail.pop()[0], False
+        lit = step[0]
+        value[lit], value[-lit] = 1, 0
+        trail.append(step)
+    bits = tuple(int(value[v] == 1) for v in range(1, n + 1))
+    if formula.evaluate(bits) != 1:
+        raise AssertionError("internal witness failed verification")
+    return OracleResult(True, bits)

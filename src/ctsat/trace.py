@@ -27,10 +27,19 @@ def render_ctf(ctf: Ctf) -> str:
 
 
 class FileTraceSink:
-    """Writes each stage to <dir>/<seq>_<name>.txt in emission order."""
+    """Writes each stage to <dir>/<seq>_<name>.txt in emission order.
+
+    A directory that already holds such stage files is refused
+    (FileExistsError), so one trace never mixes with an earlier one.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        earlier = sorted(self.directory.glob("[0-9][0-9]_*.txt"))
+        if earlier:
+            raise FileExistsError(
+                "trace directory %s already holds stage files (%s, ...)"
+                % (self.directory, earlier[0].name))
         self.directory.mkdir(parents=True, exist_ok=True)
         self._seq = 0
 

@@ -223,6 +223,24 @@ def test_trace_verdict_file_matches_printed_lines(kind, tmp_path, capsys):
     assert verdict_files[0].read_text() == out
 
 
+def test_trace_refuses_a_directory_holding_an_earlier_trace(tmp_path,
+                                                            capsys):
+    first, second = tmp_path / "first.cnf", tmp_path / "second.cnf"
+    run(capsys, "gen", "--n", "12", "--m", "50", "--seed", "3",
+        "-o", str(first))
+    run(capsys, "gen", "--n", "5", "--m", "8", "--mode", "unsat",
+        "--seed", "1", "-o", str(second))
+    trace = tmp_path / "tr"
+    run(capsys, "classify", str(first), "--trace", str(trace))
+    before = {p.name: p.read_text() for p in trace.iterdir()}
+    code, out, err = run(capsys, "classify", str(second),
+                         "--trace", str(trace))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: trace directory ")
+    assert {p.name: p.read_text() for p in trace.iterdir()} == before
+
+
 def test_trace_subcommand_is_gone(tmp_path, capsys):
     # `classify --trace DIR` is the one way to dump the stages
     with pytest.raises(SystemExit) as exc:

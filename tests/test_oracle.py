@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import ctsat
+from ctsat.difftest import DifftestParams, instance_params
 from ctsat.formula import Clause, GenParams, TabularFormula, generate
 from ctsat.oracle import OracleResult, brute_force, dpll
 
@@ -161,3 +163,39 @@ def test_oracle_result_invariants():
         OracleResult(True, None)
     with pytest.raises(ValueError):
         OracleResult(False, (0, 0, 0))
+
+
+def judged_params() -> list[GenParams]:
+    """The benchmark's three instance families (as perfbench/workloads.py
+    builds them), then free n = 20, 25, ..., 70 at m = round(4.26 n),
+    seeds 0-2."""
+    sweep = DifftestParams(n_range=(5, 16), m_ratio=(3.0, 6.0), count=1000,
+                           seed=20240601)
+    return ([instance_params(sweep, i) for i in range(sweep.count)]
+            + [GenParams(n=40, m=240, mode="free", seed=s) for s in range(6)]
+            + [GenParams(n=24, m=102, mode="sat", seed=s) for s in range(6)]
+            + [GenParams(n=n, m=round(4.26 * n), mode="free", seed=s)
+               for n in range(20, 71, 5) for s in range(3)])
+
+
+def dpll_digest() -> str:
+    """sha256 over one `(satisfiable, witness)` line per judged formula."""
+    h = hashlib.sha256()
+    for p in judged_params():
+        result = dpll(generate(p))
+        h.update(b"%r\n" % ((result.satisfiable, result.witness),))
+    return h.hexdigest()[:16]
+
+
+# computed once and never edited: a change to the search that moves any
+# verdict or witness fails here
+DPLL_PIN = "b9e9217362758609"
+
+
+def test_dpll_results_match_the_pinned_digest():
+    assert dpll_digest() == DPLL_PIN
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_oracle.py
+    print(dpll_digest())
