@@ -14,9 +14,9 @@ from pathlib import Path
 
 from .decompose import decompose_with_plan
 from .difftest import DifftestParams, difftest
-from .formula import DimacsError, GenParams, generate, parse_dimacs
+from .formula import MODES, DimacsError, GenParams, generate, parse_dimacs
 from .oracle import brute_force, dpll
-from .sep import classify
+from .sep import EXIT_CODES, SATISFIABLE, UNSATISFIABLE, classify
 from .trace import FileTraceSink
 
 
@@ -25,14 +25,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _range_pair(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    return int(lo), int(hi) if hi else int(lo)
-
-
-def _ratio_pair(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition("..")
-    return float(lo), float(hi) if hi else float(lo)
+def _pair(kind: type):
+    """The argparse type of an `A..B` range (`A` alone meaning `A..A`)
+    with both ends of type `kind`."""
+    def parse(text: str) -> tuple:
+        lo, _, hi = text.partition("..")
+        return kind(lo), kind(hi) if hi else kind(lo)
+    parse.__name__ = "%s range" % kind.__name__
+    return parse
 
 
 def _load_formula(path: str):
@@ -97,15 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--neg", type=float, default=0.5)
-    p.add_argument("--mode", choices=["free", "sat", "unsat"], default="free")
+    p.add_argument("--mode", choices=MODES, default="free")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", metavar="FILE")
 
     p = sub.add_parser("difftest", help="differential sweep vs the oracle")
-    p.add_argument("--n-range", type=_range_pair, required=True, metavar="A..B")
+    p.add_argument("--n-range", type=_pair(int), required=True, metavar="A..B")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m-range", type=_range_pair, metavar="C..D")
-    group.add_argument("--m-ratio", type=_ratio_pair, metavar="X..Y",
+    group.add_argument("--m-range", type=_pair(int), metavar="C..D")
+    group.add_argument("--m-ratio", type=_pair(float), metavar="X..Y",
                        help="clause count as a multiple of n")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -148,11 +148,11 @@ def _dispatch(args) -> int:
             print("witness: %s" % "".join(map(str, result.witness)))
             if result.model_count is not None:
                 print("models: %d" % result.model_count)
-            return 10
+            return EXIT_CODES[SATISFIABLE]
         print("verdict: unsatisfiable")
         if result.model_count is not None:
             print("models: 0")
-        return 20
+        return EXIT_CODES[UNSATISFIABLE]
 
     if args.command == "gen":
         try:

@@ -28,8 +28,8 @@ fixes variables in every lane with one mask and one clear (a `Cts`
 concretizes as its one-lane case), `project_lanes` projects a tuple
 with one AND and one clear per target tuple, and a union of tuples is
 one OR. `ctsat.unify` edits the bytes of such an int, one lane at a
-time (`settle`). `unstack` gives the structures back where they are
-needed one by one.
+time. `unstack` gives the structures back where they are needed one by
+one.
 
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty
@@ -58,7 +58,7 @@ every line has its support; the argument is in `clear_packed`.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .formula import Bits
 
@@ -143,89 +143,12 @@ def clear_masks(masks: list[int]) -> tuple[list[int], int | None]:
     return masks, None
 
 
-def settle(buf: bytearray, start: int, j: int, tiers: int,
-           old: int) -> tuple[int | None, int, int, int, int, int]:
-    """Clear the lane of `tiers` masks at buf[start:start + tiers],
-    cleared before its tier j alone was restricted from the mask `old`.
-
-    Walks down from tier j while the next lower tier loses lines, then
-    up from tier j the same way, mutating the lane in place and never
-    reading or writing outside it. Returns (lo, hi, vlo, vhi, plo, phi):
-    lo..hi the tiers of the lane that changed (tier j is taken as
-    changed), vlo..vhi the first and last of them whose value sets
-    changed and plo..phi those whose pair combinations changed, both as
-    `ctsat.unify` reads them (`_READS_FIRST`, `_READS_LATER`), and
-    (0, -1) when there are none. A tier's old mask is `old` for tier j
-    and the mask the walk overwrote for the others. When a tier
-    empties, the lane is zeroed and the result is (None, t, 0, -1,
-    0, -1) with t the index that `clear_masks` reports.
-
-    The masks equal `clear_masks`'. A line removed on the way down has
-    no successor, so it is no kept line's only predecessor; a line
-    removed on the way up has no predecessor, so it is no kept line's
-    only successor. The tiers beyond either walk kept their support,
-    and only the walk down can empty a tier, in the order of
-    `clear_masks`' backward pass.
-    """
-    later = _READS_LATER
-    b = lo = start + j
-    m = buf[b]
-    reads = _READS_FIRST if j == 0 else later
-    d = reads[old] ^ reads[m]
-    vlo = plo = 0
-    vhi = phi = -1
-    if d:
-        plo = phi = j
-        if d & _VALUES:
-            vlo = vhi = j
-    while m and lo > start:
-        o = buf[lo - 1]
-        m = o & _PRED[buf[lo]]
-        if m == o:
-            break
-        lo -= 1
-        buf[lo] = m
-        reads = _READS_FIRST if lo == start else later
-        d = reads[o] ^ reads[m]
-        if d:
-            plo = lo - start
-            if phi < 0:
-                phi = plo
-            if d & _VALUES:
-                vlo = plo
-                if vhi < 0:
-                    vhi = plo
-    if not m:
-        buf[start:start + tiers] = bytes(tiers)
-        return None, lo - start, 0, -1, 0, -1
-    hi, last = b, start + tiers - 1
-    while hi < last:
-        o = buf[hi + 1]
-        m = o & _SUCC[buf[hi]]
-        if m == o:
-            break
-        hi += 1
-        buf[hi] = m
-        d = later[o] ^ later[m]
-        if d:
-            t = hi - start
-            if phi < 0:
-                plo = t
-            phi = t
-            if d & _VALUES:
-                if vhi < 0:
-                    vlo = t
-                vhi = t
-    return lo - start, hi - start, vlo, vhi, plo, phi
-
-
 class Layout(NamedTuple):
     """Constants of the packed form of `lanes` rows of `tiers` masks side
     by side, lane i holding tier j in byte i * tiers + j. The byte-lane
     fields repeat one byte in every tier of every lane, and `first`,
     `last` and `carry` one value in every lane. `windows[p]` is the
-    (tier, offset) of the lowest tier window holding position p, and
-    `lane_tier[b]` the (lane, tier) of byte b."""
+    (tier, offset) of the lowest tier window holding position p."""
 
     tiers: int
     lanes: int
@@ -239,7 +162,6 @@ class Layout(NamedTuple):
     carry: int   # every bit of the lane below its top bit
     ones: int    # one lane's bits, all set
     windows: tuple[tuple[int, int], ...]
-    lane_tier: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -256,50 +178,7 @@ def layout(tiers: int, lanes: int = 1) -> Layout:
                   ((1 << width - 1) - 1) * rep if tiers else 0,
                   (1 << width) - 1,
                   tuple((p - 2, 2) if p > 2 else (0, p)
-                        for p in range(tiers + 2)),
-                  tuple((i, t) for i in range(lanes) for t in range(tiers)))
-
-
-def lowest_pairs(windows: tuple) -> Iterator[tuple[int, int, int]]:
-    """(tier, offset, offset) of the lowest window holding each position
-    pair p < q that shares a window, for `windows` a `Layout.windows`,
-    by q and then p: tier j = windows[q][0], offsets p - j and q - j."""
-    for q in range(1, len(windows)):
-        j = windows[q][0]
-        for p in range(j, q):
-            yield j, p - j, q - j
-
-
-def _reads(t: int) -> list[int]:
-    """What `ctsat.unify` reads in tier t (0 or a later tier), as a
-    function of its mask: the value sets of the variables and the
-    combination sets of the pairs whose lowest window is tier t. Value
-    sets take bits 0..5 (bit 2k + v: the k-th such variable shows value
-    v), combination sets the bits above (bit 6 + 4k + 2va + vb: the k-th
-    such pair shows (va, vb)). Two masks read alike exactly when their
-    entries are equal, and alike in the value sets exactly when the
-    entries agree on `_VALUES`."""
-    windows = layout(t + 1).windows
-    offsets = [off for j, off in windows if j == t]
-    pairs = [(a, c) for j, a, c in lowest_pairs(windows) if j == t]
-    code = []   # what each line shows
-    for line in (1 << c for c in range(8)):
-        code.append(sum(1 << 2 * k + v for k, off in enumerate(offsets)
-                        for v in (0, 1) if line & _KEEP[off][v])
-                    | sum(1 << 6 + 4 * k + 2 * va + vb
-                          for k, (a, c) in enumerate(pairs)
-                          for va in (0, 1) for vb in (0, 1)
-                          if line & _KEEP[a][va] & _KEEP[c][vb]))
-    table = [0] * 256   # a mask shows what its lowest line and the rest show
-    for mask in range(1, 256):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | code[low.bit_length() - 1]
-    return table
-
-
-_VALUES = 0x3F   # the value-set bits of a `_reads` entry
-_READS_FIRST = _reads(0)
-_READS_LATER = _reads(1)
+                        for p in range(tiers + 2)))
 
 
 def clear_packed(x: int, lay: Layout) -> int:
@@ -336,7 +215,7 @@ def clear_packed(x: int, lay: Layout) -> int:
     empty tier is empty throughout: once a tier of a lane is empty, G
     is 0 in that lane, which is zeroed at once.
     """
-    tiers, lanes, lsb, msb, even, pairs, low, first, last, carry, ones, _, _ = lay
+    tiers, lanes, lsb, msb, even, pairs, low, first, last, carry, ones, _ = lay
     while True:
         if (x - lsb) & ~x & msb:
             if lanes == 1:

@@ -23,14 +23,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .formula import (MAX_DIMACS_VARIABLES, GenParams, TabularFormula,
-                      check_plantable, generate)
+from .formula import (MAX_DIMACS_VARIABLES, MODE_UNSAT, MODES, UNSAT_CORE,
+                      GenParams, TabularFormula, check_plantable, generate)
 from .oracle import dpll
 from .rng import GENERATOR_ID, SplitMix64
 from .sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
                   SoundnessError, classify)
-
-MODE_CYCLE = ("free", "sat", "unsat")
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class DifftestParams:
     m_range: tuple[int, int] | None = None
     m_ratio: tuple[float, float] | None = None
     negation_fraction: float = 0.5
-    modes: tuple[str, ...] = MODE_CYCLE
+    modes: tuple[str, ...] = MODES
 
     def __post_init__(self):
         if self.count < 0:
@@ -52,7 +50,8 @@ class DifftestParams:
             raise ValueError("exactly one of m_range / m_ratio is required")
         if self.m_range is not None and not 1 <= self.m_range[0] <= self.m_range[1]:
             raise ValueError("bad m range %r" % (self.m_range,))
-        if self.m_ratio is not None and not 0 < self.m_ratio[0] <= self.m_ratio[1]:
+        if (self.m_ratio is not None
+                and not 0 < self.m_ratio[0] <= self.m_ratio[1] < math.inf):
             raise ValueError("bad m ratio %r" % (self.m_ratio,))
         if not 0 <= self.negation_fraction <= 1:
             raise ValueError("negation fraction %r outside [0, 1]"
@@ -60,8 +59,8 @@ class DifftestParams:
         if not self.modes:
             raise ValueError("need at least one mode")
         for mode in self.modes:
-            if mode not in MODE_CYCLE:
-                raise ValueError("mode %r not one of %s" % (mode, MODE_CYCLE))
+            if mode not in MODES:
+                raise ValueError("mode %r not one of %s" % (mode, MODES))
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,8 +85,8 @@ def instance_params(params: DifftestParams, index: int) -> GenParams:
         hi = max(lo, math.ceil(params.m_ratio[1] * n))
     m = lo + rng.below(max(1, hi - lo + 1))
     mode = params.modes[index % len(params.modes)]
-    if mode == "unsat":
-        m = max(m, 8)
+    if mode == MODE_UNSAT:
+        m = max(m, UNSAT_CORE)
     return GenParams(n=n, m=m, negation_fraction=params.negation_fraction,
                      mode=mode, seed=params.seed + index)
 

@@ -9,6 +9,7 @@ no line occurs in it as a subset.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -20,7 +21,16 @@ Bits = tuple[int, ...]
 MODE_FREE = "free"
 MODE_SAT = "sat"
 MODE_UNSAT = "unsat"
-_MODES = (MODE_FREE, MODE_SAT, MODE_UNSAT)
+MODES = (MODE_FREE, MODE_SAT, MODE_UNSAT)
+
+# Clauses of the unsatisfiable core that unsat mode plants: every mark
+# pattern over one variable triple.
+UNSAT_CORE = 8
+
+# Least chance that a clause drawn in sat mode survives the planted
+# assignment: below it, `generate` would redraw more than 65,536 times
+# per clause on average.
+MIN_KEPT_CHANCE = 2.0 ** -16
 
 # Largest variable count a DIMACS header may declare. The classifier
 # builds per-variable state for every declared variable, used or not, so
@@ -216,10 +226,11 @@ class GenParams:
             raise ValueError("need m >= 1")
         if not 0.0 <= self.negation_fraction <= 1.0:
             raise ValueError("negation_fraction must be in [0,1]")
-        if self.mode not in _MODES:
-            raise ValueError("mode must be one of %s" % (_MODES,))
-        if self.mode == MODE_UNSAT and self.m < 8:
-            raise ValueError("unsat mode embeds an 8-clause core; need m >= 8")
+        if self.mode not in MODES:
+            raise ValueError("mode must be one of %s" % (MODES,))
+        if self.mode == MODE_UNSAT and self.m < UNSAT_CORE:
+            raise ValueError("unsat mode embeds an %d-clause core; need m >= %d"
+                             % (UNSAT_CORE, UNSAT_CORE))
 
 
 def _random_clause(rng: SplitMix64, n: int, fraction: float) -> Clause:
@@ -236,16 +247,29 @@ def hidden_assignment(params: GenParams) -> Bits:
 
 
 def check_plantable(params: GenParams) -> None:
-    """Raise `ValueError` for sat-mode parameters whose planted
-    assignment falsifies every clause they can draw: a negation fraction
-    of 0 with an all-0 assignment, or of 1 with an all-1 assignment."""
-    frac = params.negation_fraction
-    if params.mode == MODE_SAT and frac in (0, 1):
-        target = hidden_assignment(params)
-        if all(b == frac for b in target):
-            raise ValueError("every clause with negation fraction %g is "
-                             "falsified by the planted assignment %s"
-                             % (frac, bits_to_string(target)))
+    """Raise `ValueError` for sat-mode parameters under which a drawn
+    clause survives the planted assignment with a chance below
+    `MIN_KEPT_CHANCE`, so that `generate` would redraw (next to) forever.
+
+    A drawn clause is falsified when each of its three variables gets
+    the mark equal to its planted value, mark 0 with chance 1 - f and
+    mark 1 with chance f. With Z zeros and O ones among the n planted
+    values, that chance is the sum over z of
+    C(Z, z) C(O, 3 - z) / C(n, 3) (1 - f)^z f^(3 - z). A fraction of
+    exactly 0 with an all-0 assignment, or 1 with an all-1 one, leaves
+    a clause no chance at all."""
+    if params.mode != MODE_SAT:
+        return
+    target = hidden_assignment(params)
+    frac, ones = params.negation_fraction, sum(target)
+    kept = 1 - sum(math.comb(params.n - ones, z) * math.comb(ones, 3 - z)
+                   * (1 - frac) ** z * frac ** (3 - z)
+                   for z in range(4)) / math.comb(params.n, 3)
+    if kept < MIN_KEPT_CHANCE:
+        raise ValueError(
+            "a clause drawn with negation fraction %.12g escapes being "
+            "falsified by the planted assignment %s with chance %.3g, below "
+            "%.3g" % (frac, bits_to_string(target), kept, MIN_KEPT_CHANCE))
 
 
 def generate(params: GenParams) -> TabularFormula:
@@ -254,9 +278,9 @@ def generate(params: GenParams) -> TabularFormula:
     free:  every clause drawn independently (3 distinct variables, each
            mark 1 with the configured probability).
     sat:   a hidden assignment is drawn first; clauses falsified by it
-           are rejected and redrawn. A negation fraction of 0 with an
-           all-0 assignment, or of 1 with an all-1 assignment, falsifies
-           every clause and raises `ValueError` (`check_plantable`).
+           are rejected and redrawn. Parameters under which a drawn
+           clause survives with a chance below `MIN_KEPT_CHANCE` raise
+           `ValueError` (`check_plantable`).
     unsat: all 8 mark patterns over one random variable triple are
            embedded (an unsatisfiable core) among otherwise free clauses,
            and the clause order is shuffled.
@@ -277,7 +301,7 @@ def generate(params: GenParams) -> TabularFormula:
         triple = rng.distinct(3, n)
         clauses = [Clause(tuple((v, (code >> k) & 1)
                                 for k, v in zip((2, 1, 0), triple)))
-                   for code in range(8)]
-        clauses.extend(_random_clause(rng, n, frac) for _ in range(m - 8))
+                   for code in range(UNSAT_CORE)]
+        clauses.extend(_random_clause(rng, n, frac) for _ in range(m - UNSAT_CORE))
         rng.shuffle(clauses)
     return TabularFormula(n, tuple(clauses))

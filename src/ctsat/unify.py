@@ -23,6 +23,12 @@ pair homes alike. An entry depends only on the tier count, the lane
 and the window's offsets, so each lane's entries are built once, on
 first use, and shared by every context (`_lane_rows`); the table rows
 are read off `cts._KEEP`.
+
+This module alone decides what the rules read in a window and whether
+a removal changed it: `settle` clears a lane outward from one
+restricted tier and reports the tiers whose reads changed, judged by
+the staleness tables `_READS_FIRST` and `_READS_LATER`, which are
+built from the same `_SEEN` and `_COMBOS` rows the rules read with.
 """
 
 from __future__ import annotations
@@ -31,10 +37,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress
 from operator import or_
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .cts import (_KEEP, _READS_FIRST, _READS_LATER, _VALUES, Cts, Perm,
-                  has_empty_lane, layout, lowest_pairs, settle)
+from .cts import _KEEP, _PRED, _SUCC, Cts, Perm, has_empty_lane, layout
 
 CAUSE_EMPTY_INPUT = "empty-input"
 CAUSE_CONSTANT_CONFLICT = "constant-conflict"
@@ -73,6 +78,112 @@ _PAIR_KEEP = [[[sum(codes for combo, codes in enumerate(row)
                for row in rows] for rows in _COMBO_CODES]
 
 
+def lowest_pairs(windows: tuple) -> Iterator[tuple[int, int, int]]:
+    """(tier, offset, offset) of the lowest window holding each position
+    pair p < q that shares a window, for `windows` a `Layout.windows`,
+    by q and then p: tier j = windows[q][0], offsets p - j and q - j."""
+    for q in range(1, len(windows)):
+        j = windows[q][0]
+        for p in range(j, q):
+            yield j, p - j, q - j
+
+
+def _read_table(t: int) -> list[int]:
+    """What the rules read in tier t (0 or a later tier), by mask: the
+    `_SEEN` rows of the offsets whose lowest window is tier t side by
+    side, two bits each from bit 0, then the `_COMBOS` rows of the pairs
+    whose lowest window is tier t, four bits each from bit 6. Two masks
+    read alike exactly when their entries are equal, and alike in the
+    value sets exactly when the entries agree on `_VALUES`."""
+    windows = layout(t + 1).windows
+    seen = [_SEEN[off] for j, off in windows if j == t]
+    combos = [_COMBOS[a][c] for j, a, c in lowest_pairs(windows) if j == t]
+    return [sum(row[mask] << 2 * k for k, row in enumerate(seen))
+            | sum(row[mask] << 6 + 4 * k for k, row in enumerate(combos))
+            for mask in range(256)]
+
+
+_VALUES = 0x3F   # the value-set bits of a `_read_table` entry
+_READS_FIRST = _read_table(0)
+_READS_LATER = _read_table(1)
+
+
+def settle(buf: bytearray, start: int, j: int, tiers: int,
+           old: int) -> tuple[int | None, int, int, int, int, int]:
+    """Clear the lane of `tiers` masks at buf[start:start + tiers],
+    cleared before its tier j alone was restricted from the mask `old`.
+
+    Walks down from tier j while the next lower tier loses lines, then
+    up from tier j the same way, mutating the lane in place and never
+    reading or writing outside it. Returns (lo, hi, vlo, vhi, plo, phi):
+    lo..hi the tiers of the lane that changed (tier j is taken as
+    changed), vlo..vhi the first and last of them whose value sets
+    changed and plo..phi those whose pair combinations changed, both as
+    the rules read them (`_READS_FIRST`, `_READS_LATER`), and (0, -1)
+    when there are none. A tier's old mask is `old` for tier j and the
+    mask the walk overwrote for the others. When a tier empties, the
+    lane is zeroed and the result is (None, t, 0, -1, 0, -1) with t the
+    index that `cts.clear_masks` reports.
+
+    The masks equal `cts.clear_masks`'. A line removed on the way down
+    has no successor, so it is no kept line's only predecessor; a line
+    removed on the way up has no predecessor, so it is no kept line's
+    only successor. The tiers beyond either walk kept their support,
+    and only the walk down can empty a tier, in the order of
+    `clear_masks`' backward pass.
+    """
+    later = _READS_LATER
+    b = lo = start + j
+    m = buf[b]
+    reads = _READS_FIRST if j == 0 else later
+    d = reads[old] ^ reads[m]
+    vlo = plo = 0
+    vhi = phi = -1
+    if d:
+        plo = phi = j
+        if d & _VALUES:
+            vlo = vhi = j
+    while m and lo > start:
+        o = buf[lo - 1]
+        m = o & _PRED[buf[lo]]
+        if m == o:
+            break
+        lo -= 1
+        buf[lo] = m
+        reads = _READS_FIRST if lo == start else later
+        d = reads[o] ^ reads[m]
+        if d:
+            plo = lo - start
+            if phi < 0:
+                phi = plo
+            if d & _VALUES:
+                vlo = plo
+                if vhi < 0:
+                    vhi = plo
+    if not m:
+        buf[start:start + tiers] = bytes(tiers)
+        return None, lo - start, 0, -1, 0, -1
+    hi, last = b, start + tiers - 1
+    while hi < last:
+        o = buf[hi + 1]
+        m = o & _SUCC[buf[hi]]
+        if m == o:
+            break
+        hi += 1
+        buf[hi] = m
+        d = later[o] ^ later[m]
+        if d:
+            t = hi - start
+            if phi < 0:
+                plo = t
+            phi = t
+            if d & _VALUES:
+                if vhi < 0:
+                    vlo = t
+                vhi = t
+    return lo - start, hi - start, vlo, vhi, plo, phi
+
+
 @lru_cache(maxsize=None)
 def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple]:
     """The window entries of lane i of `tiers` tiers, built on first use
@@ -83,10 +194,11 @@ def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple]:
     the lowest window holding a variable or pair, its byte lane × tiers
     + tier. A variable at offset o reads with `_SEEN[o]` and restricts
     with `_KEEP[o]`. The homes hold two entries per co-tiered position
-    pair p < q, in the order of `cts.lowest_pairs`, (q, p) ascending:
+    pair p < q, in the order of `lowest_pairs`, (q, p) ascending:
     the home when the smaller variable sits at p, then when it sits at
     q, with the `_COMBOS` and `_PAIR_KEEP` rows indexed by the offset of
-    the smaller variable first. The rows of lane i do not depend on the lane count.
+    the smaller variable first. The rows of lane i do not depend on the
+    lane count.
     """
     windows = layout(tiers).windows
     start = i * tiers
@@ -212,7 +324,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
     value set, a pair home's combination set. `settle` reports the
     tiers of a removal whose value sets and whose combination sets
     changed, comparing each rewritten tier's mask before and after
-    through `cts._READS_FIRST` and `cts._READS_LATER`, and the first
+    through `_READS_FIRST` and `_READS_LATER`, and the first
     wave makes the same test on the bytes where x and `since` differ.
     Skipping a window that is not stale changes nothing:
       - a variable window with its value set unchanged showed both
@@ -247,13 +359,12 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
 
     reads, writes, pair_entries = ctx.reads, ctx.writes, ctx.pair_entries
     var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
-    lane_tier = lay.lane_tier
     buf = bytearray(x.to_bytes(size, "little"))
     seed = since.to_bytes(size, "little")
     stale_vars = [0] * k
     stale_pairs = 0
     for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
-        i, t = lane_tier[b]
+        i, t = divmod(b, tiers)
         view = _READS_LATER if t else _READS_FIRST
         d = view[seed[b]] ^ view[buf[b]]
         if d:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ctsat.cts import Cts, Perm
+from ctsat.cts import Cts, Perm, clear_masks
 from ctsat.formula import Clause, TabularFormula
 
 import tabledata
@@ -29,6 +29,14 @@ def cts_from_rows(perm, rows) -> Cts:
     if not isinstance(perm, Perm):
         perm = Perm(perm)
     return Cts.from_lines(perm, [(j, int(bits, 2)) for j, bits in rows])
+
+
+def random_cleared_masks(rng, n, density):
+    """Cleared, non-empty masks over n variables, or None."""
+    masks, zero = clear_masks([sum(1 << c for c in range(8)
+                                   if rng.random() < density)
+                               for _ in range(n - 2)])
+    return None if zero is not None else masks
 
 
 def scrambled(formula: TabularFormula, rng: random.Random) -> TabularFormula:

@@ -117,6 +117,19 @@ def test_gen_and_difftest_refuse_a_planted_assignment_no_clause_avoids(
     assert not (tmp_path / "D").exists()
 
 
+def test_difftest_refuses_a_fraction_that_keeps_almost_no_clause(tmp_path,
+                                                                  capsys):
+    # instance 1 plants 000 in sat mode, and fraction 1e-9 keeps a drawn
+    # clause with a chance of 3e-9: the sweep is refused before it
+    # creates its output directory instead of redrawing for hours
+    code, out, err = run(capsys, "difftest", "--n-range", "3..3",
+                         "--m-ratio", "1..1", "--count", "2", "--neg", "1e-9",
+                         "--seed", "0", "--out", str(tmp_path / "D"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "planted assignment 000" in err
+    assert not (tmp_path / "D").exists()
+
+
 def test_oracle_both_engines(capsys):
     for engine in ("dpll", "brute"):
         code, out, _ = run(capsys, "oracle", str(FIXTURES / "worked5.cnf"),
@@ -175,12 +188,14 @@ def test_difftest_rejects_jobs_below_one(jobs, tmp_path, capsys):
     (["--m-ratio=-1.0..-0.5"], "bad m ratio (-1.0, -0.5)"),
     (["--m-ratio", "0..2"], "bad m ratio (0.0, 2.0)"),
     (["--m-ratio", "4..3"], "bad m ratio (4.0, 3.0)"),
+    (["--m-ratio", "3..inf"], "bad m ratio (3.0, inf)"),
     (["--m-ratio", "3..4", "--neg", "1.5"],
      "negation fraction 1.5 outside [0, 1]"),
     (["--m-ratio", "3..4", "--neg=-0.1"],
      "negation fraction -0.1 outside [0, 1]"),
 ], ids=["m_range_inverted", "m_range_zero", "m_ratio_negative",
-        "m_ratio_zero", "m_ratio_inverted", "neg_above_one", "neg_below_zero"])
+        "m_ratio_zero", "m_ratio_inverted", "m_ratio_infinite", "neg_above_one",
+        "neg_below_zero"])
 def test_difftest_rejects_bad_ranges(bad, message, tmp_path, capsys):
     code, out, err = run(capsys, "difftest", "--n-range", "5..6", *bad,
                          "--count", "2", "--out", str(tmp_path / "dt"))

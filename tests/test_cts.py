@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from ctsat.cts import (TIER_FULL, Cts, Perm, clear_masks, clear_packed,
                        concretize_lanes, lane_layout, layout, project_lanes,
-                       settle, stack, unstack)
+                       stack, unstack)
 from ctsat.decompose import Ctf
 from ctsat.formula import bits_from_string
 
-from conftest import cts_from_rows
+from conftest import cts_from_rows, random_cleared_masks
 from naive import (cnf_evaluate, naive_clear, naive_concretize,
                    naive_contains, naive_enumerate, naive_intersect,
                    naive_union, rows_to_sets)
@@ -78,84 +78,6 @@ def test_clear_matches_naive_random_orders():
         else:
             emptied += 1
     assert emptied > 20 and kept > 20
-
-
-def random_cleared_masks(rng, n, density):
-    """Cleared, non-empty masks over n variables, or None."""
-    masks, zero = clear_masks([sum(1 << c for c in range(8)
-                                   if rng.random() < density)
-                               for _ in range(n - 2)])
-    return None if zero is not None else masks
-
-
-def unify_reads(mask: int, t: int) -> tuple:
-    """What unify reads in tier t holding mask, as sets: the values of
-    the offsets and the combinations of the offset pairs whose lowest
-    window tier t is (every offset and pair in tier 0, offset 2 and the
-    pairs ending there in a later tier)."""
-    bits = [((c >> 2) & 1, (c >> 1) & 1, c & 1)
-            for c in range(8) if mask >> c & 1]
-    offsets = (0, 1, 2) if t == 0 else (2,)
-    pairs = [(a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if b in offsets]
-    return (tuple(frozenset(v[o] for v in bits) for o in offsets),
-            tuple(frozenset((v[a], v[b]) for v in bits) for a, b in pairs))
-
-
-def span(tiers: list[int]) -> tuple[int, int]:
-    return (min(tiers), max(tiers)) if tiers else (0, -1)
-
-
-def test_settle_matches_clear_masks_after_one_tier_restriction():
-    # settle walks out from the restricted tier only, inside one lane of
-    # a flat buffer of one to four lanes; it must give clear_masks'
-    # masks and empty index, a range covering every tier that changed,
-    # and leave the neighbouring lanes (random bytes) untouched. Its two
-    # other ranges span the tiers whose value sets and pair combinations,
-    # as unify reads them, differ between the masks before and after
-    rng = random.Random(902)
-    emptied = kept = wide = narrow = same_values = 0
-    while emptied + kept < 4000:
-        n = rng.randint(3, 14)
-        before = random_cleared_masks(rng, n, rng.uniform(0.4, 0.9))
-        if before is None:
-            continue
-        j = rng.randrange(n - 2)
-        restricted = list(before)
-        restricted[j] &= rng.randrange(256)
-        if restricted[j] == before[j]:
-            continue
-        expected, zero = clear_masks(list(restricted))
-        tiers, lanes = n - 2, rng.randint(1, 4)
-        start = rng.randrange(lanes) * tiers
-        buf = bytearray(rng.randrange(256) for _ in range(lanes * tiers))
-        buf[start:start + tiers] = bytes(restricted)
-        neighbours = buf[:start] + buf[start + tiers:]
-        lo, hi, vlo, vhi, plo, phi = settle(buf, start, j, tiers, before[j])
-        got = list(buf[start:start + tiers])
-        assert got == expected
-        assert buf[:start] + buf[start + tiers:] == neighbours
-        if zero is not None:
-            emptied += 1
-            assert (lo, hi) == (None, zero)
-            assert (vlo, vhi, plo, phi) == (0, -1, 0, -1)
-            continue
-        kept += 1
-        assert lo <= j <= hi
-        changed = [t for t in range(n - 2) if got[t] != before[t]]
-        assert all(lo <= t <= hi for t in changed)
-        assert {lo, hi} <= set(changed)
-        wide += hi > lo
-        reads = [(unify_reads(before[t], t), unify_reads(got[t], t))
-                 for t in range(n - 2)]
-        values = span([t for t, (old, new) in enumerate(reads)
-                       if old[0] != new[0]])
-        combos = span([t for t, (old, new) in enumerate(reads)
-                       if old[1] != new[1]])
-        assert (vlo, vhi, plo, phi) == (*values, *combos)
-        narrow += (plo, phi) != (lo, hi)
-        same_values += vhi < 0
-    assert emptied > 500 and kept > 500 and wide > 200
-    assert narrow > 300 and same_values > 500
 
 
 def test_project_matches_union_of_intersections():

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from ctsat.formula import (MAX_DIMACS_VARIABLES, Clause, DimacsError,
                            GenParams, TabularFormula, bits_from_string,
-                           bits_to_string, generate, hidden_assignment,
-                           parse_dimacs)
+                           bits_to_string, check_plantable, generate,
+                           hidden_assignment, parse_dimacs)
 
 from naive import cnf_evaluate, sat_set
 
@@ -226,6 +226,20 @@ def test_sat_mode_refuses_a_fraction_that_falsifies_every_clause():
                 assert all(mark == fraction for c in formula.clauses
                            for _, mark in c.entries)
     assert refused == 12
+
+
+def test_sat_mode_refuses_a_fraction_that_keeps_almost_no_clause():
+    # a fraction near 0 with an all-0 planted assignment, or near 1 with
+    # an all-1 one, keeps a drawn clause with a chance of a few in a
+    # billion: generate would redraw for hours, so it is refused up front
+    for fraction, seed, planted in ((1e-9, 1, "000"),
+                                    (0.9999999999, 14, "111")):
+        params = GenParams(n=3, m=1, negation_fraction=fraction,
+                           mode="sat", seed=seed)
+        assert bits_to_string(hidden_assignment(params)) == planted
+        with pytest.raises(ValueError, match="falsified by the planted "
+                           "assignment %s" % planted):
+            check_plantable(params)
 
 
 def test_bits_string_round_trip():

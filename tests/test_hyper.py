@@ -420,6 +420,18 @@ def test_package_has_no_recursive_function():
     assert found == []
 
 
+def test_sources_parse_with_the_python_3_10_grammar():
+    # pyproject.toml declares requires-python >= 3.10, so no module of
+    # the package, the tests or the benchmark harness may use later
+    # syntax, such as except*
+    root = Path(ctsat.__file__).parents[2]
+    paths = [path for part in ("src/ctsat", "tests", "perfbench")
+             for path in sorted((root / part).rglob("*.py"))]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_substructures_intersect_every_earlier_tier():
     rng = random.Random(911)
     for _ in range(15):

@@ -10,12 +10,15 @@ from collections import Counter
 import pytest
 
 import ctsat
-from ctsat.cts import (_KEEP, Cts, Perm, concretize_lanes, has_empty_lane,
-                       lane_layout, project_lanes, stack, unstack)
-from ctsat.unify import (_COMBOS, _PAIR_KEEP, _SEEN, CAUSE_CONSTANT_CONFLICT,
+from ctsat.cts import (_KEEP, Cts, Perm, clear_masks, concretize_lanes,
+                       has_empty_lane, lane_layout, project_lanes, stack,
+                       unstack)
+from ctsat.unify import (_COMBOS, _PAIR_KEEP, _READS_FIRST, _READS_LATER,
+                         _SEEN, _VALUES, CAUSE_CONSTANT_CONFLICT,
                          CAUSE_EMPTY_INPUT, CAUSE_EMPTY_TIER, UnifyContext,
-                         _lane_rows, unify)
+                         _lane_rows, settle, unify)
 
+from conftest import random_cleared_masks
 from naive import (constant_of, joint_sat_set, pair_relation,
                    reference_unify, unify_cts)
 
@@ -451,7 +454,7 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
     # + the tier of the lowest window holding the variable or pair, its
     # rows the table rows of its offsets there; every entry is drawn by
     # identity from `_lane_rows`, shared with every other context, and
-    # the layout's byte map gives each byte's (lane, tier)
+    # each entry's byte is its lane * tiers + its tier
     rng = random.Random(19)
     for _ in range(60):
         n, k = rng.randint(5, 14), rng.randint(2, 5)
@@ -496,11 +499,8 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
                       for home in _lane_rows(tiers, i)[1]}
             assert all(id(home) in shared
                        for homes in c.pair_entries for home in homes)
-        lay = ctx.layout
-        assert other.layout is lay
-        assert lay.lane_tier == tuple((i, t) for i in range(k)
-                                      for t in range(tiers))
-        assert all(lay.lane_tier[b] == (lane, tier)
+        assert other.layout is ctx.layout
+        assert all(divmod(b, tiers) == (lane, tier)
                    for row in ctx.reads for b, _, _, lane, _, tier in row)
 
 
@@ -553,3 +553,88 @@ def test_unify_seeded_with_unchanged_inputs_returns_them_in_one_wave():
         assert [name for name, _ in seeded.writes] == ["unify_wave_00",
                                                        "unify_wave_01"]
         checked += 1
+
+
+# -- settle and the staleness tables ------------------------------------------
+
+def unify_reads(mask: int, t: int) -> tuple:
+    """What unify reads in tier t holding mask, as sets: the values of
+    the offsets and the combinations of the offset pairs whose lowest
+    window tier t is (every offset and pair in tier 0, offset 2 and the
+    pairs ending there in a later tier)."""
+    bits = [((c >> 2) & 1, (c >> 1) & 1, c & 1)
+            for c in range(8) if mask >> c & 1]
+    offsets = (0, 1, 2) if t == 0 else (2,)
+    pairs = [(a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if b in offsets]
+    return (tuple(frozenset(v[o] for v in bits) for o in offsets),
+            tuple(frozenset((v[a], v[b]) for v in bits) for a, b in pairs))
+
+
+def span(tiers: list[int]) -> tuple[int, int]:
+    return (min(tiers), max(tiers)) if tiers else (0, -1)
+
+
+def test_settle_matches_clear_masks_after_one_tier_restriction():
+    # settle walks out from the restricted tier only, inside one lane of
+    # a flat buffer of one to four lanes; it must give clear_masks'
+    # masks and empty index, a range covering every tier that changed,
+    # and leave the neighbouring lanes (random bytes) untouched. Its two
+    # other ranges span the tiers whose value sets and pair combinations,
+    # as unify reads them, differ between the masks before and after
+    rng = random.Random(902)
+    emptied = kept = wide = narrow = same_values = 0
+    while emptied + kept < 4000:
+        n = rng.randint(3, 14)
+        before = random_cleared_masks(rng, n, rng.uniform(0.4, 0.9))
+        if before is None:
+            continue
+        j = rng.randrange(n - 2)
+        restricted = list(before)
+        restricted[j] &= rng.randrange(256)
+        if restricted[j] == before[j]:
+            continue
+        expected, zero = clear_masks(list(restricted))
+        tiers, lanes = n - 2, rng.randint(1, 4)
+        start = rng.randrange(lanes) * tiers
+        buf = bytearray(rng.randrange(256) for _ in range(lanes * tiers))
+        buf[start:start + tiers] = bytes(restricted)
+        neighbours = buf[:start] + buf[start + tiers:]
+        lo, hi, vlo, vhi, plo, phi = settle(buf, start, j, tiers, before[j])
+        got = list(buf[start:start + tiers])
+        assert got == expected
+        assert buf[:start] + buf[start + tiers:] == neighbours
+        if zero is not None:
+            emptied += 1
+            assert (lo, hi) == (None, zero)
+            assert (vlo, vhi, plo, phi) == (0, -1, 0, -1)
+            continue
+        kept += 1
+        assert lo <= j <= hi
+        changed = [t for t in range(n - 2) if got[t] != before[t]]
+        assert all(lo <= t <= hi for t in changed)
+        assert {lo, hi} <= set(changed)
+        wide += hi > lo
+        reads = [(unify_reads(before[t], t), unify_reads(got[t], t))
+                 for t in range(n - 2)]
+        values = span([t for t, (old, new) in enumerate(reads)
+                       if old[0] != new[0]])
+        combos = span([t for t, (old, new) in enumerate(reads)
+                       if old[1] != new[1]])
+        assert (vlo, vhi, plo, phi) == (*values, *combos)
+        narrow += (plo, phi) != (lo, hi)
+        same_values += vhi < 0
+    assert emptied > 500 and kept > 500 and wide > 200
+    assert narrow > 300 and same_values > 500
+
+
+def test_staleness_tables_match_the_reads_reference():
+    # over every pair of masks, in tier 0 and in a later tier: equal
+    # table entries exactly when unify_reads gives equal reads, and
+    # equal value bits exactly when the value parts agree
+    for t, table in ((0, _READS_FIRST), (1, _READS_LATER)):
+        reads = [unify_reads(mask, t) for mask in range(256)]
+        for a in range(256):
+            for b in range(256):
+                assert (table[a] == table[b]) == (reads[a] == reads[b])
+                assert (not (table[a] ^ table[b]) & _VALUES) == (
+                    reads[a][0] == reads[b][0])
