@@ -24,12 +24,13 @@ a structure over its own permutation. The systemic procedure
 (`ctsat.sep`) stores each same-name tuple this way, one int per
 skeleton vertex and edge, and works on that int directly: a lane is
 dead when it has an empty tier (`has_empty_lane`), `concretize_lanes`
-fixes variables in every lane with one mask and one clear (a `Cts`
-concretizes as its one-lane case), `project_lanes` projects a tuple
-with one AND and one clear per target tuple, and a union of tuples is
-one OR. `ctsat.unify` edits the bytes of such an int, one lane at a
-time. `unstack` gives the structures back where they are needed one by
-one.
+fixes variables in every lane with one mask and one clear (it forms
+every tier-0 vertex tuple and every shift's concretization;
+`Cts.concretize_many` is its one-lane case and has no pipeline
+caller), `project_lanes` projects a tuple with one AND and one clear
+per target tuple, and a union of tuples is one OR. `ctsat.unify`
+edits the bytes of such an int, one lane at a time. `unstack` gives
+the structures back where they are needed one by one.
 
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty
@@ -323,11 +324,11 @@ class Cts:
     in `packed` (see the module docstring); `tiers` unpacks them.
 
     No pipeline code calls `union`, `intersect`, `concretize`,
-    `equivalent`, `from_lines`, `from_assignment`, `line_count`,
-    `enumerate_assignments`, `empty` or `complete`: the pipeline works
-    on stacked ints (see the module docstring). They are kept as the
-    paper's CTS algebra, which acceptance criterion 8 and the set-form
-    tests check against explicit assignment sets.
+    `concretize_many`, `equivalent`, `from_lines`, `from_assignment`,
+    `line_count`, `enumerate_assignments`, `empty` or `complete`: the
+    pipeline works on stacked ints (see the module docstring). They are
+    kept as the paper's CTS algebra, which acceptance criterion 8 and
+    the set-form tests check against explicit assignment sets.
     """
 
     __slots__ = ("perm", "packed")

@@ -294,7 +294,8 @@ def ctf_to_cts(ctf: Ctf) -> Cts:
     an empty result means the CTF is contradictory.
     """
     masks, _ = clear_masks([TIER_FULL & ~m for m in ctf.tiers])
-    return Cts(ctf.perm, masks)
+    # `Ctf` holds one mask per tier, and bytes() refuses one outside 0..255
+    return Cts._make(ctf.perm, int.from_bytes(bytes(masks), "little"))
 
 
 def cts_stage_evidence(ctf: Ctf) -> int | None:

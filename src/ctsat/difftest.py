@@ -53,6 +53,12 @@ class DifftestParams:
         if (self.m_ratio is not None
                 and not 0 < self.m_ratio[0] <= self.m_ratio[1] < math.inf):
             raise ValueError("bad m ratio %r" % (self.m_ratio,))
+        # an instance draws m uniformly from m_bounds(n), one SplitMix64
+        # draw of at most 2**64 values
+        if any(hi - lo >= 1 << 64 for lo, hi in
+               map(self.m_bounds, range(self.n_range[0], self.n_range[1] + 1))):
+            raise ValueError("m range wider than 2**64 values for some n "
+                             "in %r" % (self.n_range,))
         if not 0 <= self.negation_fraction <= 1:
             raise ValueError("negation fraction %r outside [0, 1]"
                              % (self.negation_fraction,))
@@ -61,6 +67,14 @@ class DifftestParams:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError("mode %r not one of %s" % (mode, MODES))
+
+    def m_bounds(self, n: int) -> tuple[int, int]:
+        """The least and the greatest clause count of an instance with n
+        variables."""
+        if self.m_range is not None:
+            return self.m_range
+        lo = max(1, math.ceil(self.m_ratio[0] * n))
+        return lo, max(lo, math.ceil(self.m_ratio[1] * n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,12 +92,8 @@ def instance_params(params: DifftestParams, index: int) -> GenParams:
     """Deterministic generation parameters for one instance."""
     rng = SplitMix64(params.seed + index)
     n = params.n_range[0] + rng.below(params.n_range[1] - params.n_range[0] + 1)
-    if params.m_range is not None:
-        lo, hi = params.m_range
-    else:
-        lo = max(1, math.ceil(params.m_ratio[0] * n))
-        hi = max(lo, math.ceil(params.m_ratio[1] * n))
-    m = lo + rng.below(max(1, hi - lo + 1))
+    lo, hi = params.m_bounds(n)
+    m = lo + rng.below(hi - lo + 1)
     mode = params.modes[index % len(params.modes)]
     if mode == MODE_UNSAT:
         m = max(m, UNSAT_CORE)

@@ -28,9 +28,11 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, bound), unbiased via rejection, for
+        0 < bound <= 2**64: above that no multiple of bound fits in the
+        64 bits of one draw, and every draw would be rejected."""
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("bound must be in 1..2**64, got %d" % bound)
         # largest multiple of bound that fits in 64 bits
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:

@@ -272,10 +272,11 @@ def systemic_effective_procedure(
                     for a in skeleton.up(v):
                         x |= system.esub[(j - 1, a, c)]
                 else:
-                    pairs = system.basic_perm.window_values(j, c)
                     x = _unify_same_name(
-                        stack([s.concretize_many(pairs)
-                               for s in system.structures]),
+                        concretize_lanes(
+                            whole, system.context.perms,
+                            system.basic_perm.window_values(0, c),
+                            system.context.layout),
                         whole, system, stats)
                 if not x:
                     skeleton.remove_vertex(v)

@@ -11,6 +11,7 @@ from ctsat.difftest import (DifftestParams, MinimizationError, difftest,
 from ctsat.formula import (MAX_DIMACS_VARIABLES, Clause, TabularFormula,
                            GenParams, generate, parse_dimacs)
 from ctsat.oracle import dpll
+from ctsat.rng import SplitMix64
 from ctsat.sep import UNSATISFIABLE, Verdict
 
 
@@ -131,6 +132,36 @@ def test_difftest_params_validation():
     with pytest.raises(ValueError, match="mode 'bogus' not one of"):
         DifftestParams(n_range=(5, 9), m_ratio=(3.0, 4.0), count=1, seed=0,
                        modes=("free", "bogus"))
+
+
+def test_difftest_params_refuse_an_m_draw_wider_than_one_rng_draw():
+    # instance_params draws m with one SplitMix64.below over the whole
+    # range, which can cover at most 2**64 values; these are refused
+    # when built, before any instance is drawn
+    for m in ({"m_ratio": (3.0, 1e300)}, {"m_range": (1, 2 ** 70)}):
+        with pytest.raises(ValueError, match="wider than 2\\*\\*64"):
+            DifftestParams(n_range=(5, 6), count=3, seed=0, **m)
+    params = DifftestParams(n_range=(5, 6), m_range=(1, 2 ** 64), count=3,
+                            seed=0)
+    assert 1 <= instance_params(params, 0).m <= 2 ** 64
+
+
+def test_below_refuses_a_bound_above_two_to_the_64(monkeypatch):
+    def no_draw(self):
+        raise AssertionError("a refused bound drew a value")
+
+    with monkeypatch.context() as patch:
+        # a bound above 2**64 rejects every draw: fail fast, not forever
+        patch.setattr(SplitMix64, "next_u64", no_draw)
+        for bound in (2 ** 64 + 1, 0):
+            with pytest.raises(ValueError, match="1..2\\*\\*64"):
+                SplitMix64(7).below(bound)
+    # the bounds it accepts keep their streams, pinned before the limit
+    rng = SplitMix64(7)
+    assert [rng.below(b) for b in (1, 2, 3, 10, 1000, 2 ** 63 + 1,
+                                   2 ** 64 - 1, 2 ** 64)] == [
+        0, 0, 0, 3, 674, 4601199455465548305, 8632209307422871798,
+        6051947643683389182]
 
 
 # -- harness ---------------------------------------------------------------------------

@@ -933,6 +933,31 @@ def test_sep_empty_tier_pinned(n, m, seed, tier):
     assert completed == tier - 1
 
 
+@pytest.mark.parametrize("mode, n, m, seed, outcome", [
+    ("sat", 8, 30, 1, "early-sat"),
+    ("sat", 8, 30, 3, "extract"),
+    ("free", 10, 55, 6, 1),        # the SEP empties at tier 1 or 3
+    ("free", 10, 55, 10, 3)])
+def test_pipeline_forms_tier_0_without_concretize_many(monkeypatch, mode, n,
+                                                       m, seed, outcome):
+    # every tier-0 vertex tuple is one concretize_lanes over the stacked
+    # members; Cts.concretize_many stays as the algebra, with no caller
+    def refuse(self, pairs):
+        raise AssertionError("the pipeline called Cts.concretize_many")
+
+    monkeypatch.setattr(Cts, "concretize_many", refuse)
+    verdict, completed = sep_exit(GenParams(n=n, m=m, mode=mode, seed=seed))
+    detail = verdict.detail
+    assert "sep" in detail   # the SEP ran, and it forms tier 0 first
+    if outcome == "early-sat":
+        assert verdict.kind == SATISFIABLE and detail["early_exit"]
+    elif outcome == "extract":
+        assert verdict.kind == SATISFIABLE and "backtracks" in detail
+    else:
+        assert (verdict.stage, verdict.tier, completed) == (
+            "sep", outcome, outcome - 1)
+
+
 def test_classify_is_deterministic():
     f = generate(GenParams(n=10, m=38, mode="free", seed=99))
     a = classify(f)
