@@ -27,10 +27,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _pair(kind: type):
     """The argparse type of an `A..B` range (`A` alone meaning `A..A`)
-    with both ends of type `kind`."""
+    with both ends of type `kind`; an empty end (`A..`) is an error."""
     def parse(text: str) -> tuple:
-        lo, _, hi = text.partition("..")
-        return kind(lo), kind(hi) if hi else kind(lo)
+        lo, dots, hi = text.partition("..")
+        return kind(lo), kind(hi if dots else lo)
     parse.__name__ = "%s range" % kind.__name__
     return parse
 
@@ -130,8 +130,9 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "classify":
         formula = _load_formula(args.file)
-        sink = FileTraceSink(args.trace) if args.trace else None
+        # a rejected plan exits before the sink creates the trace directory
         plan = _load_plan(args.plan, formula) if args.plan else None
+        sink = FileTraceSink(args.trace) if args.trace else None
         verdict = classify(formula, plan=plan, sink=sink)
         print("\n".join(verdict.lines()))
         return verdict.exit_code

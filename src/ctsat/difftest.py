@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -75,17 +75,6 @@ class DifftestParams:
             return self.m_range
         lo = max(1, math.ceil(self.m_ratio[0] * n))
         return lo, max(lo, math.ceil(self.m_ratio[1] * n))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_range": list(self.n_range),
-            "m_range": None if self.m_range is None else list(self.m_range),
-            "m_ratio": None if self.m_ratio is None else list(self.m_ratio),
-            "count": self.count,
-            "seed": self.seed,
-            "negation_fraction": self.negation_fraction,
-            "modes": list(self.modes),
-        }
 
 
 def instance_params(params: DifftestParams, index: int) -> GenParams:
@@ -160,7 +149,7 @@ class DifftestReport:
             "version": __version__,
             "rng": GENERATOR_ID,
             "seed_policy": "base seed + instance index",
-            "params": self.params.to_json_dict(),
+            "params": asdict(self.params),
             "instances": len(self.results),
             "agreement_matrix": self.agreement_matrix,
             "soundness_violations": self.soundness_violations,

@@ -22,7 +22,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import (TIER_FULL, Cts, Perm, clear_packed, concretize_lanes,
+from .cts import (TIER_FULL, Cts, clear_packed, concretize_lanes,
                   has_empty_lane, lane_layout, project_lanes, stack, unstack)
 from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
@@ -76,34 +76,8 @@ class Verdict:
 
 
 @dataclass
-class HsSystem:
-    """Shared pruned skeleton plus the same-name substructures.
-
-    `structures` are the k-1 member structures. `vsub` and `esub` map a
-    skeleton vertex or edge to its substructures, one per member,
-    stacked in one int: member i in lane i, over the permutation of
-    structures[i]. A tier j-1 edge's tuple is stored by each round of
-    tier j, which shifts the edge. `context` is the window geometry that
-    every same-name `unify` call on them reads (`unify.unify_context`,
-    its entries shared with every context); its `layout` and `perms` are
-    the lane `Layout` of those ints and the members' permutations.
-    `cts.unstack(x, structures)` gives the substructures back.
-    """
-
-    skeleton: TierGraph
-    basic_perm: Perm
-    structures: tuple[Cts, ...]
-    vsub: dict[Vertex, int] = field(default_factory=dict)
-    esub: dict[Edge, int] = field(default_factory=dict)
-    context: UnifyContext = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.context = unify_context(tuple(s.perm for s in self.structures))
-
-
-@dataclass
 class SepStats:
-    """Counters of one SEP run.
+    """Counters of one SEP run, kept on its `HsSystem`.
 
     `recompute_rounds` counts the repeated rounds: a round forming tier
     j runs again only when its prune removed a vertex below tier j.
@@ -122,12 +96,43 @@ class SepStats:
 
 
 @dataclass
+class HsSystem:
+    """The state of one SEP run: the basic structure, its pruned graph
+    as the shared skeleton, the same-name substructures and the run's
+    counters.
+
+    `structures` are the k-1 member structures. `vsub` and `esub` map a
+    skeleton vertex or edge to its substructures, one per member,
+    stacked in one int: member i in lane i, over the permutation of
+    structures[i]. A tier j-1 edge's tuple is stored by each round of
+    tier j, which shifts the edge. `context` is the window geometry that
+    every same-name `unify` call on them reads (`unify.unify_context`,
+    its entries shared with every context); its `layout` and `perms` are
+    the lane `Layout` of those ints and the members' permutations.
+    `cts.unstack(x, structures)` gives the substructures back. `stats`
+    counts what the run did (`SepStats`).
+    """
+
+    skeleton: TierGraph
+    basic: Cts
+    structures: tuple[Cts, ...]
+    vsub: dict[Vertex, int] = field(default_factory=dict)
+    esub: dict[Edge, int] = field(default_factory=dict)
+    stats: SepStats = field(default_factory=SepStats)
+    context: UnifyContext = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.context = unify_context(tuple(s.perm for s in self.structures))
+
+
+@dataclass
 class SepResult:
+    """How a SEP run ended, and its system, as the run left it."""
+
     outcome: str                      # "empty" | "early-sat" | "complete"
-    system: HsSystem | None = None
+    system: HsSystem
     empty_tier: int | None = None     # 1-based
     witness: Bits | None = None
-    stats: SepStats = field(default_factory=SepStats)
 
 
 def early_elementary_check(sub: Cts, basic: Cts,
@@ -142,8 +147,7 @@ def early_elementary_check(sub: Cts, basic: Cts,
     return None
 
 
-def _unify_same_name(x: int, since: int, system: HsSystem,
-                     stats: SepStats) -> int | None:
+def _unify_same_name(x: int, since: int, system: HsSystem) -> int | None:
     """Same-name substructures of all members, stacked in x, unified;
     None when one of them is or becomes empty. x is cleared, and `since`
     is a unify fixpoint that x refines lane by lane (see `unify`). The
@@ -158,11 +162,11 @@ def _unify_same_name(x: int, since: int, system: HsSystem,
     if lay.lanes == 1:
         return x
     result = unify(x, system.context, since=since)
-    stats.unify_waves += result.waves
+    system.stats.unify_waves += result.waves
     return result.packed
 
 
-def concordant_shift(system: HsSystem, edge: Edge, stats: SepStats,
+def concordant_shift(system: HsSystem, edge: Edge,
                      steps: list[int | None]) -> int | None:
     """Run the shift lockstep in every member, unifying same-name
     intermediate substructures; None when the system empties on this edge.
@@ -181,23 +185,23 @@ def concordant_shift(system: HsSystem, edge: Edge, stats: SepStats,
     if not steps:
         tail = vsub[(j, a)]
         x = concretize_lanes(tail, ctx.perms,
-                             system.basic_perm.window_values(j + 1, b)[2:],
+                             system.basic.perm.window_values(j + 1, b)[2:],
                              lay)
-        steps.append(_unify_same_name(x, tail, system, stats))
+        steps.append(_unify_same_name(x, tail, system))
     x = steps[-1]
     for s in range(len(steps) - 1, j):
         if x is None:
             break
         projected = project_lanes(x, (vsub[(s, c)] for c in codes(s)), lay)
-        x = _unify_same_name(projected, x, system, stats)
+        x = _unify_same_name(projected, x, system)
         steps.append(x)
     return x
 
 
-def _prune_system(system: HsSystem, stats: SepStats) -> int | None:
+def _prune_system(system: HsSystem) -> int | None:
     skeleton = system.skeleton
     removed, empty_tier = skeleton.prune()
-    stats.pruned_vertices += removed
+    system.stats.pruned_vertices += removed
     system.vsub = {v: s for v, s in system.vsub.items() if skeleton.has_vertex(v)}
     system.esub = {e: s for e, s in system.esub.items() if skeleton.has_edge(e)}
     return empty_tier
@@ -205,7 +209,6 @@ def _prune_system(system: HsSystem, stats: SepStats) -> int | None:
 
 def systemic_effective_procedure(
         basic: Cts, others: Sequence[Cts], formula: TabularFormula,
-        early_check: bool = True,
         sink=None) -> SepResult:
     """Form the hyperstructure system tier by tier in strict lockstep.
 
@@ -240,24 +243,26 @@ def systemic_effective_procedure(
     sets, so they still agree across structures and neither rule
     removes anything. The edge tuples are non-empty in every lane, and
     so is their union.
+
+    The result carries the system on every outcome, with the run's
+    counters in `system.stats`. Under a formula that no assignment
+    satisfies the early check finds no witness, so every tier is formed.
     """
     if not others:
         raise ValueError("need at least one non-basic structure")
-    stats = SepStats()
-    if any(s.is_empty for s in others):   # tier-0 seeds must be non-empty
-        return SepResult("empty", empty_tier=1, stats=stats)
     skeleton = basic_graph(basic)
-    system = HsSystem(skeleton=skeleton, basic_perm=basic.perm,
+    system = HsSystem(skeleton=skeleton, basic=basic,
                       structures=tuple(others))
-    whole = stack(system.structures)
+    if any(s.is_empty for s in others):   # tier-0 seeds must be non-empty
+        return SepResult("empty", system, empty_tier=1)
+    stats, whole = system.stats, stack(system.structures)
 
     for j in range(skeleton.tier_count):
         shifts: dict[Edge, list[int | None]] = {}   # each edge's steps
         while True:
             if j:
                 for e in list(skeleton.edges(j - 1)):
-                    x = concordant_shift(system, e, stats,
-                                         shifts.setdefault(e, []))
+                    x = concordant_shift(system, e, shifts.setdefault(e, []))
                     if x is None:
                         skeleton.remove_edge(e)
                         stats.pruned_edges += 1
@@ -275,28 +280,26 @@ def systemic_effective_procedure(
                     x = _unify_same_name(
                         concretize_lanes(
                             whole, system.context.perms,
-                            system.basic_perm.window_values(0, c),
+                            basic.perm.window_values(0, c),
                             system.context.layout),
-                        whole, system, stats)
+                        whole, system)
                 if not x:
                     skeleton.remove_vertex(v)
                     stats.pruned_vertices += 1
                     continue
                 system.vsub[v] = x
-                if early_check:
-                    # x is a unify fixpoint, so a variable has one value
-                    # set in every lane: lane 0 is elementary exactly
-                    # when every lane is, and they spell one assignment
-                    stats.early_checks += 1
-                    sub, = unstack(x, system.structures[:1])
-                    bits = early_elementary_check(sub, basic, formula)
-                    if bits is not None:
-                        return SepResult("early-sat", witness=bits,
-                                         stats=stats)
+                # x is a unify fixpoint, so a variable has one value set
+                # in every lane: lane 0 is elementary exactly when every
+                # lane is, and they spell one assignment
+                stats.early_checks += 1
+                sub, = unstack(x, system.structures[:1])
+                bits = early_elementary_check(sub, basic, formula)
+                if bits is not None:
+                    return SepResult("early-sat", system, witness=bits)
             below = skeleton.tiers[:j]
-            empty_tier = _prune_system(system, stats)
+            empty_tier = _prune_system(system)
             if empty_tier is not None:
-                return SepResult("empty", empty_tier=empty_tier, stats=stats)
+                return SepResult("empty", system, empty_tier=empty_tier)
             resume = next((s for s in range(j)
                            if skeleton.tiers[s] != below[s]), j)
             if resume == j:
@@ -309,7 +312,7 @@ def systemic_effective_procedure(
                             system.structures)
         _emit_tier(sink, system, j)
 
-    return SepResult("complete", system=system, stats=stats)
+    return SepResult("complete", system)
 
 
 def _emit_tier(sink, system: HsSystem, j: int) -> None:
@@ -330,13 +333,12 @@ class SystemExtraction:
     rejected: list[Bits]
 
 
-def extract_jss_system(system: HsSystem, basic: Cts,
-                       formula: TabularFormula,
+def extract_jss_system(system: HsSystem, formula: TabularFormula,
                        limit: int = 1) -> SystemExtraction:
     """Backward walk over the shared skeleton keeping every member's
     running intersection non-empty; each found assignment must lie in
-    the basic structure, in every member structure, and satisfy the
-    formula. Stops after `limit` assignments, so at the default the
+    the system's basic structure, in every member structure, and
+    satisfy the formula. Stops after `limit` assignments, so at the default the
     backtracks are the dead ends hit before the first witness.
 
     A complete route whose assignment fails those checks is skipped and
@@ -372,12 +374,12 @@ def extract_jss_system(system: HsSystem, basic: Cts,
         if j:
             todo.extend((j - 1, a, x) for a in reversed(skeleton.up((j, c))))
             continue
-        bits = system.basic_perm.assignment_of(route[::-1])
+        bits = system.basic.perm.assignment_of(route[::-1])
         if not all(r.is_elementary() and r.the_assignment() == bits
                    for r in unstack(x, system.structures)):
             raise ExtractionFailure(
                 "route labels disagree with the running intersection")
-        ok = (basic.contains_assignment(bits)
+        ok = (system.basic.contains_assignment(bits)
               and all(s.contains_assignment(bits) for s in system.structures)
               and formula.evaluate(bits) == 1)
         (found if ok else rejected).append(bits)
@@ -471,7 +473,7 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
             basic, others, formula, sink=sink)
     except InvariantViolation as exc:
         return _failure_verdict(detail, exc, exc.diagnostics)
-    detail["sep"] = asdict(result.stats)
+    detail["sep"] = asdict(result.system.stats)
     if result.outcome == "empty":
         return Verdict(UNSATISFIABLE, stage="sep", tier=result.empty_tier,
                        detail=detail)
@@ -480,7 +482,7 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
         return Verdict(SATISFIABLE, witness=result.witness, detail=detail)
 
     try:
-        extraction = extract_jss_system(result.system, basic, formula)
+        extraction = extract_jss_system(result.system, formula)
     except ExtractionFailure as exc:
         return _failure_verdict(detail, exc, _failure_bundle(result.system))
     detail["backtracks"] = extraction.backtracks

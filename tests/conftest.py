@@ -48,6 +48,15 @@ def scrambled(formula: TabularFormula, rng: random.Random) -> TabularFormula:
     return TabularFormula(formula.n, tuple(clauses))
 
 
+def unsatisfiable_formula(n: int) -> TabularFormula:
+    """The eight clauses over x1, x2, x3, so no assignment of the n
+    variables satisfies it. A SEP run given it finds no early witness
+    and forms every tier."""
+    return TabularFormula(n, tuple(
+        Clause(((1, c >> 2), (2, (c >> 1) & 1), (3, c & 1)))
+        for c in range(8)))
+
+
 def worked8_formula() -> TabularFormula:
     return TabularFormula(8, tuple(Clause(c) for c in tabledata.WORKED8_CLAUSES))
 

@@ -152,7 +152,7 @@ def naive_shift(system, edge):
     concretize the tail vertex's substructure on the variable the edge
     adds, then project onto every earlier tier in turn."""
     j, a, b = edge
-    var = system.basic_perm.order[j + 3]
+    var = system.basic.perm.order[j + 3]
     tail = unstack(system.vsub[(j, a)], system.structures)[0]
     current = naive_concretize(cts_to_sets(tail),
                                list(system.structures[0].perm.order), var, b & 1)

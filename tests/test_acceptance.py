@@ -22,7 +22,7 @@ from ctsat.sep import (SATISFIABLE, UNSATISFIABLE, classify,
 
 import conftest
 import tabledata
-from conftest import cts_from_rows
+from conftest import cts_from_rows, unsatisfiable_formula
 from naive import joint_sat_set, sat_set, unify_cts
 
 
@@ -102,16 +102,15 @@ def test_criterion_05_graph_and_route_reproduction(unified_pair):
     graph = basic_graph(unified_pair[0])
     assert [m.bit_count() for m in graph.tiers] == [2, 2, 2, 3, 2, 2]
     assert graph.edge_count() == 14
-    shell = TabularFormula(8, ())
     result = systemic_effective_procedure(unified_pair[0], [unified_pair[1]],
-                                          shell, early_check=False)
+                                          unsatisfiable_formula(8))
     assert result.outcome == "complete"
     system = result.system
     for key, rows in tabledata.HYPER_VERTEX_SUBS.items():
         expected = cts_from_rows(tabledata.PERM2, rows)
         sub, = unstack(system.vsub[key], system.structures)
         assert sub.tiers == expected.tiers, key
-    extraction = extract_jss_system(result.system, unified_pair[0], shell,
+    extraction = extract_jss_system(result.system, TabularFormula(8, ()),
                                     limit=32)
     as_p2 = sorted("".join(str(b[v - 1]) for v in tabledata.PERM2)
                    for b in extraction.assignments)
@@ -259,13 +258,12 @@ def test_criterion_09_existence_equivalences(tmp_path):
         k = 2 if trial % 2 == 0 else rng.choice((3, 4))
         structures = random_unified(n, k)
         joint = joint_sat_set(list(structures))
-        shell = TabularFormula(n, ())
         result = systemic_effective_procedure(
-            structures[0], list(structures[1:]), shell, early_check=False)
+            structures[0], list(structures[1:]), unsatisfiable_formula(n))
         empty = result.outcome == "empty"
         if not empty:
-            got = extract_jss_system(result.system, structures[0], shell)
-            # the shell formula rejects nothing: a rejected route spelled
+            got = extract_jss_system(result.system, TabularFormula(n, ()))
+            # a clause-less formula rejects nothing: a rejected route spelled
             # an assignment outside the basic or a member structure
             assert got.rejected == []
             assert got.assignments[0] in joint
@@ -306,8 +304,8 @@ def test_criterion_10_performance_and_bounds():
     unified = unify_cts(structures[:2])
     assert not unified.empty
     result = systemic_effective_procedure(
-        unified.structures[0], [unified.structures[1]], TabularFormula(n, ()),
-        early_check=False)
+        unified.structures[0], [unified.structures[1]],
+        unsatisfiable_formula(n))
     if result.outcome == "complete":
         system = result.system
         limit = 8 * (n - 2)

@@ -205,6 +205,18 @@ def test_difftest_rejects_bad_ranges(bad, message, tmp_path, capsys):
     assert not (tmp_path / "dt").exists()
 
 
+@pytest.mark.parametrize("bad", [["--n-range", "5..", "--m-range", "10..12"],
+                                 ["--n-range", "5..6", "--m-ratio", "3.."]],
+                         ids=["n_range", "m_ratio"])
+def test_difftest_refuses_a_range_with_an_empty_end(bad, tmp_path, capsys):
+    # `A` alone means `A..A`, but `A..` is an error, not `A..A`
+    with pytest.raises(SystemExit) as exc:
+        main(["difftest", *bad, "--count", "2", "--out", str(tmp_path / "dt")])
+    assert exc.value.code == 1
+    assert "invalid" in capsys.readouterr().err
+    assert not (tmp_path / "dt").exists()
+
+
 def test_trace_matches_golden_files(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", str(FIXTURES / "worked8.cnf"),
                        "--trace", str(tmp_path / "tr"),
@@ -308,3 +320,14 @@ def test_plan_file_errors(text, message, tmp_path, capsys):
         main(["classify", str(FIXTURES / "worked8.cnf"), "--plan", str(bad)])
     assert str(exc.value.code).startswith("%s: " % bad)
     assert message in str(exc.value.code)
+
+
+def test_rejected_plan_leaves_no_trace_directory(tmp_path, capsys):
+    bad = tmp_path / "plan.txt"
+    bad.write_text("perm: 1 2 3\nclauses: %s\n" % ALL_CLAUSES)
+    trace = tmp_path / "tr"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", str(FIXTURES / "worked8.cnf"), "--trace", str(trace),
+              "--plan", str(bad)])
+    assert "permutation of 3 variables for n=8" in str(exc.value.code)
+    assert not trace.exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -193,6 +194,21 @@ def test_difftest_reports_are_byte_reproducible(tmp_path):
     difftest(params, tmp_path / "b")
     assert (tmp_path / "a" / "report.json").read_bytes() == \
         (tmp_path / "b" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("params, digest", [
+    (DifftestParams(n_range=(5, 7), m_ratio=(3.0, 4.5), count=18, seed=99),
+     "0c854fc5c556f3a754b40ac577d5e1e195be538087b4957a2ca5ead4afdd0068"),
+    (DifftestParams(n_range=(5, 6), m_range=(15, 25), count=6, seed=4,
+                    negation_fraction=0.25, modes=("free", "sat")),
+     "860269b6ae16ceed5d07525a25ff94997ff56fd7bc79042cf38f8d6dbd9f1931"),
+], ids=["m_ratio", "m_range_modes"])
+def test_difftest_report_bytes_pinned(params, digest, tmp_path):
+    # the canonical report of fixed parameters, byte for byte: its
+    # params are the dataclass fields, tuples written as lists
+    difftest(params, tmp_path)
+    assert hashlib.sha256(
+        (tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
 
 def test_difftest_independent_of_worker_count(tmp_path):

@@ -14,11 +14,11 @@ from ctsat.cts import Cts, Perm, stack, unstack
 from ctsat.formula import TabularFormula
 from ctsat.hyper import (InvariantViolation, TierGraph, basic_graph,
                          check_tier_disjoint)
-from ctsat.sep import (HsSystem, SepStats, concordant_shift,
-                       extract_jss_system, systemic_effective_procedure)
+from ctsat.sep import (HsSystem, concordant_shift, extract_jss_system,
+                       systemic_effective_procedure)
 
 import tabledata
-from conftest import cts_from_rows
+from conftest import cts_from_rows, unsatisfiable_formula
 from naive import (adjoins, constant_of, cts_to_sets, joint_sat_set,
                    naive_project, naive_prune, naive_shift, unify_cts)
 
@@ -142,16 +142,16 @@ def test_graph_prune_matches_naive_cascade():
 # -- projection and shift --------------------------------------------------------
 #
 # The pair procedure is the systemic procedure with one member. Its runs
-# use a formula without clauses, so nothing filters the joint set, and
-# no early exit, so every tier gets formed.
+# get a formula that no assignment satisfies, so no early exit stops
+# them and every tier gets formed; extraction gets a formula without
+# clauses, so nothing filters the joint set.
 
 def pair_sep(s1: Cts, s2: Cts):
-    return systemic_effective_procedure(s1, [s2], TabularFormula(s1.n, ()),
-                                        early_check=False)
+    return systemic_effective_procedure(s1, [s2], unsatisfiable_formula(s1.n))
 
 
-def extract(system: HsSystem, basic: Cts, limit: int):
-    got = extract_jss_system(system, basic, TabularFormula(basic.n, ()),
+def extract(system: HsSystem, limit: int):
+    got = extract_jss_system(system, TabularFormula(system.basic.n, ()),
                              limit=limit)
     # the clause-less formula rejects nothing, so a rejected route spelled
     # an assignment outside the basic structure or the second structure
@@ -183,23 +183,23 @@ def test_project_contained_target_survives(unified_pair):
 def test_shift_first_tier_is_bare_concretization(unified_pair):
     system = build_pair_system(unified_pair)
     edge = (0, 0b001, 0b010)
-    new_var = system.basic_perm.order[3]
+    new_var = system.basic.perm.order[3]
     tail, = unstack(system.vsub[(0, 0b001)], system.structures)
     expected = tail.concretize(new_var, 0)
     assert unstack(system.esub[edge], system.structures) == (expected,)
-    got = concordant_shift(system, edge, SepStats(), [])
+    got = concordant_shift(system, edge, [])
     assert unstack(got, system.structures) == (expected,)
 
 
 def test_shift_empty_concretization_short_circuits(unified_pair):
     system = build_pair_system(unified_pair)
     # the substructure at (3, 101) pins the variable the next tier fixes
-    var = system.basic_perm.order[5]
+    var = system.basic.perm.order[5]
     sub, = unstack(system.vsub[(2, 0b101)], system.structures)
     assert constant_bit(sub, var) == 1
     # a hypothetical edge whose new-variable value contradicts the pin:
     # the concretization empties, so no projections run
-    assert concordant_shift(system, (2, 0b101, 0b010), SepStats(), []) is None
+    assert concordant_shift(system, (2, 0b101, 0b010), []) is None
 
 
 def constant_bit(s: Cts, var: int) -> int:
@@ -243,7 +243,7 @@ def test_shift_matches_naive_reimplementation():
         assert set(system.vsub) == set(system.skeleton.vertices())
         assert set(system.esub) == set(system.skeleton.edges())
         for edge in list(system.skeleton.edges()):
-            got = concordant_shift(system, edge, SepStats(), [])
+            got = concordant_shift(system, edge, [])
             assert got is not None
             sub, = unstack(got, system.structures)
             assert cts_to_sets(sub) == naive_shift(system, edge)
@@ -310,7 +310,7 @@ def test_effective_procedure_same_set_reencoded():
             continue
         result = pair_sep(*unified.structures)
         assert result.outcome == "complete"
-        got = extract(result.system, unified.structures[0], limit=5000)
+        got = extract(result.system, limit=5000)
         assert set(got.assignments) == joint_sat_set(list(unified.structures))
         hits += 1
     assert hits > 5
@@ -463,7 +463,7 @@ def test_pair_procedure_decides_joint_satisfiability(tmp_path):
                                "procedure_empty": empty})
         if not empty:
             # extraction soundness stays a hard assertion
-            got = extract(result.system, s1, limit=len(joint) + 5)
+            got = extract(result.system, limit=len(joint) + 5)
             assert set(got.assignments) <= joint
             assert got.assignments, "non-empty HS must yield a route"
     # equivalence violations are archived findings, never fatal
@@ -478,19 +478,19 @@ def test_pair_procedure_decides_joint_satisfiability(tmp_path):
 
 def test_extract_jss_reference_five_sets(unified_pair):
     system = build_pair_system(unified_pair)
-    got = extract(system, unified_pair[0], limit=10)
+    got = extract(system, limit=10)
     order = tabledata.PERM2
     as_p2 = sorted("".join(str(b[v - 1]) for v in order)
                    for b in got.assignments)
     assert as_p2 == tabledata.JOINT_SETS_P2
     # the first witness comes out without any search
-    first = extract(system, unified_pair[0], limit=1)
+    first = extract(system, limit=1)
     assert first.assignments == got.assignments[:1]
     assert first.backtracks == 0
 
 
 def test_extract_jss_limit_respected(unified_pair):
-    got = extract(build_pair_system(unified_pair), unified_pair[0], limit=2)
+    got = extract(build_pair_system(unified_pair), limit=2)
     assert len(got.assignments) == 2
 
 
@@ -501,7 +501,7 @@ def test_extract_jss_elementary_pair():
     s1 = Cts.from_assignment(bits, p1)
     s2 = Cts.from_assignment(bits, p2)
     result = pair_sep(s1, s2)
-    got = extract(result.system, s1, limit=3)
+    got = extract(result.system, limit=3)
     assert got.assignments == [bits]
 
 
@@ -513,7 +513,7 @@ def test_extract_jss_sound_and_complete_enough():
         joint = joint_sat_set([s1, s2])
         if result.outcome == "empty":
             continue
-        got = extract(result.system, s1, limit=3)
+        got = extract(result.system, limit=3)
         assert set(got.assignments) <= joint
         for bits in got.assignments:
             assert s1.contains_assignment(bits) and s2.contains_assignment(bits)

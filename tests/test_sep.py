@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -12,12 +13,14 @@ from ctsat.formula import (Clause, GenParams, TabularFormula,
 from ctsat.hyper import ExtractionFailure
 from ctsat.oracle import dpll
 from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
-                       SepStats, SoundnessError, SystemExtraction, classify,
-                       concordant_shift, early_elementary_check,
-                       extract_jss_system, systemic_effective_procedure)
+                       HsSystem, SepResult, SepStats, SoundnessError,
+                       SystemExtraction, classify, concordant_shift,
+                       early_elementary_check, extract_jss_system,
+                       systemic_effective_procedure)
 from ctsat.unify import unify
 
 import tabledata
+from conftest import unsatisfiable_formula
 from naive import (cts_to_sets, joint_sat_set, lanes, naive_concretize,
                    naive_project, naive_shift, reference_unify,
                    unify_cts, unstacked_result)
@@ -72,6 +75,49 @@ def test_sep_empty_member_empties_immediately(worked8, unified_triple):
     assert result.empty_tier == 1
 
 
+def test_sep_result_carries_its_system_and_counters(monkeypatch, worked8,
+                                                    unified_triple):
+    # every outcome returns the system as the run left it, its counters
+    # on it, and classify reports exactly those counters
+    import ctsat.sep as sep_mod
+
+    assert [f.name for f in fields(SepResult)] == [
+        "outcome", "system", "empty_tier", "witness"]
+    s1, s2, _ = unified_triple
+    result = systemic_effective_procedure(s1, [Cts.empty(s2.perm)], worked8)
+    assert (result.outcome, result.empty_tier) == ("empty", 1)
+    system = result.system
+    assert system.basic is s1 and system.structures == (Cts.empty(s2.perm),)
+    assert system.stats == SepStats() and not system.vsub
+
+    procedure, results = sep_mod.systemic_effective_procedure, []
+
+    def recording(*args, **kwargs):
+        results.append(procedure(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(sep_mod, "systemic_effective_procedure", recording)
+    for (n, m, mode, seed), outcome in [
+            ((14, 56, "free", 20240646), "empty"),
+            ((5, 16, "sat", 20240671), "early-sat"),
+            ((8, 26, "sat", 20240722), "complete")]:
+        del results[:]
+        verdict = classify(generate(GenParams(n=n, m=m, mode=mode,
+                                              seed=seed)))
+        (result,) = results
+        assert result.outcome == outcome
+        system, stats = result.system, result.system.stats
+        assert isinstance(system, HsSystem) and system.basic.n == n
+        assert verdict.detail["sep"] == asdict(stats)
+        assert stats.early_checks > 0
+        if outcome == "empty":   # emptied by a prune
+            assert verdict.tier == result.empty_tier and stats.pruned_vertices
+        elif outcome == "early-sat":
+            assert verdict.witness == result.witness
+        else:
+            assert set(system.vsub) == set(system.skeleton.vertices())
+
+
 def random_unified_system(rng: random.Random, n: int, k: int,
                           density: float = 0.8):
     while True:
@@ -92,11 +138,6 @@ def random_unified_system(rng: random.Random, n: int, k: int,
             return result.structures
 
 
-def dummy_formula(n: int) -> TabularFormula:
-    """A tautologically irrelevant formula shell for direct SEP runs."""
-    return TabularFormula(n, ())
-
-
 def k2_systems():
     """Complete two-structure systems over random unified pairs. An
     emptied system must have an empty joint set; a complete one must
@@ -106,14 +147,13 @@ def k2_systems():
         n = rng.randint(5, 10)
         s1, s2 = random_unified_system(rng, n, 2)
         joint = joint_sat_set([s1, s2])
-        sep = systemic_effective_procedure(s1, [s2], dummy_formula(n),
-                                           early_check=False)
+        sep = systemic_effective_procedure(s1, [s2], unsatisfiable_formula(n))
         if sep.outcome == "empty":
             assert 1 <= sep.empty_tier <= n - 2
             assert not joint
             continue
         assert sep.outcome == "complete"
-        extraction = extract_jss_system(sep.system, s1, dummy_formula(n),
+        extraction = extract_jss_system(sep.system, TabularFormula(n, ()),
                                         limit=len(joint) + 1)
         assert extraction.rejected == []
         assert set(extraction.assignments) == joint
@@ -127,7 +167,7 @@ def test_sep_k2_vertex_substructures_are_incoming_unions():
         for (j, c), x in system.vsub.items():
             sub, = unstack(x, system.structures)
             if j == 0:
-                pairs = system.basic_perm.window_values(j, c)
+                pairs = system.basic.perm.window_values(j, c)
                 assert sub == s2.concretize_many(pairs)
                 continue
             edges = [unstack(system.esub[(j - 1, a, c)], system.structures)[0]
@@ -158,19 +198,19 @@ def test_concordant_shift_conflicting_constants_removes_edge():
     while True:
         n = 6
         s1, s2, s3 = random_unified_system(rng, n, 3)
-        sep = systemic_effective_procedure(s1, [s2, s3], dummy_formula(n),
-                                           early_check=False)
+        sep = systemic_effective_procedure(s1, [s2, s3],
+                                           unsatisfiable_formula(n))
         if sep.outcome != "complete":
             continue
         system = sep.system
         edge = next(iter(system.skeleton.edges(0)))
-        var = system.basic_perm.order[3]
+        var = system.basic.perm.order[3]
         first, second = unstack(system.vsub[(0, edge[1])], system.structures)
         forced0 = first.concretize(var, 1 - (edge[2] & 1))
         if forced0.is_empty:
             continue
         system.vsub[(0, edge[1])] = stack((forced0, second))
-        assert concordant_shift(system, edge, SepStats(), []) is None
+        assert concordant_shift(system, edge, []) is None
         break
 
 
@@ -182,7 +222,7 @@ def reference_shift_steps(system, edge, tiers=None):
     member empties) and the number of projection steps that removed a
     line from some member."""
     j, a, b = edge
-    var = system.basic_perm.order[j + 3]
+    var = system.basic.perm.order[j + 3]
     perms = [s.perm for s in system.structures]
 
     def unified(subs):
@@ -235,13 +275,12 @@ def test_project_lanes_matches_naive_project_member_by_member():
         structures = random_unified_system(rng, n, rng.randint(3, 5),
                                            density=0.85)
         sep = systemic_effective_procedure(structures[0], structures[1:],
-                                           dummy_formula(n),
-                                           early_check=False)
+                                           unsatisfiable_formula(n))
         if sep.outcome != "complete":
             continue
         system = sep.system
         for j, a, b in system.skeleton.edges():
-            var = system.basic_perm.order[j + 3]
+            var = system.basic.perm.order[j + 3]
             subs = tuple(sub.concretize(var, b & 1) for sub in
                          unstack(system.vsub[(j, a)], system.structures))
             if any(sub.is_empty for sub in subs):
@@ -267,8 +306,7 @@ def test_concordant_shift_k3_projects_onto_tier_1():
     # several edges
     n = 8
     s1, s2, s3 = random_unified_system(random.Random(30), n, 3, density=0.85)
-    sep = systemic_effective_procedure(s1, [s2, s3], dummy_formula(n),
-                                       early_check=False)
+    sep = systemic_effective_procedure(s1, [s2, s3], unsatisfiable_formula(n))
     assert sep.outcome == "complete"
     system = sep.system
     biting = 0
@@ -292,8 +330,8 @@ def test_concordant_shift_projects_onto_the_tier_below_the_edge(monkeypatch):
     original = sep_mod.concordant_shift
     biting = []
 
-    def checked(system, edge, stats, steps):
-        subs = original(system, edge, stats, steps)
+    def checked(system, edge, steps):
+        subs = original(system, edge, steps)
         expected = reference_concordant_shift(system, edge)
         assert stored(system, subs) == expected, edge
         j = edge[0]
@@ -329,15 +367,15 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
     original = sep_mod.concordant_shift
     kept = skipped = unchanged = 0
 
-    def checked(system, edge, stats, steps):
+    def checked(system, edge, steps):
         nonlocal kept, skipped, unchanged
         _, changing = reference_shift_steps(system, edge)
         j, a, b = edge
-        var = system.basic_perm.order[j + 3]
+        var = system.basic.perm.order[j + 3]
         concretized = any(sub.concretize(var, b & 1) != sub for sub in
                           unstack(system.vsub[(j, a)], system.structures))
         del calls[:]
-        subs = original(system, edge, stats, steps)
+        subs = original(system, edge, steps)
         if subs is None:
             assert len(calls) <= concretized + changing
         else:
@@ -348,8 +386,7 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
         return subs
 
     monkeypatch.setattr(sep_mod, "concordant_shift", checked)
-    sep = systemic_effective_procedure(s1, [s2, s3], dummy_formula(n),
-                                       early_check=False)
+    sep = systemic_effective_procedure(s1, [s2, s3], unsatisfiable_formula(n))
     assert sep.outcome == "complete"
     assert kept >= 10 and skipped >= 10 and unchanged >= 1
 
@@ -462,27 +499,27 @@ def sep_rounds(monkeypatch):
     state = {}
     rounds = []
 
-    def counting_shift(system, edge, stats, steps):
+    def counting_shift(system, edge, steps):
         state["shifted"] += 1
         state["in_shift"] = True
         try:
-            return shift(system, edge, stats, steps)
+            return shift(system, edge, steps)
         finally:
             state["in_shift"] = False
 
-    def counting_unify(x, since, system, stats):
+    def counting_unify(x, since, system):
         state["steps"] += state["in_shift"]
-        return same_name(x, since, system, stats)
+        return same_name(x, since, system)
 
-    def recording_prune(system, stats):
+    def recording_prune(system):
         j, skeleton = state["tier"], system.skeleton
         kept = j > 0 and not state["steps"]
         if kept:
             for edge in skeleton.edges(j - 1):
-                assert (shift(system, edge, SepStats(), [])
+                assert (shift(system, edge, [])
                         == system.esub[edge]), edge
         before = skeleton.tiers[:j]
-        empty = prune(system, stats)
+        empty = prune(system)
         rounds.append((j, before, skeleton.tiers[:j], empty,
                        state["shifted"], kept))
         state.update(shifted=0, steps=0)
@@ -576,13 +613,13 @@ def test_sep_repeat_reads_the_tuples_and_edges_of_the_round_before(
     shifted = set()
     seen = []   # per round: edges shifted, vsub before and after the prune
 
-    def recording_shift(system, edge, stats, steps):
+    def recording_shift(system, edge, steps):
         shifted.add(edge)
-        return shift(system, edge, stats, steps)
+        return shift(system, edge, steps)
 
-    def recording_prune(system, stats):
+    def recording_prune(system):
         before = dict(system.vsub)
-        empty = prune(system, stats)
+        empty = prune(system)
         seen.append((set(shifted), before, dict(system.vsub)))
         shifted.clear()
         return empty
@@ -645,9 +682,9 @@ def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
     sep_calls = calls[1:]   # the first is the top-level unify
     assert len(set(sep_calls)) == len(sep_calls)
 
-    def missing(system, edge, stats, steps):
+    def missing(system, edge, steps):
         del steps[:]   # nothing is kept
-        return shift(system, edge, stats, steps)
+        return shift(system, edge, steps)
 
     monkeypatch.setattr(sep_mod, "concordant_shift", missing)
     del calls[:]
@@ -673,8 +710,8 @@ def test_concordant_shift_resumes_from_the_first_changed_tier():
         n = rng.randint(7, 11)
         s1, *others = random_unified_system(rng, n, rng.randint(3, 4),
                                             density=0.85)
-        result = systemic_effective_procedure(s1, others, dummy_formula(n),
-                                              early_check=False)
+        result = systemic_effective_procedure(s1, others,
+                                              unsatisfiable_formula(n))
         if result.outcome != "complete":
             continue
         system = result.system
@@ -688,11 +725,11 @@ def test_concordant_shift_resumes_from_the_first_changed_tier():
         if len(codes) < 2:
             continue
         steps = []
-        concordant_shift(system, edge, SepStats(), steps)
+        concordant_shift(system, edge, steps)
         skeleton.remove_vertex((tier, rng.choice(codes)))
         del steps[tier + 1:]   # keep the steps onto the tiers below it
-        got = concordant_shift(system, edge, SepStats(), steps)
-        assert got == concordant_shift(system, edge, SepStats(), [])
+        got = concordant_shift(system, edge, steps)
+        assert got == concordant_shift(system, edge, [])
         resumed += 1
         changed += got != system.esub[edge]
     assert changed > 50
@@ -747,12 +784,12 @@ def test_sep_joint_sets_preserved_k3():
         structures = random_unified_system(rng, n, 3)
         joint = joint_sat_set(list(structures))
         s1, rest = structures[0], list(structures[1:])
-        result = systemic_effective_procedure(s1, rest, dummy_formula(n),
-                                              early_check=False)
+        result = systemic_effective_procedure(s1, rest,
+                                              unsatisfiable_formula(n))
         if result.outcome == "empty":
             assert not joint
             continue
-        extraction = extract_jss_system(result.system, s1, dummy_formula(n))
+        extraction = extract_jss_system(result.system, TabularFormula(n, ()))
         assert extraction.rejected == []
         assert extraction.assignments[0] in joint
         hits += 1
@@ -766,19 +803,17 @@ def test_extract_jss_system_elementary():
     p3 = Perm((6, 5, 4, 3, 2, 1))
     s1 = Cts.from_assignment(bits, p1)
     others = [Cts.from_assignment(bits, p) for p in (p2, p3)]
-    result = systemic_effective_procedure(s1, others, dummy_formula(6),
-                                          early_check=False)
+    result = systemic_effective_procedure(s1, others, unsatisfiable_formula(6))
     assert result.outcome == "complete"
-    extraction = extract_jss_system(result.system, s1, dummy_formula(6))
+    extraction = extract_jss_system(result.system, TabularFormula(6, ()))
     assert extraction.assignments == [bits]
 
 
 def test_extract_jss_system_k2_reference(worked8, unified_pair):
     s1, s2 = unified_pair
-    result = systemic_effective_procedure(s1, [s2], worked8,
-                                          early_check=False)
+    result = systemic_effective_procedure(s1, [s2], unsatisfiable_formula(8))
     assert result.outcome == "complete"
-    extraction = extract_jss_system(result.system, s1, worked8)
+    extraction = extract_jss_system(result.system, worked8)
     order = tabledata.PERM2
     as_p2 = "".join(str(extraction.assignments[0][v - 1]) for v in order)
     assert as_p2 in tabledata.JOINT_SETS_P2
@@ -786,16 +821,16 @@ def test_extract_jss_system_k2_reference(worked8, unified_pair):
 
 def test_extract_jss_system_reports_rejected_candidates(unified_pair):
     s1, s2 = unified_pair
-    shell = dummy_formula(8)
-    result = systemic_effective_procedure(s1, [s2], shell, early_check=False)
+    result = systemic_effective_procedure(s1, [s2], unsatisfiable_formula(8))
     assert result.outcome == "complete"
-    first = extract_jss_system(result.system, s1, shell).assignments[0]
+    first = extract_jss_system(result.system,
+                               TabularFormula(8, ())).assignments[0]
     # a clause falsified by the first route's assignment
     formula = TabularFormula(8, (Clause(((1, first[0]), (2, first[1]),
                                          (3, first[2]))),))
     joint = joint_sat_set([s1, s2])
     assert any(formula.evaluate(b) for b in joint)
-    got = extract_jss_system(result.system, s1, formula)
+    got = extract_jss_system(result.system, formula)
     assert got.rejected and got.rejected[0] == first
     for bits in got.rejected:
         assert bits in joint and formula.evaluate(bits) == 0
@@ -805,15 +840,14 @@ def test_extract_jss_system_reports_rejected_candidates(unified_pair):
 
 def test_extract_jss_system_checks_route_labels(unified_pair):
     s1, s2 = unified_pair
-    result = systemic_effective_procedure(s1, [s2], dummy_formula(8),
-                                          early_check=False)
+    result = systemic_effective_procedure(s1, [s2], unsatisfiable_formula(8))
     system = result.system
     # every vertex substructure widened to the whole structure: the running
     # intersections never empty, but no longer pin a single assignment
     for v in system.vsub:
         system.vsub[v] = stack(system.structures)
     with pytest.raises(ExtractionFailure, match="route labels disagree"):
-        extract_jss_system(result.system, s1, dummy_formula(8))
+        extract_jss_system(result.system, TabularFormula(8, ()))
 
 
 def test_extraction_depth_is_not_bounded_by_the_recursion_limit():
@@ -1016,7 +1050,7 @@ def test_classify_surfaces_extraction_failure(monkeypatch):
     # fail and check the diagnostics bundle comes through
     import ctsat.sep as sep_mod
 
-    def broken_extract(system, basic, formula):
+    def broken_extract(system, formula):
         raise ExtractionFailure("forced for the test")
 
     monkeypatch.setattr(sep_mod, "extract_jss_system", broken_extract)
@@ -1048,7 +1082,7 @@ def test_failure_bundle_keeps_the_last_tier_and_a_digest(monkeypatch):
         systems.append(result.system)
         return result
 
-    def broken_extract(system, basic, formula):
+    def broken_extract(system, formula):
         raise ExtractionFailure("forced for the test")
 
     monkeypatch.setattr(sep_mod, "systemic_effective_procedure", recording)
@@ -1151,6 +1185,6 @@ def test_classify_rejects_a_corrupted_witness(exit_name, monkeypatch):
     elif exit_name == "extract":
         monkeypatch.setattr(
             sep_mod, "extract_jss_system",
-            lambda system, basic, formula: SystemExtraction([bad], 0, []))
+            lambda system, formula: SystemExtraction([bad], 0, []))
     with pytest.raises(SoundnessError, match=bits_to_string(bad)):
         classify(formula)
