@@ -23,14 +23,16 @@ several lanes repeats its constants in every lane, and a lane may hold
 a structure over its own permutation. The systemic procedure
 (`ctsat.sep`) stores each same-name tuple this way, one int per
 skeleton vertex and edge, and works on that int directly: a lane is
-dead when it has an empty tier (`has_empty_lane`), `concretize_lanes`
-fixes variables in every lane with one mask and one clear (it forms
-every tier-0 vertex tuple and every shift's concretization;
-`Cts.concretize_many` is its one-lane case and has no pipeline
-caller), `project_lanes` projects a tuple with one AND and one clear
-per target tuple, and a union of tuples is one OR. `ctsat.unify`
-edits the bytes of such an int, one lane at a time. `unstack` gives
-the structures back where they are needed one by one.
+dead when it has an empty tier (`has_empty_lane`), `project_lanes`
+projects a tuple with one AND and one clear per target tuple, and a
+union of tuples is one OR. `ctsat.unify` edits the bytes of such an
+int, one lane at a time; it also fixes the variables of a tier-0 vertex
+tuple and of a shift's concretization, clearing outward from the
+restricted windows. `concretize_lanes` fixes variables in every lane
+with one mask and one clear: the SEP uses it for a lone member only,
+and `Cts.concretize_many` is its one-lane case with no pipeline
+caller. `unstack` gives the structures back where they are needed one
+by one.
 
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty

@@ -29,7 +29,7 @@ from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
 from .formula import Bits, TabularFormula, bits_to_string
 from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
                     Vertex, basic_graph, check_tier_disjoint)
-from .unify import UnifyContext, unify, unify_context
+from .unify import UnifyContext, fix_effect, unify, unify_context
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -147,21 +147,39 @@ def early_elementary_check(sub: Cts, basic: Cts,
     return None
 
 
-def _unify_same_name(x: int, since: int, system: HsSystem) -> int | None:
+def _unify_same_name(x: int, since: int, system: HsSystem,
+                     fix: Sequence[tuple[int, int]] = ()) -> int | None:
     """Same-name substructures of all members, stacked in x, unified;
     None when one of them is or becomes empty. x is cleared, and `since`
-    is a unify fixpoint that x refines lane by lane (see `unify`). The
-    one skip rule: no call for x equal to `since` (a non-empty fixpoint,
-    so tested first) or for a lone member, whose cleared lane is its
-    own fixpoint."""
-    if x == since:
-        return x
-    lay = system.context.layout
-    if has_empty_lane(x, lay):
-        return None
-    if lay.lanes == 1:
-        return x
-    result = unify(x, system.context, since=since)
+    is a unify fixpoint that x refines lane by lane (see `unify`).
+
+    With `fix`, x is `since`, and the result is x concretized on the
+    (variable, value) pairs of `fix` in every member and unified, in
+    one `unify` call on x's bytes. A fixpoint shows each variable's
+    value set in lane 0 as in every lane, so lane 0 decides before any
+    call whether the fix empties every member or removes nothing
+    (`fix_effect`).
+
+    The skip rules: no call when nothing changes (x equal to `since`,
+    a non-empty fixpoint, so tested first, or a fix that removes
+    nothing), when a member is empty, or for a lone member, whose
+    cleared lane is its own fixpoint."""
+    ctx = system.context
+    lay = ctx.layout
+    if fix:
+        removes = fix_effect(x, ctx, fix)
+        if not removes:
+            return None if removes is None else x
+        if lay.lanes == 1:
+            return concretize_lanes(x, ctx.perms, fix, lay) or None
+    else:
+        if x == since:
+            return x
+        if has_empty_lane(x, lay):
+            return None
+        if lay.lanes == 1:
+            return x
+    result = unify(x, ctx, since=since, fix=fix)
     system.stats.unify_waves += result.waves
     return result.packed
 
@@ -180,14 +198,13 @@ def concordant_shift(system: HsSystem, edge: Edge,
     s's codes and vertex tuples, so steps kept while those are unchanged
     are what a shift from scratch would make."""
     j, a, b = edge
-    ctx, vsub, codes = system.context, system.vsub, system.skeleton.codes
-    lay = ctx.layout
+    vsub, codes = system.vsub, system.skeleton.codes
+    lay = system.context.layout
     if not steps:
         tail = vsub[(j, a)]
-        x = concretize_lanes(tail, ctx.perms,
-                             system.basic.perm.window_values(j + 1, b)[2:],
-                             lay)
-        steps.append(_unify_same_name(x, tail, system))
+        steps.append(_unify_same_name(
+            tail, tail, system,
+            fix=system.basic.perm.window_values(j + 1, b)[2:]))
     x = steps[-1]
     for s in range(len(steps) - 1, j):
         if x is None:
@@ -214,25 +231,29 @@ def systemic_effective_procedure(
 
     The basic graph doubles as the shared skeleton; every removal is
     joint (rule C is automatic). A round forms tier j: it shifts the
-    tier j-1 edges, forms each tier-j vertex tuple (concretized from the
-    basic vertex and unified in the first tier, the union of its
-    incoming edge tuples, one OR, in later ones), early-checks it, and
-    prunes. A round reads only the tuples and codes below tier j and the
-    links into tier j, so it is repeated only when the prune changed a
-    tier below j; `resume` is the first tier it changed. The rounds of
-    tier j keep each tier j-1 edge's shift steps (`concordant_shift`).
-    A shift reads only its tail tuple and the tuples and codes below
-    tier j-1. No round of tier j rewrites a tuple below tier j, it only
-    removes some, and only the prune removes vertices below tier j. So
-    a repeated round keeps each edge's concretization and its
-    projection steps onto the tiers below `resume`, and runs the rest
-    again. The early elementary check can short-circuit the whole run
-    with a witness.
+    tier j-1 edges, forms each tier-j vertex tuple (the members
+    concretized on the basic vertex and unified, in one call, in the
+    first tier, the union of its incoming edge tuples, one OR, in later
+    ones), early-checks it, and prunes. A round reads only the tuples
+    and codes below tier j and the links into tier j, so it is repeated
+    only when the prune changed a tier below j; `resume` is the first
+    tier it changed. The rounds of tier j keep each tier j-1 edge's
+    shift steps (`concordant_shift`). A shift reads only its tail tuple
+    and the tuples and codes below tier j-1. No round of tier j rewrites
+    a tuple below tier j, it only removes some, and only the prune
+    removes vertices below tier j. So a repeated round keeps each edge's
+    concretization and its projection steps onto the tiers below
+    `resume`, and runs the rest again. The early elementary check can
+    short-circuit the whole run with a witness.
 
     Every concretization and projection goes through
     `_unify_same_name`, seeded with a fixpoint its input refines, and
-    every input is cleared: a concretization or a projection of a
-    cleared tuple. A tier-j vertex tuple after the first tier needs no
+    every input is cleared. A concretization, of the stacked members
+    for a tier-0 vertex or of a shift's tail tuple, passes the fixpoint
+    itself with the variables to fix, which `unify` restricts and
+    clears outward from in its byte buffer before the first wave; a
+    projection step passes the cleared projection of the tuple before
+    it. A tier-j vertex tuple after the first tier needs no
     unify step, because a tier-wise union of unify fixpoints over the
     same permutations is one. At a fixpoint the two rules agree
     everywhere: each variable shows the same value set in every
@@ -278,11 +299,8 @@ def systemic_effective_procedure(
                         x |= system.esub[(j - 1, a, c)]
                 else:
                     x = _unify_same_name(
-                        concretize_lanes(
-                            whole, system.context.perms,
-                            basic.perm.window_values(0, c),
-                            system.context.layout),
-                        whole, system)
+                        whole, whole, system,
+                        fix=basic.perm.window_values(0, c))
                 if not x:
                     skeleton.remove_vertex(v)
                     stats.pruned_vertices += 1

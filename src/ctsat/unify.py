@@ -39,7 +39,8 @@ from itertools import accumulate, compress
 from operator import or_
 from typing import Iterator, Sequence
 
-from .cts import _KEEP, _PRED, _SUCC, Cts, Perm, has_empty_lane, layout
+from .cts import (_KEEP, _PRED, _SUCC, TIER_FULL, Cts, Perm, has_empty_lane,
+                  layout)
 
 CAUSE_EMPTY_INPUT = "empty-input"
 CAUSE_CONSTANT_CONFLICT = "constant-conflict"
@@ -291,7 +292,27 @@ def unify_context(perms: tuple[Perm, ...]) -> UnifyContext:
     return UnifyContext(perms)
 
 
-def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
+def fix_effect(x: int, ctx: UnifyContext,
+               fix: Sequence[tuple[int, int]]) -> bool | None:
+    """Whether fixing each (variable, value) pair of `fix` in every lane
+    of x, a unify fixpoint over `ctx.perms`, removes a line: None when
+    some variable lacks its value, so that every lane empties, and
+    False when every variable already shows its value alone. A fixpoint
+    shows each variable's value set alike in every lane, so lane 0's
+    windows decide, read from the int with no buffer built."""
+    reads = ctx.reads[0]
+    removes = False
+    for var, value in fix:
+        b, row, _, _, _, _ = reads[var - 1]
+        seen = row[x >> 8 * b & TIER_FULL]
+        if not seen >> value & 1:
+            return None
+        removes = removes or seen == 3
+    return removes
+
+
+def unify(x: int, ctx: UnifyContext, since: int, sink=None,
+          fix: Sequence[tuple[int, int]] = ()) -> UnifyResult:
     """Fixpoint of the joint transformation rules over a stacked system.
 
     x holds the structures side by side, structure i in lane i over
@@ -307,6 +328,15 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
     (x | since != since) raises `ValueError`. The complete system
     (every tier full) is a fixpoint that every cleared input refines,
     and the caller with no closer one passes it.
+
+    `fix` holds (variable, value) pairs to fix in every lane before the
+    first wave. The result is, field for field, that of a call without
+    `fix` on x concretized on them in every lane
+    (`cts.concretize_lanes`, one mask and a full clear). Here each
+    lane's lowest window of each variable is restricted in the buffer
+    and cleared outward from it (`settle`), lane by lane; a lane that
+    empties there ends the call with `CAUSE_EMPTY_INPUT` and that lane,
+    the first one the concretized input would show empty.
 
     The masks live in one bytearray, the bytes of x: tier t of lane i
     at byte i * tiers + t. Each wave applies rule 1 to the lanes changed
@@ -324,9 +354,15 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
     value set, a pair home's combination set. `settle` reports the
     tiers of a removal whose value sets and whose combination sets
     changed, comparing each rewritten tier's mask before and after
-    through `_READS_FIRST` and `_READS_LATER`, and the first
-    wave makes the same test on the bytes where x and `since` differ.
-    Skipping a window that is not stale changes nothing:
+    through `_READS_FIRST` and `_READS_LATER`. The first wave's stale
+    windows are those of the same test on the bytes where x and `since`
+    differ, and those that `settle` reports for the fix. A read only
+    loses bits as its mask shrinks, so a window whose reads changed in
+    some fix step differs from `since` at the end, and the marks are
+    the ones a scan of the concretized input would make. The fixed
+    variables are marked fixed at once: they are constant in every lane
+    after the fix, so a read of them writes nothing. Skipping a window
+    that is not stale changes nothing:
       - a variable window with its value set unchanged showed both
         values at its last read, and still does; or its variable was
         concretized everywhere then, is fixed and is never read again;
@@ -360,22 +396,43 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None) -> UnifyResult:
     reads, writes, pair_entries = ctx.reads, ctx.writes, ctx.pair_entries
     var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
     buf = bytearray(x.to_bytes(size, "little"))
-    seed = since.to_bytes(size, "little")
     stale_vars = [0] * k
     stale_pairs = 0
-    for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
-        i, t = divmod(b, tiers)
-        view = _READS_LATER if t else _READS_FIRST
-        d = view[seed[b]] ^ view[buf[b]]
-        if d:
-            pb = pair_bits[i]
-            stale_pairs |= pb[t + 1] ^ pb[t]
-            if d & _VALUES:
-                vb = var_bits[i]
-                stale_vars[i] |= vb[t + 1] ^ vb[t]
+    if x != since:
+        seed = since.to_bytes(size, "little")
+        for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
+            i, t = divmod(b, tiers)
+            view = _READS_LATER if t else _READS_FIRST
+            d = view[seed[b]] ^ view[buf[b]]
+            if d:
+                pb = pair_bits[i]
+                stale_pairs |= pb[t + 1] ^ pb[t]
+                if d & _VALUES:
+                    vb = var_bits[i]
+                    stale_vars[i] |= vb[t + 1] ^ vb[t]
+    fixed = 0   # bit var-1 of every variable concretized everywhere
+    if fix:
+        for var, _ in fix:
+            fixed |= 1 << var - 1
+        for i in range(k):
+            vb, pb, lane = var_bits[i], pair_bits[i], reads[i]
+            for var, value in fix:
+                b, _, keep, _, start, j = lane[var - 1]
+                old = buf[b]
+                kept = old & keep[value]
+                if kept == old:
+                    continue
+                buf[b] = kept
+                lo, _, vlo, vhi, plo, phi = settle(buf, start, j, tiers,
+                                                   old)
+                if lo is None:
+                    return UnifyResult(None, waves=0,
+                                       cause=CAUSE_EMPTY_INPUT,
+                                       structure_index=i)
+                stale_vars[i] |= (vb[vhi + 1] ^ vb[vlo]) & ~fixed
+                stale_pairs |= pb[phi + 1] ^ pb[plo]
     if sink is not None:
         _emit_wave(sink, ctx, buf, 0)
-    fixed = 0   # bit var-1 of every variable concretized everywhere
     waves = 0
     dirty = set(range(k))
     while dirty:

@@ -7,8 +7,10 @@ structures' tier masks directly: `constant_of` and `pair_relation`,
 which state unify's fixpoint per structure, and `reference_unify`, the
 full-scan form of `unify` on the same bitmask tables, kept to check the
 change-driven one field for field. The systemic procedure's stored
-tuples are read through `cts.unstack`, one structure per member, and
-`unify_cts` calls `unify` on a sequence of structures.
+tuples are read through `cts.unstack`, one structure per member,
+`unify_cts` calls `unify` on a sequence of structures, and
+`concretize_then_unify` is the SEP's same-name step with a fix made by
+`concretize_lanes` before the call.
 `naive_decompose` builds its CTFs with `Ctf.from_clauses`, clause by
 clause.
 """
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from ctsat.cts import Cts, Perm, stack, unstack
+from ctsat.cts import (Cts, Perm, concretize_lanes, has_empty_lane, stack,
+                       unstack)
 from ctsat.decompose import Ctf, DecompositionReport
 from ctsat.unify import UnifyContext, unify
 
@@ -450,3 +453,25 @@ def reference_unify(structures) -> Unified:
 
     return Unified(tuple(Cts(s.perm, m) for s, m in zip(current, masks)),
                    waves=waves)
+
+
+def concretize_then_unify(x, since, system, fix=()):
+    """`ctsat.sep._unify_same_name` in two steps: x concretized on the
+    pairs of `fix` in every lane with `concretize_lanes`, a full clear,
+    then the skips for a tuple equal to `since`, an empty member and a
+    lone member, then `unify` seeded with `since`, its waves added to
+    the system's counters. The SEP must store the same tuples and
+    counters with either form."""
+    ctx = system.context
+    lay = ctx.layout
+    if fix:
+        x = concretize_lanes(x, ctx.perms, fix, lay)
+    if x == since:
+        return x
+    if has_empty_lane(x, lay):
+        return None
+    if lay.lanes == 1:
+        return x
+    result = unify(x, ctx, since=since)
+    system.stats.unify_waves += result.waves
+    return result.packed

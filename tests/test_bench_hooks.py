@@ -67,10 +67,10 @@ def test_traced_classification_records_sep_spans(tracer_mod):
     assert tracer.unify_waves["sep.unify"] == traced.detail["sep"]["unify_waves"]
 
     # this instance reaches extraction; the SEP works on stacked tuples
-    # (cts.concretize_lanes in every tier, project_lanes, one OR per
-    # union and lane clears in extraction), so of the traced primitives
-    # only decompose's clear_masks is called, and never Cts.union,
-    # Cts.intersect or Cts.concretize_many
+    # (concretizations fixed inside unify's buffer, project_lanes, one
+    # OR per union and lane clears in extraction), so of the traced
+    # primitives only decompose's clear_masks is called, and never
+    # Cts.union, Cts.intersect or Cts.concretize_many
     formula = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))
     untraced = classify(formula)
     tracer.install()

@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 
 import pytest
 
-from ctsat.cts import Cts, Perm, project_lanes, stack, unstack
+from ctsat.cts import (Cts, Perm, concretize_lanes, project_lanes, stack,
+                       unstack)
 from ctsat.formula import (Clause, GenParams, TabularFormula,
                            bits_from_string, bits_to_string, generate)
 from ctsat.hyper import ExtractionFailure
@@ -21,9 +23,9 @@ from ctsat.unify import unify
 
 import tabledata
 from conftest import unsatisfiable_formula
-from naive import (cts_to_sets, joint_sat_set, lanes, naive_concretize,
-                   naive_project, naive_shift, reference_unify,
-                   unify_cts, unstacked_result)
+from naive import (concretize_then_unify, cts_to_sets, joint_sat_set, lanes,
+                   naive_concretize, naive_project, naive_shift,
+                   reference_unify, unify_cts, unstacked_result)
 
 
 # -- early elementary check ------------------------------------------------------
@@ -357,9 +359,9 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
 
     calls = []
 
-    def counting_unify(x, ctx, since, sink=None):
+    def counting_unify(x, ctx, since, sink=None, fix=()):
         calls.append(ctx.layout.lanes)
-        return unify(x, ctx, since=since, sink=sink)
+        return unify(x, ctx, since=since, sink=sink, fix=fix)
 
     monkeypatch.setattr(sep_mod, "unify", counting_unify)
     n = 8
@@ -391,6 +393,52 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
     assert kept >= 10 and skipped >= 10 and unchanged >= 1
 
 
+def test_sep_fixing_inside_unify_matches_concretizing_first(monkeypatch):
+    # a shift's concretization and a tier-0 vertex tuple are one unify
+    # call that fixes the window's variables in the tuple's own bytes;
+    # the SEP keeps every outcome, stored tuple and counter of the form
+    # that concretizes every lane with a full clear first
+    # (`naive.concretize_then_unify`), for a lone member (k = 2) too
+    import ctsat.sep as sep_mod
+
+    seen = Counter()
+
+    def counting_unify(x, ctx, since, sink=None, fix=()):
+        result = unify(x, ctx, since=since, sink=sink, fix=fix)
+        seen["fix emptied"] += bool(fix) and result.waves == 0
+        return result
+
+    def run(basic, others, formula):
+        result = systemic_effective_procedure(basic, others, formula)
+        system = result.system
+        return (result.outcome, result.empty_tier, result.witness,
+                system.skeleton.tiers, system.vsub, system.esub,
+                asdict(system.stats))
+
+    rng = random.Random(4141)
+    for _ in range(300):
+        n, k = rng.randint(6, 11), rng.randint(2, 4)
+        basic, *others = random_unified_system(rng, n, k,
+                                               density=rng.uniform(0.75, 0.9))
+        formula = unsatisfiable_formula(n)
+        with monkeypatch.context() as patch:
+            patch.setattr(sep_mod, "unify", counting_unify)
+            inside = run(basic, others, formula)
+        with monkeypatch.context() as patch:
+            patch.setattr(sep_mod, "_unify_same_name", concretize_then_unify)
+            assert run(basic, others, formula) == inside
+        stats = inside[-1]
+        seen[k] += 1
+        seen[inside[0]] += 1
+        seen["pruned", k] += stats["pruned_vertices"] > 0
+        seen["edges", k] += stats["pruned_edges"] > 0
+        seen["repeats"] += stats["recompute_rounds"] > 0
+    assert min(seen[2], seen[3], seen[4]) >= 80 and seen["empty"] >= 2
+    assert all(seen["pruned", k] >= 30 and seen["edges", k] >= 30
+               for k in (2, 3, 4))
+    assert seen["repeats"] >= 40 and seen["fix emptied"] >= 20
+
+
 @pytest.mark.parametrize("n, m, mode, seed, outcome", [
     (12, 70, "free", 20240676, "sep"),
     (8, 33, "free", 20241051, "sep"),
@@ -409,8 +457,8 @@ def test_sep_unify_waves_count_the_calls_made(monkeypatch, n, m, mode, seed,
 
     waves = []
 
-    def counting_unify(x, ctx, since, sink=None):
-        result = unify(x, ctx, since=since, sink=sink)
+    def counting_unify(x, ctx, since, sink=None, fix=()):
+        result = unify(x, ctx, since=since, sink=sink, fix=fix)
         waves.append(result.waves)
         return result
 
@@ -429,16 +477,25 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
     # every unify call is seeded with a fixpoint its input refines: the
     # SEP's with the tail vertex tuple of a shift, the tuple before a
     # projection step or the members for a tier-0 vertex, classify's
-    # top-level call with the complete system. Every call must still
-    # give the full scan's result, field for field. A tuple equal to
-    # its seed makes no call, and a later tier's vertex tuple, a union
-    # of fixpoints, is formed without one
+    # top-level call with the complete system. A shift's concretization
+    # and a tier-0 vertex tuple pass that fixpoint as the input too,
+    # with the variables to fix. Every call must still give the full
+    # scan's result on the concretized input, field for field. A tuple
+    # equal to its seed or a fix that removes nothing makes no call,
+    # and a later tier's vertex tuple, a union of fixpoints, is formed
+    # without one
     import ctsat.sep as sep_mod
 
     complete = []   # per call, whether it was seeded with the complete system
+    fixes = 0
 
-    def checked(x, ctx, since, sink=None):
-        result = unify(x, ctx, since=since, sink=sink)
+    def checked(x, ctx, since, sink=None, fix=()):
+        nonlocal fixes
+        result = unify(x, ctx, since=since, sink=sink, fix=fix)
+        if fix:
+            assert x == since
+            x = concretize_lanes(x, ctx.perms, fix, ctx.layout)
+            fixes += 1
         structures = lanes(x, ctx.perms)
         assert (unstacked_result(result, ctx.perms)
                 == reference_unify(structures))
@@ -462,7 +519,7 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
         # the first call is the top-level unify of the whole system
         assert complete[0]
         seeded += len(complete) - 1
-    assert seeded > 200
+    assert seeded > 200 and fixes > 100
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [
@@ -507,9 +564,9 @@ def sep_rounds(monkeypatch):
         finally:
             state["in_shift"] = False
 
-    def counting_unify(x, since, system):
+    def counting_unify(x, since, system, fix=()):
         state["steps"] += state["in_shift"]
-        return same_name(x, since, system)
+        return same_name(x, since, system, fix=fix)
 
     def recording_prune(system):
         j, skeleton = state["tier"], system.skeleton
@@ -663,9 +720,9 @@ def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
     shift = sep_mod.concordant_shift
     calls, systems = [], []
 
-    def recording_unify(x, ctx, since, sink=None):
-        calls.append((x, since))
-        return unify(x, ctx, since=since, sink=sink)
+    def recording_unify(x, ctx, since, sink=None, fix=()):
+        calls.append((x, since, fix))
+        return unify(x, ctx, since=since, sink=sink, fix=fix)
 
     def recording_procedure(*args, **kwargs):
         result = procedure(*args, **kwargs)
@@ -974,8 +1031,10 @@ def test_sep_empty_tier_pinned(n, m, seed, tier):
     ("free", 10, 55, 10, 3)])
 def test_pipeline_forms_tier_0_without_concretize_many(monkeypatch, mode, n,
                                                        m, seed, outcome):
-    # every tier-0 vertex tuple is one concretize_lanes over the stacked
-    # members; Cts.concretize_many stays as the algebra, with no caller
+    # every tier-0 vertex tuple is one unify call fixing the basic
+    # window's variables in the stacked members (one concretize_lanes
+    # for a lone member); Cts.concretize_many stays as the algebra,
+    # with no caller
     def refuse(self, pairs):
         raise AssertionError("the pipeline called Cts.concretize_many")
 

@@ -16,11 +16,11 @@ from ctsat.cts import (_KEEP, Cts, Perm, clear_masks, concretize_lanes,
 from ctsat.unify import (_COMBOS, _PAIR_KEEP, _READS_FIRST, _READS_LATER,
                          _SEEN, _VALUES, CAUSE_CONSTANT_CONFLICT,
                          CAUSE_EMPTY_INPUT, CAUSE_EMPTY_TIER, UnifyContext,
-                         _lane_rows, settle, unify)
+                         _lane_rows, fix_effect, settle, unify)
 
 from conftest import random_cleared_masks
 from naive import (constant_of, joint_sat_set, pair_relation,
-                   reference_unify, unify_cts)
+                   reference_unify, unify_cts, unstacked_result)
 
 
 # -- constants ----------------------------------------------------------------
@@ -376,6 +376,59 @@ def test_unify_seeded_on_the_sep_shapes_matches_the_full_scan():
     assert len(every_lane) == 2 and min(every_lane.values()) > 500
     assert all(causes[shape, cause] > 40 for shape in every_lane
                for cause in (None, CAUSE_CONSTANT_CONFLICT))
+
+
+def test_unify_fix_matches_concretizing_first():
+    # the SEP fixes the variables of one basic window in a fixpoint
+    # tuple inside unify's buffer (`fix`), where concretize_lanes would
+    # restrict every lane and clear all of it before a call seeded with
+    # the tuple: the two forms agree field for field, with a sink too.
+    # A fix that empties a lane ends before the first wave, one that
+    # removes nothing returns the tuple, and lane 0 alone tells both
+    # cases where the fix empties every lane or removes nothing
+    # (`fix_effect`)
+    rng = random.Random(2929)
+    seen = Counter()
+    for trial in range(6000):
+        n, k = rng.randint(5, 12), rng.randint(2, 5)
+        perms = [Perm(rng.sample(range(1, n + 1), n)) for _ in range(k)]
+        system = random_system_over(rng, perms, rng.uniform(0.6, 0.9))
+        if any(s.is_empty for s in system):
+            continue
+        unified = unify_cts(system)
+        if unified.empty:
+            continue
+        ctx = UnifyContext(perms)
+        lay, x = ctx.layout, stack(unified.structures)
+        basic = Perm(rng.sample(range(1, n + 1), n))
+        window = basic.window_values(rng.randrange(n - 2), rng.randrange(8))
+        pairs = tuple(rng.sample(window, rng.randint(1, 3)))
+        concretized = concretize_lanes(x, perms, pairs, lay)
+        sinks = (RecordingSink(), RecordingSink()) if trial % 8 == 0 else (
+            None, None)
+        fixed = unify(x, ctx, since=x, sink=sinks[0], fix=pairs)
+        assert unstacked_result(fixed, perms) == unstacked_result(
+            unify(concretized, ctx, since=x, sink=sinks[1]), perms)
+        assert sinks[0] is None or sinks[0].writes == sinks[1].writes
+        effect = fix_effect(x, ctx, pairs)
+        assert effect is not None or concretized == 0
+        assert (effect is False) == (concretized == x)
+        if concretized == x:
+            assert fixed.packed == x
+            seen["nothing"] += 1
+        elif has_empty_lane(concretized, lay):
+            assert (fixed.packed, fixed.waves, fixed.cause) == (
+                None, 0, CAUSE_EMPTY_INPUT)
+            seen["lane 0" if effect is None else "emptied"] += 1
+        else:
+            seen["waves", min(fixed.waves, 3)] += 1
+            seen["cause", fixed.cause] += 1
+    assert seen["nothing"] > 150 and seen["emptied"] > 100
+    assert seen["lane 0"] > 500
+    assert min(seen["waves", 1], seen["waves", 2], seen["waves", 3]) > 150
+    assert seen["cause", None] > 1000
+    assert seen["cause", CAUSE_CONSTANT_CONFLICT] > 80
+    assert seen["cause", CAUSE_EMPTY_TIER] > 5
 
 
 def test_unify_union_of_fixpoints_is_a_fixpoint():
