@@ -27,12 +27,12 @@ dead when it has an empty tier (`has_empty_lane`), `project_lanes`
 projects a tuple with one AND and one clear per target tuple, and a
 union of tuples is one OR. `ctsat.unify` edits the bytes of such an
 int, one lane at a time; it also fixes the variables of a tier-0 vertex
-tuple and of a shift's concretization, clearing outward from the
-restricted windows. `concretize_lanes` fixes variables in every lane
-with one mask and one clear: the SEP uses it for a lone member only,
-and `Cts.concretize_many` is its one-lane case with no pipeline
-caller. `unstack` gives the structures back where they are needed one
-by one.
+tuple and of a shift's concretization, a lone member's too, clearing
+outward from the restricted windows. `concretize_lanes` fixes variables
+in every lane with one mask and one clear; it has no pipeline caller,
+and is kept as the kernel of `Cts.concretize_many` and as the tests'
+reference for unify's fix. `unstack` gives the structures back where
+they are needed one by one.
 
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty
@@ -327,10 +327,12 @@ class Cts:
 
     No pipeline code calls `union`, `intersect`, `concretize`,
     `concretize_many`, `equivalent`, `from_lines`, `from_assignment`,
-    `line_count`, `enumerate_assignments`, `empty` or `complete`: the
-    pipeline works on stacked ints (see the module docstring). They are
-    kept as the paper's CTS algebra, which acceptance criterion 8 and
-    the set-form tests check against explicit assignment sets.
+    `line_count`, `enumerate_assignments`, `empty` or `complete`, nor
+    `concretize_lanes` below them: the pipeline works on stacked ints
+    and concretizes inside `ctsat.unify` (see the module docstring).
+    They are kept as the paper's CTS algebra, which acceptance
+    criterion 8 and the set-form tests check against explicit
+    assignment sets.
     """
 
     __slots__ = ("perm", "packed")

@@ -22,14 +22,14 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import (TIER_FULL, Cts, clear_packed, concretize_lanes,
-                  has_empty_lane, lane_layout, project_lanes, stack, unstack)
+from .cts import (TIER_FULL, Cts, clear_packed, has_empty_lane, lane_layout,
+                  project_lanes, stack, unstack)
 from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
 from .formula import Bits, TabularFormula, bits_to_string
 from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
                     Vertex, basic_graph, check_tier_disjoint)
-from .unify import UnifyContext, fix_effect, unify, unify_context
+from .unify import UnifyContext, unify, unify_context
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -81,10 +81,12 @@ class SepStats:
 
     `recompute_rounds` counts the repeated rounds: a round forming tier
     j runs again only when its prune removed a vertex below tier j.
-    `unify_waves` sums the waves of the same-name `unify` calls actually
-    made, in every round; a tuple equal to its seed (the fixpoint it
-    refines) makes no call and adds no wave, and neither does a shift
-    step that a repeated round keeps (see `systemic_effective_procedure`).
+    `unify_waves` sums the waves of the same-name `unify` calls, in
+    every round. A step that removes nothing from its seed (the fixpoint
+    it refines), a step that empties a member before the first wave and
+    a lone member's step run no wave and add none; a shift step that a
+    repeated round keeps makes no call (see
+    `systemic_effective_procedure`).
     `early_checks` counts the vertex tuples handed to the early
     elementary check, once per formed vertex and round."""
 
@@ -151,35 +153,12 @@ def _unify_same_name(x: int, since: int, system: HsSystem,
                      fix: Sequence[tuple[int, int]] = ()) -> int | None:
     """Same-name substructures of all members, stacked in x, unified;
     None when one of them is or becomes empty. x is cleared, and `since`
-    is a unify fixpoint that x refines lane by lane (see `unify`).
-
-    With `fix`, x is `since`, and the result is x concretized on the
-    (variable, value) pairs of `fix` in every member and unified, in
-    one `unify` call on x's bytes. A fixpoint shows each variable's
-    value set in lane 0 as in every lane, so lane 0 decides before any
-    call whether the fix empties every member or removes nothing
-    (`fix_effect`).
-
-    The skip rules: no call when nothing changes (x equal to `since`,
-    a non-empty fixpoint, so tested first, or a fix that removes
-    nothing), when a member is empty, or for a lone member, whose
-    cleared lane is its own fixpoint."""
-    ctx = system.context
-    lay = ctx.layout
-    if fix:
-        removes = fix_effect(x, ctx, fix)
-        if not removes:
-            return None if removes is None else x
-        if lay.lanes == 1:
-            return concretize_lanes(x, ctx.perms, fix, lay) or None
-    else:
-        if x == since:
-            return x
-        if has_empty_lane(x, lay):
-            return None
-        if lay.lanes == 1:
-            return x
-    result = unify(x, ctx, since=since, fix=fix)
+    is a unify fixpoint that x refines lane by lane; with `fix`, x is
+    `since`, concretized on the (variable, value) pairs of `fix` in
+    every member inside the call. `unify` decides every step that
+    removes nothing, a lone member and an empty member with no wave
+    (see `unify`); the run counts the waves of every step."""
+    result = unify(x, system.context, since=since, fix=fix)
     system.stats.unify_waves += result.waves
     return result.packed
 
@@ -246,24 +225,26 @@ def systemic_effective_procedure(
     `resume`, and runs the rest again. The early elementary check can
     short-circuit the whole run with a witness.
 
-    Every concretization and projection goes through
-    `_unify_same_name`, seeded with a fixpoint its input refines, and
+    Every concretization and projection is one `unify` call
+    (`_unify_same_name`), seeded with a fixpoint its input refines, and
     every input is cleared. A concretization, of the stacked members
     for a tier-0 vertex or of a shift's tail tuple, passes the fixpoint
     itself with the variables to fix, which `unify` restricts and
     clears outward from in its byte buffer before the first wave; a
     projection step passes the cleared projection of the tuple before
-    it. A tier-j vertex tuple after the first tier needs no
-    unify step, because a tier-wise union of unify fixpoints over the
-    same permutations is one. At a fixpoint the two rules agree
-    everywhere: each variable shows the same value set in every
-    structure's window of it, and each pair co-tiered in two or more
-    structures the same combination set in every home. A union keeps
-    each line's support in the operand it came from, so it is cleared,
-    and its value and combination sets are the unions of the operands'
-    sets, so they still agree across structures and neither rule
-    removes anything. The edge tuples are non-empty in every lane, and
-    so is their union.
+    it. `unify` itself returns a step that removes nothing, an emptied
+    member and a lone member (k = 2) with no wave, so the procedure
+    makes no test of its own. A tier-j vertex tuple after the first
+    tier needs no unify step, because a tier-wise union of unify
+    fixpoints over the same permutations is one. At a fixpoint the two
+    rules agree everywhere: each variable shows the same value set in
+    every structure's window of it, and each pair co-tiered in two or
+    more structures the same combination set in every home. A union
+    keeps each line's support in the operand it came from, so it is
+    cleared, and its value and combination sets are the unions of the
+    operands' sets, so they still agree across structures and neither
+    rule removes anything. The edge tuples are non-empty in every lane,
+    and so is their union.
 
     The result carries the system on every outcome, with the run's
     counters in `system.stats`. Under a formula that no assignment

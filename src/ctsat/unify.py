@@ -292,25 +292,6 @@ def unify_context(perms: tuple[Perm, ...]) -> UnifyContext:
     return UnifyContext(perms)
 
 
-def fix_effect(x: int, ctx: UnifyContext,
-               fix: Sequence[tuple[int, int]]) -> bool | None:
-    """Whether fixing each (variable, value) pair of `fix` in every lane
-    of x, a unify fixpoint over `ctx.perms`, removes a line: None when
-    some variable lacks its value, so that every lane empties, and
-    False when every variable already shows its value alone. A fixpoint
-    shows each variable's value set alike in every lane, so lane 0's
-    windows decide, read from the int with no buffer built."""
-    reads = ctx.reads[0]
-    removes = False
-    for var, value in fix:
-        b, row, _, _, _, _ = reads[var - 1]
-        seen = row[x >> 8 * b & TIER_FULL]
-        if not seen >> value & 1:
-            return None
-        removes = removes or seen == 3
-    return removes
-
-
 def unify(x: int, ctx: UnifyContext, since: int, sink=None,
           fix: Sequence[tuple[int, int]] = ()) -> UnifyResult:
     """Fixpoint of the joint transformation rules over a stacked system.
@@ -337,6 +318,18 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     and cleared outward from it (`settle`), lane by lane; a lane that
     empties there ends the call with `CAUSE_EMPTY_INPUT` and that lane,
     the first one the concretized input would show empty.
+
+    Some calls run no wave; the caller makes no test of its own:
+      - x equal to `since`, tested before any other work. x is then a
+        fixpoint, which shows each variable's value set in lane 0 as in
+        every lane, so lane 0's windows decide the fix, read from the
+        int with no buffer built. With no fix, or one whose variables
+        all show their value alone, the result is x; when some variable
+        lacks its value, every lane empties and the result is
+        `CAUSE_EMPTY_INPUT` on lane 0. Any other fix goes on as below;
+      - a lane with an empty tier, in x or after the fix, as above;
+      - a lone lane, returned after the fix: its constants are its own
+        and no pair has two homes, so neither rule removes a line.
 
     The masks live in one bytearray, the bytes of x: tier t of lane i
     at byte i * tiers + t. Each wave applies rule 1 to the lanes changed
@@ -380,9 +373,20 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     whose homes all show the same combinations removes nothing and is
     passed over.
 
-    A sink, when given, receives the system state before the first
-    wave and after every wave.
+    A sink, when given, receives the system state after the fix,
+    before the first wave, and after every wave; a call that ends
+    before then writes nothing.
     """
+    if x == since:   # a fixpoint: lane 0 shows every lane's value sets
+        removes = False
+        for var, value in fix:
+            b, row, _, _, _, _ = ctx.reads[0][var - 1]
+            seen = row[x >> 8 * b & TIER_FULL]
+            if not seen >> value & 1:
+                return UnifyResult(None, 0, CAUSE_EMPTY_INPUT, 0)
+            removes = removes or seen == 3
+        if not removes:   # positional: the most frequent call is this one
+            return UnifyResult(x, 0)
     lay = ctx.layout
     tiers, k = lay.tiers, lay.lanes
     size = tiers * k
@@ -433,6 +437,8 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 stale_pairs |= pb[phi + 1] ^ pb[plo]
     if sink is not None:
         _emit_wave(sink, ctx, buf, 0)
+    if k == 1:   # its constants are its own, and no pair has two homes
+        return UnifyResult(int.from_bytes(buf, "little"), waves=0)
     waves = 0
     dirty = set(range(k))
     while dirty:

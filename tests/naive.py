@@ -458,10 +458,11 @@ def reference_unify(structures) -> Unified:
 def concretize_then_unify(x, since, system, fix=()):
     """`ctsat.sep._unify_same_name` in two steps: x concretized on the
     pairs of `fix` in every lane with `concretize_lanes`, a full clear,
-    then the skips for a tuple equal to `since`, an empty member and a
-    lone member, then `unify` seeded with `since`, its waves added to
-    the system's counters. The SEP must store the same tuples and
-    counters with either form."""
+    then the cases that `unify` returns with no wave taken here, before
+    any call (a tuple equal to `since`, an empty member and a lone
+    member), then `unify` seeded with `since`, its waves added to the
+    system's counters. The SEP must store the same tuples and counters
+    with either form."""
     ctx = system.context
     lay = ctx.layout
     if fix:

@@ -8,8 +8,8 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from ctsat.cts import (Cts, Perm, concretize_lanes, project_lanes, stack,
-                       unstack)
+from ctsat.cts import (Cts, Perm, concretize_lanes, has_empty_lane,
+                       project_lanes, stack, unstack)
 from ctsat.formula import (Clause, GenParams, TabularFormula,
                            bits_from_string, bits_to_string, generate)
 from ctsat.hyper import ExtractionFailure
@@ -351,17 +351,21 @@ def test_concordant_shift_projects_onto_the_tier_below_the_edge(monkeypatch):
 
 def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
     # the stored tuple is a unify fixpoint, so a step that removes
-    # nothing is not followed by a unify call: a shift that keeps its
-    # edge calls unify once for a concretization that removed a line and
-    # once per changing projection step (fewer when a member empties on
-    # the way)
+    # nothing runs no wave: a shift that keeps its edge makes one unify
+    # call that runs a wave for a concretization that removed a line and
+    # one per changing projection step (fewer when a member empties on
+    # the way), and its other calls return their input unchanged
     import ctsat.sep as sep_mod
 
     calls = []
 
     def counting_unify(x, ctx, since, sink=None, fix=()):
-        calls.append(ctx.layout.lanes)
-        return unify(x, ctx, since=since, sink=sink, fix=fix)
+        result = unify(x, ctx, since=since, sink=sink, fix=fix)
+        if result.waves:
+            calls.append(ctx.layout.lanes)
+        else:
+            assert result.packed in (x, None)
+        return result
 
     monkeypatch.setattr(sep_mod, "unify", counting_unify)
     n = 8
@@ -479,14 +483,16 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
     # projection step or the members for a tier-0 vertex, classify's
     # top-level call with the complete system. A shift's concretization
     # and a tier-0 vertex tuple pass that fixpoint as the input too,
-    # with the variables to fix. Every call must still give the full
-    # scan's result on the concretized input, field for field. A tuple
-    # equal to its seed or a fix that removes nothing makes no call,
-    # and a later tier's vertex tuple, a union of fixpoints, is formed
-    # without one
+    # with the variables to fix. Every call that runs a wave must still
+    # give the full scan's result on the concretized input, field for
+    # field. A tuple equal to its seed or a fix that removes nothing
+    # comes back as it is with no wave, as does a lone member (k = 2),
+    # which has no rule to run; a later tier's vertex tuple, a union of
+    # fixpoints, is formed without a call
     import ctsat.sep as sep_mod
 
     complete = []   # per call, whether it was seeded with the complete system
+    quiet = []      # per call with no wave, whether it removed nothing
     fixes = 0
 
     def checked(x, ctx, since, sink=None, fix=()):
@@ -497,9 +503,13 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
             x = concretize_lanes(x, ctx.perms, fix, ctx.layout)
             fixes += 1
         structures = lanes(x, ctx.perms)
+        if x == since or ctx.layout.lanes == 1:
+            assert (result.packed, result.waves) == (
+                None if has_empty_lane(x, ctx.layout) else x, 0)
+            quiet.append(x == since)
+            return result
         assert (unstacked_result(result, ctx.perms)
                 == reference_unify(structures))
-        assert x != since
         complete.append(since == stack([Cts.complete(p) for p in ctx.perms]))
         return result
 
@@ -519,7 +529,7 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
         # the first call is the top-level unify of the whole system
         assert complete[0]
         seeded += len(complete) - 1
-    assert seeded > 200 and fixes > 100
+    assert seeded > 200 and fixes > 100 and sum(quiet) > 200
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [
@@ -711,9 +721,9 @@ def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
     # a repeated round shifts its edges again from the same tail tuples,
     # and each shift keeps the unified concretization and the projection
     # steps below the first tier whose codes changed: on a run with five
-    # repeated rounds no two same-name unify calls get the same input
-    # and seed, and every stored tuple and every verdict field but the
-    # waves equals a run whose shifts start afresh
+    # repeated rounds no two same-name unify calls that run a wave get
+    # the same input and seed, and every stored tuple and every verdict
+    # field but the waves equals a run whose shifts start afresh
     import ctsat.sep as sep_mod
 
     procedure = sep_mod.systemic_effective_procedure
@@ -721,8 +731,10 @@ def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
     calls, systems = [], []
 
     def recording_unify(x, ctx, since, sink=None, fix=()):
-        calls.append((x, since, fix))
-        return unify(x, ctx, since=since, sink=sink, fix=fix)
+        result = unify(x, ctx, since=since, sink=sink, fix=fix)
+        if result.waves:
+            calls.append((x, since, fix))
+        return result
 
     def recording_procedure(*args, **kwargs):
         result = procedure(*args, **kwargs)
@@ -1031,14 +1043,20 @@ def test_sep_empty_tier_pinned(n, m, seed, tier):
     ("free", 10, 55, 10, 3)])
 def test_pipeline_forms_tier_0_without_concretize_many(monkeypatch, mode, n,
                                                        m, seed, outcome):
-    # every tier-0 vertex tuple is one unify call fixing the basic
-    # window's variables in the stacked members (one concretize_lanes
-    # for a lone member); Cts.concretize_many stays as the algebra,
-    # with no caller
-    def refuse(self, pairs):
-        raise AssertionError("the pipeline called Cts.concretize_many")
+    # every tier-0 vertex tuple and every shift's concretization is one
+    # unify call fixing the basic window's variables in the stacked
+    # members, a lone member (k = 2) too; Cts.concretize_many stays as
+    # the algebra and concretize_lanes as its kernel, with no pipeline
+    # caller. Beside the pinned case, a drawn set of small formulas of
+    # the same mode holds k = 2 SEP runs
+    def refuse(*args):
+        raise AssertionError("the pipeline concretized outside unify")
 
     monkeypatch.setattr(Cts, "concretize_many", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ctsat" and hasattr(module,
+                                                     "concretize_lanes"):
+            monkeypatch.setattr(module, "concretize_lanes", refuse)
     verdict, completed = sep_exit(GenParams(n=n, m=m, mode=mode, seed=seed))
     detail = verdict.detail
     assert "sep" in detail   # the SEP ran, and it forms tier 0 first
@@ -1049,6 +1067,15 @@ def test_pipeline_forms_tier_0_without_concretize_many(monkeypatch, mode, n,
     else:
         assert (verdict.stage, verdict.tier, completed) == (
             "sep", outcome, outcome - 1)
+    rng = random.Random(seed)
+    lone = 0
+    for _ in range(200):
+        width = rng.randint(4, 9)
+        detail = classify(generate(GenParams(
+            n=width, m=rng.randint(width, 4 * width), mode=mode,
+            seed=rng.randrange(2**32)))).detail
+        lone += detail.get("k") == 2 and "sep" in detail
+    assert lone >= 20
 
 
 def test_classify_is_deterministic():

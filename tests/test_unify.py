@@ -16,7 +16,7 @@ from ctsat.cts import (_KEEP, Cts, Perm, clear_masks, concretize_lanes,
 from ctsat.unify import (_COMBOS, _PAIR_KEEP, _READS_FIRST, _READS_LATER,
                          _SEEN, _VALUES, CAUSE_CONSTANT_CONFLICT,
                          CAUSE_EMPTY_INPUT, CAUSE_EMPTY_TIER, UnifyContext,
-                         _lane_rows, fix_effect, settle, unify)
+                         _lane_rows, settle, unify)
 
 from conftest import random_cleared_masks
 from naive import (constant_of, joint_sat_set, pair_relation,
@@ -271,6 +271,22 @@ def result_fields(result):
             result.structure_index, result.empty_tier)
 
 
+class RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, name, content):
+        self.writes.append((name, content))
+
+
+def unchanged(structures):
+    """unify_cts seeded with the structures themselves, a fixpoint: the
+    result fields, and what a sink received."""
+    sink = RecordingSink()
+    return (result_fields(unify_cts(structures, since=structures,
+                                    sink=sink)), sink.writes)
+
+
 def refine(rng: random.Random, fixpoint):
     """The structures of a unify fixpoint, one to three of them
     concretized on a free variable or stripped of one line of a tier
@@ -313,12 +329,16 @@ def test_unify_matches_the_full_scan_reference():
         multi_wave += result.waves > 2
         if result.empty:
             continue
-        # seeded with nothing changed, the first wave reads nothing and
-        # is the one quiet wave
-        again = unify_cts(result.structures, since=result.structures)
-        assert result_fields(again) == (result.structures, 1, None, None, None)
+        # seeded with nothing changed, the call returns its input with
+        # no wave and writes nothing
+        assert unchanged(result.structures) == (
+            (result.structures, 0, None, None, None), [])
         refined = refine(rng, result.structures)
         again = unify_cts(refined, since=result.structures)
+        if stack(refined) == stack(result.structures):   # nothing removed
+            assert result_fields(again) == (result.structures, 0, None,
+                                            None, None)
+            continue
         assert result_fields(again) == result_fields(reference_unify(refined))
         seeded[again.cause] += 1
     assert min(causes[c] for c in (None, CAUSE_CONSTANT_CONFLICT,
@@ -367,6 +387,12 @@ def test_unify_seeded_on_the_sep_shapes_matches_the_full_scan():
         for shape, refined in inputs:
             structures = unstack(refined, fixpoint)
             seeded = unify_cts(structures, since=fixpoint)
+            if refined == x:   # the step removed nothing
+                assert unchanged(structures) == (
+                    (fixpoint, 0, None, None, None), [])
+                assert result_fields(seeded) == (fixpoint, 0, None, None,
+                                                 None)
+                continue
             assert result_fields(seeded) == result_fields(
                 reference_unify(structures))
             if not has_empty_lane(refined, lay) and all(
@@ -384,9 +410,10 @@ def test_unify_fix_matches_concretizing_first():
     # restrict every lane and clear all of it before a call seeded with
     # the tuple: the two forms agree field for field, with a sink too.
     # A fix that empties a lane ends before the first wave, one that
-    # removes nothing returns the tuple, and lane 0 alone tells both
-    # cases where the fix empties every lane or removes nothing
-    # (`fix_effect`)
+    # removes nothing returns the tuple with no wave, and lane 0's
+    # constants alone tell both cases where the fix empties every lane
+    # or removes nothing: unify decides them before any other work and
+    # writes nothing to a sink
     rng = random.Random(2929)
     seen = Counter()
     for trial in range(6000):
@@ -410,16 +437,26 @@ def test_unify_fix_matches_concretizing_first():
         assert unstacked_result(fixed, perms) == unstacked_result(
             unify(concretized, ctx, since=x, sink=sinks[1]), perms)
         assert sinks[0] is None or sinks[0].writes == sinks[1].writes
-        effect = fix_effect(x, ctx, pairs)
-        assert effect is not None or concretized == 0
-        assert (effect is False) == (concretized == x)
+        fields = (fixed.packed, fixed.waves, fixed.cause,
+                  fixed.structure_index, fixed.empty_tier)
+        constants = [constant_of(unified.structures[0], var)
+                     for var, _ in pairs]
+        lacks = any(c == 1 - value for c, (_, value) in zip(constants, pairs))
+        assert not lacks or concretized == 0
+        assert all(c == value for c, (_, value) in zip(constants, pairs)) == (
+            concretized == x)
         if concretized == x:
-            assert fixed.packed == x
+            assert fields == (x, 0, None, None, None)
+            assert sinks[0] is None or sinks[0].writes == []
             seen["nothing"] += 1
+        elif lacks:
+            assert fields == (None, 0, CAUSE_EMPTY_INPUT, 0, None)
+            assert sinks[0] is None or sinks[0].writes == []
+            seen["lane 0"] += 1
         elif has_empty_lane(concretized, lay):
             assert (fixed.packed, fixed.waves, fixed.cause) == (
                 None, 0, CAUSE_EMPTY_INPUT)
-            seen["lane 0" if effect is None else "emptied"] += 1
+            seen["emptied"] += 1
         else:
             seen["waves", min(fixed.waves, 3)] += 1
             seen["cause", fixed.cause] += 1
@@ -431,12 +468,67 @@ def test_unify_fix_matches_concretizing_first():
     assert seen["cause", CAUSE_EMPTY_TIER] > 5
 
 
+def test_unify_on_one_lane_runs_no_wave():
+    # a lone lane has no rule to run: its constants are its own and no
+    # pair has two homes. unify returns it after the fix phase with no
+    # wave, the input itself or, with `fix`, what concretize_lanes
+    # gives; a lane that is empty or that the fix empties ends with
+    # CAUSE_EMPTY_INPUT. The sink receives the state before the first
+    # wave, unless the call ends first: seeded with the lane itself, a
+    # fix that removes nothing returns it and a fix whose value the
+    # lane lacks empties it, and neither writes
+    rng = random.Random(1313)
+    seen = Counter()
+    for _ in range(3000):
+        n = rng.randint(5, 12)
+        perm = Perm(rng.sample(range(1, n + 1), n))
+        s, = random_system_over(rng, [perm], rng.uniform(0.5, 0.95))
+        ctx = UnifyContext([perm])
+        x, complete = s.packed, Cts.complete(perm).packed
+
+        def call(since, fix=()):
+            sink = RecordingSink()
+            r = unify(x, ctx, since=since, sink=sink, fix=fix)
+            return ((r.packed, r.waves, r.cause, r.structure_index,
+                     r.empty_tier), [name for name, _ in sink.writes])
+
+        if s.is_empty:
+            assert call(complete) == ((None, 0, CAUSE_EMPTY_INPUT, 0, None),
+                                      [])
+            seen["empty"] += 1
+            continue
+        assert call(complete) == ((x, 0, None, None, None),
+                                  [] if x == complete else ["unify_wave_00"])
+        assert call(x) == ((x, 0, None, None, None), [])
+        pairs = []
+        for var in rng.sample(range(1, n + 1), rng.randint(1, 3)):
+            # a constant's own value, mostly, so that some fixes remove
+            # nothing
+            c = constant_of(s, var)
+            pairs.append((var, c if c is not None and rng.random() < 0.6
+                          else rng.randint(0, 1)))
+        concretized = concretize_lanes(x, [perm], pairs, ctx.layout)
+        lacks = any(constant_of(s, var) == 1 - value for var, value in pairs)
+        fields = ((concretized, 0, None, None, None) if concretized else
+                  (None, 0, CAUSE_EMPTY_INPUT, 0, None))
+        for since in (complete, x):
+            ends = not concretized or concretized == x == since
+            assert call(since, pairs) == (
+                fields, [] if ends else ["unify_wave_00"])
+        seen["nothing" if concretized == x else "lacks" if lacks
+             else "emptied" if not concretized else "fixed"] += 1
+    assert min(seen["empty"], seen["emptied"], seen["nothing"],
+               seen["lacks"]) > 80
+    assert seen["fixed"] > 1500
+
+
 def test_unify_union_of_fixpoints_is_a_fixpoint():
     # the SEP makes no unify call for a tier-j vertex tuple, the OR of
     # its stacked edge tuples: a tier-wise union of unify fixpoints over
     # the same permutations is cleared and obeys both rules, so the full
-    # scan and a call seeded with the tuple itself both return it
-    # unchanged in their one quiet wave
+    # scan and a call seeded from the complete system both return it
+    # unchanged in their one quiet wave, and a call seeded with the
+    # tuple itself returns it with no wave
     rng = random.Random(7121)
     unions = 0
     for _ in range(18000):
@@ -457,7 +549,8 @@ def test_unify_union_of_fixpoints_is_a_fixpoint():
         union = unstack(stacked, result.structures)
         quiet = (union, 1, None, None, None)
         assert result_fields(reference_unify(union)) == quiet
-        assert result_fields(unify_cts(union, since=union)) == quiet
+        assert result_fields(unify_cts(union)) == quiet
+        assert unchanged(union) == ((union, 0, None, None, None), [])
         unions += len(set(operands)) >= 2
     assert unions >= 2000
 
@@ -568,24 +661,19 @@ def test_unify_rejects_an_input_that_does_not_refine_since():
     line = fixpoint & -fixpoint
     with pytest.raises(ValueError, match="does not refine since"):
         unify(fixpoint, ctx, since=fixpoint ^ line)
-    result = unify(fixpoint, ctx, since=fixpoint)
+    sink = RecordingSink()
+    result = unify(fixpoint, ctx, since=fixpoint, sink=sink)
     assert (result.packed, result.waves, result.cause,
             result.structure_index, result.empty_tier) == (
-        fixpoint, 1, None, None, None)
+        fixpoint, 0, None, None, None)
+    assert sink.writes == []
 
 
-class RecordingSink:
-    def __init__(self):
-        self.writes = []
-
-    def write(self, name, content):
-        self.writes.append((name, content))
-
-
-def test_unify_seeded_with_unchanged_inputs_returns_them_in_one_wave():
-    # inputs equal to their `since` counterparts come back equal, in one
-    # wave; with a sink the waves write what a call on the same fixpoint
-    # seeded from the complete system writes
+def test_unify_seeded_with_unchanged_inputs_returns_them_with_no_wave():
+    # inputs equal to their `since` counterparts come back equal, with
+    # no wave, and a sink receives nothing; a call on the same fixpoint
+    # seeded from the complete system writes its state before the first
+    # wave and after its one quiet wave
     rng = random.Random(31)
     checked = 0
     while checked < 200:
@@ -596,15 +684,16 @@ def test_unify_seeded_with_unchanged_inputs_returns_them_in_one_wave():
         fixpoint = result.structures
         copies = tuple(Cts(s.perm, s.tiers) for s in fixpoint)
         again = unify_cts(copies, since=fixpoint)
-        assert result_fields(again) == (fixpoint, 1, None, None, None)
+        assert result_fields(again) == (fixpoint, 0, None, None, None)
         seeded, complete = RecordingSink(), RecordingSink()
         assert result_fields(unify_cts(copies, sink=seeded,
                                        since=fixpoint)) == (
+            fixpoint, 0, None, None, None)
+        assert result_fields(unify_cts(fixpoint, sink=complete)) == (
             fixpoint, 1, None, None, None)
-        unify_cts(fixpoint, sink=complete)
-        assert seeded.writes == complete.writes
-        assert [name for name, _ in seeded.writes] == ["unify_wave_00",
-                                                       "unify_wave_01"]
+        assert seeded.writes == []
+        assert [name for name, _ in complete.writes] == ["unify_wave_00",
+                                                         "unify_wave_01"]
         checked += 1
 
 
