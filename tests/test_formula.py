@@ -1,12 +1,21 @@
+"""Tabular formulas: parsing, evaluation and generation.
+
+Running this file as a script prints the current `GENERATOR_DIGESTS`.
+"""
+
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctsat.formula import (MAX_DIMACS_VARIABLES, Clause, DimacsError,
-                           GenParams, TabularFormula, bits_from_string,
-                           bits_to_string, check_plantable, generate,
-                           hidden_assignment, parse_dimacs)
+from ctsat.difftest import DifftestParams, instance_params
+from ctsat.formula import (MAX_DIMACS_VARIABLES, MODE_SAT, MODE_UNSAT, MODES,
+                           UNSAT_CORE, Clause, DimacsError, GenParams,
+                           TabularFormula, bits_from_string, bits_to_string,
+                           check_plantable, generate, hidden_assignment,
+                           parse_dimacs)
 
 from naive import cnf_evaluate, sat_set
 
@@ -88,6 +97,53 @@ def test_clause_entries_sorted_and_validated():
         Clause(((1, 2), (2, 0), (3, 0)))
 
 
+@pytest.mark.parametrize("entries, message", [
+    (((1, 0), (2, 0)), "clause must have exactly 3 entries"),
+    (((1, 0), (2, 0), (3, 0), (4, 0)), "clause must have exactly 3 entries"),
+    (((1, 0), (1, 0)), "clause must have exactly 3 entries"),
+    # a repeated variable in each pair of positions, and in all three
+    (((2, 0), (2, 1), (3, 0)),
+     "repeated variable in clause: ((2, 0), (2, 1), (3, 0))"),
+    (((5, 1), (3, 0), (5, 0)),
+     "repeated variable in clause: ((5, 1), (3, 0), (5, 0))"),
+    (((1, 0), (4, 1), (4, 1)),
+     "repeated variable in clause: ((1, 0), (4, 1), (4, 1))"),
+    (((7, 0), (7, 0), (7, 1)),
+     "repeated variable in clause: ((7, 0), (7, 0), (7, 1))"),
+    # the repetition is found before a bad variable or mark
+    (((0, 0), (0, 1), (2, 5)),
+     "repeated variable in clause: ((0, 0), (0, 1), (2, 5))"),
+    (((0, 0), (1, 0), (2, 0)), "variable index must be >= 1, got 0"),
+    (((3, 0), (-2, 1), (1, 0)), "variable index must be >= 1, got -2"),
+    (((1, 0), (2, 2), (3, 0)), "mark must be 0 or 1, got 2"),
+    (((3, -1), (1, 0), (2, 0)), "mark must be 0 or 1, got -1"),
+    (((1, None), (2, 0), (3, 0)), "mark must be 0 or 1, got None"),
+    (((1, 0), (2, "1"), (3, 0)), "mark must be 0 or 1, got '1'"),
+    # several bad entries: the entries are sorted first, then checked
+    # in order, the variable of an entry before its mark
+    (((2, 5), (1, -1), (3, 0)), "mark must be 0 or 1, got -1"),
+    (((0, 9), (1, 2), (2, 3)), "variable index must be >= 1, got 0"),
+    (((4, 7), (-1, 0), (2, 0)), "variable index must be >= 1, got -1"),
+    (((2, 0), (-5, 3), (-1, 4)), "variable index must be >= 1, got -5"),
+    (((3, 2), (1, 0), (2, 7)), "mark must be 0 or 1, got 7"),
+])
+def test_clause_rejections_and_their_messages(entries, message):
+    with pytest.raises(ValueError) as excinfo:
+        Clause(entries)
+    assert str(excinfo.value) == message
+
+
+def test_clause_keeps_sorted_entries_and_sorts_the_others():
+    for entries in (((1, 0), (2, 1), (3, 1)), ((2, 1), (5, 0), (9, 1))):
+        assert Clause(entries).entries == entries
+    for given_order in (((9, 1), (2, 0), (5, 1)), ((2, 0), (9, 1), (5, 1)),
+                        ((5, 1), (9, 1), (2, 0)), ((9, 1), (5, 1), (2, 0))):
+        clause = Clause(given_order)
+        assert clause.entries == ((2, 0), (5, 1), (9, 1))
+        assert clause == Clause(((2, 0), (5, 1), (9, 1)))
+        assert clause.variables() == (2, 5, 9)
+
+
 # -- evaluation -------------------------------------------------------------
 
 def test_evaluate_worked5_all_zeros(worked5):
@@ -152,6 +208,71 @@ def test_generate_free_deterministic():
     assert a == b
     assert a.to_dimacs() == b.to_dimacs()
     assert a.m == 91 and a.n == 20
+
+
+# the benchmark's small family (perfbench/workloads.py): criterion 7's
+# difftest family, instances 0-999
+SWEEP_SMALL = DifftestParams(n_range=(5, 16), m_ratio=(3.0, 6.0),
+                             count=1000, seed=20240601)
+
+# sha256 over generate(p).to_dimacs() for each group of
+# `generator_grid`, so that a change to the generator that is meant to
+# keep its output keeps every byte of it
+GENERATOR_DIGESTS = {
+    "free":
+        "e176e0d5b01522441164c34bb711e19d110a4d91664941d4563773df7aa8cee4",
+    "sat":
+        "b19f7dbbe21a83bb7852ea398439e60c4119f986571c26b46abee533487e4a02",
+    "unsat":
+        "59bc22515315ac66b3f3b1b93f72b1050176783e14690cd3404fcc7f796d5a60",
+    "sweep_small":
+        "8efd9ad836ec8cc92c5aedda35923a9b55bcbfce54f58128d09d17a3e6f07bc0",
+    "unsat_n40":
+        "22f9f13fa2a1d2fcd29510ad923fc5279d113698ff4ec68b6f8cce018357fbbb",
+    "planted_n24":
+        "44daa31cf294cd520286b90aa396e6fd6497beebea4944ae8fa32373a7b8ed62",
+}
+
+
+def generator_grid() -> dict[str, list[GenParams]]:
+    """Free, sat and unsat formulas at n = 3, 4, 12 and 40 and negation
+    fractions 0, 0.3, 0.5 and 1 (sat only where plantable; unsat at the
+    least m), seeds 0-9, and the three benchmark families."""
+    grid: dict[str, list[GenParams]] = {mode: [] for mode in MODES}
+    for mode in MODES:
+        for n in (3, 4, 12, 40):
+            for fraction in (0.0, 0.3, 0.5, 1.0):
+                for seed in range(10):
+                    params = GenParams(
+                        n=n, m=UNSAT_CORE if mode == MODE_UNSAT else 4 * n,
+                        negation_fraction=fraction, mode=mode, seed=seed)
+                    try:
+                        check_plantable(params)
+                    except ValueError:
+                        continue
+                    grid[mode].append(params)
+    grid["sweep_small"] = [instance_params(SWEEP_SMALL, i)
+                           for i in range(SWEEP_SMALL.count)]
+    grid["unsat_n40"] = [GenParams(n=40, m=240, mode="free", seed=s)
+                         for s in range(6)]
+    grid["planted_n24"] = [GenParams(n=24, m=102, mode=MODE_SAT, seed=s)
+                           for s in range(6)]
+    return grid
+
+
+def generator_digest(group: list[GenParams]) -> str:
+    digest = hashlib.sha256()
+    for params in group:
+        digest.update(generate(params).to_dimacs().encode())
+    return digest.hexdigest()
+
+
+def test_generator_output_matches_the_pinned_digests():
+    grid = generator_grid()
+    # the sat grid leaves out the five fraction-0 cases (three at n = 3,
+    # two at n = 4) whose all-0 planted assignment falsifies every clause
+    assert [len(grid[g]) for g in grid] == [160, 155, 160, 1000, 6, 6]
+    assert {g: generator_digest(grid[g]) for g in grid} == GENERATOR_DIGESTS
 
 
 def test_generate_different_seeds_differ():
@@ -246,3 +367,11 @@ def test_bits_string_round_trip():
     assert bits_to_string(bits_from_string("01101")) == "01101"
     with pytest.raises(ValueError):
         bits_from_string("01x")
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_formula.py
+    print("GENERATOR_DIGESTS = {")
+    for group, params in generator_grid().items():
+        print('    "%s":\n        "%s",' % (group, generator_digest(params)))
+    print("}")

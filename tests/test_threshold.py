@@ -2,8 +2,10 @@
 
 The `hard` marker keeps these cases out of the default run (see
 pyproject.toml); run them with `python -m pytest -m hard`. They take
-about half a minute on two cores, most of it in n = 50 seed 0. Running
-this file as a script prints the current `VERDICT_DIGESTS`.
+about half a minute on two cores, most of it in n = 50 seed 0. The
+12-variable Tseitin counterexample costs milliseconds and runs in the
+default tier. Running this file as a script prints the current
+`VERDICT_DIGESTS` and `TSEITIN_N12_DIGEST`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import pytest
 
 from ctsat import GenParams, classify
 from ctsat.decompose import ctf_to_cts, decompose
-from ctsat.formula import generate
-from ctsat.oracle import dpll
+from ctsat.formula import generate, parse_dimacs
+from ctsat.oracle import brute_force, dpll
 from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE,
                        systemic_effective_procedure)
 
@@ -38,6 +40,56 @@ VERDICT_DIGESTS = {
     (50, 1): "e3918501c4d2e8dced3627ebacb1ac9cbe73526fb7d8e352b0e8d2c921e73475",
 }
 
+# The smallest known counterexample to completeness: the Tseitin
+# formula of a 3-regular graph on 8 vertices, one variable per edge and
+# one parity constraint per vertex, x2+x9+x10 = 1 and seven even ones
+# (sums mod 2), each written as the four clauses that forbid the wrong
+# parity. It is unsatisfiable, decomposes into two structures, and the
+# two-structure procedure ends complete under either basic.
+TSEITIN_N12_PARITIES = [((2, 9, 10), 1), ((3, 6, 11), 0), ((4, 5, 8), 0),
+                        ((1, 7, 12), 0), ((1, 2, 4), 0), ((6, 8, 10), 0),
+                        ((9, 11, 12), 0), ((3, 5, 7), 0)]
+TSEITIN_N12 = """\
+p cnf 12 32
+2 9 10 0
+2 -9 -10 0
+-2 9 -10 0
+-2 -9 10 0
+3 6 -11 0
+3 -6 11 0
+-3 6 11 0
+-3 -6 -11 0
+4 5 -8 0
+4 -5 8 0
+-4 5 8 0
+-4 -5 -8 0
+1 7 -12 0
+1 -7 12 0
+-1 7 12 0
+-1 -7 -12 0
+1 2 -4 0
+1 -2 4 0
+-1 2 4 0
+-1 -2 -4 0
+6 8 -10 0
+6 -8 10 0
+-6 8 10 0
+-6 -8 -10 0
+9 11 -12 0
+9 -11 12 0
+-9 11 12 0
+-9 -11 -12 0
+3 5 -7 0
+3 -5 7 0
+-3 5 7 0
+-3 -5 -7 0
+"""
+
+# sha256 of classify(...).to_json() on TSEITIN_N12: today's outcome, a
+# classification failure; a change that refutes it updates this pin
+TSEITIN_N12_DIGEST = (
+    "977b5c2eae2541fc5556d40c49a8010cd703c8bd37b746901942f430c93b4be0")
+
 # more instances on which the systemic procedure ends complete although
 # DPLL finds the formula unsatisfiable; checked on the procedure's
 # outcome alone, without extraction, so each costs seconds
@@ -52,6 +104,33 @@ def threshold_formula(n: int, seed: int):
 
 def verdict_digest(verdict) -> str:
     return hashlib.sha256(verdict.to_json().encode()).hexdigest()
+
+
+def test_tseitin_n12_is_a_known_classification_failure():
+    formula = parse_dimacs(TSEITIN_N12)
+    assert (formula.n, formula.m) == (12, 32)
+    # clauses 4i..4i+3 are the lines of the assignments of the i-th
+    # constraint's variables with the wrong parity
+    for i, (variables, parity) in enumerate(TSEITIN_N12_PARITIES):
+        group = formula.clauses[4 * i:4 * i + 4]
+        assert all(c.variables() == variables for c in group)
+        assert ({tuple(mark for _, mark in c.entries) for c in group}
+                == {(a, b, c) for a in (0, 1) for b in (0, 1)
+                    for c in (0, 1) if (a + b + c) % 2 != parity})
+    assert not brute_force(formula).satisfiable
+    assert not dpll(formula).satisfiable
+    ctfs, report = decompose(formula)
+    assert (report.k, report.w) == (2, 8)
+    unified = unify_cts([ctf_to_cts(ctf) for ctf in ctfs])
+    assert not unified.empty
+    first, second = unified.structures
+    for basic, other in ((first, second), (second, first)):
+        assert systemic_effective_procedure(
+            basic, [other], formula).outcome == "complete"
+    verdict = classify(formula)
+    assert verdict.kind == CLASSIFICATION_FAILURE
+    assert verdict.detail["error"] == "no verified route in a non-empty system"
+    assert verdict_digest(verdict) == TSEITIN_N12_DIGEST
 
 
 @pytest.mark.hard
@@ -91,3 +170,5 @@ if __name__ == "__main__":
         print('    (%d, %d): "%s",'
               % (n, seed, verdict_digest(classify(threshold_formula(n, seed)))))
     print("}")
+    print('TSEITIN_N12_DIGEST = (\n    "%s")'
+          % verdict_digest(classify(parse_dimacs(TSEITIN_N12))))
