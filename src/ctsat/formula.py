@@ -60,16 +60,21 @@ class Clause:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.entries) != 3:
+        entries = self.entries
+        if len(entries) != 3:
             raise ValueError("clause must have exactly 3 entries")
-        variables = [v for v, _ in self.entries]
-        if len(set(variables)) != 3:
-            raise ValueError("repeated variable in clause: %r" % (self.entries,))
-        if variables != sorted(variables):
-            object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-        for v, mark in self.entries:
-            if v < 1:
-                raise ValueError("variable index must be >= 1, got %d" % v)
+        (u, a), (v, b), (w, c) = entries
+        if u == v or u == w or v == w:
+            raise ValueError("repeated variable in clause: %r" % (entries,))
+        if not u < v < w:
+            entries = tuple(sorted(entries))
+            object.__setattr__(self, "entries", entries)
+            (u, a), (v, b), (w, c) = entries
+        # the entries ascend, so u is the least variable, and the checks
+        # run entry by entry, the variable before the mark
+        if u < 1:
+            raise ValueError("variable index must be >= 1, got %d" % u)
+        for mark in (a, b, c):
             if mark not in (0, 1):
                 raise ValueError("mark must be 0 or 1, got %r" % (mark,))
 
@@ -82,7 +87,8 @@ class Clause:
         return tuple(v for v, _ in self.entries)  # type: ignore[return-value]
 
     def falsified_by(self, bits: Sequence[int]) -> bool:
-        return all(bits[v - 1] == mark for v, mark in self.entries)
+        (u, a), (v, b), (w, c) = self.entries
+        return bits[u - 1] == a and bits[v - 1] == b and bits[w - 1] == c
 
     def to_literals(self) -> tuple[int, int, int]:
         return tuple(-v if mark else v for v, mark in self.entries)  # type: ignore[return-value]
@@ -100,7 +106,8 @@ class TabularFormula:
             raise ValueError("need n >= 3, got %d" % self.n)
         object.__setattr__(self, "clauses", tuple(self.clauses))
         for c in self.clauses:
-            if max(c.variables()) > self.n:
+            # entries ascend: the last holds the largest variable
+            if c.entries[2][0] > self.n:
                 raise ValueError("variable out of range in clause %r (n=%d)" % (c, self.n))
 
     @property
@@ -237,8 +244,7 @@ class GenParams:
 
 
 def _random_clause(rng: SplitMix64, n: int, fraction: float) -> Clause:
-    variables = rng.distinct(3, n)
-    return Clause(tuple((v, int(rng.chance(fraction))) for v in variables))
+    return Clause(rng.clause_entries(n, fraction))
 
 
 def hidden_assignment(params: GenParams) -> Bits:
@@ -287,6 +293,11 @@ def generate(params: GenParams) -> TabularFormula:
     unsat: all 8 mark patterns over one random variable triple are
            embedded (an unsatisfiable core) among otherwise free clauses,
            and the clause order is shuffled.
+
+    Each random clause is one `SplitMix64.clause_entries` call, which
+    consumes the same stream as `distinct(3, n)` followed by three
+    `chance(fraction)` calls, so the formulas are those of that
+    call-by-call draw, byte for byte.
     """
     rng = SplitMix64(params.seed)
     n, m, frac = params.n, params.m, params.negation_fraction

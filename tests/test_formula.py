@@ -144,6 +144,20 @@ def test_clause_keeps_sorted_entries_and_sorts_the_others():
         assert clause.variables() == (2, 5, 9)
 
 
+def test_formula_refuses_a_variable_above_n():
+    # the largest variable of a clause, wherever it was given, is
+    # checked against n
+    for entries in (((1, 0), (2, 0), (5, 1)), ((5, 1), (1, 0), (2, 0)),
+                    ((1, 0), (5, 1), (2, 0))):
+        with pytest.raises(ValueError) as excinfo:
+            TabularFormula(4, (Clause(((1, 0), (2, 0), (4, 1))),
+                               Clause(entries)))
+        assert str(excinfo.value) == (
+            "variable out of range in clause Clause(entries=((1, 0), (2, 0), "
+            "(5, 1))) (n=4)")
+    assert TabularFormula(5, (Clause(((5, 1), (1, 0), (2, 0))),)).m == 1
+
+
 # -- evaluation -------------------------------------------------------------
 
 def test_evaluate_worked5_all_zeros(worked5):
