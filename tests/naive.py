@@ -12,7 +12,8 @@ tuples are read through `cts.unstack`, one structure per member,
 `concretize_then_unify` is the SEP's same-name step with a fix made by
 `concretize_lanes` before the call.
 `naive_decompose` builds its CTFs with `Ctf.from_clauses`, clause by
-clause.
+clause. `tseitin_formula` draws Tseitin parity formulas on random
+3-regular graphs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from typing import NamedTuple
 from ctsat.cts import (Cts, Perm, concretize_lanes, has_empty_lane, stack,
                        unstack)
 from ctsat.decompose import Ctf, DecompositionReport
+from ctsat.formula import Clause, TabularFormula
+from ctsat.rng import SplitMix64
 from ctsat.unify import UnifyContext, unify
 
 
@@ -476,3 +479,50 @@ def concretize_then_unify(x, since, system, fix=()):
     result = unify(x, ctx, since=since)
     system.stats.unify_waves += result.waves
     return result.packed
+
+
+def cubic_graph(vertices: int, rng: SplitMix64) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, of a random connected 3-regular graph on
+    0..vertices-1 (an even count >= 4), by the pairing model: the 3V
+    points, three per vertex, shuffled and paired in order, drawn again
+    while a pair is a loop or a double edge or the graph is
+    disconnected. The edges come in the order of their pairs."""
+    while True:
+        points = list(range(3 * vertices))
+        rng.shuffle(points)
+        edges = [tuple(sorted((a // 3, b // 3)))
+                 for a, b in zip(points[::2], points[1::2])]
+        if any(u == v for u, v in edges) or len(set(edges)) < len(edges):
+            continue
+        reached, frontier = {0}, [0]
+        while frontier:
+            u = frontier.pop()
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == u and y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        if len(reached) == vertices:
+            return edges
+
+
+def tseitin_formula(vertices: int, seed: int, odd: bool) -> TabularFormula:
+    """The Tseitin formula of `cubic_graph(vertices, SplitMix64(seed))`:
+    variable i + 1 on edge i, and for each vertex the four clauses that
+    forbid the assignments of its three edges whose sum mod 2 is not
+    its charge. The charges are drawn from the same stream after the
+    graph, one bit per vertex, the last set so the total is odd or
+    even; the two totals share the graph and every other charge. An
+    odd total is unsatisfiable, since the graph is connected, and an
+    even one satisfiable."""
+    rng = SplitMix64(seed)
+    edges = cubic_graph(vertices, rng)
+    charges = [rng.below(2) for _ in range(vertices - 1)]
+    charges.append((sum(charges) + odd) % 2)
+    clauses = []
+    for u, charge in enumerate(charges):
+        variables = [i + 1 for i, edge in enumerate(edges) if u in edge]
+        for marks in product((0, 1), repeat=3):
+            if sum(marks) % 2 != charge:
+                clauses.append(Clause(tuple(zip(variables, marks))))
+    return TabularFormula(len(edges), tuple(clauses))

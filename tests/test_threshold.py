@@ -3,14 +3,16 @@
 The `hard` marker keeps these cases out of the default run (see
 pyproject.toml); run them with `python -m pytest -m hard`. They take
 about half a minute on two cores, most of it in n = 50 seed 0. The
-12-variable Tseitin counterexample costs milliseconds and runs in the
-default tier. Running this file as a script prints the current
-`VERDICT_DIGESTS` and `TSEITIN_N12_DIGEST`.
+12-variable Tseitin counterexample and a grid of 120 small Tseitin
+formulas cost a few seconds and run in the default tier. Running this
+file as a script prints the current `VERDICT_DIGESTS`,
+`TSEITIN_N12_DIGEST` and `TSEITIN_GRID_DIGEST`.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -21,7 +23,7 @@ from ctsat.oracle import brute_force, dpll
 from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE,
                        systemic_effective_procedure)
 
-from naive import unify_cts
+from naive import tseitin_formula, unify_cts
 
 # DPLL finds n = 50 seed 0 unsatisfiable, yet the systemic procedure
 # ends with a complete non-empty system from which extraction finds no
@@ -90,6 +92,18 @@ p cnf 12 32
 TSEITIN_N12_DIGEST = (
     "977b5c2eae2541fc5556d40c49a8010cd703c8bd37b746901942f430c93b4be0")
 
+# Tseitin formulas on random connected 3-regular graphs
+# (`naive.tseitin_formula`): V = 6, 8, ..., 16 vertices, seeds 0-9, odd
+# and even total charge, 120 formulas of n = 3V/2 and m = 4V. sha256
+# over classify(...).to_json() of each, one line apiece in grid order:
+# today's outcomes, in which every even charge is satisfiable and odd
+# charge ends in classification failure on 10 of 10 seeds at V = 14
+# and 16; a change that refutes more of them updates this pin
+TSEITIN_GRID = [(vertices, seed, odd) for vertices in range(6, 17, 2)
+                for seed in range(10) for odd in (False, True)]
+TSEITIN_GRID_DIGEST = (
+    "f74c8d79edec3c15fa7c68e3bba442afff263574af5f5053849f6f00447426ee")
+
 # more instances on which the systemic procedure ends complete although
 # DPLL finds the formula unsatisfiable; checked on the procedure's
 # outcome alone, without extraction, so each costs seconds
@@ -104,6 +118,19 @@ def threshold_formula(n: int, seed: int):
 
 def verdict_digest(verdict) -> str:
     return hashlib.sha256(verdict.to_json().encode()).hexdigest()
+
+
+def tseitin_grid_verdicts():
+    for vertices, seed, odd in TSEITIN_GRID:
+        formula = tseitin_formula(vertices, seed, odd)
+        yield (vertices, odd), formula, classify(formula)
+
+
+def tseitin_grid_digest(verdicts) -> str:
+    digest = hashlib.sha256()
+    for verdict in verdicts:
+        digest.update(verdict.to_json().encode() + b"\n")
+    return digest.hexdigest()
 
 
 def test_tseitin_n12_is_a_known_classification_failure():
@@ -131,6 +158,26 @@ def test_tseitin_n12_is_a_known_classification_failure():
     assert verdict.kind == CLASSIFICATION_FAILURE
     assert verdict.detail["error"] == "no verified route in a non-empty system"
     assert verdict_digest(verdict) == TSEITIN_N12_DIGEST
+
+
+def test_tseitin_grid_outcomes_match_the_pin():
+    # even charge is satisfiable with a verified witness, odd charge
+    # never classifies satisfiable, and the outcomes match the pin;
+    # DPLL confirms the generator: odd charge on a connected graph is
+    # unsatisfiable and even charge satisfiable
+    verdicts, failures = [], Counter()
+    for (vertices, odd), formula, verdict in tseitin_grid_verdicts():
+        assert (formula.n, formula.m) == (3 * vertices // 2, 4 * vertices)
+        assert dpll(formula).satisfiable != odd
+        if odd:
+            assert verdict.kind != SATISFIABLE
+            failures[vertices] += verdict.kind == CLASSIFICATION_FAILURE
+        else:
+            assert verdict.kind == SATISFIABLE
+            assert formula.evaluate(verdict.witness) == 1
+        verdicts.append(verdict)
+    assert failures[14] == failures[16] == 10
+    assert tseitin_grid_digest(verdicts) == TSEITIN_GRID_DIGEST
 
 
 @pytest.mark.hard
@@ -172,3 +219,5 @@ if __name__ == "__main__":
     print("}")
     print('TSEITIN_N12_DIGEST = (\n    "%s")'
           % verdict_digest(classify(parse_dimacs(TSEITIN_N12))))
+    print('TSEITIN_GRID_DIGEST = (\n    "%s")'
+          % tseitin_grid_digest(v for _, _, v in tseitin_grid_verdicts()))
