@@ -18,25 +18,25 @@ window geometry depends only on the lanes' permutations; the caller
 gets it once, as a `UnifyContext` (`unify_context` keeps one per tuple
 of permutations), and passes it to every call on systems over those
 permutations. A context addresses every window by one entry shape,
-(byte, read row, keep row, lane, lane start, tier), for variables and
-pair homes alike. An entry depends only on the tier count, the lane
-and the window's offsets, so each lane's entries are built once, on
-first use, and shared by every context (`_lane_rows`); the table rows
-are read off `cts._KEEP`.
+(byte, read row, keep row, lane, lane start), for variables and pair
+homes alike. An entry depends only on the tier count, the lane and the
+window's offsets, so each lane's entries are built once, on first use,
+and shared by every context (`_lane_rows`); the table rows are read
+off `cts._KEEP`.
 
 This module alone decides what the rules read in a window and whether
 a removal changed it: `settle` clears a lane outward from one
-restricted tier and reports the tiers whose reads changed, judged by
-the staleness tables `_READS_FIRST` and `_READS_LATER`, which are
-built from the same `_SEEN` and `_COMBOS` rows the rules read with.
+restricted byte and marks stale the variables and pairs whose windows
+lie at the bytes whose reads changed, judged by the staleness tables
+`_READS_FIRST` and `_READS_LATER`, which are built from the same
+`_SEEN` and `_COMBOS` rows the rules read with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress
-from operator import or_
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .cts import (_KEEP, _PRED, _SUCC, TIER_FULL, Cts, Perm, has_empty_lane,
@@ -109,22 +109,21 @@ _READS_FIRST = _read_table(0)
 _READS_LATER = _read_table(1)
 
 
-def settle(buf: bytearray, start: int, j: int, tiers: int,
-           old: int) -> tuple[int | None, int, int, int, int, int]:
+def settle(buf: bytearray, b: int, start: int, tiers: int, old: int,
+           var_at: Sequence[int],
+           pair_at: Sequence[int]) -> tuple[int | None, int]:
     """Clear the lane of `tiers` masks at buf[start:start + tiers],
-    cleared before its tier j alone was restricted from the mask `old`.
+    cleared before its byte b alone was restricted from the mask `old`.
 
-    Walks down from tier j while the next lower tier loses lines, then
-    up from tier j the same way, mutating the lane in place and never
-    reading or writing outside it. Returns (lo, hi, vlo, vhi, plo, phi):
-    lo..hi the tiers of the lane that changed (tier j is taken as
-    changed), vlo..vhi the first and last of them whose value sets
-    changed and plo..phi those whose pair combinations changed, both as
-    the rules read them (`_READS_FIRST`, `_READS_LATER`), and (0, -1)
-    when there are none. A tier's old mask is `old` for tier j and the
-    mask the walk overwrote for the others. When a tier empties, the
-    lane is zeroed and the result is (None, t, 0, -1, 0, -1) with t the
-    index that `cts.clear_masks` reports.
+    Walks down from byte b while the next lower tier loses lines, then
+    up from byte b the same way, mutating the lane in place and never
+    reading or writing outside it. Returns (vars, pairs): the OR of
+    `var_at[byte]` over the bytes whose value sets changed and of
+    `pair_at[byte]` over those whose pair combinations changed, both as
+    the rules read them (`_READS_FIRST`, `_READS_LATER`). A byte's old
+    mask is `old` for byte b and the mask the walk overwrote for the
+    others. When a tier empties, the lane is zeroed and the result is
+    (None, t) with t the index that `cts.clear_masks` reports.
 
     The masks equal `cts.clear_masks`'. A line removed on the way down
     has no successor, so it is no kept line's only predecessor; a line
@@ -134,16 +133,15 @@ def settle(buf: bytearray, start: int, j: int, tiers: int,
     `clear_masks`' backward pass.
     """
     later = _READS_LATER
-    b = lo = start + j
     m = buf[b]
-    reads = _READS_FIRST if j == 0 else later
+    reads = _READS_FIRST if b == start else later
     d = reads[old] ^ reads[m]
-    vlo = plo = 0
-    vhi = phi = -1
+    stale_v = stale_p = 0
     if d:
-        plo = phi = j
+        stale_p = pair_at[b]
         if d & _VALUES:
-            vlo = vhi = j
+            stale_v = var_at[b]
+    lo = b
     while m and lo > start:
         o = buf[lo - 1]
         m = o & _PRED[buf[lo]]
@@ -154,35 +152,26 @@ def settle(buf: bytearray, start: int, j: int, tiers: int,
         reads = _READS_FIRST if lo == start else later
         d = reads[o] ^ reads[m]
         if d:
-            plo = lo - start
-            if phi < 0:
-                phi = plo
+            stale_p |= pair_at[lo]
             if d & _VALUES:
-                vlo = plo
-                if vhi < 0:
-                    vhi = plo
+                stale_v |= var_at[lo]
     if not m:
         buf[start:start + tiers] = bytes(tiers)
-        return None, lo - start, 0, -1, 0, -1
-    hi, last = b, start + tiers - 1
-    while hi < last:
-        o = buf[hi + 1]
-        m = o & _SUCC[buf[hi]]
+        return None, lo - start
+    last = start + tiers - 1
+    while b < last:
+        o = buf[b + 1]
+        m = o & _SUCC[buf[b]]
         if m == o:
             break
-        hi += 1
-        buf[hi] = m
+        b += 1
+        buf[b] = m
         d = later[o] ^ later[m]
         if d:
-            t = hi - start
-            if phi < 0:
-                plo = t
-            phi = t
+            stale_p |= pair_at[b]
             if d & _VALUES:
-                if vhi < 0:
-                    vlo = t
-                vhi = t
-    return lo - start, hi - start, vlo, vhi, plo, phi
+                stale_v |= var_at[b]
+    return stale_v, stale_p
 
 
 @lru_cache(maxsize=None)
@@ -191,9 +180,9 @@ def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple]:
     and shared by every context: its variable entries, by position, and
     its pair homes.
 
-    An entry is (byte, read row, keep row, lane, lane start, tier) for
-    the lowest window holding a variable or pair, its byte lane × tiers
-    + tier. A variable at offset o reads with `_SEEN[o]` and restricts
+    An entry is (byte, read row, keep row, lane, lane start) for the
+    lowest window holding a variable or pair, its byte lane × tiers +
+    tier. A variable at offset o reads with `_SEEN[o]` and restricts
     with `_KEEP[o]`. The homes hold two entries per co-tiered position
     pair p < q, in the order of `lowest_pairs`, (q, p) ascending:
     the home when the smaller variable sits at p, then when it sits at
@@ -207,8 +196,8 @@ def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple]:
     for j, a, c in lowest_pairs(windows):
         for oa, ob in ((a, c), (c, a)):
             homes.append((start + j, _COMBOS[oa][ob], _PAIR_KEEP[oa][ob],
-                          i, start, j))
-    return (tuple((start + j, _SEEN[off], _KEEP[off], i, start, j)
+                          i, start))
+    return (tuple((start + j, _SEEN[off], _KEEP[off], i, start)
                   for j, off in windows),
             tuple(homes))
 
@@ -223,24 +212,21 @@ class UnifyContext:
     window per lane: the lowest one that holds it, addressed by its
     absolute byte in the buffer of the stacked system (lane × tiers +
     tier). Each window is one entry (byte, read row, keep row, lane,
-    lane start, tier) of `_lane_rows`, shared by identity with every
-    context; a context holds references to them, sorted by variable and
-    pair.
+    lane start) of `_lane_rows`, shared by identity with every context;
+    a context holds references to them, sorted by variable and pair.
 
     `layout` is the lane `Layout` of the stacked system.
     `reads[i][var-1]` is the variable's entry in lane i, and
     `writes[var-1]` its entries, one per lane in lane order.
     `pair_entries` holds, for every pair co-tiered in two or more
-    lanes, its homes, one per lane. `var_bits[i][t]` holds bit var-1 of
-    every variable whose window in lane i lies below tier t, and
-    `pair_bits[i][t]` bit idx of every pair `pair_entries[idx]` whose
-    window there lies below tier t; a window lies in tiers lo..hi when
-    its bit is in `bits[hi + 1] ^ bits[lo]`, and `pair_bits[i][-1]`
-    holds the pairs touching lane i.
+    lanes, its homes, one per lane. By byte b of the buffer, `var_at[b]`
+    holds bit var-1 of every variable whose window is at byte b, and
+    `pair_at[b]` bit idx of every pair `pair_entries[idx]` with a home
+    at byte b; `lane_pairs[i]` holds the pairs with a home in lane i.
     """
 
     __slots__ = ("perms", "layout", "reads", "writes", "pair_entries",
-                 "var_bits", "pair_bits")
+                 "var_at", "pair_at", "lane_pairs")
 
     def __init__(self, perms: Sequence[Perm]):
         if not perms:
@@ -270,19 +256,17 @@ class UnifyContext:
                 by_pair.setdefault(key, []).append(home)
         self.pair_entries = [tuple(by_pair[key]) for key in sorted(by_pair)
                              if len(by_pair[key]) >= 2]
-        pair_at = [0] * (tiers * len(perms))   # by byte
+        self.var_at = [0] * (tiers * len(perms))
+        for lane in self.reads:
+            for v, (b, _, _, _, _) in enumerate(lane):
+                self.var_at[b] |= 1 << v
+        self.pair_at = [0] * (tiers * len(perms))
+        self.lane_pairs = [0] * len(perms)
         for idx, homes in enumerate(self.pair_entries):
             bit = 1 << idx
-            for b, _, _, _, _, _ in homes:
-                pair_at[b] |= bit
-        self.pair_bits = [
-            tuple(accumulate(pair_at[i * tiers:(i + 1) * tiers], or_,
-                             initial=0))
-            for i in range(len(perms))]
-        # the variable at position p has its window in tier max(p - 2, 0)
-        self.var_bits = [
-            (0, *tuple(accumulate((1 << (v - 1) for v in perm.order), or_))[2:])
-            for perm in perms]
+            for b, _, _, i, _ in homes:
+                self.pair_at[b] |= bit
+                self.lane_pairs[i] |= bit
 
 
 @lru_cache(maxsize=2048)
@@ -344,18 +328,19 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
 
     A window is read only while stale, that is, while what its rule
     reads there changed since it was last read: a variable window's
-    value set, a pair home's combination set. `settle` reports the
-    tiers of a removal whose value sets and whose combination sets
-    changed, comparing each rewritten tier's mask before and after
-    through `_READS_FIRST` and `_READS_LATER`. The first wave's stale
-    windows are those of the same test on the bytes where x and `since`
-    differ, and those that `settle` reports for the fix. A read only
-    loses bits as its mask shrinks, so a window whose reads changed in
-    some fix step differs from `since` at the end, and the marks are
-    the ones a scan of the concretized input would make. The fixed
-    variables are marked fixed at once: they are constant in every lane
-    after the fix, so a read of them writes nothing. Skipping a window
-    that is not stale changes nothing:
+    value set, a pair home's combination set. `settle` compares each
+    byte a removal rewrites before and after through `_READS_FIRST` and
+    `_READS_LATER`, and returns the variables whose windows lie at the
+    bytes whose value sets changed (`ctx.var_at`) and the pairs with a
+    home at the bytes whose combination sets changed (`ctx.pair_at`).
+    The first wave's stale windows are those of the same test on the
+    bytes where x and `since` differ, and those that `settle` returns
+    for the fix. A read only loses bits as its mask shrinks, so a
+    window whose reads changed in some fix step differs from `since` at
+    the end, and the marks are the ones a scan of the concretized input
+    would make. The fixed variables are marked fixed at once: they are
+    constant in every lane after the fix, so a read of them writes
+    nothing. Skipping a window that is not stale changes nothing:
       - a variable window with its value set unchanged showed both
         values at its last read, and still does; or its variable was
         concretized everywhere then, is fixed and is never read again;
@@ -380,7 +365,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     if x == since:   # a fixpoint: lane 0 shows every lane's value sets
         removes = False
         for var, value in fix:
-            b, row, _, _, _, _ = ctx.reads[0][var - 1]
+            b, row, _, _, _ = ctx.reads[0][var - 1]
             seen = row[x >> 8 * b & TIER_FULL]
             if not seen >> value & 1:
                 return UnifyResult(None, 0, CAUSE_EMPTY_INPUT, 0)
@@ -398,7 +383,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                            structure_index=first)
 
     reads, writes, pair_entries = ctx.reads, ctx.writes, ctx.pair_entries
-    var_bits, pair_bits = ctx.var_bits, ctx.pair_bits
+    var_at, pair_at, lane_pairs = ctx.var_at, ctx.pair_at, ctx.lane_pairs
     buf = bytearray(x.to_bytes(size, "little"))
     stale_vars = [0] * k
     stale_pairs = 0
@@ -409,32 +394,28 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
             view = _READS_LATER if t else _READS_FIRST
             d = view[seed[b]] ^ view[buf[b]]
             if d:
-                pb = pair_bits[i]
-                stale_pairs |= pb[t + 1] ^ pb[t]
+                stale_pairs |= pair_at[b]
                 if d & _VALUES:
-                    vb = var_bits[i]
-                    stale_vars[i] |= vb[t + 1] ^ vb[t]
+                    stale_vars[i] |= var_at[b]
     fixed = 0   # bit var-1 of every variable concretized everywhere
     if fix:
         for var, _ in fix:
             fixed |= 1 << var - 1
-        for i in range(k):
-            vb, pb, lane = var_bits[i], pair_bits[i], reads[i]
+        for i, lane in enumerate(reads):
             for var, value in fix:
-                b, _, keep, _, start, j = lane[var - 1]
+                b, _, keep, _, start = lane[var - 1]
                 old = buf[b]
                 kept = old & keep[value]
                 if kept == old:
                     continue
                 buf[b] = kept
-                lo, _, vlo, vhi, plo, phi = settle(buf, start, j, tiers,
-                                                   old)
-                if lo is None:
+                sv, sp = settle(buf, b, start, tiers, old, var_at, pair_at)
+                if sv is None:
                     return UnifyResult(None, waves=0,
                                        cause=CAUSE_EMPTY_INPUT,
                                        structure_index=i)
-                stale_vars[i] |= (vb[vhi + 1] ^ vb[vlo]) & ~fixed
-                stale_pairs |= pb[phi + 1] ^ pb[plo]
+                stale_vars[i] |= sv & ~fixed
+                stale_pairs |= sp
     if sink is not None:
         _emit_wave(sink, ctx, buf, 0)
     if k == 1:   # its constants are its own, and no pair has two homes
@@ -461,7 +442,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 if not stale_vars[i] & low:
                     continue
                 stale_vars[i] ^= low
-                b, row, _, _, _, _ = reads[i][v]
+                b, row, _, _, _ = reads[i][v]
                 seen = row[buf[b]]
                 if seen == 3:
                     continue
@@ -475,31 +456,30 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 continue
             fixed |= low
             later = -(low << 1)   # the bits above low
-            for b, _, keep, i, start, j in writes[v]:
+            for b, _, keep, i, start in writes[v]:
                 old = buf[b]
                 kept = old & keep[value]
                 if kept == old:
                     continue
                 buf[b] = kept
-                lo, hi, vlo, vhi, plo, phi = settle(buf, start, j, tiers,
-                                                    old)
-                if lo is None:
+                sv, sp = settle(buf, b, start, tiers, old, var_at, pair_at)
+                if sv is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
                                        structure_index=i,
-                                       empty_tier=hi + 1)
-                bits = (var_bits[i][vhi + 1] ^ var_bits[i][vlo]) & ~fixed
-                stale_vars[i] |= bits
-                stale_pairs |= pair_bits[i][phi + 1] ^ pair_bits[i][plo]
+                                       empty_tier=sp + 1)
+                sv &= ~fixed
+                stale_vars[i] |= sv
+                stale_pairs |= sp
                 if i in dirty:
-                    pending |= bits & later
+                    pending |= sv & later
                 touched.add(i)
 
         # rule 2: stale pairs touching a dirty or rule-1 changed lane,
         # in pair order
         scan = 0
         for i in dirty | touched:
-            scan |= pair_bits[i][-1]
+            scan |= lane_pairs[i]
         pending = stale_pairs & scan
         stale_pairs ^= pending   # read in this wave
         while pending:
@@ -507,7 +487,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
             pending ^= low
             homes = pair_entries[low.bit_length() - 1]
             allowed, union = 15, 0
-            for b, combos, _, _, _, _ in homes:
+            for b, combos, _, _, _ in homes:
                 rel = combos[buf[b]]
                 allowed &= rel
                 union |= rel
@@ -516,24 +496,22 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
             # each home lies in a lane of its own, so a removal below
             # leaves the windows of the other homes as they were read
             later = scan & -(low << 1)
-            for b, _, keep, i, start, j in homes:
+            for b, _, keep, i, start in homes:
                 old = buf[b]
                 kept = old & keep[allowed]
                 if kept == old:
                     continue
                 buf[b] = kept
-                lo, hi, vlo, vhi, plo, phi = settle(buf, start, j, tiers,
-                                                    old)
-                if lo is None:
+                sv, sp = settle(buf, b, start, tiers, old, var_at, pair_at)
+                if sv is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
                                        structure_index=i,
-                                       empty_tier=hi + 1)
-                stale_vars[i] |= (var_bits[i][vhi + 1] ^ var_bits[i][vlo]) & ~fixed
-                bits = pair_bits[i][phi + 1] ^ pair_bits[i][plo]
-                now = bits & later   # read later in this wave
+                                       empty_tier=sp + 1)
+                stale_vars[i] |= sv & ~fixed
+                now = sp & later   # read later in this wave
                 pending |= now
-                stale_pairs |= bits ^ now
+                stale_pairs |= sp ^ now
                 touched.add(i)
         if sink is not None:
             _emit_wave(sink, ctx, buf, waves)

@@ -596,17 +596,20 @@ def test_import_builds_no_lane_rows():
 
 def test_context_entries_are_the_rows_of_their_lowest_windows():
     # every entry of a context against its definition: one shape, (byte,
-    # read row, keep row, lane, lane start, tier), its byte lane * tiers
-    # + the tier of the lowest window holding the variable or pair, its
-    # rows the table rows of its offsets there; every entry is drawn by
-    # identity from `_lane_rows`, shared with every other context, and
-    # each entry's byte is its lane * tiers + its tier
+    # read row, keep row, lane, lane start), its byte lane * tiers + the
+    # tier of the lowest window holding the variable or pair, its rows
+    # the table rows of its offsets there; every entry is drawn by
+    # identity from `_lane_rows`, shared with every other context. The
+    # per-byte tables against theirs: var_at[b] the variables whose
+    # lowest window is byte b, pair_at[b] the pairs with a home at byte
+    # b, lane_pairs[i] the pairs with a home in lane i
     rng = random.Random(19)
     for _ in range(60):
         n, k = rng.randint(5, 14), rng.randint(2, 5)
         tiers = n - 2
         ctx, other = (UnifyContext([Perm(rng.sample(range(1, n + 1), n))
                                     for _ in range(k)]) for _ in range(2))
+        var_at = [0] * (k * tiers)
         for i, perm in enumerate(ctx.perms):
             start = i * tiers
             for v in range(1, n + 1):
@@ -614,9 +617,11 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
                 j = max(p - 2, 0)
                 entry = ctx.reads[i][v - 1]
                 assert ctx.writes[v - 1][i] is entry
-                b, seen, keep, lane, lane_start, tier = entry
-                assert (b, lane, lane_start, tier) == (start + j, i, start, j)
+                b, seen, keep, lane, lane_start = entry
+                assert (b, lane, lane_start) == (start + j, i, start)
                 assert seen is _SEEN[p - j] and keep is _KEEP[p - j]
+                var_at[start + j] |= 1 << v - 1
+        assert ctx.var_at == var_at
         by_pair: dict = {}
         for i, perm in enumerate(ctx.perms):
             for x, y in itertools.combinations(range(1, n + 1), 2):
@@ -628,14 +633,18 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
         expected = [homes for _, homes in sorted(by_pair.items())
                     if len(homes) >= 2]
         assert len(ctx.pair_entries) == len(expected)
-        for homes, wanted in zip(ctx.pair_entries, expected):
+        pair_at, lane_pairs = [0] * (k * tiers), [0] * k
+        for idx, (homes, wanted) in enumerate(zip(ctx.pair_entries,
+                                                  expected)):
             assert len(homes) == len(wanted)
             for home, (i, j, oa, ob) in zip(homes, wanted):
-                b, combos, keep, lane, lane_start, tier = home
-                assert (b, lane, lane_start, tier) == (
-                    i * tiers + j, i, i * tiers, j)
+                b, combos, keep, lane, lane_start = home
+                assert (b, lane, lane_start) == (i * tiers + j, i, i * tiers)
                 assert combos is _COMBOS[oa][ob]
                 assert keep is _PAIR_KEEP[oa][ob]
+                pair_at[b] |= 1 << idx
+                lane_pairs[i] |= 1 << idx
+        assert ctx.pair_at == pair_at and ctx.lane_pairs == lane_pairs
         for c in (ctx, other):
             for i, perm in enumerate(c.perms):
                 entries = _lane_rows(tiers, i)[0]
@@ -646,8 +655,6 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
             assert all(id(home) in shared
                        for homes in c.pair_entries for home in homes)
         assert other.layout is ctx.layout
-        assert all(divmod(b, tiers) == (lane, tier)
-                   for row in ctx.reads for b, _, _, lane, _, tier in row)
 
 
 def test_unify_rejects_an_input_that_does_not_refine_since():
@@ -712,19 +719,18 @@ def unify_reads(mask: int, t: int) -> tuple:
             tuple(frozenset((v[a], v[b]) for v in bits) for a, b in pairs))
 
 
-def span(tiers: list[int]) -> tuple[int, int]:
-    return (min(tiers), max(tiers)) if tiers else (0, -1)
-
-
 def test_settle_matches_clear_masks_after_one_tier_restriction():
-    # settle walks out from the restricted tier only, inside one lane of
+    # settle walks out from the restricted byte only, inside one lane of
     # a flat buffer of one to four lanes; it must give clear_masks'
-    # masks and empty index, a range covering every tier that changed,
-    # and leave the neighbouring lanes (random bytes) untouched. Its two
-    # other ranges span the tiers whose value sets and pair combinations,
-    # as unify reads them, differ between the masks before and after
+    # masks, and (None, t) with clear_masks' empty index t when a tier
+    # empties, and leave the neighbouring lanes (random bytes) untouched.
+    # Its marks are exactly the OR of var_at over the tiers whose value
+    # sets, and of pair_at over the tiers whose pair combinations, as
+    # unify reads them, differ between the masks before and after: each
+    # byte has a bit of its own in each table, so a byte marked or left
+    # out by mistake, or a table read for the other, shows
     rng = random.Random(902)
-    emptied = kept = wide = narrow = same_values = 0
+    emptied = kept = wide = skipped = gaps = same_values = 0
     while emptied + kept < 4000:
         n = rng.randint(3, 14)
         before = random_cleared_masks(rng, n, rng.uniform(0.4, 0.9))
@@ -737,36 +743,37 @@ def test_settle_matches_clear_masks_after_one_tier_restriction():
             continue
         expected, zero = clear_masks(list(restricted))
         tiers, lanes = n - 2, rng.randint(1, 4)
+        size = lanes * tiers
         start = rng.randrange(lanes) * tiers
-        buf = bytearray(rng.randrange(256) for _ in range(lanes * tiers))
+        buf = bytearray(rng.randrange(256) for _ in range(size))
         buf[start:start + tiers] = bytes(restricted)
         neighbours = buf[:start] + buf[start + tiers:]
-        lo, hi, vlo, vhi, plo, phi = settle(buf, start, j, tiers, before[j])
+        var_at = [1 << b for b in range(size)]
+        pair_at = [1 << size + b for b in range(size)]
+        marks = settle(buf, start + j, start, tiers, before[j], var_at,
+                       pair_at)
         got = list(buf[start:start + tiers])
         assert got == expected
         assert buf[:start] + buf[start + tiers:] == neighbours
         if zero is not None:
             emptied += 1
-            assert (lo, hi) == (None, zero)
-            assert (vlo, vhi, plo, phi) == (0, -1, 0, -1)
+            assert marks == (None, zero)
             continue
         kept += 1
-        assert lo <= j <= hi
-        changed = [t for t in range(n - 2) if got[t] != before[t]]
-        assert all(lo <= t <= hi for t in changed)
-        assert {lo, hi} <= set(changed)
-        wide += hi > lo
         reads = [(unify_reads(before[t], t), unify_reads(got[t], t))
-                 for t in range(n - 2)]
-        values = span([t for t, (old, new) in enumerate(reads)
-                       if old[0] != new[0]])
-        combos = span([t for t, (old, new) in enumerate(reads)
-                       if old[1] != new[1]])
-        assert (vlo, vhi, plo, phi) == (*values, *combos)
-        narrow += (plo, phi) != (lo, hi)
-        same_values += vhi < 0
+                 for t in range(tiers)]
+        values = [t for t, (old, new) in enumerate(reads) if old[0] != new[0]]
+        combos = [t for t, (old, new) in enumerate(reads) if old[1] != new[1]]
+        assert marks == (sum(var_at[start + t] for t in values),
+                         sum(pair_at[start + t] for t in combos))
+        changed = [t for t in range(tiers) if got[t] != before[t]]
+        wide += len(changed) > 1
+        skipped += len(combos) < len(changed)
+        # a tier between two whose value sets changed kept its own
+        gaps += bool(values) and len(values) <= values[-1] - values[0]
+        same_values += not values
     assert emptied > 500 and kept > 500 and wide > 200
-    assert narrow > 300 and same_values > 500
+    assert skipped > 300 and gaps > 100 and same_values > 500
 
 
 def test_staleness_tables_match_the_reads_reference():
