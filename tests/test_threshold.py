@@ -3,8 +3,10 @@
 The `hard` marker keeps these cases out of the default run (see
 pyproject.toml); run them with `python -m pytest -m hard`. They take
 about half a minute on two cores, most of it in n = 50 seed 0. The
-12-variable Tseitin counterexample and a grid of 120 small Tseitin
-formulas cost a few seconds and run in the default tier. Running this
+12-variable Tseitin counterexample, a grid of 120 small Tseitin
+formulas, a V = 12 Tseitin formula that no basic refutes and even-charge
+Tseitin formulas up to V = 30 cost a few seconds and run in the default
+tier. Running this
 file as a script prints the current `VERDICT_DIGESTS`,
 `TSEITIN_N12_DIGEST` and `TSEITIN_GRID_DIGEST`.
 """
@@ -104,6 +106,17 @@ TSEITIN_GRID = [(vertices, seed, odd) for vertices in range(6, 17, 2)
 TSEITIN_GRID_DIGEST = (
     "f74c8d79edec3c15fa7c68e3bba442afff263574af5f5053849f6f00447426ee")
 
+# the smallest grid-generator Tseitin formula known on which no basic
+# refutes: V = 12 vertices, seed 1, odd charge, n = 18 and m = 48; it
+# decomposes into three structures, and the procedure ends complete
+# with each of them as basic
+TSEITIN_V12 = (12, 1, True)
+
+# even charge on larger graphs, V = 18-30 and seeds 0-4: every formula
+# classifies satisfiable, and these are the extraction's backtracks
+TSEITIN_EVEN_BACKTRACKS = {18: [12, 5, 5, 3, 12], 20: [12, 6, 16, 32, 16],
+                           24: [11, 19, 6, 94, 68], 30: [43, 8, 7, 24, 33]}
+
 # more instances on which the systemic procedure ends complete although
 # DPLL finds the formula unsatisfiable; checked on the procedure's
 # outcome alone, without extraction, so each costs seconds
@@ -178,6 +191,36 @@ def test_tseitin_grid_outcomes_match_the_pin():
         verdicts.append(verdict)
     assert failures[14] == failures[16] == 10
     assert tseitin_grid_digest(verdicts) == TSEITIN_GRID_DIGEST
+
+
+def test_tseitin_v12_ends_complete_under_every_basic():
+    formula = tseitin_formula(*TSEITIN_V12)
+    assert (formula.n, formula.m) == (18, 48)
+    assert not dpll(formula).satisfiable
+    ctfs, report = decompose(formula)
+    assert report.k == 3
+    unified = unify_cts([ctf_to_cts(ctf) for ctf in ctfs])
+    assert not unified.empty
+    structures = unified.structures
+    for i, basic in enumerate(structures):
+        others = structures[:i] + structures[i + 1:]
+        assert systemic_effective_procedure(
+            basic, others, formula).outcome == "complete"
+    verdict = classify(formula)
+    assert verdict.kind == CLASSIFICATION_FAILURE
+    assert verdict.detail["error"] == "no verified route in a non-empty system"
+
+
+def test_even_tseitin_up_to_30_vertices_is_satisfiable():
+    for vertices, pinned in TSEITIN_EVEN_BACKTRACKS.items():
+        backtracks = []
+        for seed in range(len(pinned)):
+            formula = tseitin_formula(vertices, seed, odd=False)
+            verdict = classify(formula)
+            assert verdict.kind == SATISFIABLE
+            assert formula.evaluate(verdict.witness) == 1
+            backtracks.append(verdict.detail["backtracks"])
+        assert backtracks == pinned, vertices
 
 
 @pytest.mark.hard
