@@ -19,10 +19,15 @@ gets it once, as a `UnifyContext` (`unify_context` keeps one per tuple
 of permutations), and passes it to every call on systems over those
 permutations. A context addresses every window by one entry shape,
 (byte, read row, keep row, lane, lane start), for variables and pair
-homes alike. An entry depends only on the tier count, the lane and the
+homes alike, and keeps one table of variable entries, by variable and
+then lane. An entry depends only on the tier count, the lane and the
 window's offsets, so each lane's entries are built once, on first use,
 and shared by every context (`_lane_rows`); the table rows are read
 off `cts._KEEP`.
+
+`unify` works in waves. Each wave reads every stale window once, in
+order: rule 1's variable windows by variable, then rule 2's pairs by
+pair. Waves repeat while a wave removed a line.
 
 This module alone decides what the rules read in a window and whether
 a removal changed it: `settle` clears a lane outward from one
@@ -216,17 +221,16 @@ class UnifyContext:
     a context holds references to them, sorted by variable and pair.
 
     `layout` is the lane `Layout` of the stacked system.
-    `reads[i][var-1]` is the variable's entry in lane i, and
-    `writes[var-1]` its entries, one per lane in lane order.
-    `pair_entries` holds, for every pair co-tiered in two or more
-    lanes, its homes, one per lane. By byte b of the buffer, `var_at[b]`
-    holds bit var-1 of every variable whose window is at byte b, and
-    `pair_at[b]` bit idx of every pair `pair_entries[idx]` with a home
-    at byte b; `lane_pairs[i]` holds the pairs with a home in lane i.
+    `writes[var-1]` holds the variable's entries, one per lane in lane
+    order, so `writes[var-1][i]` is its entry in lane i. `pair_entries`
+    holds, for every pair co-tiered in two or more lanes, its homes, one
+    per lane. By byte b of the buffer, `var_at[b]` holds bit var-1 of
+    every variable whose window is at byte b, and `pair_at[b]` bit idx
+    of every pair `pair_entries[idx]` with a home at byte b.
     """
 
-    __slots__ = ("perms", "layout", "reads", "writes", "pair_entries",
-                 "var_at", "pair_at", "lane_pairs")
+    __slots__ = ("perms", "layout", "writes", "pair_entries", "var_at",
+                 "pair_at")
 
     def __init__(self, perms: Sequence[Perm]):
         if not perms:
@@ -238,9 +242,8 @@ class UnifyContext:
         tiers = perms[0].layout.tiers
         self.layout = layout(tiers, len(perms))
         rows = [_lane_rows(tiers, i) for i in range(len(perms))]
-        self.reads = [[entries[p] for p in perm.pos]
-                      for (entries, _), perm in zip(rows, perms)]
-        self.writes = list(zip(*self.reads))
+        self.writes = list(zip(*([entries[p] for p in perm.pos]
+                                 for (entries, _), perm in zip(rows, perms))))
         # pairs keyed x * n + y for variables x < y, so the keys sort as
         # (x, y); the homes of lane i come in the order of its rows
         windows = self.layout.windows
@@ -257,16 +260,13 @@ class UnifyContext:
         self.pair_entries = [tuple(by_pair[key]) for key in sorted(by_pair)
                              if len(by_pair[key]) >= 2]
         self.var_at = [0] * (tiers * len(perms))
-        for lane in self.reads:
-            for v, (b, _, _, _, _) in enumerate(lane):
+        for v, entries in enumerate(self.writes):
+            for b, _, _, _, _ in entries:
                 self.var_at[b] |= 1 << v
         self.pair_at = [0] * (tiers * len(perms))
-        self.lane_pairs = [0] * len(perms)
         for idx, homes in enumerate(self.pair_entries):
-            bit = 1 << idx
-            for b, _, _, i, _ in homes:
-                self.pair_at[b] |= bit
-                self.lane_pairs[i] |= bit
+            for b, _, _, _, _ in homes:
+                self.pair_at[b] |= 1 << idx
 
 
 @lru_cache(maxsize=2048)
@@ -316,15 +316,18 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
         and no pair has two homes, so neither rule removes a line.
 
     The masks live in one bytearray, the bytes of x: tier t of lane i
-    at byte i * tiers + t. Each wave applies rule 1 to the lanes changed
-    in the previous wave (all of them in the first wave) and rule 2 to
-    the pairs touching those or the ones rule 1 changed; the fixpoint
-    of this monotone removal process is order-independent. The masks
-    stay cleared throughout, so both rules read a variable or a pair
-    from one window, the lowest that holds it, and restrict only that
-    window before clearing outward from it inside its lane (`settle`).
-    When the rule allows no value there, that window empties, and it is
-    the lowest tier that restricting every window would have emptied.
+    at byte i * tiers + t. Each wave reads every stale window once, in
+    order: rule 1's variable windows by variable, each variable's lanes
+    in lane order, then rule 2's pairs by pair; waves repeat while a
+    wave removed a line. The fixpoint of this monotone removal process
+    is order-independent; the order decides only the wave count and,
+    when the system empties, the structure, tier and cause met first.
+    The masks stay cleared throughout, so both rules read a variable or
+    a pair from one window, the lowest that holds it, and restrict only
+    that window before clearing outward from it inside its lane
+    (`settle`). When the rule allows no value there, that window
+    empties, and it is the lowest tier that restricting every window
+    would have emptied.
 
     A window is read only while stale, that is, while what its rule
     reads there changed since it was last read: a variable window's
@@ -353,10 +356,11 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
         home changes that home's set, so the pair goes stale again), or
         it was not read yet and its homes agree as they do in `since`.
     Within a wave the candidates are found in variable (rule 1) and
-    pair (rule 2) order as the wave goes, so a window that went stale
-    earlier in the wave is still read in it, as in a full scan. A pair
-    whose homes all show the same combinations removes nothing and is
-    passed over.
+    pair (rule 2) order as the wave goes, so a window that goes stale
+    ahead of the scan is still read in this wave, as in a full scan;
+    one that goes stale behind it is read in the next wave, which the
+    removal that made it stale sets going. A pair whose homes all show
+    the same combinations removes nothing and is passed over.
 
     A sink, when given, receives the system state after the fix,
     before the first wave, and after every wave; a call that ends
@@ -365,7 +369,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     if x == since:   # a fixpoint: lane 0 shows every lane's value sets
         removes = False
         for var, value in fix:
-            b, row, _, _, _ = ctx.reads[0][var - 1]
+            b, row, _, _, _ = ctx.writes[var - 1][0]
             seen = row[x >> 8 * b & TIER_FULL]
             if not seen >> value & 1:
                 return UnifyResult(None, 0, CAUSE_EMPTY_INPUT, 0)
@@ -382,8 +386,8 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
         return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,
                            structure_index=first)
 
-    reads, writes, pair_entries = ctx.reads, ctx.writes, ctx.pair_entries
-    var_at, pair_at, lane_pairs = ctx.var_at, ctx.pair_at, ctx.lane_pairs
+    writes, pair_entries = ctx.writes, ctx.pair_entries
+    var_at, pair_at = ctx.var_at, ctx.pair_at
     buf = bytearray(x.to_bytes(size, "little"))
     stale_vars = [0] * k
     stale_pairs = 0
@@ -401,9 +405,9 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     if fix:
         for var, _ in fix:
             fixed |= 1 << var - 1
-        for i, lane in enumerate(reads):
+        for i in range(k):
             for var, value in fix:
-                b, _, keep, _, start = lane[var - 1]
+                b, _, keep, _, start = writes[var - 1][i]
                 old = buf[b]
                 kept = old & keep[value]
                 if kept == old:
@@ -421,28 +425,26 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     if k == 1:   # its constants are its own, and no pair has two homes
         return UnifyResult(int.from_bytes(buf, "little"), waves=0)
     waves = 0
-    dirty = set(range(k))
-    while dirty:
+    changed = True
+    while changed:
         waves += 1
-        touched: set[int] = set()
+        changed = False
 
-        # rule 1: stale windows of dirty lanes, in variable order; a
-        # constant is concretized everywhere
-        order = sorted(dirty)
+        # rule 1: stale variable windows, in variable order; a constant
+        # is concretized everywhere
         pending = 0
-        for i in order:
-            pending |= stale_vars[i]
+        for sv in stale_vars:
+            pending |= sv
         pending &= ~fixed
         while pending:
             low = pending & -pending
             pending ^= low
             v = low.bit_length() - 1   # variable v + 1
             value = None
-            for i in order:
+            for b, row, _, i, _ in writes[v]:
                 if not stale_vars[i] & low:
                     continue
                 stale_vars[i] ^= low
-                b, row, _, _, _ = reads[i][v]
                 seen = row[buf[b]]
                 if seen == 3:
                     continue
@@ -462,6 +464,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 if kept == old:
                     continue
                 buf[b] = kept
+                changed = True
                 sv, sp = settle(buf, b, start, tiers, old, var_at, pair_at)
                 if sv is None:
                     return UnifyResult(None, waves=waves,
@@ -471,17 +474,10 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 sv &= ~fixed
                 stale_vars[i] |= sv
                 stale_pairs |= sp
-                if i in dirty:
-                    pending |= sv & later
-                touched.add(i)
+                pending |= sv & later
 
-        # rule 2: stale pairs touching a dirty or rule-1 changed lane,
-        # in pair order
-        scan = 0
-        for i in dirty | touched:
-            scan |= lane_pairs[i]
-        pending = stale_pairs & scan
-        stale_pairs ^= pending   # read in this wave
+        # rule 2: stale pairs, in pair order
+        pending, stale_pairs = stale_pairs, 0   # read in this wave
         while pending:
             low = pending & -pending
             pending ^= low
@@ -495,13 +491,14 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 continue
             # each home lies in a lane of its own, so a removal below
             # leaves the windows of the other homes as they were read
-            later = scan & -(low << 1)
+            later = -(low << 1)
             for b, _, keep, i, start in homes:
                 old = buf[b]
                 kept = old & keep[allowed]
                 if kept == old:
                     continue
                 buf[b] = kept
+                changed = True
                 sv, sp = settle(buf, b, start, tiers, old, var_at, pair_at)
                 if sv is None:
                     return UnifyResult(None, waves=waves,
@@ -512,10 +509,8 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 now = sp & later   # read later in this wave
                 pending |= now
                 stale_pairs |= sp ^ now
-                touched.add(i)
         if sink is not None:
             _emit_wave(sink, ctx, buf, waves)
-        dirty = touched
 
     return UnifyResult(int.from_bytes(buf, "little"), waves=waves)
 

@@ -358,11 +358,11 @@ def unify_cts(structures, sink=None, since=None) -> Unified:
 def reference_unify(structures) -> Unified:
     """`ctsat.unify.unify` as a full scan, without a sink or a seed.
 
-    Every wave reads all variables of the structures changed in the
-    previous wave (every structure in the first wave) and every
-    co-tiered pair touching them, restricting one window and clearing
-    the whole structure after each removal. The fast `unify` must give
-    the same result field for field.
+    Every wave reads every variable of every structure, in variable
+    order, and then every co-tiered pair, in pair order, restricting one
+    window and clearing the whole structure after each removal; waves
+    repeat while a wave removed a line. The fast `unify` must give the
+    same result field for field.
     """
     from ctsat.cts import _KEEP, clear_masks
     from ctsat.unify import (_COMBOS, _PAIR_KEEP, _SEEN,
@@ -395,17 +395,16 @@ def reference_unify(structures) -> Unified:
     masks = [list(s.tiers) for s in current]
     fixed: dict[int, int] = {}
     waves = 0
-    dirty = set(range(len(current)))
-    while dirty:
+    changed = True
+    while changed:
         waves += 1
-        touched: set[int] = set()
-        order = sorted(dirty)
+        changed = False
         for var in range(1, n + 1):
             value = fixed.get(var)
             new = False
-            for i in order:
+            for i, m in enumerate(masks):
                 j, off = const_window[i][var - 1]
-                seen = _SEEN[off][masks[i][j]]
+                seen = _SEEN[off][m[j]]
                 if seen == 3:
                     continue
                 c = 1 if seen == 2 else 0
@@ -431,12 +430,9 @@ def reference_unify(structures) -> Unified:
                                    cause=CAUSE_EMPTY_TIER,
                                    structure_index=i,
                                    empty_tier=zero + 1)
-                touched.add(i)
+                changed = True
 
-        scan = dirty | touched
         for homes in pair_entries:
-            if not any(i in scan for i, _, _, _ in homes):
-                continue
             rels = [_COMBOS[oa][ob][masks[i][j]] for i, j, oa, ob in homes]
             allowed = 15
             for rel in rels:
@@ -451,8 +447,7 @@ def reference_unify(structures) -> Unified:
                                    cause=CAUSE_EMPTY_TIER,
                                    structure_index=i,
                                    empty_tier=zero + 1)
-                touched.add(i)
-        dirty = touched
+                changed = True
 
     return Unified(tuple(Cts(s.perm, m) for s, m in zip(current, masks)),
                    waves=waves)

@@ -37,11 +37,11 @@ KNOWN_FAILURES = {(50, 0)}
 # and the failure's diagnostics bundle
 VERDICT_DIGESTS = {
     (40, 0): "15b3c65bcda39db2392117932cb9835450f98d5d389221a554489c5f2509bdf6",
-    (40, 1): "f1b4a4c66f734391f8815f1d3e386363156113cf2ee8079c29a51a577bc150ed",
-    (40, 2): "98a0913361dc87f5d7bc10b3bf48c544fedfe610efdabf4035e74b93d23926c5",
-    (40, 3): "5bf01c859f234df1daae29e4a6e6abd52185bc1fafae37b35360182c6afeb9ae",
-    (50, 0): "a0aa9a3523b8adba6934ea094b919486b0f0bd8e1d7cb4b6cfce56b30f458faa",
-    (50, 1): "e3918501c4d2e8dced3627ebacb1ac9cbe73526fb7d8e352b0e8d2c921e73475",
+    (40, 1): "e394d18e0a1ee2701b89b17f1fa686c5175c3f6d8da2f19595b58a37a3280d8f",
+    (40, 2): "c903efe2353363abb11d7a3f26f1becfbf79b84d1c797a77288c28dd93414af3",
+    (40, 3): "26125986a86b4ea8155689910732b9f273ac3ead2a89c3f39a1029b7060c472e",
+    (50, 0): "ccc8f999dcbfabf4259adf49933ad8831c19c478459803944677a340c6384e9e",
+    (50, 1): "d6fe8d8c3e776578bdbda5837e9af58b165d4fa459786e44beac50a73f1973ef",
 }
 
 # The smallest known counterexample to completeness: the Tseitin
@@ -104,7 +104,7 @@ TSEITIN_N12_DIGEST = (
 TSEITIN_GRID = [(vertices, seed, odd) for vertices in range(6, 17, 2)
                 for seed in range(10) for odd in (False, True)]
 TSEITIN_GRID_DIGEST = (
-    "f74c8d79edec3c15fa7c68e3bba442afff263574af5f5053849f6f00447426ee")
+    "36c94c5bcaa921323dce108f7f9770e4385a490f33d6bac3e4015ba38ad21b6b")
 
 # the smallest grid-generator Tseitin formula known on which no basic
 # refutes: V = 12 vertices, seed 1, odd charge, n = 18 and m = 48; it

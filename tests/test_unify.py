@@ -599,25 +599,25 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
     # read row, keep row, lane, lane start), its byte lane * tiers + the
     # tier of the lowest window holding the variable or pair, its rows
     # the table rows of its offsets there; every entry is drawn by
-    # identity from `_lane_rows`, shared with every other context. The
+    # identity from `_lane_rows`, shared with every other context, and
+    # writes[v - 1] holds variable v's entries in lane order. The
     # per-byte tables against theirs: var_at[b] the variables whose
-    # lowest window is byte b, pair_at[b] the pairs with a home at byte
-    # b, lane_pairs[i] the pairs with a home in lane i
+    # lowest window is byte b, pair_at[b] the pairs with a home at byte b
     rng = random.Random(19)
     for _ in range(60):
         n, k = rng.randint(5, 14), rng.randint(2, 5)
         tiers = n - 2
         ctx, other = (UnifyContext([Perm(rng.sample(range(1, n + 1), n))
                                     for _ in range(k)]) for _ in range(2))
+        assert len(ctx.writes) == n
+        assert all(len(entries) == k for entries in ctx.writes)
         var_at = [0] * (k * tiers)
         for i, perm in enumerate(ctx.perms):
             start = i * tiers
             for v in range(1, n + 1):
                 p = perm.position(v)
                 j = max(p - 2, 0)
-                entry = ctx.reads[i][v - 1]
-                assert ctx.writes[v - 1][i] is entry
-                b, seen, keep, lane, lane_start = entry
+                b, seen, keep, lane, lane_start = ctx.writes[v - 1][i]
                 assert (b, lane, lane_start) == (start + j, i, start)
                 assert seen is _SEEN[p - j] and keep is _KEEP[p - j]
                 var_at[start + j] |= 1 << v - 1
@@ -633,7 +633,7 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
         expected = [homes for _, homes in sorted(by_pair.items())
                     if len(homes) >= 2]
         assert len(ctx.pair_entries) == len(expected)
-        pair_at, lane_pairs = [0] * (k * tiers), [0] * k
+        pair_at = [0] * (k * tiers)
         for idx, (homes, wanted) in enumerate(zip(ctx.pair_entries,
                                                   expected)):
             assert len(homes) == len(wanted)
@@ -643,13 +643,12 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
                 assert combos is _COMBOS[oa][ob]
                 assert keep is _PAIR_KEEP[oa][ob]
                 pair_at[b] |= 1 << idx
-                lane_pairs[i] |= 1 << idx
-        assert ctx.pair_at == pair_at and ctx.lane_pairs == lane_pairs
+        assert ctx.pair_at == pair_at
         for c in (ctx, other):
             for i, perm in enumerate(c.perms):
                 entries = _lane_rows(tiers, i)[0]
                 for v, p in enumerate(perm.pos):
-                    assert c.reads[i][v] is entries[p]
+                    assert c.writes[v][i] is entries[p]
             shared = {id(home) for i in range(k)
                       for home in _lane_rows(tiers, i)[1]}
             assert all(id(home) in shared

@@ -62,9 +62,9 @@ def decomposition_digest(name: str) -> str:
 
 
 PINS = {
-    "sweep_small": "bd6b0957e922c646",
-    "free_n40": "5e0a121e72c7a723",
-    "planted_n24": "23e6e8307deb2fb1",
+    "sweep_small": "93c270a887edbbd5",
+    "free_n40": "11a58621f5b1260f",
+    "planted_n24": "6263ee31ce5a3c49",
 }
 
 
