@@ -9,6 +9,11 @@ removal rules iterated with clearing until stable:
      observed value combinations are intersected across structures and
      lines outside the intersection are removed.
 
+Rule 2 reads only pairs of unfixed variables: once u is constant at
+value a in every structure, each home of a pair (u, w) holds the
+combinations {a} x W_i, W_i being w's value set in structure i, and
+their intersection removes exactly what rule 1 removes when it reads w.
+
 The unified system is empty or non-empty only as a whole, and the set
 of assignments encoded in *all* structures is preserved exactly.
 
@@ -26,8 +31,8 @@ and shared by every context (`_lane_rows`); the table rows are read
 off `cts._KEEP`.
 
 `unify` works in waves. Each wave reads every stale window once, in
-order: rule 1's variable windows by variable, then rule 2's pairs by
-pair. Waves repeat while a wave removed a line.
+order: rule 1's variable windows by variable, then rule 2's pairs of
+unfixed variables by pair. Waves repeat while a wave removed a line.
 
 This module alone decides what the rules read in a window and whether
 a removal changed it: `settle` clears a lane outward from one
@@ -224,13 +229,15 @@ class UnifyContext:
     `writes[var-1]` holds the variable's entries, one per lane in lane
     order, so `writes[var-1][i]` is its entry in lane i. `pair_entries`
     holds, for every pair co-tiered in two or more lanes, its homes, one
-    per lane. By byte b of the buffer, `var_at[b]` holds bit var-1 of
-    every variable whose window is at byte b, and `pair_at[b]` bit idx
-    of every pair `pair_entries[idx]` with a home at byte b.
+    per lane, by pair (x, y), x < y; `var_pairs[var-1]` holds bit idx of
+    every pair `pair_entries[idx]` that contains the variable. By byte b
+    of the buffer, `var_at[b]` holds bit var-1 of every variable whose
+    window is at byte b, and `pair_at[b]` bit idx of every pair
+    `pair_entries[idx]` with a home at byte b.
     """
 
-    __slots__ = ("perms", "layout", "writes", "pair_entries", "var_at",
-                 "pair_at")
+    __slots__ = ("perms", "layout", "writes", "pair_entries", "var_pairs",
+                 "var_at", "pair_at")
 
     def __init__(self, perms: Sequence[Perm]):
         if not perms:
@@ -244,8 +251,8 @@ class UnifyContext:
         rows = [_lane_rows(tiers, i) for i in range(len(perms))]
         self.writes = list(zip(*([entries[p] for p in perm.pos]
                                  for (entries, _), perm in zip(rows, perms))))
-        # pairs keyed x * n + y for variables x < y, so the keys sort as
-        # (x, y); the homes of lane i come in the order of its rows
+        # pairs keyed (x - 1) * n + y - 1 for variables x < y, so the keys
+        # sort as (x, y); the homes of lane i come in the order of its rows
         windows = self.layout.windows
         by_pair: dict[int, list] = {}
         for (_, row), perm in zip(rows, perms):
@@ -253,12 +260,19 @@ class UnifyContext:
             for s, (j, a, c) in enumerate(lowest_pairs(windows)):
                 x, y = order[j + a], order[j + c]
                 if x < y:
-                    home, key = row[2 * s], x * n + y
+                    home, key = row[2 * s], (x - 1) * n + y - 1
                 else:
-                    home, key = row[2 * s + 1], y * n + x
+                    home, key = row[2 * s + 1], (y - 1) * n + x - 1
                 by_pair.setdefault(key, []).append(home)
-        self.pair_entries = [tuple(by_pair[key]) for key in sorted(by_pair)
-                             if len(by_pair[key]) >= 2]
+        self.pair_entries = []
+        self.var_pairs = [0] * n
+        for key in sorted(by_pair):
+            if len(by_pair[key]) >= 2:
+                bit = 1 << len(self.pair_entries)
+                u, w = divmod(key, n)
+                self.var_pairs[u] |= bit
+                self.var_pairs[w] |= bit
+                self.pair_entries.append(tuple(by_pair[key]))
         self.var_at = [0] * (tiers * len(perms))
         for v, entries in enumerate(self.writes):
             for b, _, _, _, _ in entries:
@@ -341,16 +355,32 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     for the fix. A read only loses bits as its mask shrinks, so a
     window whose reads changed in some fix step differs from `since` at
     the end, and the marks are the ones a scan of the concretized input
-    would make. The fixed variables are marked fixed at once: they are
-    constant in every lane after the fix, so a read of them writes
-    nothing. Skipping a window that is not stale changes nothing:
+    would make.
+
+    A variable is fixed once it is constant in every lane, and is never
+    read again: a read of it writes nothing. `fixed` starts with the
+    constants of `since`, read in its lane 0 (a fixpoint shows each
+    constant in every lane, and x, refining it, keeps them), then takes
+    the fix's variables, constant in every lane after the fix, and rule
+    1 adds each constant it finds. Rule 2 reads no pair that holds a
+    fixed variable (`done`, the pairs of the fixed variables in
+    `ctx.var_pairs`). This loses no removal: with u fixed at a, each
+    home of (u, w) holds the combinations {a} x W_i, where W_i is w's
+    value set in lane i, and their intersection removes the lines with
+    w != b when some lane has W_i = {b}, as rule 1 does when it reads
+    w, and empties a tier when the W_i are {0} and {1}, where rule 1
+    finds a constant conflict. A change of W_i marks w stale in lane i,
+    so rule 1 reads it. The fixpoint is the same; the waves, and on an
+    emptied system the cause, structure and tier met first, can differ
+    from a scan that reads those pairs too.
+
+    Skipping a window that is not stale changes nothing:
       - a variable window with its value set unchanged showed both
         values at its last read, and still does; or its variable was
         concretized everywhere then, is fixed and is never read again;
         or it was not read yet and has its value set in `since`, a
         fixpoint, where the variable shows both values in every lane
-        or one value in every lane, and a read of that one value
-        removes no line from an x that refines `since`;
+        or one value in every lane, and then it is fixed from the start;
       - a pair with every home's combination set unchanged found all
         its homes agreeing at its last read (a read that restricts a
         home changes that home's set, so the pair goes stale again), or
@@ -387,8 +417,9 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                            structure_index=first)
 
     writes, pair_entries = ctx.writes, ctx.pair_entries
-    var_at, pair_at = ctx.var_at, ctx.pair_at
+    var_at, pair_at, var_pairs = ctx.var_at, ctx.pair_at, ctx.var_pairs
     buf = bytearray(x.to_bytes(size, "little"))
+    seed = buf   # since's bytes; read before the fix rewrites buf
     stale_vars = [0] * k
     stale_pairs = 0
     if x != since:
@@ -401,10 +432,20 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 stale_pairs |= pair_at[b]
                 if d & _VALUES:
                     stale_vars[i] |= var_at[b]
-    fixed = 0   # bit var-1 of every variable concretized everywhere
+    # bit var-1 of every variable concretized everywhere: since's
+    # constants, read in lane 0 of that fixpoint, then the fix's
+    # variables and rule 1's constants; done holds the pairs of the
+    # fixed variables, which rule 2 does not read
+    fixed = done = 0
+    for v, entries in enumerate(writes):
+        b, row, _, _, _ = entries[0]
+        if row[seed[b]] != 3:
+            fixed |= 1 << v
+            done |= var_pairs[v]
     if fix:
         for var, _ in fix:
             fixed |= 1 << var - 1
+            done |= var_pairs[var - 1]
         for i in range(k):
             for var, value in fix:
                 b, _, keep, _, start = writes[var - 1][i]
@@ -457,6 +498,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
             if value is None:
                 continue
             fixed |= low
+            done |= var_pairs[v]
             later = -(low << 1)   # the bits above low
             for b, _, keep, i, start in writes[v]:
                 old = buf[b]
@@ -476,8 +518,8 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 stale_pairs |= sp
                 pending |= sv & later
 
-        # rule 2: stale pairs, in pair order
-        pending, stale_pairs = stale_pairs, 0   # read in this wave
+        # rule 2: stale pairs of unfixed variables, in pair order
+        pending, stale_pairs = stale_pairs & ~done, 0   # read in this wave
         while pending:
             low = pending & -pending
             pending ^= low
@@ -506,6 +548,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                                        structure_index=i,
                                        empty_tier=sp + 1)
                 stale_vars[i] |= sv & ~fixed
+                sp &= ~done
                 now = sp & later   # read later in this wave
                 pending |= now
                 stale_pairs |= sp ^ now

@@ -359,10 +359,11 @@ def reference_unify(structures) -> Unified:
     """`ctsat.unify.unify` as a full scan, without a sink or a seed.
 
     Every wave reads every variable of every structure, in variable
-    order, and then every co-tiered pair, in pair order, restricting one
-    window and clearing the whole structure after each removal; waves
-    repeat while a wave removed a line. The fast `unify` must give the
-    same result field for field.
+    order, and then every co-tiered pair of variables not yet found
+    constant, in pair order, restricting one window and clearing the
+    whole structure after each removal; waves repeat while a wave
+    removed a line. The fast `unify` must give the same result field
+    for field.
     """
     from ctsat.cts import _KEEP, clear_masks
     from ctsat.unify import (_COMBOS, _PAIR_KEEP, _SEEN,
@@ -388,7 +389,7 @@ def reference_unify(structures) -> Unified:
                     by_pair.setdefault((x, y), []).append((i, j, p - j, q - j))
                 else:
                     by_pair.setdefault((y, x), []).append((i, j, q - j, p - j))
-    pair_entries = [homes for _, homes in sorted(by_pair.items())
+    pair_entries = [(pair, homes) for pair, homes in sorted(by_pair.items())
                     if len(homes) >= 2]
 
     n = current[0].n
@@ -432,7 +433,9 @@ def reference_unify(structures) -> Unified:
                                    empty_tier=zero + 1)
                 changed = True
 
-        for homes in pair_entries:
+        for (u, w), homes in pair_entries:
+            if u in fixed or w in fixed:
+                continue
             rels = [_COMBOS[oa][ob][masks[i][j]] for i, j, oa, ob in homes]
             allowed = 15
             for rel in rels:

@@ -36,12 +36,12 @@ KNOWN_FAILURES = {(50, 0)}
 # keep verdicts byte-identical also keeps the witnesses, the counters
 # and the failure's diagnostics bundle
 VERDICT_DIGESTS = {
-    (40, 0): "15b3c65bcda39db2392117932cb9835450f98d5d389221a554489c5f2509bdf6",
-    (40, 1): "e394d18e0a1ee2701b89b17f1fa686c5175c3f6d8da2f19595b58a37a3280d8f",
-    (40, 2): "c903efe2353363abb11d7a3f26f1becfbf79b84d1c797a77288c28dd93414af3",
-    (40, 3): "26125986a86b4ea8155689910732b9f273ac3ead2a89c3f39a1029b7060c472e",
-    (50, 0): "ccc8f999dcbfabf4259adf49933ad8831c19c478459803944677a340c6384e9e",
-    (50, 1): "d6fe8d8c3e776578bdbda5837e9af58b165d4fa459786e44beac50a73f1973ef",
+    (40, 0): "a411934e610a1e8a44418e1adcb1a6035b669629dbc4bfcaafa56c5d0183bb1c",
+    (40, 1): "28a0b891f919c3d136ecb6ea569f2ac36659312ab8f3944895a0d0818408b99a",
+    (40, 2): "b0ef5902c17a9a7f1ca37c269e1f592e38cc72d9d57b6810a9ee3117ff425743",
+    (40, 3): "4911bb40ef9bdf484e8193985fa24a6ba76da5b9cdb294e9e7d45c6a5fd5da59",
+    (50, 0): "1dd37925608c9e23eab94984c34f55e9e730c79e92718f3efa7e40fe16cec54e",
+    (50, 1): "3a3feb22e474a5833c97c3e7b1a153705efcad2d9dc7efd2f2e5ba85de86d26d",
 }
 
 # The smallest known counterexample to completeness: the Tseitin
@@ -104,7 +104,7 @@ TSEITIN_N12_DIGEST = (
 TSEITIN_GRID = [(vertices, seed, odd) for vertices in range(6, 17, 2)
                 for seed in range(10) for odd in (False, True)]
 TSEITIN_GRID_DIGEST = (
-    "36c94c5bcaa921323dce108f7f9770e4385a490f33d6bac3e4015ba38ad21b6b")
+    "ff1afad2aba3ed54383e3eaeb522c336a33feee78502760f52c3b5deef6e8f34")
 
 # the smallest grid-generator Tseitin formula known on which no basic
 # refutes: V = 12 vertices, seed 1, odd charge, n = 18 and m = 48; it

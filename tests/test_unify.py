@@ -185,11 +185,24 @@ def test_unify_preserves_joint_satisfying_sets():
     assert nonempty_seen > 10
 
 
+def assert_obeys_both_rules(structures):
+    """The readable rule definitions: rule 1 leaves every variable with
+    one constant (or none) across the structures, and rule 2 leaves
+    every pair co-tiered in two or more structures with one relation."""
+    n = structures[0].n
+    for var in range(1, n + 1):
+        assert len({constant_of(s, var) for s in structures}) == 1, var
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            relations = {rel.allowed for rel in
+                         (pair_relation(s, a, b) for s in structures)
+                         if rel is not None}
+            assert len(relations) <= 1, (a, b)
+
+
 def test_unify_fixpoint_obeys_both_rules():
     # the readable rule definitions as references for the table-driven
-    # loop: after a non-empty unify, rule 1 leaves every variable with
-    # one constant (or none) across the structures, and rule 2 leaves
-    # every pair co-tiered in two or more structures with one relation
+    # loop, on calls seeded with the complete system
     rng = random.Random(4242)
     nonempty_seen = 0
     for _ in range(300):
@@ -198,15 +211,7 @@ def test_unify_fixpoint_obeys_both_rules():
         if result.empty:
             continue
         nonempty_seen += 1
-        structures = result.structures
-        for var in range(1, n + 1):
-            assert len({constant_of(s, var) for s in structures}) == 1, var
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                relations = {rel.allowed for rel in
-                             (pair_relation(s, a, b) for s in structures)
-                             if rel is not None}
-                assert len(relations) <= 1, (a, b)
+        assert_obeys_both_rules(result.structures)
     assert nonempty_seen > 100
 
 
@@ -402,6 +407,52 @@ def test_unify_seeded_on_the_sep_shapes_matches_the_full_scan():
     assert len(every_lane) == 2 and min(every_lane.values()) > 500
     assert all(causes[shape, cause] > 40 for shape in every_lane
                for cause in (None, CAUSE_CONSTANT_CONFLICT))
+
+
+def test_seeded_and_fixed_fixpoints_obey_both_rules():
+    # rule 2 passes over a pair that holds a fixed variable, and the full
+    # scan reference does too, so the rules are checked here on their own
+    # definitions where that skip and since's constants count: on the SEP
+    # shapes, a fix on a fixpoint that has constants, and a projection
+    # refined from one, with and without a fix. Every non-empty result
+    # obeys both rules, pairs that hold a fixed variable included, and
+    # keeps the joint satisfying set of its (concretized) input
+    rng = random.Random(3434)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(5, 10)
+        result = unify_cts(random_system(rng, n, rng.randint(2, 4)))
+        if result.empty:
+            continue
+        fixpoint = result.structures
+        constants = [v for v in range(1, n + 1)
+                     if constant_of(fixpoint[0], v) is not None]
+        free = [v for v in range(1, n + 1) if v not in constants]
+        if not constants or not free:
+            continue
+        perms = [s.perm for s in fixpoint]
+        ctx = UnifyContext(perms)
+        lay, x = ctx.layout, stack(fixpoint)
+        pairs = ((rng.choice(free), rng.randint(0, 1)),)
+        targets = [stack(random_system_over(rng, perms, 0.8))
+                   for _ in range(rng.randint(1, 2))]
+        projected = project_lanes(x, targets, lay)
+        for shape, refined, fix in (("fix", x, pairs),
+                                    ("project", projected, ()),
+                                    ("project+fix", projected, pairs)):
+            if has_empty_lane(refined, lay):
+                continue
+            out = unify(refined, ctx, since=x, fix=fix)
+            if out.empty:
+                continue
+            given = unstack(concretize_lanes(refined, perms, fix, lay)
+                            if fix else refined, fixpoint)
+            structures = unstack(out.packed, fixpoint)
+            assert_obeys_both_rules(structures)
+            assert joint_sat_set(structures) == joint_sat_set(given)
+            seen[shape] += 1
+    assert min(seen[shape] for shape in ("fix", "project",
+                                         "project+fix")) > 100
 
 
 def test_unify_fix_matches_concretizing_first():
@@ -602,7 +653,8 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
     # identity from `_lane_rows`, shared with every other context, and
     # writes[v - 1] holds variable v's entries in lane order. The
     # per-byte tables against theirs: var_at[b] the variables whose
-    # lowest window is byte b, pair_at[b] the pairs with a home at byte b
+    # lowest window is byte b, pair_at[b] the pairs with a home at byte
+    # b; and var_pairs[v - 1] the pairs that hold variable v
     rng = random.Random(19)
     for _ in range(60):
         n, k = rng.randint(5, 14), rng.randint(2, 5)
@@ -644,6 +696,13 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
                 assert keep is _PAIR_KEEP[oa][ob]
                 pair_at[b] |= 1 << idx
         assert ctx.pair_at == pair_at
+        var_pairs = [0] * n
+        for idx, (x, y) in enumerate(pair for pair, homes in
+                                     sorted(by_pair.items())
+                                     if len(homes) >= 2):
+            var_pairs[x - 1] |= 1 << idx
+            var_pairs[y - 1] |= 1 << idx
+        assert ctx.var_pairs == var_pairs
         for c in (ctx, other):
             for i, perm in enumerate(c.perms):
                 entries = _lane_rows(tiers, i)[0]

@@ -12,6 +12,10 @@ shuffled and some of them repeated (instance i scrambled by
 `random.Random(i)`). `classify` works on the input as given, so it must
 hit the same pin: a verdict may depend only on the set of clauses.
 
+The (kind, stage) of each verdict is pinned too, by the fingerprint
+the benchmark prints: a change that moves only counters or the evidence
+of a refutation moves the digests and keeps the fingerprints.
+
 The decomposition is pinned the same way, by sha256 over every CTF's
 permutation and tier masks, so that a change that moves CTFs without
 moving a verdict still shows.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -41,13 +46,32 @@ def family_params(name: str) -> list[GenParams]:
     return [GenParams(n=24, m=102, mode="sat", seed=s) for s in range(6)]
 
 
-def family_digest(name: str, scramble: bool = False) -> str:
-    h = hashlib.sha256()
+@lru_cache(maxsize=None)
+def family_verdicts(name: str, scramble: bool) -> tuple:
+    """The family's verdicts in instance order, classified once per
+    session."""
+    verdicts = []
     for i, p in enumerate(family_params(name)):
         formula = generate(p)
         if scramble:
             formula = scrambled(formula, random.Random(i))
-        h.update(classify(formula).to_json().encode())
+        verdicts.append(classify(formula))
+    return tuple(verdicts)
+
+
+def family_digest(name: str, scramble: bool = False) -> str:
+    h = hashlib.sha256()
+    for verdict in family_verdicts(name, scramble):
+        h.update(verdict.to_json().encode())
+    return h.hexdigest()[:16]
+
+
+def family_fingerprint(name: str) -> str:
+    """sha256 over one "kind stage" line per instance, in instance
+    order, as the benchmark's verdict fingerprint."""
+    h = hashlib.sha256()
+    for verdict in family_verdicts(name, False):
+        h.update(("%s %s\n" % (verdict.kind, verdict.stage)).encode())
     return h.hexdigest()[:16]
 
 
@@ -62,9 +86,19 @@ def decomposition_digest(name: str) -> str:
 
 
 PINS = {
-    "sweep_small": "93c270a887edbbd5",
-    "free_n40": "11a58621f5b1260f",
-    "planted_n24": "6263ee31ce5a3c49",
+    "sweep_small": "47385aaef0ad4ec9",
+    "free_n40": "c2f7370dd5e6fe5c",
+    "planted_n24": "fc238c91d8eb6166",
+}
+
+
+# what each verdict is and where it was decided, without its counters
+# and evidence: a change that moves only wave counts or the evidence of
+# a refutation keeps these
+FINGERPRINTS = {
+    "sweep_small": "46b21259033aca56",
+    "free_n40": "8c600d5747aaacea",
+    "planted_n24": "97ad3fdbf55ef74a",
 }
 
 
@@ -83,6 +117,11 @@ def test_verdicts_match_the_pinned_digest(family, scramble):
     assert family_digest(family, scramble) == PINS[family]
 
 
+@pytest.mark.parametrize("family", FINGERPRINTS)
+def test_kinds_and_stages_match_the_pinned_fingerprint(family):
+    assert family_fingerprint(family) == FINGERPRINTS[family]
+
+
 @pytest.mark.parametrize("family", DECOMPOSITION_PINS)
 def test_decompositions_match_the_pinned_digest(family):
     assert decomposition_digest(family) == DECOMPOSITION_PINS[family]
@@ -92,4 +131,5 @@ if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_verdict_pins.py
     for name in PINS:
         print(name, family_digest(name), family_digest(name, True),
+              "fingerprint", family_fingerprint(name),
               "decomposition", decomposition_digest(name))
