@@ -9,6 +9,15 @@ removal rules iterated with clearing until stable:
      observed value combinations are intersected across structures and
      lines outside the intersection are removed.
 
+Rule 1 is rule 2 on a window of one variable: the intersection of a
+variable's value sets across structures is {v} when some structure
+shows v alone, and empty when two show different constants. So both
+rules are one read of a constraint, a variable or a pair, in all its
+homes: `allowed`, the AND of what the homes show, and `union`, their
+OR. A variable whose `allowed` is not both values is fixed, or is a
+constant conflict when `allowed` is empty; otherwise every home is
+restricted to `allowed` unless all of them agree.
+
 Rule 2 reads only pairs of unfixed variables: once u is constant at
 value a in every structure, each home of a pair (u, w) holds the
 combinations {a} x W_i, W_i being w's value set in structure i, and
@@ -23,21 +32,23 @@ window geometry depends only on the lanes' permutations; the caller
 gets it once, as a `UnifyContext` (`unify_context` keeps one per tuple
 of permutations), and passes it to every call on systems over those
 permutations. A context addresses every window by one entry shape,
-(byte, read row, keep row, lane, lane start), for variables and pair
-homes alike, and keeps one table of variable entries, by variable and
-then lane. An entry depends only on the tier count, the lane and the
-window's offsets, so each lane's entries are built once, on first use,
-and shared by every context (`_lane_rows`); the table rows are read
-off `cts._KEEP`.
+(byte, read row, keep row, lane start), for variables and pair homes
+alike, and keeps one table of homes: each variable's entries, one per
+lane, then each pair's. An entry depends only on the tier count, the
+lane and the window's offsets, so each lane's entries are built once,
+on first use, and shared by every context (`_lane_rows`); the table
+rows are read off `cts._KEEP`.
 
-`unify` works in waves. Each wave reads every stale window once, in
-order: rule 1's variable windows by variable, then rule 2's pairs of
-unfixed variables by pair. Waves repeat while a wave removed a line.
+`unify` works in waves over one agenda of stale constraints, one int
+with bit v-1 for variable v and bit n + p for pair p. Each wave reads
+every stale constraint once, in bit order: rule 1's variables, then
+rule 2's pairs of unfixed variables. Waves repeat while a wave removed
+a line.
 
 This module alone decides what the rules read in a window and whether
 a removal changed it: `settle` clears a lane outward from one
-restricted byte and marks stale the variables and pairs whose windows
-lie at the bytes whose reads changed, judged by the staleness tables
+restricted byte and marks stale the constraints whose windows lie at
+the bytes whose reads changed, judged by the staleness tables
 `_READS_FIRST` and `_READS_LATER`, which are built from the same
 `_SEEN` and `_COMBOS` rows the rules read with.
 """
@@ -74,11 +85,13 @@ class UnifyResult:
 # holds the codes whose bit at window offset o (0 = first variable of
 # the tier) is v. A pair combination (va, vb) has index va*2 + vb.
 # _SEEN[o][mask]: bit 0 when value 0 occurs at offset o, bit 1 for value 1.
+# _KEEP_SET[o][s]: codes whose value at offset o lies in the 2-bit set s.
 # _COMBO_CODES[oa][ob][va*2 + vb]: codes with value va at oa, vb at ob.
 # _COMBOS[oa][ob][mask]: 4-bit set of the (va, vb) combos present in mask.
 # _PAIR_KEEP[oa][ob][allowed]: codes whose (va, vb) combo is in allowed.
 _SEEN = [[bool(mask & k0) | bool(mask & k1) << 1 for mask in range(256)]
          for k0, k1 in _KEEP]
+_KEEP_SET = [[0, k0, k1, TIER_FULL] for k0, k1 in _KEEP]
 _COMBO_CODES = [[[_KEEP[oa][va] & _KEEP[ob][vb] for va in (0, 1)
                   for vb in (0, 1)] for ob in range(3)] for oa in range(3)]
 _COMBOS = [[[sum(1 << combo for combo, codes in enumerate(row)
@@ -121,14 +134,14 @@ _READS_LATER = _read_table(1)
 
 def settle(buf: bytearray, b: int, start: int, tiers: int, old: int,
            var_at: Sequence[int],
-           pair_at: Sequence[int]) -> tuple[int | None, int]:
+           pair_at: Sequence[int]) -> tuple[int | None, int | None]:
     """Clear the lane of `tiers` masks at buf[start:start + tiers],
     cleared before its byte b alone was restricted from the mask `old`.
 
     Walks down from byte b while the next lower tier loses lines, then
     up from byte b the same way, mutating the lane in place and never
-    reading or writing outside it. Returns (vars, pairs): the OR of
-    `var_at[byte]` over the bytes whose value sets changed and of
+    reading or writing outside it. Returns (marks, None): marks is the
+    OR of `var_at[byte]` over the bytes whose value sets changed and of
     `pair_at[byte]` over those whose pair combinations changed, both as
     the rules read them (`_READS_FIRST`, `_READS_LATER`). A byte's old
     mask is `old` for byte b and the mask the walk overwrote for the
@@ -146,11 +159,11 @@ def settle(buf: bytearray, b: int, start: int, tiers: int, old: int,
     m = buf[b]
     reads = _READS_FIRST if b == start else later
     d = reads[old] ^ reads[m]
-    stale_v = stale_p = 0
+    marks = 0
     if d:
-        stale_p = pair_at[b]
+        marks = pair_at[b]
         if d & _VALUES:
-            stale_v = var_at[b]
+            marks |= var_at[b]
     lo = b
     while m and lo > start:
         o = buf[lo - 1]
@@ -162,9 +175,9 @@ def settle(buf: bytearray, b: int, start: int, tiers: int, old: int,
         reads = _READS_FIRST if lo == start else later
         d = reads[o] ^ reads[m]
         if d:
-            stale_p |= pair_at[lo]
+            marks |= pair_at[lo]
             if d & _VALUES:
-                stale_v |= var_at[lo]
+                marks |= var_at[lo]
     if not m:
         buf[start:start + tiers] = bytes(tiers)
         return None, lo - start
@@ -178,10 +191,10 @@ def settle(buf: bytearray, b: int, start: int, tiers: int, old: int,
         buf[b] = m
         d = later[o] ^ later[m]
         if d:
-            stale_p |= pair_at[b]
+            marks |= pair_at[b]
             if d & _VALUES:
-                stale_v |= var_at[b]
-    return stale_v, stale_p
+                marks |= var_at[b]
+    return marks, None
 
 
 @lru_cache(maxsize=None)
@@ -190,15 +203,15 @@ def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple]:
     and shared by every context: its variable entries, by position, and
     its pair homes.
 
-    An entry is (byte, read row, keep row, lane, lane start) for the
-    lowest window holding a variable or pair, its byte lane × tiers +
-    tier. A variable at offset o reads with `_SEEN[o]` and restricts
-    with `_KEEP[o]`. The homes hold two entries per co-tiered position
-    pair p < q, in the order of `lowest_pairs`, (q, p) ascending:
-    the home when the smaller variable sits at p, then when it sits at
-    q, with the `_COMBOS` and `_PAIR_KEEP` rows indexed by the offset of
-    the smaller variable first. The rows of lane i do not depend on the
-    lane count.
+    An entry is (byte, read row, keep row, lane start) for the lowest
+    window holding a variable or pair, its byte lane × tiers + tier; the
+    lane is start // tiers. A variable at offset o reads its value set
+    with `_SEEN[o]` and restricts to a value set with `_KEEP_SET[o]`.
+    The homes hold two entries per co-tiered position pair p < q, in the
+    order of `lowest_pairs`, (q, p) ascending: the home when the smaller
+    variable sits at p, then when it sits at q, with the `_COMBOS` and
+    `_PAIR_KEEP` rows indexed by the offset of the smaller variable
+    first. The rows of lane i do not depend on the lane count.
     """
     windows = layout(tiers).windows
     start = i * tiers
@@ -206,8 +219,8 @@ def _lane_rows(tiers: int, i: int) -> tuple[tuple, tuple]:
     for j, a, c in lowest_pairs(windows):
         for oa, ob in ((a, c), (c, a)):
             homes.append((start + j, _COMBOS[oa][ob], _PAIR_KEEP[oa][ob],
-                          i, start))
-    return (tuple((start + j, _SEEN[off], _KEEP[off], i, start)
+                          start))
+    return (tuple((start + j, _SEEN[off], _KEEP_SET[off], start)
                   for j, off in windows),
             tuple(homes))
 
@@ -221,23 +234,23 @@ class UnifyContext:
     them (see `clear_masks`). So each variable and each pair keeps one
     window per lane: the lowest one that holds it, addressed by its
     absolute byte in the buffer of the stacked system (lane × tiers +
-    tier). Each window is one entry (byte, read row, keep row, lane,
-    lane start) of `_lane_rows`, shared by identity with every context;
-    a context holds references to them, sorted by variable and pair.
+    tier). Each window is one entry (byte, read row, keep row, lane
+    start) of `_lane_rows`, shared by identity with every context; a
+    context holds references to them, sorted by variable and pair.
 
-    `layout` is the lane `Layout` of the stacked system.
-    `writes[var-1]` holds the variable's entries, one per lane in lane
-    order, so `writes[var-1][i]` is its entry in lane i. `pair_entries`
-    holds, for every pair co-tiered in two or more lanes, its homes, one
-    per lane, by pair (x, y), x < y; `var_pairs[var-1]` holds bit idx of
-    every pair `pair_entries[idx]` that contains the variable. By byte b
-    of the buffer, `var_at[b]` holds bit var-1 of every variable whose
-    window is at byte b, and `pair_at[b]` bit idx of every pair
-    `pair_entries[idx]` with a home at byte b.
+    `layout` is the lane `Layout` of the stacked system. `homes` holds
+    the entries of every constraint, one per lane in lane order:
+    `homes[v-1]` those of variable v, then `homes[n + p]` those of the
+    p-th pair (x, y), x < y, co-tiered in two or more lanes, by pair.
+    A constraint's bit is its index in `homes`. `var_pairs[v-1]` holds
+    the bits of the pairs that contain variable v. By byte b of the
+    buffer, `var_at[b]` holds the bits of the variables whose window is
+    at byte b, and `pair_at[b]` the bits of the pairs with a home at
+    byte b.
     """
 
-    __slots__ = ("perms", "layout", "writes", "pair_entries", "var_pairs",
-                 "var_at", "pair_at")
+    __slots__ = ("perms", "layout", "homes", "var_pairs", "var_at",
+                 "pair_at")
 
     def __init__(self, perms: Sequence[Perm]):
         if not perms:
@@ -249,8 +262,8 @@ class UnifyContext:
         tiers = perms[0].layout.tiers
         self.layout = layout(tiers, len(perms))
         rows = [_lane_rows(tiers, i) for i in range(len(perms))]
-        self.writes = list(zip(*([entries[p] for p in perm.pos]
-                                 for (entries, _), perm in zip(rows, perms))))
+        self.homes = list(zip(*([entries[p] for p in perm.pos]
+                                for (entries, _), perm in zip(rows, perms))))
         # pairs keyed (x - 1) * n + y - 1 for variables x < y, so the keys
         # sort as (x, y); the homes of lane i come in the order of its rows
         windows = self.layout.windows
@@ -264,23 +277,20 @@ class UnifyContext:
                 else:
                     home, key = row[2 * s + 1], (y - 1) * n + x - 1
                 by_pair.setdefault(key, []).append(home)
-        self.pair_entries = []
         self.var_pairs = [0] * n
         for key in sorted(by_pair):
             if len(by_pair[key]) >= 2:
-                bit = 1 << len(self.pair_entries)
+                bit = 1 << len(self.homes)
                 u, w = divmod(key, n)
                 self.var_pairs[u] |= bit
                 self.var_pairs[w] |= bit
-                self.pair_entries.append(tuple(by_pair[key]))
+                self.homes.append(tuple(by_pair[key]))
         self.var_at = [0] * (tiers * len(perms))
-        for v, entries in enumerate(self.writes):
-            for b, _, _, _, _ in entries:
-                self.var_at[b] |= 1 << v
         self.pair_at = [0] * (tiers * len(perms))
-        for idx, homes in enumerate(self.pair_entries):
-            for b, _, _, _, _ in homes:
-                self.pair_at[b] |= 1 << idx
+        for idx, entries in enumerate(self.homes):
+            at = self.var_at if idx < n else self.pair_at
+            for b, _, _, _ in entries:
+                at[b] |= 1 << idx
 
 
 @lru_cache(maxsize=2048)
@@ -330,67 +340,62 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
         and no pair has two homes, so neither rule removes a line.
 
     The masks live in one bytearray, the bytes of x: tier t of lane i
-    at byte i * tiers + t. Each wave reads every stale window once, in
-    order: rule 1's variable windows by variable, each variable's lanes
-    in lane order, then rule 2's pairs by pair; waves repeat while a
-    wave removed a line. The fixpoint of this monotone removal process
-    is order-independent; the order decides only the wave count and,
-    when the system empties, the structure, tier and cause met first.
-    The masks stay cleared throughout, so both rules read a variable or
-    a pair from one window, the lowest that holds it, and restrict only
-    that window before clearing outward from it inside its lane
-    (`settle`). When the rule allows no value there, that window
-    empties, and it is the lowest tier that restricting every window
-    would have emptied.
+    at byte i * tiers + t. Each wave reads every stale constraint once,
+    in bit order (`ctx.homes`): rule 1's variables by variable, then
+    rule 2's pairs by pair; waves repeat while a wave removed a line.
+    The fixpoint of this monotone removal process is order-independent;
+    the order decides only the wave count and, when the system empties,
+    the structure, tier and cause met first. The masks stay cleared
+    throughout, so a constraint is read from one window per lane, the
+    lowest that holds it, and a removal restricts only that window
+    before clearing outward from it inside its lane (`settle`). When
+    the rule allows no value there, that window empties, and it is the
+    lowest tier that restricting every window would have emptied. A
+    constant conflict is reported at the lane where the AND of the
+    value sets, taken in lane order, first empties.
 
-    A window is read only while stale, that is, while what its rule
-    reads there changed since it was last read: a variable window's
+    A constraint is read only while stale, that is, while what it reads
+    in some home changed since it was last read: a variable window's
     value set, a pair home's combination set. `settle` compares each
     byte a removal rewrites before and after through `_READS_FIRST` and
-    `_READS_LATER`, and returns the variables whose windows lie at the
+    `_READS_LATER`, and marks the variables whose windows lie at the
     bytes whose value sets changed (`ctx.var_at`) and the pairs with a
     home at the bytes whose combination sets changed (`ctx.pair_at`).
-    The first wave's stale windows are those of the same test on the
-    bytes where x and `since` differ, and those that `settle` returns
+    The first wave's stale constraints are those of the same test on
+    the bytes where x and `since` differ, and those that `settle` marks
     for the fix. A read only loses bits as its mask shrinks, so a
     window whose reads changed in some fix step differs from `since` at
     the end, and the marks are the ones a scan of the concretized input
-    would make.
+    would make. A stale constraint reads every home; which lanes
+    changed is not kept, since a home that did not change decides
+    nothing: an unfixed variable's unchanged window shows both values,
+    as at its last read or, unread, as in `since`, a fixpoint that
+    shows no unfixed variable constant.
 
-    A variable is fixed once it is constant in every lane, and is never
-    read again: a read of it writes nothing. `fixed` starts with the
-    constants of `since`, read in its lane 0 (a fixpoint shows each
-    constant in every lane, and x, refining it, keeps them), then takes
-    the fix's variables, constant in every lane after the fix, and rule
-    1 adds each constant it finds. Rule 2 reads no pair that holds a
-    fixed variable (`done`, the pairs of the fixed variables in
-    `ctx.var_pairs`). This loses no removal: with u fixed at a, each
-    home of (u, w) holds the combinations {a} x W_i, where W_i is w's
-    value set in lane i, and their intersection removes the lines with
-    w != b when some lane has W_i = {b}, as rule 1 does when it reads
-    w, and empties a tier when the W_i are {0} and {1}, where rule 1
-    finds a constant conflict. A change of W_i marks w stale in lane i,
-    so rule 1 reads it. The fixpoint is the same; the waves, and on an
-    emptied system the cause, structure and tier met first, can differ
-    from a scan that reads those pairs too.
+    `done` holds the bit of each variable fixed, constant in every lane,
+    and the bits of its pairs (`ctx.var_pairs`); none of them is read
+    again. It starts with the constants of `since`, read in its lane 0
+    (a fixpoint shows each constant in every lane, and x, refining it,
+    keeps them), then takes the fix's variables, constant in every lane
+    after the fix, and each constant rule 1 finds. A pair of a fixed
+    variable loses no removal: with u fixed at a, each home of (u, w)
+    holds the combinations {a} x W_i, where W_i is w's value set in
+    lane i, and their intersection removes the lines with w != b when
+    some lane has W_i = {b}, as rule 1 does when it reads w, and
+    empties a tier when the W_i are {0} and {1}, where rule 1 finds a
+    constant conflict. A change of W_i marks w stale, so rule 1 reads
+    it. The fixpoint is the same; the waves, and on an emptied system
+    the cause, structure and tier met first, can differ from a scan
+    that reads those pairs too.
 
-    Skipping a window that is not stale changes nothing:
-      - a variable window with its value set unchanged showed both
-        values at its last read, and still does; or its variable was
-        concretized everywhere then, is fixed and is never read again;
-        or it was not read yet and has its value set in `since`, a
-        fixpoint, where the variable shows both values in every lane
-        or one value in every lane, and then it is fixed from the start;
-      - a pair with every home's combination set unchanged found all
-        its homes agreeing at its last read (a read that restricts a
-        home changes that home's set, so the pair goes stale again), or
-        it was not read yet and its homes agree as they do in `since`.
-    Within a wave the candidates are found in variable (rule 1) and
-    pair (rule 2) order as the wave goes, so a window that goes stale
-    ahead of the scan is still read in this wave, as in a full scan;
-    one that goes stale behind it is read in the next wave, which the
-    removal that made it stale sets going. A pair whose homes all show
-    the same combinations removes nothing and is passed over.
+    Within a wave the stale constraints are taken in bit order as the
+    wave goes, so one that goes stale ahead of the scan is still read
+    in this wave, as in a full scan; one that goes stale behind it is
+    read in the next wave, which the removal that made it stale sets
+    going. A constraint whose homes all show the same set removes
+    nothing (a variable that every home shows constant is still fixed);
+    a pair whose homes agree at a read stays so until one of them
+    changes and marks it again.
 
     A sink, when given, receives the system state after the fix,
     before the first wave, and after every wave; a call that ends
@@ -399,7 +404,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     if x == since:   # a fixpoint: lane 0 shows every lane's value sets
         removes = False
         for var, value in fix:
-            b, row, _, _, _ = ctx.writes[var - 1][0]
+            b, row, _, _ = ctx.homes[var - 1][0]
             seen = row[x >> 8 * b & TIER_FULL]
             if not seen >> value & 1:
                 return UnifyResult(None, 0, CAUSE_EMPTY_INPUT, 0)
@@ -416,51 +421,46 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
         return UnifyResult(None, waves=0, cause=CAUSE_EMPTY_INPUT,
                            structure_index=first)
 
-    writes, pair_entries = ctx.writes, ctx.pair_entries
-    var_at, pair_at, var_pairs = ctx.var_at, ctx.pair_at, ctx.var_pairs
+    homes, var_pairs = ctx.homes, ctx.var_pairs
+    var_at, pair_at = ctx.var_at, ctx.pair_at
+    n = len(var_pairs)
     buf = bytearray(x.to_bytes(size, "little"))
     seed = buf   # since's bytes; read before the fix rewrites buf
-    stale_vars = [0] * k
-    stale_pairs = 0
+    stale = 0
     if x != since:
         seed = since.to_bytes(size, "little")
         for b in compress(range(size), (x ^ since).to_bytes(size, "little")):
-            i, t = divmod(b, tiers)
-            view = _READS_LATER if t else _READS_FIRST
+            view = _READS_LATER if b % tiers else _READS_FIRST
             d = view[seed[b]] ^ view[buf[b]]
             if d:
-                stale_pairs |= pair_at[b]
+                stale |= pair_at[b]
                 if d & _VALUES:
-                    stale_vars[i] |= var_at[b]
-    # bit var-1 of every variable concretized everywhere: since's
-    # constants, read in lane 0 of that fixpoint, then the fix's
-    # variables and rule 1's constants; done holds the pairs of the
-    # fixed variables, which rule 2 does not read
-    fixed = done = 0
-    for v, entries in enumerate(writes):
-        b, row, _, _, _ = entries[0]
+                    stale |= var_at[b]
+    # the bits of every variable concretized everywhere and of its
+    # pairs: since's constants, read in lane 0 of that fixpoint, then
+    # the fix's variables and rule 1's constants
+    done = 0
+    for v in range(n):
+        b, row, _, _ = homes[v][0]
         if row[seed[b]] != 3:
-            fixed |= 1 << v
-            done |= var_pairs[v]
+            done |= 1 << v | var_pairs[v]
     if fix:
         for var, _ in fix:
-            fixed |= 1 << var - 1
-            done |= var_pairs[var - 1]
+            done |= 1 << var - 1 | var_pairs[var - 1]
         for i in range(k):
             for var, value in fix:
-                b, _, keep, _, start = writes[var - 1][i]
+                b, _, keep, start = homes[var - 1][i]
                 old = buf[b]
-                kept = old & keep[value]
+                kept = old & keep[1 << value]
                 if kept == old:
                     continue
                 buf[b] = kept
-                sv, sp = settle(buf, b, start, tiers, old, var_at, pair_at)
-                if sv is None:
+                marks, _ = settle(buf, b, start, tiers, old, var_at, pair_at)
+                if marks is None:
                     return UnifyResult(None, waves=0,
                                        cause=CAUSE_EMPTY_INPUT,
                                        structure_index=i)
-                stale_vars[i] |= sv & ~fixed
-                stale_pairs |= sp
+                stale |= marks
     if sink is not None:
         _emit_wave(sink, ctx, buf, 0)
     if k == 1:   # its constants are its own, and no pair has two homes
@@ -470,88 +470,50 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     while changed:
         waves += 1
         changed = False
-
-        # rule 1: stale variable windows, in variable order; a constant
-        # is concretized everywhere
-        pending = 0
-        for sv in stale_vars:
-            pending |= sv
-        pending &= ~fixed
+        pending, stale = stale & ~done, 0   # read in this wave
         while pending:
             low = pending & -pending
             pending ^= low
-            v = low.bit_length() - 1   # variable v + 1
-            value = None
-            for b, row, _, i, _ in writes[v]:
-                if not stale_vars[i] & low:
-                    continue
-                stale_vars[i] ^= low
-                seen = row[buf[b]]
-                if seen == 3:
-                    continue
-                if value is None:
-                    value = seen >> 1
-                elif value != seen >> 1:
-                    return UnifyResult(None, waves=waves,
-                                       cause=CAUSE_CONSTANT_CONFLICT,
-                                       structure_index=i)
-            if value is None:
-                continue
-            fixed |= low
-            done |= var_pairs[v]
-            later = -(low << 1)   # the bits above low
-            for b, _, keep, i, start in writes[v]:
-                old = buf[b]
-                kept = old & keep[value]
-                if kept == old:
-                    continue
-                buf[b] = kept
-                changed = True
-                sv, sp = settle(buf, b, start, tiers, old, var_at, pair_at)
-                if sv is None:
-                    return UnifyResult(None, waves=waves,
-                                       cause=CAUSE_EMPTY_TIER,
-                                       structure_index=i,
-                                       empty_tier=sp + 1)
-                sv &= ~fixed
-                stale_vars[i] |= sv
-                stale_pairs |= sp
-                pending |= sv & later
-
-        # rule 2: stale pairs of unfixed variables, in pair order
-        pending, stale_pairs = stale_pairs & ~done, 0   # read in this wave
-        while pending:
-            low = pending & -pending
-            pending ^= low
-            homes = pair_entries[low.bit_length() - 1]
+            idx = low.bit_length() - 1
+            entries = homes[idx]
             allowed, union = 15, 0
-            for b, combos, _, _, _ in homes:
-                rel = combos[buf[b]]
+            for b, row, _, _ in entries:
+                rel = row[buf[b]]
                 allowed &= rel
                 union |= rel
+            if idx < n and allowed != 3:   # rule 1 found a constant
+                if not allowed:   # report where the AND, by lane, empties
+                    allowed = 3
+                    for b, row, _, start in entries:
+                        allowed &= row[buf[b]]
+                        if not allowed:
+                            return UnifyResult(
+                                None, waves=waves,
+                                cause=CAUSE_CONSTANT_CONFLICT,
+                                structure_index=start // tiers)
+                done |= low | var_pairs[idx]
+                pending &= ~done
             if allowed == union:   # every home agrees
                 continue
             # each home lies in a lane of its own, so a removal below
             # leaves the windows of the other homes as they were read
-            later = -(low << 1)
-            for b, _, keep, i, start in homes:
+            later = -(low << 1)   # the bits above low
+            for b, _, keep, start in entries:
                 old = buf[b]
                 kept = old & keep[allowed]
                 if kept == old:
                     continue
                 buf[b] = kept
                 changed = True
-                sv, sp = settle(buf, b, start, tiers, old, var_at, pair_at)
-                if sv is None:
+                marks, t = settle(buf, b, start, tiers, old, var_at, pair_at)
+                if marks is None:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
-                                       structure_index=i,
-                                       empty_tier=sp + 1)
-                stale_vars[i] |= sv & ~fixed
-                sp &= ~done
-                now = sp & later   # read later in this wave
-                pending |= now
-                stale_pairs |= sp ^ now
+                                       structure_index=start // tiers,
+                                       empty_tier=t + 1)
+                marks &= ~done
+                pending |= marks & later
+                stale |= marks & ~later
         if sink is not None:
             _emit_wave(sink, ctx, buf, waves)
 

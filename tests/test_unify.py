@@ -13,8 +13,8 @@ import ctsat
 from ctsat.cts import (_KEEP, Cts, Perm, clear_masks, concretize_lanes,
                        has_empty_lane, lane_layout, project_lanes, stack,
                        unstack)
-from ctsat.unify import (_COMBOS, _PAIR_KEEP, _READS_FIRST, _READS_LATER,
-                         _SEEN, _VALUES, CAUSE_CONSTANT_CONFLICT,
+from ctsat.unify import (_COMBOS, _KEEP_SET, _PAIR_KEEP, _READS_FIRST,
+                         _READS_LATER, _SEEN, _VALUES, CAUSE_CONSTANT_CONFLICT,
                          CAUSE_EMPTY_INPUT, CAUSE_EMPTY_TIER, UnifyContext,
                          _lane_rows, settle, unify)
 
@@ -121,6 +121,21 @@ def test_unify_constant_conflict():
     result = unify_cts([a, b])
     assert result.empty
     assert result.cause == CAUSE_CONSTANT_CONFLICT
+    # a complete structure and two that fix x1 at 0 and at 1, in every
+    # order: the conflict is reported at the lane of the later constant,
+    # wherever the lane that shows both values sits
+    perms = (Perm.identity(5), Perm((5, 4, 3, 2, 1)), Perm((3, 1, 5, 2, 4)))
+    for order in itertools.permutations(range(3)):
+        system = []
+        for lane, kind in enumerate(order):
+            s = Cts.complete(perms[lane])
+            system.append(s if kind == 0 else s.concretize(1, kind - 1))
+        result = unify_cts(system)
+        assert (result.empty, result.cause, result.structure_index) == (
+            True, CAUSE_CONSTANT_CONFLICT, max(order.index(1),
+                                               order.index(2))), order
+        assert result_fields(result) == result_fields(
+            reference_unify(system)), order
 
 
 def test_unify_empty_tier_reports_the_lowest_window():
@@ -617,6 +632,9 @@ def test_tables_match_the_bit_of_code_c_at_offset_o():
         for v in (0, 1):
             assert _KEEP[o][v] == sum(1 << c for c in range(8)
                                       if bit(c, o) == v)
+        for values in range(4):
+            assert _KEEP_SET[o][values] == sum(
+                1 << c for c in range(8) if values >> bit(c, o) & 1)
         for mask in range(256):
             values = {bit(c, o) for c in range(8) if mask >> c & 1}
             assert _SEEN[o][mask] == sum(1 << v for v in values)
@@ -647,31 +665,32 @@ def test_import_builds_no_lane_rows():
 
 def test_context_entries_are_the_rows_of_their_lowest_windows():
     # every entry of a context against its definition: one shape, (byte,
-    # read row, keep row, lane, lane start), its byte lane * tiers + the
-    # tier of the lowest window holding the variable or pair, its rows
-    # the table rows of its offsets there; every entry is drawn by
-    # identity from `_lane_rows`, shared with every other context, and
-    # writes[v - 1] holds variable v's entries in lane order. The
-    # per-byte tables against theirs: var_at[b] the variables whose
-    # lowest window is byte b, pair_at[b] the pairs with a home at byte
-    # b; and var_pairs[v - 1] the pairs that hold variable v
+    # read row, keep row, lane start), its byte lane * tiers + the tier
+    # of the lowest window holding the variable or pair, its rows the
+    # table rows of its offsets there (`_SEEN` and `_KEEP_SET` for a
+    # variable); every entry is drawn by identity from `_lane_rows`,
+    # shared with every other context, and homes holds variable v's
+    # entries at v - 1 in lane order, then the pairs' homes from n on.
+    # The per-byte tables against theirs, with a constraint's bit its
+    # index in homes: var_at[b] the variables whose lowest window is
+    # byte b, pair_at[b] the pairs with a home at byte b; and
+    # var_pairs[v - 1] the pairs that hold variable v
     rng = random.Random(19)
     for _ in range(60):
         n, k = rng.randint(5, 14), rng.randint(2, 5)
         tiers = n - 2
         ctx, other = (UnifyContext([Perm(rng.sample(range(1, n + 1), n))
                                     for _ in range(k)]) for _ in range(2))
-        assert len(ctx.writes) == n
-        assert all(len(entries) == k for entries in ctx.writes)
+        assert all(len(entries) == k for entries in ctx.homes[:n])
         var_at = [0] * (k * tiers)
         for i, perm in enumerate(ctx.perms):
             start = i * tiers
             for v in range(1, n + 1):
                 p = perm.position(v)
                 j = max(p - 2, 0)
-                b, seen, keep, lane, lane_start = ctx.writes[v - 1][i]
-                assert (b, lane, lane_start) == (start + j, i, start)
-                assert seen is _SEEN[p - j] and keep is _KEEP[p - j]
+                b, seen, keep, lane_start = ctx.homes[v - 1][i]
+                assert (b, lane_start) == (start + j, start)
+                assert seen is _SEEN[p - j] and keep is _KEEP_SET[p - j]
                 var_at[start + j] |= 1 << v - 1
         assert ctx.var_at == var_at
         by_pair: dict = {}
@@ -684,22 +703,22 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
                         (i, j, p - j, q - j))
         expected = [homes for _, homes in sorted(by_pair.items())
                     if len(homes) >= 2]
-        assert len(ctx.pair_entries) == len(expected)
+        assert len(ctx.homes) == n + len(expected)
         pair_at = [0] * (k * tiers)
-        for idx, (homes, wanted) in enumerate(zip(ctx.pair_entries,
-                                                  expected)):
+        for idx, (homes, wanted) in enumerate(zip(ctx.homes[n:], expected),
+                                              n):
             assert len(homes) == len(wanted)
             for home, (i, j, oa, ob) in zip(homes, wanted):
-                b, combos, keep, lane, lane_start = home
-                assert (b, lane, lane_start) == (i * tiers + j, i, i * tiers)
+                b, combos, keep, lane_start = home
+                assert (b, lane_start) == (i * tiers + j, i * tiers)
                 assert combos is _COMBOS[oa][ob]
                 assert keep is _PAIR_KEEP[oa][ob]
                 pair_at[b] |= 1 << idx
         assert ctx.pair_at == pair_at
         var_pairs = [0] * n
-        for idx, (x, y) in enumerate(pair for pair, homes in
-                                     sorted(by_pair.items())
-                                     if len(homes) >= 2):
+        for idx, (x, y) in enumerate((pair for pair, homes in
+                                      sorted(by_pair.items())
+                                      if len(homes) >= 2), n):
             var_pairs[x - 1] |= 1 << idx
             var_pairs[y - 1] |= 1 << idx
         assert ctx.var_pairs == var_pairs
@@ -707,11 +726,11 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
             for i, perm in enumerate(c.perms):
                 entries = _lane_rows(tiers, i)[0]
                 for v, p in enumerate(perm.pos):
-                    assert c.writes[v][i] is entries[p]
+                    assert c.homes[v][i] is entries[p]
             shared = {id(home) for i in range(k)
                       for home in _lane_rows(tiers, i)[1]}
             assert all(id(home) in shared
-                       for homes in c.pair_entries for home in homes)
+                       for homes in c.homes[n:] for home in homes)
         assert other.layout is ctx.layout
 
 
@@ -782,11 +801,11 @@ def test_settle_matches_clear_masks_after_one_tier_restriction():
     # a flat buffer of one to four lanes; it must give clear_masks'
     # masks, and (None, t) with clear_masks' empty index t when a tier
     # empties, and leave the neighbouring lanes (random bytes) untouched.
-    # Its marks are exactly the OR of var_at over the tiers whose value
-    # sets, and of pair_at over the tiers whose pair combinations, as
-    # unify reads them, differ between the masks before and after: each
-    # byte has a bit of its own in each table, so a byte marked or left
-    # out by mistake, or a table read for the other, shows
+    # Its one mark set is exactly the OR of var_at over the tiers whose
+    # value sets, and of pair_at over the tiers whose pair combinations,
+    # as unify reads them, differ between the masks before and after:
+    # each byte has a bit of its own in each table, so a byte marked or
+    # left out by mistake, or a table read for the other, shows
     rng = random.Random(902)
     emptied = kept = wide = skipped = gaps = same_values = 0
     while emptied + kept < 4000:
@@ -822,8 +841,8 @@ def test_settle_matches_clear_masks_after_one_tier_restriction():
                  for t in range(tiers)]
         values = [t for t, (old, new) in enumerate(reads) if old[0] != new[0]]
         combos = [t for t, (old, new) in enumerate(reads) if old[1] != new[1]]
-        assert marks == (sum(var_at[start + t] for t in values),
-                         sum(pair_at[start + t] for t in combos))
+        assert marks == (sum(var_at[start + t] for t in values)
+                         | sum(pair_at[start + t] for t in combos), None)
         changed = [t for t in range(tiers) if got[t] != before[t]]
         wide += len(changed) > 1
         skipped += len(combos) < len(changed)
