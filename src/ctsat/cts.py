@@ -24,9 +24,11 @@ a structure over its own permutation. The systemic procedure
 (`ctsat.sep`) stores each same-name tuple this way, one int per
 skeleton vertex and edge, and works on that int directly: a lane is
 dead when it has an empty tier (`has_empty_lane`), `project_lanes`
-projects a tuple with one AND and one clear per target tuple, and a
-union of tuples is one OR. `ctsat.unify` edits the bytes of such an
-int, one lane at a time; it also fixes the variables of a tier-0 vertex
+projects a tuple with one AND and one clear per target tuple it is
+given (the procedure gives it only the targets whose code agrees with
+the tuple's value sets, `unify.window_codes`), and a union of tuples
+is one OR. `ctsat.unify` edits the bytes of such an int, one lane at
+a time; it also fixes the variables of a tier-0 vertex
 tuple and of a shift's concretization, a lone member's too, clearing
 outward from the restricted windows. `concretize_lanes` fixes variables
 in every lane with one mask and one clear; it has no pipeline caller,
@@ -592,7 +594,10 @@ def project_lanes(x: int, targets: Iterable[int], lay: Layout) -> int:
     A target that contains every lane of x gives x at once: the AND is
     then x, which is cleared, so its piece of the union is x, and every
     piece lies in x. For the same reason the union stops growing once
-    it equals x."""
+    it equals x. A target whose AND with x is dead in every lane adds
+    nothing but costs its clear; the systemic procedure leaves out the
+    targets it can tell are so from x's value sets before the call
+    (`sep.concordant_shift`)."""
     acc = 0
     for t in targets:
         raw = t & x

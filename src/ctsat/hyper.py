@@ -5,7 +5,8 @@ The basic structure is viewed as a tiered graph: one vertex per line,
 edges between adjoining lines of adjacent tiers, kept as bitmasks like
 a `Cts`. The systemic effective procedure (`ctsat.sep`) uses that graph
 as the shared skeleton of its hyperstructures. This module also holds
-the same-tier disjointness check and the extraction failure. What a
+the checks run after each tier, same-tier disjointness and the codes'
+values in every vertex tuple, and the extraction failure. What a
 vertex or a route fixes, `cts.Perm` reads off its codes
 (`window_values`, `assignment_of`).
 """
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .cts import _CODES, _SUCC, Cts, clear_packed, lane_layout, unstack
+from .cts import (_CODES, _SUCC, Cts, Perm, clear_packed, has_empty_lane,
+                  lane_layout, layout, unstack)
+from .unify import UnifyContext
 
 Vertex = tuple[int, int]          # (tier index 0-based, triplet code)
 Edge = tuple[int, int, int]       # (tier index j, code at j, code at j+1)
@@ -210,6 +213,41 @@ def check_tier_disjoint(vsub: dict[Vertex, int], codes: Sequence[int],
                     {"tier": j + 1, "member": member, "substructures": {
                         format(a, "03b"): sa.render(),
                         format(b, "03b"): sb.render()}})
+
+
+def check_tier_codes(vsub: dict[Vertex, int], codes: Sequence[int], j: int,
+                     perm: Perm, ctx: UnifyContext) -> None:
+    """Each tier-j vertex tuple (j, c) must show the values of code c at
+    the basic permutation's positions j, j+1 and j+2, constant in every
+    member; checked after each tier completes (also under -O). `vsub`
+    maps a vertex to its same-name tuple stacked in one int, member i in
+    lane i over ctx.perms[i]. Projection drops the targets whose code
+    disagrees with the shifted tuple on these values
+    (`unify.window_codes`), which is exact only while this holds. In the
+    first tier the concretization fixes the three values; later, each
+    edge tuple in a vertex tuple's union fixes its tail's values, two of
+    which the code shares, and its third.
+
+    A tuple passes when it has no empty tier and holds none of the
+    lines, at the three variables' lowest windows in every lane
+    (`UnifyContext.off_value`), that give a variable another value than
+    c: one AND and one has-zero-byte test per tuple. The diagnostics
+    name the first failing member by its 0-based position."""
+    lay = ctx.layout
+    off = [ctx.off_value[v - 1] for v in perm.order[j:j + 3]]
+    for c in codes:
+        x = vsub[(j, c)]
+        wrong = x & (off[0][c >> 2] | off[1][c >> 1 & 1] | off[2][c & 1])
+        if not wrong and not has_empty_lane(x, lay):
+            continue
+        width, one = 8 * lay.tiers, layout(lay.tiers)
+        member = next(i for i in range(lay.lanes)
+                      if wrong >> width * i & one.ones
+                      or has_empty_lane(x >> width * i & one.ones, one))
+        raise InvariantViolation(
+            "tier %d vertex %s: member %d does not hold the code's values"
+            % (j + 1, format(c, "03b"), member),
+            {"tier": j + 1, "code": format(c, "03b"), "member": member})
 
 
 class ExtractionFailure(RuntimeError):

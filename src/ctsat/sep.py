@@ -28,8 +28,8 @@ from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
 from .formula import Bits, TabularFormula, bits_to_string
 from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
-                    Vertex, basic_graph, check_tier_disjoint)
-from .unify import UnifyContext, unify, unify_context
+                    Vertex, basic_graph, check_tier_codes, check_tier_disjoint)
+from .unify import UnifyContext, unify, unify_context, window_codes
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -175,10 +175,18 @@ def concordant_shift(system: HsSystem, edge: Edge,
     concretization depends only on the tail tuple and the edge, and the
     projection step onto tier s only on the tuple before it and on tier
     s's codes and vertex tuples, so steps kept while those are unchanged
-    are what a shift from scratch would make."""
+    are what a shift from scratch would make.
+
+    A projection step onto tier s passes `project_lanes` only the tier-s
+    vertex tuples whose code agrees with x's value sets of the basic
+    variables at positions s, s+1 and s+2, read in lane 0
+    (`unify.window_codes`). x is a unify fixpoint, and each vertex tuple
+    holds its code's values constant in every lane, so a dropped
+    target's AND with x is empty in every lane: the projection is the
+    same, and so is the step."""
     j, a, b = edge
     vsub, codes = system.vsub, system.skeleton.codes
-    lay = system.context.layout
+    ctx, order = system.context, system.basic.perm.order
     if not steps:
         tail = vsub[(j, a)]
         steps.append(_unify_same_name(
@@ -188,7 +196,10 @@ def concordant_shift(system: HsSystem, edge: Edge,
     for s in range(len(steps) - 1, j):
         if x is None:
             break
-        projected = project_lanes(x, (vsub[(s, c)] for c in codes(s)), lay)
+        kept = window_codes(x, ctx, order[s:s + 3])
+        projected = project_lanes(
+            x, (vsub[(s, c)] for c in codes(s) if kept >> c & 1),
+            ctx.layout)
         x = _unify_same_name(projected, x, system)
         steps.append(x)
     return x
@@ -232,9 +243,13 @@ def systemic_effective_procedure(
     itself with the variables to fix, which `unify` restricts and
     clears outward from in its byte buffer before the first wave; a
     projection step passes the cleared projection of the tuple before
-    it. `unify` itself returns a step that removes nothing, an emptied
-    member and a lone member (k = 2) with no wave, so the procedure
-    makes no test of its own. A tier-j vertex tuple after the first
+    it, over only the tier's vertex tuples whose code agrees with the
+    tuple's value sets (see `concordant_shift`; `check_tier_codes`
+    checks, as each tier completes, that every vertex tuple holds its
+    code's values in every lane, which makes that exact). `unify`
+    itself returns a step that removes nothing, an emptied member and a
+    lone member (k = 2) with no wave, so the procedure makes no test of
+    its own. A tier-j vertex tuple after the first
     tier needs no unify step, because a tier-wise union of unify
     fixpoints over the same permutations is one. At a fixpoint the two
     rules agree everywhere: each variable shows the same value set in
@@ -307,6 +322,8 @@ def systemic_effective_procedure(
             for steps in shifts.values():
                 # steps[s] is the tuple before the projection onto tier s
                 del steps[resume + 1:]
+        check_tier_codes(system.vsub, skeleton.codes(j), j, basic.perm,
+                         system.context)
         check_tier_disjoint(system.vsub, skeleton.codes(j), j,
                             system.structures)
         _emit_tier(sink, system, j)

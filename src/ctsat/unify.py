@@ -39,6 +39,11 @@ lane and the window's offsets, so each lane's entries are built once,
 on first use, and shared by every context (`_lane_rows`); the table
 rows are read off `cts._KEEP`.
 
+The systemic procedure reads windows through a context too:
+`window_codes` gives the codes of a tier window that lane 0 of a
+fixpoint allows, which picks a projection's targets, and
+`UnifyContext.off_value` the lines that its tier check forbids.
+
 `unify` works in waves over one agenda of stale constraints, one int
 with bit v-1 for variable v and bit n + p for pair p. Each wave reads
 every stale constraint once, in bit order: rule 1's variables, then
@@ -250,7 +255,7 @@ class UnifyContext:
     """
 
     __slots__ = ("perms", "layout", "homes", "var_pairs", "var_at",
-                 "pair_at")
+                 "pair_at", "_off_value")
 
     def __init__(self, perms: Sequence[Perm]):
         if not perms:
@@ -291,6 +296,28 @@ class UnifyContext:
             at = self.var_at if idx < n else self.pair_at
             for b, _, _, _ in entries:
                 at[b] |= 1 << idx
+        self._off_value = None
+
+    @property
+    def off_value(self) -> list[tuple[int, int]]:
+        """`off_value[v-1][a]` holds, stacked as the system, the lines of
+        variable v's lowest window in every lane at which v is not a: a
+        cleared system with no empty lane shows v constant at a in every
+        lane exactly when it holds none of them. Built on first use, as
+        only the systemic procedure's tier check (`hyper.check_tier_codes`)
+        reads it; the context cache keeps it for the next run."""
+        if self._off_value is None:
+            size = self.layout.tiers * self.layout.lanes
+            self._off_value = []
+            for entries in self.homes[:len(self.var_pairs)]:
+                not0, not1 = bytearray(size), bytearray(size)
+                # _KEEP_SET[o][2] holds the codes with value 1 at offset
+                # o, and _KEEP_SET[o][1] those with value 0
+                for b, _, keep, _ in entries:
+                    not0[b], not1[b] = keep[2], keep[1]
+                self._off_value.append((int.from_bytes(not0, "little"),
+                                        int.from_bytes(not1, "little")))
+        return self._off_value
 
 
 @lru_cache(maxsize=2048)
@@ -298,6 +325,36 @@ def unify_context(perms: tuple[Perm, ...]) -> UnifyContext:
     """The `UnifyContext` of a tuple of permutations, built once while
     it stays in the cache."""
     return UnifyContext(perms)
+
+
+def window_codes(x: int, ctx: UnifyContext,
+                 variables: Sequence[int]) -> int:
+    """The codes of a tier window over `variables`, its three variables
+    in window order (the first most significant), whose values x shows
+    in lane 0: the mask of the codes c whose value at offset k lies in
+    the value set of variables[k], read at that variable's lowest
+    window of lane 0 (`ctx.homes`). x is cleared, so that window shows
+    the variable's value set in the lane.
+
+    The systemic procedure reads it on a unify fixpoint x to drop the
+    projection targets whose AND with x is empty in every lane. A
+    fixpoint shows each variable's value set in lane 0 as in every
+    lane. A tier-s vertex tuple of code c holds c's three values
+    constant in every lane (the invariant `hyper.check_tier_codes`
+    checks). So when c lies outside the mask, some variable of the
+    window lacks c's value in x in every lane, and the AND of x and the
+    target is empty at x's lowest window of that variable in every
+    lane: its clear is 0, it adds nothing to the projection's union, and
+    it never equals x."""
+    u, v, w = variables
+    homes, lay = ctx.homes, ctx.layout
+    masks = (x & lay.ones).to_bytes(lay.tiers, "little")   # lane 0
+    b, row, _, _ = homes[u - 1][0]
+    codes = _KEEP_SET[0][row[masks[b]]]
+    b, row, _, _ = homes[v - 1][0]
+    codes &= _KEEP_SET[1][row[masks[b]]]
+    b, row, _, _ = homes[w - 1][0]
+    return codes & _KEEP_SET[2][row[masks[b]]]
 
 
 def unify(x: int, ctx: UnifyContext, since: int, sink=None,

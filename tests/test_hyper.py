@@ -13,9 +13,10 @@ import ctsat
 from ctsat.cts import Cts, Perm, stack, unstack
 from ctsat.formula import TabularFormula
 from ctsat.hyper import (InvariantViolation, TierGraph, basic_graph,
-                         check_tier_disjoint)
+                         check_tier_codes, check_tier_disjoint)
 from ctsat.sep import (HsSystem, concordant_shift, extract_jss_system,
                        systemic_effective_procedure)
+from ctsat.unify import unify_context
 
 import tabledata
 from conftest import cts_from_rows, unsatisfiable_formula
@@ -357,6 +358,75 @@ def test_tier_disjoint_check_rejects_overlapping_substructures(perm5):
     assert info.value.diagnostics == {
         "tier": 1, "member": 1,
         "substructures": {"000": ones.render(), "111": ones.render()}}
+
+
+def fixed_on(perm: Perm, pairs) -> Cts:
+    """The complete structure over perm with the variables of `pairs`
+    fixed to their values."""
+    return Cts.complete(perm).concretize_many(pairs)
+
+
+def test_tier_codes_check_rejects_a_tuple_off_its_code(perm5):
+    # the basic is over perm5, so tier j's window is variables j+1..j+3;
+    # the members lie over perm5 and another permutation, and a lane
+    # that fixes the window's variables may leave the others free
+    other = Perm((5, 3, 1, 4, 2))
+    ctx = unify_context((perm5, other))
+
+    def vertex(*pairs_by_member):
+        return stack(tuple(fixed_on(p, pairs) for p, pairs in
+                           zip((perm5, other), pairs_by_member)))
+
+    good = [(1, 0), (2, 1), (3, 1)]
+    vsub = {(0, 0b000): vertex([(1, 0), (2, 0), (3, 0)],
+                               [(1, 0), (2, 0), (3, 0), (4, 1)]),
+            (0, 0b011): vertex(good, good),
+            (1, 0b110): vertex([(2, 1), (3, 1), (4, 0)],
+                               [(2, 1), (3, 1), (4, 0)])}
+    check_tier_codes(vsub, (0b000, 0b011), 0, perm5, ctx)
+    check_tier_codes(vsub, (0b110,), 1, perm5, ctx)
+    for bad, member in (
+            # member 1 leaves variable 2 free
+            (vertex(good, [(1, 0), (3, 1)]), 1),
+            # member 0 holds variable 3 at the other value
+            (vertex([(1, 0), (2, 1), (3, 0)], good), 0),
+            # member 1 is empty
+            (stack((fixed_on(perm5, good), Cts.empty(other))), 1)):
+        vsub[(0, 0b011)] = bad
+        with pytest.raises(InvariantViolation,
+                           match="tier 1 vertex 011: member %d does not "
+                                 "hold the code's values" % member) as info:
+            check_tier_codes(vsub, (0b000, 0b011), 0, perm5, ctx)
+        assert info.value.diagnostics == {"tier": 1, "code": "011",
+                                          "member": member}
+    # at tier 1 the window is variables 2, 3 and 4
+    vsub[(1, 0b110)] = vertex([(2, 1), (3, 1), (4, 0)],
+                              [(2, 1), (3, 1), (4, 1)])
+    with pytest.raises(InvariantViolation, match="tier 2 vertex 110: "
+                                                 "member 1"):
+        check_tier_codes(vsub, (0b110,), 1, perm5, ctx)
+
+
+def test_tier_codes_check_survives_optimize():
+    script = (
+        "from ctsat.cts import Cts, Perm\n"
+        "from ctsat.hyper import InvariantViolation, check_tier_codes\n"
+        "from ctsat.unify import unify_context\n"
+        "assert False, 'asserts are stripped under -O'\n"
+        "s = Cts.complete(Perm.identity(4))\n"
+        "try:\n"
+        "    check_tier_codes({(0, 5): s.packed}, (5,), 0, s.perm,"
+        " unify_context((s.perm,)))\n"
+        "except InvariantViolation as exc:\n"
+        "    print(exc, exc.diagnostics)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "tier 1 vertex 101: member 0 does not hold the code's values "
+        "{'tier': 1, 'code': '101', 'member': 0}"]
 
 
 def test_tier_disjoint_check_survives_optimize():

@@ -19,7 +19,7 @@ from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
                        SystemExtraction, classify, concordant_shift,
                        early_elementary_check, extract_jss_system,
                        systemic_effective_procedure)
-from ctsat.unify import unify
+from ctsat.unify import CAUSE_EMPTY_INPUT, unify, window_codes
 
 import tabledata
 from conftest import unsatisfiable_formula
@@ -300,6 +300,67 @@ def test_project_lanes_matches_naive_project_member_by_member():
                     same += 1
                 else:
                     changed += 1
+
+
+def test_projection_drops_only_targets_dead_in_every_lane():
+    # complete systems of three to five unified structures; every shift
+    # of a tail vertex tuple onto an adjoining code, whether or not the
+    # skeleton kept that edge, built as concordant_shift builds it: the
+    # tail concretized inside unify, then one unify step per projection.
+    # A target whose code disagrees with x's lane-0 value sets of the
+    # basic window (window_codes) has an empty tier in every lane of
+    # its AND with x, and the projection over the kept targets equals
+    # the one over every target. The pipeline has met no step that
+    # keeps no target, so each step is also taken over its dropped
+    # targets alone, as if a prune had removed the others: nothing is
+    # kept, both projections are 0, and unify ends on the empty input
+    # in lane 0 with no wave
+    rng = random.Random(3637)
+    dropped = none_kept = 0
+    while dropped < 10000:
+        n = rng.randint(6, 10)
+        structures = random_unified_system(rng, n, rng.randint(3, 5),
+                                           density=0.85)
+        sep = systemic_effective_procedure(structures[0], structures[1:],
+                                           unsatisfiable_formula(n))
+        if sep.outcome != "complete":
+            continue
+        system = sep.system
+        ctx, skeleton, vsub = system.context, system.skeleton, system.vsub
+        perm = system.basic.perm
+        for j in range(1, skeleton.tier_count - 1):
+            for a in skeleton.codes(j):
+                for b in (a << 1 & 7, a << 1 & 7 | 1):
+                    tail = vsub[(j, a)]
+                    x = unify(tail, ctx, since=tail,
+                              fix=perm.window_values(j + 1, b)[2:]).packed
+                    for s in range(j):
+                        if x is None:
+                            break
+                        kept = window_codes(x, ctx, perm.order[s:s + 3])
+                        targets = [(c, vsub[(s, c)])
+                                   for c in skeleton.codes(s)]
+                        dead = [(c, t) for c, t in targets
+                                if not kept >> c & 1]
+                        for _, t in dead:
+                            assert all(0 in sub.tiers for sub in
+                                       lanes(t & x, ctx.perms))
+                        dropped += len(dead)
+                        for given in (targets, dead):
+                            every = project_lanes(
+                                x, (t for _, t in given), ctx.layout)
+                            some = project_lanes(
+                                x, (t for c, t in given if kept >> c & 1),
+                                ctx.layout)
+                            assert some == every
+                        if dead:
+                            none_kept += 1
+                            out = unify(some, ctx, since=x)
+                            assert (out.packed, out.waves, out.cause,
+                                    out.structure_index, out.empty_tier) == (
+                                None, 0, CAUSE_EMPTY_INPUT, 0, None)
+                        x = unify(every, ctx, since=x).packed
+    assert none_kept > 500
 
 
 def test_concordant_shift_k3_projects_onto_tier_1():
@@ -1220,6 +1281,28 @@ def test_classify_surfaces_invariant_violation(monkeypatch):
     bundle = verdict.detail["diagnostics"]
     assert bundle["tier"] >= 1 and len(bundle["substructures"]) == 2
     assert bundle["member"] == 0
+    assert assert_json_round_trip(verdict)["detail"]["diagnostics"] == bundle
+
+
+def test_classify_surfaces_a_vertex_tuple_off_its_code(monkeypatch):
+    # hand the tier check a tier whose every vertex holds the first
+    # vertex's tuple: the second code's values are missing in every
+    # member, and member 0 is named
+    import ctsat.sep as sep_mod
+    from ctsat.hyper import check_tier_codes
+
+    def swapped(vsub, codes, j, perm, ctx):
+        check_tier_codes({(j, c): vsub[(j, codes[0])] for c in codes},
+                         codes, j, perm, ctx)
+
+    monkeypatch.setattr(sep_mod, "check_tier_codes", swapped)
+    f = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))
+    verdict = classify(f)
+    assert verdict.kind == CLASSIFICATION_FAILURE
+    assert verdict.exit_code == 30
+    assert "does not hold the code's values" in verdict.detail["error"]
+    bundle = verdict.detail["diagnostics"]
+    assert bundle["tier"] >= 1 and bundle["member"] == 0
     assert assert_json_round_trip(verdict)["detail"]["diagnostics"] == bundle
 
 

@@ -683,6 +683,7 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
                                     for _ in range(k)]) for _ in range(2))
         assert all(len(entries) == k for entries in ctx.homes[:n])
         var_at = [0] * (k * tiers)
+        off_value = [[0, 0] for _ in range(n)]
         for i, perm in enumerate(ctx.perms):
             start = i * tiers
             for v in range(1, n + 1):
@@ -692,7 +693,11 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
                 assert (b, lane_start) == (start + j, start)
                 assert seen is _SEEN[p - j] and keep is _KEEP_SET[p - j]
                 var_at[start + j] |= 1 << v - 1
+                for a in (0, 1):
+                    off_value[v - 1][a] |= _KEEP[p - j][1 - a] << 8 * b
         assert ctx.var_at == var_at
+        # off_value[v - 1][a]: the lines of v's lowest windows where v != a
+        assert [list(pair) for pair in ctx.off_value] == off_value
         by_pair: dict = {}
         for i, perm in enumerate(ctx.perms):
             for x, y in itertools.combinations(range(1, n + 1), 2):
