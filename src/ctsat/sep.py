@@ -80,13 +80,12 @@ class SepStats:
     """Counters of one SEP run, kept on its `HsSystem`.
 
     `recompute_rounds` counts the repeated rounds: a round forming tier
-    j runs again only when its prune removed a vertex below tier j.
-    `unify_waves` sums the waves of the same-name `unify` calls, in
-    every round. A step that removes nothing from its seed (the fixpoint
-    it refines), a step that empties a member before the first wave and
-    a lone member's step run no wave and add none; a shift step that a
-    repeated round keeps makes no call (see
-    `systemic_effective_procedure`).
+    j runs again, at most once, when its prune removed a vertex below
+    tier j. `unify_waves` sums the waves of the same-name `unify`
+    calls, of the first-tier vertex tuples and each edge's shift. A
+    step that removes nothing from its seed (the fixpoint it refines),
+    one that empties a member before the first wave and a lone
+    member's step run no wave and add none.
     `early_checks` counts the vertex tuples handed to the early
     elementary check, once per formed vertex and round."""
 
@@ -106,13 +105,13 @@ class HsSystem:
     `structures` are the k-1 member structures. `vsub` and `esub` map a
     skeleton vertex or edge to its substructures, one per member,
     stacked in one int: member i in lane i, over the permutation of
-    structures[i]. A tier j-1 edge's tuple is stored by each round of
-    tier j, which shifts the edge. `context` is the window geometry that
-    every same-name `unify` call on them reads (`unify.unify_context`,
-    its entries shared with every context); its `layout` and `perms` are
-    the lane `Layout` of those ints and the members' permutations.
-    `cts.unstack(x, structures)` gives the substructures back. `stats`
-    counts what the run did (`SepStats`).
+    structures[i]. A tier j-1 edge's tuple is stored once, by its
+    shift before the first round of tier j. `context` is the window
+    geometry that every same-name `unify` call on them reads
+    (`unify.unify_context`, its entries shared with every context); its
+    `layout` and `perms` are the lane `Layout` of those ints and the
+    members' permutations. `cts.unstack(x, structures)` gives the
+    substructures back. `stats` counts what the run did (`SepStats`).
     """
 
     skeleton: TierGraph
@@ -163,19 +162,13 @@ def _unify_same_name(x: int, since: int, system: HsSystem,
     return result.packed
 
 
-def concordant_shift(system: HsSystem, edge: Edge,
-                     steps: list[int | None]) -> int | None:
+def concordant_shift(system: HsSystem, edge: Edge) -> int | None:
     """Run the shift lockstep in every member, unifying same-name
     intermediate substructures; None when the system empties on this edge.
 
-    `steps` holds the shift's steps so far: the unified concretization
-    of the tail tuple, then the tuple after each projection step, onto
-    tiers 0, 1, ... in turn. The shift appends the steps still missing
-    and returns the last; an empty list is a shift from scratch. The
-    concretization depends only on the tail tuple and the edge, and the
-    projection step onto tier s only on the tuple before it and on tier
-    s's codes and vertex tuples, so steps kept while those are unchanged
-    are what a shift from scratch would make.
+    The shift concretizes the tail tuple on the head's new variable and
+    unifies, then projects the tuple onto tiers 0, 1, ... below the
+    tail in turn, unifying after each projection step.
 
     A projection step onto tier s passes `project_lanes` only the tier-s
     vertex tuples whose code agrees with x's value sets of the basic
@@ -187,13 +180,10 @@ def concordant_shift(system: HsSystem, edge: Edge,
     j, a, b = edge
     vsub, codes = system.vsub, system.skeleton.codes
     ctx, order = system.context, system.basic.perm.order
-    if not steps:
-        tail = vsub[(j, a)]
-        steps.append(_unify_same_name(
-            tail, tail, system,
-            fix=system.basic.perm.window_values(j + 1, b)[2:]))
-    x = steps[-1]
-    for s in range(len(steps) - 1, j):
+    tail = vsub[(j, a)]
+    x = _unify_same_name(tail, tail, system,
+                         fix=system.basic.perm.window_values(j + 1, b)[2:])
+    for s in range(j):
         if x is None:
             break
         kept = window_codes(x, ctx, order[s:s + 3])
@@ -201,7 +191,6 @@ def concordant_shift(system: HsSystem, edge: Edge,
             x, (vsub[(s, c)] for c in codes(s) if kept >> c & 1),
             ctx.layout)
         x = _unify_same_name(projected, x, system)
-        steps.append(x)
     return x
 
 
@@ -220,21 +209,36 @@ def systemic_effective_procedure(
     """Form the hyperstructure system tier by tier in strict lockstep.
 
     The basic graph doubles as the shared skeleton; every removal is
-    joint (rule C is automatic). A round forms tier j: it shifts the
-    tier j-1 edges, forms each tier-j vertex tuple (the members
-    concretized on the basic vertex and unified, in one call, in the
-    first tier, the union of its incoming edge tuples, one OR, in later
-    ones), early-checks it, and prunes. A round reads only the tuples
-    and codes below tier j and the links into tier j, so it is repeated
-    only when the prune changed a tier below j; `resume` is the first
-    tier it changed. The rounds of tier j keep each tier j-1 edge's
-    shift steps (`concordant_shift`). A shift reads only its tail tuple
-    and the tuples and codes below tier j-1. No round of tier j rewrites
-    a tuple below tier j, it only removes some, and only the prune
-    removes vertices below tier j. So a repeated round keeps each edge's
-    concretization and its projection steps onto the tiers below
-    `resume`, and runs the rest again. The early elementary check can
-    short-circuit the whole run with a witness.
+    joint (rule C is automatic). Tier j is formed in rounds, after each
+    tier j-1 edge is shifted once (`concordant_shift`): the edge keeps
+    its tuple, or goes when the system empties on it. A round forms
+    each tier-j vertex tuple (the members concretized on the basic
+    vertex and unified, in one call, in the first tier, the union of
+    its incoming edge tuples, one OR, in later ones), early-checks it,
+    and prunes. When the prune changed a tier below j, a repeated round
+    re-forms the ORs over the surviving edges. It removes nothing, as
+    a kept tier-j vertex has a kept in-edge, non-empty in every lane,
+    so its prune changes nothing and a tier repeats at most once. The
+    early elementary check can short-circuit the whole run with a
+    witness.
+
+    No edge is shifted again after a prune below its tail. A vertex
+    (s, c), s < j-1, that round j's prune removes lies on no skeleton
+    path to the tail (j-1, a) of a kept edge (j-1, a, b): the round
+    removed only tier j-1 edges and tier-j vertices, so the path from
+    tier 0 to (s, c) is intact, (j, b) leads on to the last tier, and a
+    path through (s, c) and (j-1, a) would be kept. It is open whether
+    a tuple refining `vsub[(j-1, a)]` then has a dead AND with
+    `vsub[(s, c)]`, which would make the re-shift equal: a vertex tuple
+    is a union of edge tuples, and a line of the union may mix
+    operands, so its basic codes need follow no skeleton path. Keeping
+    the tuple is sound regardless. The re-shift has the same tail tuple
+    and a subset of the targets; a projection is monotone in both, and
+    `unify` returns the greatest fixpoint below its input, monotone in
+    it, so the kept tuple contains the re-shift lane by lane. Kept
+    lines lose at most a refutation: `empty` still needs an empty tier,
+    and every witness is verified. No re-shift has been seen to change
+    a stored tuple (0 of 133,042), and the tests recompute them.
 
     Every concretization and projection is one `unify` call
     (`_unify_same_name`), seeded with a fixpoint its input refines, and
@@ -275,21 +279,20 @@ def systemic_effective_procedure(
     stats, whole = system.stats, stack(system.structures)
 
     for j in range(skeleton.tier_count):
-        shifts: dict[Edge, list[int | None]] = {}   # each edge's steps
+        if j:
+            for e in list(skeleton.edges(j - 1)):
+                x = concordant_shift(system, e)
+                if x is None:
+                    skeleton.remove_edge(e)
+                    stats.pruned_edges += 1
+                else:
+                    system.esub[e] = x
         while True:
-            if j:
-                for e in list(skeleton.edges(j - 1)):
-                    x = concordant_shift(system, e, shifts.setdefault(e, []))
-                    if x is None:
-                        skeleton.remove_edge(e)
-                        stats.pruned_edges += 1
-                    else:
-                        system.esub[e] = x
             for c in skeleton.codes(j):
                 v = (j, c)
                 if j:
                     # every tier j-1 edge left in the skeleton was
-                    # shifted in this round, so its tuple is stored
+                    # shifted, so its tuple is stored
                     x = 0
                     for a in skeleton.up(v):
                         x |= system.esub[(j - 1, a, c)]
@@ -314,14 +317,9 @@ def systemic_effective_procedure(
             empty_tier = _prune_system(system)
             if empty_tier is not None:
                 return SepResult("empty", system, empty_tier=empty_tier)
-            resume = next((s for s in range(j)
-                           if skeleton.tiers[s] != below[s]), j)
-            if resume == j:
+            if skeleton.tiers[:j] == below:
                 break
             stats.recompute_rounds += 1
-            for steps in shifts.values():
-                # steps[s] is the tuple before the projection onto tier s
-                del steps[resume + 1:]
         check_tier_codes(system.vsub, skeleton.codes(j), j, basic.perm,
                          system.context)
         check_tier_disjoint(system.vsub, skeleton.codes(j), j,

@@ -188,7 +188,7 @@ def test_shift_first_tier_is_bare_concretization(unified_pair):
     tail, = unstack(system.vsub[(0, 0b001)], system.structures)
     expected = tail.concretize(new_var, 0)
     assert unstack(system.esub[edge], system.structures) == (expected,)
-    got = concordant_shift(system, edge, [])
+    got = concordant_shift(system, edge)
     assert unstack(got, system.structures) == (expected,)
 
 
@@ -200,7 +200,7 @@ def test_shift_empty_concretization_short_circuits(unified_pair):
     assert constant_bit(sub, var) == 1
     # a hypothetical edge whose new-variable value contradicts the pin:
     # the concretization empties, so no projections run
-    assert concordant_shift(system, (2, 0b101, 0b010), []) is None
+    assert concordant_shift(system, (2, 0b101, 0b010)) is None
 
 
 def constant_bit(s: Cts, var: int) -> int:
@@ -244,7 +244,7 @@ def test_shift_matches_naive_reimplementation():
         assert set(system.vsub) == set(system.skeleton.vertices())
         assert set(system.esub) == set(system.skeleton.edges())
         for edge in list(system.skeleton.edges()):
-            got = concordant_shift(system, edge, [])
+            got = concordant_shift(system, edge)
             assert got is not None
             sub, = unstack(got, system.structures)
             assert cts_to_sets(sub) == naive_shift(system, edge)

@@ -212,7 +212,7 @@ def test_concordant_shift_conflicting_constants_removes_edge():
         if forced0.is_empty:
             continue
         system.vsub[(0, edge[1])] = stack((forced0, second))
-        assert concordant_shift(system, edge, []) is None
+        assert concordant_shift(system, edge) is None
         break
 
 
@@ -393,8 +393,8 @@ def test_concordant_shift_projects_onto_the_tier_below_the_edge(monkeypatch):
     original = sep_mod.concordant_shift
     biting = []
 
-    def checked(system, edge, steps):
-        subs = original(system, edge, steps)
+    def checked(system, edge):
+        subs = original(system, edge)
         expected = reference_concordant_shift(system, edge)
         assert stored(system, subs) == expected, edge
         j = edge[0]
@@ -434,7 +434,7 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
     original = sep_mod.concordant_shift
     kept = skipped = unchanged = 0
 
-    def checked(system, edge, steps):
+    def checked(system, edge):
         nonlocal kept, skipped, unchanged
         _, changing = reference_shift_steps(system, edge)
         j, a, b = edge
@@ -442,7 +442,7 @@ def test_concordant_shift_unifies_only_after_changing_steps(monkeypatch):
         concretized = any(sub.concretize(var, b & 1) != sub for sub in
                           unstack(system.vsub[(j, a)], system.structures))
         del calls[:]
-        subs = original(system, edge, steps)
+        subs = original(system, edge)
         if subs is None:
             assert len(calls) <= concretized + changing
         else:
@@ -607,18 +607,22 @@ def test_sep_repeats_a_round_only_when_a_lower_tier_changed(
 
 
 def sep_rounds(monkeypatch):
-    """A function that classifies the formula of some GenParams and
-    returns the verdict and a record of every SEP round that ended in a
-    prune: (tier j, tiers[:j] before and after the prune, the prune's
-    empty tier, the number of edges shifted, whether the round kept the
-    stored tier j-1 edge tuples, its shifts making no same-name unify
-    step). A round that does not end early-sat ends with one
-    `_prune_system` call, and the rounds of tier j come after the tier
-    check of tier j-1 (`check_tier_disjoint`), so the record counts
-    every round. A round of tier j > 0 whose shifts all resume past
-    their last step keeps the stored tuples: before its prune, each
-    tier j-1 edge's tuple is recomputed with a `concordant_shift` from
-    no steps, and must equal the kept one."""
+    """A function that runs `classify` on the formula of a GenParams,
+    or the SEP on a (basic, others, formula) triple, and returns the
+    result and a record of every SEP round that ended in a prune:
+    (tier j, the skeleton's tiers before and after the prune, the
+    prune's empty tier, the `concordant_shift` calls and the same-name
+    unify calls made since the prune before, the stored edge tuples
+    checked after the prune). A round that does not end early-sat ends
+    with one `_prune_system` call, and the rounds of tier j come after
+    the tier check of tier j-1 (`check_tier_disjoint`), so the record
+    counts every round.
+
+    A prune that changed a tier below j without emptying one makes the
+    round repeat. Each stored tier j-1 edge tuple is then recomputed
+    with a `concordant_shift` on the pruned system, and must equal the
+    kept one; and the repeated round must shift no edge, make no
+    same-name unify call, and leave the tiers as its prune found them."""
     import ctsat.sep as sep_mod
 
     shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
@@ -627,34 +631,37 @@ def sep_rounds(monkeypatch):
     state = {}
     rounds = []
 
-    def counting_shift(system, edge, steps):
-        state["shifted"] += 1
-        state["in_shift"] = True
-        try:
-            return shift(system, edge, steps)
-        finally:
-            state["in_shift"] = False
+    def counting_shift(system, edge):
+        state["shifts"] += 1
+        return shift(system, edge)
 
     def counting_unify(x, since, system, fix=()):
-        state["steps"] += state["in_shift"]
+        state["unify"] += 1
         return same_name(x, since, system, fix=fix)
 
     def recording_prune(system):
         j, skeleton = state["tier"], system.skeleton
-        kept = j > 0 and not state["steps"]
-        if kept:
-            for edge in skeleton.edges(j - 1):
-                assert (shift(system, edge, [])
-                        == system.esub[edge]), edge
-        before = skeleton.tiers[:j]
+        before = list(skeleton.tiers)
         empty = prune(system)
-        rounds.append((j, before, skeleton.tiers[:j], empty,
-                       state["shifted"], kept))
-        state.update(shifted=0, steps=0)
+        if state["repeat"]:
+            assert not state["shifts"] and not state["unify"]
+            assert skeleton.tiers == before and empty is None
+        state["repeat"] = (empty is None
+                           and skeleton.tiers[:j] != before[:j])
+        checked = 0
+        if state["repeat"]:
+            waves = system.stats.unify_waves   # the recomputation's own
+            for edge in skeleton.edges(j - 1):
+                assert shift(system, edge) == system.esub[edge], edge
+                checked += 1
+            system.stats.unify_waves = waves
+        rounds.append((j, before, list(skeleton.tiers), empty,
+                       state["shifts"], state["unify"], checked))
+        state.update(shifts=0, unify=0)
         return empty
 
     def counting_check(vsub, codes, j, structures):
-        assert j == state["tier"]
+        assert j == state["tier"] and not state["repeat"]
         state["tier"] += 1
         return check(vsub, codes, j, structures)
 
@@ -663,19 +670,24 @@ def sep_rounds(monkeypatch):
     monkeypatch.setattr(sep_mod, "_prune_system", recording_prune)
     monkeypatch.setattr(sep_mod, "check_tier_disjoint", counting_check)
 
-    def run(params):
-        state.update(tier=0, shifted=0, steps=0, in_shift=False)
+    def run(task):
+        state.update(tier=0, shifts=0, unify=0, repeat=False)
         del rounds[:]
-        return classify(generate(params)), list(rounds)
+        if isinstance(task, GenParams):
+            result = classify(generate(task))
+        else:
+            result = sep_mod.systemic_effective_procedure(*task)
+        return result, list(rounds)
 
     return run
 
 
 def test_sep_every_repeat_sees_changed_lower_tiers(monkeypatch):
     # a round forming tier j is repeated exactly when its prune changed
-    # a tier below j without emptying one; the rounds are counted by
-    # their prunes (none of these runs ends early-sat), so a repeat that
-    # shifts no edge is counted too
+    # a tier below j without emptying one, and a tier repeats at most
+    # once (sep_rounds checks what the repeat does); the rounds are
+    # counted by their prunes (none of these runs ends early-sat), so a
+    # repeat that shifts no edge is counted too
     run = sep_rounds(monkeypatch)
     repeats = 0
     for n, m, mode, seed in [(8, 26, "sat", 20240722),
@@ -686,69 +698,93 @@ def test_sep_every_repeat_sees_changed_lower_tiers(monkeypatch):
                              (10, 45, "free", 20240610)]:
         verdict, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
         assert not verdict.detail.get("early_exit")
-        for (j, before, after, empty, _, _), following in zip(
+        for (j, before, after, empty, *_), following in zip(
                 rounds, rounds[1:] + [None]):
             repeated = following is not None and following[0] == j
-            assert repeated == (empty is None and after != before)
-        seen = len(rounds) - len({r[0] for r in rounds})
+            assert repeated == (empty is None and after[:j] != before[:j])
+        per_tier = Counter(r[0] for r in rounds)
+        assert max(per_tier.values()) <= 2
+        seen = len(rounds) - len(per_tier)
         assert seen == verdict.detail["sep"]["recompute_rounds"]
         repeats += seen
     assert repeats >= 5
 
 
-@pytest.mark.parametrize("n, m, mode, seed, keeps, reshifts", [
+@pytest.mark.parametrize("n, m, mode, seed, repeats, below", [
     (15, 45, "sat", 20240644, 1, 0),
     (14, 56, "free", 20240646, 1, 0),
-    (10, 45, "free", 20240610, 1, 2),
+    (10, 45, "free", 20240610, 3, 2),
 ])
-def test_sep_repeat_keeps_edge_tuples_only_below_unchanged_tiers(
-        monkeypatch, n, m, mode, seed, keeps, reshifts):
-    # every round of tier j > 0 shifts every tier j-1 edge; a repeated
-    # round's shifts resume from the round before and make no unify step
-    # exactly when the tiers below j-1 are as they were then, and every
-    # tuple so kept is what a shift from scratch on the current system
-    # gives (checked in sep_rounds); a first round of tier j > 0 shifts
-    # from scratch
+def test_sep_repeat_keeps_every_edge_tuple(
+        monkeypatch, n, m, mode, seed, repeats, below):
+    # each tier j-1 edge is shifted once, before the first round of tier
+    # j > 0; a repeated round keeps every stored edge tuple, also when
+    # its first round's prune changed a tier below j-1 (`below` counts
+    # those repeats), and each kept tuple is what a shift on the pruned
+    # system gives (checked in sep_rounds)
     run = sep_rounds(monkeypatch)
     _, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
-    kept = reshifted = 0
-    for previous, (j, _, _, _, shifted, keeps_tuples) in zip(
+    seen = deep = 0
+    for previous, (j, _, _, _, shifted, _, _) in zip(
             [None] + rounds, rounds):
-        if j == 0:
-            continue
-        assert shifted
         if previous is None or previous[0] != j:   # a first round
-            assert not keeps_tuples
+            assert bool(shifted) == (j > 0)
             continue
-        unchanged = previous[2][:j - 1] == previous[1][:j - 1]
-        assert keeps_tuples == unchanged
-        kept += keeps_tuples
-        reshifted += not keeps_tuples
-    assert (kept, reshifted) == (keeps, reshifts)
+        seen += 1
+        deep += previous[1][:j - 1] != previous[2][:j - 1]
+        assert previous[-1] > 0   # the kept tuples were recomputed
+    assert (seen, deep) == (repeats, below)
+
+
+def test_sep_repeat_keeps_the_edge_tuples_of_random_systems(monkeypatch):
+    # the guard of shifting each edge once: over random unified systems,
+    # at each repeated round sep_rounds recomputes every stored tier j-1
+    # edge tuple with a shift on the pruned system, and checks that the
+    # repeat shifts nothing, unifies nothing and changes no tier in its
+    # prune, so that a tier repeats at most once; `below` counts the
+    # repeats whose first round's prune changed a tier below j-1, where
+    # a re-shift would have run projection steps again
+    run = sep_rounds(monkeypatch)
+    rng = random.Random(2718)
+    repeats = below = checked = 0
+    for _ in range(1000):
+        n = rng.randint(7, 11)
+        basic, *others = random_unified_system(
+            rng, n, rng.randint(2, 4), density=rng.uniform(0.8, 0.95))
+        _, rounds = run((basic, others, unsatisfiable_formula(n)))
+        per_tier = Counter(r[0] for r in rounds)
+        assert max(per_tier.values(), default=0) <= 2
+        repeats += len(rounds) - len(per_tier)
+        below += sum(1 for j, before, after, *_, edges in rounds
+                     if edges and before[:j - 1] != after[:j - 1])
+        checked += sum(r[-1] for r in rounds)
+    assert repeats >= 300 and below >= 100 and checked >= repeats
 
 
 def test_sep_repeat_reads_the_tuples_and_edges_of_the_round_before(
         monkeypatch):
-    # what lets a repeated round of tier j keep its shift steps: no
+    # what lets a repeated round of tier j keep its edge tuples: no
     # round of tier j rewrites a vertex tuple below tier j, so each one
     # that survives a round's prune is unchanged in the next round, and
-    # every tier j-1 edge a repeated round shifts was shifted in the
-    # round before
+    # a repeated round shifts no edge: every tier j-1 edge tuple it reads
+    # was stored by a shift before the tier's first round
     import ctsat.sep as sep_mod
 
     run = sep_rounds(monkeypatch)
     shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
     shifted = set()
-    seen = []   # per round: edges shifted, vsub before and after the prune
+    seen = []   # per round: edges shifted, vsub before and after the
+                # prune, the edges stored after it
 
-    def recording_shift(system, edge, steps):
+    def recording_shift(system, edge):
         shifted.add(edge)
-        return shift(system, edge, steps)
+        return shift(system, edge)
 
     def recording_prune(system):
         before = dict(system.vsub)
         empty = prune(system)
-        seen.append((set(shifted), before, dict(system.vsub)))
+        seen.append((set(shifted), before, dict(system.vsub),
+                     set(system.esub)))
         shifted.clear()
         return empty
 
@@ -769,26 +805,27 @@ def test_sep_repeat_reads_the_tuples_and_edges_of_the_round_before(
             j = rounds[r - 1][0]
             if rounds[r][0] != j:   # not a repeated round
                 continue
-            edges, _, after = seen[r - 1]
-            reshifted, before, _ = seen[r]
+            edges, _, after, stored = seen[r - 1]
+            reshifted, before, _, _ = seen[r]
             assert ({v: x for v, x in before.items() if v[0] < j}
                     == {v: x for v, x in after.items() if v[0] < j})
-            assert reshifted and reshifted <= edges
+            assert not reshifted
+            assert {e for e in stored if e[0] == j - 1} <= edges
             repeats += 1
     assert repeats >= 5
 
 
 def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
-    # a repeated round shifts its edges again from the same tail tuples,
-    # and each shift keeps the unified concretization and the projection
-    # steps below the first tier whose codes changed: on a run with five
-    # repeated rounds no two same-name unify calls that run a wave get
-    # the same input and seed, and every stored tuple and every verdict
-    # field but the waves equals a run whose shifts start afresh
+    # a repeated round re-forms only the tier-j ORs over the edge tuples
+    # that the tier's shifts stored: on a run with five repeated rounds
+    # no two same-name unify calls that run a wave get the same input
+    # and seed, and every stored tuple and every verdict field but the
+    # waves equals a run that shifts every tier j-1 edge again from
+    # scratch before each repeated round
     import ctsat.sep as sep_mod
 
     procedure = sep_mod.systemic_effective_procedure
-    shift = sep_mod.concordant_shift
+    shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
     calls, systems = [], []
 
     def recording_unify(x, ctx, since, sink=None, fix=()):
@@ -806,63 +843,31 @@ def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
     monkeypatch.setattr(sep_mod, "systemic_effective_procedure",
                         recording_procedure)
     formula = generate(GenParams(n=24, m=102, mode="sat", seed=5))
-    reused = classify(formula)
-    assert reused.detail["sep"]["recompute_rounds"] == 5
-    assert "backtracks" in reused.detail   # the SEP ended complete
+    kept = classify(formula)
+    assert kept.detail["sep"]["recompute_rounds"] == 5
+    assert "backtracks" in kept.detail   # the SEP ended complete
     sep_calls = calls[1:]   # the first is the top-level unify
     assert len(set(sep_calls)) == len(sep_calls)
 
-    def missing(system, edge, steps):
-        del steps[:]   # nothing is kept
-        return shift(system, edge, steps)
+    def reshifting_prune(system):
+        skeleton = system.skeleton
+        before = list(skeleton.tiers)
+        empty = prune(system)
+        j = max((t for t, _ in system.vsub), default=0)   # the tier formed
+        if empty is None and skeleton.tiers[:j] != before[:j]:
+            for edge in skeleton.edges(j - 1):
+                system.esub[edge] = shift(system, edge)
+        return empty
 
-    monkeypatch.setattr(sep_mod, "concordant_shift", missing)
+    monkeypatch.setattr(sep_mod, "_prune_system", reshifting_prune)
     del calls[:]
-    fresh = classify(formula)
+    reshifted = classify(formula)
     assert len(calls) - 1 > len(sep_calls)
     assert systems[1].vsub == systems[0].vsub
     assert systems[1].esub == systems[0].esub
-    waves = [v.detail["sep"].pop("unify_waves") for v in (reused, fresh)]
+    waves = [v.detail["sep"].pop("unify_waves") for v in (kept, reshifted)]
     assert waves[0] < waves[1]
-    assert reused.to_json() == fresh.to_json()
-
-
-def test_concordant_shift_resumes_from_the_first_changed_tier():
-    # a shift given the edge's last steps cut to the concretization and
-    # the projection steps below the first tier whose codes changed
-    # since runs the steps from that tier on: after a vertex below the
-    # edge is removed, it gives what a shift that keeps nothing gives.
-    # No repeated round of the SEP has been seen to change a re-shifted
-    # tuple, so the removal is made by hand
-    rng = random.Random(5150)
-    resumed = changed = 0
-    while resumed < 300:
-        n = rng.randint(7, 11)
-        s1, *others = random_unified_system(rng, n, rng.randint(3, 4),
-                                            density=0.85)
-        result = systemic_effective_procedure(s1, others,
-                                              unsatisfiable_formula(n))
-        if result.outcome != "complete":
-            continue
-        system = result.system
-        skeleton = system.skeleton
-        edges = [e for e in skeleton.edges() if e[0] >= 2]
-        if not edges:
-            continue
-        edge = rng.choice(edges)
-        tier = rng.randrange(edge[0])
-        codes = skeleton.codes(tier)
-        if len(codes) < 2:
-            continue
-        steps = []
-        concordant_shift(system, edge, steps)
-        skeleton.remove_vertex((tier, rng.choice(codes)))
-        del steps[tier + 1:]   # keep the steps onto the tiers below it
-        got = concordant_shift(system, edge, steps)
-        assert got == concordant_shift(system, edge, [])
-        resumed += 1
-        changed += got != system.esub[edge]
-    assert changed > 50
+    assert kept.to_json() == reshifted.to_json()
 
 
 def test_sep_early_check_on_lane_0_speaks_for_every_lane(monkeypatch):

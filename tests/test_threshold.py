@@ -36,10 +36,10 @@ KNOWN_FAILURES = {(50, 0)}
 # keep verdicts byte-identical also keeps the witnesses, the counters
 # and the failure's diagnostics bundle
 VERDICT_DIGESTS = {
-    (40, 0): "a411934e610a1e8a44418e1adcb1a6035b669629dbc4bfcaafa56c5d0183bb1c",
-    (40, 1): "28a0b891f919c3d136ecb6ea569f2ac36659312ab8f3944895a0d0818408b99a",
-    (40, 2): "b0ef5902c17a9a7f1ca37c269e1f592e38cc72d9d57b6810a9ee3117ff425743",
-    (40, 3): "4911bb40ef9bdf484e8193985fa24a6ba76da5b9cdb294e9e7d45c6a5fd5da59",
+    (40, 0): "96f4374b185ef5db190da988f77a477cf8442de3fb504f5e7162bd233ff845bd",
+    (40, 1): "8e12546787f40dd6bfcdec98236c374fb91c1a5c670c24089a31445f3c8cb616",
+    (40, 2): "ffb15fe36d39a21b33aa40d178ec522a4fcf7b053766fa8df4a641467f287c8f",
+    (40, 3): "672ffcd3759d0ebe59403d4db740b7ba8db73044c47bfb8d19d4cc014a691de6",
     (50, 0): "1dd37925608c9e23eab94984c34f55e9e730c79e92718f3efa7e40fe16cec54e",
     (50, 1): "3a3feb22e474a5833c97c3e7b1a153705efcad2d9dc7efd2f2e5ba85de86d26d",
 }
