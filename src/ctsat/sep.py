@@ -79,21 +79,17 @@ class Verdict:
 class SepStats:
     """Counters of one SEP run, kept on its `HsSystem`.
 
-    `recompute_rounds` counts the repeated rounds: a round forming tier
-    j runs again, at most once, when its prune removed a vertex below
-    tier j. `unify_waves` sums the waves of the same-name `unify`
-    calls, of the first-tier vertex tuples and each edge's shift. A
-    step that removes nothing from its seed (the fixpoint it refines),
-    one that empties a member before the first wave and a lone
-    member's step run no wave and add none.
-    `early_checks` counts the vertex tuples handed to the early
-    elementary check, once per formed vertex and round."""
+    `unify_waves` sums the waves of the same-name `unify` calls, of the
+    first-tier vertex tuples and each edge's shift. A step that removes
+    nothing from its seed (the fixpoint it refines), one that empties a
+    member before the first wave and a lone member's step run no wave
+    and add none. `early_checks` counts the vertex tuples handed to the
+    early elementary check, once per formed vertex."""
 
     pruned_vertices: int = 0
     pruned_edges: int = 0
     unify_waves: int = 0
     early_checks: int = 0
-    recompute_rounds: int = 0
 
 
 @dataclass
@@ -105,13 +101,13 @@ class HsSystem:
     `structures` are the k-1 member structures. `vsub` and `esub` map a
     skeleton vertex or edge to its substructures, one per member,
     stacked in one int: member i in lane i, over the permutation of
-    structures[i]. A tier j-1 edge's tuple is stored once, by its
-    shift before the first round of tier j. `context` is the window
-    geometry that every same-name `unify` call on them reads
-    (`unify.unify_context`, its entries shared with every context); its
-    `layout` and `perms` are the lane `Layout` of those ints and the
-    members' permutations. `cts.unstack(x, structures)` gives the
-    substructures back. `stats` counts what the run did (`SepStats`).
+    structures[i]. A tier j-1 edge's tuple is stored once, by its shift
+    as tier j is formed. `context` is the window geometry that every
+    same-name `unify` call on them reads (`unify.unify_context`, its
+    entries shared with every context); its `layout` and `perms` are the
+    lane `Layout` of those ints and the members' permutations.
+    `cts.unstack(x, structures)` gives the substructures back. `stats`
+    counts what the run did (`SepStats`).
     """
 
     skeleton: TierGraph
@@ -209,36 +205,41 @@ def systemic_effective_procedure(
     """Form the hyperstructure system tier by tier in strict lockstep.
 
     The basic graph doubles as the shared skeleton; every removal is
-    joint (rule C is automatic). Tier j is formed in rounds, after each
-    tier j-1 edge is shifted once (`concordant_shift`): the edge keeps
-    its tuple, or goes when the system empties on it. A round forms
-    each tier-j vertex tuple (the members concretized on the basic
-    vertex and unified, in one call, in the first tier, the union of
-    its incoming edge tuples, one OR, in later ones), early-checks it,
-    and prunes. When the prune changed a tier below j, a repeated round
-    re-forms the ORs over the surviving edges. It removes nothing, as
-    a kept tier-j vertex has a kept in-edge, non-empty in every lane,
-    so its prune changes nothing and a tier repeats at most once. The
-    early elementary check can short-circuit the whole run with a
-    witness.
+    joint (rule C is automatic). Tier j is formed in one pass: each
+    tier j-1 edge is shifted once (`concordant_shift`) and keeps its
+    tuple, or goes when the system empties on it; each tier-j vertex
+    tuple is formed (the members concretized on the basic vertex and
+    unified, in one call, in the first tier, the union of its incoming
+    edge tuples, one OR, in later ones) and early-checked; and the
+    skeleton is pruned once. The early elementary check can
+    short-circuit the whole run with a witness.
 
-    No edge is shifted again after a prune below its tail. A vertex
-    (s, c), s < j-1, that round j's prune removes lies on no skeleton
-    path to the tail (j-1, a) of a kept edge (j-1, a, b): the round
-    removed only tier j-1 edges and tier-j vertices, so the path from
-    tier 0 to (s, c) is intact, (j, b) leads on to the last tier, and a
-    path through (s, c) and (j-1, a) would be kept. It is open whether
-    a tuple refining `vsub[(j-1, a)]` then has a dead AND with
-    `vsub[(s, c)]`, which would make the re-shift equal: a vertex tuple
-    is a union of edge tuples, and a line of the union may mix
-    operands, so its basic codes need follow no skeleton path. Keeping
-    the tuple is sound regardless. The re-shift has the same tail tuple
-    and a subset of the targets; a projection is monotone in both, and
-    `unify` returns the greatest fixpoint below its input, monotone in
-    it, so the kept tuple contains the re-shift lane by lane. Kept
-    lines lose at most a refutation: `empty` still needs an empty tier,
-    and every witness is verified. No re-shift has been seen to change
-    a stored tuple (0 of 133,042), and the tests recompute them.
+    One prune per tier is enough. The prune keeps exactly the vertices
+    on a full path from tier 0 to the last tier, and the pass removed
+    only tier j-1 edges and tier-j vertices. So a kept tier-j vertex
+    keeps every in-edge whose tuple is stored: the edge's tail has its
+    path from tier 0 below tier j-1, which the pass left intact, and
+    the head leads on to the last tier. The OR over its kept in-edges
+    is the tuple formed, and forming the tier again would remove
+    nothing.
+
+    No edge is shifted again after the prune. A vertex (s, c), s < j-1,
+    that tier j's prune removes lies on no skeleton path to the tail
+    (j-1, a) of a kept edge (j-1, a, b): the pass removed only tier j-1
+    edges and tier-j vertices, so the path from tier 0 to (s, c) is
+    intact, (j, b) leads on to the last tier, and a path through (s, c)
+    and (j-1, a) would be kept. It is open whether a tuple refining
+    `vsub[(j-1, a)]` then has a dead AND with `vsub[(s, c)]`, which
+    would make the re-shift equal: a vertex tuple is a union of edge
+    tuples, and a line of the union may mix operands, so its basic codes
+    need follow no skeleton path. Keeping the tuple is sound regardless.
+    The re-shift has the same tail tuple and a subset of the targets; a
+    projection is monotone in both, and `unify` returns the greatest
+    fixpoint below its input, monotone in it, so the kept tuple contains
+    the re-shift lane by lane. Kept lines lose at most a refutation:
+    `empty` still needs an empty tier, and every witness is verified. No
+    re-shift has been seen to change a stored tuple (0 of 133,042), and
+    the tests recompute them.
 
     Every concretization and projection is one `unify` call
     (`_unify_same_name`), seeded with a fixpoint its input refines, and
@@ -287,39 +288,34 @@ def systemic_effective_procedure(
                     stats.pruned_edges += 1
                 else:
                     system.esub[e] = x
-        while True:
-            for c in skeleton.codes(j):
-                v = (j, c)
-                if j:
-                    # every tier j-1 edge left in the skeleton was
-                    # shifted, so its tuple is stored
-                    x = 0
-                    for a in skeleton.up(v):
-                        x |= system.esub[(j - 1, a, c)]
-                else:
-                    x = _unify_same_name(
-                        whole, whole, system,
-                        fix=basic.perm.window_values(0, c))
-                if not x:
-                    skeleton.remove_vertex(v)
-                    stats.pruned_vertices += 1
-                    continue
-                system.vsub[v] = x
-                # x is a unify fixpoint, so a variable has one value set
-                # in every lane: lane 0 is elementary exactly when every
-                # lane is, and they spell one assignment
-                stats.early_checks += 1
-                sub, = unstack(x, system.structures[:1])
-                bits = early_elementary_check(sub, basic, formula)
-                if bits is not None:
-                    return SepResult("early-sat", system, witness=bits)
-            below = skeleton.tiers[:j]
-            empty_tier = _prune_system(system)
-            if empty_tier is not None:
-                return SepResult("empty", system, empty_tier=empty_tier)
-            if skeleton.tiers[:j] == below:
-                break
-            stats.recompute_rounds += 1
+        for c in skeleton.codes(j):
+            v = (j, c)
+            if j:
+                # every tier j-1 edge left in the skeleton was shifted,
+                # so its tuple is stored
+                x = 0
+                for a in skeleton.up(v):
+                    x |= system.esub[(j - 1, a, c)]
+            else:
+                x = _unify_same_name(
+                    whole, whole, system,
+                    fix=basic.perm.window_values(0, c))
+            if not x:
+                skeleton.remove_vertex(v)
+                stats.pruned_vertices += 1
+                continue
+            system.vsub[v] = x
+            # x is a unify fixpoint, so a variable has one value set in
+            # every lane: lane 0 is elementary exactly when every lane
+            # is, and they spell one assignment
+            stats.early_checks += 1
+            sub, = unstack(x, system.structures[:1])
+            bits = early_elementary_check(sub, basic, formula)
+            if bits is not None:
+                return SepResult("early-sat", system, witness=bits)
+        empty_tier = _prune_system(system)
+        if empty_tier is not None:
+            return SepResult("empty", system, empty_tier=empty_tier)
         check_tier_codes(system.vsub, skeleton.codes(j), j, basic.perm,
                          system.context)
         check_tier_disjoint(system.vsub, skeleton.codes(j), j,

@@ -60,9 +60,8 @@ def test_traced_classification_records_sep_spans(tracer_mod):
     assert parents["hyper.basic_graph"] == {"sep"}
     assert parents["hyper.prune"] == {"sep"}
     assert parents["sep.shift"] == {"sep"}
-    # one prune per formed tier and one per recompute round
-    assert names.count("hyper.prune") == (
-        traced.tier + traced.detail["sep"]["recompute_rounds"])
+    # one prune per formed tier
+    assert names.count("hyper.prune") == traced.tier
     assert tracer.unify_waves["unify.top"] == traced.detail["unify_waves"]
     assert tracer.unify_waves["sep.unify"] == traced.detail["sep"]["unify_waves"]
 

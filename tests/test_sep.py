@@ -497,11 +497,10 @@ def test_sep_fixing_inside_unify_matches_concretizing_first(monkeypatch):
         seen[inside[0]] += 1
         seen["pruned", k] += stats["pruned_vertices"] > 0
         seen["edges", k] += stats["pruned_edges"] > 0
-        seen["repeats"] += stats["recompute_rounds"] > 0
     assert min(seen[2], seen[3], seen[4]) >= 80 and seen["empty"] >= 2
     assert all(seen["pruned", k] >= 30 and seen["edges", k] >= 30
                for k in (2, 3, 4))
-    assert seen["repeats"] >= 40 and seen["fix emptied"] >= 20
+    assert seen["fix emptied"] >= 20
 
 
 @pytest.mark.parametrize("n, m, mode, seed, outcome", [
@@ -593,240 +592,27 @@ def test_sep_seeded_unify_matches_the_full_scan(monkeypatch):
     assert seeded > 200 and fixes > 100 and sum(quiet) > 200
 
 
-@pytest.mark.parametrize("n, m, mode, seed, outcome, rounds", [
-    (8, 26, "sat", 20240722, "extract", 0),
-    # one repeat is needed: its prune removed a vertex below the tier
-    (8, 33, "free", 20241051, "sep", 1),
-])
-def test_sep_repeats_a_round_only_when_a_lower_tier_changed(
-        n, m, mode, seed, outcome, rounds):
-    verdict = classify(generate(GenParams(n=n, m=m, mode=mode, seed=seed)))
-    assert (verdict.stage == "sep") == (outcome == "sep")
-    assert ("backtracks" in verdict.detail) == (outcome == "extract")
-    assert verdict.detail["sep"]["recompute_rounds"] == rounds
-
-
-def sep_rounds(monkeypatch):
+def prune_guard(monkeypatch):
     """A function that runs `classify` on the formula of a GenParams,
     or the SEP on a (basic, others, formula) triple, and returns the
-    result and a record of every SEP round that ended in a prune:
-    (tier j, the skeleton's tiers before and after the prune, the
-    prune's empty tier, the `concordant_shift` calls and the same-name
-    unify calls made since the prune before, the stored edge tuples
-    checked after the prune). A round that does not end early-sat ends
-    with one `_prune_system` call, and the rounds of tier j come after
-    the tier check of tier j-1 (`check_tier_disjoint`), so the record
-    counts every round.
+    result, a record of every prune (tier j, the skeleton's tiers before
+    and after it, its empty tier, the tier j-1 edge tuples recomputed
+    after it) and the same-name unify calls that ran a wave (input,
+    seed and fix).
 
-    A prune that changed a tier below j without emptying one makes the
-    round repeat. Each stored tier j-1 edge tuple is then recomputed
-    with a `concordant_shift` on the pruned system, and must equal the
-    kept one; and the repeated round must shift no edge, make no
-    same-name unify call, and leave the tiers as its prune found them."""
+    A tier is counted when it passes its tier check
+    (`check_tier_disjoint`), so each formed tier must have exactly one
+    prune. After a prune that empties no tier, every kept tier-j vertex
+    tuple must equal the OR of its kept in-edges' stored tuples, which
+    is what forming the tier again would give, and every stored tier j-1
+    edge tuple must equal a `concordant_shift` on the pruned system;
+    that recomputation's waves and calls are taken back out."""
     import ctsat.sep as sep_mod
 
     shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
-    same_name = sep_mod._unify_same_name
     check = sep_mod.check_tier_disjoint
-    state = {}
-    rounds = []
-
-    def counting_shift(system, edge):
-        state["shifts"] += 1
-        return shift(system, edge)
-
-    def counting_unify(x, since, system, fix=()):
-        state["unify"] += 1
-        return same_name(x, since, system, fix=fix)
-
-    def recording_prune(system):
-        j, skeleton = state["tier"], system.skeleton
-        before = list(skeleton.tiers)
-        empty = prune(system)
-        if state["repeat"]:
-            assert not state["shifts"] and not state["unify"]
-            assert skeleton.tiers == before and empty is None
-        state["repeat"] = (empty is None
-                           and skeleton.tiers[:j] != before[:j])
-        checked = 0
-        if state["repeat"]:
-            waves = system.stats.unify_waves   # the recomputation's own
-            for edge in skeleton.edges(j - 1):
-                assert shift(system, edge) == system.esub[edge], edge
-                checked += 1
-            system.stats.unify_waves = waves
-        rounds.append((j, before, list(skeleton.tiers), empty,
-                       state["shifts"], state["unify"], checked))
-        state.update(shifts=0, unify=0)
-        return empty
-
-    def counting_check(vsub, codes, j, structures):
-        assert j == state["tier"] and not state["repeat"]
-        state["tier"] += 1
-        return check(vsub, codes, j, structures)
-
-    monkeypatch.setattr(sep_mod, "concordant_shift", counting_shift)
-    monkeypatch.setattr(sep_mod, "_unify_same_name", counting_unify)
-    monkeypatch.setattr(sep_mod, "_prune_system", recording_prune)
-    monkeypatch.setattr(sep_mod, "check_tier_disjoint", counting_check)
-
-    def run(task):
-        state.update(tier=0, shifts=0, unify=0, repeat=False)
-        del rounds[:]
-        if isinstance(task, GenParams):
-            result = classify(generate(task))
-        else:
-            result = sep_mod.systemic_effective_procedure(*task)
-        return result, list(rounds)
-
-    return run
-
-
-def test_sep_every_repeat_sees_changed_lower_tiers(monkeypatch):
-    # a round forming tier j is repeated exactly when its prune changed
-    # a tier below j without emptying one, and a tier repeats at most
-    # once (sep_rounds checks what the repeat does); the rounds are
-    # counted by their prunes (none of these runs ends early-sat), so a
-    # repeat that shifts no edge is counted too
-    run = sep_rounds(monkeypatch)
-    repeats = 0
-    for n, m, mode, seed in [(8, 26, "sat", 20240722),
-                             (8, 33, "free", 20241051),
-                             (12, 70, "free", 20240676),
-                             (10, 39, "free", 20241363),
-                             (14, 56, "free", 20240646),
-                             (10, 45, "free", 20240610)]:
-        verdict, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
-        assert not verdict.detail.get("early_exit")
-        for (j, before, after, empty, *_), following in zip(
-                rounds, rounds[1:] + [None]):
-            repeated = following is not None and following[0] == j
-            assert repeated == (empty is None and after[:j] != before[:j])
-        per_tier = Counter(r[0] for r in rounds)
-        assert max(per_tier.values()) <= 2
-        seen = len(rounds) - len(per_tier)
-        assert seen == verdict.detail["sep"]["recompute_rounds"]
-        repeats += seen
-    assert repeats >= 5
-
-
-@pytest.mark.parametrize("n, m, mode, seed, repeats, below", [
-    (15, 45, "sat", 20240644, 1, 0),
-    (14, 56, "free", 20240646, 1, 0),
-    (10, 45, "free", 20240610, 3, 2),
-])
-def test_sep_repeat_keeps_every_edge_tuple(
-        monkeypatch, n, m, mode, seed, repeats, below):
-    # each tier j-1 edge is shifted once, before the first round of tier
-    # j > 0; a repeated round keeps every stored edge tuple, also when
-    # its first round's prune changed a tier below j-1 (`below` counts
-    # those repeats), and each kept tuple is what a shift on the pruned
-    # system gives (checked in sep_rounds)
-    run = sep_rounds(monkeypatch)
-    _, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
-    seen = deep = 0
-    for previous, (j, _, _, _, shifted, _, _) in zip(
-            [None] + rounds, rounds):
-        if previous is None or previous[0] != j:   # a first round
-            assert bool(shifted) == (j > 0)
-            continue
-        seen += 1
-        deep += previous[1][:j - 1] != previous[2][:j - 1]
-        assert previous[-1] > 0   # the kept tuples were recomputed
-    assert (seen, deep) == (repeats, below)
-
-
-def test_sep_repeat_keeps_the_edge_tuples_of_random_systems(monkeypatch):
-    # the guard of shifting each edge once: over random unified systems,
-    # at each repeated round sep_rounds recomputes every stored tier j-1
-    # edge tuple with a shift on the pruned system, and checks that the
-    # repeat shifts nothing, unifies nothing and changes no tier in its
-    # prune, so that a tier repeats at most once; `below` counts the
-    # repeats whose first round's prune changed a tier below j-1, where
-    # a re-shift would have run projection steps again
-    run = sep_rounds(monkeypatch)
-    rng = random.Random(2718)
-    repeats = below = checked = 0
-    for _ in range(1000):
-        n = rng.randint(7, 11)
-        basic, *others = random_unified_system(
-            rng, n, rng.randint(2, 4), density=rng.uniform(0.8, 0.95))
-        _, rounds = run((basic, others, unsatisfiable_formula(n)))
-        per_tier = Counter(r[0] for r in rounds)
-        assert max(per_tier.values(), default=0) <= 2
-        repeats += len(rounds) - len(per_tier)
-        below += sum(1 for j, before, after, *_, edges in rounds
-                     if edges and before[:j - 1] != after[:j - 1])
-        checked += sum(r[-1] for r in rounds)
-    assert repeats >= 300 and below >= 100 and checked >= repeats
-
-
-def test_sep_repeat_reads_the_tuples_and_edges_of_the_round_before(
-        monkeypatch):
-    # what lets a repeated round of tier j keep its edge tuples: no
-    # round of tier j rewrites a vertex tuple below tier j, so each one
-    # that survives a round's prune is unchanged in the next round, and
-    # a repeated round shifts no edge: every tier j-1 edge tuple it reads
-    # was stored by a shift before the tier's first round
-    import ctsat.sep as sep_mod
-
-    run = sep_rounds(monkeypatch)
-    shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
-    shifted = set()
-    seen = []   # per round: edges shifted, vsub before and after the
-                # prune, the edges stored after it
-
-    def recording_shift(system, edge):
-        shifted.add(edge)
-        return shift(system, edge)
-
-    def recording_prune(system):
-        before = dict(system.vsub)
-        empty = prune(system)
-        seen.append((set(shifted), before, dict(system.vsub),
-                     set(system.esub)))
-        shifted.clear()
-        return empty
-
-    monkeypatch.setattr(sep_mod, "concordant_shift", recording_shift)
-    monkeypatch.setattr(sep_mod, "_prune_system", recording_prune)
-    repeats = 0
-    for n, m, mode, seed in [(8, 26, "sat", 20240722),
-                             (8, 33, "free", 20241051),
-                             (12, 70, "free", 20240676),
-                             (10, 39, "free", 20241363),
-                             (14, 56, "free", 20240646),
-                             (10, 45, "free", 20240610),
-                             (15, 45, "sat", 20240644)]:
-        del seen[:]
-        _, rounds = run(GenParams(n=n, m=m, mode=mode, seed=seed))
-        assert len(seen) == len(rounds)
-        for r in range(1, len(rounds)):
-            j = rounds[r - 1][0]
-            if rounds[r][0] != j:   # not a repeated round
-                continue
-            edges, _, after, stored = seen[r - 1]
-            reshifted, before, _, _ = seen[r]
-            assert ({v: x for v, x in before.items() if v[0] < j}
-                    == {v: x for v, x in after.items() if v[0] < j})
-            assert not reshifted
-            assert {e for e in stored if e[0] == j - 1} <= edges
-            repeats += 1
-    assert repeats >= 5
-
-
-def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
-    # a repeated round re-forms only the tier-j ORs over the edge tuples
-    # that the tier's shifts stored: on a run with five repeated rounds
-    # no two same-name unify calls that run a wave get the same input
-    # and seed, and every stored tuple and every verdict field but the
-    # waves equals a run that shifts every tier j-1 edge again from
-    # scratch before each repeated round
-    import ctsat.sep as sep_mod
-
-    procedure = sep_mod.systemic_effective_procedure
-    shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
-    calls, systems = [], []
+    state = {"tier": 0}
+    records, calls = [], []
 
     def recording_unify(x, ctx, since, sink=None, fix=()):
         result = unify(x, ctx, since=since, sink=sink, fix=fix)
@@ -834,40 +620,100 @@ def test_sep_reshift_makes_no_repeated_unify_call(monkeypatch):
             calls.append((x, since, fix))
         return result
 
-    def recording_procedure(*args, **kwargs):
-        result = procedure(*args, **kwargs)
-        systems.append(result.system)
-        return result
-
-    monkeypatch.setattr(sep_mod, "unify", recording_unify)
-    monkeypatch.setattr(sep_mod, "systemic_effective_procedure",
-                        recording_procedure)
-    formula = generate(GenParams(n=24, m=102, mode="sat", seed=5))
-    kept = classify(formula)
-    assert kept.detail["sep"]["recompute_rounds"] == 5
-    assert "backtracks" in kept.detail   # the SEP ended complete
-    sep_calls = calls[1:]   # the first is the top-level unify
-    assert len(set(sep_calls)) == len(sep_calls)
-
-    def reshifting_prune(system):
-        skeleton = system.skeleton
+    def checked_prune(system):
+        j, skeleton = state["tier"], system.skeleton
+        assert len(records) == j   # one prune per formed tier
         before = list(skeleton.tiers)
         empty = prune(system)
-        j = max((t for t, _ in system.vsub), default=0)   # the tier formed
-        if empty is None and skeleton.tiers[:j] != before[:j]:
+        checked = 0
+        if empty is None and j:
+            for c in skeleton.codes(j):
+                x = 0
+                for a in skeleton.up((j, c)):
+                    x |= system.esub[(j - 1, a, c)]
+                assert x == system.vsub[(j, c)], (j, c)
+            waves, made = system.stats.unify_waves, len(calls)
             for edge in skeleton.edges(j - 1):
-                system.esub[edge] = shift(system, edge)
+                assert shift(system, edge) == system.esub[edge], edge
+                checked += 1
+            system.stats.unify_waves = waves
+            del calls[made:]
+        records.append((j, before, list(skeleton.tiers), empty, checked))
         return empty
 
-    monkeypatch.setattr(sep_mod, "_prune_system", reshifting_prune)
-    del calls[:]
-    reshifted = classify(formula)
-    assert len(calls) - 1 > len(sep_calls)
-    assert systems[1].vsub == systems[0].vsub
-    assert systems[1].esub == systems[0].esub
-    waves = [v.detail["sep"].pop("unify_waves") for v in (kept, reshifted)]
-    assert waves[0] < waves[1]
-    assert kept.to_json() == reshifted.to_json()
+    def counting_check(vsub, codes, j, structures):
+        assert j == state["tier"] == len(records) - 1
+        state["tier"] += 1
+        return check(vsub, codes, j, structures)
+
+    monkeypatch.setattr(sep_mod, "unify", recording_unify)
+    monkeypatch.setattr(sep_mod, "_prune_system", checked_prune)
+    monkeypatch.setattr(sep_mod, "check_tier_disjoint", counting_check)
+
+    def run(task):
+        state["tier"] = 0
+        del records[:], calls[:]
+        if isinstance(task, GenParams):
+            result = classify(generate(task))
+            del calls[:1]   # the top-level unify of the whole system
+        else:
+            result = sep_mod.systemic_effective_procedure(*task)
+        return result, list(records), list(calls)
+
+    return run
+
+
+def changed_below(records, depth):
+    """The prunes that emptied no tier and changed one below tier
+    j - depth."""
+    return sum(1 for j, before, after, empty, _ in records
+               if empty is None
+               and before[:max(j - depth, 0)] != after[:max(j - depth, 0)])
+
+
+@pytest.mark.parametrize("n, m, mode, seed, below_j, below_j_1", [
+    (8, 26, "sat", 20240722, 0, 0),
+    (8, 33, "free", 20241051, 1, 1),
+    (12, 70, "free", 20240676, 1, 1),
+    (10, 39, "free", 20241363, 0, 0),
+    (14, 56, "free", 20240646, 1, 0),
+    (10, 45, "free", 20240610, 3, 2),
+    (15, 45, "sat", 20240644, 1, 0),
+    (24, 102, "sat", 5, 5, 1),
+])
+def test_sep_forms_each_tier_with_one_prune(monkeypatch, n, m, mode, seed,
+                                            below_j, below_j_1):
+    # each tier is formed in one pass and pruned once (prune_guard); a
+    # prune that changes a tier below j leaves every kept tier-j tuple
+    # the OR of its kept in-edges and every kept tier j-1 edge tuple
+    # what a shift on the pruned system gives, below j-1 too; no two
+    # same-name unify calls that run a wave get the same input, seed
+    # and fix
+    run = prune_guard(monkeypatch)
+    _, records, calls = run(GenParams(n=n, m=m, mode=mode, seed=seed))
+    assert (changed_below(records, 0), changed_below(records, 1)) == (
+        below_j, below_j_1)
+    assert sum(r[-1] for r in records) >= below_j
+    assert len(set(calls)) == len(calls)
+
+
+def test_sep_forms_the_tiers_of_random_systems_with_one_prune(monkeypatch):
+    # the guard of forming each tier in one pass, over random unified
+    # systems: prune_guard checks every prune; the floors count the
+    # prunes that changed a tier below j, and below j-1, where a shift on
+    # the pruned system runs its projection steps over fewer targets
+    run = prune_guard(monkeypatch)
+    rng = random.Random(2718)
+    below_j = below_j_1 = checked = 0
+    for _ in range(1000):
+        n = rng.randint(7, 11)
+        basic, *others = random_unified_system(
+            rng, n, rng.randint(2, 4), density=rng.uniform(0.8, 0.95))
+        _, records, _ = run((basic, others, unsatisfiable_formula(n)))
+        below_j += changed_below(records, 0)
+        below_j_1 += changed_below(records, 1)
+        checked += sum(r[-1] for r in records)
+    assert below_j >= 300 and below_j_1 >= 100 and checked >= below_j
 
 
 def test_sep_early_check_on_lane_0_speaks_for_every_lane(monkeypatch):

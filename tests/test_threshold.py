@@ -36,12 +36,12 @@ KNOWN_FAILURES = {(50, 0)}
 # keep verdicts byte-identical also keeps the witnesses, the counters
 # and the failure's diagnostics bundle
 VERDICT_DIGESTS = {
-    (40, 0): "96f4374b185ef5db190da988f77a477cf8442de3fb504f5e7162bd233ff845bd",
-    (40, 1): "8e12546787f40dd6bfcdec98236c374fb91c1a5c670c24089a31445f3c8cb616",
-    (40, 2): "ffb15fe36d39a21b33aa40d178ec522a4fcf7b053766fa8df4a641467f287c8f",
-    (40, 3): "672ffcd3759d0ebe59403d4db740b7ba8db73044c47bfb8d19d4cc014a691de6",
-    (50, 0): "1dd37925608c9e23eab94984c34f55e9e730c79e92718f3efa7e40fe16cec54e",
-    (50, 1): "3a3feb22e474a5833c97c3e7b1a153705efcad2d9dc7efd2f2e5ba85de86d26d",
+    (40, 0): "9492083060721407297a0f0a834c7cad9954a28f519bb4e58ffb75b167f30035",
+    (40, 1): "6e7c119b5fcf3e444c138647766141ecdc2d03b70d54d03967b2d357cced82b0",
+    (40, 2): "5fb7237a031e210d1e58cfc5d02c029d8447d1b3885507bb137d846d07bce4fc",
+    (40, 3): "73102fbd0b42ac9bbf2215e277b517023e5013aec5b64d243545c2709aa66575",
+    (50, 0): "d30c285a47272941746c626e10967c165ad9771124384da29a68e54c8a87e79a",
+    (50, 1): "ddb2aef50b75e679bd3cc39c0eab9ec408b9a1569e8e9db32f673c775c537efa",
 }
 
 # The smallest known counterexample to completeness: the Tseitin
@@ -92,7 +92,7 @@ p cnf 12 32
 # sha256 of classify(...).to_json() on TSEITIN_N12: today's outcome, a
 # classification failure; a change that refutes it updates this pin
 TSEITIN_N12_DIGEST = (
-    "977b5c2eae2541fc5556d40c49a8010cd703c8bd37b746901942f430c93b4be0")
+    "69705c403be21501783e5a2578d9202205068fce5b48716416e19130180ec831")
 
 # Tseitin formulas on random connected 3-regular graphs
 # (`naive.tseitin_formula`): V = 6, 8, ..., 16 vertices, seeds 0-9, odd
@@ -104,7 +104,7 @@ TSEITIN_N12_DIGEST = (
 TSEITIN_GRID = [(vertices, seed, odd) for vertices in range(6, 17, 2)
                 for seed in range(10) for odd in (False, True)]
 TSEITIN_GRID_DIGEST = (
-    "ff1afad2aba3ed54383e3eaeb522c336a33feee78502760f52c3b5deef6e8f34")
+    "eba2733e0b91f1339af4bbf3a6fde6de1aaa3e0d37b1e67189e8762fd47aa526")
 
 # the smallest grid-generator Tseitin formula known on which no basic
 # refutes: V = 12 vertices, seed 1, odd charge, n = 18 and m = 48; it

@@ -86,9 +86,9 @@ def decomposition_digest(name: str) -> str:
 
 
 PINS = {
-    "sweep_small": "47385aaef0ad4ec9",
-    "free_n40": "c2f7370dd5e6fe5c",
-    "planted_n24": "fc238c91d8eb6166",
+    "sweep_small": "f498f54ded2dad9b",
+    "free_n40": "c72ec5d333f3c81f",
+    "planted_n24": "78d561614c627ea8",
 }
 
 
