@@ -558,11 +558,6 @@ def unstack(x: int, structures: Sequence[Cts]) -> tuple[Cts, ...]:
                  for i, s in enumerate(structures))
 
 
-def lane_layout(structures: Sequence[Cts]) -> Layout:
-    """The `Layout` of `stack(structures)`."""
-    return layout(structures[0].perm.layout.tiers, len(structures))
-
-
 def has_empty_lane(x: int, lay: Layout) -> bool:
     """Whether some lane of x has an empty tier: the has-zero-byte test
     (see `clear_packed`)."""

@@ -5,18 +5,17 @@ The basic structure is viewed as a tiered graph: one vertex per line,
 edges between adjoining lines of adjacent tiers, kept as bitmasks like
 a `Cts`. The systemic effective procedure (`ctsat.sep`) uses that graph
 as the shared skeleton of its hyperstructures. This module also holds
-the checks run after each tier, same-tier disjointness and the codes'
-values in every vertex tuple, and the extraction failure. What a
-vertex or a route fixes, `cts.Perm` reads off its codes
-(`window_values`, `assignment_of`).
+the check run after each tier, that every vertex tuple holds its
+code's values (which makes same-tier tuples disjoint), and the
+extraction failure. What a vertex or a route fixes, `cts.Perm` reads
+off its codes (`window_values`, `assignment_of`).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .cts import (_CODES, _SUCC, Cts, Perm, clear_packed, has_empty_lane,
-                  lane_layout, layout, unstack)
+from .cts import _CODES, _SUCC, Cts, Perm, has_empty_lane, layout
 from .unify import UnifyContext
 
 Vertex = tuple[int, int]          # (tier index 0-based, triplet code)
@@ -185,36 +184,6 @@ class InvariantViolation(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def check_tier_disjoint(vsub: dict[Vertex, int], codes: Sequence[int],
-                        j: int, structures: Sequence[Cts]) -> None:
-    """Same-tier substructure-vertices of each member must have pairwise
-    empty intersections; checked after each tier completes (also under
-    -O). `vsub` maps a vertex to its same-name tuple stacked in one int,
-    member i in lane i over the permutation of structures[i]. Each pair
-    of vertices costs one AND and one lane clear, whose lowest non-empty
-    lane is the first overlapping member; only then are the tuples
-    unstacked. The diagnostics name the member by its 0-based
-    position."""
-    if len(codes) < 2:
-        return
-    lay = lane_layout(structures)
-    stacked = [vsub[(j, c)] for c in codes]
-    for i, a in enumerate(codes):
-        for b, packed in zip(codes[i + 1:], stacked[i + 1:]):
-            both = clear_packed(stacked[i] & packed, lay)
-            if both:
-                member = next(m for m, s in enumerate(unstack(both, structures))
-                              if s.packed)
-                sa, sb = (unstack(x, structures)[member]
-                          for x in (stacked[i], packed))
-                raise InvariantViolation(
-                    "tier %d substructures %s and %s overlap"
-                    % (j + 1, format(a, "03b"), format(b, "03b")),
-                    {"tier": j + 1, "member": member, "substructures": {
-                        format(a, "03b"): sa.render(),
-                        format(b, "03b"): sb.render()}})
-
-
 def check_tier_codes(vsub: dict[Vertex, int], codes: Sequence[int], j: int,
                      perm: Perm, ctx: UnifyContext) -> None:
     """Each tier-j vertex tuple (j, c) must show the values of code c at
@@ -232,7 +201,14 @@ def check_tier_codes(vsub: dict[Vertex, int], codes: Sequence[int], j: int,
     lines, at the three variables' lowest windows in every lane
     (`UnifyContext.off_value`), that give a variable another value than
     c: one AND and one has-zero-byte test per tuple. The diagnostics
-    name the first failing member by its 0-based position."""
+    name the first failing member by its 0-based position.
+
+    Passing implies the paper's same-tier disjointness: the tier's
+    substructures of each member have pairwise empty intersections.
+    Two codes c != c' differ at some window variable u =
+    perm.order[j+k], and the two tuples hold u at c_k and c'_k at u's
+    lowest window in every lane, so their AND has an empty tier in every
+    lane and clears to nothing. An overlap therefore fails here."""
     lay = ctx.layout
     off = [ctx.off_value[v - 1] for v in perm.order[j:j + 3]]
     for c in codes:

@@ -22,13 +22,13 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
-from .cts import (TIER_FULL, Cts, clear_packed, has_empty_lane, lane_layout,
+from .cts import (TIER_FULL, Cts, clear_packed, has_empty_lane,
                   project_lanes, stack, unstack)
 from .decompose import (cts_stage_evidence, ctf_to_cts, decompose,
                         decompose_with_plan)
 from .formula import Bits, TabularFormula, bits_to_string
 from .hyper import (Edge, ExtractionFailure, InvariantViolation, TierGraph,
-                    Vertex, basic_graph, check_tier_codes, check_tier_disjoint)
+                    Vertex, basic_graph, check_tier_codes)
 from .unify import UnifyContext, unify, unify_context, window_codes
 
 SATISFIABLE = "satisfiable"
@@ -210,9 +210,11 @@ def systemic_effective_procedure(
     tuple, or goes when the system empties on it; each tier-j vertex
     tuple is formed (the members concretized on the basic vertex and
     unified, in one call, in the first tier, the union of its incoming
-    edge tuples, one OR, in later ones) and early-checked; and the
-    skeleton is pruned once. The early elementary check can
-    short-circuit the whole run with a witness.
+    edge tuples, one OR, in later ones) and early-checked; the
+    skeleton is pruned once; and the tier is checked once
+    (`check_tier_codes`: each vertex tuple holds its code's values,
+    which also makes the tier's tuples pairwise disjoint). The early
+    elementary check can short-circuit the whole run with a witness.
 
     One prune per tier is enough. The prune keeps exactly the vertices
     on a full path from tier 0 to the last tier, and the pass removed
@@ -318,8 +320,6 @@ def systemic_effective_procedure(
             return SepResult("empty", system, empty_tier=empty_tier)
         check_tier_codes(system.vsub, skeleton.codes(j), j, basic.perm,
                          system.context)
-        check_tier_disjoint(system.vsub, skeleton.codes(j), j,
-                            system.structures)
         _emit_tier(sink, system, j)
 
     return SepResult("complete", system)
@@ -461,9 +461,9 @@ def _pipeline(formula: TabularFormula, plan, sink) -> Verdict:
 
     # the complete system, every tier of every lane full, is a fixpoint
     # that every cleared input refines
-    unified = unify(stack(structures),
-                    unify_context(tuple(s.perm for s in structures)),
-                    since=TIER_FULL * lane_layout(structures).lsb, sink=sink)
+    ctx = unify_context(tuple(s.perm for s in structures))
+    unified = unify(stack(structures), ctx,
+                    since=TIER_FULL * ctx.layout.lsb, sink=sink)
     detail["unify_waves"] = unified.waves
     if unified.empty:
         detail["unify_cause"] = unified.cause

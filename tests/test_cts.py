@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctsat.cts import (TIER_FULL, Cts, Perm, clear_masks, clear_packed,
-                       concretize_lanes, lane_layout, layout, project_lanes,
-                       stack, unstack)
+                       concretize_lanes, layout, project_lanes, stack,
+                       unstack)
 from ctsat.decompose import Ctf
 from ctsat.formula import bits_from_string
 
@@ -115,7 +115,8 @@ def test_project_matches_union_of_intersections():
                                             for t in targets])
                          for i, sub in enumerate(subs))
         x = stack(subs)
-        got = project_lanes(x, [stack(t) for t in targets], lane_layout(subs))
+        got = project_lanes(x, [stack(t) for t in targets],
+                            layout(n - 2, len(subs)))
         assert unstack(got, subs) == expected
         if expected == subs:
             assert got == x
@@ -149,7 +150,7 @@ def test_concretize_lanes_matches_per_member_concretize_many():
                      for _ in range(rng.randint(1, 3))]
             expected = tuple(s.concretize_many(pairs) for s in subs)
             got = concretize_lanes(stack(subs), [s.perm for s in subs],
-                                   pairs, lane_layout(subs))
+                                   pairs, layout(tiers, lanes))
             assert unstack(got, subs) == expected
             dead = sum(s.is_empty for s in expected)
             assert (got == 0) == (dead == lanes)

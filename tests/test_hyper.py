@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import ctsat
-from ctsat.cts import Cts, Perm, stack, unstack
+from ctsat.cts import Cts, Perm, clear_packed, stack, unstack
 from ctsat.formula import TabularFormula
 from ctsat.hyper import (InvariantViolation, TierGraph, basic_graph,
-                         check_tier_codes, check_tier_disjoint)
+                         check_tier_codes)
 from ctsat.sep import (HsSystem, concordant_shift, extract_jss_system,
                        systemic_effective_procedure)
 from ctsat.unify import unify_context
@@ -342,24 +342,6 @@ def test_same_tier_substructures_pairwise_disjoint():
                     assert subs[a].intersect(subs[b]).is_empty
 
 
-def test_tier_disjoint_check_rejects_overlapping_substructures(perm5):
-    zeros = Cts.from_assignment((0, 0, 0, 0, 0), perm5)
-    ones = Cts.from_assignment((1, 1, 1, 1, 1), perm5)
-    members = (zeros, ones)
-    check_tier_disjoint({(0, 0b000): stack((zeros, ones)),
-                         (0, 0b111): stack((ones, zeros))},
-                        (0b000, 0b111), 0, members)
-    # the second member's substructures overlap
-    with pytest.raises(InvariantViolation,
-                       match="tier 1 substructures 000 and 111 overlap") as info:
-        check_tier_disjoint({(0, 0b000): stack((zeros, ones)),
-                             (0, 0b111): stack((ones, ones))},
-                            (0b000, 0b111), 0, members)
-    assert info.value.diagnostics == {
-        "tier": 1, "member": 1,
-        "substructures": {"000": ones.render(), "111": ones.render()}}
-
-
 def fixed_on(perm: Perm, pairs) -> Cts:
     """The complete structure over perm with the variables of `pairs`
     fixed to their values."""
@@ -407,41 +389,69 @@ def test_tier_codes_check_rejects_a_tuple_off_its_code(perm5):
         check_tier_codes(vsub, (0b110,), 1, perm5, ctx)
 
 
+def dropped_lines(rng, s: Cts) -> Cts:
+    """s with about a fifth of its lines dropped and cleared, or s
+    itself when that empties it."""
+    sub = Cts(s.perm, [m & sum(1 << c for c in range(8) if rng.random() < 0.8)
+                       for m in s.tiers]).clear()
+    return s if sub.is_empty else sub
+
+
+def test_tier_codes_check_implies_same_tier_disjointness():
+    # the vertex tuples of a random tier, each lane over its own
+    # permutation: random cleared lines fixed on the code's window
+    # values, a few lanes leaving one window variable free; the code
+    # check passes exactly when every lane holds its code's values, and
+    # then every two tuples of the tier have an AND that clears to
+    # nothing in every lane (the paper's same-tier disjointness)
+    rng = random.Random(913)
+    passed = rejected = 0
+    for _ in range(400):
+        n = rng.randint(5, 10)
+        perm = Perm(rng.sample(range(1, n + 1), n))
+        perms = tuple(Perm(rng.sample(range(1, n + 1), n))
+                      for _ in range(rng.randint(1, 3)))
+        ctx = unify_context(perms)
+        j = rng.randrange(n - 2)
+        codes = tuple(sorted(rng.sample(range(8), rng.randint(2, 8))))
+        vsub, holds = {}, True
+        for c in codes:
+            values = perm.window_values(j, c)
+            lanes = []
+            for p in perms:
+                pairs = rng.sample(values, 2) if rng.random() < 0.05 else values
+                lane = dropped_lines(rng, fixed_on(p, pairs))
+                holds &= all(constant_of(lane, v) == b for v, b in values)
+                lanes.append(lane)
+            vsub[(j, c)] = stack(lanes)
+        try:
+            check_tier_codes(vsub, codes, j, perm, ctx)
+        except InvariantViolation:
+            assert not holds
+            rejected += 1
+            continue
+        assert holds
+        passed += 1
+        stacked = [vsub[(j, c)] for c in codes]
+        for i, x in enumerate(stacked):
+            for y in stacked[i + 1:]:
+                assert clear_packed(x & y, ctx.layout) == 0
+    assert passed > 150 and rejected > 50
+
+
 def test_tier_codes_check_survives_optimize():
+    # also unify's refinement check
     script = (
         "from ctsat.cts import Cts, Perm\n"
         "from ctsat.hyper import InvariantViolation, check_tier_codes\n"
-        "from ctsat.unify import unify_context\n"
+        "from ctsat.unify import unify, unify_context\n"
         "assert False, 'asserts are stripped under -O'\n"
         "s = Cts.complete(Perm.identity(4))\n"
         "try:\n"
         "    check_tier_codes({(0, 5): s.packed}, (5,), 0, s.perm,"
         " unify_context((s.perm,)))\n"
         "except InvariantViolation as exc:\n"
-        "    print(exc, exc.diagnostics)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ctsat.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        "tier 1 vertex 101: member 0 does not hold the code's values "
-        "{'tier': 1, 'code': '101', 'member': 0}"]
-
-
-def test_tier_disjoint_check_survives_optimize():
-    # also unify's refinement check
-    script = (
-        "from ctsat.cts import Cts, Perm\n"
-        "from ctsat.hyper import InvariantViolation, check_tier_disjoint\n"
-        "from ctsat.unify import unify, unify_context\n"
-        "assert False, 'asserts are stripped under -O'\n"
-        "s = Cts.complete(Perm.identity(4))\n"
-        "try:\n"
-        "    check_tier_disjoint({(0, 1): s.packed, (0, 2): s.packed},"
-        " (1, 2), 0, (s,))\n"
-        "except InvariantViolation as exc:\n"
-        "    print(exc)\n"
+        "    print(exc, exc.diagnostics)\n"
         "try:\n"
         "    unify(s.packed, unify_context((s.perm,)), since=s.packed ^ 1)\n"
         "except ValueError as exc:\n"
@@ -452,7 +462,8 @@ def test_tier_disjoint_check_survives_optimize():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
-        "tier 1 substructures 001 and 010 overlap",
+        "tier 1 vertex 101: member 0 does not hold the code's values "
+        "{'tier': 1, 'code': '101', 'member': 0}",
         "x does not refine since"]
 
 
@@ -470,6 +481,24 @@ def test_package_has_no_assert_statement():
     # with one would stop running there; invariants raise instead
     found = [(name, node.lineno) for name, node in package_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_imports_only_names_it_uses():
+    # a name that a module imports and never reads is a leftover of a
+    # deleted caller; only the package's public names (ctsat.__all__)
+    # are imported to be re-exported
+    imported, used = set(), set()
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            imported.update((name, alias.asname or alias.name.split(".")[0])
+                            for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add((name, node.id))
+    found = sorted((name, bound) for name, bound in imported - used
+                   if bound not in ctsat.__all__)
     assert found == []
 
 

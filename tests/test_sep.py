@@ -601,7 +601,7 @@ def prune_guard(monkeypatch):
     seed and fix).
 
     A tier is counted when it passes its tier check
-    (`check_tier_disjoint`), so each formed tier must have exactly one
+    (`check_tier_codes`), so each formed tier must have exactly one
     prune. After a prune that empties no tier, every kept tier-j vertex
     tuple must equal the OR of its kept in-edges' stored tuples, which
     is what forming the tier again would give, and every stored tier j-1
@@ -610,7 +610,7 @@ def prune_guard(monkeypatch):
     import ctsat.sep as sep_mod
 
     shift, prune = sep_mod.concordant_shift, sep_mod._prune_system
-    check = sep_mod.check_tier_disjoint
+    check = sep_mod.check_tier_codes
     state = {"tier": 0}
     records, calls = [], []
 
@@ -641,14 +641,14 @@ def prune_guard(monkeypatch):
         records.append((j, before, list(skeleton.tiers), empty, checked))
         return empty
 
-    def counting_check(vsub, codes, j, structures):
+    def counting_check(vsub, codes, j, perm, ctx):
         assert j == state["tier"] == len(records) - 1
         state["tier"] += 1
-        return check(vsub, codes, j, structures)
+        return check(vsub, codes, j, perm, ctx)
 
     monkeypatch.setattr(sep_mod, "unify", recording_unify)
     monkeypatch.setattr(sep_mod, "_prune_system", checked_prune)
-    monkeypatch.setattr(sep_mod, "check_tier_disjoint", counting_check)
+    monkeypatch.setattr(sep_mod, "check_tier_codes", counting_check)
 
     def run(task):
         state["tier"] = 0
@@ -1111,28 +1111,6 @@ def test_failure_bundle_keeps_the_last_tier_and_a_digest(monkeypatch):
                 "%d:%s" % (last + 1, format(c, "03b")):
                     unstack(vsub[(last, c)], structures)[i].render()
                 for c in skeleton.codes(last)}}
-
-
-def test_classify_surfaces_invariant_violation(monkeypatch):
-    # hand the tier check overlapping same-tier substructures: every
-    # vertex of the tier gets the first vertex's substructure
-    import ctsat.sep as sep_mod
-    from ctsat.hyper import check_tier_disjoint
-
-    def overlapping(vsub, codes, j, structures):
-        check_tier_disjoint({(j, c): vsub[(j, codes[0])] for c in codes},
-                            codes, j, structures)
-
-    monkeypatch.setattr(sep_mod, "check_tier_disjoint", overlapping)
-    f = generate(GenParams(n=8, m=26, mode="sat", seed=20240722))
-    verdict = classify(f)
-    assert verdict.kind == CLASSIFICATION_FAILURE
-    assert verdict.exit_code == 30
-    assert "overlap" in verdict.detail["error"]
-    bundle = verdict.detail["diagnostics"]
-    assert bundle["tier"] >= 1 and len(bundle["substructures"]) == 2
-    assert bundle["member"] == 0
-    assert assert_json_round_trip(verdict)["detail"]["diagnostics"] == bundle
 
 
 def test_classify_surfaces_a_vertex_tuple_off_its_code(monkeypatch):

@@ -11,8 +11,7 @@ import pytest
 
 import ctsat
 from ctsat.cts import (_KEEP, Cts, Perm, clear_masks, concretize_lanes,
-                       has_empty_lane, lane_layout, project_lanes, stack,
-                       unstack)
+                       has_empty_lane, layout, project_lanes, stack, unstack)
 from ctsat.unify import (_COMBOS, _KEEP_SET, _PAIR_KEEP, _READS_FIRST,
                          _READS_LATER, _SEEN, _VALUES, CAUSE_CONSTANT_CONFLICT,
                          CAUSE_EMPTY_INPUT, CAUSE_EMPTY_TIER, UnifyContext,
@@ -393,7 +392,7 @@ def test_unify_seeded_on_the_sep_shapes_matches_the_full_scan():
             continue
         fixpoint = result.structures
         perms = [s.perm for s in fixpoint]
-        lay, x = lane_layout(fixpoint), stack(fixpoint)
+        lay, x = layout(n - 2, len(fixpoint)), stack(fixpoint)
         inputs = []
         free = [v for v in range(1, n + 1)
                 if constant_of(fixpoint[0], v) is None]
@@ -741,7 +740,7 @@ def test_context_entries_are_the_rows_of_their_lowest_windows():
 
 def test_unify_rejects_an_input_that_does_not_refine_since():
     # an explicit check, not an assert, so it holds under python -O too
-    # (test_hyper::test_tier_disjoint_check_survives_optimize runs it so)
+    # (test_hyper::test_tier_codes_check_survives_optimize runs it so)
     rng = random.Random(12)
     system = [s.clear() for s in random_system(rng, 7, 3)]
     ctx = UnifyContext([s.perm for s in system])
