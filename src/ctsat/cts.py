@@ -27,14 +27,14 @@ dead when it has an empty tier (`has_empty_lane`), `project_lanes`
 projects a tuple with one AND and one clear per target tuple it is
 given (the procedure gives it only the targets whose code agrees with
 the tuple's value sets, `unify.window_codes`), and a union of tuples
-is one OR. `ctsat.unify` edits the bytes of such an int, one lane at
-a time; it also fixes the variables of a tier-0 vertex
-tuple and of a shift's concretization, a lone member's too, clearing
-outward from the restricted windows. `concretize_lanes` fixes variables
-in every lane with one mask and one clear; it has no pipeline caller,
-and is kept as the kernel of `Cts.concretize_many` and as the tests'
-reference for unify's fix. `unstack` gives the structures back where
-they are needed one by one.
+is one OR. `ctsat.unify` edits the bytes of such an int, copied into a
+list of ints, one lane at a time; it also fixes the variables of a
+tier-0 vertex tuple and of a shift's concretization, a lone member's
+too, clearing outward from the restricted windows. `concretize_lanes`
+fixes variables in every lane with one mask and one clear; it has no
+pipeline caller, and is kept as the kernel of `Cts.concretize_many`
+and as the tests' reference for unify's fix. `unstack` gives the
+structures back where they are needed one by one.
 
 Clearing removes lines with no adjoining line in an adjacent tier, to a
 fixpoint. A cleared structure with no empty tier encodes a non-empty

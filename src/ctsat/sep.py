@@ -248,7 +248,7 @@ def systemic_effective_procedure(
     every input is cleared. A concretization, of the stacked members
     for a tier-0 vertex or of a shift's tail tuple, passes the fixpoint
     itself with the variables to fix, which `unify` restricts and
-    clears outward from in its byte buffer before the first wave; a
+    clears outward from in its list of masks before the first wave; a
     projection step passes the cleared projection of the tuple before
     it, over only the tier's vertex tuples whose code agrees with the
     tuple's value sets (see `concordant_shift`; `check_tier_codes`

@@ -137,11 +137,13 @@ _READS_FIRST = _read_table(0)
 _READS_LATER = _read_table(1)
 
 
-def settle(buf: bytearray, b: int, start: int, tiers: int, old: int,
+def settle(buf: list[int], b: int, start: int, tiers: int, old: int,
            var_at: Sequence[int],
            pair_at: Sequence[int]) -> tuple[int | None, int | None]:
     """Clear the lane of `tiers` masks at buf[start:start + tiers],
     cleared before its byte b alone was restricted from the mask `old`.
+    buf is the list of masks that `unify` builds, one int below 256 per
+    byte of the stacked system.
 
     Walks down from byte b while the next lower tier loses lines, then
     up from byte b the same way, mutating the lane in place and never
@@ -184,7 +186,7 @@ def settle(buf: bytearray, b: int, start: int, tiers: int, old: int,
             if d & _VALUES:
                 marks |= var_at[lo]
     if not m:
-        buf[start:start + tiers] = bytes(tiers)
+        buf[start:start + tiers] = [0] * tiers
         return None, lo - start
     last = start + tiers - 1
     while b < last:
@@ -396,20 +398,24 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
       - a lone lane, returned after the fix: its constants are its own
         and no pair has two homes, so neither rule removes a line.
 
-    The masks live in one bytearray, the bytes of x: tier t of lane i
-    at byte i * tiers + t. Each wave reads every stale constraint once,
-    in bit order (`ctx.homes`): rule 1's variables by variable, then
-    rule 2's pairs by pair; waves repeat while a wave removed a line.
-    The fixpoint of this monotone removal process is order-independent;
-    the order decides only the wave count and, when the system empties,
-    the structure, tier and cause met first. The masks stay cleared
-    throughout, so a constraint is read from one window per lane, the
-    lowest that holds it, and a removal restricts only that window
-    before clearing outward from it inside its lane (`settle`). When
-    the rule allows no value there, that window empties, and it is the
-    lowest tier that restricting every window would have emptied. A
-    constant conflict is reported at the lane where the AND of the
-    value sets, taken in lane order, first empties.
+    The masks live in one list of ints, the bytes of x: tier t of lane
+    i at byte i * tiers + t. It is a list, not a bytearray, because
+    CPython 3.11+ specializes a list subscript by an int (PEP 659) and
+    leaves a bytearray's generic, and the waves and `settle` do little
+    but read and write masks. Each wave reads every stale constraint
+    once, in bit order (`ctx.homes`): rule 1's variables by variable,
+    then rule 2's pairs by pair; waves repeat while a wave removed a
+    line. The fixpoint of this monotone removal process is
+    order-independent; the order decides only the wave count and, when
+    the system empties, the structure, tier and cause met first. The
+    masks stay cleared throughout, so a constraint is read from one
+    window per lane, the lowest that holds it, and a removal restricts
+    only that window before clearing outward from it inside its lane
+    (`settle`). When the rule allows no value there, that window
+    empties, and it is the lowest tier that restricting every window
+    would have emptied. A constant conflict is reported at the lane
+    where the AND of the value sets, taken in lane order, first
+    empties.
 
     A constraint is read only while stale, that is, while what it reads
     in some home changed since it was last read: a variable window's
@@ -452,7 +458,8 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     going. A constraint whose homes all show the same set removes
     nothing (a variable that every home shows constant is still fixed);
     a pair whose homes agree at a read stays so until one of them
-    changes and marks it again.
+    changes and marks it again. A pair that a read restricts is not
+    marked by its own removal: every home then shows `allowed` exactly.
 
     A sink, when given, receives the system state after the fix,
     before the first wave, and after every wave; a call that ends
@@ -481,7 +488,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     homes, var_pairs = ctx.homes, ctx.var_pairs
     var_at, pair_at = ctx.var_at, ctx.pair_at
     n = len(var_pairs)
-    buf = bytearray(x.to_bytes(size, "little"))
+    buf = list(x.to_bytes(size, "little"))
     seed = buf   # since's bytes; read before the fix rewrites buf
     stale = 0
     if x != since:
@@ -568,7 +575,13 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                                        cause=CAUSE_EMPTY_TIER,
                                        structure_index=start // tiers,
                                        empty_tier=t + 1)
-                marks &= ~done
+                # low itself goes unmarked: each home held every
+                # combination in allowed, its keep row keeps exactly
+                # those, and settle never rewrites the byte it starts
+                # from, so after this loop every home shows allowed and
+                # a re-read would remove nothing (a variable's bit is
+                # in done already)
+                marks &= ~(done | low)
                 pending |= marks & later
                 stale |= marks & ~later
         if sink is not None:
@@ -577,7 +590,7 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     return UnifyResult(int.from_bytes(buf, "little"), waves=waves)
 
 
-def _emit_wave(sink, ctx: UnifyContext, buf: bytearray, wave: int) -> None:
+def _emit_wave(sink, ctx: UnifyContext, buf: list[int], wave: int) -> None:
     tiers = ctx.layout.tiers
     parts = []
     for i, perm in enumerate(ctx.perms):

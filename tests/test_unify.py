@@ -802,9 +802,10 @@ def unify_reads(mask: int, t: int) -> tuple:
 
 def test_settle_matches_clear_masks_after_one_tier_restriction():
     # settle walks out from the restricted byte only, inside one lane of
-    # a flat buffer of one to four lanes; it must give clear_masks'
-    # masks, and (None, t) with clear_masks' empty index t when a tier
-    # empties, and leave the neighbouring lanes (random bytes) untouched.
+    # a flat list of masks of one to four lanes, the buffer unify hands
+    # it; it must give clear_masks' masks, and (None, t) with
+    # clear_masks' empty index t when a tier empties, and leave the
+    # neighbouring lanes (random bytes) untouched.
     # Its one mark set is exactly the OR of var_at over the tiers whose
     # value sets, and of pair_at over the tiers whose pair combinations,
     # as unify reads them, differ between the masks before and after:
@@ -826,8 +827,8 @@ def test_settle_matches_clear_masks_after_one_tier_restriction():
         tiers, lanes = n - 2, rng.randint(1, 4)
         size = lanes * tiers
         start = rng.randrange(lanes) * tiers
-        buf = bytearray(rng.randrange(256) for _ in range(size))
-        buf[start:start + tiers] = bytes(restricted)
+        buf = [rng.randrange(256) for _ in range(size)]
+        buf[start:start + tiers] = restricted
         neighbours = buf[:start] + buf[start + tiers:]
         var_at = [1 << b for b in range(size)]
         pair_at = [1 << size + b for b in range(size)]
