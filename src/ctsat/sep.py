@@ -340,21 +340,23 @@ def _emit_tier(sink, system: HsSystem, j: int) -> None:
 class SystemExtraction:
     assignments: list[Bits]
     backtracks: int
-    rejected: list[Bits]
 
 
 def extract_jss_system(system: HsSystem, formula: TabularFormula,
                        limit: int = 1) -> SystemExtraction:
     """Backward walk over the shared skeleton keeping every member's
-    running intersection non-empty; each found assignment must lie in
-    the system's basic structure, in every member structure, and
-    satisfy the formula. Stops after `limit` assignments, so at the default the
-    backtracks are the dead ends hit before the first witness.
+    running intersection non-empty. Stops after `limit` assignments, so
+    at the default the backtracks are the dead ends hit before the first
+    witness.
 
-    A complete route whose assignment fails those checks is skipped and
-    reported in `rejected`; a route whose running intersections do not
-    pin exactly the assignment its labels spell raises
-    `ExtractionFailure`.
+    A complete route raises `ExtractionFailure` unless its running
+    intersections pin exactly the assignment its labels spell and that
+    assignment satisfies the formula. It then lies in every structure:
+    its codes follow skeleton edges, lines of the basic structure, and
+    each member's running intersection, a subset of the member, pins
+    it. The structures' CTFs cover every clause, so the formula check
+    is an invariant, the first of two guards on a witness (`classify`
+    re-verifies it).
 
     A route is the codes of its vertices, from the last tier down. The
     members' running intersections are one stacked int: a step down is
@@ -363,7 +365,6 @@ def extract_jss_system(system: HsSystem, formula: TabularFormula,
     last = skeleton.tier_count - 1
     found: list[Bits] = []
     backtracks = 0
-    rejected: list[Bits] = []
 
     # depth first, with an explicit stack: an entry is a vertex's tier,
     # code and the running intersection of the route above it (None at
@@ -389,18 +390,15 @@ def extract_jss_system(system: HsSystem, formula: TabularFormula,
                    for r in unstack(x, system.structures)):
             raise ExtractionFailure(
                 "route labels disagree with the running intersection")
-        ok = (system.basic.contains_assignment(bits)
-              and all(s.contains_assignment(bits) for s in system.structures)
-              and formula.evaluate(bits) == 1)
-        (found if ok else rejected).append(bits)
+        if formula.evaluate(bits) != 1:
+            raise ExtractionFailure(
+                "route %s falsifies the formula" % bits_to_string(bits))
+        found.append(bits)
         if len(found) >= limit:
             break
     if not found:
-        raise ExtractionFailure(
-            "no verified route in a non-empty system"
-            + ("; rejected candidates: %s"
-               % [bits_to_string(b) for b in rejected] if rejected else ""))
-    return SystemExtraction(found, backtracks, rejected)
+        raise ExtractionFailure("no verified route in a non-empty system")
+    return SystemExtraction(found, backtracks)
 
 
 def classify(formula: TabularFormula,

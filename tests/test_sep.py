@@ -157,7 +157,6 @@ def k2_systems():
         assert sep.outcome == "complete"
         extraction = extract_jss_system(sep.system, TabularFormula(n, ()),
                                         limit=len(joint) + 1)
-        assert extraction.rejected == []
         assert set(extraction.assignments) == joint
         yield s2, sep.system
 
@@ -771,7 +770,6 @@ def test_sep_joint_sets_preserved_k3():
             assert not joint
             continue
         extraction = extract_jss_system(result.system, TabularFormula(n, ()))
-        assert extraction.rejected == []
         assert extraction.assignments[0] in joint
         hits += 1
     assert hits > 5
@@ -800,23 +798,22 @@ def test_extract_jss_system_k2_reference(worked8, unified_pair):
     assert as_p2 in tabledata.JOINT_SETS_P2
 
 
-def test_extract_jss_system_reports_rejected_candidates(unified_pair):
+def test_extract_jss_system_raises_on_a_route_that_falsifies_the_formula(
+        unified_pair):
     s1, s2 = unified_pair
     result = systemic_effective_procedure(s1, [s2], unsatisfiable_formula(8))
     assert result.outcome == "complete"
     first = extract_jss_system(result.system,
                                TabularFormula(8, ())).assignments[0]
-    # a clause falsified by the first route's assignment
+    # a clause falsified by the first route's assignment: the walk stops
+    # there instead of moving on to the next route
     formula = TabularFormula(8, (Clause(((1, first[0]), (2, first[1]),
                                          (3, first[2]))),))
-    joint = joint_sat_set([s1, s2])
-    assert any(formula.evaluate(b) for b in joint)
-    got = extract_jss_system(result.system, formula)
-    assert got.rejected and got.rejected[0] == first
-    for bits in got.rejected:
-        assert bits in joint and formula.evaluate(bits) == 0
-    assert got.assignments[0] in joint
-    assert formula.evaluate(got.assignments[0]) == 1
+    assert formula.evaluate(first) == 0
+    with pytest.raises(ExtractionFailure) as info:
+        extract_jss_system(result.system, formula)
+    assert str(info.value) == ("route %s falsifies the formula"
+                               % bits_to_string(first))
 
 
 def test_extract_jss_system_checks_route_labels(unified_pair):
@@ -1183,6 +1180,36 @@ def test_classify_rejects_a_corrupted_witness(exit_name, monkeypatch):
     elif exit_name == "extract":
         monkeypatch.setattr(
             sep_mod, "extract_jss_system",
-            lambda system, formula: SystemExtraction([bad], 0, []))
+            lambda system, formula: SystemExtraction([bad], 0))
     with pytest.raises(SoundnessError, match=bits_to_string(bad)):
         classify(formula)
+
+
+@pytest.mark.parametrize("params", [
+    GenParams(n=5, m=16, mode="sat", seed=20240671),
+    GenParams(n=8, m=26, mode="sat", seed=20240722)],
+    ids=["early-sat", "extract"])
+def test_classify_fails_at_the_first_route_a_formula_rejects(params,
+                                                             monkeypatch):
+    # a formula that rejects every assignment, handed the clauses of a
+    # satisfiable one: the SEP finds no early witness and ends complete,
+    # and extraction fails at the first route instead of walking every
+    # route; the failure is never a refutation
+    import ctsat.sep as sep_mod
+
+    systems = []
+    original = sep_mod.extract_jss_system
+
+    def recording(system, formula):
+        systems.append(system)
+        return original(system, formula)
+
+    monkeypatch.setattr(sep_mod, "extract_jss_system", recording)
+    clauses = generate(params).clauses
+    verdict = classify(RejectsEveryAssignment(params.n, clauses))
+    assert verdict.kind == CLASSIFICATION_FAILURE
+    system, = systems
+    first = original(system, TabularFormula(params.n, ())).assignments[0]
+    assert verdict.detail["error"] == ("route %s falsifies the formula"
+                                       % bits_to_string(first))
+    assert verdict.detail["diagnostics"] == sep_mod._failure_bundle(system)

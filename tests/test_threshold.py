@@ -2,11 +2,11 @@
 
 The `hard` marker keeps these cases out of the default run (see
 pyproject.toml); run them with `python -m pytest -m hard`. They take
-about half a minute on two cores, most of it in n = 50 seed 0. The
-12-variable Tseitin counterexample, a grid of 120 small Tseitin
-formulas, a V = 12 Tseitin formula that no basic refutes and even-charge
-Tseitin formulas up to V = 30 cost a few seconds and run in the default
-tier. Running this
+about a minute on a two-core machine: 15 s in n = 50 seed 0 and 24 s
+in the six SEP runs at n = 60. The 12-variable Tseitin
+counterexample, a grid of 120 small Tseitin formulas, a V = 12 Tseitin
+formula that no basic refutes and even-charge Tseitin formulas up to
+V = 30 cost a few seconds and run in the default tier. Running this
 file as a script prints the current `VERDICT_DIGESTS`,
 `TSEITIN_N12_DIGEST` and `TSEITIN_GRID_DIGEST`.
 """
@@ -123,6 +123,11 @@ TSEITIN_EVEN_BACKTRACKS = {18: [12, 5, 5, 3, 12], 20: [12, 6, 16, 32, 16],
 SEP_COMPLETE_ON_UNSAT = [(49, 6), (49, 13), (50, 18), (50, 22), (50, 34),
                          (50, 35)]
 
+# the cliff: at n = 60 the systemic procedure refutes none of seeds 0-5,
+# yet DPLL finds all but seed 2 unsatisfiable; each seed's DPLL verdict
+SEP_COMPLETE_AT_N60 = {0: False, 1: False, 2: True, 3: False, 4: False,
+                       5: False}
+
 
 def threshold_formula(n: int, seed: int):
     return generate(GenParams(n=n, m=round(4.26 * n), mode="free",
@@ -238,19 +243,32 @@ def test_threshold_verdicts_agree_with_dpll(n, seed):
     assert verdict_digest(verdict) == VERDICT_DIGESTS[(n, seed)]
 
 
-@pytest.mark.hard
-@pytest.mark.parametrize("n, seed", SEP_COMPLETE_ON_UNSAT)
-def test_sep_ends_complete_on_unsatisfiable_formulas(n, seed):
-    formula = threshold_formula(n, seed)
+def sep_outcome(formula) -> str:
+    """The outcome of the systemic procedure with the first unified
+    structure as basic, with no extraction."""
     ctfs, _ = decompose(formula)
     structures = [ctf_to_cts(ctf) for ctf in ctfs]
     assert not any(s.is_empty for s in structures)
     unified = unify_cts(structures)
     assert not unified.empty
     basic, *others = unified.structures
-    result = systemic_effective_procedure(basic, others, formula)
-    assert result.outcome == "complete"
+    return systemic_effective_procedure(basic, others, formula).outcome
+
+
+@pytest.mark.hard
+@pytest.mark.parametrize("n, seed", SEP_COMPLETE_ON_UNSAT)
+def test_sep_ends_complete_on_unsatisfiable_formulas(n, seed):
+    formula = threshold_formula(n, seed)
+    assert sep_outcome(formula) == "complete"
     assert not dpll(formula).satisfiable
+
+
+@pytest.mark.hard
+@pytest.mark.parametrize("seed", sorted(SEP_COMPLETE_AT_N60))
+def test_sep_ends_complete_at_n60(seed):
+    formula = threshold_formula(60, seed)
+    assert sep_outcome(formula) == "complete"
+    assert dpll(formula).satisfiable == SEP_COMPLETE_AT_N60[seed]
 
 
 if __name__ == "__main__":
