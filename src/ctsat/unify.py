@@ -138,8 +138,8 @@ _READS_LATER = _read_table(1)
 
 
 def settle(buf: list[int], b: int, start: int, tiers: int, old: int,
-           var_at: Sequence[int],
-           pair_at: Sequence[int]) -> tuple[int | None, int | None]:
+           var_at: Sequence[int], pair_at: Sequence[int],
+           marks: int) -> int:
     """Clear the lane of `tiers` masks at buf[start:start + tiers],
     cleared before its byte b alone was restricted from the mask `old`.
     buf is the list of masks that `unify` builds, one int below 256 per
@@ -147,13 +147,14 @@ def settle(buf: list[int], b: int, start: int, tiers: int, old: int,
 
     Walks down from byte b while the next lower tier loses lines, then
     up from byte b the same way, mutating the lane in place and never
-    reading or writing outside it. Returns (marks, None): marks is the
-    OR of `var_at[byte]` over the bytes whose value sets changed and of
-    `pair_at[byte]` over those whose pair combinations changed, both as
-    the rules read them (`_READS_FIRST`, `_READS_LATER`). A byte's old
-    mask is `old` for byte b and the mask the walk overwrote for the
-    others. When a tier empties, the lane is zeroed and the result is
-    (None, t) with t the index that `cts.clear_masks` reports.
+    reading or writing outside it. Returns the running marks, `marks`
+    (a non-negative int of constraint bits), ORed with `var_at[byte]`
+    over the bytes whose value sets changed and with `pair_at[byte]`
+    over those whose pair combinations changed, both as the rules read
+    them (`_READS_FIRST`, `_READS_LATER`). A byte's old mask is `old`
+    for byte b and the mask the walk overwrote for the others. When a
+    tier empties, the lane is zeroed and the result is ~t, a negative
+    int, with t the index that `cts.clear_masks` reports.
 
     The masks equal `cts.clear_masks`'. A line removed on the way down
     has no successor, so it is no kept line's only predecessor; a line
@@ -166,9 +167,8 @@ def settle(buf: list[int], b: int, start: int, tiers: int, old: int,
     m = buf[b]
     reads = _READS_FIRST if b == start else later
     d = reads[old] ^ reads[m]
-    marks = 0
     if d:
-        marks = pair_at[b]
+        marks |= pair_at[b]
         if d & _VALUES:
             marks |= var_at[b]
     lo = b
@@ -187,7 +187,7 @@ def settle(buf: list[int], b: int, start: int, tiers: int, old: int,
                 marks |= var_at[lo]
     if not m:
         buf[start:start + tiers] = [0] * tiers
-        return None, lo - start
+        return ~(lo - start)
     last = start + tiers - 1
     while b < last:
         o = buf[b + 1]
@@ -201,7 +201,7 @@ def settle(buf: list[int], b: int, start: int, tiers: int, old: int,
             marks |= pair_at[b]
             if d & _VALUES:
                 marks |= var_at[b]
-    return marks, None
+    return marks
 
 
 @lru_cache(maxsize=None)
@@ -423,17 +423,18 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     byte a removal rewrites before and after through `_READS_FIRST` and
     `_READS_LATER`, and marks the variables whose windows lie at the
     bytes whose value sets changed (`ctx.var_at`) and the pairs with a
-    home at the bytes whose combination sets changed (`ctx.pair_at`).
-    The first wave's stale constraints are those of the same test on
-    the bytes where x and `since` differ, and those that `settle` marks
-    for the fix. A read only loses bits as its mask shrinks, so a
-    window whose reads changed in some fix step differs from `since` at
-    the end, and the marks are the ones a scan of the concretized input
-    would make. A stale constraint reads every home; which lanes
-    changed is not kept, since a home that did not change decides
-    nothing: an unfixed variable's unchanged window shows both values,
-    as at its last read or, unread, as in `since`, a fixpoint that
-    shows no unfixed variable constant.
+    home at the bytes whose combination sets changed (`ctx.pair_at`),
+    ORing them into the running marks it is given. The first wave's
+    stale constraints are those of the same test on the bytes where x
+    and `since` differ, and those that `settle` marks for the fix. A
+    read only loses bits as its mask shrinks, so a window whose reads
+    changed in some fix step differs from `since` at the end, and the
+    marks are the ones a scan of the concretized input would make. A
+    stale constraint reads every home; which lanes changed is not kept,
+    since a home that did not change decides nothing: an unfixed
+    variable's unchanged window shows both values, as at its last read
+    or, unread, as in `since`, a fixpoint that shows no unfixed variable
+    constant.
 
     `done` holds the bit of each variable fixed, constant in every lane,
     and the bits of its pairs (`ctx.var_pairs`); none of them is read
@@ -460,6 +461,15 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
     a pair whose homes agree at a read stays so until one of them
     changes and marks it again. A pair that a read restricts is not
     marked by its own removal: every home then shows `allowed` exactly.
+
+    The agenda takes a read's marks once, after all its removals: the
+    removal loop runs `settle` on each restricted home with the marks
+    so far, and only then drops `done` and the read's own bit and
+    splits the rest into this wave's bits, above the read's, and the
+    next wave's. This is exact: each home lies in a lane of its own, so
+    a removal leaves the windows of the other homes as they were read,
+    and `done`, the read's bit and the scan position do not change
+    inside the loop, so the split of the OR is the OR of the splits.
 
     A sink, when given, receives the system state after the fix,
     before the first wave, and after every wave; a call that ends
@@ -519,12 +529,12 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 if kept == old:
                     continue
                 buf[b] = kept
-                marks, _ = settle(buf, b, start, tiers, old, var_at, pair_at)
-                if marks is None:
+                stale = settle(buf, b, start, tiers, old, var_at, pair_at,
+                               stale)
+                if stale < 0:
                     return UnifyResult(None, waves=0,
                                        cause=CAUSE_EMPTY_INPUT,
                                        structure_index=i)
-                stale |= marks
     if sink is not None:
         _emit_wave(sink, ctx, buf, 0)
     if k == 1:   # its constants are its own, and no pair has two homes
@@ -559,31 +569,31 @@ def unify(x: int, ctx: UnifyContext, since: int, sink=None,
                 pending &= ~done
             if allowed == union:   # every home agrees
                 continue
-            # each home lies in a lane of its own, so a removal below
-            # leaves the windows of the other homes as they were read
-            later = -(low << 1)   # the bits above low
+            # some home shows more than allowed, so the loop restricts
+            # at least one; its marks go to the agenda once, after it
+            changed = True
+            acc = 0
             for b, _, keep, start in entries:
                 old = buf[b]
                 kept = old & keep[allowed]
                 if kept == old:
                     continue
                 buf[b] = kept
-                changed = True
-                marks, t = settle(buf, b, start, tiers, old, var_at, pair_at)
-                if marks is None:
+                acc = settle(buf, b, start, tiers, old, var_at, pair_at, acc)
+                if acc < 0:
                     return UnifyResult(None, waves=waves,
                                        cause=CAUSE_EMPTY_TIER,
                                        structure_index=start // tiers,
-                                       empty_tier=t + 1)
-                # low itself goes unmarked: each home held every
-                # combination in allowed, its keep row keeps exactly
-                # those, and settle never rewrites the byte it starts
-                # from, so after this loop every home shows allowed and
-                # a re-read would remove nothing (a variable's bit is
-                # in done already)
-                marks &= ~(done | low)
-                pending |= marks & later
-                stale |= marks & ~later
+                                       empty_tier=~acc + 1)
+            # low itself goes unmarked: each home held every combination
+            # in allowed, its keep row keeps exactly those, and settle
+            # never rewrites the byte it starts from, so every home now
+            # shows allowed and a re-read would remove nothing (a
+            # variable's bit is in done already)
+            acc &= ~(done | low)
+            ahead = acc >> idx << idx   # the bits above low
+            pending |= ahead
+            stale |= acc ^ ahead
         if sink is not None:
             _emit_wave(sink, ctx, buf, waves)
 

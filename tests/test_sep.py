@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
@@ -8,8 +9,8 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from ctsat.cts import (Cts, Perm, concretize_lanes, has_empty_lane,
-                       project_lanes, stack, unstack)
+from ctsat.cts import (TIER_FULL, Cts, Perm, concretize_lanes,
+                       has_empty_lane, project_lanes, stack, unstack)
 from ctsat.formula import (Clause, GenParams, TabularFormula,
                            bits_from_string, bits_to_string, generate)
 from ctsat.hyper import ExtractionFailure
@@ -19,13 +20,15 @@ from ctsat.sep import (CLASSIFICATION_FAILURE, SATISFIABLE, UNSATISFIABLE,
                        SystemExtraction, classify, concordant_shift,
                        early_elementary_check, extract_jss_system,
                        systemic_effective_procedure)
-from ctsat.unify import CAUSE_EMPTY_INPUT, unify, window_codes
+from ctsat.unify import (CAUSE_EMPTY_INPUT, UnifyContext, unify,
+                         window_codes)
 
 import tabledata
 from conftest import unsatisfiable_formula
 from naive import (concretize_then_unify, cts_to_sets, joint_sat_set, lanes,
                    naive_concretize, naive_project, naive_shift,
-                   reference_unify, unify_cts, unstacked_result)
+                   pair_relation, reference_unify, unify_cts,
+                   unstacked_result)
 
 
 # -- early elementary check ------------------------------------------------------
@@ -360,6 +363,37 @@ def test_projection_drops_only_targets_dead_in_every_lane():
                                 None, 0, CAUSE_EMPTY_INPUT, 0, None)
                         x = unify(every, ctx, since=x).packed
     assert none_kept > 500
+
+
+def test_lane_0_pair_combinations_do_not_tell_dead_targets():
+    # a fixpoint shows each variable's value set in lane 0 as in every
+    # lane, but a pair's combinations only in the lanes where the pair
+    # is co-tiered. Lane 0 keeps x1 == x2; in lane 1 x1 and x2 sit three
+    # positions apart, so the pair has one home and rule 2 never reads
+    # it. The tier-0 tuple of code 010 (x1 = 0, x2 = 1, x3 = 0) agrees
+    # with lane 0's value sets but not with its (x1, x2) combinations,
+    # and its AND with x is dead in lane 0 only: a projection filter
+    # on lane 0's pair combinations would drop a live target
+    basic, other = Perm((1, 2, 3, 4, 5)), Perm((1, 3, 4, 2, 5))
+    lane0 = Cts.empty(basic)
+    for bits in itertools.product((0, 1), repeat=5):
+        if bits[0] == bits[1]:
+            lane0 = lane0.union(Cts.from_assignment(bits, basic))
+    structures = (lane0, Cts.complete(other))
+    assert pair_relation(lane0, 1, 2).allowed == {(0, 0), (1, 1)}
+    assert pair_relation(structures[1], 1, 2) is None
+    fixpoint = unify_cts(structures)
+    assert fixpoint.structures == structures and fixpoint.waves == 1
+    ctx = UnifyContext((basic, other))
+    x = stack(structures)
+    assert window_codes(x, ctx, (1, 2, 3)) == TIER_FULL
+    target = concretize_lanes(stack([Cts.complete(p) for p in ctx.perms]),
+                              ctx.perms, ((1, 0), (2, 1), (3, 0)),
+                              ctx.layout)
+    piece = lanes(project_lanes(x, [target], ctx.layout), ctx.perms)
+    assert piece[0].is_empty and not piece[1].is_empty
+    assert piece[1] == Cts.complete(other).concretize_many(
+        ((1, 0), (2, 1), (3, 0)))
 
 
 def test_concordant_shift_k3_projects_onto_tier_1():

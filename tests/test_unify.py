@@ -423,6 +423,77 @@ def test_unify_seeded_on_the_sep_shapes_matches_the_full_scan():
                for cause in (None, CAUSE_CONSTANT_CONFLICT))
 
 
+def wide_system(rng: random.Random, n: int, lanes: int, planted: int):
+    """Cleared structures over random permutations of n variables, one per
+    lane, each tier line kept with one density drawn per system, and the
+    lines of `planted` random assignments added to every lane, so that
+    with one or more the joint set, and the fixpoint, is non-empty."""
+    points = [tuple(rng.randint(0, 1) for _ in range(n))
+              for _ in range(planted)]
+    density = rng.uniform(0.6, 0.9)
+    order = list(range(1, n + 1))
+    structures = []
+    for _ in range(lanes):
+        rng.shuffle(order)
+        perm = Perm(order)
+        s = Cts(perm, [sum(1 << c for c in range(8) if rng.random() < density)
+                       for _ in range(n - 2)])
+        for point in points:
+            s = s.union(Cts.from_assignment(point, perm))
+        structures.append(s.clear())
+    return structures
+
+
+def test_unify_on_wide_systems_matches_the_full_scan(monkeypatch):
+    # the SEP's systems run 20-23 lanes on unsat_n40, where one read
+    # restricts many homes and unify sends their marks to the
+    # agenda in one step; on 8-24 lanes every field must agree with the
+    # full scan, seeded from the complete system and with the fixpoint a
+    # refinement came from. A read's first settle call gets no marks and
+    # each further one the marks so far (its first restriction changes
+    # its own read), so the calls count the homes each read restricts
+    import ctsat.unify
+    starts = []
+    real = ctsat.unify.settle
+
+    def counted(buf, b, start, tiers, old, var_at, pair_at, marks):
+        starts.append(marks == 0)
+        return real(buf, b, start, tiers, old, var_at, pair_at, marks)
+
+    monkeypatch.setattr(ctsat.unify, "settle", counted)
+    rng = random.Random(4224)
+    causes = Counter()
+    seeded = Counter()
+    many_lanes = multi_wave = 0
+    for _ in range(1500):
+        system = wide_system(rng, rng.randint(5, 12), rng.randint(8, 24),
+                             rng.choice((0, 2, 3, 4)))
+        result = unify_cts(system)
+        assert result_fields(result) == result_fields(reference_unify(system))
+        causes[result.cause] += 1
+        multi_wave += result.waves > 2
+        if result.empty:
+            continue
+        many_lanes += sum(s != f for s, f in zip(system,
+                                                 result.structures)) >= 8
+        refined = refine(rng, result.structures)
+        if stack(refined) == stack(result.structures):
+            continue
+        again = unify_cts(refined, since=result.structures)
+        assert result_fields(again) == result_fields(reference_unify(refined))
+        seeded[again.cause] += 1
+    restricted = []   # the homes restricted by each read
+    for first in starts:
+        if first:
+            restricted.append(0)
+        restricted[-1] += 1
+    assert causes[None] > 1000 and causes[CAUSE_CONSTANT_CONFLICT] > 100
+    assert causes[CAUSE_EMPTY_TIER] > 50
+    assert seeded[None] > 700 and seeded[CAUSE_CONSTANT_CONFLICT] > 200
+    assert many_lanes > 1000 and multi_wave > 700
+    assert sum(r >= 8 for r in restricted) > 5000
+
+
 def test_seeded_and_fixed_fixpoints_obey_both_rules():
     # rule 2 passes over a pair that holds a fixed variable, and the full
     # scan reference does too, so the rules are checked here on their own
@@ -803,14 +874,16 @@ def unify_reads(mask: int, t: int) -> tuple:
 def test_settle_matches_clear_masks_after_one_tier_restriction():
     # settle walks out from the restricted byte only, inside one lane of
     # a flat list of masks of one to four lanes, the buffer unify hands
-    # it; it must give clear_masks' masks, and (None, t) with
-    # clear_masks' empty index t when a tier empties, and leave the
-    # neighbouring lanes (random bytes) untouched.
-    # Its one mark set is exactly the OR of var_at over the tiers whose
+    # it; it must give clear_masks' masks, and ~t with clear_masks'
+    # empty index t when a tier empties, and leave the neighbouring
+    # lanes (random bytes) untouched.
+    # It returns the running marks it is given, a random non-zero
+    # prior, ORed with exactly the OR of var_at over the tiers whose
     # value sets, and of pair_at over the tiers whose pair combinations,
     # as unify reads them, differ between the masks before and after:
     # each byte has a bit of its own in each table, so a byte marked or
-    # left out by mistake, or a table read for the other, shows
+    # left out by mistake, a table read for the other, or a prior bit
+    # dropped shows
     rng = random.Random(902)
     emptied = kept = wide = skipped = gaps = same_values = 0
     while emptied + kept < 4000:
@@ -832,22 +905,23 @@ def test_settle_matches_clear_masks_after_one_tier_restriction():
         neighbours = buf[:start] + buf[start + tiers:]
         var_at = [1 << b for b in range(size)]
         pair_at = [1 << size + b for b in range(size)]
+        prior = rng.randrange(1, 1 << 2 * size)
         marks = settle(buf, start + j, start, tiers, before[j], var_at,
-                       pair_at)
+                       pair_at, prior)
         got = list(buf[start:start + tiers])
         assert got == expected
         assert buf[:start] + buf[start + tiers:] == neighbours
         if zero is not None:
             emptied += 1
-            assert marks == (None, zero)
+            assert marks == ~zero
             continue
         kept += 1
         reads = [(unify_reads(before[t], t), unify_reads(got[t], t))
                  for t in range(tiers)]
         values = [t for t, (old, new) in enumerate(reads) if old[0] != new[0]]
         combos = [t for t, (old, new) in enumerate(reads) if old[1] != new[1]]
-        assert marks == (sum(var_at[start + t] for t in values)
-                         | sum(pair_at[start + t] for t in combos), None)
+        assert marks == prior | (sum(var_at[start + t] for t in values)
+                                 | sum(pair_at[start + t] for t in combos))
         changed = [t for t in range(tiers) if got[t] != before[t]]
         wide += len(changed) > 1
         skipped += len(combos) < len(changed)
